@@ -119,7 +119,7 @@ pub struct RemoteActionProxy {
     orb: Orb,
     from_node: String,
     target: orb::ObjectRef,
-    policy: Option<RetryPolicy>,
+    policy: RetryPolicy,
     deadline: Option<Duration>,
 }
 
@@ -136,17 +136,17 @@ impl RemoteActionProxy {
             orb,
             from_node: from_node.into(),
             target,
-            policy: None,
+            policy: RetryPolicy::AT_LEAST_ONCE,
             deadline: None,
         }
     }
 
     /// Deliver signals under an explicit [`RetryPolicy`] (backoff timed on
-    /// the ORB's virtual clock) instead of the ORB's legacy immediate
-    /// at-least-once loop.
+    /// the ORB's virtual clock) instead of the default
+    /// [`RetryPolicy::AT_LEAST_ONCE`].
     #[must_use]
     pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = Some(policy);
+        self.policy = policy;
         self
     }
 
@@ -176,17 +176,10 @@ impl Action for RemoteActionProxy {
         if let Some(id) = signal.delivery_id() {
             request.set_delivery_id(id);
         }
-        let reply = match &self.policy {
-            Some(policy) => self.orb.invoke_with_policy(
-                &self.from_node,
-                &self.target,
-                request,
-                policy,
-                self.deadline,
-            ),
-            None => self.orb.invoke_at_least_once(&self.from_node, &self.target, request),
-        }
-        .map_err(|e| ActionError::new(e.to_string()))?;
+        let reply = self
+            .orb
+            .invoke_with_policy(&self.from_node, &self.target, request, &self.policy, self.deadline)
+            .map_err(|e| ActionError::new(e.to_string()))?;
         Outcome::from_value(&reply.result).map_err(|e: ActivityError| ActionError::new(e.to_string()))
     }
 
@@ -232,10 +225,7 @@ mod tests {
     fn remote_proxy_survives_lossy_network() {
         // 40% drop: at-least-once retry gets the signal through, possibly
         // executing it several times — the action must tolerate that.
-        let orb = Orb::builder()
-            .network(NetworkConfig::lossy(0.4, 0.2, 99))
-            .retry_budget(64)
-            .build();
+        let orb = Orb::builder().network(NetworkConfig::lossy(0.4, 0.2, 99)).build();
         let node = orb.add_node("server").unwrap();
         let hits = Arc::new(AtomicU32::new(0));
         let hits2 = Arc::clone(&hits);
@@ -244,7 +234,8 @@ mod tests {
             Ok(Outcome::done())
         }));
         let obj = node.activate("Action", ActionServant::new(action)).unwrap();
-        let proxy = RemoteActionProxy::new("p", orb, "client", obj);
+        let proxy = RemoteActionProxy::new("p", orb, "client", obj)
+            .with_policy(RetryPolicy::immediate(65));
         let out = proxy.process_signal(&Signal::new("go", "set")).unwrap();
         assert!(out.is_done());
         assert!(hits.load(Ordering::SeqCst) >= 1, "delivered at least once");

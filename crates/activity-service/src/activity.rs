@@ -2,11 +2,13 @@
 //! transactional (§3.1–3.2 of the paper).
 
 use std::fmt;
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use orb::SimClock;
+use orb::{Env, SimClock};
 use parking_lot::Mutex;
+use telemetry::RecordKind;
 
 use crate::completion::CompletionStatus;
 use crate::coordinator::ActivityCoordinator;
@@ -74,11 +76,11 @@ struct ActivityInner {
     properties: PropertyGroupManager,
     completion_set: Mutex<Option<String>>,
     outcome: Mutex<Option<Outcome>>,
-    clock: SimClock,
     deadline: Mutex<Option<Duration>>,
     logger: Option<Arc<ActivityLogger>>,
-    id_source: Arc<std::sync::atomic::AtomicU64>,
-    journal: Mutex<Option<ActivityJournal>>,
+    id_source: Arc<AtomicU64>,
+    /// The per-tree typed probe; write-once, inherited by children.
+    journal: OnceLock<ActivityJournal>,
 }
 
 /// A unit of work, arranged in a tree (fig. 4), coordinated through its
@@ -102,55 +104,41 @@ impl fmt::Debug for Activity {
 }
 
 impl Activity {
-    /// Create a root activity. Most callers go through
-    /// [`crate::service::ActivityService::begin`] instead, which wires the
-    /// thread association and logging.
+    /// Create a root activity under a plane-less context on `clock`. Most
+    /// callers go through [`crate::service::ActivityService::begin`]
+    /// instead, which wires the thread association, logging and the
+    /// service's [`Env`].
     pub fn new_root(name: impl Into<String>, clock: SimClock) -> Activity {
-        Self::new_root_with(name, clock, None, Arc::new(std::sync::atomic::AtomicU64::new(1)))
+        Self::new_root_with(name, Env::with_clock(clock), None, Arc::new(AtomicU64::new(1)))
     }
 
     pub(crate) fn new_root_with(
         name: impl Into<String>,
-        clock: SimClock,
+        env: Arc<Env>,
         logger: Option<Arc<ActivityLogger>>,
-        id_source: Arc<std::sync::atomic::AtomicU64>,
+        id_source: Arc<AtomicU64>,
     ) -> Activity {
-        let id =
-            ActivityId::new(id_source.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
+        let id = ActivityId::new(id_source.fetch_add(1, Ordering::Relaxed));
         let name = name.into();
         if let Some(logger) = &logger {
             let _ = logger.log_begun(id, &name, None);
         }
-        Activity {
-            inner: Arc::new(ActivityInner {
-                id,
-                name,
-                parent: Weak::new(),
-                children: Mutex::new(Vec::new()),
-                state: Mutex::new(ActivityState::Active),
-                completion: Mutex::new(CompletionStatus::default()),
-                coordinator: ActivityCoordinator::new(id),
-                properties: PropertyGroupManager::new(),
-                completion_set: Mutex::new(None),
-                outcome: Mutex::new(None),
-                clock,
-                deadline: Mutex::new(None),
-                logger,
-                id_source,
-                journal: Mutex::new(None),
-            }),
-        }
+        let root = Self::assemble(id, name, None, env, logger, id_source);
+        root.emit(|| root.begun());
+        root
     }
 
-    /// Reconstruct an activity with a known id during recovery; links it
-    /// under `parent` when given.
-    pub(crate) fn rebuild(
+    /// The one place an activity is put together (recovery calls it
+    /// directly, with the logged id): a child takes its parent's property
+    /// visibility, deadline and journal and is linked into the parent's
+    /// children; its coordinator runs under `env`.
+    pub(crate) fn assemble(
         id: ActivityId,
         name: String,
         parent: Option<&Activity>,
-        clock: SimClock,
+        env: Arc<Env>,
         logger: Option<Arc<ActivityLogger>>,
-        id_source: Arc<std::sync::atomic::AtomicU64>,
+        id_source: Arc<AtomicU64>,
     ) -> Activity {
         let activity = Activity {
             inner: Arc::new(ActivityInner {
@@ -160,23 +148,43 @@ impl Activity {
                 children: Mutex::new(Vec::new()),
                 state: Mutex::new(ActivityState::Active),
                 completion: Mutex::new(CompletionStatus::default()),
-                coordinator: ActivityCoordinator::new(id),
+                coordinator: ActivityCoordinator::in_env(id, env),
                 properties: parent.map_or_else(PropertyGroupManager::new, |p| {
                     p.inner.properties.for_child()
                 }),
                 completion_set: Mutex::new(None),
                 outcome: Mutex::new(None),
-                clock,
-                deadline: Mutex::new(None),
+                deadline: Mutex::new(parent.and_then(|p| *p.inner.deadline.lock())),
                 logger,
                 id_source,
-                journal: Mutex::new(None),
+                journal: parent
+                    .and_then(|p| p.inner.journal.get().cloned())
+                    .map_or_else(OnceLock::new, OnceLock::from),
             }),
         };
         if let Some(parent) = parent {
             parent.inner.children.lock().push(activity.clone());
         }
         activity
+    }
+
+    /// The context this activity — and its whole tree — runs under.
+    pub fn env(&self) -> &Arc<Env> {
+        self.inner.coordinator.env()
+    }
+
+    /// Emit one lifecycle event: to the flight recorder (kind `activity`)
+    /// and to the attached journal, if any.
+    fn emit(&self, event: impl FnOnce() -> ActivityEvent) {
+        self.env().emit(RecordKind::Activity, self.inner.journal.get(), event);
+    }
+
+    fn begun(&self) -> ActivityEvent {
+        ActivityEvent::Begun {
+            activity: self.inner.id,
+            name: self.inner.name.clone(),
+            parent: self.inner.parent.upgrade().map(|p| p.id),
+        }
     }
 
     /// Mark an activity completed during recovery without re-running its
@@ -190,7 +198,8 @@ impl Activity {
     }
 
     /// Begin a child activity nested inside this one. Property groups are
-    /// inherited per their [`crate::property::NestedVisibility`].
+    /// inherited per their [`crate::property::NestedVisibility`]; the
+    /// child's coordinator runs under this activity's [`Env`].
     ///
     /// # Errors
     ///
@@ -198,54 +207,34 @@ impl Activity {
     /// [`ActivityError::TimedOut`] when this activity's deadline passed.
     pub fn begin_child(&self, name: impl Into<String>) -> Result<Activity, ActivityError> {
         self.check_active("begin a child")?;
-        let id = ActivityId::new(
-            self.inner.id_source.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        );
+        let id = ActivityId::new(self.inner.id_source.fetch_add(1, Ordering::Relaxed));
         let name = name.into();
         if let Some(logger) = &self.inner.logger {
             logger.log_begun(id, &name, Some(self.inner.id))?;
         }
-        let child = Activity {
-            inner: Arc::new(ActivityInner {
-                id,
-                name,
-                parent: Arc::downgrade(&self.inner),
-                children: Mutex::new(Vec::new()),
-                state: Mutex::new(ActivityState::Active),
-                completion: Mutex::new(CompletionStatus::default()),
-                coordinator: ActivityCoordinator::new(id),
-                properties: self.inner.properties.for_child(),
-                completion_set: Mutex::new(None),
-                outcome: Mutex::new(None),
-                clock: self.inner.clock.clone(),
-                deadline: Mutex::new(*self.inner.deadline.lock()),
-                logger: self.inner.logger.clone(),
-                id_source: Arc::clone(&self.inner.id_source),
-                journal: Mutex::new(self.inner.journal.lock().clone()),
-            }),
-        };
-        if let Some(journal) = &*child.inner.journal.lock() {
-            journal.record(ActivityEvent::Begun {
-                activity: child.inner.id,
-                name: child.inner.name.clone(),
-                parent: Some(self.inner.id),
-            });
-        }
-        self.inner.children.lock().push(child.clone());
+        let child = Self::assemble(
+            id,
+            name,
+            Some(self),
+            Arc::clone(self.env()),
+            self.inner.logger.clone(),
+            Arc::clone(&self.inner.id_source),
+        );
+        child.emit(|| child.begun());
         Ok(child)
     }
 
     /// Attach an [`ActivityJournal`]: this activity (and every child begun
     /// afterwards, which inherits the journal) records its lifecycle —
     /// begin and complete — for conformance replay against a reference
-    /// nesting model. Attaching records this activity's own `Begun` event.
+    /// nesting model. Attaching records this activity's own `Begun` event
+    /// (the flight recorder saw it when the activity began). Write-once: an
+    /// activity keeps the first journal it is given or inherits.
     pub fn set_journal(&self, journal: ActivityJournal) {
-        journal.record(ActivityEvent::Begun {
-            activity: self.inner.id,
-            name: self.inner.name.clone(),
-            parent: self.inner.parent.upgrade().map(|p| p.id),
-        });
-        *self.inner.journal.lock() = Some(journal);
+        if self.inner.journal.get().is_none() {
+            journal.record(self.begun());
+            let _ = self.inner.journal.set(journal);
+        }
     }
 
     /// This activity's id.
@@ -330,7 +319,7 @@ impl Activity {
     /// Arm a timeout: once the virtual clock passes `now + timeout`, the
     /// activity is doomed to complete as `FailOnly`.
     pub fn set_timeout(&self, timeout: Duration) {
-        *self.inner.deadline.lock() = Some(self.inner.clock.now() + timeout);
+        *self.inner.deadline.lock() = Some(self.env().clock().now() + timeout);
     }
 
     /// The armed deadline as an **absolute** virtual-time instant, if any.
@@ -346,7 +335,7 @@ impl Activity {
         self.inner
             .deadline
             .lock()
-            .is_some_and(|deadline| self.inner.clock.now() > deadline)
+            .is_some_and(|deadline| self.env().clock().now() > deadline)
     }
 
     /// Suspend the activity.
@@ -455,13 +444,11 @@ impl Activity {
         };
         *self.inner.state.lock() = ActivityState::Completed;
         *self.inner.outcome.lock() = Some(outcome.clone());
-        if let Some(journal) = &*self.inner.journal.lock() {
-            journal.record(ActivityEvent::Completed {
-                activity: self.inner.id,
-                status: effective,
-                outcome: outcome.name().to_owned(),
-            });
-        }
+        self.emit(|| ActivityEvent::Completed {
+            activity: self.inner.id,
+            status: effective,
+            outcome: outcome.name().to_owned(),
+        });
         if let Some(logger) = &self.inner.logger {
             logger.log_completed(self.inner.id, effective, outcome.name())?;
         }
@@ -654,6 +641,21 @@ mod tests {
         let b = a.begin_child("b").unwrap();
         clock.advance(Duration::from_secs(2));
         assert!(b.timed_out(), "deadline inherited at begin time");
+    }
+
+    #[test]
+    fn children_run_under_the_roots_env() {
+        let fp = recovery_log::FailpointSet::new();
+        let env = Env::builder().failpoints(fp.clone()).build();
+        let a = Activity::new_root_with("a", Arc::clone(&env), None, Arc::new(AtomicU64::new(1)));
+        let c = a.begin_child("b").unwrap().begin_child("c").unwrap();
+        assert!(Arc::ptr_eq(c.coordinator().env(), &env));
+        // The grandchild's protocol loop passes the root's failpoints.
+        c.coordinator()
+            .add_signal_set(Box::new(BroadcastSignalSet::new("S", "go", Value::Null)))
+            .unwrap();
+        fp.arm(crate::failpoints::BEFORE_GET_SIGNAL, 0);
+        assert!(c.signal("S").is_err());
     }
 
     #[test]

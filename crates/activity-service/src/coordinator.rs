@@ -4,13 +4,11 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use orb::detector::FailureDetector;
+use orb::Env;
 use parking_lot::Mutex;
-use recovery_log::FailpointSet;
-use telemetry::{SpanContext, Telemetry, MSC_FROM, MSC_MSG, MSC_REPLY, MSC_TO};
+use telemetry::{RecordKind, SpanContext, Telemetry, MSC_FROM, MSC_MSG, MSC_REPLY, MSC_TO};
 
 use crate::action::Action;
 use crate::activity::ActivityId;
@@ -64,17 +62,13 @@ struct CoordinatorInner {
 pub struct ActivityCoordinator {
     activity: ActivityId,
     inner: Mutex<CoordinatorInner>,
-    trace: Mutex<Option<TraceLog>>,
-    /// Lock-free gate for [`ActivityCoordinator::record`]: protocol steps
-    /// skip the trace mutex entirely while no trace is attached.
-    trace_on: AtomicBool,
+    /// The owning service's context, shared by the whole activity tree:
+    /// failpoints, failure detector, telemetry, recorder.
+    env: Arc<Env>,
+    /// The per-activity typed probe; write-once, so protocol steps read it
+    /// with one atomic load.
+    trace: OnceLock<TraceLog>,
     dispatch: Mutex<DispatchConfig>,
-    failpoints: Mutex<Option<FailpointSet>>,
-    detector: Mutex<Option<FailureDetector>>,
-    telemetry: Mutex<Option<Telemetry>>,
-    /// Lock-free gate mirroring `trace_on`: protocol steps skip the
-    /// telemetry mutex entirely while no recorder is attached.
-    telemetry_on: AtomicBool,
 }
 
 impl std::fmt::Debug for ActivityCoordinator {
@@ -89,64 +83,53 @@ impl std::fmt::Debug for ActivityCoordinator {
 }
 
 impl ActivityCoordinator {
-    /// A coordinator for the given activity, fanning signals out across
-    /// the machine's available parallelism (see [`DispatchConfig`]).
+    /// A coordinator for the given activity under a plane-less context,
+    /// fanning signals out across the machine's available parallelism (see
+    /// [`DispatchConfig`]). Coordinators of activities begun through an
+    /// [`crate::ActivityService`] run under the service's context instead.
     pub fn new(activity: ActivityId) -> Self {
-        Self::with_dispatch(activity, DispatchConfig::default())
+        Self::in_env(activity, Env::new())
     }
 
-    /// A coordinator with an explicit fan-out policy.
-    /// [`DispatchConfig::serial`] reproduces the exact legacy serial loop
-    /// and is what deterministic-replay tests pin.
-    pub fn with_dispatch(activity: ActivityId, dispatch: DispatchConfig) -> Self {
+    pub(crate) fn in_env(activity: ActivityId, env: Arc<Env>) -> Self {
         ActivityCoordinator {
             activity,
             inner: Mutex::new(CoordinatorInner {
                 registrations: HashMap::new(),
                 sets: HashMap::new(),
             }),
-            trace: Mutex::new(None),
-            trace_on: AtomicBool::new(false),
-            dispatch: Mutex::new(dispatch),
-            failpoints: Mutex::new(None),
-            detector: Mutex::new(None),
-            telemetry: Mutex::new(None),
-            telemetry_on: AtomicBool::new(false),
+            env,
+            trace: OnceLock::new(),
+            dispatch: Mutex::new(DispatchConfig::default()),
         }
     }
 
-    /// Attach a participant [`FailureDetector`]. The fig. 5 loop feeds it
-    /// (each collated outcome is a success, each `"error"` outcome a
-    /// failure) and consults it: actions whose participant is quarantined
-    /// are skipped for the current signal (they re-enter via half-open
-    /// probes), so a crashed Action cannot stall every subsequent signal.
-    /// Workflow and saga layers use the same detector to reroute work or
-    /// compensate early.
-    pub fn set_detector(&self, detector: FailureDetector) {
-        *self.detector.lock() = Some(detector);
-    }
-
-    /// The attached failure detector, if any.
-    pub fn detector(&self) -> Option<FailureDetector> {
-        self.detector.lock().clone()
-    }
-
-    /// Attach a (shared) failpoint set; the protocol loop hits the sites in
-    /// [`failpoints`] so crash-matrix and simulation tests can kill the
-    /// coordinator at any fig. 5 step.
-    pub fn set_failpoints(&self, failpoints: FailpointSet) {
-        *self.failpoints.lock() = Some(failpoints);
-    }
-
-    fn hit_failpoint(&self, site: &str) -> Result<(), ActivityError> {
-        let fp = self.failpoints.lock().clone();
-        match fp {
-            Some(fp) => fp.hit(site).map_err(ActivityError::from),
-            None => Ok(()),
-        }
+    /// The context this coordinator runs under. Its planes shape the
+    /// fig. 5 loop:
+    ///
+    /// * the **failpoints** are passed at the sites in [`failpoints`], so
+    ///   crash-matrix and simulation tests can kill the coordinator at any
+    ///   fig. 5 step;
+    /// * the **failure detector** is fed (each collated outcome is a
+    ///   success, each `"error"` outcome a failure) and consulted: actions
+    ///   whose participant is quarantined are skipped for the current
+    ///   signal (they re-enter via half-open probes), so a crashed Action
+    ///   cannot stall every subsequent signal;
+    /// * **telemetry** makes every protocol run a `signal_set:` span with
+    ///   one `transmit:` child span per delivery, and each fig. 5 trace
+    ///   event doubles as a span event rendered with the exact
+    ///   [`TraceEvent`] `Display` text — which is what lets harness oracle
+    ///   #7 pin the span tree's coordinator projection to the [`TraceLog`]
+    ///   byte-for-byte;
+    /// * the **flight recorder** receives every trace event (kind `trace`),
+    ///   whether or not a [`TraceLog`] is attached.
+    pub fn env(&self) -> &Arc<Env> {
+        &self.env
     }
 
     /// Change the fan-out policy for subsequent protocol runs.
+    /// [`DispatchConfig::serial`] reproduces the exact legacy serial loop
+    /// and is what deterministic-replay tests pin.
     pub fn set_dispatch_config(&self, dispatch: DispatchConfig) {
         *self.dispatch.lock() = dispatch;
     }
@@ -162,27 +145,9 @@ impl ActivityCoordinator {
     }
 
     /// Attach a trace log; every subsequent protocol step is recorded.
+    /// Write-once: a coordinator keeps the first log it is given.
     pub fn set_trace(&self, trace: TraceLog) {
-        *self.trace.lock() = Some(trace);
-        self.trace_on.store(true, Ordering::Release);
-    }
-
-    /// Attach a telemetry recorder: every subsequent protocol run becomes
-    /// a `signal_set:` span with one `transmit:` child span per delivery,
-    /// and each fig. 5 trace event doubles as a span event rendered with
-    /// the exact [`TraceEvent`] `Display` text — which is what lets
-    /// harness oracle #7 pin the span tree's coordinator projection to
-    /// the [`TraceLog`] byte-for-byte.
-    pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self.telemetry.lock() = Some(telemetry);
-        self.telemetry_on.store(true, Ordering::Release);
-    }
-
-    fn telemetry_handle(&self) -> Option<Telemetry> {
-        if !self.telemetry_on.load(Ordering::Acquire) {
-            return None;
-        }
-        self.telemetry.lock().clone().filter(Telemetry::is_enabled)
+        let _ = self.trace.set(trace);
     }
 
     /// Associate a signal set with this activity, keyed by its
@@ -324,13 +289,13 @@ impl ActivityCoordinator {
         // attempts) parent under it via the ORB interceptors, and it is
         // closed on *every* exit path — a crash-failpoint error must not
         // leak an open span (oracle #7 rejects never-closed spans).
-        let scope = self.telemetry_handle().map(|t| {
+        let scope = self.env.live_telemetry().map(|t| {
             let span = t.start_span(&format!("signal_set:{set_name}"));
             t.set_attr(&span, "activity", &self.activity.to_string());
             t.enter(span);
             (t, span)
         });
-        let result = self.drive(set_name, &mut entry, scope.as_ref());
+        let result = self.drive(set_name, &mut entry, scope);
         if let Some((t, span)) = scope {
             match &result {
                 Ok(outcome) => t.set_attr(&span, "outcome", outcome.name()),
@@ -341,8 +306,10 @@ impl ActivityCoordinator {
         }
         entry.state = SignalSetState::End;
         // Return the (ended) set so late outcome queries and inactive-reuse
-        // errors behave per the IDL.
-        self.inner.lock().sets.insert(set_name.to_owned(), Some(entry));
+        // errors behave per the IDL. The checked-out slot is still there.
+        if let Some(slot) = self.inner.lock().sets.get_mut(set_name) {
+            *slot = Some(entry);
+        }
         result
     }
 
@@ -350,20 +317,18 @@ impl ActivityCoordinator {
         &self,
         set_name: &str,
         entry: &mut SetEntry,
-        tel: Option<&(Telemetry, SpanContext)>,
+        tel: Option<(&Telemetry, SpanContext)>,
     ) -> Result<Outcome, ActivityError> {
         let config = *self.dispatch.lock();
-        let detector = self.detector.lock().clone();
+        let detector = self.env.detector();
         let mut signal_seq = 0u64;
         // Reused across signals: delivery-id stamping formats into this
         // buffer instead of allocating a fresh growth-by-doubling String
         // per signal.
         let mut id_buf = String::new();
         loop {
-            self.hit_failpoint(failpoints::BEFORE_GET_SIGNAL)?;
-            self.record(tel.map(|(t, s)| (t, s)), || TraceEvent::GetSignal {
-                set: set_name.to_owned(),
-            });
+            self.env.hit(failpoints::BEFORE_GET_SIGNAL)?;
+            self.record(tel, || TraceEvent::GetSignal { set: set_name.to_owned() });
             let next = entry.set.get_signal();
             entry.state = entry
                 .state
@@ -400,7 +365,7 @@ impl ActivityCoordinator {
             // probe slots). At-least-once semantics make the skip sound:
             // it is indistinguishable from the transport dropping every
             // copy of this delivery.
-            let actions: Arc<[Arc<dyn Action>]> = match &detector {
+            let actions: Arc<[Arc<dyn Action>]> = match detector {
                 Some(detector) => {
                     let kept: Vec<Arc<dyn Action>> = actions
                         .iter()
@@ -411,7 +376,7 @@ impl ActivityCoordinator {
                 }
                 None => actions,
             };
-            self.hit_failpoint(failpoints::BEFORE_TRANSMIT)?;
+            self.env.hit(failpoints::BEFORE_TRANSMIT)?;
             // Fan out. The set's responses are fed in registration order
             // regardless of the fan-out width, so protocol decisions and
             // traces are identical to a serial run; `RequestNext` breaks
@@ -433,7 +398,7 @@ impl ActivityCoordinator {
                 |action| {
                     let span = tel.map(|(t, parent)| {
                         let span =
-                            t.start_child(parent, &format!("transmit:{}", signal.name()));
+                            t.start_child(&parent, &format!("transmit:{}", signal.name()));
                         t.set_attr(&span, MSC_FROM, "coordinator");
                         t.set_attr(&span, MSC_TO, action.name());
                         t.set_attr(&span, MSC_MSG, signal.name());
@@ -444,16 +409,14 @@ impl ActivityCoordinator {
                             .incr(&format!("signals_transmitted_total{{set=\"{set_name}\"}}"));
                         span
                     });
-                    self.record(tel.map(|(t, _)| t).zip(span.as_ref()), || {
-                        TraceEvent::Transmit {
-                            signal: signal.name().to_owned(),
-                            action: action.name().to_owned(),
-                        }
+                    self.record(tel.map(|(t, _)| t).zip(span), || TraceEvent::Transmit {
+                        signal: signal.name().to_owned(),
+                        action: action.name().to_owned(),
                     });
                     open_transmit.set(span);
                 },
                 |outcome| {
-                    if let Some(detector) = &detector {
+                    if let Some(detector) = detector {
                         if let Some(action) = actions.get(collated) {
                             if outcome.name() == crate::outcome::OUTCOME_ERROR {
                                 detector.record_failure(action.name());
@@ -463,7 +426,7 @@ impl ActivityCoordinator {
                         }
                     }
                     collated += 1;
-                    self.record(tel.map(|(t, s)| (t, s)), || TraceEvent::SetResponse {
+                    self.record(tel, || TraceEvent::SetResponse {
                         set: set_name.to_owned(),
                         outcome: outcome.name().to_owned(),
                     });
@@ -482,34 +445,30 @@ impl ActivityCoordinator {
             }
         }
         entry.state.check_outcome_readable(set_name)?;
-        self.hit_failpoint(failpoints::BEFORE_OUTCOME)?;
+        self.env.hit(failpoints::BEFORE_OUTCOME)?;
         let outcome = entry.set.get_outcome();
-        self.record(tel.map(|(t, s)| (t, s)), || TraceEvent::GetOutcome {
+        self.record(tel, || TraceEvent::GetOutcome {
             set: set_name.to_owned(),
             outcome: outcome.name().to_owned(),
         });
         Ok(outcome)
     }
 
-    /// Record one protocol step into the trace log and — when a span is
-    /// given — as a span event with the same `Display` text, from the
-    /// same call site, so the two views cannot drift apart.
-    fn record(&self, span: Option<(&Telemetry, &SpanContext)>, event: impl FnOnce() -> TraceEvent) {
-        // Fast path: with no trace attached (the common case for
-        // production coordinators) this is one relaxed-ish atomic load —
-        // no mutex, no event construction.
-        let trace_on = self.trace_on.load(Ordering::Acquire);
-        if !trace_on && span.is_none() {
-            return;
-        }
-        let event = event();
-        if trace_on {
-            if let Some(trace) = self.trace.lock().as_ref() {
-                trace.record(event.clone());
+    /// Emit one protocol step — to the flight recorder and the trace log
+    /// and, when a span is given, as a span event with the same `Display`
+    /// text — from the same call site, so the views cannot drift apart.
+    /// With none of the three listening (the common case for production
+    /// coordinators) the event is never built.
+    fn record(&self, span: Option<(&Telemetry, SpanContext)>, event: impl FnOnce() -> TraceEvent) {
+        let trace = self.trace.get();
+        match span {
+            None => self.env.emit(RecordKind::Trace, trace, event),
+            Some((telemetry, span)) => {
+                let event = event();
+                let text = event.to_string();
+                self.env.emit(RecordKind::Trace, trace, || event);
+                telemetry.event(&span, &text);
             }
-        }
-        if let Some((telemetry, span)) = span {
-            telemetry.event(span, &event.to_string());
         }
     }
 }
@@ -525,6 +484,10 @@ mod tests {
 
     fn coordinator() -> ActivityCoordinator {
         ActivityCoordinator::new(ActivityId::new(1))
+    }
+
+    fn coordinator_in(env: orb::EnvBuilder) -> ActivityCoordinator {
+        ActivityCoordinator::in_env(ActivityId::new(1), env.build())
     }
 
     fn counting_action(name: &str, counter: Arc<AtomicU32>) -> Arc<dyn Action> {
@@ -655,11 +618,10 @@ mod tests {
 
     #[test]
     fn telemetry_projection_matches_the_trace_byte_for_byte() {
-        let c = coordinator();
         let trace = TraceLog::new();
         let tel = Telemetry::new();
+        let c = coordinator_in(Env::builder().telemetry(tel.clone()));
         c.set_trace(trace.clone());
-        c.set_telemetry(tel.clone());
         c.add_signal_set(Box::new(BroadcastSignalSet::new("S", "go", Value::Null)))
             .unwrap();
         let hits = Arc::new(AtomicU32::new(0));
@@ -685,12 +647,10 @@ mod tests {
 
     #[test]
     fn failpoint_crash_still_closes_the_signal_set_span() {
-        let c = coordinator();
         let tel = Telemetry::new();
-        c.set_telemetry(tel.clone());
-        let fp = FailpointSet::new();
+        let fp = recovery_log::FailpointSet::new();
         fp.arm(failpoints::BEFORE_OUTCOME, 0);
-        c.set_failpoints(fp);
+        let c = coordinator_in(Env::builder().telemetry(tel.clone()).failpoints(fp));
         c.add_signal_set(Box::new(BroadcastSignalSet::new("S", "go", Value::Null)))
             .unwrap();
         assert!(c.process_signal_set("S").is_err());
@@ -808,7 +768,8 @@ mod tests {
         // is strictly serial: under parallel dispatch the bystander may be
         // transmitted to speculatively (and the delivery discarded), which
         // the at-least-once contract permits. Pin the exact legacy path.
-        let c = ActivityCoordinator::with_dispatch(ActivityId::new(1), DispatchConfig::serial());
+        let c = coordinator();
+        c.set_dispatch_config(DispatchConfig::serial());
         let trace = TraceLog::new();
         c.set_trace(trace.clone());
         c.add_signal_set(Box::new(AbortSwitch { phase: 0, saw_abort: false })).unwrap();
@@ -861,8 +822,7 @@ mod tests {
         );
         detector.record_failure("flaky");
         detector.record_failure("flaky");
-        let c = coordinator();
-        c.set_detector(detector.clone());
+        let c = coordinator_in(Env::builder().detector(detector.clone()));
         c.add_signal_set(Box::new(BroadcastSignalSet::new("Notify", "wake", Value::Null)))
             .unwrap();
         let healthy_hits = Arc::new(AtomicU32::new(0));
@@ -884,8 +844,7 @@ mod tests {
         use orb::SimClock;
 
         let detector = FailureDetector::new(SimClock::new());
-        let c = coordinator();
-        c.set_detector(detector.clone());
+        let c = coordinator_in(Env::builder().detector(detector.clone()));
         c.add_signal_set(Box::new(BroadcastSignalSet::new("Work", "go", Value::Null)))
             .unwrap();
         c.register_action(

@@ -370,6 +370,7 @@ pub fn recover_activities(
     let next_id = logged.keys().max().map_or(1, |m| m + 1);
     let id_source = Arc::new(AtomicU64::new(next_id));
     let logger = ActivityLogger::new(Arc::clone(&wal));
+    let env = orb::Env::with_clock(clock);
 
     // Rebuild the tree. BTreeMap order means parents (lower ids) come first.
     let mut rebuilt: HashMap<u64, Activity> = HashMap::new();
@@ -388,11 +389,11 @@ pub fn recover_activities(
             })?),
             None => None,
         };
-        let activity = Activity::rebuild(
+        let activity = Activity::assemble(
             ActivityId::new(*id),
             info.name.clone(),
             parent.as_ref(),
-            clock.clone(),
+            Arc::clone(&env),
             Some(Arc::clone(&logger)),
             Arc::clone(&id_source),
         );
@@ -450,7 +451,7 @@ mod tests {
 
     fn logged_root(wal: &Arc<dyn Wal>) -> Activity {
         let logger = ActivityLogger::new(Arc::clone(wal));
-        Activity::new_root_with("job", SimClock::new(), Some(logger), Arc::new(AtomicU64::new(1)))
+        Activity::new_root_with("job", orb::Env::new(), Some(logger), Arc::new(AtomicU64::new(1)))
     }
 
     #[test]

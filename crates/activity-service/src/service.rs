@@ -8,10 +8,10 @@ use std::sync::Arc;
 
 use orb::context::ACTIVITY_SERVICE_CONTEXT;
 use orb::interceptor::{ClientRequestInterceptor, ServerRequestInterceptor};
-use orb::{Orb, Reply, Request, SimClock};
+use orb::{Env, Orb, Reply, Request, SimClock};
 use parking_lot::Mutex;
 use recovery_log::Wal;
-use telemetry::{SpanContext, Telemetry};
+use telemetry::SpanContext;
 
 use crate::activity::Activity;
 use crate::activity::ActivityId;
@@ -29,13 +29,14 @@ thread_local! {
 }
 
 struct ServiceInner {
-    clock: SimClock,
+    /// The context every activity (and so every coordinator) begun through
+    /// this service inherits.
+    env: Arc<Env>,
     logger: Option<Arc<ActivityLogger>>,
     id_source: Arc<AtomicU64>,
     roots: Mutex<Vec<Activity>>,
     /// Node-local stores backing by-reference property groups (§3.3).
     shared_groups: crate::property::PropertyGroupManager,
-    telemetry: Mutex<Option<Telemetry>>,
     /// Live activity → its `activity:` span, so child activities parent
     /// under their *enclosing activity's* span (fig. 4 nesting) rather
     /// than whatever happens to be ambient, and suspend/resume can move
@@ -65,7 +66,7 @@ impl std::fmt::Debug for ActivityService {
 /// Configures and builds an [`ActivityService`].
 #[derive(Default)]
 pub struct ActivityServiceBuilder {
-    clock: Option<SimClock>,
+    env: Option<Arc<Env>>,
     wal: Option<Arc<dyn Wal>>,
     first_id: u64,
 }
@@ -80,10 +81,23 @@ impl std::fmt::Debug for ActivityServiceBuilder {
 }
 
 impl ActivityServiceBuilder {
-    /// Share a virtual clock (for timeouts and simulated-time metrics).
+    /// Share a virtual clock (for timeouts and simulated-time metrics):
+    /// shorthand for `.env(Env::with_clock(clock))`.
     #[must_use]
-    pub fn clock(mut self, clock: SimClock) -> Self {
-        self.clock = Some(clock);
+    pub fn clock(self, clock: SimClock) -> Self {
+        self.env(Env::with_clock(clock))
+    }
+
+    /// Run under the given context: every activity begun through the
+    /// service, every child and every coordinator shares it (see
+    /// [`crate::ActivityCoordinator::env`]). With telemetry in it, every
+    /// `begin`/`complete` pair becomes an `activity:` span, nested to
+    /// mirror the fig. 4 activity tree; build the ORB under the same
+    /// context and remote invocations land in the same traces. Replaces an
+    /// earlier [`ActivityServiceBuilder::clock`].
+    #[must_use]
+    pub fn env(mut self, env: Arc<Env>) -> Self {
+        self.env = Some(env);
         self
     }
 
@@ -105,12 +119,11 @@ impl ActivityServiceBuilder {
     pub fn build(self) -> ActivityService {
         ActivityService {
             inner: Arc::new(ServiceInner {
-                clock: self.clock.unwrap_or_default(),
+                env: self.env.unwrap_or_default(),
                 logger: self.wal.map(ActivityLogger::new),
                 id_source: Arc::new(AtomicU64::new(self.first_id.max(1))),
                 roots: Mutex::new(Vec::new()),
                 shared_groups: crate::property::PropertyGroupManager::new(),
-                telemetry: Mutex::new(None),
                 activity_spans: Mutex::new(HashMap::new()),
             }),
         }
@@ -136,24 +149,16 @@ impl ActivityService {
 
     /// The service's virtual clock.
     pub fn clock(&self) -> &SimClock {
-        &self.inner.clock
+        self.inner.env.clock()
     }
 
-    /// Attach a telemetry recorder: every `begin`/`complete` pair becomes
-    /// an `activity:` span, nested to mirror the fig. 4 activity tree.
-    /// Attach the *same* recorder to the ORB (via
-    /// [`orb::node::OrbBuilder::telemetry`]) and to coordinators so
-    /// remote invocations and protocol runs land in the same traces.
-    pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self.inner.telemetry.lock() = Some(telemetry);
-    }
-
-    fn telemetry_handle(&self) -> Option<Telemetry> {
-        self.inner.telemetry.lock().clone().filter(Telemetry::is_enabled)
+    /// The context this service's activities inherit.
+    pub fn env(&self) -> &Arc<Env> {
+        &self.inner.env
     }
 
     fn close_activity_span(&self, id: ActivityId, outcome: &Outcome) {
-        if let Some(telemetry) = self.telemetry_handle() {
+        if let Some(telemetry) = self.inner.env.live_telemetry() {
             if let Some(span) = self.inner.activity_spans.lock().remove(&id) {
                 telemetry.set_attr(&span, "outcome", outcome.name());
                 telemetry.exit();
@@ -175,7 +180,7 @@ impl ActivityService {
             None => {
                 let root = Activity::new_root_with(
                     name,
-                    self.inner.clock.clone(),
+                    Arc::clone(&self.inner.env),
                     self.inner.logger.clone(),
                     Arc::clone(&self.inner.id_source),
                 );
@@ -183,7 +188,7 @@ impl ActivityService {
                 root
             }
         };
-        if let Some(telemetry) = self.telemetry_handle() {
+        if let Some(telemetry) = self.inner.env.live_telemetry() {
             // Mirror the fig. 4 activity tree: a nested activity's span is
             // a child of its enclosing activity's span; a root activity
             // parents under whatever is ambient (e.g. a `serve:` span on
@@ -256,7 +261,7 @@ impl ActivityService {
         let activity = CURRENT
             .with(|c| c.borrow_mut().pop())
             .ok_or(ActivityError::NoCurrentActivity)?;
-        if let Some(telemetry) = self.telemetry_handle() {
+        if let Some(telemetry) = self.inner.env.live_telemetry() {
             // The span stays open (the activity is alive); only the
             // thread's ambient association moves with the activity.
             if self.inner.activity_spans.lock().contains_key(&activity.id()) {
@@ -268,7 +273,7 @@ impl ActivityService {
 
     /// Re-associate a previously suspended activity with this thread.
     pub fn resume(&self, activity: Activity) {
-        if let Some(telemetry) = self.telemetry_handle() {
+        if let Some(telemetry) = self.inner.env.live_telemetry() {
             if let Some(span) = self.inner.activity_spans.lock().get(&activity.id()).copied() {
                 telemetry.enter(span);
             }
@@ -394,6 +399,11 @@ impl ServerRequestInterceptor for ActivityServerInterceptor {
 mod tests {
     use super::*;
     use orb::{Servant, Value};
+    use telemetry::Telemetry;
+
+    fn traced_service(telemetry: &Telemetry) -> ActivityService {
+        ActivityService::builder().env(Env::builder().telemetry(telemetry.clone()).build()).build()
+    }
 
     #[test]
     fn begin_complete_association() {
@@ -415,9 +425,8 @@ mod tests {
 
     #[test]
     fn activity_spans_mirror_fig4_nesting() {
-        let svc = ActivityService::new();
         let tel = Telemetry::new();
-        svc.set_telemetry(tel.clone());
+        let svc = traced_service(&tel);
         svc.begin("outer").unwrap();
         svc.begin("inner").unwrap();
         svc.complete().unwrap();
@@ -436,9 +445,8 @@ mod tests {
 
     #[test]
     fn suspended_activity_resumes_its_span_on_another_thread() {
-        let svc = ActivityService::new();
         let tel = Telemetry::new();
-        svc.set_telemetry(tel.clone());
+        let svc = traced_service(&tel);
         svc.begin("mobile").unwrap();
         let detached = svc.suspend().unwrap();
         assert!(tel.current().is_none(), "suspend detaches the ambient span");

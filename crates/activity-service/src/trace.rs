@@ -2,12 +2,14 @@
 //!
 //! The paper's figs. 8, 10, 11 and 12 are message-sequence charts; the
 //! integration tests regenerate them by attaching a [`TraceLog`] to a
-//! coordinator and asserting the exact recorded exchange.
+//! coordinator ([`crate::ActivityCoordinator::set_trace`]) and asserting
+//! the exact recorded exchange. Each step is emitted once, at its source,
+//! through `orb::Env::emit`: mirrored into the context's flight recorder
+//! (kind `trace`, rendered exactly as [`TraceLog::render`] would, so
+//! oracle #11 can check the recorder preserved the trace's causal order)
+//! and then appended to the attached log.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
 
 /// One observed protocol step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,67 +58,7 @@ impl fmt::Display for TraceEvent {
 }
 
 /// A shared, append-only recording of [`TraceEvent`]s.
-#[derive(Debug, Clone, Default)]
-pub struct TraceLog {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
-    /// Optional flight-recorder mirror: each recorded event also lands in
-    /// the node's black box (kind `trace`, rendered exactly as
-    /// [`TraceLog::render`] would), so oracle #11 can check the recorder
-    /// preserved the trace's causal order.
-    recorder: Arc<OnceLock<telemetry::FlightRecorder>>,
-}
-
-impl TraceLog {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mirror every future event into `recorder` (kind `trace`).
-    /// Write-once so the hot path reads it with a single atomic load
-    /// (no lock even when attached-but-disabled); later calls are ignored.
-    pub fn set_recorder(&self, recorder: telemetry::FlightRecorder) {
-        let _ = self.recorder.set(recorder);
-    }
-
-    /// Append one event.
-    pub fn record(&self, event: TraceEvent) {
-        if let Some(recorder) = self.recorder.get() {
-            recorder.record(telemetry::RecordKind::Trace, || event.to_string());
-        }
-        self.events.lock().push(event);
-    }
-
-    /// Snapshot of all events so far.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Compact, line-per-event rendering (handy in assertion failures).
-    pub fn render(&self) -> String {
-        self.events
-            .lock()
-            .iter()
-            .map(|e| e.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Clear all recorded events.
-    pub fn clear(&self) {
-        self.events.lock().clear();
-    }
-
-    /// Number of events recorded.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-}
+pub type TraceLog = telemetry::Journal<TraceEvent>;
 
 #[cfg(test)]
 mod tests {

@@ -75,8 +75,14 @@ fn delivery_ablation(c: &mut Criterion) {
     });
     group.bench_function("at_least_once_wrapper", |b| {
         b.iter(|| {
-            orb.invoke_at_least_once(orb::node::EXTERNAL_CALLER, &obj, Request::new("op"))
-                .unwrap()
+            orb.invoke_with_policy(
+                orb::node::EXTERNAL_CALLER,
+                &obj,
+                Request::new("op"),
+                &orb::RetryPolicy::AT_LEAST_ONCE,
+                None,
+            )
+            .unwrap()
         })
     });
     drop(Arc::new(()));

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use orb::{Orb, Request, SimClock, Value};
+use orb::{Env, Orb, Request, SimClock, Value};
 use ots::{ProtocolJournal, TwoPcEvent, VoteKind};
 
 const PACE: Duration = Duration::from_micros(200);
@@ -28,18 +28,24 @@ const PARTICIPANTS: [&str; 2] = ["store", "witness"];
 /// fingerprint, and the number of matched message edges.
 fn run_once() -> (String, u64, usize) {
     let clock = SimClock::new();
-    let orb = Orb::builder().clock(clock.clone()).build();
-    let coordinator = orb.add_node("coordinator").expect("coordinator node");
-
     let plane = telemetry::CausalityPlane::new();
     let coord_recorder = telemetry::FlightRecorder::with_time(
         "coordinator",
         telemetry::DEFAULT_RECORDER_CAPACITY,
         Arc::new(clock.clone()),
     );
-    plane.register(&coord_recorder);
-    let journal = ProtocolJournal::new();
-    journal.set_recorder(coord_recorder.clone());
+    let env = Env::builder()
+        .clock(clock.clone())
+        .recorder(coord_recorder)
+        .causality(plane.clone())
+        .build();
+    let orb = Orb::builder().env(Arc::clone(&env)).build();
+    let coordinator = orb.add_node("coordinator").expect("coordinator node");
+    // The hand-paced coordinator emits its protocol steps the way the real
+    // one does: into its context's flight recorder.
+    let journal = |event: TwoPcEvent| {
+        env.emit(telemetry::RecordKind::Protocol, None::<&ProtocolJournal>, || event);
+    };
 
     let mut participants = Vec::new();
     for name in PARTICIPANTS {
@@ -60,16 +66,15 @@ fn run_once() -> (String, u64, usize) {
             .expect("activate participant");
         participants.push((name, object));
     }
-    orb.install_causality(plane.clone());
 
     // Phase one: solicit both votes over the wire, paced on the virtual
     // clock so the Perfetto slices spread out visibly.
     for (name, object) in &participants {
-        journal.record(TwoPcEvent::PrepareSent { participant: (*name).into() });
+        journal(TwoPcEvent::PrepareSent { participant: (*name).into() });
         clock.advance(PACE);
         let reply = coordinator.invoke(object, Request::new("prepare")).expect("prepare");
         assert_eq!(reply.result.as_str(), Some("commit"));
-        journal.record(TwoPcEvent::VoteRecorded {
+        journal(TwoPcEvent::VoteRecorded {
             participant: (*name).into(),
             vote: VoteKind::Commit,
         });
@@ -77,19 +82,19 @@ fn run_once() -> (String, u64, usize) {
 
     // Decision point, then phase two.
     clock.advance(PACE);
-    journal.record(TwoPcEvent::DecisionForced { commit: true });
+    journal(TwoPcEvent::DecisionForced { commit: true });
     for (name, object) in &participants {
         clock.advance(PACE);
         coordinator.invoke(object, Request::new("outcome")).expect("outcome");
-        journal.record(TwoPcEvent::OutcomeDelivered {
+        journal(TwoPcEvent::OutcomeDelivered {
             participant: (*name).into(),
             commit: true,
             ok: true,
         });
-        journal.record(TwoPcEvent::Forgotten { participant: (*name).into() });
+        journal(TwoPcEvent::Forgotten { participant: (*name).into() });
     }
     clock.advance(PACE);
-    journal.record(TwoPcEvent::Completed { committed: true });
+    journal(TwoPcEvent::Completed { committed: true });
 
     let dag = plane.merge().build();
     let violations = dag.verify();

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orb::{
-    DedupWindow, FailureDetector, Introspection, Orb, Request, SimClock, Value,
+    DedupWindow, Env, FailureDetector, Introspection, Orb, Request, SimClock, Value,
 };
 use ots::{
     ProtocolJournal, RecoverableResource, Resource, TransactionFactory, TransactionalKv,
@@ -38,10 +38,19 @@ fn main() {
         telemetry::DEFAULT_RECORDER_CAPACITY,
         Arc::new(clock.clone()),
     );
-    telemetry.attach_recorder(recorder.clone());
+    // One context for the ORB and the transaction factory: building it
+    // mirrors spans, protocol steps and detector transitions into the
+    // coordinator's black box.
+    let detector = FailureDetector::new(clock.clone());
+    let env = Env::builder()
+        .clock(clock.clone())
+        .detector(detector.clone())
+        .telemetry(telemetry.clone())
+        .recorder(recorder.clone())
+        .build();
 
     // One ORB, three nodes — the same wiring the partition sweeps use.
-    let orb = Orb::builder().clock(clock.clone()).build();
+    let orb = Orb::builder().env(Arc::clone(&env)).build();
     let coordinator = orb.add_node("coordinator").expect("coordinator node");
     let store_node = orb.add_node("store").expect("store node");
     let witness_node = orb.add_node("witness").expect("witness node");
@@ -50,14 +59,10 @@ fn main() {
     let group = Arc::new(GroupCommitWal::new(MemWal::new()));
     let wal: Arc<dyn Wal> = Arc::clone(&group) as Arc<dyn Wal>;
     let journal = ProtocolJournal::new();
-    journal.set_recorder(recorder.clone());
-    let detector = FailureDetector::new(clock.clone());
-    detector.set_recorder(recorder.clone());
     let factory = TransactionFactory::with_wal(Arc::clone(&wal))
-        .with_clock(clock.clone())
+        .with_env(env)
         .with_dispatch(ots::DispatchConfig::serial())
-        .with_journal(journal.clone())
-        .with_telemetry(telemetry.clone());
+        .with_journal(journal.clone());
 
     // Participant-side state: recoverable wrappers over paced stores, a
     // dedup window with some remembered deliveries.

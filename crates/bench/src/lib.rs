@@ -12,7 +12,7 @@ use activity_service::{
     ActionServant, Activity, ActivityService, CompletionStatus, FnAction, Outcome,
     RemoteActionProxy, Signal,
 };
-use orb::{FailureDetector, NetworkConfig, Orb, RetryPolicy, SimClock, Value};
+use orb::{Env, FailureDetector, NetworkConfig, Orb, RetryPolicy, SimClock, Value};
 use ots::{Resource, TransactionFactory, TransactionalKv, TxError, Vote};
 use recovery_log::{MemWal, Wal};
 use tx_models::{LruowStore, ResourceAction, Saga, TwoPhaseCommitSignalSet, TWO_PC_SET};
@@ -41,7 +41,7 @@ pub struct Fig1Sample {
 /// per virtual second.
 pub fn fig1_booking(steps: usize, chained: bool) -> Fig1Sample {
     let clock = SimClock::new();
-    let factory = TransactionFactory::new().with_clock(clock.clone());
+    let factory = TransactionFactory::new().with_env(Env::with_clock(clock.clone()));
     let store = Arc::new(TransactionalKv::with_clock("bookings", clock.clone()));
     let mut conflicts = 0;
     let mut successes = 0;
@@ -168,91 +168,78 @@ pub fn fig5_dispatch_configured(actions: usize, workers: usize, work_us: u64) ->
     outcome.data().as_u64().unwrap_or(0)
 }
 
+/// The gate micro-workloads' shared body: one serially dispatched `Bench`
+/// broadcast to `actions` trivial actions. Returns responses collated.
+fn ping_trivial_actions(activity: &Activity, actions: usize) -> u64 {
+    activity
+        .coordinator()
+        .set_dispatch_config(activity_service::DispatchConfig::serial());
+    activity
+        .coordinator()
+        .add_signal_set(Box::new(activity_service::BroadcastSignalSet::new(
+            "Bench",
+            "ping",
+            Value::Null,
+        )))
+        .expect("add set");
+    for i in 0..actions {
+        activity.coordinator().register_action(
+            "Bench",
+            Arc::new(FnAction::new(format!("a{i}"), |_s: &Signal| Ok(Outcome::done()))) as _,
+        );
+    }
+    let outcome = activity.signal("Bench").expect("signal");
+    outcome.data().as_u64().unwrap_or(0)
+}
+
 /// Trace-gate micro-workload: the fig. 5 broadcast over trivial actions
 /// with tracing either enabled or left off, to measure the cost of the
 /// coordinator's `record()` path (an atomic-load fast path when off).
 pub fn fig5_dispatch_traced(actions: usize, traced: bool) -> u64 {
     let activity = Activity::new_root("dispatch", SimClock::new());
-    activity
-        .coordinator()
-        .set_dispatch_config(activity_service::DispatchConfig::serial());
     if traced {
         activity.coordinator().set_trace(activity_service::TraceLog::new());
     }
-    activity
-        .coordinator()
-        .add_signal_set(Box::new(activity_service::BroadcastSignalSet::new(
-            "Bench",
-            "ping",
-            Value::Null,
-        )))
-        .expect("add set");
-    for i in 0..actions {
-        activity.coordinator().register_action(
-            "Bench",
-            Arc::new(FnAction::new(format!("a{i}"), |_s: &Signal| Ok(Outcome::done()))) as _,
-        );
-    }
-    let outcome = activity.signal("Bench").expect("signal");
-    outcome.data().as_u64().unwrap_or(0)
+    ping_trivial_actions(&activity, actions)
 }
 
 /// Telemetry-gate micro-workload (DESIGN.md §11): the fig. 5 broadcast over
-/// trivial actions with a *disabled* span recorder either attached to the
-/// coordinator or absent. Every signal dispatch still reaches the
+/// trivial actions with a *disabled* span recorder either in the service's
+/// context or absent. Every signal dispatch still reaches the
 /// instrumentation sites, but `Telemetry::is_enabled` short-circuits them
 /// to an atomic load — the delta is the whole disabled-path cost.
 pub fn fig5_dispatch_telemetry(actions: usize, instrumented: bool) -> u64 {
-    let activity = Activity::new_root("dispatch", SimClock::new());
-    activity
-        .coordinator()
-        .set_dispatch_config(activity_service::DispatchConfig::serial());
+    let mut env = Env::builder();
     if instrumented {
-        activity.coordinator().set_telemetry(telemetry::Telemetry::disabled());
+        env = env.telemetry(telemetry::Telemetry::disabled());
     }
-    activity
-        .coordinator()
-        .add_signal_set(Box::new(activity_service::BroadcastSignalSet::new(
-            "Bench",
-            "ping",
-            Value::Null,
-        )))
-        .expect("add set");
-    for i in 0..actions {
-        activity.coordinator().register_action(
-            "Bench",
-            Arc::new(FnAction::new(format!("a{i}"), |_s: &Signal| Ok(Outcome::done()))) as _,
-        );
-    }
-    let outcome = activity.signal("Bench").expect("signal");
-    outcome.data().as_u64().unwrap_or(0)
+    let service = ActivityService::builder().env(env.build()).build();
+    let activity = service.begin("dispatch").expect("begin");
+    let responses = ping_trivial_actions(&activity, actions);
+    service.complete().expect("complete");
+    responses
 }
 
 /// Telemetry-gate 2PC workload (DESIGN.md §11): a native-OTS commit over
-/// `participants` healthy stores, with a disabled recorder either attached
-/// to the factory (so every coordinator it mints carries the gate through
-/// both protocol phases) or absent. All spans are skipped at the
+/// `participants` healthy stores, with a disabled recorder either in the
+/// factory's context (so every coordinator it mints carries the gate
+/// through both protocol phases) or absent. All spans are skipped at the
 /// `is_enabled` check; the delta is pure disabled-path bookkeeping.
 pub fn two_phase_with_telemetry(participants: usize, instrumented: bool) -> bool {
     let mut factory = TransactionFactory::new();
     if instrumented {
-        factory = factory.with_telemetry(telemetry::Telemetry::disabled());
+        factory = factory
+            .with_env(Env::builder().telemetry(telemetry::Telemetry::disabled()).build());
     }
-    let control = factory.create().expect("create");
-    for i in 0..participants {
-        let store = Arc::new(TransactionalKv::new(format!("s{i}")));
-        store.enlist(&control).expect("enlist");
-        store.write(control.id(), "k", Value::from(i as i64)).expect("write");
-    }
-    control.terminator().commit().is_ok()
+    commit_over_stores(&factory, participants)
 }
 
 /// Flight-recorder gate workload (DESIGN.md §15): the same native-OTS
 /// commit as [`two_phase_with_telemetry`], with a journal and failpoint set
 /// on the hot path and a *disabled* [`telemetry::FlightRecorder`] either
-/// attached to both or absent. Every journal record and failpoint passage
-/// still reaches the mirror, but the closed gate collapses it to one
-/// atomic load — the delta is the recorder's whole disabled-path cost.
+/// in the factory's context or absent. Every journal record and failpoint
+/// passage still reaches the mirror, but the closed gate collapses it to
+/// one atomic load — the delta is the recorder's whole disabled-path cost.
 /// The caller builds the recorder once and passes it in: constructing the
 /// ring (one bounded allocation) is setup cost, not per-site cost, and
 /// attaching a shared handle is one `Arc` bump per mirror.
@@ -260,22 +247,14 @@ pub fn two_phase_with_recorder(
     participants: usize,
     recorder: Option<&telemetry::FlightRecorder>,
 ) -> bool {
-    let journal = ots::ProtocolJournal::new();
-    let failpoints = recovery_log::FailpointSet::new();
+    let mut env = Env::builder().failpoints(recovery_log::FailpointSet::new());
     if let Some(recorder) = recorder {
-        journal.set_recorder(recorder.clone());
-        failpoints.set_recorder(recorder.clone());
+        env = env.recorder(recorder.clone());
     }
     let factory = TransactionFactory::new()
-        .with_journal(journal)
-        .with_failpoints(failpoints);
-    let control = factory.create().expect("create");
-    for i in 0..participants {
-        let store = Arc::new(TransactionalKv::new(format!("s{i}")));
-        store.enlist(&control).expect("enlist");
-        store.write(control.id(), "k", Value::from(i as i64)).expect("write");
-    }
-    control.terminator().commit().is_ok()
+        .with_journal(ots::ProtocolJournal::new())
+        .with_env(env.build());
+    commit_over_stores(&factory, participants)
 }
 
 /// A [`Resource`] decorator that advances the virtual clock on every
@@ -325,36 +304,15 @@ impl Resource for PacedResource {
 /// job archives next to the overhead table.
 pub fn instrumented_metrics_snapshot() -> String {
     let tel = telemetry::Telemetry::new();
+    let env = Env::builder().telemetry(tel.clone()).build();
 
-    let activity = Activity::new_root("dispatch", SimClock::new());
-    activity
-        .coordinator()
-        .set_dispatch_config(activity_service::DispatchConfig::serial());
-    activity.coordinator().set_telemetry(tel.clone());
-    activity
-        .coordinator()
-        .add_signal_set(Box::new(activity_service::BroadcastSignalSet::new(
-            "Bench",
-            "ping",
-            Value::Null,
-        )))
-        .expect("add set");
-    for i in 0..8 {
-        activity.coordinator().register_action(
-            "Bench",
-            Arc::new(FnAction::new(format!("a{i}"), |_s: &Signal| Ok(Outcome::done()))) as _,
-        );
-    }
-    activity.signal("Bench").expect("signal");
+    let service = ActivityService::builder().env(Arc::clone(&env)).build();
+    let activity = service.begin("dispatch").expect("begin");
+    ping_trivial_actions(&activity, 8);
+    service.complete().expect("complete");
 
-    let factory = TransactionFactory::new().with_telemetry(tel.clone());
-    let control = factory.create().expect("create");
-    for i in 0..8 {
-        let store = Arc::new(TransactionalKv::new(format!("s{i}")));
-        store.enlist(&control).expect("enlist");
-        store.write(control.id(), "k", Value::from(i as i64)).expect("write");
-    }
-    control.terminator().commit().expect("commit");
+    let factory = TransactionFactory::new().with_env(env);
+    assert!(commit_over_stores(&factory, 8), "commit");
 
     tel.metrics().snapshot_json()
 }
@@ -363,14 +321,13 @@ pub fn instrumented_metrics_snapshot() -> String {
 /// wire*): one activity signalling `actions` remote actions behind the
 /// simulated ORB, with the `orb::retry` policy layer either enabled
 /// (8 attempts, deterministic backoff — never exercised on this fault-free
-/// path) or the legacy immediate at-least-once loop. The delta between the
+/// path) or the proxies' default immediate at-least-once policy. The delta between the
 /// two isolates the per-delivery cost of policy evaluation, delivery-id
 /// stamping and deadline checks. Returns responses collated.
 pub fn remote_dispatch_with_retry(actions: usize, with_policy: bool) -> u64 {
     let orb = Orb::builder()
         .network(NetworkConfig::lossy(0.0, 0.0, 0x0BE7_CAFE))
         .clock(SimClock::new())
-        .retry_budget(8)
         .build();
     orb.add_node("coordinator").expect("coordinator node");
     let worker = orb.add_node("worker").expect("worker node");
@@ -408,15 +365,11 @@ pub fn remote_dispatch_with_retry(actions: usize, with_policy: bool) -> u64 {
 pub fn two_phase_with_detector(participants: usize, with_detector: bool) -> bool {
     let mut factory = TransactionFactory::new();
     if with_detector {
-        factory = factory.with_detector(FailureDetector::new(SimClock::new()));
+        factory = factory.with_env(
+            Env::builder().detector(FailureDetector::new(SimClock::new())).build(),
+        );
     }
-    let control = factory.create().expect("create");
-    for i in 0..participants {
-        let store = Arc::new(TransactionalKv::new(format!("s{i}")));
-        store.enlist(&control).expect("enlist");
-        store.write(control.id(), "k", Value::from(i as i64)).expect("write");
-    }
-    control.terminator().commit().is_ok()
+    commit_over_stores(&factory, participants)
 }
 
 /// A commit-voting resource whose prepare/commit/rollback each cost
@@ -494,7 +447,12 @@ pub fn fig8_signal_2pc(participants: usize) -> bool {
 
 /// Fig. 8 baseline: the same commit through the native OTS coordinator.
 pub fn fig8_native_2pc(participants: usize) -> bool {
-    let factory = TransactionFactory::new();
+    commit_over_stores(&TransactionFactory::new(), participants)
+}
+
+/// One native-OTS commit over `participants` healthy transactional stores,
+/// each with one write: the body every native 2PC workload shares.
+fn commit_over_stores(factory: &TransactionFactory, participants: usize) -> bool {
     let control = factory.create().expect("create");
     for i in 0..participants {
         let store = Arc::new(TransactionalKv::new(format!("s{i}")));

@@ -1,7 +1,7 @@
 //! Exhaustive bounded-schedule exploration with dynamic partial-order
 //! reduction (DPOR).
 //!
-//! Where [`crate::explorer`] *samples* the schedule space (seeded random
+//! Where [`crate::sweep`] *samples* the schedule space (seeded random
 //! fault schedules), this module *enumerates* it: every interleaving of
 //! ORB deliveries the coordinator can choose between, crossed with every
 //! single-crash fault plan, up to a configurable execution/wall-clock
@@ -55,6 +55,7 @@ use parking_lot::Mutex;
 
 use crate::oracle::{self, Observation, Violation};
 use crate::schedule::{FaultEvent, FaultSchedule};
+use crate::sweep::{fnv_fold, greedy_minimal, FNV_OFFSET};
 
 /// A scenario the explorer can enumerate: runs hermetically under a fault
 /// schedule and routes every delivery-order decision through the driver.
@@ -201,7 +202,7 @@ impl Divergence {
             "// scenario: {} | violated: {:?}\n\
              // minimal execution ({} fault event(s), {} prescribed choice(s)):\n\
              let schedule = {};\n\
-             let driver = harness::explore::ChoiceDriver::new(schedule.choices.clone());\n\
+             let driver = harness::ChoiceDriver::new(schedule.choices.clone());\n\
              let violations = harness::oracle::check_all(&scenario.run_exploration(&schedule.faults, &driver));\n\
              assert!(violations.is_empty(), \"{{violations:?}}\");\n",
             self.scenario,
@@ -244,17 +245,6 @@ pub struct ExploreReport {
     pub divergences: Vec<Divergence>,
     /// Whether a budget cut enumeration short — coverage claims are void.
     pub truncated: bool,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 fn fingerprint(obs: &Observation) -> u64 {
@@ -367,47 +357,29 @@ fn still_diverges(scenario: &dyn Explorable, candidate: &ExploreSchedule) -> boo
     !oracle::check_all(&obs).is_empty()
 }
 
-/// Greedy delta-debugging over an explored execution: drop fault events,
-/// truncate trailing choices and decrement individual choices while a
+/// Shrink an explored execution: drop fault events, truncate the trailing
+/// choice and decrement individual choices (tried in that order) while a
 /// violation still reproduces. The result is 1-minimal — no single
 /// remaining step can be removed or lowered.
 pub fn shrink_explored(scenario: &dyn Explorable, schedule: &ExploreSchedule) -> ExploreSchedule {
-    let mut current = schedule.clone();
-    'outer: loop {
-        for index in 0..current.faults.len() {
-            let candidate = ExploreSchedule {
-                faults: current.faults.without_event(index),
-                choices: current.choices.clone(),
-            };
-            if still_diverges(scenario, &candidate) {
-                current = candidate;
-                continue 'outer;
-            }
-        }
-        if !current.choices.is_empty() {
-            let candidate = ExploreSchedule {
-                faults: current.faults.clone(),
-                choices: current.choices[..current.choices.len() - 1].to_vec(),
-            };
-            if still_diverges(scenario, &candidate) {
-                current = candidate;
-                continue 'outer;
-            }
-        }
-        for index in 0..current.choices.len() {
-            if current.choices[index] == 0 {
-                continue;
-            }
-            let mut choices = current.choices.clone();
-            choices[index] -= 1;
-            let candidate = ExploreSchedule { faults: current.faults.clone(), choices };
-            if still_diverges(scenario, &candidate) {
-                current = candidate;
-                continue 'outer;
-            }
-        }
-        return current;
-    }
+    greedy_minimal(
+        schedule.clone(),
+        |current| {
+            let with_faults = |faults| ExploreSchedule { faults, choices: current.choices.clone() };
+            let with_choices =
+                |choices| ExploreSchedule { faults: current.faults.clone(), choices };
+            let dropped =
+                (0..current.faults.len()).map(|i| with_faults(current.faults.without_event(i)));
+            let truncated = current.choices.split_last().map(|(_, rest)| with_choices(rest.to_vec()));
+            let lowered = (0..current.choices.len()).filter(|&i| current.choices[i] > 0).map(|i| {
+                let mut choices = current.choices.clone();
+                choices[i] -= 1;
+                with_choices(choices)
+            });
+            dropped.chain(truncated).chain(lowered).collect()
+        },
+        |candidate| still_diverges(scenario, candidate),
+    )
 }
 
 #[cfg(test)]

@@ -41,11 +41,11 @@
 //!   presumed-abort 2PC, fig. 4 nesting, fig. 5 checked signal sets, §5.1
 //!   saga compensation. Pure `step(state, event)` machines the refinement
 //!   oracle replays observed journals through.
-//! * [`explorer`] — the sweep loop: probe the schedule space (failpoint
+//! * [`mod@sweep`] — the sweep loop: probe the schedule space (failpoint
 //!   sites are *discovered* from the run, not hardcoded), generate seeded
 //!   schedules, run each twice, oracle-check, and greedily shrink any
 //!   violation to a 1-minimal reproducer printed as a copy-pasteable test.
-//! * [`explore`] — the exhaustive counterpart: enumerate *every* delivery
+//! * [`enumerate`] — the exhaustive counterpart: enumerate *every* delivery
 //!   interleaving × single-crash fault plan up to a bounded depth, with
 //!   dynamic partial-order reduction pruning commuting subtrees, and
 //!   shrink any divergence to a 1-minimal execution.
@@ -53,20 +53,20 @@
 //!   observe exactly the sites each crate's `failpoints` constants
 //!   declare.
 
-pub mod explore;
-pub mod explorer;
+pub mod enumerate;
 pub mod model;
 pub mod oracle;
 pub mod registry;
 pub mod scenario;
 pub mod scenarios;
 pub mod schedule;
+pub mod sweep;
 
-pub use explore::{
+pub use enumerate::{
     explore, shrink_explored, ChoiceDriver, ChoicePoint, Divergence, Explorable, ExploreConfig,
     ExploreReport, ExploreSchedule,
 };
-pub use explorer::{shrink, sweep, FailureReport, SweepConfig, SweepReport};
+pub use sweep::{shrink, sweep, FailureReport, SweepConfig, SweepReport};
 pub use model::{replay_all, Event as ModelEvent, SpecViolation};
 pub use oracle::{check_all, check_determinism, EffectCount, Observation, RunOutcome, Violation};
 pub use scenario::Scenario;

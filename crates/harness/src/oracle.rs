@@ -34,7 +34,7 @@
 //!    [`crate::model::Event`]s, the trace must replay cleanly through the
 //!    executable reference models ([`crate::model::replay_all`]): the
 //!    implementation's observable behaviour refines the paper's
-//!    specification, event by event. The [`crate::explore`] module runs
+//!    specification, event by event. The [`crate::enumerate`] module runs
 //!    this oracle over every interleaving it enumerates;
 //! 10. **eventual-resolution** — once injected faults cease and partitions
 //!     heal, no participant may remain in-doubt: scenarios that drive
@@ -238,6 +238,28 @@ impl Observation {
             causal_fingerprint: None,
             causal_perfetto: None,
         }
+    }
+
+    /// Report the node's black box (oracle #11): its retained events, its
+    /// fingerprint and the dump a shrunk reproducer ships with.
+    pub fn report_recorder(&mut self, recorder: &telemetry::FlightRecorder) {
+        self.recorder_events = Some(
+            recorder
+                .events()
+                .iter()
+                .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
+                .collect(),
+        );
+        self.recorder_fingerprint = Some(recorder.fingerprint());
+        self.recorder_dump = Some(recorder.dump());
+    }
+
+    /// Report the merged happens-before DAG (oracle #12): its violations,
+    /// its fingerprint and its Perfetto export.
+    pub fn report_causal(&mut self, dag: &telemetry::CausalDag) {
+        self.causal_violations = Some(dag.verify().iter().map(ToString::to_string).collect());
+        self.causal_fingerprint = Some(dag.fingerprint());
+        self.causal_perfetto = Some(dag.to_perfetto());
     }
 }
 

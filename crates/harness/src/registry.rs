@@ -26,10 +26,8 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
-    use activity_service::{
-        ActivityCoordinator, ActivityId, BroadcastSignalSet, DispatchConfig,
-    };
-    use orb::Value;
+    use activity_service::{ActivityService, BroadcastSignalSet, DispatchConfig};
+    use orb::{Env, Value};
     use ots::{Resource, TransactionFactory, TransactionalKv};
     use recovery_log::{FailpointSet, FileWal, GroupCommitWal, Lsn, MemWal, Wal};
 
@@ -49,8 +47,8 @@ mod tests {
     fn ots_probe_observes_exactly_the_declared_sites() {
         let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
         let failpoints = FailpointSet::new();
-        let factory =
-            TransactionFactory::with_wal(wal).with_failpoints(failpoints.clone());
+        let factory = TransactionFactory::with_wal(wal)
+            .with_env(Env::builder().failpoints(failpoints.clone()).build());
         // Two participants: the one-phase shortcut would skip sites.
         let store = Arc::new(TransactionalKv::new("store"));
         let witness = Arc::new(TransactionalKv::new("witness"));
@@ -107,13 +105,17 @@ mod tests {
     #[test]
     fn activity_probe_observes_exactly_the_declared_sites() {
         let failpoints = FailpointSet::new();
-        let coordinator =
-            ActivityCoordinator::with_dispatch(ActivityId::new(1), DispatchConfig::serial());
-        coordinator.set_failpoints(failpoints.clone());
+        let service = ActivityService::builder()
+            .env(Env::builder().failpoints(failpoints.clone()).build())
+            .build();
+        let activity = service.begin("probe").unwrap();
+        let coordinator = activity.coordinator();
+        coordinator.set_dispatch_config(DispatchConfig::serial());
         coordinator
             .add_signal_set(Box::new(BroadcastSignalSet::new("S", "go", Value::Null)))
             .unwrap();
         coordinator.process_signal_set("S").unwrap();
+        service.complete().unwrap();
         assert_eq!(
             failpoints.observed_sites().into_iter().collect::<BTreeSet<_>>(),
             sorted(activity_service::failpoints::FAILPOINT_SITES),

@@ -15,8 +15,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use orb::{NetworkConfig, Orb, Request, SimClock, Value};
+use orb::{Env, NetworkConfig, Orb, Request, SimClock, Value};
 use ots::journal::{ProtocolJournal, TwoPcEvent, VoteKind};
+use telemetry::RecordKind;
 
 use crate::oracle::{Observation, RunOutcome};
 use crate::scenario::Scenario;
@@ -47,20 +48,24 @@ impl Scenario for ReorderedOutcomeScenario {
             .any(|e| matches!(e, FaultEvent::ArmFailpoint { site, .. } if site == RACE_SITE));
 
         let clock = SimClock::new();
-        let orb = Orb::builder()
-            .network(NetworkConfig::reliable())
-            .clock(clock.clone())
-            .build();
-        let coord_node = orb.add_node(COORDINATOR).expect("add coordinator");
         let plane = telemetry::CausalityPlane::new();
         let coord_recorder = telemetry::FlightRecorder::with_time(
             COORDINATOR,
             telemetry::DEFAULT_RECORDER_CAPACITY,
             Arc::new(clock.clone()),
         );
-        plane.register(&coord_recorder);
-        let journal = ProtocolJournal::new();
-        journal.set_recorder(coord_recorder.clone());
+        let env = Env::builder()
+            .clock(clock.clone())
+            .recorder(coord_recorder.clone())
+            .causality(plane.clone())
+            .build();
+        let orb = Orb::builder().network(NetworkConfig::reliable()).env(Arc::clone(&env)).build();
+        let coord_node = orb.add_node(COORDINATOR).expect("add coordinator");
+        // The hand-rolled coordinator emits its protocol steps the way the
+        // real one does: straight into its context's flight recorder.
+        let journal = |event: TwoPcEvent| {
+            env.emit(RecordKind::Protocol, None::<&ProtocolJournal>, || event);
+        };
 
         let mut refs = Vec::new();
         for name in PARTICIPANTS {
@@ -81,17 +86,16 @@ impl Scenario for ReorderedOutcomeScenario {
                 .expect("activate participant");
             refs.push((name, object));
         }
-        orb.install_causality(plane.clone());
 
         let mut trace = String::new();
 
         // Phase one: solicit both votes.
         for (name, object) in &refs {
-            journal.record(TwoPcEvent::PrepareSent { participant: (*name).into() });
+            journal(TwoPcEvent::PrepareSent { participant: (*name).into() });
             clock.advance(STEP);
             let reply = coord_node.invoke(object, Request::new("prepare")).expect("invoke");
             let _ = writeln!(trace, "prepare({name}) -> {:?}", reply.result);
-            journal.record(TwoPcEvent::VoteRecorded {
+            journal(TwoPcEvent::VoteRecorded {
                 participant: (*name).into(),
                 vote: VoteKind::Commit,
             });
@@ -104,7 +108,7 @@ impl Scenario for ReorderedOutcomeScenario {
             clock.advance(STEP);
             let reply = coord_node.invoke(object, Request::new("outcome")).expect("invoke");
             let _ = writeln!(trace, "outcome({name}) -> {:?}", reply.result);
-            journal.record(TwoPcEvent::OutcomeDelivered {
+            journal(TwoPcEvent::OutcomeDelivered {
                 participant: (*name).into(),
                 commit: true,
                 ok: true,
@@ -112,15 +116,15 @@ impl Scenario for ReorderedOutcomeScenario {
         };
         if racy {
             deliver(0);
-            journal.record(TwoPcEvent::DecisionForced { commit: true });
+            journal(TwoPcEvent::DecisionForced { commit: true });
             deliver(1);
         } else {
-            journal.record(TwoPcEvent::DecisionForced { commit: true });
+            journal(TwoPcEvent::DecisionForced { commit: true });
             deliver(0);
             deliver(1);
         }
         clock.advance(STEP);
-        journal.record(TwoPcEvent::Completed { committed: true });
+        journal(TwoPcEvent::Completed { committed: true });
 
         let mut obs = Observation::new(RunOutcome::Committed);
         // Every per-node fact is healthy — the commit landed everywhere —
@@ -135,9 +139,7 @@ impl Scenario for ReorderedOutcomeScenario {
         obs.recorder_fingerprint = Some(coord_recorder.fingerprint());
         obs.recorder_dump = Some(coord_recorder.dump());
         let dag = plane.merge().build();
-        obs.causal_violations = Some(dag.verify().iter().map(ToString::to_string).collect());
-        obs.causal_fingerprint = Some(dag.fingerprint());
-        obs.causal_perfetto = Some(dag.to_perfetto());
+        obs.report_causal(&dag);
         obs
     }
 }

@@ -26,7 +26,7 @@ use ots::txlog::KIND_TX_DECISION;
 use ots::{Resource, TransactionFactory, TransactionalKv, TwoPcEvent, TxError};
 use recovery_log::{FailpointSet, Lsn, MemWal, Wal};
 
-use crate::explore::{ChoiceDriver, Explorable};
+use crate::enumerate::{ChoiceDriver, Explorable};
 use crate::model::{Event, Vote};
 use crate::oracle::{Observation, RunOutcome};
 use crate::schedule::FaultSchedule;
@@ -80,12 +80,14 @@ impl Explorable for ExplorableTwoPhase {
             "coordinator",
             telemetry::DEFAULT_RECORDER_CAPACITY,
         );
-        journal.set_recorder(recorder.clone());
-        failpoints.set_recorder(recorder.clone());
+        let env = orb::Env::builder()
+            .failpoints(failpoints.clone())
+            .recorder(recorder.clone())
+            .sequencer(Arc::clone(driver) as Arc<dyn orb::DeliverySequencer>)
+            .build();
         let factory = TransactionFactory::with_wal(Arc::clone(&wal))
-            .with_failpoints(failpoints.clone())
+            .with_env(env)
             .with_dispatch(DispatchConfig::serial())
-            .with_sequencer(Arc::clone(driver) as Arc<dyn orb::DeliverySequencer>)
             .with_journal(journal.clone());
         let store = Arc::new(TransactionalKv::new("store"));
         let witness = Arc::new(TransactionalKv::new("witness"));
@@ -177,15 +179,7 @@ impl Explorable for ExplorableTwoPhase {
         obs.trace = trace;
         obs.observed_sites = failpoints.observed_sites();
         obs.model_events = Some(model_events);
-        obs.recorder_events = Some(
-            recorder
-                .events()
-                .iter()
-                .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
-                .collect(),
-        );
-        obs.recorder_fingerprint = Some(recorder.fingerprint());
-        obs.recorder_dump = Some(recorder.dump());
+        obs.report_recorder(&recorder);
         obs
     }
 }
@@ -280,15 +274,7 @@ impl Explorable for BrokenAtomicCommitScenario {
             .collect();
         obs.trace = trace;
         obs.model_events = Some(events);
-        obs.recorder_events = Some(
-            recorder
-                .events()
-                .iter()
-                .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
-                .collect(),
-        );
-        obs.recorder_fingerprint = Some(recorder.fingerprint());
-        obs.recorder_dump = Some(recorder.dump());
+        obs.report_recorder(&recorder);
         obs
     }
 }
@@ -296,7 +282,7 @@ impl Explorable for BrokenAtomicCommitScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, ExploreConfig};
+    use crate::enumerate::{explore, ExploreConfig};
     use crate::oracle;
 
     #[test]

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use orb::{NetworkConfig, Orb, Request, RetryPolicy, SimClock, Value};
+use orb::{Env, NetworkConfig, Orb, Request, RetryPolicy, SimClock, Value};
 use ots::recovery::{self, CoordinatorLocator, RECOVERY_COORDINATOR_INTERFACE};
 use ots::txlog::{txid_to_value, KIND_TX_DECISION};
 use ots::{
@@ -97,13 +97,6 @@ fn restart_participant(
 
 fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
     let clock = SimClock::new();
-    let orb = Orb::builder()
-        .network(NetworkConfig::reliable())
-        .clock(clock.clone())
-        .build();
-    let coord_node = orb.add_node(COORDINATOR_NODE).expect("add coordinator node");
-    orb.add_node(PARTICIPANT_NODE).expect("add participant node");
-
     let coordinator_wal: Arc<dyn Wal> = Arc::new(MemWal::new());
     let participant_wal: Arc<dyn Wal> = Arc::new(MemWal::new());
 
@@ -128,11 +121,22 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
     let plane = telemetry::CausalityPlane::new();
     plane.register(&recorder);
     plane.register(&coord_recorder);
-    orb.install_causality(plane.clone());
+    let orb = Orb::builder()
+        .network(NetworkConfig::reliable())
+        .env(Env::builder().clock(clock.clone()).causality(plane.clone()).build())
+        .build();
+    let coord_node = orb.add_node(COORDINATOR_NODE).expect("add coordinator node");
+    orb.add_node(PARTICIPANT_NODE).expect("add participant node");
 
+    // The protocol side runs under its own context: the schedule's
+    // failpoints, mirrored (with every journal entry) into `recorder`.
     let failpoints = FailpointSet::new();
     schedule.arm_into(&failpoints);
-    failpoints.set_recorder(recorder.clone());
+    let env = Env::builder()
+        .clock(clock.clone())
+        .failpoints(failpoints.clone())
+        .recorder(recorder.clone())
+        .build();
     orb.network().install_script(schedule.to_fault_script());
     schedule.apply_partitions(orb.network());
     for event in schedule.events() {
@@ -157,9 +161,8 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
     };
 
     let journal = ProtocolJournal::new();
-    journal.set_recorder(recorder.clone());
     let factory = TransactionFactory::with_wal(Arc::clone(&coordinator_wal))
-        .with_failpoints(failpoints.clone())
+        .with_env(env)
         .with_dispatch(DispatchConfig::serial())
         .with_journal(journal.clone());
 
@@ -228,7 +231,12 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
                 restart_failpoints.arm(site.clone(), *after);
             }
         }
-        restart_failpoints.set_recorder(recorder.clone());
+        // The new incarnation's context: building it mirrors its
+        // failpoints into the same black box.
+        let _restart_env = Env::builder()
+            .failpoints(restart_failpoints.clone())
+            .recorder(recorder.clone())
+            .build();
         recorder.record(telemetry::RecordKind::Restart, || {
             format!("store+witness rebuilt from wal ({in_doubt_before_restart} in doubt)")
         });
@@ -382,22 +390,12 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
         .map(|s| (*s).to_owned())
         .collect();
     obs.model_events = Some(model_events);
-    obs.recorder_events = Some(
-        recorder
-            .events()
-            .iter()
-            .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
-            .collect(),
-    );
-    obs.recorder_fingerprint = Some(recorder.fingerprint());
-    obs.recorder_dump = Some(recorder.dump());
+    obs.report_recorder(&recorder);
     // Oracle #12: fold both nodes' logs into the global happens-before
     // DAG and verify it — acyclic, receive-after-send on every matched
     // wire edge, protocol order respected across the merge.
     let dag = plane.merge().build();
-    obs.causal_violations = Some(dag.verify().iter().map(ToString::to_string).collect());
-    obs.causal_fingerprint = Some(dag.fingerprint());
-    obs.causal_perfetto = Some(dag.to_perfetto());
+    obs.report_causal(&dag);
     obs
 }
 

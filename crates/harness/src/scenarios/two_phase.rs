@@ -77,14 +77,15 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
     let recorder =
         telemetry::FlightRecorder::new("coordinator", telemetry::DEFAULT_RECORDER_CAPACITY);
     let telemetry = telemetry::Telemetry::with_time(Arc::new(orb::SimClock::new()));
-    telemetry.attach_recorder(recorder.clone());
-    journal.set_recorder(recorder.clone());
-    failpoints.set_recorder(recorder.clone());
+    let env = orb::Env::builder()
+        .failpoints(failpoints.clone())
+        .telemetry(telemetry.clone())
+        .recorder(recorder.clone())
+        .build();
     let factory = TransactionFactory::with_wal(Arc::clone(&wal))
-        .with_failpoints(failpoints.clone())
+        .with_env(env)
         .with_dispatch(DispatchConfig::serial())
-        .with_journal(journal.clone())
-        .with_telemetry(telemetry.clone());
+        .with_journal(journal.clone());
     let store = Arc::new(TransactionalKv::new("store"));
     let witness = Arc::new(TransactionalKv::new("witness"));
 
@@ -184,24 +185,14 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
     obs.trace = trace;
     obs.observed_sites = failpoints.observed_sites();
     obs.model_events = Some(model_events);
-    obs.recorder_events = Some(
-        recorder
-            .events()
-            .iter()
-            .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
-            .collect(),
-    );
-    obs.recorder_fingerprint = Some(recorder.fingerprint());
-    obs.recorder_dump = Some(recorder.dump());
+    obs.report_recorder(&recorder);
     obs.critical_path_exact = telemetry.span_tree().critical_path().map(|path| path.is_exact());
     // Oracle #12: even a single-node run has a causal story — program
     // order plus the 2PC protocol-order rules over the journal mirror.
     let mut merge = telemetry::CausalMerge::new();
     merge.add_recorder(&recorder);
     let dag = merge.build();
-    obs.causal_violations = Some(dag.verify().iter().map(ToString::to_string).collect());
-    obs.causal_fingerprint = Some(dag.fingerprint());
-    obs.causal_perfetto = Some(dag.to_perfetto());
+    obs.report_causal(&dag);
     obs
 }
 

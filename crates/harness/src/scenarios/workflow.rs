@@ -10,7 +10,7 @@ use activity_service::{
     ActionServant, ActivityService, BroadcastSignalSet, DispatchConfig, ExactlyOnceAction,
     FnAction, Outcome, RemoteActionProxy, Signal, TraceLog,
 };
-use orb::{NetworkConfig, Orb, RetryPolicy, SimClock, Value};
+use orb::{Env, NetworkConfig, Orb, RetryPolicy, SimClock, Value};
 use recovery_log::{FailpointSet, MemWal, Wal};
 
 use crate::oracle::{EffectCount, Observation, RunOutcome};
@@ -20,37 +20,23 @@ use crate::schedule::FaultSchedule;
 /// Fixed network seed: every run replays the identical latency stream.
 const NETWORK_SEED: u64 = 0x5EED_0001;
 
-/// How the workflow's remote signal delivery handles transport faults.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RetryMode {
-    /// The ORB's legacy immediate at-least-once loop (no policy layer, no
-    /// fault accounting — the liveness oracle does not bind).
-    Legacy,
-    /// The `orb::retry` reliability layer with `attempts` total attempts
-    /// and deterministic backoff. Reports fault accounting, so the
-    /// liveness-under-bounded-faults oracle binds.
-    Policy {
-        /// Total attempts (retry budget is `attempts - 1`).
-        attempts: u32,
-    },
-    /// A single attempt, no retry: the negative control demonstrating that
-    /// without the reliability layer a single dropped message kills
-    /// liveness.
-    None,
-}
-
 /// Shared wiring for the workflow scenario and the intentionally broken
 /// fixture: `exactly_once` selects whether the remote effect is wrapped in
-/// the WAL-backed dedup layer.
+/// the WAL-backed dedup layer. Delivery is 65 immediate attempts with no
+/// fault accounting, so the liveness oracle does not bind.
 pub(crate) fn run_workflow(schedule: &FaultSchedule, exactly_once: bool) -> Observation {
-    run_workflow_with(schedule, exactly_once, RetryMode::Legacy)
+    run_workflow_with(schedule, exactly_once, RetryPolicy::immediate(65), false)
 }
 
-/// Full wiring: `retry` selects the transport reliability layer.
+/// Full wiring: `policy` is how the remote signal delivery handles
+/// transport faults; `accounted` reports the schedule's fault counts and
+/// the policy's retry budget, so the liveness-under-bounded-faults oracle
+/// binds.
 pub(crate) fn run_workflow_with(
     schedule: &FaultSchedule,
     exactly_once: bool,
-    retry: RetryMode,
+    policy: RetryPolicy,
+    accounted: bool,
 ) -> Observation {
     let clock = SimClock::new();
     // Spans are timestamped off the run's virtual clock, and the recorder
@@ -66,12 +52,21 @@ pub(crate) fn run_workflow_with(
         telemetry::DEFAULT_RECORDER_CAPACITY,
         Arc::new(clock.clone()),
     );
-    telemetry.attach_recorder(recorder.clone());
+    let failpoints = FailpointSet::new();
+    if exactly_once {
+        schedule.arm_into(&failpoints);
+    }
+    // One context for the ORB and the activity service: the coordinator
+    // inherits failpoints, telemetry and recorder from the service.
+    let env = Env::builder()
+        .clock(clock)
+        .failpoints(failpoints.clone())
+        .telemetry(telemetry.clone())
+        .recorder(recorder.clone())
+        .build();
     let orb = Orb::builder()
         .network(NetworkConfig::lossy(0.0, 0.0, NETWORK_SEED))
-        .clock(clock)
-        .retry_budget(64)
-        .telemetry(telemetry.clone())
+        .env(Arc::clone(&env))
         .build();
     orb.add_node("coordinator").expect("coordinator node");
     let worker = orb.add_node("worker").expect("worker node");
@@ -94,11 +89,7 @@ pub(crate) fn run_workflow_with(
         .activate("Action", ActionServant::new(servant_action))
         .expect("activate action");
 
-    let failpoints = FailpointSet::new();
-    if exactly_once {
-        schedule.arm_into(&failpoints);
-    }
-    let service = ActivityService::new();
+    let service = ActivityService::builder().env(env).build();
     // A crashed completion intentionally keeps the thread association (so a
     // real caller can repair and retry); the harness drains any leftover
     // association instead, so every run is hermetic. A leaked activity would
@@ -109,32 +100,26 @@ pub(crate) fn run_workflow_with(
     }
     let activity = service.begin("billing-run").expect("begin activity");
     activity.coordinator().set_dispatch_config(DispatchConfig::serial());
-    activity.coordinator().set_failpoints(failpoints.clone());
     let trace = TraceLog::new();
-    trace.set_recorder(recorder.clone());
-    failpoints.set_recorder(recorder.clone());
     activity.coordinator().set_trace(trace.clone());
-    activity.coordinator().set_telemetry(telemetry.clone());
     activity
         .coordinator()
         .add_signal_set(Box::new(BroadcastSignalSet::new("Bill", "charge", Value::U64(25))))
         .expect("signal set");
     activity.set_completion_signal_set("Bill");
-    let mut proxy = RemoteActionProxy::new("remote", orb.clone(), "coordinator", obj);
-    match retry {
-        RetryMode::Legacy => {}
-        RetryMode::Policy { attempts } => {
-            proxy = proxy.with_policy(
-                RetryPolicy::new(attempts)
-                    .with_base_backoff(std::time::Duration::from_millis(1)),
-            );
-        }
-        RetryMode::None => proxy = proxy.with_policy(RetryPolicy::none()),
-    }
+    let retry_budget = policy.max_attempts().saturating_sub(1);
+    let proxy =
+        RemoteActionProxy::new("remote", orb.clone(), "coordinator", obj).with_policy(policy);
     activity.coordinator().register_action("Bill", Arc::new(proxy) as _);
 
     let result = service.complete();
+    // A crashed completion leaves the activity associated and its
+    // `activity:` span ambient and open: the process died there. Close the
+    // span as that death would, then drain the association.
     while service.depth() > 0 {
+        if let Some(span) = telemetry.current() {
+            telemetry.end(&span);
+        }
         let _ = service.suspend();
     }
     let mut obs = Observation::new(match &result {
@@ -161,33 +146,17 @@ pub(crate) fn run_workflow_with(
     obs.span_projection = Some(span_tree.coordinator_projection());
     obs.span_fingerprint = Some(span_tree.fingerprint());
     obs.trace_log_events = Some(trace.events().iter().map(ToString::to_string).collect());
-    obs.recorder_events = Some(
-        recorder
-            .events()
-            .iter()
-            .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
-            .collect(),
-    );
-    obs.recorder_fingerprint = Some(recorder.fingerprint());
-    obs.recorder_dump = Some(recorder.dump());
+    obs.report_recorder(&recorder);
     obs.critical_path_exact = span_tree.critical_path().map(|path| path.is_exact());
     obs.observed_sites = failpoints.observed_sites();
     obs.remote_messages = orb.network().remote_messages();
-    // Fault accounting for the liveness oracle: only reported when the
-    // run's reliability layer is explicit, so the legacy scenarios'
-    // observations (and fingerprints) are untouched.
-    match retry {
-        RetryMode::Legacy => {}
-        RetryMode::Policy { attempts } => {
-            obs.transient_faults = Some(schedule.transient_fault_count());
-            obs.hard_faults = Some(schedule.hard_fault_count());
-            obs.retry_budget = Some(attempts.saturating_sub(1));
-        }
-        RetryMode::None => {
-            obs.transient_faults = Some(schedule.transient_fault_count());
-            obs.hard_faults = Some(schedule.hard_fault_count());
-            obs.retry_budget = Some(0);
-        }
+    // Fault accounting for the liveness oracle: only reported by the
+    // scenarios that are about the reliability layer, so the plain
+    // scenarios' observations (and fingerprints) are untouched.
+    if accounted {
+        obs.transient_faults = Some(schedule.transient_fault_count());
+        obs.hard_faults = Some(schedule.hard_fault_count());
+        obs.retry_budget = Some(retry_budget);
     }
     obs
 }
@@ -219,7 +188,8 @@ impl Scenario for WorkflowRetryScenario {
     }
 
     fn run(&self, schedule: &FaultSchedule) -> Observation {
-        run_workflow_with(schedule, true, RetryMode::Policy { attempts: 8 })
+        let policy = RetryPolicy::new(8).with_base_backoff(std::time::Duration::from_millis(1));
+        run_workflow_with(schedule, true, policy, true)
     }
 }
 
@@ -235,7 +205,7 @@ impl Scenario for WorkflowNoRetryScenario {
     }
 
     fn run(&self, schedule: &FaultSchedule) -> Observation {
-        run_workflow_with(schedule, true, RetryMode::None)
+        run_workflow_with(schedule, true, RetryPolicy::none(), true)
     }
 }
 
@@ -322,6 +292,6 @@ mod tests {
         let obs = WorkflowScenario.run(&schedule);
         assert_eq!(obs.outcome, RunOutcome::Crashed);
         assert_eq!(obs.effects[0].observed, 0);
-        assert!(oracle::check_all(&obs).is_empty());
+        assert!(oracle::check_all(&obs).is_empty(), "{:?}", oracle::check_all(&obs));
     }
 }

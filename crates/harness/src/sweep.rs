@@ -120,10 +120,11 @@ pub struct SweepReport {
     pub failures: Vec<FailureReport>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a fold, shared by the sweep and enumeration fingerprints.
+pub(crate) fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for byte in bytes {
         hash ^= u64::from(*byte);
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -160,21 +161,30 @@ fn violations_for(scenario: &dyn Scenario, schedule: &FaultSchedule) -> Vec<Viol
     violations
 }
 
-/// Greedy delta-debugging: repeatedly drop single events while the
-/// schedule still violates an oracle. The result is 1-minimal — removing
-/// any one remaining event makes the failure vanish.
-pub fn shrink(scenario: &dyn Scenario, schedule: &FaultSchedule) -> FaultSchedule {
-    let mut current = schedule.clone();
-    'outer: loop {
-        for index in 0..current.len() {
-            let candidate = current.without_event(index);
-            if !violations_for(scenario, &candidate).is_empty() {
-                current = candidate;
-                continue 'outer;
-            }
-        }
-        return current;
+/// Greedy delta-debugging, the one shrinker behind [`shrink`] and
+/// [`crate::shrink_explored`]: move to the first of `reductions(&current)`
+/// that `still_fails`, start over from it, and stop when none does. The
+/// result is 1-minimal — no single reduction of it still fails.
+pub(crate) fn greedy_minimal<S>(
+    start: S,
+    reductions: impl Fn(&S) -> Vec<S>,
+    still_fails: impl Fn(&S) -> bool,
+) -> S {
+    let mut current = start;
+    while let Some(smaller) = reductions(&current).into_iter().find(|c| still_fails(c)) {
+        current = smaller;
     }
+    current
+}
+
+/// Shrink a violating schedule by dropping single events: removing any
+/// one event of the result makes the failure vanish.
+pub fn shrink(scenario: &dyn Scenario, schedule: &FaultSchedule) -> FaultSchedule {
+    greedy_minimal(
+        schedule.clone(),
+        |current| (0..current.len()).map(|index| current.without_event(index)).collect(),
+        |candidate| !violations_for(scenario, candidate).is_empty(),
+    )
 }
 
 /// Sweep `scenario` under `config`: probe the schedule space, then run

@@ -112,7 +112,7 @@ struct DetectorInner {
     config: DetectorConfig,
     participants: Mutex<HashMap<String, Participant>>,
     hooks: Mutex<Vec<QuarantineHook>>,
-    telemetry: Mutex<Option<telemetry::Telemetry>>,
+    telemetry: OnceLock<telemetry::Telemetry>,
     recorder: OnceLock<telemetry::FlightRecorder>,
 }
 
@@ -153,16 +153,17 @@ impl FailureDetector {
                 config,
                 participants: Mutex::new(HashMap::new()),
                 hooks: Mutex::new(Vec::new()),
-                telemetry: Mutex::new(None),
+                telemetry: OnceLock::new(),
                 recorder: OnceLock::new(),
             }),
         }
     }
 
     /// Count status transitions in the given recorder's metrics registry
-    /// as `detector_transitions_total{from=...,to=...}` series.
+    /// as `detector_transitions_total{from=...,to=...}` series. Write-once,
+    /// like [`FailureDetector::set_recorder`]; `Env`'s builder calls both.
     pub fn set_telemetry(&self, telemetry: telemetry::Telemetry) {
-        *self.inner.telemetry.lock() = Some(telemetry);
+        let _ = self.inner.telemetry.set(telemetry);
     }
 
     /// Mirror every status transition into `recorder` (kind `detector`).
@@ -176,13 +177,11 @@ impl FailureDetector {
         if was == now {
             return;
         }
-        let telemetry = self.inner.telemetry.lock();
-        if let Some(telemetry) = telemetry.as_ref().filter(|t| t.is_enabled()) {
+        if let Some(telemetry) = self.inner.telemetry.get().filter(|t| t.is_enabled()) {
             telemetry.metrics().incr(&format!(
                 "detector_transitions_total{{from=\"{was}\",to=\"{now}\"}}"
             ));
         }
-        drop(telemetry);
         if let Some(recorder) = self.inner.recorder.get() {
             recorder.record(telemetry::RecordKind::Detector, || {
                 format!("{who}: {was} -> {now}")

@@ -22,6 +22,10 @@
 //! 4. **A naming service** — [`registry::NameRegistry`] binds names to object
 //!    references (the paper's §2.1(ii) name-server example).
 //!
+//! It also houses [`Env`], the one immutable context the cross-cutting
+//! planes (clock, failpoints, failure detector, telemetry, flight recorder,
+//! causal plane, delivery sequencer) travel in — see [`env`].
+//!
 //! # Example
 //!
 //! ```
@@ -50,6 +54,7 @@ pub mod clock;
 pub mod context;
 pub mod dedup;
 pub mod detector;
+pub mod env;
 pub mod error;
 pub mod interceptor;
 pub mod introspect;
@@ -67,6 +72,7 @@ pub use clock::SimClock;
 pub use context::ServiceContext;
 pub use dedup::{DedupServant, DedupWindow};
 pub use detector::{DetectorConfig, FailureDetector, HealthStatus};
+pub use env::{Env, EnvBuilder};
 pub use error::OrbError;
 pub use interceptor::{
     LamportClientInterceptor, LamportServerInterceptor, SpanClientInterceptor,

@@ -209,8 +209,8 @@ pub struct SimulatedNetwork {
     script: RwLock<FaultScript>,
     /// Sequence number of the next remote (non-local) message.
     remote_seq: AtomicU64,
-    /// Metrics sink for partition/heal events (None until installed).
-    telemetry: RwLock<Option<Telemetry>>,
+    /// Metrics sink for partition/heal events.
+    telemetry: Option<Telemetry>,
     /// When the current manual partition began, for duration accounting.
     partition_started_at: Mutex<Option<Duration>>,
 }
@@ -239,26 +239,29 @@ impl SimulatedNetwork {
             stats: NetworkStats::default(),
             script: RwLock::new(FaultScript::new()),
             remote_seq: AtomicU64::new(0),
-            telemetry: RwLock::new(None),
+            telemetry: None,
             partition_started_at: Mutex::new(None),
         }
     }
 
-    /// Attach a telemetry recorder: partition events bump the
-    /// `net_partitioned_total` counter and partition durations (in virtual
-    /// time) feed the `net_partition_duration` histogram.
-    pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self.telemetry.write() = Some(telemetry);
+    /// Feed partition events into `telemetry`: each bumps the
+    /// `net_partitioned_total` counter and its duration (in virtual time)
+    /// lands in the `net_partition_duration` histogram. The ORB builder
+    /// passes its `Env`'s telemetry here.
+    #[must_use]
+    pub fn metered_by(mut self, telemetry: Option<Telemetry>) -> Self {
+        self.telemetry = telemetry;
+        self
     }
 
     fn record_partition_start(&self) {
-        if let Some(t) = self.telemetry.read().as_ref() {
+        if let Some(t) = &self.telemetry {
             t.metrics().incr("net_partitioned_total");
         }
     }
 
     fn record_partition_duration(&self, duration: Duration) {
-        if let Some(t) = self.telemetry.read().as_ref() {
+        if let Some(t) = &self.telemetry {
             t.metrics().observe("net_partition_duration", duration);
         }
     }
@@ -621,9 +624,9 @@ mod tests {
     #[test]
     fn partition_events_feed_telemetry() {
         let clock = SimClock::new();
-        let n = SimulatedNetwork::new(NetworkConfig::reliable(), clock.clone());
         let t = Telemetry::new();
-        n.set_telemetry(t.clone());
+        let n = SimulatedNetwork::new(NetworkConfig::reliable(), clock.clone())
+            .metered_by(Some(t.clone()));
         // A scheduled window records its (a-priori exact) duration at once.
         n.schedule_partition(
             Duration::from_millis(1),

@@ -9,10 +9,8 @@ use parking_lot::RwLock;
 
 use std::time::Duration;
 
-use telemetry::{CausalityPlane, Telemetry};
-
 use crate::clock::SimClock;
-use crate::detector::FailureDetector;
+use crate::env::Env;
 use crate::error::OrbError;
 use crate::interceptor::{
     ClientRequestInterceptor, LamportClientInterceptor, LamportServerInterceptor,
@@ -131,18 +129,15 @@ struct OrbInner {
     client_interceptors: RwLock<Vec<Arc<dyn ClientRequestInterceptor>>>,
     server_interceptors: RwLock<Vec<Arc<dyn ServerRequestInterceptor>>>,
     registry: NameRegistry,
-    retry_budget: u32,
     delivery_seq: AtomicU64,
-    detector: RwLock<Option<FailureDetector>>,
-    telemetry: RwLock<Option<Telemetry>>,
-    causality: RwLock<Option<CausalityPlane>>,
+    env: Arc<Env>,
 }
 
 impl fmt::Debug for OrbInner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Orb")
             .field("nodes", &self.nodes.read().len())
-            .field("retry_budget", &self.retry_budget)
+            .field("env", &self.env)
             .finish()
     }
 }
@@ -157,23 +152,10 @@ pub struct Orb {
 }
 
 /// Configures and builds an [`Orb`].
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct OrbBuilder {
     config: NetworkConfig,
-    clock: Option<SimClock>,
-    retry_budget: u32,
-    telemetry: Option<Telemetry>,
-}
-
-impl fmt::Debug for OrbBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OrbBuilder")
-            .field("config", &self.config)
-            .field("clock", &self.clock)
-            .field("retry_budget", &self.retry_budget)
-            .field("telemetry", &self.telemetry.is_some())
-            .finish()
-    }
+    env: Option<Arc<Env>>,
 }
 
 impl OrbBuilder {
@@ -184,49 +166,53 @@ impl OrbBuilder {
         self
     }
 
-    /// Share an existing virtual clock instead of creating a fresh one.
+    /// Share an existing virtual clock instead of creating a fresh one:
+    /// shorthand for `.env(Env::with_clock(clock))`.
     #[must_use]
-    pub fn clock(mut self, clock: SimClock) -> Self {
-        self.clock = Some(clock);
+    pub fn clock(self, clock: SimClock) -> Self {
+        self.env(Env::with_clock(clock))
+    }
+
+    /// Run under the given context: its clock drives the network, its
+    /// telemetry and causal plane get their interceptor pairs registered
+    /// by `build`, and its failure detector is fed per policy-driven
+    /// attempt. Replaces an earlier [`OrbBuilder::clock`].
+    #[must_use]
+    pub fn env(mut self, env: Arc<Env>) -> Self {
+        self.env = Some(env);
         self
     }
 
-    /// Retry budget used by [`Orb::invoke_at_least_once`] (default 8).
-    #[must_use]
-    pub fn retry_budget(mut self, retries: u32) -> Self {
-        self.retry_budget = retries;
-        self
-    }
-
-    /// Attach a telemetry recorder; `build` registers the span-propagation
-    /// interceptor pair automatically (see [`Orb::install_telemetry`]).
-    #[must_use]
-    pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Build the ORB.
+    /// Build the ORB. With telemetry in the context, the
+    /// [`SpanClientInterceptor`]/[`SpanServerInterceptor`] pair makes span
+    /// contexts ride every request and partition events feed the metrics
+    /// registry; with a causal plane, the
+    /// [`LamportClientInterceptor`]/[`LamportServerInterceptor`] pair stamps
+    /// every request and reply and records `wire-send`/`wire-recv` events
+    /// in the recorders registered with the plane.
     pub fn build(self) -> Orb {
-        let clock = self.clock.unwrap_or_default();
-        let retry_budget = if self.retry_budget == 0 { 8 } else { self.retry_budget };
+        let env = self.env.unwrap_or_default();
+        let network = SimulatedNetwork::new(self.config, env.clock().clone())
+            .metered_by(env.telemetry().cloned());
         let orb = Orb {
             inner: Arc::new(OrbInner {
-                network: SimulatedNetwork::new(self.config, clock),
+                network,
                 nodes: RwLock::new(HashMap::new()),
                 node_seq: AtomicU64::new(1),
                 client_interceptors: RwLock::new(Vec::new()),
                 server_interceptors: RwLock::new(Vec::new()),
                 registry: NameRegistry::new(),
-                retry_budget,
                 delivery_seq: AtomicU64::new(1),
-                detector: RwLock::new(None),
-                telemetry: RwLock::new(None),
-                causality: RwLock::new(None),
+                env: Arc::clone(&env),
             }),
         };
-        if let Some(telemetry) = self.telemetry {
-            orb.install_telemetry(telemetry);
+        if let Some(telemetry) = env.telemetry() {
+            orb.add_client_interceptor(Arc::new(SpanClientInterceptor::new(telemetry.clone())));
+            orb.add_server_interceptor(Arc::new(SpanServerInterceptor::new(telemetry.clone())));
+        }
+        if let Some(plane) = env.causality() {
+            orb.add_client_interceptor(Arc::new(LamportClientInterceptor::new(plane.clone())));
+            orb.add_server_interceptor(Arc::new(LamportServerInterceptor::new(plane.clone())));
         }
         orb
     }
@@ -343,40 +329,21 @@ impl Orb {
         self.inner.invoke_oneway(from, object, request)
     }
 
-    /// Invoke with at-least-once semantics: retryable transport failures are
-    /// retried up to the configured budget. The servant may therefore run
-    /// **more than once** for a single logical call — exactly the delivery
-    /// guarantee the paper specifies for Signals (§3.4), which is why Actions
-    /// must be idempotent.
-    ///
-    /// Expressed as [`RetryPolicy::immediate`] over the configured budget:
-    /// back-to-back attempts with no backoff and no deadline, so virtual
-    /// time and the network trace are exactly what the legacy loop produced.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last transport error when the budget is exhausted, or the
-    /// servant's failure immediately (application errors are not retried).
-    pub fn invoke_at_least_once(
-        &self,
-        from: &str,
-        object: &ObjectRef,
-        request: Request,
-    ) -> Result<Reply, OrbError> {
-        let policy = RetryPolicy::immediate(self.inner.retry_budget.saturating_add(1));
-        self.invoke_with_policy(from, object, request, &policy, None)
-    }
-
     /// Invoke under an explicit [`RetryPolicy`] and optional absolute
     /// virtual-time `deadline` (the composition point for
     /// `Activity::set_timeout`: pass the activity's deadline and the retry
     /// loop can never outlive the activity).
     ///
+    /// This is the one retry path, and it gives at-least-once semantics:
+    /// the servant may run **more than once** for a single logical call —
+    /// exactly the delivery guarantee the paper specifies for Signals
+    /// (§3.4), which is why Actions must be idempotent.
+    ///
     /// The request is stamped with a [`Request::delivery_id`] — once per
     /// *logical* call, before the first attempt — so every retry shares the
     /// id and dedup-guarded receivers process the call effect-once. Per
-    /// attempt, the target node's health is reported to the attached
-    /// [`FailureDetector`] (if any).
+    /// attempt, the target node's health is reported to the context's
+    /// failure detector (if any).
     ///
     /// # Errors
     ///
@@ -397,14 +364,14 @@ impl Orb {
         }
         let delivery_id = request.delivery_id().expect("stamped above").to_owned();
         let operation = request.operation().to_owned();
-        let detector = self.inner.detector.read().clone();
-        let telemetry = self.inner.telemetry.read().clone();
+        let detector = self.inner.env.detector();
+        let telemetry = self.inner.env.telemetry();
         policy.run(self.clock(), deadline, &operation, &delivery_id, |attempt| {
             // Each attempt is its own span, tagged with the shared logical
             // delivery id; re-attempts (attempt > 0) bump the retry
             // counter. Both are single-atomic-load no-ops when telemetry
             // is absent or disabled.
-            let span = telemetry.as_ref().filter(|t| t.is_enabled()).map(|t| {
+            let span = telemetry.filter(|t| t.is_enabled()).map(|t| {
                 if attempt > 0 {
                     t.metrics().incr("retry_attempts_total");
                 }
@@ -416,14 +383,14 @@ impl Orb {
                 span
             });
             let result = self.inner.invoke_from(from, object, request.clone());
-            if let (Some(telemetry), Some(span)) = (&telemetry, &span) {
+            if let (Some(telemetry), Some(span)) = (telemetry, &span) {
                 if let Err(e) = &result {
                     telemetry.set_attr(span, "error", &e.to_string());
                 }
                 telemetry.exit();
                 telemetry.end(span);
             }
-            if let Some(detector) = &detector {
+            if let Some(detector) = detector {
                 match &result {
                     Ok(_) => detector.record_success(object.node()),
                     Err(e) if e.is_retryable() => detector.record_failure(object.node()),
@@ -434,57 +401,9 @@ impl Orb {
         })
     }
 
-    /// Attach a [`FailureDetector`]; every policy-driven invocation feeds it
-    /// per-attempt evidence about the target node. If telemetry is
-    /// installed, the detector's state transitions are counted in the
-    /// metrics registry.
-    pub fn set_detector(&self, detector: FailureDetector) {
-        if let Some(telemetry) = self.inner.telemetry.read().as_ref() {
-            detector.set_telemetry(telemetry.clone());
-        }
-        *self.inner.detector.write() = Some(detector);
-    }
-
-    /// The attached failure detector, if any.
-    pub fn detector(&self) -> Option<FailureDetector> {
-        self.inner.detector.read().clone()
-    }
-
-    /// Install a telemetry recorder: registers the
-    /// [`SpanClientInterceptor`]/[`SpanServerInterceptor`] pair so span
-    /// contexts ride every request's service contexts, and wires the
-    /// metrics registry into the attached failure detector (if any).
-    pub fn install_telemetry(&self, telemetry: Telemetry) {
-        self.add_client_interceptor(Arc::new(SpanClientInterceptor::new(telemetry.clone())));
-        self.add_server_interceptor(Arc::new(SpanServerInterceptor::new(telemetry.clone())));
-        if let Some(detector) = self.inner.detector.read().as_ref() {
-            detector.set_telemetry(telemetry.clone());
-        }
-        self.inner.network.set_telemetry(telemetry.clone());
-        *self.inner.telemetry.write() = Some(telemetry);
-    }
-
-    /// The installed telemetry recorder, if any.
-    pub fn telemetry(&self) -> Option<Telemetry> {
-        self.inner.telemetry.read().clone()
-    }
-
-    /// Install the §16 causal plane: registers the
-    /// [`LamportClientInterceptor`]/[`LamportServerInterceptor`] pair so
-    /// every request and reply carries a Lamport stamp in its service
-    /// contexts, and `wire-send`/`wire-recv` events land in the flight
-    /// recorders registered with `plane`. Register each node's recorder
-    /// with the plane *before* traffic flows so wire stamps and local
-    /// [`telemetry::FlightRecorder::record`] ticks share one clock.
-    pub fn install_causality(&self, plane: CausalityPlane) {
-        self.add_client_interceptor(Arc::new(LamportClientInterceptor::new(plane.clone())));
-        self.add_server_interceptor(Arc::new(LamportServerInterceptor::new(plane.clone())));
-        *self.inner.causality.write() = Some(plane);
-    }
-
-    /// The installed causal plane, if any.
-    pub fn causality(&self) -> Option<CausalityPlane> {
-        self.inner.causality.read().clone()
+    /// The context this ORB was built under.
+    pub fn env(&self) -> &Arc<Env> {
+        &self.inner.env
     }
 }
 
@@ -727,6 +646,10 @@ mod tests {
         Arc::new(Counter { hits: AtomicU32::new(0) })
     }
 
+    fn traced_orb(telemetry: &telemetry::Telemetry) -> Orb {
+        Orb::builder().env(Env::builder().telemetry(telemetry.clone()).build()).build()
+    }
+
     #[test]
     fn basic_invocation() {
         let orb = Orb::new();
@@ -777,24 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_messages_time_out_and_retries_recover() {
-        // 50% drop: a single shot will eventually fail, but at-least-once
-        // delivery with a healthy budget succeeds.
-        let orb = Orb::builder()
-            .network(NetworkConfig::lossy(0.5, 0.0, 11))
-            .retry_budget(64)
-            .build();
-        let node = orb.add_node("srv").unwrap();
-        let c = counter();
-        let obj = node.activate_arc("Counter", c.clone()).unwrap();
-        let reply = orb
-            .invoke_at_least_once(EXTERNAL_CALLER, &obj, Request::new("hit"))
-            .unwrap();
-        assert!(reply.result.as_u64().unwrap() >= 1);
-        assert!(c.hits.load(Ordering::SeqCst) >= 1);
-    }
-
-    #[test]
     fn duplication_executes_servant_twice() {
         let orb = Orb::builder().network(NetworkConfig::lossy(0.0, 1.0, 5)).build();
         let node = orb.add_node("srv").unwrap();
@@ -805,18 +710,6 @@ mod tests {
         assert_eq!(c.hits.load(Ordering::SeqCst), 2);
         // The reply carries the FIRST execution's result.
         assert_eq!(reply.result.as_u64(), Some(1));
-    }
-
-    #[test]
-    fn at_least_once_does_not_retry_application_errors() {
-        let orb = Orb::builder().retry_budget(10).build();
-        let node = orb.add_node("srv").unwrap();
-        let c = counter();
-        let obj = node.activate_arc("Counter", c.clone()).unwrap();
-        let err = orb
-            .invoke_at_least_once(EXTERNAL_CALLER, &obj, Request::new("fail"))
-            .unwrap_err();
-        assert!(matches!(err, OrbError::Application(_)));
     }
 
     #[test]
@@ -859,16 +752,19 @@ mod tests {
         use crate::retry::RetryPolicy;
         use std::time::Duration;
 
-        let orb = Orb::builder().network(NetworkConfig::lossy(1.0, 0.0, 9)).build();
+        let clock = SimClock::new();
         let detector = FailureDetector::with_config(
-            orb.clock().clone(),
+            clock.clone(),
             DetectorConfig {
                 suspect_after: 1,
                 quarantine_after: 3,
                 probe_interval: Duration::from_millis(50),
             },
         );
-        orb.set_detector(detector.clone());
+        let orb = Orb::builder()
+            .network(NetworkConfig::lossy(1.0, 0.0, 9))
+            .env(Env::builder().clock(clock).detector(detector.clone()).build())
+            .build();
         let node = orb.add_node("srv").unwrap();
         let obj = node.activate_arc("Counter", counter()).unwrap();
         let err = orb
@@ -991,7 +887,7 @@ mod tests {
     #[test]
     fn span_interceptors_record_propagated_trees() {
         let telemetry = telemetry::Telemetry::new();
-        let orb = Orb::builder().telemetry(telemetry.clone()).build();
+        let orb = traced_orb(&telemetry);
         let node = orb.add_node("srv").unwrap();
         let obj = node.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
         orb.invoke(&obj, Request::new("ping")).unwrap();
@@ -1009,7 +905,7 @@ mod tests {
         use crate::retry::RetryPolicy;
 
         let telemetry = telemetry::Telemetry::new();
-        let orb = Orb::builder().telemetry(telemetry.clone()).build();
+        let orb = traced_orb(&telemetry);
         orb.network().install_script(FaultScript::new().drop_nth(0));
         let node = orb.add_node("srv").unwrap();
         let obj = node.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
@@ -1040,7 +936,7 @@ mod tests {
     #[test]
     fn disabled_telemetry_records_nothing_on_the_invoke_path() {
         let telemetry = telemetry::Telemetry::disabled();
-        let orb = Orb::builder().telemetry(telemetry.clone()).build();
+        let orb = traced_orb(&telemetry);
         let node = orb.add_node("srv").unwrap();
         let obj = node.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
         orb.invoke(&obj, Request::new("ping")).unwrap();
@@ -1055,9 +951,8 @@ mod tests {
         let rec_b = FlightRecorder::new("b", 64);
         plane.register(&rec_a);
         plane.register(&rec_b);
-        let orb = Orb::new();
-        orb.install_causality(plane.clone());
-        assert!(orb.causality().is_some());
+        let orb = Orb::builder().env(Env::builder().causality(plane.clone()).build()).build();
+        assert!(orb.env().causality().is_some());
         let a = orb.add_node("a").unwrap();
         let b = orb.add_node("b").unwrap();
         let obj = b.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
@@ -1090,8 +985,10 @@ mod tests {
         let rec = FlightRecorder::new("srv", 64);
         plane.register(&rec);
         // Every message duplicated: the servant runs twice per call.
-        let orb = Orb::builder().network(NetworkConfig::lossy(0.0, 1.0, 5)).build();
-        orb.install_causality(plane.clone());
+        let orb = Orb::builder()
+            .network(NetworkConfig::lossy(0.0, 1.0, 5))
+            .env(Env::builder().causality(plane.clone()).build())
+            .build();
         let node = orb.add_node("srv").unwrap();
         let c = counter();
         let obj = node.activate_arc("Counter", c.clone()).unwrap();

@@ -52,17 +52,16 @@ impl Control {
 mod tests {
     use super::*;
     use crate::status::TxStatus;
-    use recovery_log::FailpointSet;
 
     #[test]
     fn control_wires_coordinator_and_terminator() {
         let c = Coordinator::new_top_level(
             TxId::top_level(4),
             None,
-            FailpointSet::new(),
-            None,
+            orb::Env::new(),
             None,
             orb::pool::DispatchConfig::default(),
+            None,
         );
         let control = Control::new(c);
         assert_eq!(control.id(), &TxId::top_level(4));

@@ -31,13 +31,12 @@ pub mod failpoints {
 }
 use std::time::Duration;
 
-use orb::choice::{clamp_choice, DeliverySequencer};
-use orb::detector::FailureDetector;
+use orb::choice::clamp_choice;
 use orb::pool::{CancelToken, DispatchConfig, TaskOutcome, WorkerPool};
-use orb::SimClock;
+use orb::Env;
 use parking_lot::Mutex;
-use recovery_log::{FailpointSet, Wal};
-use telemetry::{SpanContext, Telemetry};
+use recovery_log::Wal;
+use telemetry::{RecordKind, SpanContext, Telemetry};
 
 use crate::error::TxError;
 use crate::journal::{ProtocolJournal, TwoPcEvent, VoteKind};
@@ -65,6 +64,20 @@ struct CoordinatorInner {
     deadline: Option<Duration>,
 }
 
+impl CoordinatorInner {
+    fn active(deadline: Option<Duration>) -> Self {
+        CoordinatorInner {
+            status: TxStatus::Active,
+            resources: Vec::new(),
+            synchronizations: Vec::new(),
+            subtx_aware: Vec::new(),
+            children: Vec::new(),
+            child_counter: 0,
+            deadline,
+        }
+    }
+}
+
 /// Coordinates one transaction (mirrors CosTransactions::Coordinator plus
 /// the completion half of Terminator).
 ///
@@ -77,13 +90,11 @@ pub struct Coordinator {
     parent: Weak<Coordinator>,
     inner: Mutex<CoordinatorInner>,
     wal: Option<Arc<dyn Wal>>,
-    failpoints: FailpointSet,
-    clock: Option<SimClock>,
     dispatch: DispatchConfig,
-    detector: Mutex<Option<FailureDetector>>,
-    telemetry: Mutex<Option<Telemetry>>,
-    sequencer: Mutex<Option<Arc<dyn DeliverySequencer>>>,
-    journal: Mutex<Option<ProtocolJournal>>,
+    /// The factory's context, shared by every subtransaction: clock,
+    /// failpoints, failure detector, telemetry, recorder, sequencer.
+    env: Arc<Env>,
+    journal: Option<ProtocolJournal>,
 }
 
 impl std::fmt::Debug for Coordinator {
@@ -102,87 +113,51 @@ impl Coordinator {
     pub(crate) fn new_top_level(
         id: TxId,
         wal: Option<Arc<dyn Wal>>,
-        failpoints: FailpointSet,
-        clock: Option<SimClock>,
+        env: Arc<Env>,
         deadline: Option<Duration>,
         dispatch: DispatchConfig,
+        journal: Option<ProtocolJournal>,
     ) -> Arc<Self> {
         Arc::new(Coordinator {
             id,
             parent: Weak::new(),
-            inner: Mutex::new(CoordinatorInner {
-                status: TxStatus::Active,
-                resources: Vec::new(),
-                synchronizations: Vec::new(),
-                subtx_aware: Vec::new(),
-                children: Vec::new(),
-                child_counter: 0,
-                deadline,
-            }),
+            inner: Mutex::new(CoordinatorInner::active(deadline)),
             wal,
-            failpoints,
-            clock,
             dispatch,
-            detector: Mutex::new(None),
-            telemetry: Mutex::new(None),
-            sequencer: Mutex::new(None),
-            journal: Mutex::new(None),
+            env,
+            journal,
         })
     }
 
-    /// Attach a participant [`FailureDetector`]. Phase one feeds it (each
-    /// prepare answer is a success, each transport-style error a failure) and
-    /// consults it: quarantined read-only participants are dropped from the
-    /// protocol, and a quarantined *voter* forces early presumed abort
-    /// instead of burning the full vote timeout on a suspect peer.
-    pub fn set_detector(&self, detector: FailureDetector) {
-        *self.detector.lock() = Some(detector);
+    /// The context this coordinator runs under — the factory's, shared
+    /// (pointer-equal) with every subtransaction. Its planes shape the
+    /// protocol:
+    ///
+    /// * the **failure detector** is fed by phase one (each prepare answer
+    ///   is a success, each transport-style error a failure) and consulted
+    ///   before it: quarantined read-only participants are dropped from the
+    ///   protocol, and a quarantined *voter* forces early presumed abort
+    ///   instead of burning the full vote timeout on a suspect peer;
+    /// * **telemetry** turns every commit into a `commit:` span with
+    ///   `prepare` / `phase2` child spans, per-vote latencies land in the
+    ///   `twopc_vote_latency_seconds` histogram, and top-level outcomes are
+    ///   counted as `twopc_commits_total` / `twopc_aborts_total`;
+    /// * the **delivery sequencer** is asked, under serial dispatch, which
+    ///   pending peer goes next in every round of participant deliveries
+    ///   (prepare, phase-two outcomes, rollback), so a model-checking
+    ///   explorer owns delivery order instead of inheriting registration
+    ///   order; without one (or under parallel dispatch, where there is no
+    ///   meaningful order) the registration-order loops run unchanged;
+    /// * the **flight recorder** receives every protocol step (kind
+    ///   `protocol`), whether or not a [`ProtocolJournal`] is attached.
+    pub fn env(&self) -> &Arc<Env> {
+        &self.env
     }
 
-    /// The attached failure detector, if any.
-    pub fn detector(&self) -> Option<FailureDetector> {
-        self.detector.lock().clone()
-    }
-
-    /// Attach a telemetry recorder: every commit becomes a `commit:` span
-    /// with `prepare` / `phase2` child spans, per-vote latencies land in
-    /// the `twopc_vote_latency_seconds` histogram, and top-level outcomes
-    /// are counted as `twopc_commits_total` / `twopc_aborts_total`.
-    /// Subtransactions inherit the recorder, like the detector.
-    pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self.telemetry.lock() = Some(telemetry);
-    }
-
-    /// The attached telemetry recorder, if any.
-    pub fn telemetry(&self) -> Option<Telemetry> {
-        self.telemetry.lock().clone()
-    }
-
-    /// Attach a [`DeliverySequencer`]: under serial dispatch every round of
-    /// participant deliveries (prepare, phase-two outcomes, rollback) asks
-    /// it which pending peer goes next, so a model-checking explorer owns
-    /// delivery order instead of inheriting registration order. Without one
-    /// (or under parallel dispatch, where there is no meaningful order) the
-    /// legacy registration-order loops run unchanged. Subtransactions
-    /// inherit the sequencer, like the detector.
-    pub fn set_sequencer(&self, sequencer: Arc<dyn DeliverySequencer>) {
-        *self.sequencer.lock() = Some(sequencer);
-    }
-
-    /// Attach a [`ProtocolJournal`]: the coordinator records every
-    /// prepare/vote, the forced decision, phase-two deliveries, forgets and
-    /// the terminal state into it. Subtransactions inherit the journal.
-    pub fn set_journal(&self, journal: ProtocolJournal) {
-        *self.journal.lock() = Some(journal);
-    }
-
-    /// The attached protocol journal, if any.
-    pub fn journal(&self) -> Option<ProtocolJournal> {
-        self.journal.lock().clone()
-    }
-
-    fn telemetry_handle(&self) -> Option<Telemetry> {
-        self.telemetry.lock().clone().filter(Telemetry::is_enabled)
+    /// Emit one protocol step: prepare/vote, the forced decision, phase-two
+    /// deliveries, forgets and the terminal state.
+    fn journal(&self, event: impl FnOnce() -> TwoPcEvent) {
+        self.env.emit(RecordKind::Protocol, self.journal.as_ref(), event);
     }
 
     /// How participant fan-out (prepare / commit / rollback) is scheduled.
@@ -228,9 +203,23 @@ impl Coordinator {
         collated
     }
 
-    /// Deliver one serial round in [`DeliverySequencer`] order (registration
-    /// order without a sequencer), returning results in **registration**
-    /// order so collation is dispatch-invisible. Each delivery is reported
+    /// Which of the round's still-`pending` deliveries (indices into
+    /// `resources`) goes next: the sequencer's pick when one is in the
+    /// context and there is a choice, registration order otherwise.
+    fn next_slot(&self, stage: &str, resources: &[Arc<dyn Resource>], pending: &[usize]) -> usize {
+        match self.env.sequencer() {
+            Some(seq) if pending.len() > 1 => {
+                let labels: Vec<&str> =
+                    pending.iter().map(|i| resources[*i].resource_name()).collect();
+                clamp_choice(seq.next_delivery(stage, &labels), labels.len())
+            }
+            _ => 0,
+        }
+    }
+
+    /// Deliver one serial round in [`orb::DeliverySequencer`] order
+    /// (registration order without a sequencer), returning results in
+    /// **registration** order so collation is dispatch-invisible. Each delivery is reported
     /// back to the sequencer with `clean(&result)`.
     fn sequenced_round<T>(
         &self,
@@ -239,22 +228,14 @@ impl Coordinator {
         mut op: impl FnMut(&dyn Resource) -> T,
         clean: impl Fn(&T) -> bool,
     ) -> Vec<T> {
-        let sequencer = self.sequencer.lock().clone();
+        let sequencer = self.env.sequencer();
         let mut slots: Vec<Option<T>> = resources.iter().map(|_| None).collect();
         let mut pending: Vec<usize> = (0..resources.len()).collect();
         while !pending.is_empty() {
-            let slot = match &sequencer {
-                Some(seq) if pending.len() > 1 => {
-                    let labels: Vec<&str> =
-                        pending.iter().map(|i| resources[*i].resource_name()).collect();
-                    clamp_choice(seq.next_delivery(stage, &labels), labels.len())
-                }
-                _ => 0,
-            };
-            let index = pending.remove(slot);
+            let index = pending.remove(self.next_slot(stage, resources, &pending));
             let resource = &resources[index];
             let result = op(resource.as_ref());
-            if let Some(seq) = &sequencer {
+            if let Some(seq) = sequencer {
                 seq.report(stage, resource.resource_name(), clean(&result));
             }
             slots[index] = Some(result);
@@ -275,14 +256,12 @@ impl Coordinator {
         } else {
             self.fan_out(resources, |resource, id| resource.rollback(id).is_ok())
         };
-        if let Some(journal) = self.journal.lock().clone() {
-            for (resource, ok) in resources.iter().zip(results) {
-                journal.record(TwoPcEvent::OutcomeDelivered {
-                    participant: resource.resource_name().to_owned(),
-                    commit: false,
-                    ok,
-                });
-            }
+        for (resource, ok) in resources.iter().zip(results) {
+            self.journal(|| TwoPcEvent::OutcomeDelivered {
+                participant: resource.resource_name().to_owned(),
+                commit: false,
+                ok,
+            });
         }
     }
 
@@ -305,12 +284,10 @@ impl Coordinator {
     }
 
     fn assess_timeout(&self, inner: &mut CoordinatorInner) {
-        if inner.status == TxStatus::Active {
-            if let (Some(clock), Some(deadline)) = (&self.clock, inner.deadline) {
-                if clock.now() > deadline {
-                    inner.status = TxStatus::MarkedRollback;
-                }
-            }
+        if inner.status == TxStatus::Active
+            && inner.deadline.is_some_and(|deadline| self.env.clock().now() > deadline)
+        {
+            inner.status = TxStatus::MarkedRollback;
         }
     }
 
@@ -407,23 +384,11 @@ impl Coordinator {
         let child = Arc::new(Coordinator {
             id: self.id.child(index),
             parent: Arc::downgrade(self),
-            inner: Mutex::new(CoordinatorInner {
-                status: TxStatus::Active,
-                resources: Vec::new(),
-                synchronizations: Vec::new(),
-                subtx_aware: Vec::new(),
-                children: Vec::new(),
-                child_counter: 0,
-                deadline: inner.deadline,
-            }),
+            inner: Mutex::new(CoordinatorInner::active(inner.deadline)),
             wal: self.wal.clone(),
-            failpoints: self.failpoints.clone(),
-            clock: self.clock.clone(),
             dispatch: self.dispatch,
-            detector: Mutex::new(self.detector.lock().clone()),
-            telemetry: Mutex::new(self.telemetry.lock().clone()),
-            sequencer: Mutex::new(self.sequencer.lock().clone()),
-            journal: Mutex::new(self.journal.lock().clone()),
+            env: Arc::clone(&self.env),
+            journal: self.journal.clone(),
         });
         inner.children.push(Arc::clone(&child));
         Ok(child)
@@ -455,13 +420,13 @@ impl Coordinator {
         // participant invocations (and, on a remote resource proxy, their
         // retry-attempt spans) nest under it. It closes on every exit
         // path, including injected crashes — oracle #7 rejects open spans.
-        let scope = self.telemetry_handle().map(|t| {
+        let scope = self.env.live_telemetry().map(|t| {
             let span = t.start_span(&format!("commit:{}", self.id));
             t.set_attr(&span, "top_level", if self.is_top_level() { "true" } else { "false" });
             t.enter(span);
             (t, span)
         });
-        let result = self.commit_inner(report_heuristics, scope.as_ref());
+        let result = self.commit_inner(report_heuristics, scope);
         if let Some((t, span)) = scope {
             match &result {
                 Ok(TxOutcome::Committed) => t.set_attr(&span, "outcome", "committed"),
@@ -486,7 +451,7 @@ impl Coordinator {
     fn commit_inner(
         &self,
         report_heuristics: bool,
-        tel: Option<&(Telemetry, SpanContext)>,
+        tel: Option<(&Telemetry, SpanContext)>,
     ) -> Result<TxOutcome, TxError> {
         // Settle children and collect a snapshot under the lock, then drive
         // the protocol outside it (participants may call back in).
@@ -532,13 +497,13 @@ impl Coordinator {
             return Err(TxError::RolledBack(self.id.clone()));
         }
 
-        self.failpoints.hit(failpoints::BEFORE_PREPARE).map_err(TxError::from)?;
+        self.env.hit(failpoints::BEFORE_PREPARE)?;
 
         // Consult the failure detector before soliciting any vote. Each
         // participant's skip decision is computed exactly once (`should_skip`
         // claims half-open probe slots as a side effect).
-        let detector = self.detector.lock().clone();
-        let resources: Vec<Arc<dyn Resource>> = if let Some(detector) = &detector {
+        let detector = self.env.detector();
+        let resources: Vec<Arc<dyn Resource>> = if let Some(detector) = detector {
             let mut kept = Vec::with_capacity(resources.len());
             let mut quarantined_voter = false;
             for resource in resources {
@@ -591,7 +556,7 @@ impl Coordinator {
             txlog::log_prepared(wal.as_ref(), &self.id, &names)?;
         }
         let prepare_span = tel.map(|(t, parent)| {
-            let span = t.start_child(parent, "prepare");
+            let span = t.start_child(&parent, "prepare");
             t.set_attr(&span, "participants", &resources.len().to_string());
             span
         });
@@ -603,25 +568,15 @@ impl Coordinator {
             // sequencer, when attached, picks which pending participant is
             // asked next; without one the loop walks registration order
             // exactly as before.
-            let journal = self.journal.lock().clone();
-            let sequencer = self.sequencer.lock().clone();
+            let sequencer = self.env.sequencer();
             let mut pending: Vec<usize> = (0..resources.len()).collect();
             while !pending.is_empty() {
-                let slot = match &sequencer {
-                    Some(seq) if pending.len() > 1 => {
-                        let labels: Vec<&str> =
-                            pending.iter().map(|i| resources[*i].resource_name()).collect();
-                        clamp_choice(seq.next_delivery("prepare", &labels), labels.len())
-                    }
-                    _ => 0,
-                };
+                let slot = self.next_slot("prepare", &resources, &pending);
                 let resource = &resources[pending.remove(slot)];
-                let vote_started = tel.and_then(|_| self.clock.as_ref().map(SimClock::now));
-                if let Some(journal) = &journal {
-                    journal.record(TwoPcEvent::PrepareSent {
-                        participant: resource.resource_name().to_owned(),
-                    });
-                }
+                let vote_started = tel.map(|_| self.env.clock().now());
+                self.journal(|| TwoPcEvent::PrepareSent {
+                    participant: resource.resource_name().to_owned(),
+                });
                 // Per-vote child span under `prepare`: the critical-path
                 // walk reads the slowest of these as the slowest-vote
                 // annotation.
@@ -639,20 +594,18 @@ impl Coordinator {
                     t.metrics()
                         .observe("twopc_vote_latency_seconds", self.elapsed_since(vote_started));
                 }
-                if let Some(detector) = &detector {
+                if let Some(detector) = detector {
                     match &answer {
                         Ok(_) => detector.record_success(resource.resource_name()),
                         Err(_) => detector.record_failure(resource.resource_name()),
                     }
                 }
-                if let Some(journal) = &journal {
-                    journal.record(TwoPcEvent::VoteRecorded {
-                        participant: resource.resource_name().to_owned(),
-                        vote: VoteKind::from_answer(&answer),
-                    });
-                }
+                self.journal(|| TwoPcEvent::VoteRecorded {
+                    participant: resource.resource_name().to_owned(),
+                    vote: VoteKind::from_answer(&answer),
+                });
                 let clean = matches!(answer, Ok(Vote::Commit) | Ok(Vote::ReadOnly));
-                if let Some(seq) = &sequencer {
+                if let Some(seq) = sequencer {
                     seq.report("prepare", resource.resource_name(), clean);
                 }
                 match answer {
@@ -665,7 +618,7 @@ impl Coordinator {
                 }
             }
         } else {
-            let phase_started = tel.and_then(|_| self.clock.as_ref().map(SimClock::now));
+            let phase_started = tel.map(|_| self.env.clock().now());
             // Parallel phase one: every vote is solicited concurrently and
             // all are joined before the decision. Speculatively preparing a
             // resource whose peer vetoes is safe — presumed abort means it
@@ -676,24 +629,21 @@ impl Coordinator {
             // collation (registration order), not inside the scattered
             // tasks, so suspicion counters and the journal evolve
             // deterministically under parallel dispatch.
-            let journal = self.journal.lock().clone();
             for (resource, vote) in resources.iter().zip(votes) {
-                if let Some(journal) = &journal {
-                    journal.record(TwoPcEvent::PrepareSent {
-                        participant: resource.resource_name().to_owned(),
-                    });
-                    journal.record(TwoPcEvent::VoteRecorded {
-                        participant: resource.resource_name().to_owned(),
-                        vote: VoteKind::from_answer(&vote),
-                    });
-                }
+                self.journal(|| TwoPcEvent::PrepareSent {
+                    participant: resource.resource_name().to_owned(),
+                });
+                self.journal(|| TwoPcEvent::VoteRecorded {
+                    participant: resource.resource_name().to_owned(),
+                    vote: VoteKind::from_answer(&vote),
+                });
                 if let Some((t, _)) = tel {
                     // Votes are joined, so per-vote latency is the phase
                     // latency — the time this coordinator actually waited.
                     t.metrics()
                         .observe("twopc_vote_latency_seconds", self.elapsed_since(phase_started));
                 }
-                if let Some(detector) = &detector {
+                if let Some(detector) = detector {
                     match &vote {
                         Ok(_) => detector.record_success(resource.resource_name()),
                         Err(_) => detector.record_failure(resource.resource_name()),
@@ -711,7 +661,7 @@ impl Coordinator {
             t.set_attr(span, "voted_rollback", if voted_rollback { "true" } else { "false" });
             t.end(span);
         }
-        self.failpoints.hit(failpoints::AFTER_PREPARE).map_err(TxError::from)?;
+        self.env.hit(failpoints::AFTER_PREPARE)?;
 
         if voted_rollback {
             // Presumed abort: no decision record needed; undo the prepared.
@@ -724,9 +674,7 @@ impl Coordinator {
         if prepared.is_empty() {
             // Everybody read-only: committed with no phase two, no log.
             self.set_status(TxStatus::Committed);
-            if let Some(journal) = self.journal.lock().clone() {
-                journal.record(TwoPcEvent::Completed { committed: true });
-            }
+            self.journal(|| TwoPcEvent::Completed { committed: true });
             for sync in &synchronizations {
                 sync.after_completion(&self.id, TxStatus::Committed);
             }
@@ -734,7 +682,7 @@ impl Coordinator {
         }
 
         self.set_status(TxStatus::Prepared);
-        self.failpoints.hit(failpoints::BEFORE_DECISION).map_err(TxError::from)?;
+        self.env.hit(failpoints::BEFORE_DECISION)?;
         if let Some(wal) = &self.wal {
             // Forcing discipline: this is the protocol's only awaited-durable
             // write. `log_decision_commit` forces via `append_durable`, so the
@@ -744,17 +692,15 @@ impl Coordinator {
             // presumed abort re-derives it on replay.
             txlog::log_decision_commit(wal.as_ref(), &self.id)?;
         }
-        if let Some(journal) = self.journal.lock().clone() {
-            journal.record(TwoPcEvent::DecisionForced { commit: true });
-        }
-        self.failpoints.hit(failpoints::AFTER_DECISION).map_err(TxError::from)?;
+        self.journal(|| TwoPcEvent::DecisionForced { commit: true });
+        self.env.hit(failpoints::AFTER_DECISION)?;
 
         // Phase two. The decision is durable, so the commit deliveries are
         // independent; heuristics are collated in registration order. The
         // span closes before the BEFORE_COMPLETION_RECORD failpoint.
         self.set_status(TxStatus::Committing);
         let phase2_span = tel.map(|(t, parent)| {
-            let span = t.start_child(parent, "phase2");
+            let span = t.start_child(&parent, "phase2");
             t.set_attr(&span, "participants", &prepared.len().to_string());
             span
         });
@@ -783,19 +729,17 @@ impl Coordinator {
                 }
             })
         };
-        if let Some(journal) = self.journal.lock().clone() {
-            for (resource, heuristic) in prepared.iter().zip(&deliveries) {
-                let ok = heuristic.is_none();
-                journal.record(TwoPcEvent::OutcomeDelivered {
+        for (resource, heuristic) in prepared.iter().zip(&deliveries) {
+            let ok = heuristic.is_none();
+            self.journal(|| TwoPcEvent::OutcomeDelivered {
+                participant: resource.resource_name().to_owned(),
+                commit: true,
+                ok,
+            });
+            if ok {
+                self.journal(|| TwoPcEvent::Forgotten {
                     participant: resource.resource_name().to_owned(),
-                    commit: true,
-                    ok,
                 });
-                if ok {
-                    journal.record(TwoPcEvent::Forgotten {
-                        participant: resource.resource_name().to_owned(),
-                    });
-                }
             }
         }
         let heuristics: Vec<String> = deliveries.into_iter().flatten().collect();
@@ -803,7 +747,7 @@ impl Coordinator {
             t.set_attr(span, "heuristics", &heuristics.len().to_string());
             t.end(span);
         }
-        self.failpoints.hit(failpoints::BEFORE_COMPLETION_RECORD).map_err(TxError::from)?;
+        self.env.hit(failpoints::BEFORE_COMPLETION_RECORD)?;
         self.finish(TxStatus::Committed, &synchronizations);
 
         if report_heuristics && !heuristics.is_empty() {
@@ -876,14 +820,11 @@ impl Coordinator {
         self.inner.lock().status = status;
     }
 
-    /// Virtual time elapsed since `started`; zero without a clock, so the
-    /// vote-latency histogram stays well-defined (and deterministic) on
-    /// clockless coordinators.
+    /// Virtual time elapsed since `started` (zero when nothing was timed).
     fn elapsed_since(&self, started: Option<Duration>) -> Duration {
-        match (&self.clock, started) {
-            (Some(clock), Some(started)) => clock.now().saturating_sub(started),
-            _ => Duration::ZERO,
-        }
+        started.map_or(Duration::ZERO, |started| {
+            self.env.clock().now().saturating_sub(started)
+        })
     }
 
     fn finish(&self, status: TxStatus, synchronizations: &[Arc<dyn Synchronization>]) {
@@ -892,11 +833,7 @@ impl Coordinator {
             if let Some(wal) = &self.wal {
                 let _ = txlog::log_completed(wal.as_ref(), &self.id, status);
             }
-            if let Some(journal) = self.journal.lock().clone() {
-                journal.record(TwoPcEvent::Completed {
-                    committed: status == TxStatus::Committed,
-                });
-            }
+            self.journal(|| TwoPcEvent::Completed { committed: status == TxStatus::Committed });
         }
         for sync in synchronizations {
             sync.after_completion(&self.id, status);
@@ -908,17 +845,33 @@ impl Coordinator {
 mod tests {
     use super::*;
     use crate::resource::test_support::ScriptedResource;
-    use recovery_log::MemWal;
+    use orb::detector::FailureDetector;
+    use orb::SimClock;
+    use recovery_log::{FailpointSet, MemWal};
 
     fn top(wal: Option<Arc<dyn Wal>>) -> Arc<Coordinator> {
         Coordinator::new_top_level(
             TxId::top_level(1),
             wal,
-            FailpointSet::new(),
-            None,
+            Env::new(),
             None,
             DispatchConfig::default(),
+            None,
         )
+    }
+
+    /// A log-less coordinator under `env`, as a factory built
+    /// `with_env(env).with_dispatch(dispatch)` would create it.
+    fn top_in(env: Arc<Env>, dispatch: DispatchConfig) -> Arc<Coordinator> {
+        Coordinator::new_top_level(TxId::top_level(1), None, env, None, dispatch, None)
+    }
+
+    fn traced(tel: &Telemetry) -> Arc<Coordinator> {
+        top_in(Env::builder().telemetry(tel.clone()).build(), DispatchConfig::default())
+    }
+
+    fn detecting(detector: &FailureDetector) -> Arc<Coordinator> {
+        top_in(Env::builder().detector(detector.clone()).build(), DispatchConfig::default())
     }
 
     #[test]
@@ -937,8 +890,7 @@ mod tests {
     #[test]
     fn commit_records_phase_spans_and_metrics() {
         let tel = Telemetry::new();
-        let c = top(None);
-        c.set_telemetry(tel.clone());
+        let c = traced(&tel);
         c.register_resource(ScriptedResource::voting("r1", Vote::Commit)).unwrap();
         c.register_resource(ScriptedResource::voting("r2", Vote::Commit)).unwrap();
         assert_eq!(c.commit(true).unwrap(), TxOutcome::Committed);
@@ -960,15 +912,10 @@ mod tests {
         let tel = Telemetry::new();
         let fps = FailpointSet::new();
         fps.arm(failpoints::AFTER_PREPARE, 0);
-        let c = Coordinator::new_top_level(
-            TxId::top_level(1),
-            None,
-            fps,
-            None,
-            None,
+        let c = top_in(
+            Env::builder().failpoints(fps).telemetry(tel.clone()).build(),
             DispatchConfig::default(),
         );
-        c.set_telemetry(tel.clone());
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
         c.register_resource(ScriptedResource::voting("b", Vote::Commit)).unwrap();
         assert!(c.commit(true).is_err());
@@ -980,10 +927,9 @@ mod tests {
     #[test]
     fn subtransactions_inherit_the_telemetry_recorder() {
         let tel = Telemetry::new();
-        let c = top(None);
-        c.set_telemetry(tel.clone());
+        let c = traced(&tel);
         let child = c.create_subtransaction().unwrap();
-        assert!(child.telemetry().is_some());
+        assert!(Arc::ptr_eq(child.env(), c.env()), "one context, shared by pointer");
         child.commit(true).unwrap();
         c.commit(true).unwrap();
         // The provisional commit is a span too, tagged non-top-level, and
@@ -1009,14 +955,7 @@ mod tests {
 
     #[test]
     fn serial_config_stops_soliciting_votes_at_first_veto() {
-        let c = Coordinator::new_top_level(
-            TxId::top_level(1),
-            None,
-            FailpointSet::new(),
-            None,
-            None,
-            DispatchConfig::serial(),
-        );
+        let c = top_in(Env::new(), DispatchConfig::serial());
         let bad = ScriptedResource::voting("bad", Vote::Rollback);
         let never = ScriptedResource::voting("never", Vote::Commit);
         c.register_resource(bad.clone()).unwrap();
@@ -1032,14 +971,7 @@ mod tests {
         // when an earlier registrant vetoes; presumed abort then undoes the
         // speculatively prepared peers. Pin a worker count — the default
         // config degrades to serial on a single-core host.
-        let c = Coordinator::new_top_level(
-            TxId::top_level(1),
-            None,
-            FailpointSet::new(),
-            None,
-            None,
-            DispatchConfig::with_workers(4),
-        );
+        let c = top_in(Env::new(), DispatchConfig::with_workers(4));
         let bad = ScriptedResource::voting("bad", Vote::Rollback);
         let good = ScriptedResource::voting("good", Vote::Commit);
         c.register_resource(bad.clone()).unwrap();
@@ -1241,10 +1173,10 @@ mod tests {
         let c = Coordinator::new_top_level(
             TxId::top_level(9),
             Some(wal.clone() as Arc<dyn Wal>),
-            FailpointSet::new(),
-            None,
+            Env::new(),
             None,
             DispatchConfig::default(),
+            None,
         );
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
         c.register_resource(ScriptedResource::voting("b", Vote::Commit)).unwrap();
@@ -1265,10 +1197,10 @@ mod tests {
         let c = Coordinator::new_top_level(
             TxId::top_level(2),
             Some(wal.clone() as Arc<dyn Wal>),
-            failpoints,
-            None,
+            Env::builder().failpoints(failpoints).build(),
             None,
             DispatchConfig::default(),
+            None,
         );
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
         c.register_resource(ScriptedResource::voting("b", Vote::Commit)).unwrap();
@@ -1285,10 +1217,10 @@ mod tests {
         let c = Coordinator::new_top_level(
             TxId::top_level(3),
             None,
-            FailpointSet::new(),
-            Some(clock.clone()),
+            Env::with_clock(clock.clone()),
             Some(Duration::from_secs(1)),
             DispatchConfig::default(),
+            None,
         );
         c.register_resource(ScriptedResource::voting("r", Vote::Commit)).unwrap();
         clock.advance(Duration::from_secs(2));
@@ -1309,10 +1241,9 @@ mod tests {
     #[test]
     fn quarantined_read_only_participant_is_dropped_from_the_protocol() {
         let clock = SimClock::new();
-        let c = top(None);
         let detector = FailureDetector::new(clock);
         quarantine(&detector, "ro");
-        c.set_detector(detector);
+        let c = detecting(&detector);
         let worker = ScriptedResource::voting("w1", Vote::Commit);
         let worker2 = ScriptedResource::voting("w2", Vote::Commit);
         let ro = ScriptedResource::voting("ro", Vote::ReadOnly);
@@ -1328,10 +1259,9 @@ mod tests {
     #[test]
     fn quarantined_voter_forces_early_presumed_abort() {
         let clock = SimClock::new();
-        let c = top(None);
         let detector = FailureDetector::new(clock);
         quarantine(&detector, "voter");
-        c.set_detector(detector);
+        let c = detecting(&detector);
         let healthy = ScriptedResource::voting("healthy", Vote::Commit);
         let voter = ScriptedResource::voting("voter", Vote::Commit);
         c.register_resource(healthy.clone()).unwrap();
@@ -1346,14 +1276,13 @@ mod tests {
     #[test]
     fn half_open_probe_readmits_a_quarantined_voter() {
         let clock = SimClock::new();
-        let c = top(None);
         let detector = FailureDetector::new(clock.clone());
         quarantine(&detector, "voter");
         // Past the probe interval the detector grants one probe slot, so the
         // next commit goes through the full protocol; its successful prepare
         // rehabilitates the participant.
         clock.advance(Duration::from_secs(10));
-        c.set_detector(detector.clone());
+        let c = detecting(&detector);
         let voter = ScriptedResource::voting("voter", Vote::Commit);
         let peer = ScriptedResource::voting("peer", Vote::Commit);
         c.register_resource(voter.clone()).unwrap();
@@ -1385,15 +1314,7 @@ mod tests {
         for dispatch in [DispatchConfig::serial(), DispatchConfig::default()] {
             let clock = SimClock::new();
             let detector = FailureDetector::new(clock);
-            let c = Coordinator::new_top_level(
-                TxId::top_level(9),
-                None,
-                FailpointSet::new(),
-                None,
-                None,
-                dispatch,
-            );
-            c.set_detector(detector.clone());
+            let c = top_in(Env::builder().detector(detector.clone()).build(), dispatch);
             c.register_resource(Arc::new(FailingResource)).unwrap();
             c.register_resource(ScriptedResource::voting("ok", Vote::Commit)).unwrap();
             let _ = c.commit(true);
@@ -1401,13 +1322,5 @@ mod tests {
         }
         assert_eq!(suspicions[0].0, 1, "one failed prepare, one count");
         assert_eq!(suspicions[0], suspicions[1], "dispatch config is invisible to suspicion");
-    }
-
-    #[test]
-    fn subtransactions_inherit_the_detector() {
-        let c = top(None);
-        c.set_detector(FailureDetector::new(SimClock::new()));
-        let child = c.create_subtransaction().unwrap();
-        assert!(child.detector().is_some());
     }
 }

@@ -386,7 +386,8 @@ mod tests {
         let failpoints = FailpointSet::new();
         {
             let factory =
-                TransactionFactory::with_wal(Arc::clone(&log)).with_failpoints(failpoints.clone());
+                TransactionFactory::with_wal(Arc::clone(&log))
+                    .with_env(orb::Env::builder().failpoints(failpoints.clone()).build());
             let kv = DurableKv::new("orders", Arc::clone(&log));
             let witness = DurableKv::new("audit", Arc::clone(&log));
             let control = factory.create().unwrap();

@@ -5,12 +5,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use orb::choice::DeliverySequencer;
-use orb::detector::FailureDetector;
 use orb::pool::DispatchConfig;
-use orb::SimClock;
+use orb::Env;
 use parking_lot::RwLock;
-use recovery_log::{FailpointSet, Wal};
+use recovery_log::Wal;
 
 use crate::control::Control;
 use crate::coordinator::Coordinator;
@@ -20,17 +18,15 @@ use crate::txlog::{self, ParticipantResolver, TxRecoveryReport};
 use crate::xid::TxId;
 
 /// Creates transactions (mirrors CosTransactions::TransactionFactory) and
-/// owns the service-wide pieces: the decision log, failpoints, the virtual
-/// clock for timeouts, and the registry of in-flight transactions.
+/// owns the service-wide pieces: the decision log, the [`Env`] every
+/// coordinator inherits (failpoints, the virtual clock for timeouts,
+/// detector, telemetry, sequencer), and the registry of in-flight
+/// transactions.
 pub struct TransactionFactory {
     next_top: AtomicU64,
     wal: Option<Arc<dyn Wal>>,
-    failpoints: FailpointSet,
-    clock: Option<SimClock>,
+    env: Arc<Env>,
     dispatch: DispatchConfig,
-    detector: Option<FailureDetector>,
-    telemetry: Option<telemetry::Telemetry>,
-    sequencer: Option<Arc<dyn DeliverySequencer>>,
     journal: Option<ProtocolJournal>,
     inflight: RwLock<HashMap<TxId, Arc<Coordinator>>>,
 }
@@ -57,12 +53,8 @@ impl TransactionFactory {
         TransactionFactory {
             next_top: AtomicU64::new(1),
             wal: None,
-            failpoints: FailpointSet::new(),
-            clock: None,
+            env: Env::new(),
             dispatch: DispatchConfig::default(),
-            detector: None,
-            telemetry: None,
-            sequencer: None,
             journal: None,
             inflight: RwLock::new(HashMap::new()),
         }
@@ -73,17 +65,14 @@ impl TransactionFactory {
         TransactionFactory { wal: Some(wal), ..Self::new() }
     }
 
-    /// Attach a virtual clock; required for [`TransactionFactory::create_with_timeout`].
+    /// Run under the given context: every coordinator (and subtransaction)
+    /// this factory creates shares it — see [`Coordinator::env`] for what
+    /// each plane does to the protocol. Its clock times
+    /// [`TransactionFactory::create_with_timeout`]; suspicion its detector
+    /// learns in one transaction carries into the next.
     #[must_use]
-    pub fn with_clock(mut self, clock: SimClock) -> Self {
-        self.clock = Some(clock);
-        self
-    }
-
-    /// Attach a failpoint set for crash-injection tests.
-    #[must_use]
-    pub fn with_failpoints(mut self, failpoints: FailpointSet) -> Self {
-        self.failpoints = failpoints;
+    pub fn with_env(mut self, env: Arc<Env>) -> Self {
+        self.env = env;
         self
     }
 
@@ -97,47 +86,17 @@ impl TransactionFactory {
         self
     }
 
-    /// Attach a participant [`FailureDetector`]: every coordinator this
-    /// factory creates consults it during phase one (see
-    /// [`Coordinator::set_detector`]). The detector is shared — suspicion
-    /// learned in one transaction carries into the next.
-    #[must_use]
-    pub fn with_detector(mut self, detector: FailureDetector) -> Self {
-        self.detector = Some(detector);
-        self
-    }
-
-    /// Attach a telemetry recorder: every coordinator this factory creates
-    /// records its commits as spans and its votes/outcomes as metrics (see
-    /// [`Coordinator::set_telemetry`]). Shared, like the detector.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: telemetry::Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Attach a [`DeliverySequencer`]: every coordinator this factory
-    /// creates consults it for the order of its serial delivery rounds
-    /// (see [`Coordinator::set_sequencer`]). A model-checking explorer uses
-    /// this to own delivery order; without one, registration order rules.
-    #[must_use]
-    pub fn with_sequencer(mut self, sequencer: Arc<dyn DeliverySequencer>) -> Self {
-        self.sequencer = Some(sequencer);
-        self
-    }
-
     /// Attach a [`ProtocolJournal`]: every coordinator this factory creates
-    /// records its protocol steps into it (see
-    /// [`Coordinator::set_journal`]). Shared, like the detector.
+    /// (and its subtransactions) records its protocol steps into it.
     #[must_use]
     pub fn with_journal(mut self, journal: ProtocolJournal) -> Self {
         self.journal = Some(journal);
         self
     }
 
-    /// The factory's failpoints (shared handle).
-    pub fn failpoints(&self) -> &FailpointSet {
-        &self.failpoints
+    /// The context this factory's coordinators inherit.
+    pub fn env(&self) -> &Arc<Env> {
+        &self.env
     }
 
     /// Begin a new top-level transaction with no timeout.
@@ -156,8 +115,7 @@ impl TransactionFactory {
     ///
     /// Returns [`TxError::Log`] when the begin record cannot be written.
     pub fn create_with_timeout(&self, timeout: Duration) -> Result<Control, TxError> {
-        let deadline = self.clock.as_ref().map(|c| c.now() + timeout);
-        self.create_inner(deadline)
+        self.create_inner(Some(self.env.clock().now() + timeout))
     }
 
     fn create_inner(&self, deadline: Option<Duration>) -> Result<Control, TxError> {
@@ -168,23 +126,11 @@ impl TransactionFactory {
         let coordinator = Coordinator::new_top_level(
             id.clone(),
             self.wal.clone(),
-            self.failpoints.clone(),
-            self.clock.clone(),
+            Arc::clone(&self.env),
             deadline,
             self.dispatch,
+            self.journal.clone(),
         );
-        if let Some(detector) = &self.detector {
-            coordinator.set_detector(detector.clone());
-        }
-        if let Some(telemetry) = &self.telemetry {
-            coordinator.set_telemetry(telemetry.clone());
-        }
-        if let Some(sequencer) = &self.sequencer {
-            coordinator.set_sequencer(Arc::clone(sequencer));
-        }
-        if let Some(journal) = &self.journal {
-            coordinator.set_journal(journal.clone());
-        }
         self.inflight.write().insert(id, Arc::clone(&coordinator));
         Ok(Control::new(coordinator))
     }
@@ -240,7 +186,12 @@ mod tests {
     use crate::resource::test_support::ScriptedResource;
     use crate::resource::{Resource, Vote};
     use crate::status::TxStatus;
-    use recovery_log::MemWal;
+    use orb::SimClock;
+    use recovery_log::{FailpointSet, MemWal};
+
+    fn failpoint_env(failpoints: &FailpointSet) -> Arc<Env> {
+        Env::builder().failpoints(failpoints.clone()).build()
+    }
 
     #[test]
     fn factory_issues_unique_ids() {
@@ -265,7 +216,7 @@ mod tests {
     fn crash_between_decision_and_completion_recovers_commit() {
         let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
         let failpoints = FailpointSet::new();
-        let f = TransactionFactory::with_wal(Arc::clone(&wal)).with_failpoints(failpoints.clone());
+        let f = TransactionFactory::with_wal(Arc::clone(&wal)).with_env(failpoint_env(&failpoints));
 
         let store = ScriptedResource::voting("store", Vote::Commit);
         let witness = ScriptedResource::voting("witness", Vote::Commit);
@@ -303,7 +254,7 @@ mod tests {
     fn crash_before_decision_recovers_rollback() {
         let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
         let failpoints = FailpointSet::new();
-        let f = TransactionFactory::with_wal(Arc::clone(&wal)).with_failpoints(failpoints.clone());
+        let f = TransactionFactory::with_wal(Arc::clone(&wal)).with_env(failpoint_env(&failpoints));
         let store = ScriptedResource::voting("store", Vote::Commit);
         let other = ScriptedResource::voting("other", Vote::Commit);
         let control = f.create().unwrap();
@@ -331,7 +282,7 @@ mod tests {
     #[test]
     fn timeout_via_virtual_clock() {
         let clock = SimClock::new();
-        let f = TransactionFactory::new().with_clock(clock.clone());
+        let f = TransactionFactory::new().with_env(Env::with_clock(clock.clone()));
         let c = f.create_with_timeout(Duration::from_millis(10)).unwrap();
         assert_eq!(c.coordinator().status(), TxStatus::Active);
         clock.advance(Duration::from_millis(20));

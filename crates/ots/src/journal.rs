@@ -7,17 +7,17 @@
 //! forget. A conformance harness replays the journal through an executable
 //! specification of presumed-abort 2PC and fails on the first divergence.
 //!
-//! Attach one with [`crate::TransactionFactory::with_journal`] (or
-//! [`crate::Coordinator::set_journal`]); without one the coordinator pays
+//! Attach one with [`crate::TransactionFactory::with_journal`]; every
+//! coordinator and subtransaction the factory creates shares it. Each
+//! event is emitted once, at its source, through `orb::Env::emit`: mirrored
+//! into the context's flight recorder (kind `protocol`) and then appended
+//! here — with neither a recorder nor a journal the coordinator pays
 //! nothing. Events are recorded from the serial dispatch path in delivery
 //! order; under parallel dispatch they are recorded at collation, in
 //! registration order (the joined result order — the journal stays
 //! deterministic, but it then reflects collation, not wire order).
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
 
 use crate::resource::Vote;
 
@@ -83,54 +83,7 @@ impl fmt::Display for TwoPcEvent {
 }
 
 /// A shared, append-only journal of [`TwoPcEvent`]s. Clones share storage.
-#[derive(Debug, Clone, Default)]
-pub struct ProtocolJournal {
-    events: Arc<Mutex<Vec<TwoPcEvent>>>,
-    /// Optional flight-recorder mirror (kind `protocol`): the node's black
-    /// box sees every 2PC lifecycle step in journal order.
-    recorder: Arc<OnceLock<telemetry::FlightRecorder>>,
-}
-
-impl ProtocolJournal {
-    /// An empty journal.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mirror every future event into `recorder` (kind `protocol`).
-    /// Write-once so the hot path reads it with a single atomic load
-    /// (no lock even when attached-but-disabled); later calls are ignored.
-    pub fn set_recorder(&self, recorder: telemetry::FlightRecorder) {
-        let _ = self.recorder.set(recorder);
-    }
-
-    /// Append one event.
-    pub fn record(&self, event: TwoPcEvent) {
-        if let Some(recorder) = self.recorder.get() {
-            recorder.record(telemetry::RecordKind::Protocol, || event.to_string());
-        }
-        self.events.lock().push(event);
-    }
-
-    /// Snapshot the events recorded so far, oldest first.
-    #[must_use]
-    pub fn events(&self) -> Vec<TwoPcEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Number of events recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-}
+pub type ProtocolJournal = telemetry::Journal<TwoPcEvent>;
 
 #[cfg(test)]
 mod tests {

@@ -53,17 +53,16 @@ mod tests {
     use super::*;
     use crate::status::TxStatus;
     use crate::xid::TxId;
-    use recovery_log::FailpointSet;
 
     #[test]
     fn terminator_drives_coordinator() {
         let c = Coordinator::new_top_level(
             TxId::top_level(1),
             None,
-            FailpointSet::new(),
-            None,
+            orb::Env::new(),
             None,
             orb::pool::DispatchConfig::default(),
+            None,
         );
         let t = Terminator::new(Arc::clone(&c));
         assert_eq!(t.commit().unwrap(), TxOutcome::Committed);
@@ -75,10 +74,10 @@ mod tests {
         let c = Coordinator::new_top_level(
             TxId::top_level(2),
             None,
-            FailpointSet::new(),
-            None,
+            orb::Env::new(),
             None,
             orb::pool::DispatchConfig::default(),
+            None,
         );
         let t = Terminator::new(Arc::clone(&c));
         assert_eq!(t.rollback().unwrap(), TxOutcome::RolledBack);

@@ -22,10 +22,13 @@
 //! The crate sits at the bottom of the workspace dependency stack (it
 //! depends only on the vendored `parking_lot`), so every layer — orb,
 //! ots, activity-service, wfengine, recovery-log — can instrument itself
-//! with explicit handles, mirroring the repo's `set_trace`/`set_detector`
-//! plumbing style. There is no process-global state.
+//! with explicit handles. The handles travel in one immutable `orb::Env`
+//! passed to the four top-level constructors (DESIGN.md §17), and the
+//! typed event sinks of every layer are one generic [`Journal`]. There is
+//! no process-global state.
 
 mod causality;
+mod journal;
 mod metrics;
 mod recorder;
 mod sequence;
@@ -36,6 +39,7 @@ pub use causality::{
     check_perfetto_schema, parse_wire_stamp, wire_stamp, CausalDag, CausalMerge, CausalViolation,
     CausalityPlane, LamportClock, LAMPORT_CONTEXT_KEY,
 };
+pub use journal::Journal;
 pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use recorder::{FlightRecorder, RecordKind, RecordedEvent, DEFAULT_RECORDER_CAPACITY};
 pub use sequence::{render_sequence, MSC_FROM, MSC_MSG, MSC_NOTE, MSC_REPLY, MSC_TO};

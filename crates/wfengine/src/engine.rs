@@ -5,9 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use activity_service::{Activity, ActivityService, CompletionStatus};
-use orb::detector::FailureDetector;
-use orb::{Value, ValueMap};
-use telemetry::Telemetry;
+use orb::{Env, Value, ValueMap};
 use tx_models::workflow_signals::{CompletedSignalSet, COMPLETED_SET};
 
 use crate::compensate::{self, CompensationRecord};
@@ -76,8 +74,7 @@ pub struct WorkflowEngine {
     graph: WorkflowGraph,
     registry: TaskRegistry,
     policy: FailurePolicy,
-    detector: Option<FailureDetector>,
-    telemetry: Option<Telemetry>,
+    env: Arc<Env>,
 }
 
 impl std::fmt::Debug for WorkflowEngine {
@@ -113,8 +110,7 @@ impl WorkflowEngine {
             graph,
             registry,
             policy: FailurePolicy::default(),
-            detector: None,
-            telemetry: None,
+            env: Env::new(),
         })
     }
 
@@ -125,27 +121,24 @@ impl WorkflowEngine {
         self
     }
 
-    /// Attach a participant [`FailureDetector`] keyed by task name. A ready
-    /// task whose participant is quarantined is *not* executed: it fails
-    /// immediately, so [`FailurePolicy::CompensateAndStop`] compensates the
-    /// completed prefix right away and [`FailurePolicy::ContinuePossible`]
-    /// reroutes around it (Any-joins fall through to healthy alternatives)
-    /// instead of burning the task's full retry budget on a dead
-    /// participant. Executed results feed the detector back.
+    /// Run under the given context. Two of its planes shape a run:
+    ///
+    /// * the **failure detector**, keyed by task name: a ready task whose
+    ///   participant is quarantined is *not* executed — it fails
+    ///   immediately, so [`FailurePolicy::CompensateAndStop`] compensates
+    ///   the completed prefix right away and
+    ///   [`FailurePolicy::ContinuePossible`] reroutes around it (Any-joins
+    ///   fall through to healthy alternatives) instead of burning the
+    ///   task's full retry budget on a dead participant. Executed results
+    ///   feed the detector back;
+    /// * **telemetry**: each run opens a `workflow:{name}` span, each
+    ///   finished task a `task:{name}` child (tagged with its attempt count
+    ///   and outcome), and each compensation a `compensate:{task}` child.
+    ///   Build the [`ActivityService`] under the same context and the
+    ///   activity and signal-set spans interleave into the same tree.
     #[must_use]
-    pub fn with_detector(mut self, detector: FailureDetector) -> Self {
-        self.detector = Some(detector);
-        self
-    }
-
-    /// Attach a telemetry recorder: each run opens a `workflow:{name}` span,
-    /// each finished task a `task:{name}` child (tagged with its attempt
-    /// count and outcome), and each compensation a `compensate:{task}` child.
-    /// Give the [`ActivityService`] the same recorder and the activity spans
-    /// interleave into the same tree.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+    pub fn with_env(mut self, env: Arc<Env>) -> Self {
+        self.env = env;
         self
     }
 
@@ -214,7 +207,7 @@ impl WorkflowEngine {
     ) -> Result<WorkflowReport, WorkflowError> {
         // The `workflow:{name}` span wraps the whole run so every exit path
         // (including activity-machinery errors) closes it.
-        let scope = self.telemetry.as_ref().filter(|t| t.is_enabled()).map(|t| {
+        let scope = self.env.live_telemetry().map(|t| {
             let span = t.start_span(&format!("workflow:{name}"));
             t.set_attr(&span, "tasks", &self.graph.len().to_string());
             t.enter(span);
@@ -245,7 +238,7 @@ impl WorkflowEngine {
         parallel: bool,
         journal: Option<&WorkflowJournal>,
     ) -> Result<WorkflowReport, WorkflowError> {
-        let tel = self.telemetry.as_ref().filter(|t| t.is_enabled());
+        let tel = self.env.live_telemetry();
         let workflow = service.begin(name)?;
         let mut controllers: BTreeMap<String, Arc<TaskController>> = BTreeMap::new();
         for task in self.graph.task_names() {
@@ -308,7 +301,7 @@ impl WorkflowEngine {
             // (ContinuePossible) or compensates (CompensateAndStop) without
             // burning their retry budgets. Skip decisions are computed once
             // per task (`should_skip` claims half-open probe slots).
-            let (ready, quarantined): (Vec<String>, Vec<String>) = match &self.detector {
+            let (ready, quarantined): (Vec<String>, Vec<String>) = match self.env.detector() {
                 Some(detector) => ready.into_iter().partition(|t| !detector.should_skip(t)),
                 None => (ready, Vec::new()),
             };
@@ -356,7 +349,7 @@ impl WorkflowEngine {
             // the quarantine failures (after the executed batch, so its
             // successes still reach the journal and report before a
             // CompensateAndStop break).
-            if let Some(detector) = &self.detector {
+            if let Some(detector) = self.env.detector() {
                 for (task, result, _) in &results {
                     if result.success {
                         detector.record_success(task);
@@ -463,11 +456,6 @@ impl WorkflowEngine {
         controllers: &BTreeMap<String, Arc<TaskController>>,
     ) -> Result<(), WorkflowError> {
         let child = workflow.begin_child(task)?;
-        if let Some(t) = self.telemetry.as_ref().filter(|t| t.is_enabled()) {
-            // The Completed dispatch then shows up as a `signal_set:` span
-            // (with its `transmit:` fan-out) under the ambient task span.
-            child.coordinator().set_telemetry(t.clone());
-        }
         let mut payload = ValueMap::new();
         payload.insert("task".into(), Value::from(task));
         child
@@ -632,7 +620,9 @@ mod tests {
         );
         detector.record_failure("t2");
         detector.record_failure("t2");
-        let engine = WorkflowEngine::new(graph, registry).unwrap().with_detector(detector);
+        let engine = WorkflowEngine::new(graph, registry)
+            .unwrap()
+            .with_env(Env::builder().detector(detector).build());
         let service = ActivityService::new();
         let report = engine.run(&service, "trip", Value::Null).unwrap();
         assert_eq!(report.failed, vec!["t2"]);
@@ -670,7 +660,7 @@ mod tests {
         let engine = WorkflowEngine::new(graph, registry)
             .unwrap()
             .with_policy(FailurePolicy::ContinuePossible)
-            .with_detector(detector.clone());
+            .with_env(Env::builder().detector(detector.clone()).build());
         let service = ActivityService::new();
         let report = engine.run(&service, "route", Value::Null).unwrap();
         assert_eq!(report.failed, vec!["bad"]);
@@ -782,7 +772,7 @@ mod retry_tests {
     use std::sync::Arc;
 
     #[test]
-    fn flaky_task_recovers_within_its_retry_budget() {
+    fn flaky_task_recovers_within_its_retries() {
         let graph = script::parse(
             "task flaky;
              retry flaky 3;",
@@ -980,9 +970,9 @@ mod telemetry_tests {
         registry.register("a", |_i: &TaskInput| TaskResult::ok(Value::Null));
         registry.register("b", |_i: &TaskInput| TaskResult::ok(Value::Null));
         let tel = Telemetry::new();
-        let engine = WorkflowEngine::new(graph, registry).unwrap().with_telemetry(tel.clone());
-        let service = ActivityService::new();
-        service.set_telemetry(tel.clone());
+        let env = Env::builder().telemetry(tel.clone()).build();
+        let engine = WorkflowEngine::new(graph, registry).unwrap().with_env(Arc::clone(&env));
+        let service = ActivityService::builder().env(env).build();
         let report = engine.run(&service, "wf", Value::Null).unwrap();
         assert!(report.succeeded());
 
@@ -1022,7 +1012,9 @@ mod telemetry_tests {
         registry.register("t2", |_i: &TaskInput| TaskResult::failed("hotel full"));
         registry.register("undo_t1", |_i: &TaskInput| TaskResult::ok(Value::Null));
         let tel = Telemetry::new();
-        let engine = WorkflowEngine::new(graph, registry).unwrap().with_telemetry(tel.clone());
+        let engine = WorkflowEngine::new(graph, registry)
+            .unwrap()
+            .with_env(Env::builder().telemetry(tel.clone()).build());
         let service = ActivityService::new();
         let report = engine.run(&service, "trip", Value::Null).unwrap();
         assert_eq!(report.compensations.len(), 1);
@@ -1054,7 +1046,9 @@ mod telemetry_tests {
             if *a < 3 { TaskResult::failed("transient") } else { TaskResult::ok(Value::Null) }
         });
         let tel = Telemetry::new();
-        let engine = WorkflowEngine::new(graph, registry).unwrap().with_telemetry(tel.clone());
+        let engine = WorkflowEngine::new(graph, registry)
+            .unwrap()
+            .with_env(Env::builder().telemetry(tel.clone()).build());
         let service = ActivityService::new();
         let report = engine.run(&service, "retry-wf", Value::Null).unwrap();
         assert!(report.succeeded());

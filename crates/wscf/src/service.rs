@@ -11,7 +11,7 @@ use activity_service::signal_set::SignalSet;
 use activity_service::{
     Action, ActionServant, Activity, CompletionStatus, Outcome, RemoteActionProxy,
 };
-use orb::{Node, ObjectRef, Orb, Request, Servant, SimClock, Value};
+use orb::{Node, ObjectRef, Orb, Request, RetryPolicy, Servant, SimClock, Value};
 use parking_lot::Mutex;
 
 use crate::context::CoordinationContext;
@@ -310,7 +310,13 @@ pub fn register_remote(
         .with_arg("protocol", Value::from(protocol))
         .with_arg("participant", servant_ref.to_value())
         .with_arg("name", Value::from(name));
-    orb.invoke_at_least_once(node.name(), registration, request)?;
+    orb.invoke_with_policy(
+        node.name(),
+        registration,
+        request,
+        &RetryPolicy::AT_LEAST_ONCE,
+        None,
+    )?;
     Ok(())
 }
 

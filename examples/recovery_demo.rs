@@ -20,7 +20,7 @@ use activity_service::{
     recover_activities, ActionFactories, ActivityService, BroadcastSignalSet, FnAction, Outcome,
     Signal, SignalSetFactories,
 };
-use orb::{Introspection, NetworkConfig, Orb, Request, RetryPolicy, SimClock, Value};
+use orb::{Env, Introspection, NetworkConfig, Orb, Request, RetryPolicy, SimClock, Value};
 use ots::{
     recovery::{CoordinatorLocator, RECOVERY_COORDINATOR_INTERFACE},
     DurableKv, RecoverableResource, RecoveryCoordinator, Resource, ResolutionConfig,
@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let wal: Arc<dyn Wal> = Arc::new(FileWal::open(&path)?);
         let failpoints = FailpointSet::new();
         let service = ActivityService::builder().wal(Arc::clone(&wal)).build();
-        let tx_factory =
-            TransactionFactory::with_wal(Arc::clone(&wal)).with_failpoints(failpoints.clone());
+        let tx_factory = TransactionFactory::with_wal(Arc::clone(&wal))
+            .with_env(Env::builder().failpoints(failpoints.clone()).build());
 
         let order = service.begin("order-77")?;
         order.add_signal_set_recoverable(
@@ -163,8 +163,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "coordinator",
     ));
     let failpoints = FailpointSet::new();
-    let refund_factory =
-        TransactionFactory::with_wal(Arc::clone(&wal)).with_failpoints(failpoints.clone());
+    let refund_factory = TransactionFactory::with_wal(Arc::clone(&wal))
+        .with_env(Env::builder().failpoints(failpoints.clone()).build());
     let refund = refund_factory.create()?;
     refund.coordinator().register_resource(Arc::clone(&recoverable) as Arc<dyn Resource>)?;
     refund.coordinator().register_resource(Arc::clone(&audit_mirror) as Arc<dyn Resource>)?;

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use activity_service::ActivityService;
-use orb::{SimClock, Value};
+use orb::{Env, SimClock, Value};
 use ots::{TransactionFactory, TransactionalKv, TxError};
 use telemetry::{Telemetry, MSC_FROM, MSC_MSG, MSC_NOTE, MSC_REPLY, MSC_TO};
 use tx_models::{Saga, SagaOutcome};
@@ -59,9 +59,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // activity begin/complete pairs become nested `activity:` spans and the
     // msc.* attributes below make the run renderable as a fig. 1 chart.
     let tel = Telemetry::with_time(Arc::new(clock.clone()));
-    let service = ActivityService::builder().clock(clock.clone()).build();
-    service.set_telemetry(tel.clone());
-    let factory = TransactionFactory::new().with_clock(clock.clone());
+    // One context — clock and telemetry — for the activity service and the
+    // transaction factory.
+    let env = Env::builder().clock(clock.clone()).telemetry(tel.clone()).build();
+    let service = ActivityService::builder().env(Arc::clone(&env)).build();
+    let factory = TransactionFactory::new().with_env(env);
     let store = Arc::new(TransactionalKv::with_clock("bookings", clock.clone()));
 
     service.begin("trip")?;
@@ -123,9 +125,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---------------- Fig. 2: t4 aborts; compensate and continue. --------
     println!("\n== fig. 2: failure, compensation, alternative continuation ==");
-    let service = ActivityService::new();
     let tel = Telemetry::new();
-    service.set_telemetry(tel.clone());
+    let service =
+        ActivityService::builder().env(Env::builder().telemetry(tel.clone()).build()).build();
     let factory = Arc::new(TransactionFactory::new());
     let store = Arc::new(TransactionalKv::new("bookings-2"));
 

@@ -6,7 +6,9 @@
 //! Run with: `cargo run --example workflow_order`
 
 use activity_service::ActivityService;
-use orb::Value;
+use std::sync::Arc;
+
+use orb::{Env, Value};
 use telemetry::Telemetry;
 use wfengine::{script, FailurePolicy, TaskInput, TaskRegistry, TaskResult, WorkflowEngine};
 
@@ -62,10 +64,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("parsed workflow: tasks {:?}, roots {:?}", graph.task_names(), graph.roots());
 
     println!("\n== happy path (parallel middle stage) ==");
+    // One context for the engine and the activity service: workflow, task,
+    // activity and signal-set spans all land in one tree.
     let telemetry = Telemetry::new();
-    let engine =
-        WorkflowEngine::new(graph.clone(), registry(false))?.with_telemetry(telemetry.clone());
-    let service = ActivityService::new();
+    let env = Env::builder().telemetry(telemetry.clone()).build();
+    let engine = WorkflowEngine::new(graph.clone(), registry(false))?.with_env(Arc::clone(&env));
+    let service = ActivityService::builder().env(env).build();
     let report = engine.run_parallel(&service, "order-1", Value::from("order#1"))?;
     println!(
         "completed {:?}; ship output = {}",
@@ -83,9 +87,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== payment declined: compensation sweep ==");
     let telemetry = Telemetry::new();
+    let env = Env::builder().telemetry(telemetry.clone()).build();
     let engine = WorkflowEngine::new(graph, registry(true))?
         .with_policy(FailurePolicy::CompensateAndStop)
-        .with_telemetry(telemetry.clone());
+        .with_env(Arc::clone(&env));
+    let service = ActivityService::builder().env(env).build();
     let report = engine.run(&service, "order-2", Value::from("order#2"))?;
     println!(
         "failed {:?}; skipped {:?}; compensated {:?}",

@@ -13,12 +13,17 @@ use std::sync::Arc;
 use activity_service::{
     ActionServant, ActivityService, FnAction, Outcome, RemoteActionProxy, Signal,
 };
-use orb::{DedupServant, DedupWindow, NetworkConfig, Orb, Request, Servant, Value};
+use orb::{DedupServant, DedupWindow, NetworkConfig, Orb, Request, RetryPolicy, Servant, Value};
+
+/// What every proxy over [`lossy_orb`] delivers with: enough immediate
+/// attempts that the seeded chaos below cannot exhaust them.
+fn patient() -> RetryPolicy {
+    RetryPolicy::immediate(257)
+}
 
 fn lossy_orb(drop: f64, duplicate: f64, seed: u64) -> Orb {
     Orb::builder()
         .network(NetworkConfig::lossy(drop, duplicate, seed))
-        .retry_budget(256)
         .build()
 }
 
@@ -34,7 +39,7 @@ fn duplication_delivers_signals_more_than_once() {
             Ok(Outcome::done())
         }));
     let obj = node.activate("Action", ActionServant::new(action)).unwrap();
-    let proxy = RemoteActionProxy::new("p", orb, "client", obj);
+    let proxy = RemoteActionProxy::new("p", orb, "client", obj).with_policy(patient());
     activity_service::Action::process_signal(&proxy, &Signal::new("ping", "set")).unwrap();
     assert_eq!(
         deliveries.load(Ordering::SeqCst),
@@ -76,8 +81,10 @@ fn idempotent_action_converges_under_chaos() {
 
     let naive_obj = node.activate("Naive", ActionServant::new(naive)).unwrap();
     let guarded_obj = node.activate("Guarded", ActionServant::new(guarded)).unwrap();
-    let naive_proxy = RemoteActionProxy::new("naive", orb.clone(), "client", naive_obj);
-    let guarded_proxy = RemoteActionProxy::new("guarded", orb.clone(), "client", guarded_obj);
+    let naive_proxy =
+        RemoteActionProxy::new("naive", orb.clone(), "client", naive_obj).with_policy(patient());
+    let guarded_proxy = RemoteActionProxy::new("guarded", orb.clone(), "client", guarded_obj)
+        .with_policy(patient());
 
     for i in 0..20 {
         let signal = Signal::new("debit", "set").with_data(Value::from(format!("debit-{i}")));
@@ -109,7 +116,6 @@ fn dropped_reply_reexecutes_servant() {
         // Drop ~half of all messages; with retries the call eventually
         // completes but the servant usually executes more than once.
         .network(NetworkConfig::lossy(0.5, 0.0, 99))
-        .retry_budget(512)
         .build();
     let node = orb.add_node("server").unwrap();
     let executions = Arc::new(AtomicU32::new(0));
@@ -124,7 +130,13 @@ fn dropped_reply_reexecutes_servant() {
     for _ in 0..30 {
         executions.store(0, Ordering::SeqCst);
         if orb
-            .invoke_at_least_once(orb::node::EXTERNAL_CALLER, &obj, Request::new("op"))
+            .invoke_with_policy(
+                orb::node::EXTERNAL_CALLER,
+                &obj,
+                Request::new("op"),
+                &RetryPolicy::immediate(513),
+                None,
+            )
             .is_ok()
             && executions.load(Ordering::SeqCst) > 1
         {
@@ -230,12 +242,10 @@ fn activity_completion_with_remote_actions_survives_chaos() {
         let obj = node.activate("Action", ActionServant::new(action)).unwrap();
         activity.coordinator().register_action(
             "Done",
-            Arc::new(RemoteActionProxy::new(
-                format!("proxy-{i}"),
-                orb.clone(),
-                "coordinator",
-                obj,
-            )) as _,
+            Arc::new(
+                RemoteActionProxy::new(format!("proxy-{i}"), orb.clone(), "coordinator", obj)
+                    .with_policy(patient()),
+            ) as _,
         );
         flags.push(flag);
     }

@@ -168,10 +168,8 @@ fn sixteen_concurrent_signal_set_runs_share_one_coordinator() {
     // drain it). Every delivery must still happen exactly once per run.
     use activity_service::{ActivityCoordinator, ActivityId, DispatchConfig};
 
-    let coordinator = Arc::new(ActivityCoordinator::with_dispatch(
-        ActivityId::new(99),
-        DispatchConfig::with_workers(4),
-    ));
+    let coordinator = Arc::new(ActivityCoordinator::new(ActivityId::new(99)));
+    coordinator.set_dispatch_config(DispatchConfig::with_workers(4));
     let hits = Arc::new(AtomicU32::new(0));
     for i in 0..16 {
         coordinator

@@ -1,0 +1,242 @@
+//! One `Env`, four constructors (DESIGN.md §17): the planes handed to
+//! `OrbBuilder::env`, `TransactionFactory::with_env`,
+//! `ActivityServiceBuilder::env` and `WorkflowEngine::with_env` — and to
+//! nothing else — reach every coordinator, subtransaction, child activity
+//! and workflow task, and feed one flight recorder.
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use activity_service::{
+    ActionServant, ActivityService, BroadcastSignalSet, FnAction, Outcome, RemoteActionProxy,
+    Signal,
+};
+use orb::{Env, FailureDetector, Orb, SimClock, Value};
+use ots::{TransactionFactory, TransactionalKv};
+use recovery_log::FailpointSet;
+use telemetry::{CausalityPlane, FlightRecorder, RecordKind, Telemetry};
+use wfengine::{script, TaskInput, TaskRegistry, TaskResult, WorkflowEngine};
+
+const NODE: &str = "coordinator";
+
+struct World {
+    env: Arc<Env>,
+    recorder: FlightRecorder,
+    telemetry: Telemetry,
+    failpoints: FailpointSet,
+    orb: Orb,
+    factory: TransactionFactory,
+    service: ActivityService,
+    engine: WorkflowEngine,
+}
+
+/// Build the whole stack under `env`, with no attach call of any kind.
+fn world(
+    env: Arc<Env>,
+    recorder: FlightRecorder,
+    telemetry: Telemetry,
+    failpoints: FailpointSet,
+) -> World {
+    let orb = Orb::builder().env(Arc::clone(&env)).build();
+    orb.add_node(NODE).unwrap();
+    orb.add_node("worker").unwrap();
+    let mut registry = TaskRegistry::new();
+    registry.register("pick", |_i: &TaskInput| TaskResult::ok(Value::from("picked")));
+    registry.register("pack", |_i: &TaskInput| TaskResult::ok(Value::from("packed")));
+    let graph = script::parse("task pick;\ntask pack after pick;").unwrap();
+    World {
+        failpoints,
+        factory: TransactionFactory::new().with_env(Arc::clone(&env)),
+        service: ActivityService::builder().env(Arc::clone(&env)).build(),
+        engine: WorkflowEngine::new(graph, registry).unwrap().with_env(Arc::clone(&env)),
+        orb,
+        env,
+        recorder,
+        telemetry,
+    }
+}
+
+/// Recorder, telemetry, failpoints, detector and causal plane on one clock.
+fn instrumented() -> World {
+    let clock = SimClock::new();
+    let recorder = FlightRecorder::with_time(NODE, 1024, Arc::new(clock.clone()));
+    let telemetry = Telemetry::with_time(Arc::new(clock.clone()));
+    let failpoints = FailpointSet::new();
+    let env = Env::builder()
+        .clock(clock.clone())
+        .failpoints(failpoints.clone())
+        .detector(FailureDetector::new(clock))
+        .telemetry(telemetry.clone())
+        .recorder(recorder.clone())
+        .causality(CausalityPlane::new())
+        .build();
+    world(env, recorder, telemetry, failpoints)
+}
+
+impl World {
+    /// A three-deep activity nest whose innermost activity signals a remote
+    /// action, with a subtransaction committed inside the middle one.
+    fn run_nested_activity_with_subtransaction(&self) {
+        let worker = self.orb.node("worker").unwrap();
+        let action: Arc<dyn activity_service::Action> =
+            Arc::new(FnAction::new("stock", |_s: &Signal| Ok(Outcome::done())));
+        let object = worker.activate("Action", ActionServant::new(action)).unwrap();
+
+        self.service.begin("order").unwrap();
+        self.service.begin("fulfil").unwrap();
+
+        let top = self.factory.create().unwrap();
+        let sub = top.begin_subtransaction().unwrap();
+        for name in ["ledger", "audit"] {
+            let store = Arc::new(TransactionalKv::new(name));
+            store.enlist(&sub).unwrap();
+            store.write(sub.id(), "k", Value::from(1i64)).unwrap();
+        }
+        assert!(Arc::ptr_eq(sub.coordinator().env(), top.coordinator().env()));
+        assert!(Arc::ptr_eq(top.coordinator().env(), &self.env));
+        sub.terminator().commit().unwrap();
+        top.terminator().commit().unwrap();
+
+        let grandchild = self.service.begin("reserve").unwrap();
+        assert!(Arc::ptr_eq(grandchild.env(), &self.env), "children share the service's Env");
+        grandchild
+            .coordinator()
+            .add_signal_set(Box::new(BroadcastSignalSet::new("Reserve", "hold", Value::Null)))
+            .unwrap();
+        grandchild.set_completion_signal_set("Reserve");
+        grandchild.coordinator().register_action(
+            "Reserve",
+            Arc::new(RemoteActionProxy::new("stock", self.orb.clone(), NODE, object)) as _,
+        );
+        for _ in 0..3 {
+            self.service.complete().unwrap();
+        }
+    }
+
+    fn run_two_task_workflow(&self) {
+        let report = self.engine.run(&self.service, "ship", Value::Null).unwrap();
+        assert_eq!(report.completed, vec!["pick", "pack"]);
+    }
+
+    fn recorded_kinds(&self) -> BTreeSet<&'static str> {
+        self.recorder.events().iter().map(|event| event.kind.label()).collect()
+    }
+}
+
+#[test]
+fn one_recorder_hears_every_layer() {
+    let world = instrumented();
+    world.run_nested_activity_with_subtransaction();
+    world.run_two_task_workflow();
+
+    let kinds = world.recorded_kinds();
+    for kind in [
+        "trace",
+        "protocol",
+        "activity",
+        "failpoint",
+        "span-open",
+        "span-close",
+        "wire-send",
+        "wire-recv",
+    ] {
+        assert!(kinds.contains(kind), "no `{kind}` event in {kinds:?}");
+    }
+    let tree = world.telemetry.span_tree();
+    assert_eq!(tree.verify(), Vec::<String>::new());
+    // The workflow's task spans carry the children's signal-set runs without
+    // any per-child attach.
+    let task = tree.find("task:pick").expect("task span");
+    assert!(tree
+        .children(task.context.span_id)
+        .iter()
+        .any(|span| span.name.starts_with("signal_set:")));
+}
+
+#[test]
+fn a_grandchild_coordinator_inherits_telemetry_and_failpoints() {
+    let world = instrumented();
+    world.run_nested_activity_with_subtransaction();
+
+    // Its protocol run is a span under its own `activity:` span…
+    let tree = world.telemetry.span_tree();
+    let reserve = tree.find("activity:reserve").expect("grandchild activity span");
+    let runs: Vec<&str> =
+        tree.children(reserve.context.span_id).iter().map(|span| span.name.as_str()).collect();
+    assert_eq!(runs, vec!["signal_set:Reserve"]);
+    // …it passed the three activity.* sites on the service's failpoint set…
+    let observed = world.failpoints.observed_sites();
+    for site in activity_service::failpoints::FAILPOINT_SITES {
+        assert!(observed.iter().any(|seen| seen == site), "{site} not in {observed:?}");
+    }
+    // …and an armed site kills a grandchild's run.
+    world.failpoints.arm(activity_service::failpoints::BEFORE_OUTCOME, 0);
+    world.service.begin("order-2").unwrap();
+    world.service.begin("fulfil-2").unwrap();
+    let doomed = world.service.begin("reserve-2").unwrap();
+    doomed
+        .coordinator()
+        .add_signal_set(Box::new(BroadcastSignalSet::new("Reserve", "hold", Value::Null)))
+        .unwrap();
+    assert!(doomed.signal("Reserve").is_err(), "the inherited failpoint must fire");
+    world.failpoints.clear();
+    for _ in 0..3 {
+        world.service.complete().unwrap();
+    }
+}
+
+#[test]
+fn a_subtransaction_and_its_parent_share_the_recorder() {
+    let world = instrumented();
+    world.run_nested_activity_with_subtransaction();
+
+    // The provisional commit is a span of its own, mirrored as it opens…
+    let opened = world.recorder.details_of_kind(RecordKind::SpanOpen);
+    assert!(opened.iter().any(|name| name == "commit:tx-1.0"), "{opened:?}");
+    // …and the parent's 2PC over the inherited participants is journaled
+    // step by step, with no ProtocolJournal attached anywhere.
+    let protocol = world.recorder.details_of_kind(RecordKind::Protocol);
+    assert_eq!(
+        protocol,
+        vec![
+            "prepare_sent(ledger)",
+            "vote_recorded(ledger, Commit)",
+            "prepare_sent(audit)",
+            "vote_recorded(audit, Commit)",
+            "decision_forced(commit=true)",
+            "outcome_delivered(ledger, commit=true, ok=true)",
+            "forgotten(ledger)",
+            "outcome_delivered(audit, commit=true, ok=true)",
+            "forgotten(audit)",
+            "completed(committed=true)",
+        ]
+    );
+}
+
+#[test]
+fn absent_and_disabled_planes_record_nothing() {
+    // A default Env: nothing to record into, and the whole stack runs.
+    let unused = FailpointSet::new();
+    let bare = world(Env::new(), FlightRecorder::new(NODE, 8), Telemetry::disabled(), unused);
+    bare.run_nested_activity_with_subtransaction();
+    bare.run_two_task_workflow();
+    assert!(bare.env.recorder().is_none() && bare.env.live_telemetry().is_none());
+    assert!(bare.recorder.is_empty());
+
+    // Planes present but gated off: every site reaches its gate and stops.
+    let recorder = FlightRecorder::new(NODE, 64);
+    recorder.set_enabled(false);
+    let telemetry = Telemetry::disabled();
+    let failpoints = FailpointSet::new();
+    let env = Env::builder()
+        .failpoints(failpoints.clone())
+        .telemetry(telemetry.clone())
+        .recorder(recorder.clone())
+        .causality(CausalityPlane::new())
+        .build();
+    let gated = world(env, recorder, telemetry, failpoints);
+    gated.run_nested_activity_with_subtransaction();
+    gated.run_two_task_workflow();
+    assert!(gated.recorder.is_empty());
+    assert_eq!(gated.telemetry.span_count(), 0);
+}

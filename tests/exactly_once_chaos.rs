@@ -12,7 +12,7 @@ use activity_service::{
     ActionServant, ActivityService, BroadcastSignalSet, ExactlyOnceAction, FnAction,
     Outcome, RemoteActionProxy, Signal,
 };
-use orb::{NetworkConfig, Orb, Value};
+use orb::{NetworkConfig, Orb, RetryPolicy, Value};
 use recovery_log::{MemWal, Wal};
 
 fn effectful_inner() -> (Arc<dyn activity_service::Action>, Arc<AtomicU32>) {
@@ -55,7 +55,6 @@ fn network_duplication_cannot_double_the_effect() {
 fn chaos_retries_converge_to_one_effect_per_signal() {
     let orb = Orb::builder()
         .network(NetworkConfig::lossy(0.3, 0.4, 20260707))
-        .retry_budget(256)
         .build();
     let node = orb.add_node("bank").unwrap();
     let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
@@ -64,7 +63,8 @@ fn chaos_retries_converge_to_one_effect_per_signal() {
     let obj = node
         .activate("Action", ActionServant::new(action as Arc<dyn activity_service::Action>))
         .unwrap();
-    let proxy = RemoteActionProxy::new("proxy", orb.clone(), "client", obj);
+    let proxy = RemoteActionProxy::new("proxy", orb.clone(), "client", obj)
+        .with_policy(RetryPolicy::immediate(257));
 
     let mut delivered = 0;
     for i in 0..40 {

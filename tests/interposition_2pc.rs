@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use activity_service::{interpose, Activity};
-use orb::{NetworkConfig, Orb, SimClock, Value};
+use activity_service::{interpose, Activity, ActivityService};
+use orb::{Env, NetworkConfig, Orb, SimClock, Value};
 use ots::{Resource, TransactionalKv, TxId};
 use tx_models::{ResourceAction, TwoPhaseCommitSignalSet, TWO_PC_SET};
 
@@ -156,19 +156,17 @@ fn interposed_spans_continue_the_superior_trace() {
     // the far side must continue the superior's trace id — one causal
     // trace spanning both organisations, not one per node.
     let telemetry = telemetry::Telemetry::new();
-    let orb = Orb::builder()
-        .network(NetworkConfig::reliable())
-        .telemetry(telemetry.clone())
-        .build();
+    let env = Env::builder().telemetry(telemetry.clone()).build();
+    let orb = Orb::builder().network(NetworkConfig::reliable()).env(Arc::clone(&env)).build();
     orb.add_node("superior").unwrap();
     let node = orb.add_node("org-a").unwrap();
-    let activity = Activity::new_root("cross-org-commit", SimClock::new());
+    let service = ActivityService::builder().env(env).build();
+    let activity = service.begin("cross-org-commit").unwrap();
     activity
         .coordinator()
         .add_signal_set(Box::new(TwoPhaseCommitSignalSet::new()))
         .unwrap();
     activity.set_completion_signal_set(TWO_PC_SET);
-    activity.coordinator().set_telemetry(telemetry.clone());
     let tx = TxId::top_level(1);
     let relay =
         interpose(activity.coordinator(), TWO_PC_SET, &orb, &node, "org-a-relay").unwrap();
@@ -180,18 +178,22 @@ fn interposed_spans_continue_the_superior_trace() {
         Arc::clone(&store) as Arc<dyn Resource>,
     )) as _);
 
-    let outcome = activity.complete().unwrap();
+    let outcome = service.complete().unwrap();
     assert_eq!(outcome.name(), "committed");
 
     let tree = telemetry.span_tree();
     assert_eq!(tree.verify(), Vec::<String>::new());
 
     // Everything recorded — protocol drive, client calls, remote serves —
-    // belongs to the single trace rooted at the superior's signal-set span.
+    // belongs to the single trace rooted at the superior's activity span,
+    // whose one child is the coordinator's signal-set run.
     assert_eq!(tree.trace_ids().len(), 1, "expected one causal trace");
     let roots = tree.roots();
     assert_eq!(roots.len(), 1);
-    assert_eq!(roots[0].name, format!("signal_set:{TWO_PC_SET}"));
+    assert_eq!(roots[0].name, "activity:cross-org-commit");
+    let runs = tree.children(roots[0].context.span_id);
+    assert_eq!(runs.len(), 1);
+    assert_eq!(runs[0].name, format!("signal_set:{TWO_PC_SET}"));
     let trace = roots[0].context.trace_id;
 
     // Prepare and commit each crossed the wire once: two server-side spans,
@@ -216,7 +218,6 @@ fn interposed_spans_continue_the_superior_trace() {
 fn interposition_survives_a_lossy_network() {
     let orb = Orb::builder()
         .network(NetworkConfig::lossy(0.25, 0.25, 777))
-        .retry_budget(256)
         .build();
     orb.add_node("superior").unwrap();
     let node = orb.add_node("org-a").unwrap();

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orb::{
-    DetectorConfig, FailureDetector, HealthStatus, Introspection, NetworkConfig, Orb,
+    DetectorConfig, Env, FailureDetector, HealthStatus, Introspection, NetworkConfig, Orb,
     OrbError, Request, SimClock, Value,
 };
 
@@ -38,8 +38,12 @@ fn query_inside_an_open_partition_window_is_a_structured_error() {
         clock.clone(),
         DetectorConfig { suspect_after: 1, quarantine_after: 2, ..DetectorConfig::default() },
     );
-    detector.set_recorder(recorder.clone());
-    detector.set_telemetry(telemetry.clone());
+    let _ops_env = Env::builder()
+        .clock(clock.clone())
+        .detector(detector.clone())
+        .telemetry(telemetry.clone())
+        .recorder(recorder.clone())
+        .build();
 
     // Cut the target off for a window that covers "now".
     let window = Duration::from_micros(2_000);

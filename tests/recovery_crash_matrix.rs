@@ -10,18 +10,24 @@ use activity_service::{
     recover_activities, ActionFactories, ActivityLogger, ActivityService, BroadcastSignalSet,
     FnAction, Outcome, Signal, SignalSetFactories,
 };
-use orb::{SimClock, Value};
+use orb::{Env, SimClock, Value};
 use ots::{Resource, TransactionFactory, TransactionalKv, TxError};
 use recovery_log::{
     CrashingWal, FailpointSet, FileWal, GroupCommitWal, LogError, Lsn, MemWal, Wal,
 };
+
+/// A logged factory whose coordinators pass `failpoints`.
+fn failpoint_factory(wal: &Arc<dyn Wal>, failpoints: &FailpointSet) -> TransactionFactory {
+    TransactionFactory::with_wal(Arc::clone(wal))
+        .with_env(Env::builder().failpoints(failpoints.clone()).build())
+}
 
 /// One crash-matrix cell: crash at `failpoint`, recover, and state whether
 /// the transaction's effects must be present afterwards.
 fn crash_at(failpoint: &str) -> (bool, Arc<TransactionalKv>) {
     let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
     let failpoints = FailpointSet::new();
-    let factory = TransactionFactory::with_wal(Arc::clone(&wal)).with_failpoints(failpoints.clone());
+    let factory = failpoint_factory(&wal, &failpoints);
     let store = Arc::new(TransactionalKv::new("store"));
     let witness = Arc::new(TransactionalKv::new("witness"));
 
@@ -108,8 +114,7 @@ fn crash_before_completion_record_recommits_idempotently() {
 fn duplicate_commit_after_forget_and_after_replay_is_acked_idempotently() {
     let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
     let failpoints = FailpointSet::new();
-    let factory =
-        TransactionFactory::with_wal(Arc::clone(&wal)).with_failpoints(failpoints.clone());
+    let factory = failpoint_factory(&wal, &failpoints);
     let store = Arc::new(TransactionalKv::new("store"));
     let witness = Arc::new(TransactionalKv::new("witness"));
 
@@ -658,8 +663,7 @@ fn participant_crash_cell(
         failpoints.arm((*site).to_owned(), *after);
     }
 
-    let factory = TransactionFactory::with_wal(Arc::clone(&coordinator_wal))
-        .with_failpoints(failpoints.clone());
+    let factory = failpoint_factory(&coordinator_wal, &failpoints);
     let kv_store = DurableKv::new("store", Arc::clone(&participant_wal));
     let kv_witness = DurableKv::new("witness", Arc::clone(&participant_wal));
     let store = Arc::new(

@@ -22,7 +22,7 @@ use activity_service::{
 use harness::scenarios::WorkflowScenario;
 use harness::{generate, FaultSchedule, Scenario, ScheduleSpace};
 use orb::detector::{DetectorConfig, FailureDetector, HealthStatus};
-use orb::{FaultScript, NetworkConfig, Orb, Request, RetryPolicy, SimClock, Value};
+use orb::{Env, FaultScript, NetworkConfig, Orb, Request, RetryPolicy, SimClock, Value};
 use recovery_log::{FailpointSet, MemWal, Wal};
 use telemetry::Telemetry;
 
@@ -31,11 +31,16 @@ use telemetry::Telemetry;
 fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb, String) {
     let clock = SimClock::new();
     let telemetry = Telemetry::with_time(Arc::new(clock.clone()));
+    let failpoints = FailpointSet::new();
+    schedule.arm_into(&failpoints);
+    let env = Env::builder()
+        .clock(clock)
+        .failpoints(failpoints)
+        .telemetry(telemetry.clone())
+        .build();
     let orb = Orb::builder()
         .network(NetworkConfig::lossy(0.0, 0.0, 0x5EED_0001))
-        .clock(clock)
-        .retry_budget(64)
-        .telemetry(telemetry.clone())
+        .env(Arc::clone(&env))
         .build();
     orb.add_node("coordinator").expect("coordinator node");
     let worker = orb.add_node("worker").expect("worker node");
@@ -53,18 +58,14 @@ fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb, Strin
         ExactlyOnceAction::new("eo-debit", inner, wal).expect("exactly-once wrapper") as _;
     let obj = worker.activate("Action", ActionServant::new(servant)).expect("activate");
 
-    let failpoints = FailpointSet::new();
-    schedule.arm_into(&failpoints);
-    let service = ActivityService::new();
+    let service = ActivityService::builder().env(env).build();
     while service.depth() > 0 {
         let _ = service.suspend();
     }
     let activity = service.begin("billing-run").expect("begin activity");
     activity.coordinator().set_dispatch_config(DispatchConfig::serial());
-    activity.coordinator().set_failpoints(failpoints);
     let trace = TraceLog::new();
     activity.coordinator().set_trace(trace.clone());
-    activity.coordinator().set_telemetry(telemetry.clone());
     activity
         .coordinator()
         .add_signal_set(Box::new(BroadcastSignalSet::new("Bill", "charge", Value::U64(25))))
@@ -75,7 +76,12 @@ fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb, Strin
     activity.coordinator().register_action("Bill", Arc::new(proxy) as _);
 
     let _ = service.complete();
+    // A crashed completion leaves the activity associated with its
+    // `activity:` span ambient and open; close it as the harness does.
     while service.depth() > 0 {
+        if let Some(span) = telemetry.current() {
+            telemetry.end(&span);
+        }
         let _ = service.suspend();
     }
     (telemetry, orb, trace.render())
@@ -125,16 +131,21 @@ fn detector_transition_counts_match_the_injected_fault_run() {
     // the detector must walk healthy -> suspect -> quarantined -> healthy,
     // and the metrics registry must count exactly those transitions.
     let telemetry = Telemetry::new();
-    let orb = Orb::builder().telemetry(telemetry.clone()).build();
+    let clock = SimClock::new();
     let detector = FailureDetector::with_config(
-        orb.clock().clone(),
+        clock.clone(),
         DetectorConfig {
             suspect_after: 2,
             quarantine_after: 4,
             probe_interval: Duration::from_millis(50),
         },
     );
-    orb.set_detector(detector.clone());
+    let env = Env::builder()
+        .clock(clock)
+        .detector(detector.clone())
+        .telemetry(telemetry.clone())
+        .build();
+    let orb = Orb::builder().env(env).build();
     orb.network().install_script(
         FaultScript::new().drop_nth(0).drop_nth(1).drop_nth(2).drop_nth(3).drop_nth(4),
     );
