@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use orb::{Env, SimClock};
+use orb::Env;
 use parking_lot::Mutex;
 use telemetry::RecordKind;
 
@@ -104,12 +104,13 @@ impl fmt::Debug for Activity {
 }
 
 impl Activity {
-    /// Create a root activity under a plane-less context on `clock`. Most
-    /// callers go through [`crate::service::ActivityService::begin`]
-    /// instead, which wires the thread association, logging and the
-    /// service's [`Env`].
-    pub fn new_root(name: impl Into<String>, clock: SimClock) -> Activity {
-        Self::new_root_with(name, Env::with_clock(clock), None, Arc::new(AtomicU64::new(1)))
+    /// Create a root activity under `env`: an `Arc<Env>` to share (its
+    /// whole tree inherits it), or a bare [`orb::SimClock`] for a
+    /// plane-less context of its own. Most callers go through
+    /// [`crate::service::ActivityService::begin`] instead, which wires the
+    /// thread association, logging and the service's [`Env`].
+    pub fn new_root(name: impl Into<String>, env: impl Into<Arc<Env>>) -> Activity {
+        Self::new_root_with(name, env.into(), None, Arc::new(AtomicU64::new(1)))
     }
 
     pub(crate) fn new_root_with(
@@ -319,7 +320,7 @@ impl Activity {
     /// Arm a timeout: once the virtual clock passes `now + timeout`, the
     /// activity is doomed to complete as `FailOnly`.
     pub fn set_timeout(&self, timeout: Duration) {
-        *self.inner.deadline.lock() = Some(self.env().clock().now() + timeout);
+        *self.inner.deadline.lock() = Some(self.env().clock.now() + timeout);
     }
 
     /// The armed deadline as an **absolute** virtual-time instant, if any.
@@ -335,7 +336,7 @@ impl Activity {
         self.inner
             .deadline
             .lock()
-            .is_some_and(|deadline| self.env().clock().now() > deadline)
+            .is_some_and(|deadline| self.env().clock.now() > deadline)
     }
 
     /// Suspend the activity.
@@ -519,7 +520,7 @@ mod tests {
     use crate::action::FnAction;
     use crate::signal::Signal;
     use crate::signal_set::BroadcastSignalSet;
-    use orb::Value;
+    use orb::{SimClock, Value};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn root() -> Activity {
@@ -646,8 +647,8 @@ mod tests {
     #[test]
     fn children_run_under_the_roots_env() {
         let fp = recovery_log::FailpointSet::new();
-        let env = Env::builder().failpoints(fp.clone()).build();
-        let a = Activity::new_root_with("a", Arc::clone(&env), None, Arc::new(AtomicU64::new(1)));
+        let env = Env { failpoints: Some(fp.clone()), ..Default::default() }.wired();
+        let a = Activity::new_root("a", Arc::clone(&env));
         let c = a.begin_child("b").unwrap().begin_child("c").unwrap();
         assert!(Arc::ptr_eq(c.coordinator().env(), &env));
         // The grandchild's protocol loop passes the root's failpoints.
@@ -673,7 +674,7 @@ mod tests {
 mod outcome_tests {
     use super::*;
     use crate::signal_set::BroadcastSignalSet;
-    use orb::Value;
+    use orb::{SimClock, Value};
 
     #[test]
     fn outcome_is_stored_for_flow_control() {
@@ -719,7 +720,7 @@ mod flow_control_tests {
 
     #[test]
     fn children_outcomes_distinguish_states() {
-        let parent = Activity::new_root("parent", SimClock::new());
+        let parent = Activity::new_root("parent", orb::SimClock::new());
         let done = parent.begin_child("done").unwrap();
         done.complete().unwrap();
         let failed = parent.begin_child("failed").unwrap();

@@ -104,25 +104,9 @@ impl ActivityCoordinator {
         }
     }
 
-    /// The context this coordinator runs under. Its planes shape the
-    /// fig. 5 loop:
-    ///
-    /// * the **failpoints** are passed at the sites in [`failpoints`], so
-    ///   crash-matrix and simulation tests can kill the coordinator at any
-    ///   fig. 5 step;
-    /// * the **failure detector** is fed (each collated outcome is a
-    ///   success, each `"error"` outcome a failure) and consulted: actions
-    ///   whose participant is quarantined are skipped for the current
-    ///   signal (they re-enter via half-open probes), so a crashed Action
-    ///   cannot stall every subsequent signal;
-    /// * **telemetry** makes every protocol run a `signal_set:` span with
-    ///   one `transmit:` child span per delivery, and each fig. 5 trace
-    ///   event doubles as a span event rendered with the exact
-    ///   [`TraceEvent`] `Display` text — which is what lets harness oracle
-    ///   #7 pin the span tree's coordinator projection to the [`TraceLog`]
-    ///   byte-for-byte;
-    /// * the **flight recorder** receives every trace event (kind `trace`),
-    ///   whether or not a [`TraceLog`] is attached.
+    /// The context this coordinator runs under, shared with its whole
+    /// activity tree; [`Env`]'s fields say how each plane shapes the fig. 5
+    /// loop.
     pub fn env(&self) -> &Arc<Env> {
         &self.env
     }
@@ -306,10 +290,8 @@ impl ActivityCoordinator {
         }
         entry.state = SignalSetState::End;
         // Return the (ended) set so late outcome queries and inactive-reuse
-        // errors behave per the IDL. The checked-out slot is still there.
-        if let Some(slot) = self.inner.lock().sets.get_mut(set_name) {
-            *slot = Some(entry);
-        }
+        // errors behave per the IDL.
+        self.inner.lock().sets.insert(set_name.to_owned(), Some(entry));
         result
     }
 
@@ -320,7 +302,7 @@ impl ActivityCoordinator {
         tel: Option<(&Telemetry, SpanContext)>,
     ) -> Result<Outcome, ActivityError> {
         let config = *self.dispatch.lock();
-        let detector = self.env.detector();
+        let detector = self.env.detector.as_ref();
         let mut signal_seq = 0u64;
         // Reused across signals: delivery-id stamping formats into this
         // buffer instead of allocating a fresh growth-by-doubling String
@@ -486,8 +468,8 @@ mod tests {
         ActivityCoordinator::new(ActivityId::new(1))
     }
 
-    fn coordinator_in(env: orb::EnvBuilder) -> ActivityCoordinator {
-        ActivityCoordinator::in_env(ActivityId::new(1), env.build())
+    fn coordinator_in(env: Env) -> ActivityCoordinator {
+        ActivityCoordinator::in_env(ActivityId::new(1), env.wired())
     }
 
     fn counting_action(name: &str, counter: Arc<AtomicU32>) -> Arc<dyn Action> {
@@ -620,7 +602,7 @@ mod tests {
     fn telemetry_projection_matches_the_trace_byte_for_byte() {
         let trace = TraceLog::new();
         let tel = Telemetry::new();
-        let c = coordinator_in(Env::builder().telemetry(tel.clone()));
+        let c = coordinator_in(Env { telemetry: Some(tel.clone()), ..Default::default() });
         c.set_trace(trace.clone());
         c.add_signal_set(Box::new(BroadcastSignalSet::new("S", "go", Value::Null)))
             .unwrap();
@@ -650,7 +632,11 @@ mod tests {
         let tel = Telemetry::new();
         let fp = recovery_log::FailpointSet::new();
         fp.arm(failpoints::BEFORE_OUTCOME, 0);
-        let c = coordinator_in(Env::builder().telemetry(tel.clone()).failpoints(fp));
+        let c = coordinator_in(Env {
+            telemetry: Some(tel.clone()),
+            failpoints: Some(fp),
+            ..Default::default()
+        });
         c.add_signal_set(Box::new(BroadcastSignalSet::new("S", "go", Value::Null)))
             .unwrap();
         assert!(c.process_signal_set("S").is_err());
@@ -822,7 +808,7 @@ mod tests {
         );
         detector.record_failure("flaky");
         detector.record_failure("flaky");
-        let c = coordinator_in(Env::builder().detector(detector.clone()));
+        let c = coordinator_in(Env { detector: Some(detector.clone()), ..Default::default() });
         c.add_signal_set(Box::new(BroadcastSignalSet::new("Notify", "wake", Value::Null)))
             .unwrap();
         let healthy_hits = Arc::new(AtomicU32::new(0));
@@ -844,7 +830,7 @@ mod tests {
         use orb::SimClock;
 
         let detector = FailureDetector::new(SimClock::new());
-        let c = coordinator_in(Env::builder().detector(detector.clone()));
+        let c = coordinator_in(Env { detector: Some(detector.clone()), ..Default::default() });
         c.add_signal_set(Box::new(BroadcastSignalSet::new("Work", "go", Value::Null)))
             .unwrap();
         c.register_action(

@@ -82,19 +82,24 @@ impl std::fmt::Debug for ActivityServiceBuilder {
 
 impl ActivityServiceBuilder {
     /// Share a virtual clock (for timeouts and simulated-time metrics):
-    /// shorthand for `.env(Env::with_clock(clock))`.
+    /// shorthand for `.env(Env::with_clock(clock))`, for set-ups with no
+    /// planes.
+    ///
+    /// # Panics
+    ///
+    /// After [`ActivityServiceBuilder::env`]: a context's clock is a field
+    /// of it.
     #[must_use]
     pub fn clock(self, clock: SimClock) -> Self {
+        assert!(self.env.is_none(), "clock() would discard the planes given to env()");
         self.env(Env::with_clock(clock))
     }
 
     /// Run under the given context: every activity begun through the
-    /// service, every child and every coordinator shares it (see
-    /// [`crate::ActivityCoordinator::env`]). With telemetry in it, every
-    /// `begin`/`complete` pair becomes an `activity:` span, nested to
-    /// mirror the fig. 4 activity tree; build the ORB under the same
-    /// context and remote invocations land in the same traces. Replaces an
-    /// earlier [`ActivityServiceBuilder::clock`].
+    /// service, every child and every coordinator shares it (see [`Env`]'s
+    /// fields). `activity:` spans nest to mirror the fig. 4 activity tree;
+    /// build the ORB under the same context and remote invocations land in
+    /// the same traces.
     #[must_use]
     pub fn env(mut self, env: Arc<Env>) -> Self {
         self.env = Some(env);
@@ -149,12 +154,7 @@ impl ActivityService {
 
     /// The service's virtual clock.
     pub fn clock(&self) -> &SimClock {
-        self.inner.env.clock()
-    }
-
-    /// The context this service's activities inherit.
-    pub fn env(&self) -> &Arc<Env> {
-        &self.inner.env
+        &self.inner.env.clock
     }
 
     fn close_activity_span(&self, id: ActivityId, outcome: &Outcome) {
@@ -402,7 +402,8 @@ mod tests {
     use telemetry::Telemetry;
 
     fn traced_service(telemetry: &Telemetry) -> ActivityService {
-        ActivityService::builder().env(Env::builder().telemetry(telemetry.clone()).build()).build()
+        let env = Env { telemetry: Some(telemetry.clone()), ..Default::default() };
+        ActivityService::builder().env(env.wired()).build()
     }
 
     #[test]

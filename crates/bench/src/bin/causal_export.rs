@@ -34,11 +34,12 @@ fn run_once() -> (String, u64, usize) {
         telemetry::DEFAULT_RECORDER_CAPACITY,
         Arc::new(clock.clone()),
     );
-    let env = Env::builder()
-        .clock(clock.clone())
-        .recorder(coord_recorder)
-        .causality(plane.clone())
-        .build();
+    let env = Env::wired(Env {
+        clock: clock.clone(),
+        recorder: Some(coord_recorder),
+        causality: Some(plane.clone()),
+        ..Default::default()
+    });
     let orb = Orb::builder().env(Arc::clone(&env)).build();
     let coordinator = orb.add_node("coordinator").expect("coordinator node");
     // The hand-paced coordinator emits its protocol steps the way the real

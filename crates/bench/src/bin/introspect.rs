@@ -42,12 +42,13 @@ fn main() {
     // mirrors spans, protocol steps and detector transitions into the
     // coordinator's black box.
     let detector = FailureDetector::new(clock.clone());
-    let env = Env::builder()
-        .clock(clock.clone())
-        .detector(detector.clone())
-        .telemetry(telemetry.clone())
-        .recorder(recorder.clone())
-        .build();
+    let env = Env::wired(Env {
+        clock: clock.clone(),
+        detector: Some(detector.clone()),
+        telemetry: Some(telemetry.clone()),
+        recorder: Some(recorder.clone()),
+        ..Default::default()
+    });
 
     // One ORB, three nodes — the same wiring the partition sweeps use.
     let orb = Orb::builder().env(Arc::clone(&env)).build();

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use activity_service::{
-    ActionServant, Activity, ActivityService, CompletionStatus, FnAction, Outcome,
+    Action, ActionServant, Activity, ActivityService, CompletionStatus, FnAction, Outcome,
     RemoteActionProxy, Signal,
 };
 use orb::{Env, FailureDetector, NetworkConfig, Orb, RetryPolicy, SimClock, Value};
@@ -113,26 +113,30 @@ pub fn fig2_compensation(steps: usize) -> usize {
     report.committed.len()
 }
 
+/// The fig. 5 skeleton every dispatch workload shares: associate the
+/// `Bench` broadcast set, register `actions` actions made by `action(i)`,
+/// signal once. Returns the number of responses collated.
+fn broadcast_bench(
+    activity: &Activity,
+    actions: usize,
+    action: impl Fn(usize) -> Arc<dyn Action>,
+) -> u64 {
+    let set = activity_service::BroadcastSignalSet::new("Bench", "ping", Value::Null);
+    activity.coordinator().add_signal_set(Box::new(set)).expect("add set");
+    for i in 0..actions {
+        activity.coordinator().register_action("Bench", action(i));
+    }
+    activity.signal("Bench").expect("signal").data().as_u64().unwrap_or(0)
+}
+
+fn trivial_action(i: usize) -> Arc<dyn Action> {
+    Arc::new(FnAction::new(format!("a{i}"), |_s: &Signal| Ok(Outcome::done())))
+}
+
 /// Fig. 5 workload: one activity broadcasting one signal to `actions`
 /// registered actions; returns the number of responses collated.
 pub fn fig5_dispatch(actions: usize) -> u64 {
-    let activity = Activity::new_root("dispatch", SimClock::new());
-    activity
-        .coordinator()
-        .add_signal_set(Box::new(activity_service::BroadcastSignalSet::new(
-            "Bench",
-            "ping",
-            Value::Null,
-        )))
-        .expect("add set");
-    for i in 0..actions {
-        activity.coordinator().register_action(
-            "Bench",
-            Arc::new(FnAction::new(format!("a{i}"), |_s: &Signal| Ok(Outcome::done()))) as _,
-        );
-    }
-    let outcome = activity.signal("Bench").expect("signal");
-    outcome.data().as_u64().unwrap_or(0)
+    broadcast_bench(&Activity::new_root("dispatch", SimClock::new()), actions, trivial_action)
 }
 
 /// Fig. 5 (parallel dispatch) workload: one broadcast to `actions`
@@ -145,27 +149,14 @@ pub fn fig5_dispatch_configured(actions: usize, workers: usize, work_us: u64) ->
     activity
         .coordinator()
         .set_dispatch_config(activity_service::DispatchConfig::with_workers(workers));
-    activity
-        .coordinator()
-        .add_signal_set(Box::new(activity_service::BroadcastSignalSet::new(
-            "Bench",
-            "ping",
-            Value::Null,
-        )))
-        .expect("add set");
-    for i in 0..actions {
-        activity.coordinator().register_action(
-            "Bench",
-            Arc::new(FnAction::new(format!("a{i}"), move |_s: &Signal| {
-                if work_us > 0 {
-                    std::thread::sleep(Duration::from_micros(work_us));
-                }
-                Ok(Outcome::done())
-            })) as _,
-        );
-    }
-    let outcome = activity.signal("Bench").expect("signal");
-    outcome.data().as_u64().unwrap_or(0)
+    broadcast_bench(&activity, actions, |i| {
+        Arc::new(FnAction::new(format!("a{i}"), move |_s: &Signal| {
+            if work_us > 0 {
+                std::thread::sleep(Duration::from_micros(work_us));
+            }
+            Ok(Outcome::done())
+        }))
+    })
 }
 
 /// The gate micro-workloads' shared body: one serially dispatched `Bench`
@@ -174,22 +165,7 @@ fn ping_trivial_actions(activity: &Activity, actions: usize) -> u64 {
     activity
         .coordinator()
         .set_dispatch_config(activity_service::DispatchConfig::serial());
-    activity
-        .coordinator()
-        .add_signal_set(Box::new(activity_service::BroadcastSignalSet::new(
-            "Bench",
-            "ping",
-            Value::Null,
-        )))
-        .expect("add set");
-    for i in 0..actions {
-        activity.coordinator().register_action(
-            "Bench",
-            Arc::new(FnAction::new(format!("a{i}"), |_s: &Signal| Ok(Outcome::done()))) as _,
-        );
-    }
-    let outcome = activity.signal("Bench").expect("signal");
-    outcome.data().as_u64().unwrap_or(0)
+    broadcast_bench(activity, actions, trivial_action)
 }
 
 /// Trace-gate micro-workload: the fig. 5 broadcast over trivial actions
@@ -209,11 +185,9 @@ pub fn fig5_dispatch_traced(actions: usize, traced: bool) -> u64 {
 /// instrumentation sites, but `Telemetry::is_enabled` short-circuits them
 /// to an atomic load — the delta is the whole disabled-path cost.
 pub fn fig5_dispatch_telemetry(actions: usize, instrumented: bool) -> u64 {
-    let mut env = Env::builder();
-    if instrumented {
-        env = env.telemetry(telemetry::Telemetry::disabled());
-    }
-    let service = ActivityService::builder().env(env.build()).build();
+    let telemetry = instrumented.then(telemetry::Telemetry::disabled);
+    let service =
+        ActivityService::builder().env(Env { telemetry, ..Default::default() }.wired()).build();
     let activity = service.begin("dispatch").expect("begin");
     let responses = ping_trivial_actions(&activity, actions);
     service.complete().expect("complete");
@@ -226,11 +200,9 @@ pub fn fig5_dispatch_telemetry(actions: usize, instrumented: bool) -> u64 {
 /// through both protocol phases) or absent. All spans are skipped at the
 /// `is_enabled` check; the delta is pure disabled-path bookkeeping.
 pub fn two_phase_with_telemetry(participants: usize, instrumented: bool) -> bool {
-    let mut factory = TransactionFactory::new();
-    if instrumented {
-        factory = factory
-            .with_env(Env::builder().telemetry(telemetry::Telemetry::disabled()).build());
-    }
+    let telemetry = instrumented.then(telemetry::Telemetry::disabled);
+    let factory =
+        TransactionFactory::new().with_env(Env { telemetry, ..Default::default() }.wired());
     commit_over_stores(&factory, participants)
 }
 
@@ -247,13 +219,13 @@ pub fn two_phase_with_recorder(
     participants: usize,
     recorder: Option<&telemetry::FlightRecorder>,
 ) -> bool {
-    let mut env = Env::builder().failpoints(recovery_log::FailpointSet::new());
-    if let Some(recorder) = recorder {
-        env = env.recorder(recorder.clone());
-    }
-    let factory = TransactionFactory::new()
-        .with_journal(ots::ProtocolJournal::new())
-        .with_env(env.build());
+    let env = Env::wired(Env {
+        failpoints: Some(recovery_log::FailpointSet::new()),
+        recorder: recorder.cloned(),
+        ..Default::default()
+    });
+    let factory =
+        TransactionFactory::new().with_journal(ots::ProtocolJournal::new()).with_env(env);
     commit_over_stores(&factory, participants)
 }
 
@@ -304,7 +276,7 @@ impl Resource for PacedResource {
 /// job archives next to the overhead table.
 pub fn instrumented_metrics_snapshot() -> String {
     let tel = telemetry::Telemetry::new();
-    let env = Env::builder().telemetry(tel.clone()).build();
+    let env = Env { telemetry: Some(tel.clone()), ..Default::default() }.wired();
 
     let service = ActivityService::builder().env(Arc::clone(&env)).build();
     let activity = service.begin("dispatch").expect("begin");
@@ -332,29 +304,17 @@ pub fn remote_dispatch_with_retry(actions: usize, with_policy: bool) -> u64 {
     orb.add_node("coordinator").expect("coordinator node");
     let worker = orb.add_node("worker").expect("worker node");
     let activity = Activity::new_root("dispatch", SimClock::new());
-    activity
-        .coordinator()
-        .add_signal_set(Box::new(activity_service::BroadcastSignalSet::new(
-            "Bench",
-            "ping",
-            Value::Null,
-        )))
-        .expect("add set");
-    for i in 0..actions {
-        let servant: Arc<dyn activity_service::Action> =
-            Arc::new(FnAction::new(format!("a{i}"), |_s: &Signal| Ok(Outcome::done())));
+    broadcast_bench(&activity, actions, |i| {
         let obj = worker
-            .activate("Action", ActionServant::new(servant))
+            .activate("Action", ActionServant::new(trivial_action(i)))
             .expect("activate action");
         let mut proxy = RemoteActionProxy::new(format!("r{i}"), orb.clone(), "coordinator", obj);
         if with_policy {
             proxy = proxy
                 .with_policy(RetryPolicy::new(8).with_base_backoff(Duration::from_millis(1)));
         }
-        activity.coordinator().register_action("Bench", Arc::new(proxy) as _);
-    }
-    let outcome = activity.signal("Bench").expect("signal");
-    outcome.data().as_u64().unwrap_or(0)
+        Arc::new(proxy)
+    })
 }
 
 /// Detector-consult overhead workload (fig. 8 fan-out): a native-OTS 2PC
@@ -363,12 +323,9 @@ pub fn remote_dispatch_with_retry(actions: usize, with_policy: bool) -> u64 {
 /// `record_success` per resource per phase) or absent. All participants stay
 /// healthy, so the delta is pure bookkeeping cost on the commit fast path.
 pub fn two_phase_with_detector(participants: usize, with_detector: bool) -> bool {
-    let mut factory = TransactionFactory::new();
-    if with_detector {
-        factory = factory.with_env(
-            Env::builder().detector(FailureDetector::new(SimClock::new())).build(),
-        );
-    }
+    let detector = with_detector.then(|| FailureDetector::new(SimClock::new()));
+    let factory =
+        TransactionFactory::new().with_env(Env { detector, ..Default::default() }.wired());
     commit_over_stores(&factory, participants)
 }
 

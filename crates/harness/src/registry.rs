@@ -48,7 +48,7 @@ mod tests {
         let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
         let failpoints = FailpointSet::new();
         let factory = TransactionFactory::with_wal(wal)
-            .with_env(Env::builder().failpoints(failpoints.clone()).build());
+            .with_env(Env { failpoints: Some(failpoints.clone()), ..Default::default() }.wired());
         // Two participants: the one-phase shortcut would skip sites.
         let store = Arc::new(TransactionalKv::new("store"));
         let witness = Arc::new(TransactionalKv::new("witness"));
@@ -106,7 +106,7 @@ mod tests {
     fn activity_probe_observes_exactly_the_declared_sites() {
         let failpoints = FailpointSet::new();
         let service = ActivityService::builder()
-            .env(Env::builder().failpoints(failpoints.clone()).build())
+            .env(Env { failpoints: Some(failpoints.clone()), ..Default::default() }.wired())
             .build();
         let activity = service.begin("probe").unwrap();
         let coordinator = activity.coordinator();

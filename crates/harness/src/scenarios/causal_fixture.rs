@@ -54,11 +54,12 @@ impl Scenario for ReorderedOutcomeScenario {
             telemetry::DEFAULT_RECORDER_CAPACITY,
             Arc::new(clock.clone()),
         );
-        let env = Env::builder()
-            .clock(clock.clone())
-            .recorder(coord_recorder.clone())
-            .causality(plane.clone())
-            .build();
+        let env = Env::wired(Env {
+            clock: clock.clone(),
+            recorder: Some(coord_recorder.clone()),
+            causality: Some(plane.clone()),
+            ..Default::default()
+        });
         let orb = Orb::builder().network(NetworkConfig::reliable()).env(Arc::clone(&env)).build();
         let coord_node = orb.add_node(COORDINATOR).expect("add coordinator");
         // The hand-rolled coordinator emits its protocol steps the way the

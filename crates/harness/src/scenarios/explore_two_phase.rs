@@ -80,11 +80,12 @@ impl Explorable for ExplorableTwoPhase {
             "coordinator",
             telemetry::DEFAULT_RECORDER_CAPACITY,
         );
-        let env = orb::Env::builder()
-            .failpoints(failpoints.clone())
-            .recorder(recorder.clone())
-            .sequencer(Arc::clone(driver) as Arc<dyn orb::DeliverySequencer>)
-            .build();
+        let env = orb::Env::wired(orb::Env {
+            failpoints: Some(failpoints.clone()),
+            recorder: Some(recorder.clone()),
+            sequencer: Some(Arc::clone(driver) as Arc<dyn orb::DeliverySequencer>),
+            ..Default::default()
+        });
         let factory = TransactionFactory::with_wal(Arc::clone(&wal))
             .with_env(env)
             .with_dispatch(DispatchConfig::serial())

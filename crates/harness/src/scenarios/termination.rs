@@ -123,7 +123,11 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
     plane.register(&coord_recorder);
     let orb = Orb::builder()
         .network(NetworkConfig::reliable())
-        .env(Env::builder().clock(clock.clone()).causality(plane.clone()).build())
+        .env(Env::wired(Env {
+            clock: clock.clone(),
+            causality: Some(plane.clone()),
+            ..Default::default()
+        }))
         .build();
     let coord_node = orb.add_node(COORDINATOR_NODE).expect("add coordinator node");
     orb.add_node(PARTICIPANT_NODE).expect("add participant node");
@@ -132,11 +136,12 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
     // failpoints, mirrored (with every journal entry) into `recorder`.
     let failpoints = FailpointSet::new();
     schedule.arm_into(&failpoints);
-    let env = Env::builder()
-        .clock(clock.clone())
-        .failpoints(failpoints.clone())
-        .recorder(recorder.clone())
-        .build();
+    let env = Env::wired(Env {
+        clock: clock.clone(),
+        failpoints: Some(failpoints.clone()),
+        recorder: Some(recorder.clone()),
+        ..Default::default()
+    });
     orb.network().install_script(schedule.to_fault_script());
     schedule.apply_partitions(orb.network());
     for event in schedule.events() {
@@ -225,25 +230,20 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
         );
         // Restart arms crash the *recovered* participant too: the schedule
         // says this component dies again inside its own resolution path.
-        let restart_failpoints = FailpointSet::new();
+        // The world's one failpoint set (disarmed above, and mirrored into
+        // the black box by `env`) carries them to the new incarnation.
         for event in schedule.events() {
             if let FaultEvent::Restart { site, after } = event {
-                restart_failpoints.arm(site.clone(), *after);
+                failpoints.arm(site.clone(), *after);
             }
         }
-        // The new incarnation's context: building it mirrors its
-        // failpoints into the same black box.
-        let _restart_env = Env::builder()
-            .failpoints(restart_failpoints.clone())
-            .recorder(recorder.clone())
-            .build();
         recorder.record(telemetry::RecordKind::Restart, || {
             format!("store+witness rebuilt from wal ({in_doubt_before_restart} in doubt)")
         });
         let (mut kv_store2, mut res_store2) =
-            restart_participant("store", &participant_wal, &restart_failpoints);
+            restart_participant("store", &participant_wal, &failpoints);
         let (mut kv_witness2, mut res_witness2) =
-            restart_participant("witness", &participant_wal, &restart_failpoints);
+            restart_participant("witness", &participant_wal, &failpoints);
 
         let config = ResolutionConfig::new(RetryPolicy::new(3), HEURISTIC_DEADLINE);
         for round in 1..=RESOLUTION_ROUNDS {
@@ -275,11 +275,11 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
                 recorder.record(telemetry::RecordKind::Restart, || {
                     format!("store+witness rebuilt again after round {round} crash")
                 });
-                restart_failpoints.clear();
+                failpoints.clear();
                 (kv_store2, res_store2) =
-                    restart_participant("store", &participant_wal, &restart_failpoints);
+                    restart_participant("store", &participant_wal, &failpoints);
                 (kv_witness2, res_witness2) =
-                    restart_participant("witness", &participant_wal, &restart_failpoints);
+                    restart_participant("witness", &participant_wal, &failpoints);
             }
             if res_store2.in_doubt().is_empty() && res_witness2.in_doubt().is_empty() {
                 break;

@@ -77,11 +77,12 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
     let recorder =
         telemetry::FlightRecorder::new("coordinator", telemetry::DEFAULT_RECORDER_CAPACITY);
     let telemetry = telemetry::Telemetry::with_time(Arc::new(orb::SimClock::new()));
-    let env = orb::Env::builder()
-        .failpoints(failpoints.clone())
-        .telemetry(telemetry.clone())
-        .recorder(recorder.clone())
-        .build();
+    let env = orb::Env::wired(orb::Env {
+        failpoints: Some(failpoints.clone()),
+        telemetry: Some(telemetry.clone()),
+        recorder: Some(recorder.clone()),
+        ..Default::default()
+    });
     let factory = TransactionFactory::with_wal(Arc::clone(&wal))
         .with_env(env)
         .with_dispatch(DispatchConfig::serial())

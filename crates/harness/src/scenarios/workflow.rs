@@ -58,12 +58,13 @@ pub(crate) fn run_workflow_with(
     }
     // One context for the ORB and the activity service: the coordinator
     // inherits failpoints, telemetry and recorder from the service.
-    let env = Env::builder()
-        .clock(clock)
-        .failpoints(failpoints.clone())
-        .telemetry(telemetry.clone())
-        .recorder(recorder.clone())
-        .build();
+    let env = Env::wired(Env {
+        clock,
+        failpoints: Some(failpoints.clone()),
+        telemetry: Some(telemetry.clone()),
+        recorder: Some(recorder.clone()),
+        ..Default::default()
+    });
     let orb = Orb::builder()
         .network(NetworkConfig::lossy(0.0, 0.0, NETWORK_SEED))
         .env(Arc::clone(&env))

@@ -161,7 +161,7 @@ impl FailureDetector {
 
     /// Count status transitions in the given recorder's metrics registry
     /// as `detector_transitions_total{from=...,to=...}` series. Write-once,
-    /// like [`FailureDetector::set_recorder`]; `Env`'s builder calls both.
+    /// like [`FailureDetector::set_recorder`]; [`crate::Env::wired`] calls both.
     pub fn set_telemetry(&self, telemetry: telemetry::Telemetry) {
         let _ = self.inner.telemetry.set(telemetry);
     }

@@ -5,15 +5,17 @@
 //! detector, telemetry, the node's flight recorder, the causal plane and
 //! the delivery sequencer used to be attached per component, each through
 //! its own lock-guarded slot and its own hook. They are now fields of one
-//! `Env`, built once and handed — as an `Arc` — to exactly four
-//! constructors: [`crate::OrbBuilder::env`], `TransactionFactory::with_env`,
-//! `ActivityServiceBuilder::env` and `WorkflowEngine::with_env`. Everything
-//! those create (transaction coordinators, subtransactions, activities,
-//! child activities, activity coordinators) inherits the context by cloning
-//! that `Arc`; reading a plane on a protocol path is a field access.
+//! `Env`, written as a struct literal, frozen by [`Env::wired`] and handed
+//! — as an `Arc` — to exactly four constructors: [`crate::OrbBuilder::env`],
+//! `TransactionFactory::with_env`, `ActivityServiceBuilder::env` and
+//! `WorkflowEngine::with_env`. Everything those create (transaction
+//! coordinators, subtransactions, activities, child activities, activity
+//! coordinators) inherits the context by cloning that `Arc`; reading a
+//! plane on a protocol path is a field access.
 //!
 //! A plane that is not given is absent (`None`), which costs nothing; the
-//! only thing a default `Env` owns is a fresh clock.
+//! only thing a default `Env` owns is a fresh clock. What each plane does
+//! to the protocols is described once, on the fields below.
 
 use std::fmt::{self, Display};
 use std::sync::Arc;
@@ -25,130 +27,78 @@ use crate::choice::DeliverySequencer;
 use crate::clock::SimClock;
 use crate::detector::FailureDetector;
 
-/// The shared context. Immutable once built; share it with `Arc::clone`.
+/// The shared context: `Env { telemetry: Some(t), ..Env::default() }.wired()`.
 #[derive(Default)]
 pub struct Env {
-    clock: SimClock,
-    failpoints: Option<FailpointSet>,
-    detector: Option<FailureDetector>,
-    telemetry: Option<Telemetry>,
-    recorder: Option<FlightRecorder>,
-    causality: Option<CausalityPlane>,
-    sequencer: Option<Arc<dyn DeliverySequencer>>,
+    /// The virtual clock: drives the ORB's network, times transaction and
+    /// activity deadlines and per-vote latencies.
+    pub clock: SimClock,
+    /// Crash injection: every protocol loop passes its named sites
+    /// (`ots::failpoints`, `activity_service::failpoints`) through
+    /// [`Env::hit`], so crash-matrix and simulation tests can kill a
+    /// coordinator at any step.
+    pub failpoints: Option<FailpointSet>,
+    /// The participant failure detector, fed and consulted at every layer.
+    /// The ORB reports each policy-driven attempt (by node). The OTS
+    /// coordinator feeds it per vote (by participant name) and consults it
+    /// before phase one: quarantined read-only participants are dropped,
+    /// and a quarantined *voter* forces early presumed abort instead of
+    /// burning the vote timeout on a suspect peer. The activity coordinator
+    /// feeds it per collated outcome (`"error"` is a failure) and skips
+    /// quarantined actions for the current signal — they re-enter via
+    /// half-open probes — so a crashed Action cannot stall every later
+    /// signal. The workflow engine, keyed by task name, fails a quarantined
+    /// ready task at once instead of burning its retry budget on a dead
+    /// participant, so `CompensateAndStop` compensates the completed prefix
+    /// right away and `ContinuePossible` reroutes around it (Any-joins fall
+    /// through to healthy alternatives); executed results feed it back. A
+    /// detector keeps the first recorder and telemetry it is wired to, so
+    /// give each `Env` its own.
+    pub detector: Option<FailureDetector>,
+    /// Spans and metrics (build it on the same clock,
+    /// `Telemetry::with_time(Arc::new(clock.clone()))`, for deterministic
+    /// timestamps). The ORB registers the span interceptor pair and meters
+    /// the network; a commit becomes a `commit:` span with `prepare` /
+    /// `vote:` / `phase2` children, `twopc_vote_latency_seconds` and
+    /// `twopc_commits_total` / `twopc_aborts_total`; a protocol run becomes
+    /// a `signal_set:` span with one `transmit:` child per delivery, each
+    /// fig. 5 trace event doubling as a span event with the exact
+    /// `TraceEvent` text (what lets oracle #7 pin the span tree to the
+    /// trace log); `begin`/`complete` pairs become nested `activity:`
+    /// spans; a workflow run a `workflow:` span with one `task:` child per
+    /// finished task (tagged with attempts and outcome) and one
+    /// `compensate:` child per compensation.
+    pub telemetry: Option<Telemetry>,
+    /// The node's flight recorder: every typed protocol event (kinds
+    /// `trace`, `protocol`, `activity`) is mirrored into it at its emission
+    /// site, whether or not a typed journal is attached, next to span
+    /// open/close, failpoint passages and detector transitions.
+    pub recorder: Option<FlightRecorder>,
+    /// The cross-node causal plane: an ORB built under this context stamps
+    /// every request and reply with Lamport clocks and records
+    /// `wire-send`/`wire-recv` in the recorders registered with the plane.
+    pub causality: Option<CausalityPlane>,
+    /// Who picks the next delivery of a serial 2PC round (prepare, phase
+    /// two, rollback), so a model-checking explorer owns delivery order;
+    /// without one, or under parallel dispatch, registration order rules.
+    pub sequencer: Option<Arc<dyn DeliverySequencer>>,
 }
 
 impl fmt::Debug for Env {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Env")
-            .field("clock", &self.clock)
-            .field("failpoints", &self.failpoints.is_some())
-            .field("detector", &self.detector.is_some())
-            .field("telemetry", &self.telemetry.is_some())
-            .field("recorder", &self.recorder.is_some())
-            .field("causality", &self.causality.is_some())
-            .field("sequencer", &self.sequencer.is_some())
-            .finish()
+        f.debug_struct("Env").field("clock", &self.clock).finish_non_exhaustive()
     }
 }
 
-/// Collects the planes and cross-wires them once, in [`EnvBuilder::build`].
-#[derive(Default)]
-pub struct EnvBuilder {
-    env: Env,
-}
-
-impl EnvBuilder {
-    /// Share an existing virtual clock instead of a fresh one.
-    #[must_use]
-    pub fn clock(mut self, clock: SimClock) -> Self {
-        self.env.clock = clock;
-        self
-    }
-
-    /// Crash-injection failpoints: every protocol loop under this context
-    /// passes its named sites through the set.
-    #[must_use]
-    pub fn failpoints(mut self, failpoints: FailpointSet) -> Self {
-        self.env.failpoints = Some(failpoints);
-        self
-    }
-
-    /// The participant failure detector. The ORB feeds it per policy-driven
-    /// attempt (by node), the OTS coordinator per vote and the activity
-    /// coordinator per collated outcome (by participant name), the workflow
-    /// engine per task; all of them consult it before soliciting.
-    #[must_use]
-    pub fn detector(mut self, detector: FailureDetector) -> Self {
-        self.env.detector = Some(detector);
-        self
-    }
-
-    /// Spans and metrics. Build it on the same clock
-    /// (`Telemetry::with_time(Arc::new(clock.clone()))`) for deterministic
-    /// timestamps.
-    #[must_use]
-    pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.env.telemetry = Some(telemetry);
-        self
-    }
-
-    /// The node's flight recorder: typed protocol events, span open/close,
-    /// failpoint passages and detector transitions all mirror into it.
-    #[must_use]
-    pub fn recorder(mut self, recorder: FlightRecorder) -> Self {
-        self.env.recorder = Some(recorder);
-        self
-    }
-
-    /// The cross-node causal plane (Lamport stamps on every request and
-    /// reply of an ORB built with this context).
-    #[must_use]
-    pub fn causality(mut self, plane: CausalityPlane) -> Self {
-        self.env.causality = Some(plane);
-        self
-    }
-
-    /// Who picks the next delivery of a serial 2PC round (model checking).
-    #[must_use]
-    pub fn sequencer(mut self, sequencer: Arc<dyn DeliverySequencer>) -> Self {
-        self.env.sequencer = Some(sequencer);
-        self
-    }
-
-    /// Wire the planes to each other and freeze the context: the recorder
-    /// is attached to telemetry, failpoints and detector and registered
-    /// with the causal plane; telemetry's metrics count detector
-    /// transitions. This is the only place those attachments happen, so no
-    /// call order can leave one out.
-    pub fn build(self) -> Arc<Env> {
-        let env = self.env;
-        if let Some(recorder) = &env.recorder {
-            if let Some(telemetry) = &env.telemetry {
-                telemetry.attach_recorder(recorder.clone());
-            }
-            if let Some(failpoints) = &env.failpoints {
-                failpoints.set_recorder(recorder.clone());
-            }
-            if let Some(detector) = &env.detector {
-                detector.set_recorder(recorder.clone());
-            }
-            if let Some(plane) = &env.causality {
-                plane.register(recorder);
-            }
-        }
-        if let (Some(detector), Some(telemetry)) = (&env.detector, &env.telemetry) {
-            detector.set_telemetry(telemetry.clone());
-        }
-        Arc::new(env)
+/// A plane-less context on `clock`: what `Activity::new_root(name, clock)`
+/// converts its argument with.
+impl From<SimClock> for Arc<Env> {
+    fn from(clock: SimClock) -> Self {
+        Env::with_clock(clock)
     }
 }
 
 impl Env {
-    /// Start collecting planes.
-    pub fn builder() -> EnvBuilder {
-        EnvBuilder::default()
-    }
-
     /// A context with a fresh clock and no planes.
     pub fn new() -> Arc<Env> {
         Arc::default()
@@ -156,12 +106,43 @@ impl Env {
 
     /// A plane-less context on an existing clock.
     pub fn with_clock(clock: SimClock) -> Arc<Env> {
-        Arc::new(Env { clock, ..Env::default() })
+        // Spelled out because `..Env::default()` would allocate, and drop,
+        // a second clock: bare root activities come through here per op.
+        Arc::new(Env {
+            clock,
+            failpoints: None,
+            detector: None,
+            telemetry: None,
+            recorder: None,
+            causality: None,
+            sequencer: None,
+        })
     }
 
-    /// The shared virtual clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
+    /// Wire the planes to each other and freeze the context: the recorder
+    /// is attached to telemetry, failpoints and detector and registered
+    /// with the causal plane; telemetry's metrics count detector
+    /// transitions. This is the only place those attachments happen, so no
+    /// call order can leave one out.
+    pub fn wired(self) -> Arc<Env> {
+        if let Some(recorder) = &self.recorder {
+            if let Some(telemetry) = &self.telemetry {
+                telemetry.attach_recorder(recorder.clone());
+            }
+            if let Some(failpoints) = &self.failpoints {
+                failpoints.set_recorder(recorder.clone());
+            }
+            if let Some(detector) = &self.detector {
+                detector.set_recorder(recorder.clone());
+            }
+            if let Some(plane) = &self.causality {
+                plane.register(recorder);
+            }
+        }
+        if let (Some(detector), Some(telemetry)) = (&self.detector, &self.telemetry) {
+            detector.set_telemetry(telemetry.clone());
+        }
+        Arc::new(self)
     }
 
     /// Pass the named failpoint site (a no-op without a failpoint set).
@@ -173,35 +154,10 @@ impl Env {
         self.failpoints.as_ref().map_or(Ok(()), |failpoints| failpoints.hit(site))
     }
 
-    /// The failure detector, if one was given.
-    pub fn detector(&self) -> Option<&FailureDetector> {
-        self.detector.as_ref()
-    }
-
-    /// Telemetry as given (its gate may be closed).
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
     /// Telemetry only while its gate is open: what instrumentation sites
     /// branch on, so an absent or disabled recorder costs one load.
     pub fn live_telemetry(&self) -> Option<&Telemetry> {
         self.telemetry.as_ref().filter(|telemetry| telemetry.is_enabled())
-    }
-
-    /// The flight recorder, if one was given.
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_ref()
-    }
-
-    /// The causal plane, if one was given.
-    pub fn causality(&self) -> Option<&CausalityPlane> {
-        self.causality.as_ref()
-    }
-
-    /// The delivery sequencer, if one was given.
-    pub fn sequencer(&self) -> Option<&Arc<dyn DeliverySequencer>> {
-        self.sequencer.as_ref()
     }
 
     /// Emit one typed protocol event from its source: mirror it into the
@@ -239,7 +195,7 @@ mod tests {
         Env::new().emit(RecordKind::Trace, None::<&Journal<String>>, || unreachable!());
 
         let recorder = FlightRecorder::new("n", 8);
-        let env = Env::builder().recorder(recorder.clone()).build();
+        let env = Env { recorder: Some(recorder.clone()), ..Env::default() }.wired();
         env.emit(RecordKind::Protocol, Some(&sink), || "decided".to_owned());
         env.emit(RecordKind::Protocol, None::<&Journal<String>>, || "unsunk".to_owned());
         assert_eq!(sink.events(), vec!["decided"]);

@@ -72,7 +72,7 @@ pub use clock::SimClock;
 pub use context::ServiceContext;
 pub use dedup::{DedupServant, DedupWindow};
 pub use detector::{DetectorConfig, FailureDetector, HealthStatus};
-pub use env::{Env, EnvBuilder};
+pub use env::Env;
 pub use error::OrbError;
 pub use interceptor::{
     LamportClientInterceptor, LamportServerInterceptor, SpanClientInterceptor,

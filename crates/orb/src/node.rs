@@ -10,6 +10,7 @@ use parking_lot::RwLock;
 use std::time::Duration;
 
 use crate::clock::SimClock;
+use crate::context::ServiceContext;
 use crate::env::Env;
 use crate::error::OrbError;
 use crate::interceptor::{
@@ -21,6 +22,7 @@ use crate::network::{Delivery, NetworkConfig, SimulatedNetwork};
 use crate::object::{ObjectId, ObjectRef, Servant};
 use crate::registry::NameRegistry;
 use crate::retry::RetryPolicy;
+use crate::value::Value;
 
 /// Source name used when a caller invokes straight through [`Orb::invoke`]
 /// without identifying a node (e.g. a test driver outside the simulation).
@@ -167,16 +169,20 @@ impl OrbBuilder {
     }
 
     /// Share an existing virtual clock instead of creating a fresh one:
-    /// shorthand for `.env(Env::with_clock(clock))`.
+    /// shorthand for `.env(Env::with_clock(clock))`, for set-ups with no
+    /// planes.
+    ///
+    /// # Panics
+    ///
+    /// After [`OrbBuilder::env`]: the clock of a context is a field of it.
     #[must_use]
     pub fn clock(self, clock: SimClock) -> Self {
+        assert!(self.env.is_none(), "clock() would discard the planes given to env()");
         self.env(Env::with_clock(clock))
     }
 
-    /// Run under the given context: its clock drives the network, its
-    /// telemetry and causal plane get their interceptor pairs registered
-    /// by `build`, and its failure detector is fed per policy-driven
-    /// attempt. Replaces an earlier [`OrbBuilder::clock`].
+    /// Run under the given context (see [`Env`]'s fields for what each
+    /// plane does to the ORB).
     #[must_use]
     pub fn env(mut self, env: Arc<Env>) -> Self {
         self.env = Some(env);
@@ -192,8 +198,8 @@ impl OrbBuilder {
     /// in the recorders registered with the plane.
     pub fn build(self) -> Orb {
         let env = self.env.unwrap_or_default();
-        let network = SimulatedNetwork::new(self.config, env.clock().clone())
-            .metered_by(env.telemetry().cloned());
+        let network = SimulatedNetwork::new(self.config, env.clock.clone())
+            .metered_by(env.telemetry.clone());
         let orb = Orb {
             inner: Arc::new(OrbInner {
                 network,
@@ -206,11 +212,11 @@ impl OrbBuilder {
                 env: Arc::clone(&env),
             }),
         };
-        if let Some(telemetry) = env.telemetry() {
+        if let Some(telemetry) = &env.telemetry {
             orb.add_client_interceptor(Arc::new(SpanClientInterceptor::new(telemetry.clone())));
             orb.add_server_interceptor(Arc::new(SpanServerInterceptor::new(telemetry.clone())));
         }
-        if let Some(plane) = env.causality() {
+        if let Some(plane) = &env.causality {
             orb.add_client_interceptor(Arc::new(LamportClientInterceptor::new(plane.clone())));
             orb.add_server_interceptor(Arc::new(LamportServerInterceptor::new(plane.clone())));
         }
@@ -358,14 +364,11 @@ impl Orb {
         policy: &RetryPolicy,
         deadline: Option<Duration>,
     ) -> Result<Reply, OrbError> {
-        if request.delivery_id().is_none() {
-            let seq = self.inner.delivery_seq.fetch_add(1, Ordering::Relaxed);
-            request.set_delivery_id(format!("{from}#{seq}"));
-        }
+        self.inner.stamp_delivery_id(from, &mut request);
         let delivery_id = request.delivery_id().expect("stamped above").to_owned();
         let operation = request.operation().to_owned();
-        let detector = self.inner.env.detector();
-        let telemetry = self.inner.env.telemetry();
+        let detector = self.inner.env.detector.as_ref();
+        let telemetry = self.inner.env.telemetry.as_ref();
         policy.run(self.clock(), deadline, &operation, &delivery_id, |attempt| {
             // Each attempt is its own span, tagged with the shared logical
             // delivery id; re-attempts (attempt > 0) bump the retry
@@ -400,22 +403,21 @@ impl Orb {
             result
         })
     }
-
-    /// The context this ORB was built under.
-    pub fn env(&self) -> &Arc<Env> {
-        &self.inner.env
-    }
 }
 
 impl OrbInner {
-    /// Stamp the route and (if absent) a fresh delivery id — once per
-    /// logical call, before client interceptors run, so every request on
-    /// the wire is dedup-addressable and interceptors know both ends.
-    fn prepare_request(&self, from: &str, object: &ObjectRef, request: &mut Request) {
+    fn stamp_delivery_id(&self, from: &str, request: &mut Request) {
         if request.delivery_id().is_none() {
             let seq = self.delivery_seq.fetch_add(1, Ordering::Relaxed);
             request.set_delivery_id(format!("{from}#{seq}"));
         }
+    }
+
+    /// Stamp the route and (if absent) a fresh delivery id — once per
+    /// logical call, before client interceptors run, so every request on
+    /// the wire is dedup-addressable and interceptors know both ends.
+    fn prepare_request(&self, from: &str, object: &ObjectRef, request: &mut Request) {
+        self.stamp_delivery_id(from, request);
         request.set_route(from, object.node());
     }
 
@@ -434,7 +436,7 @@ impl OrbInner {
                 // No reply leg exists for a oneway; `receive_reply` fires
                 // with a synthetic local reply so per-request interceptor
                 // state (e.g. the span opened in `send_request`) closes.
-                let mut scratch = Reply::new(crate::value::Value::Null);
+                let mut scratch = Reply::new(Value::Null);
                 for ci in client_interceptors.iter().rev() {
                     ci.receive_reply(&request, &mut scratch);
                 }
@@ -453,42 +455,61 @@ impl OrbInner {
         object: &ObjectRef,
         request: &Request,
     ) -> Result<(), OrbError> {
+        let servant = self.locate(object)?;
+        let copies = self.leg(from, object.node(), request)?;
+        self.serve(servant.as_ref(), request, copies).map(|_| ())
+    }
+
+    /// The servant behind `object`.
+    fn locate(&self, object: &ObjectRef) -> Result<Arc<dyn Servant>, OrbError> {
         let node = self
             .nodes
             .read()
             .get(object.node())
             .cloned()
             .ok_or_else(|| OrbError::NodeNotFound(object.node().to_owned()))?;
-        let servant = node
-            .servants
-            .read()
-            .get(&object.id())
-            .cloned()
-            .ok_or(OrbError::ObjectNotFound(object.id()))?;
-        let copies = match self.network.transmit(from, object.node()) {
-            Delivery::Delivered { copies, .. } => copies,
+        let servant = node.servants.read().get(&object.id()).cloned();
+        servant.ok_or(OrbError::ObjectNotFound(object.id()))
+    }
+
+    /// One message leg through the network: how many copies arrive, or the
+    /// transport error the caller sees instead.
+    fn leg(&self, from: &str, to: &str, request: &Request) -> Result<u32, OrbError> {
+        match self.network.transmit(from, to) {
+            Delivery::Delivered { copies, .. } => Ok(copies),
             Delivery::Dropped => {
-                return Err(OrbError::Timeout { operation: request.operation().to_owned() })
+                Err(OrbError::Timeout { operation: request.operation().to_owned() })
             }
             Delivery::Partitioned => {
-                return Err(OrbError::Partitioned {
-                    from: from.to_owned(),
-                    to: object.node().to_owned(),
-                })
+                Err(OrbError::Partitioned { from: from.to_owned(), to: to.to_owned() })
             }
-        };
+        }
+    }
+
+    /// Dispatch (more than once, when the network duplicated the message).
+    /// The first execution's result — and the reply contexts its server
+    /// interceptors attached — is what rides back in the reply; duplicate
+    /// executions model redelivery of the same message.
+    fn serve(
+        &self,
+        servant: &dyn Servant,
+        request: &Request,
+        copies: u32,
+    ) -> Result<(Result<Value, OrbError>, ServiceContext), OrbError> {
         let server_interceptors: Vec<_> = self.server_interceptors.read().clone();
+        let mut first = None;
         for _ in 0..copies {
             for si in &server_interceptors {
                 si.receive_request(request)?;
             }
-            let _ = servant.dispatch(request);
-            let mut scratch = Reply::new(crate::value::Value::Null);
+            let result = servant.dispatch(request);
+            let mut scratch = Reply::new(Value::Null);
             for si in server_interceptors.iter().rev() {
                 si.send_reply(request, &mut scratch);
             }
+            first.get_or_insert((result, scratch.contexts));
         }
-        Ok(())
+        Ok(first.expect("at least one delivery"))
     }
 
     fn invoke_from(
@@ -536,77 +557,18 @@ impl OrbInner {
         object: &ObjectRef,
         request: &Request,
     ) -> Result<Reply, OrbError> {
-        // 2. Locate the target servant.
-        let node = self
-            .nodes
-            .read()
-            .get(object.node())
-            .cloned()
-            .ok_or_else(|| OrbError::NodeNotFound(object.node().to_owned()))?;
-        let servant = node
-            .servants
-            .read()
-            .get(&object.id())
-            .cloned()
-            .ok_or(OrbError::ObjectNotFound(object.id()))?;
-
-        // 3. Request leg through the network.
-        let copies = match self.network.transmit(from, object.node()) {
-            Delivery::Dropped => {
-                return Err(OrbError::Timeout { operation: request.operation().to_owned() })
-            }
-            Delivery::Partitioned => {
-                return Err(OrbError::Partitioned {
-                    from: from.to_owned(),
-                    to: object.node().to_owned(),
-                })
-            }
-            Delivery::Delivered { copies, .. } => copies,
-        };
-
-        // 4. Dispatch (possibly more than once, when duplicated). The first
-        //    execution's result — and the reply contexts its server
-        //    interceptors attached — is what rides back in the reply;
-        //    duplicate executions model redelivery of the same message.
-        let server_interceptors: Vec<_> = self.server_interceptors.read().clone();
-        let mut outcome: Option<Result<crate::value::Value, OrbError>> = None;
-        let mut reply_contexts: Option<crate::context::ServiceContext> = None;
-        for _ in 0..copies {
-            for si in &server_interceptors {
-                si.receive_request(request)?;
-            }
-            let result = servant.dispatch(request);
-            let mut scratch = Reply::new(crate::value::Value::Null);
-            for si in server_interceptors.iter().rev() {
-                si.send_reply(request, &mut scratch);
-            }
-            if outcome.is_none() {
-                outcome = Some(result);
-                reply_contexts = Some(scratch.contexts);
-            }
-        }
-        let result = outcome.expect("at least one delivery");
+        // 2.–4. Locate the target, cross the network, dispatch.
+        let servant = self.locate(object)?;
+        let copies = self.leg(from, object.node(), request)?;
+        let (result, contexts) = self.serve(servant.as_ref(), request, copies)?;
 
         // 5. Reply leg through the network: a dropped reply means the caller
         //    times out even though the servant already executed — the classic
         //    at-least-once hazard.
-        match self.network.transmit(object.node(), from) {
-            Delivery::Dropped => {
-                return Err(OrbError::Timeout { operation: request.operation().to_owned() })
-            }
-            Delivery::Partitioned => {
-                return Err(OrbError::Partitioned {
-                    from: object.node().to_owned(),
-                    to: from.to_owned(),
-                })
-            }
-            Delivery::Delivered { .. } => {}
-        }
+        self.leg(object.node(), from, request)?;
 
         let mut reply = Reply::new(result?);
-        if let Some(contexts) = reply_contexts {
-            reply.contexts = contexts;
-        }
+        reply.contexts = contexts;
         reply.deliveries = copies;
         Ok(reply)
     }
@@ -647,7 +609,14 @@ mod tests {
     }
 
     fn traced_orb(telemetry: &telemetry::Telemetry) -> Orb {
-        Orb::builder().env(Env::builder().telemetry(telemetry.clone()).build()).build()
+        let env = Env { telemetry: Some(telemetry.clone()), ..Default::default() };
+        Orb::builder().env(env.wired()).build()
+    }
+
+    #[test]
+    #[should_panic(expected = "discard the planes")]
+    fn clock_after_env_is_refused() {
+        let _ = Orb::builder().env(Env::new()).clock(SimClock::new());
     }
 
     #[test]
@@ -697,6 +666,36 @@ mod tests {
         let obj = node.activate_arc("Counter", counter()).unwrap();
         assert!(matches!(orb.invoke(&obj, Request::new("fail")), Err(OrbError::Application(_))));
         assert!(matches!(orb.invoke(&obj, Request::new("nope")), Err(OrbError::BadOperation(_))));
+    }
+
+    #[test]
+    fn dropped_messages_time_out_and_retries_recover() {
+        // 50% drop: a single shot will eventually fail, but at-least-once
+        // delivery with a healthy budget succeeds.
+        let orb = Orb::builder().network(NetworkConfig::lossy(0.5, 0.0, 11)).build();
+        let node = orb.add_node("srv").unwrap();
+        let c = counter();
+        let obj = node.activate_arc("Counter", c.clone()).unwrap();
+        let policy = RetryPolicy::immediate(65);
+        let reply = orb
+            .invoke_with_policy(EXTERNAL_CALLER, &obj, Request::new("hit"), &policy, None)
+            .unwrap();
+        assert!(reply.result.as_u64().unwrap() >= 1);
+        assert!(c.hits.load(Ordering::SeqCst) >= 1);
+    }
+
+    #[test]
+    fn at_least_once_does_not_retry_application_errors() {
+        let orb = Orb::new();
+        let node = orb.add_node("srv").unwrap();
+        let c = counter();
+        let obj = node.activate_arc("Counter", c.clone()).unwrap();
+        let policy = RetryPolicy::immediate(11);
+        let err = orb
+            .invoke_with_policy(EXTERNAL_CALLER, &obj, Request::new("fail"), &policy, None)
+            .unwrap_err();
+        assert!(matches!(err, OrbError::Application(_)));
+        assert_eq!(orb.network().stats().sent, 2, "one request leg, one reply leg");
     }
 
     #[test]
@@ -763,7 +762,7 @@ mod tests {
         );
         let orb = Orb::builder()
             .network(NetworkConfig::lossy(1.0, 0.0, 9))
-            .env(Env::builder().clock(clock).detector(detector.clone()).build())
+            .env(Env { clock, detector: Some(detector.clone()), ..Default::default() }.wired())
             .build();
         let node = orb.add_node("srv").unwrap();
         let obj = node.activate_arc("Counter", counter()).unwrap();
@@ -951,8 +950,8 @@ mod tests {
         let rec_b = FlightRecorder::new("b", 64);
         plane.register(&rec_a);
         plane.register(&rec_b);
-        let orb = Orb::builder().env(Env::builder().causality(plane.clone()).build()).build();
-        assert!(orb.env().causality().is_some());
+        let env = Env { causality: Some(plane.clone()), ..Default::default() };
+        let orb = Orb::builder().env(env.wired()).build();
         let a = orb.add_node("a").unwrap();
         let b = orb.add_node("b").unwrap();
         let obj = b.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
@@ -987,7 +986,7 @@ mod tests {
         // Every message duplicated: the servant runs twice per call.
         let orb = Orb::builder()
             .network(NetworkConfig::lossy(0.0, 1.0, 5))
-            .env(Env::builder().causality(plane.clone()).build())
+            .env(Env { causality: Some(plane.clone()), ..Default::default() }.wired())
             .build();
         let node = orb.add_node("srv").unwrap();
         let c = counter();

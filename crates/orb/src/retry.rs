@@ -82,19 +82,14 @@ impl RetryPolicy {
     /// What a caller that names no policy gets (remote Action proxies, WSCF
     /// registration): nine back-to-back attempts — the first try plus a
     /// budget of eight — with no backoff and no clock advance.
-    pub const AT_LEAST_ONCE: RetryPolicy = RetryPolicy {
-        max_attempts: 9,
-        base_backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-        jitter: false,
-    };
+    pub const AT_LEAST_ONCE: RetryPolicy = RetryPolicy::immediate(9);
 
     /// `max_attempts` back-to-back attempts with **zero** backoff. Performs
     /// no clock advances at all, so virtual-time traces are byte-identical
     /// to a run without retries.
-    pub fn immediate(max_attempts: u32) -> Self {
+    pub const fn immediate(max_attempts: u32) -> Self {
         RetryPolicy {
-            max_attempts: max_attempts.max(1),
+            max_attempts: if max_attempts == 0 { 1 } else { max_attempts },
             base_backoff: Duration::ZERO,
             max_backoff: Duration::ZERO,
             jitter: false,
@@ -238,11 +233,6 @@ mod tests {
         assert_eq!(attempts, 3);
         // 1ms + 2ms waited before attempts 1 and 2.
         assert_eq!(clock.now(), Duration::from_millis(3));
-    }
-
-    #[test]
-    fn the_default_delivery_is_nine_immediate_attempts() {
-        assert_eq!(RetryPolicy::AT_LEAST_ONCE, RetryPolicy::immediate(9));
     }
 
     #[test]

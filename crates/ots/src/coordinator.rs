@@ -130,26 +130,8 @@ impl Coordinator {
     }
 
     /// The context this coordinator runs under — the factory's, shared
-    /// (pointer-equal) with every subtransaction. Its planes shape the
-    /// protocol:
-    ///
-    /// * the **failure detector** is fed by phase one (each prepare answer
-    ///   is a success, each transport-style error a failure) and consulted
-    ///   before it: quarantined read-only participants are dropped from the
-    ///   protocol, and a quarantined *voter* forces early presumed abort
-    ///   instead of burning the full vote timeout on a suspect peer;
-    /// * **telemetry** turns every commit into a `commit:` span with
-    ///   `prepare` / `phase2` child spans, per-vote latencies land in the
-    ///   `twopc_vote_latency_seconds` histogram, and top-level outcomes are
-    ///   counted as `twopc_commits_total` / `twopc_aborts_total`;
-    /// * the **delivery sequencer** is asked, under serial dispatch, which
-    ///   pending peer goes next in every round of participant deliveries
-    ///   (prepare, phase-two outcomes, rollback), so a model-checking
-    ///   explorer owns delivery order instead of inheriting registration
-    ///   order; without one (or under parallel dispatch, where there is no
-    ///   meaningful order) the registration-order loops run unchanged;
-    /// * the **flight recorder** receives every protocol step (kind
-    ///   `protocol`), whether or not a [`ProtocolJournal`] is attached.
+    /// (pointer-equal) with every subtransaction; [`Env`]'s fields say how
+    /// each plane shapes the protocol.
     pub fn env(&self) -> &Arc<Env> {
         &self.env
     }
@@ -207,7 +189,7 @@ impl Coordinator {
     /// `resources`) goes next: the sequencer's pick when one is in the
     /// context and there is a choice, registration order otherwise.
     fn next_slot(&self, stage: &str, resources: &[Arc<dyn Resource>], pending: &[usize]) -> usize {
-        match self.env.sequencer() {
+        match &self.env.sequencer {
             Some(seq) if pending.len() > 1 => {
                 let labels: Vec<&str> =
                     pending.iter().map(|i| resources[*i].resource_name()).collect();
@@ -217,24 +199,29 @@ impl Coordinator {
         }
     }
 
-    /// Deliver one serial round in [`orb::DeliverySequencer`] order
-    /// (registration order without a sequencer), returning results in
-    /// **registration** order so collation is dispatch-invisible. Each delivery is reported
-    /// back to the sequencer with `clean(&result)`.
-    fn sequenced_round<T>(
+    /// Deliver one round of `op`, returning results in **registration**
+    /// order so collation is dispatch-invisible: scattered across the pool
+    /// under parallel dispatch, otherwise one at a time in
+    /// [`orb::DeliverySequencer`] order (registration order without a
+    /// sequencer), each delivery reported back to the sequencer with
+    /// `clean(&result)`.
+    fn round<T: Send + 'static>(
         &self,
         stage: &str,
         resources: &[Arc<dyn Resource>],
-        mut op: impl FnMut(&dyn Resource) -> T,
+        op: impl Fn(&dyn Resource, &TxId) -> T + Send + Sync + 'static,
         clean: impl Fn(&T) -> bool,
     ) -> Vec<T> {
-        let sequencer = self.env.sequencer();
+        if !self.dispatch.is_serial() && resources.len() > 1 {
+            return self.fan_out(resources, op);
+        }
+        let sequencer = self.env.sequencer.as_ref();
         let mut slots: Vec<Option<T>> = resources.iter().map(|_| None).collect();
         let mut pending: Vec<usize> = (0..resources.len()).collect();
         while !pending.is_empty() {
             let index = pending.remove(self.next_slot(stage, resources, &pending));
             let resource = &resources[index];
-            let result = op(resource.as_ref());
+            let result = op(resource.as_ref(), &self.id);
             if let Some(seq) = sequencer {
                 seq.report(stage, resource.resource_name(), clean(&result));
             }
@@ -243,19 +230,10 @@ impl Coordinator {
         slots.into_iter().map(|slot| slot.expect("every delivery ran")).collect()
     }
 
-    /// Deliver a rollback round (sequenced when serial, scattered when
-    /// parallel) and journal each delivery's fate.
+    /// Deliver a rollback round and journal each delivery's fate.
     fn rollback_round(&self, resources: &[Arc<dyn Resource>]) {
-        let results: Vec<bool> = if self.dispatch.is_serial() || resources.len() <= 1 {
-            self.sequenced_round(
-                "rollback",
-                resources,
-                |resource| resource.rollback(&self.id).is_ok(),
-                |ok| *ok,
-            )
-        } else {
-            self.fan_out(resources, |resource, id| resource.rollback(id).is_ok())
-        };
+        let results =
+            self.round("rollback", resources, |resource, id| resource.rollback(id).is_ok(), |ok| *ok);
         for (resource, ok) in resources.iter().zip(results) {
             self.journal(|| TwoPcEvent::OutcomeDelivered {
                 participant: resource.resource_name().to_owned(),
@@ -285,7 +263,7 @@ impl Coordinator {
 
     fn assess_timeout(&self, inner: &mut CoordinatorInner) {
         if inner.status == TxStatus::Active
-            && inner.deadline.is_some_and(|deadline| self.env.clock().now() > deadline)
+            && inner.deadline.is_some_and(|deadline| self.env.clock.now() > deadline)
         {
             inner.status = TxStatus::MarkedRollback;
         }
@@ -502,7 +480,7 @@ impl Coordinator {
         // Consult the failure detector before soliciting any vote. Each
         // participant's skip decision is computed exactly once (`should_skip`
         // claims half-open probe slots as a side effect).
-        let detector = self.env.detector();
+        let detector = self.env.detector.as_ref();
         let resources: Vec<Arc<dyn Resource>> = if let Some(detector) = detector {
             let mut kept = Vec::with_capacity(resources.len());
             let mut quarantined_voter = false;
@@ -568,12 +546,12 @@ impl Coordinator {
             // sequencer, when attached, picks which pending participant is
             // asked next; without one the loop walks registration order
             // exactly as before.
-            let sequencer = self.env.sequencer();
+            let sequencer = self.env.sequencer.as_ref();
             let mut pending: Vec<usize> = (0..resources.len()).collect();
             while !pending.is_empty() {
                 let slot = self.next_slot("prepare", &resources, &pending);
                 let resource = &resources[pending.remove(slot)];
-                let vote_started = tel.map(|_| self.env.clock().now());
+                let vote_started = tel.map(|_| self.env.clock.now());
                 self.journal(|| TwoPcEvent::PrepareSent {
                     participant: resource.resource_name().to_owned(),
                 });
@@ -618,7 +596,7 @@ impl Coordinator {
                 }
             }
         } else {
-            let phase_started = tel.map(|_| self.env.clock().now());
+            let phase_started = tel.map(|_| self.env.clock.now());
             // Parallel phase one: every vote is solicited concurrently and
             // all are joined before the decision. Speculatively preparing a
             // resource whose peer vetoes is safe — presumed abort means it
@@ -704,31 +682,19 @@ impl Coordinator {
             t.set_attr(&span, "participants", &prepared.len().to_string());
             span
         });
-        let deliveries: Vec<Option<String>> = if self.dispatch.is_serial() || prepared.len() <= 1
-        {
-            self.sequenced_round(
-                "phase2",
-                &prepared,
-                |resource| {
-                    if let Err(e) = resource.commit(&self.id) {
-                        Some(format!("{}: {e}", resource.resource_name()))
-                    } else {
-                        resource.forget(&self.id);
-                        None
-                    }
-                },
-                |heuristic| heuristic.is_none(),
-            )
-        } else {
-            self.fan_out(&prepared, |resource, id| {
+        let deliveries: Vec<Option<String>> = self.round(
+            "phase2",
+            &prepared,
+            |resource, id| {
                 if let Err(e) = resource.commit(id) {
                     Some(format!("{}: {e}", resource.resource_name()))
                 } else {
                     resource.forget(id);
                     None
                 }
-            })
-        };
+            },
+            Option::is_none,
+        );
         for (resource, heuristic) in prepared.iter().zip(&deliveries) {
             let ok = heuristic.is_none();
             self.journal(|| TwoPcEvent::OutcomeDelivered {
@@ -823,7 +789,7 @@ impl Coordinator {
     /// Virtual time elapsed since `started` (zero when nothing was timed).
     fn elapsed_since(&self, started: Option<Duration>) -> Duration {
         started.map_or(Duration::ZERO, |started| {
-            self.env.clock().now().saturating_sub(started)
+            self.env.clock.now().saturating_sub(started)
         })
     }
 
@@ -862,16 +828,18 @@ mod tests {
 
     /// A log-less coordinator under `env`, as a factory built
     /// `with_env(env).with_dispatch(dispatch)` would create it.
-    fn top_in(env: Arc<Env>, dispatch: DispatchConfig) -> Arc<Coordinator> {
-        Coordinator::new_top_level(TxId::top_level(1), None, env, None, dispatch, None)
+    fn top_in(env: Env, dispatch: DispatchConfig) -> Arc<Coordinator> {
+        Coordinator::new_top_level(TxId::top_level(1), None, env.wired(), None, dispatch, None)
     }
 
     fn traced(tel: &Telemetry) -> Arc<Coordinator> {
-        top_in(Env::builder().telemetry(tel.clone()).build(), DispatchConfig::default())
+        let env = Env { telemetry: Some(tel.clone()), ..Default::default() };
+        top_in(env, DispatchConfig::default())
     }
 
     fn detecting(detector: &FailureDetector) -> Arc<Coordinator> {
-        top_in(Env::builder().detector(detector.clone()).build(), DispatchConfig::default())
+        let env = Env { detector: Some(detector.clone()), ..Default::default() };
+        top_in(env, DispatchConfig::default())
     }
 
     #[test]
@@ -912,10 +880,8 @@ mod tests {
         let tel = Telemetry::new();
         let fps = FailpointSet::new();
         fps.arm(failpoints::AFTER_PREPARE, 0);
-        let c = top_in(
-            Env::builder().failpoints(fps).telemetry(tel.clone()).build(),
-            DispatchConfig::default(),
-        );
+        let env = Env { failpoints: Some(fps), telemetry: Some(tel.clone()), ..Default::default() };
+        let c = top_in(env, DispatchConfig::default());
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
         c.register_resource(ScriptedResource::voting("b", Vote::Commit)).unwrap();
         assert!(c.commit(true).is_err());
@@ -955,7 +921,7 @@ mod tests {
 
     #[test]
     fn serial_config_stops_soliciting_votes_at_first_veto() {
-        let c = top_in(Env::new(), DispatchConfig::serial());
+        let c = top_in(Env::default(), DispatchConfig::serial());
         let bad = ScriptedResource::voting("bad", Vote::Rollback);
         let never = ScriptedResource::voting("never", Vote::Commit);
         c.register_resource(bad.clone()).unwrap();
@@ -971,7 +937,7 @@ mod tests {
         // when an earlier registrant vetoes; presumed abort then undoes the
         // speculatively prepared peers. Pin a worker count — the default
         // config degrades to serial on a single-core host.
-        let c = top_in(Env::new(), DispatchConfig::with_workers(4));
+        let c = top_in(Env::default(), DispatchConfig::with_workers(4));
         let bad = ScriptedResource::voting("bad", Vote::Rollback);
         let good = ScriptedResource::voting("good", Vote::Commit);
         c.register_resource(bad.clone()).unwrap();
@@ -1197,7 +1163,7 @@ mod tests {
         let c = Coordinator::new_top_level(
             TxId::top_level(2),
             Some(wal.clone() as Arc<dyn Wal>),
-            Env::builder().failpoints(failpoints).build(),
+            Env { failpoints: Some(failpoints), ..Default::default() }.wired(),
             None,
             DispatchConfig::default(),
             None,
@@ -1314,7 +1280,8 @@ mod tests {
         for dispatch in [DispatchConfig::serial(), DispatchConfig::default()] {
             let clock = SimClock::new();
             let detector = FailureDetector::new(clock);
-            let c = top_in(Env::builder().detector(detector.clone()).build(), dispatch);
+            let env = Env { detector: Some(detector.clone()), ..Default::default() };
+            let c = top_in(env, dispatch);
             c.register_resource(Arc::new(FailingResource)).unwrap();
             c.register_resource(ScriptedResource::voting("ok", Vote::Commit)).unwrap();
             let _ = c.commit(true);

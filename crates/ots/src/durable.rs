@@ -385,9 +385,8 @@ mod tests {
         let log = wal();
         let failpoints = FailpointSet::new();
         {
-            let factory =
-                TransactionFactory::with_wal(Arc::clone(&log))
-                    .with_env(orb::Env::builder().failpoints(failpoints.clone()).build());
+            let env = orb::Env { failpoints: Some(failpoints.clone()), ..Default::default() };
+            let factory = TransactionFactory::with_wal(Arc::clone(&log)).with_env(env.wired());
             let kv = DurableKv::new("orders", Arc::clone(&log));
             let witness = DurableKv::new("audit", Arc::clone(&log));
             let control = factory.create().unwrap();

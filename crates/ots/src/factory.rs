@@ -66,8 +66,8 @@ impl TransactionFactory {
     }
 
     /// Run under the given context: every coordinator (and subtransaction)
-    /// this factory creates shares it — see [`Coordinator::env`] for what
-    /// each plane does to the protocol. Its clock times
+    /// this factory creates shares it — see [`Env`]'s fields for what each
+    /// plane does to the protocol. Its clock times
     /// [`TransactionFactory::create_with_timeout`]; suspicion its detector
     /// learns in one transaction carries into the next.
     #[must_use]
@@ -94,11 +94,6 @@ impl TransactionFactory {
         self
     }
 
-    /// The context this factory's coordinators inherit.
-    pub fn env(&self) -> &Arc<Env> {
-        &self.env
-    }
-
     /// Begin a new top-level transaction with no timeout.
     ///
     /// # Errors
@@ -115,7 +110,7 @@ impl TransactionFactory {
     ///
     /// Returns [`TxError::Log`] when the begin record cannot be written.
     pub fn create_with_timeout(&self, timeout: Duration) -> Result<Control, TxError> {
-        self.create_inner(Some(self.env.clock().now() + timeout))
+        self.create_inner(Some(self.env.clock.now() + timeout))
     }
 
     fn create_inner(&self, deadline: Option<Duration>) -> Result<Control, TxError> {
@@ -190,7 +185,7 @@ mod tests {
     use recovery_log::{FailpointSet, MemWal};
 
     fn failpoint_env(failpoints: &FailpointSet) -> Arc<Env> {
-        Env::builder().failpoints(failpoints.clone()).build()
+        Env { failpoints: Some(failpoints.clone()), ..Default::default() }.wired()
     }
 
     #[test]

@@ -121,21 +121,10 @@ impl WorkflowEngine {
         self
     }
 
-    /// Run under the given context. Two of its planes shape a run:
-    ///
-    /// * the **failure detector**, keyed by task name: a ready task whose
-    ///   participant is quarantined is *not* executed — it fails
-    ///   immediately, so [`FailurePolicy::CompensateAndStop`] compensates
-    ///   the completed prefix right away and
-    ///   [`FailurePolicy::ContinuePossible`] reroutes around it (Any-joins
-    ///   fall through to healthy alternatives) instead of burning the
-    ///   task's full retry budget on a dead participant. Executed results
-    ///   feed the detector back;
-    /// * **telemetry**: each run opens a `workflow:{name}` span, each
-    ///   finished task a `task:{name}` child (tagged with its attempt count
-    ///   and outcome), and each compensation a `compensate:{task}` child.
-    ///   Build the [`ActivityService`] under the same context and the
-    ///   activity and signal-set spans interleave into the same tree.
+    /// Run under the given context: its failure detector (keyed by task
+    /// name) and telemetry shape a run as [`Env`]'s fields describe. Build
+    /// the [`ActivityService`] under the same context and the activity and
+    /// signal-set spans interleave into the workflow's tree.
     #[must_use]
     pub fn with_env(mut self, env: Arc<Env>) -> Self {
         self.env = env;
@@ -301,7 +290,7 @@ impl WorkflowEngine {
             // (ContinuePossible) or compensates (CompensateAndStop) without
             // burning their retry budgets. Skip decisions are computed once
             // per task (`should_skip` claims half-open probe slots).
-            let (ready, quarantined): (Vec<String>, Vec<String>) = match self.env.detector() {
+            let (ready, quarantined): (Vec<String>, Vec<String>) = match &self.env.detector {
                 Some(detector) => ready.into_iter().partition(|t| !detector.should_skip(t)),
                 None => (ready, Vec::new()),
             };
@@ -349,7 +338,7 @@ impl WorkflowEngine {
             // the quarantine failures (after the executed batch, so its
             // successes still reach the journal and report before a
             // CompensateAndStop break).
-            if let Some(detector) = self.env.detector() {
+            if let Some(detector) = &self.env.detector {
                 for (task, result, _) in &results {
                     if result.success {
                         detector.record_success(task);
@@ -622,7 +611,7 @@ mod tests {
         detector.record_failure("t2");
         let engine = WorkflowEngine::new(graph, registry)
             .unwrap()
-            .with_env(Env::builder().detector(detector).build());
+            .with_env(Env { detector: Some(detector), ..Default::default() }.wired());
         let service = ActivityService::new();
         let report = engine.run(&service, "trip", Value::Null).unwrap();
         assert_eq!(report.failed, vec!["t2"]);
@@ -660,7 +649,7 @@ mod tests {
         let engine = WorkflowEngine::new(graph, registry)
             .unwrap()
             .with_policy(FailurePolicy::ContinuePossible)
-            .with_env(Env::builder().detector(detector.clone()).build());
+            .with_env(Env { detector: Some(detector.clone()), ..Default::default() }.wired());
         let service = ActivityService::new();
         let report = engine.run(&service, "route", Value::Null).unwrap();
         assert_eq!(report.failed, vec!["bad"]);
@@ -970,7 +959,7 @@ mod telemetry_tests {
         registry.register("a", |_i: &TaskInput| TaskResult::ok(Value::Null));
         registry.register("b", |_i: &TaskInput| TaskResult::ok(Value::Null));
         let tel = Telemetry::new();
-        let env = Env::builder().telemetry(tel.clone()).build();
+        let env = Env { telemetry: Some(tel.clone()), ..Default::default() }.wired();
         let engine = WorkflowEngine::new(graph, registry).unwrap().with_env(Arc::clone(&env));
         let service = ActivityService::builder().env(env).build();
         let report = engine.run(&service, "wf", Value::Null).unwrap();
@@ -1014,7 +1003,7 @@ mod telemetry_tests {
         let tel = Telemetry::new();
         let engine = WorkflowEngine::new(graph, registry)
             .unwrap()
-            .with_env(Env::builder().telemetry(tel.clone()).build());
+            .with_env(Env { telemetry: Some(tel.clone()), ..Default::default() }.wired());
         let service = ActivityService::new();
         let report = engine.run(&service, "trip", Value::Null).unwrap();
         assert_eq!(report.compensations.len(), 1);
@@ -1048,7 +1037,7 @@ mod telemetry_tests {
         let tel = Telemetry::new();
         let engine = WorkflowEngine::new(graph, registry)
             .unwrap()
-            .with_env(Env::builder().telemetry(tel.clone()).build());
+            .with_env(Env { telemetry: Some(tel.clone()), ..Default::default() }.wired());
         let service = ActivityService::new();
         let report = engine.run(&service, "retry-wf", Value::Null).unwrap();
         assert!(report.succeeded());

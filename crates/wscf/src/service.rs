@@ -11,7 +11,7 @@ use activity_service::signal_set::SignalSet;
 use activity_service::{
     Action, ActionServant, Activity, CompletionStatus, Outcome, RemoteActionProxy,
 };
-use orb::{Node, ObjectRef, Orb, Request, RetryPolicy, Servant, SimClock, Value};
+use orb::{Env, Node, ObjectRef, Orb, Request, RetryPolicy, Servant, SimClock, Value};
 use parking_lot::Mutex;
 
 use crate::context::CoordinationContext;
@@ -61,7 +61,8 @@ struct ActiveContext {
 /// its type's protocol SignalSets), and registers participants —
 /// locally or through its ORB-exposed registration servant.
 pub struct CoordinationService {
-    clock: SimClock,
+    /// The plane-less context every context's activity shares.
+    env: Arc<Env>,
     types: Mutex<HashMap<String, ProtocolSuite>>,
     contexts: Mutex<HashMap<String, ActiveContext>>,
     counter: AtomicU64,
@@ -87,7 +88,7 @@ impl CoordinationService {
     /// A service with no coordination types registered yet.
     pub fn new(clock: SimClock) -> Self {
         CoordinationService {
-            clock,
+            env: Env::with_clock(clock),
             types: Mutex::new(HashMap::new()),
             contexts: Mutex::new(HashMap::new()),
             counter: AtomicU64::new(1),
@@ -126,7 +127,7 @@ impl CoordinationService {
             .cloned()
             .ok_or_else(|| WscfError::UnknownCoordinationType(coordination_type.to_owned()))?;
         let id = format!("wscf-ctx-{}", self.counter.fetch_add(1, Ordering::Relaxed));
-        let activity = Activity::new_root(id.clone(), self.clock.clone());
+        let activity = Activity::new_root(id.clone(), Arc::clone(&self.env));
         for (protocol, factory) in &suite.factories {
             let set = factory();
             if set.signal_set_name() != protocol {

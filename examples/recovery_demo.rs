@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let failpoints = FailpointSet::new();
         let service = ActivityService::builder().wal(Arc::clone(&wal)).build();
         let tx_factory = TransactionFactory::with_wal(Arc::clone(&wal))
-            .with_env(Env::builder().failpoints(failpoints.clone()).build());
+            .with_env(Env { failpoints: Some(failpoints.clone()), ..Default::default() }.wired());
 
         let order = service.begin("order-77")?;
         order.add_signal_set_recoverable(
@@ -164,7 +164,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     let failpoints = FailpointSet::new();
     let refund_factory = TransactionFactory::with_wal(Arc::clone(&wal))
-        .with_env(Env::builder().failpoints(failpoints.clone()).build());
+        .with_env(Env { failpoints: Some(failpoints.clone()), ..Default::default() }.wired());
     let refund = refund_factory.create()?;
     refund.coordinator().register_resource(Arc::clone(&recoverable) as Arc<dyn Resource>)?;
     refund.coordinator().register_resource(Arc::clone(&audit_mirror) as Arc<dyn Resource>)?;

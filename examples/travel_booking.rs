@@ -61,7 +61,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tel = Telemetry::with_time(Arc::new(clock.clone()));
     // One context — clock and telemetry — for the activity service and the
     // transaction factory.
-    let env = Env::builder().clock(clock.clone()).telemetry(tel.clone()).build();
+    let env = Env::wired(Env {
+        clock: clock.clone(),
+        telemetry: Some(tel.clone()),
+        ..Default::default()
+    });
     let service = ActivityService::builder().env(Arc::clone(&env)).build();
     let factory = TransactionFactory::new().with_env(env);
     let store = Arc::new(TransactionalKv::with_clock("bookings", clock.clone()));
@@ -126,8 +130,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---------------- Fig. 2: t4 aborts; compensate and continue. --------
     println!("\n== fig. 2: failure, compensation, alternative continuation ==");
     let tel = Telemetry::new();
-    let service =
-        ActivityService::builder().env(Env::builder().telemetry(tel.clone()).build()).build();
+    let env = Env { telemetry: Some(tel.clone()), ..Default::default() };
+    let service = ActivityService::builder().env(env.wired()).build();
     let factory = Arc::new(TransactionFactory::new());
     let store = Arc::new(TransactionalKv::new("bookings-2"));
 

@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One context for the engine and the activity service: workflow, task,
     // activity and signal-set spans all land in one tree.
     let telemetry = Telemetry::new();
-    let env = Env::builder().telemetry(telemetry.clone()).build();
+    let env = Env { telemetry: Some(telemetry.clone()), ..Default::default() }.wired();
     let engine = WorkflowEngine::new(graph.clone(), registry(false))?.with_env(Arc::clone(&env));
     let service = ActivityService::builder().env(env).build();
     let report = engine.run_parallel(&service, "order-1", Value::from("order#1"))?;
@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== payment declined: compensation sweep ==");
     let telemetry = Telemetry::new();
-    let env = Env::builder().telemetry(telemetry.clone()).build();
+    let env = Env { telemetry: Some(telemetry.clone()), ..Default::default() }.wired();
     let engine = WorkflowEngine::new(graph, registry(true))?
         .with_policy(FailurePolicy::CompensateAndStop)
         .with_env(Arc::clone(&env));

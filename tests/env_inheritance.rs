@@ -62,14 +62,15 @@ fn instrumented() -> World {
     let recorder = FlightRecorder::with_time(NODE, 1024, Arc::new(clock.clone()));
     let telemetry = Telemetry::with_time(Arc::new(clock.clone()));
     let failpoints = FailpointSet::new();
-    let env = Env::builder()
-        .clock(clock.clone())
-        .failpoints(failpoints.clone())
-        .detector(FailureDetector::new(clock))
-        .telemetry(telemetry.clone())
-        .recorder(recorder.clone())
-        .causality(CausalityPlane::new())
-        .build();
+    let env = Env::wired(Env {
+        clock: clock.clone(),
+        failpoints: Some(failpoints.clone()),
+        detector: Some(FailureDetector::new(clock)),
+        telemetry: Some(telemetry.clone()),
+        recorder: Some(recorder.clone()),
+        causality: Some(CausalityPlane::new()),
+        ..Default::default()
+    });
     world(env, recorder, telemetry, failpoints)
 }
 
@@ -220,7 +221,7 @@ fn absent_and_disabled_planes_record_nothing() {
     let bare = world(Env::new(), FlightRecorder::new(NODE, 8), Telemetry::disabled(), unused);
     bare.run_nested_activity_with_subtransaction();
     bare.run_two_task_workflow();
-    assert!(bare.env.recorder().is_none() && bare.env.live_telemetry().is_none());
+    assert!(bare.env.recorder.is_none() && bare.env.live_telemetry().is_none());
     assert!(bare.recorder.is_empty());
 
     // Planes present but gated off: every site reaches its gate and stops.
@@ -228,12 +229,13 @@ fn absent_and_disabled_planes_record_nothing() {
     recorder.set_enabled(false);
     let telemetry = Telemetry::disabled();
     let failpoints = FailpointSet::new();
-    let env = Env::builder()
-        .failpoints(failpoints.clone())
-        .telemetry(telemetry.clone())
-        .recorder(recorder.clone())
-        .causality(CausalityPlane::new())
-        .build();
+    let env = Env::wired(Env {
+        failpoints: Some(failpoints.clone()),
+        telemetry: Some(telemetry.clone()),
+        recorder: Some(recorder.clone()),
+        causality: Some(CausalityPlane::new()),
+        ..Default::default()
+    });
     let gated = world(env, recorder, telemetry, failpoints);
     gated.run_nested_activity_with_subtransaction();
     gated.run_two_task_workflow();

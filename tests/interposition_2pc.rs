@@ -156,7 +156,7 @@ fn interposed_spans_continue_the_superior_trace() {
     // the far side must continue the superior's trace id — one causal
     // trace spanning both organisations, not one per node.
     let telemetry = telemetry::Telemetry::new();
-    let env = Env::builder().telemetry(telemetry.clone()).build();
+    let env = Env { telemetry: Some(telemetry.clone()), ..Default::default() }.wired();
     let orb = Orb::builder().network(NetworkConfig::reliable()).env(Arc::clone(&env)).build();
     orb.add_node("superior").unwrap();
     let node = orb.add_node("org-a").unwrap();

@@ -20,7 +20,23 @@ fn query(probe: &str) -> Request {
 #[test]
 fn query_inside_an_open_partition_window_is_a_structured_error() {
     let clock = SimClock::new();
-    let orb = Orb::builder().network(NetworkConfig::reliable()).clock(clock.clone()).build();
+    // Operator-side detector, wired like a real deployment: the ORB's
+    // context mirrors its transitions into the recorder and counts them in
+    // the metrics registry.
+    let recorder = telemetry::FlightRecorder::new("ops", 64);
+    let telemetry = telemetry::Telemetry::with_time(Arc::new(clock.clone()));
+    let detector = FailureDetector::with_config(
+        clock.clone(),
+        DetectorConfig { suspect_after: 1, quarantine_after: 2, ..DetectorConfig::default() },
+    );
+    let env = Env::wired(Env {
+        clock: clock.clone(),
+        detector: Some(detector.clone()),
+        telemetry: Some(telemetry.clone()),
+        recorder: Some(recorder.clone()),
+        ..Default::default()
+    });
+    let orb = Orb::builder().network(NetworkConfig::reliable()).env(env).build();
     let ops = orb.add_node("ops").expect("ops node");
     let target = orb.add_node("target").expect("target node");
     let (surface, object) = Introspection::install(&target).expect("install surface");
@@ -29,21 +45,6 @@ fn query_inside_an_open_partition_window_is_a_structured_error() {
     // Sanity: the surface answers over the wire before the window opens.
     let reply = ops.invoke(&object, query("status")).expect("pre-partition query");
     assert_eq!(reply.result.as_str(), Some("alive\n"));
-
-    // Operator-side detector, wired like a real deployment: transitions
-    // mirror into the recorder and count in the metrics registry.
-    let recorder = telemetry::FlightRecorder::new("ops", 64);
-    let telemetry = telemetry::Telemetry::with_time(Arc::new(clock.clone()));
-    let detector = FailureDetector::with_config(
-        clock.clone(),
-        DetectorConfig { suspect_after: 1, quarantine_after: 2, ..DetectorConfig::default() },
-    );
-    let _ops_env = Env::builder()
-        .clock(clock.clone())
-        .detector(detector.clone())
-        .telemetry(telemetry.clone())
-        .recorder(recorder.clone())
-        .build();
 
     // Cut the target off for a window that covers "now".
     let window = Duration::from_micros(2_000);

@@ -19,7 +19,7 @@ use recovery_log::{
 /// A logged factory whose coordinators pass `failpoints`.
 fn failpoint_factory(wal: &Arc<dyn Wal>, failpoints: &FailpointSet) -> TransactionFactory {
     TransactionFactory::with_wal(Arc::clone(wal))
-        .with_env(Env::builder().failpoints(failpoints.clone()).build())
+        .with_env(Env { failpoints: Some(failpoints.clone()), ..Default::default() }.wired())
 }
 
 /// One crash-matrix cell: crash at `failpoint`, recover, and state whether

@@ -33,11 +33,12 @@ fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb, Strin
     let telemetry = Telemetry::with_time(Arc::new(clock.clone()));
     let failpoints = FailpointSet::new();
     schedule.arm_into(&failpoints);
-    let env = Env::builder()
-        .clock(clock)
-        .failpoints(failpoints)
-        .telemetry(telemetry.clone())
-        .build();
+    let env = Env::wired(Env {
+        clock,
+        failpoints: Some(failpoints),
+        telemetry: Some(telemetry.clone()),
+        ..Default::default()
+    });
     let orb = Orb::builder()
         .network(NetworkConfig::lossy(0.0, 0.0, 0x5EED_0001))
         .env(Arc::clone(&env))
@@ -140,11 +141,12 @@ fn detector_transition_counts_match_the_injected_fault_run() {
             probe_interval: Duration::from_millis(50),
         },
     );
-    let env = Env::builder()
-        .clock(clock)
-        .detector(detector.clone())
-        .telemetry(telemetry.clone())
-        .build();
+    let env = Env::wired(Env {
+        clock,
+        detector: Some(detector.clone()),
+        telemetry: Some(telemetry.clone()),
+        ..Default::default()
+    });
     let orb = Orb::builder().env(env).build();
     orb.network().install_script(
         FaultScript::new().drop_nth(0).drop_nth(1).drop_nth(2).drop_nth(3).drop_nth(4),
