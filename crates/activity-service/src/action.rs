@@ -117,7 +117,7 @@ impl Servant for ActionServant {
 pub struct RemoteActionProxy {
     name: String,
     orb: Orb,
-    from_node: String,
+    from_node: Arc<str>,
     target: orb::ObjectRef,
     policy: RetryPolicy,
     deadline: Option<Duration>,
@@ -128,7 +128,7 @@ impl RemoteActionProxy {
     pub fn new(
         name: impl Into<String>,
         orb: Orb,
-        from_node: impl Into<String>,
+        from_node: impl Into<Arc<str>>,
         target: orb::ObjectRef,
     ) -> Self {
         RemoteActionProxy {
@@ -173,12 +173,13 @@ impl Action for RemoteActionProxy {
         // retry and every duplicate of this call shares it, so a
         // `DedupWindow` on the server side is effect-once even when the
         // remote action itself is not wrapped in `ExactlyOnceAction`.
-        if let Some(id) = signal.delivery_id() {
-            request.set_delivery_id(id);
+        if let Some(id) = signal.shared_delivery_id() {
+            request.set_delivery_id(Arc::clone(id));
         }
+        let from = Arc::clone(&self.from_node);
         let reply = self
             .orb
-            .invoke_with_policy(&self.from_node, &self.target, request, &self.policy, self.deadline)
+            .invoke_with_policy(from, &self.target, request, &self.policy, self.deadline)
             .map_err(|e| ActionError::new(e.to_string()))?;
         Outcome::from_value(&reply.result).map_err(|e: ActivityError| ActionError::new(e.to_string()))
     }

@@ -33,18 +33,59 @@ pub struct ActivityContext {
     pub by_reference: Vec<String>,
 }
 
+/// Wire form of one chain link.
+fn entry_value(id: ActivityId, name: &str) -> Value {
+    let mut m = ValueMap::new();
+    m.insert("id".into(), Value::U64(id.raw()));
+    m.insert("name".into(), Value::from(name));
+    Value::Map(m)
+}
+
+/// Wire form of a whole context, from its three parts already in wire form.
+fn context_value(chain: Vec<Value>, properties: Vec<(String, ValueMap)>, by_ref: Vec<String>) -> Value {
+    let properties: Vec<Value> = properties
+        .into_iter()
+        .map(|(name, snapshot)| {
+            let mut m = ValueMap::new();
+            m.insert("group".into(), Value::Str(name));
+            m.insert("values".into(), Value::Map(snapshot));
+            Value::Map(m)
+        })
+        .collect();
+    let mut m = ValueMap::new();
+    m.insert("chain".into(), Value::List(chain));
+    m.insert("properties".into(), Value::List(properties));
+    m.insert("by_ref".into(), Value::List(by_ref.into_iter().map(Value::Str).collect()));
+    Value::Map(m)
+}
+
+/// `link` of every activity from the root down to `activity`.
+fn chain_of<T>(activity: &Activity, link: impl Fn(&Activity) -> T) -> Vec<T> {
+    let mut chain = Vec::new();
+    let mut cursor = Some(activity.clone());
+    while let Some(a) = cursor {
+        chain.push(link(&a));
+        cursor = a.parent();
+    }
+    chain.reverse();
+    chain
+}
+
 impl ActivityContext {
+    /// The wire form of `activity`'s context, marshalled straight from the
+    /// activity chain: equal to `ActivityContext::capture(activity).to_value()`
+    /// without building the intermediate context. This is what the client
+    /// interceptor stamps on every outgoing request.
+    pub fn marshal(activity: &Activity) -> Value {
+        let chain = chain_of(activity, |a| entry_value(a.id(), a.name()));
+        let properties = activity.properties();
+        context_value(chain, properties.propagated_by_value(), properties.propagated_by_reference())
+    }
+
     /// Capture the context of `activity` (including its ancestors).
     pub fn capture(activity: &Activity) -> Self {
-        let mut chain = Vec::new();
-        let mut cursor = Some(activity.clone());
-        while let Some(a) = cursor {
-            chain.push(ContextEntry { id: a.id(), name: a.name().to_owned() });
-            cursor = a.parent();
-        }
-        chain.reverse();
         ActivityContext {
-            chain,
+            chain: chain_of(activity, |a| ContextEntry { id: a.id(), name: a.name().to_owned() }),
             properties: activity.properties().propagated_by_value(),
             by_reference: activity.properties().propagated_by_reference(),
         }
@@ -62,33 +103,8 @@ impl ActivityContext {
 
     /// Serialise for the ORB service-context slot.
     pub fn to_value(&self) -> Value {
-        let chain: Vec<Value> = self
-            .chain
-            .iter()
-            .map(|e| {
-                let mut m = ValueMap::new();
-                m.insert("id".into(), Value::U64(e.id.raw()));
-                m.insert("name".into(), Value::Str(e.name.clone()));
-                Value::Map(m)
-            })
-            .collect();
-        let properties: Vec<Value> = self
-            .properties
-            .iter()
-            .map(|(name, snapshot)| {
-                let mut m = ValueMap::new();
-                m.insert("group".into(), Value::Str(name.clone()));
-                m.insert("values".into(), Value::Map(snapshot.clone()));
-                Value::Map(m)
-            })
-            .collect();
-        let by_reference: Vec<Value> =
-            self.by_reference.iter().map(|n| Value::Str(n.clone())).collect();
-        let mut m = ValueMap::new();
-        m.insert("chain".into(), Value::List(chain));
-        m.insert("properties".into(), Value::List(properties));
-        m.insert("by_ref".into(), Value::List(by_reference));
-        Value::Map(m)
+        let chain = self.chain.iter().map(|e| entry_value(e.id, &e.name)).collect();
+        context_value(chain, self.properties.clone(), self.by_reference.clone())
     }
 
     /// Inverse of [`ActivityContext::to_value`].
@@ -199,6 +215,26 @@ mod tests {
         // Binary codec too.
         let back2 = ActivityContext::from_value(&Value::decode(&v.encode()).unwrap()).unwrap();
         assert_eq!(back2, ctx);
+    }
+
+    #[test]
+    fn marshal_is_capture_then_to_value_without_the_copy() {
+        let root = Activity::new_root("root", SimClock::new());
+        let by_value = BasicPropertyGroup::new(PropertyGroupSpec::new("env"));
+        by_value.set("locale", Value::from("en"));
+        root.properties().register(by_value);
+        let child = root.begin_child("child").unwrap();
+        child.properties().register(BasicPropertyGroup::new(
+            PropertyGroupSpec::new("shared-cfg").propagation(Propagation::ByReference),
+        ));
+        for activity in [&root, &child] {
+            let marshalled = ActivityContext::marshal(activity);
+            assert_eq!(marshalled, ActivityContext::capture(activity).to_value());
+            assert_eq!(
+                ActivityContext::from_value(&marshalled).unwrap(),
+                ActivityContext::capture(activity)
+            );
+        }
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl Action for ExactlyOnceAction {
         m.insert("id".into(), orb::Value::from(id));
         m.insert("outcome".into(), outcome.to_value());
         self.wal
-            .append(KIND_SIGNAL_PROCESSED, &orb::Value::Map(m).encode())
+            .append(KIND_SIGNAL_PROCESSED, &orb::Value::Map(m).encode_to_vec())
             .map_err(|e| ActionError::new(e.to_string()))?;
         self.processed.lock().insert(id.to_owned(), outcome.clone());
         Ok(outcome)

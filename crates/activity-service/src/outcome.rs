@@ -1,5 +1,6 @@
 //! Outcomes: what Actions return and what SignalSets collate.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use orb::{Value, ValueMap};
@@ -15,15 +16,18 @@ pub const OUTCOME_ERROR: &str = "error";
 
 /// The result of an Action processing a Signal, and also the collated result
 /// a SignalSet reports for a whole protocol run.
+///
+/// Outcome names are a protocol's constants (`"done"`, `"abort"`, …), held
+/// static-or-owned so the conventional outcomes allocate nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Outcome {
-    name: String,
+    name: Cow<'static, str>,
     data: Value,
 }
 
 impl Outcome {
     /// An outcome with no payload.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
         Outcome { name: name.into(), data: Value::Null }
     }
 
@@ -73,7 +77,7 @@ impl Outcome {
     /// Serialise for transport/logging.
     pub fn to_value(&self) -> Value {
         let mut m = ValueMap::new();
-        m.insert("name".into(), Value::Str(self.name.clone()));
+        m.insert("name".into(), Value::from(&*self.name));
         m.insert("data".into(), self.data.clone());
         Value::Map(m)
     }
@@ -92,7 +96,7 @@ impl Outcome {
             .and_then(Value::as_str)
             .ok_or_else(|| ActivityError::Context("outcome missing name".into()))?;
         let data = m.get("data").cloned().unwrap_or(Value::Null);
-        Ok(Outcome { name: name.to_owned(), data })
+        Ok(Outcome { name: name.to_owned().into(), data })
     }
 }
 

@@ -134,7 +134,7 @@ impl PropertyGroup for BasicPropertyGroup {
     }
 
     fn set(&self, key: &str, value: Value) {
-        self.store.write().insert(key.to_owned(), value);
+        self.store.write().insert(key.to_owned().into(), value);
     }
 
     fn remove(&self, key: &str) -> Option<Value> {

@@ -50,12 +50,10 @@ impl std::fmt::Debug for ActivityLogger {
     }
 }
 
-fn record(fields: &[(&str, Value)]) -> Vec<u8> {
-    let mut m = ValueMap::new();
-    for (k, v) in fields {
-        m.insert((*k).to_owned(), v.clone());
-    }
-    Value::Map(m).encode().to_vec()
+/// One log record's payload: the fields as a map, encoded straight into
+/// the buffer handed to the log.
+fn record(fields: impl IntoIterator<Item = (&'static str, Value)>) -> Vec<u8> {
+    fields.into_iter().collect::<Value>().encode_to_vec()
 }
 
 impl ActivityLogger {
@@ -75,14 +73,9 @@ impl ActivityLogger {
         name: &str,
         parent: Option<ActivityId>,
     ) -> Result<(), ActivityError> {
-        let mut fields = vec![
-            ("id", Value::U64(id.raw())),
-            ("name", Value::from(name)),
-        ];
-        if let Some(parent) = parent {
-            fields.push(("parent", Value::U64(parent.raw())));
-        }
-        self.wal.append(KIND_ACT_BEGUN, &record(&fields))?;
+        let parent = parent.map(|parent| ("parent", Value::U64(parent.raw())));
+        let fields = [("id", Value::U64(id.raw())), ("name", Value::from(name))];
+        self.wal.append(KIND_ACT_BEGUN, &record(fields.into_iter().chain(parent)))?;
         Ok(())
     }
 
@@ -94,7 +87,7 @@ impl ActivityLogger {
     ) -> Result<(), ActivityError> {
         self.wal.append(
             KIND_ACT_SIGNAL_SET,
-            &record(&[
+            &record([
                 ("id", Value::U64(id.raw())),
                 ("set", Value::from(set_name)),
                 ("factory", Value::from(factory)),
@@ -111,7 +104,7 @@ impl ActivityLogger {
     ) -> Result<(), ActivityError> {
         self.wal.append(
             KIND_ACT_ACTION,
-            &record(&[
+            &record([
                 ("id", Value::U64(id.raw())),
                 ("set", Value::from(set_name)),
                 ("factory", Value::from(factory)),
@@ -127,7 +120,7 @@ impl ActivityLogger {
     ) -> Result<(), ActivityError> {
         self.wal.append(
             KIND_ACT_STATUS,
-            &record(&[("id", Value::U64(id.raw())), ("status", Value::from(status.as_str()))]),
+            &record([("id", Value::U64(id.raw())), ("status", Value::from(status.as_str()))]),
         )?;
         Ok(())
     }
@@ -139,7 +132,7 @@ impl ActivityLogger {
     ) -> Result<(), ActivityError> {
         self.wal.append(
             KIND_ACT_COMPLETION_SET,
-            &record(&[("id", Value::U64(id.raw())), ("set", Value::from(set_name))]),
+            &record([("id", Value::U64(id.raw())), ("set", Value::from(set_name))]),
         )?;
         Ok(())
     }
@@ -156,7 +149,7 @@ impl ActivityLogger {
         // re-drives any activity without a completion record).
         self.wal.append_durable(
             KIND_ACT_COMPLETED,
-            &record(&[
+            &record([
                 ("id", Value::U64(id.raw())),
                 ("status", Value::from(status.as_str())),
                 ("outcome", Value::from(outcome)),

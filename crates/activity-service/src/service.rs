@@ -358,10 +358,9 @@ impl ClientRequestInterceptor for ActivityClientInterceptor {
 
     fn send_request(&self, request: &mut Request) -> Result<(), orb::OrbError> {
         if let Some(activity) = CURRENT.with(|c| c.borrow().last().cloned()) {
-            let context = ActivityContext::capture(&activity);
             request
                 .contexts_mut()
-                .set(ACTIVITY_SERVICE_CONTEXT, context.to_value());
+                .set(ACTIVITY_SERVICE_CONTEXT, ActivityContext::marshal(&activity));
         }
         Ok(())
     }

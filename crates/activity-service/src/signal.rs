@@ -12,7 +12,9 @@
 //!
 //! The CORBA `any` is rendered as [`orb::Value`].
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use orb::{Value, ValueMap};
 
@@ -23,17 +25,25 @@ use crate::error::ActivityError;
 /// "The information encoded within a Signal will depend upon the
 /// implementation of the extended transaction model" — hence the open
 /// [`Value`] payload.
+///
+/// A protocol's signal and set names are constants, so they are held
+/// static-or-owned and a signal built from literals allocates nothing; the
+/// delivery id is a shared handle that the remote proxy passes on to the
+/// request (and the receiver's dedup window) without copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Signal {
-    name: String,
-    signal_set_name: String,
+    name: Cow<'static, str>,
+    signal_set_name: Cow<'static, str>,
     data: Value,
-    delivery_id: Option<String>,
+    delivery_id: Option<Arc<str>>,
 }
 
 impl Signal {
     /// A signal with no payload.
-    pub fn new(name: impl Into<String>, signal_set_name: impl Into<String>) -> Self {
+    pub fn new(
+        name: impl Into<Cow<'static, str>>,
+        signal_set_name: impl Into<Cow<'static, str>>,
+    ) -> Self {
         Signal {
             name: name.into(),
             signal_set_name: signal_set_name.into(),
@@ -54,7 +64,7 @@ impl Signal {
     /// logical signal (at-least-once semantics, §3.4) is recognisable —
     /// the hook [`crate::exactly_once::ExactlyOnceAction`] builds on.
     #[must_use]
-    pub fn with_delivery_id(mut self, delivery_id: impl Into<String>) -> Self {
+    pub fn with_delivery_id(mut self, delivery_id: impl Into<Arc<str>>) -> Self {
         self.delivery_id = Some(delivery_id.into());
         self
     }
@@ -62,6 +72,11 @@ impl Signal {
     /// The delivery id, if one was stamped.
     pub fn delivery_id(&self) -> Option<&str> {
         self.delivery_id.as_deref()
+    }
+
+    /// The delivery id as the shared handle it travels in.
+    pub fn shared_delivery_id(&self) -> Option<&Arc<str>> {
+        self.delivery_id.as_ref()
     }
 
     /// The signal's name (e.g. `"prepare"`, `"outcome"`).
@@ -82,11 +97,11 @@ impl Signal {
     /// Serialise for transport/logging.
     pub fn to_value(&self) -> Value {
         let mut m = ValueMap::new();
-        m.insert("name".into(), Value::Str(self.name.clone()));
-        m.insert("set".into(), Value::Str(self.signal_set_name.clone()));
+        m.insert("name".into(), Value::from(&*self.name));
+        m.insert("set".into(), Value::from(&*self.signal_set_name));
         m.insert("data".into(), self.data.clone());
         if let Some(id) = &self.delivery_id {
-            m.insert("delivery".into(), Value::Str(id.clone()));
+            m.insert("delivery".into(), Value::from(&**id));
         }
         Value::Map(m)
     }
@@ -109,8 +124,13 @@ impl Signal {
             .and_then(Value::as_str)
             .ok_or_else(|| ActivityError::Context("signal missing set".into()))?;
         let data = m.get("data").cloned().unwrap_or(Value::Null);
-        let delivery_id = m.get("delivery").and_then(Value::as_str).map(str::to_owned);
-        Ok(Signal { name: name.to_owned(), signal_set_name: set.to_owned(), data, delivery_id })
+        let delivery_id = m.get("delivery").and_then(Value::as_str).map(Arc::from);
+        Ok(Signal {
+            name: name.to_owned().into(),
+            signal_set_name: set.to_owned().into(),
+            data,
+            delivery_id,
+        })
     }
 }
 

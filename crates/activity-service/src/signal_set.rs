@@ -140,7 +140,7 @@ impl BroadcastSignalSet {
     /// Broadcast `signal_name` (with `data`) under this set's name.
     pub fn new(set_name: impl Into<String>, signal_name: impl Into<String>, data: orb::Value) -> Self {
         let set_name = set_name.into();
-        let signal = Signal::new(signal_name, set_name.clone()).with_data(data);
+        let signal = Signal::new(signal_name.into(), set_name.clone()).with_data(data);
         BroadcastSignalSet {
             set_name,
             signal: Some(signal),

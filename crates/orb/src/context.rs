@@ -6,10 +6,10 @@
 //! the current activity context on every invocation (paper fig. 3: the
 //! framework sits beside the ORB and piggybacks on its requests).
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 use crate::error::OrbError;
-use crate::value::Value;
+use crate::value::{Value, ValueMap};
 
 /// Well-known service-context id used by the Activity Service.
 pub const ACTIVITY_SERVICE_CONTEXT: &str = "ActivityService";
@@ -22,7 +22,7 @@ pub const TRANSACTION_SERVICE_CONTEXT: &str = "TransactionService";
 /// they are encoded with the same codec as [`Value`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceContext {
-    entries: BTreeMap<String, Value>,
+    entries: ValueMap,
 }
 
 impl ServiceContext {
@@ -31,8 +31,9 @@ impl ServiceContext {
         Self::default()
     }
 
-    /// Attach (or replace) the entry for `service_id`.
-    pub fn set(&mut self, service_id: impl Into<String>, payload: Value) {
+    /// Attach (or replace) the entry for `service_id`. The well-known ids
+    /// are constants, so stamping one allocates no key.
+    pub fn set(&mut self, service_id: impl Into<Cow<'static, str>>, payload: Value) {
         self.entries.insert(service_id.into(), payload);
     }
 
@@ -58,7 +59,7 @@ impl ServiceContext {
 
     /// Iterate over `(service_id, payload)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Encode all entries into a single [`Value`] (used by the transport).
@@ -81,15 +82,15 @@ impl ServiceContext {
     }
 }
 
-impl FromIterator<(String, Value)> for ServiceContext {
-    fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
-        ServiceContext { entries: iter.into_iter().collect() }
+impl<K: Into<Cow<'static, str>>> FromIterator<(K, Value)> for ServiceContext {
+    fn from_iter<T: IntoIterator<Item = (K, Value)>>(iter: T) -> Self {
+        ServiceContext { entries: iter.into_iter().map(|(k, v)| (k.into(), v)).collect() }
     }
 }
 
-impl Extend<(String, Value)> for ServiceContext {
-    fn extend<T: IntoIterator<Item = (String, Value)>>(&mut self, iter: T) {
-        self.entries.extend(iter);
+impl<K: Into<Cow<'static, str>>> Extend<(K, Value)> for ServiceContext {
+    fn extend<T: IntoIterator<Item = (K, Value)>>(&mut self, iter: T) {
+        self.entries.extend(iter.into_iter().map(|(k, v)| (k.into(), v)));
     }
 }
 

@@ -33,9 +33,10 @@ use crate::message::Request;
 use crate::object::Servant;
 use crate::value::Value;
 
+/// Map key and eviction-queue entry of one id are the same shared text.
 struct WindowInner {
-    cached: HashMap<String, Value>,
-    order: VecDeque<String>,
+    cached: HashMap<Arc<str>, Value>,
+    order: VecDeque<Arc<str>>,
 }
 
 /// A bounded delivery-id → result memo table.
@@ -74,9 +75,15 @@ impl DedupWindow {
     /// past capacity. Recording the same id again refreshes the value
     /// without growing the window.
     pub fn record(&self, delivery_id: &str, result: Value) {
+        self.record_shared(Arc::from(delivery_id), result);
+    }
+
+    /// [`DedupWindow::record`] for an id that already travels as a shared
+    /// handle (a stamped request's): the window keeps the handle, not a copy.
+    fn record_shared(&self, delivery_id: Arc<str>, result: Value) {
         let mut inner = self.inner.lock();
-        if inner.cached.insert(delivery_id.to_owned(), result).is_none() {
-            inner.order.push_back(delivery_id.to_owned());
+        if inner.cached.insert(Arc::clone(&delivery_id), result).is_none() {
+            inner.order.push_back(delivery_id);
             while inner.order.len() > self.capacity {
                 if let Some(evicted) = inner.order.pop_front() {
                     inner.cached.remove(&evicted);
@@ -138,7 +145,7 @@ impl DedupServant {
 
 impl Servant for DedupServant {
     fn dispatch(&self, request: &Request) -> Result<Value, OrbError> {
-        let Some(id) = request.delivery_id() else {
+        let Some(id) = request.shared_delivery_id() else {
             return self.inner.dispatch(request);
         };
         if let Some(memo) = self.window.lookup(id) {
@@ -148,7 +155,7 @@ impl Servant for DedupServant {
             return Ok(memo);
         }
         let result = self.inner.dispatch(request)?;
-        self.window.record(id, result.clone());
+        self.window.record_shared(Arc::clone(id), result.clone());
         Ok(result)
     }
 }
@@ -177,6 +184,17 @@ mod tests {
         // A different id is a different logical request.
         let req2 = Request::new("hit").with_delivery_id("d-2");
         assert_eq!(servant.dispatch(&req2).unwrap(), Value::U64(2));
+    }
+
+    #[test]
+    fn the_window_keeps_the_requests_id_not_a_copy_of_it() {
+        let hits = Arc::new(AtomicU32::new(0));
+        let servant = DedupServant::new(counting_servant(hits), Arc::new(DedupWindow::new(8)));
+        let id: Arc<str> = Arc::from("d-1");
+        let req = Request::new("hit").with_delivery_id(Arc::clone(&id));
+        servant.dispatch(&req).unwrap();
+        assert_eq!(Arc::strong_count(&id), 4, "ours, the request's, the map key, the queue entry");
+        assert_eq!(servant.window().lookup("d-1"), Some(Value::U64(1)));
     }
 
     #[test]

@@ -27,6 +27,11 @@ pub trait ClientRequestInterceptor: Send + Sync {
     /// Called before the request leaves the client node. May attach service
     /// contexts or veto the call by returning an error.
     ///
+    /// A retry sends the *same* request again, still carrying what this
+    /// interceptor attached on the previous attempt: attach with
+    /// [`crate::ServiceContext::set`], which replaces, so every attempt
+    /// leaves as a fresh copy would.
+    ///
     /// # Errors
     ///
     /// Returning an error aborts the invocation with
@@ -221,10 +226,7 @@ impl ClientRequestInterceptor for LamportClientInterceptor {
     }
 
     fn send_request(&self, request: &mut Request) -> Result<(), OrbError> {
-        let (Some(from), Some(to)) = (
-            request.source().map(str::to_owned),
-            request.target().map(str::to_owned),
-        ) else {
+        let Some((from, to)) = request.route().map(|(from, to)| (from.clone(), to.clone())) else {
             // Unrouted request (constructed outside the invoke path):
             // nothing to stamp against.
             return Ok(());

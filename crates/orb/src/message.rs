@@ -1,41 +1,45 @@
 //! Request and reply messages exchanged between nodes.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::context::ServiceContext;
 use crate::value::{Value, ValueMap};
 
 /// An invocation request: an operation name, named arguments, and the
 /// service contexts that interceptors piggyback on the call.
+///
+/// Operation and argument names are static-or-owned (a literal costs
+/// nothing); the delivery id and the route are shared handles, so stamping
+/// them from a [`crate::ObjectRef`], a node or a signal copies no text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
-    operation: String,
+    pub(crate) operation: Cow<'static, str>,
     args: ValueMap,
     contexts: ServiceContext,
-    delivery_id: Option<String>,
+    delivery_id: Option<Arc<str>>,
     /// Route stamped by the invoke path before client interceptors run:
     /// source node name and target node name. Interceptors (e.g. the
     /// Lamport pair) read these to pick the right per-node state.
-    source: Option<String>,
-    target: Option<String>,
+    route: Option<(Arc<str>, Arc<str>)>,
 }
 
 impl Request {
     /// Create a request for `operation` with no arguments.
-    pub fn new(operation: impl Into<String>) -> Self {
+    pub fn new(operation: impl Into<Cow<'static, str>>) -> Self {
         Request {
             operation: operation.into(),
             args: ValueMap::new(),
             contexts: ServiceContext::new(),
             delivery_id: None,
-            source: None,
-            target: None,
+            route: None,
         }
     }
 
     /// Builder-style: add a named argument.
     #[must_use]
-    pub fn with_arg(mut self, name: impl Into<String>, value: Value) -> Self {
+    pub fn with_arg(mut self, name: impl Into<Cow<'static, str>>, value: Value) -> Self {
         self.args.insert(name.into(), value);
         self
     }
@@ -44,14 +48,14 @@ impl Request {
     /// network duplicate of this request carries the same id, so receivers
     /// behind a [`crate::dedup::DedupWindow`] process it effect-once.
     #[must_use]
-    pub fn with_delivery_id(mut self, id: impl Into<String>) -> Self {
+    pub fn with_delivery_id(mut self, id: impl Into<Arc<str>>) -> Self {
         self.delivery_id = Some(id.into());
         self
     }
 
     /// Stamp the logical delivery id in place (the invoke path uses this to
     /// stamp once per logical call, before the first attempt).
-    pub fn set_delivery_id(&mut self, id: impl Into<String>) {
+    pub fn set_delivery_id(&mut self, id: impl Into<Arc<str>>) {
         self.delivery_id = Some(id.into());
     }
 
@@ -60,21 +64,31 @@ impl Request {
         self.delivery_id.as_deref()
     }
 
+    /// The delivery id as the shared handle it travels in: receivers that
+    /// keep it (the [`crate::dedup::DedupWindow`]) clone this, not the text.
+    pub fn shared_delivery_id(&self) -> Option<&Arc<str>> {
+        self.delivery_id.as_ref()
+    }
+
     /// Stamp the route (source and target node names). The invoke path
     /// calls this once, before the client interceptors run.
-    pub fn set_route(&mut self, source: impl Into<String>, target: impl Into<String>) {
-        self.source = Some(source.into());
-        self.target = Some(target.into());
+    pub fn set_route(&mut self, source: impl Into<Arc<str>>, target: impl Into<Arc<str>>) {
+        self.route = Some((source.into(), target.into()));
+    }
+
+    /// The route `(source, target)` as shared handles, once routed.
+    pub fn route(&self) -> Option<(&Arc<str>, &Arc<str>)> {
+        self.route.as_ref().map(|(source, target)| (source, target))
     }
 
     /// The source node name, once routed.
     pub fn source(&self) -> Option<&str> {
-        self.source.as_deref()
+        self.route.as_ref().map(|(source, _)| &**source)
     }
 
     /// The target node name, once routed.
     pub fn target(&self) -> Option<&str> {
-        self.target.as_deref()
+        self.route.as_ref().map(|(_, target)| &**target)
     }
 
     /// The operation name.
@@ -152,7 +166,7 @@ mod tests {
         assert!(req.delivery_id().is_none());
         let mut req = req.with_delivery_id("coordinator#7");
         assert_eq!(req.delivery_id(), Some("coordinator#7"));
-        // Retries clone the stamped request: the id rides along.
+        // A caller's copy of a stamped request is the same logical call.
         assert_eq!(req.clone().delivery_id(), Some("coordinator#7"));
         req.set_delivery_id("coordinator#8");
         assert_eq!(req.delivery_id(), Some("coordinator#8"));

@@ -29,7 +29,7 @@ use crate::value::Value;
 pub const EXTERNAL_CALLER: &str = "<external>";
 
 struct NodeInner {
-    name: String,
+    name: Arc<str>,
     seq: u64,
     orb: Weak<OrbInner>,
     servants: RwLock<HashMap<ObjectId, Arc<dyn Servant>>>,
@@ -70,7 +70,7 @@ impl Node {
     /// Returns [`OrbError::NodeNotFound`] if the owning ORB has been dropped.
     pub fn activate<S: Servant + 'static>(
         &self,
-        interface: impl Into<String>,
+        interface: impl Into<Arc<str>>,
         servant: S,
     ) -> Result<ObjectRef, OrbError> {
         self.activate_arc(interface, Arc::new(servant))
@@ -83,18 +83,18 @@ impl Node {
     /// Returns [`OrbError::NodeNotFound`] if the owning ORB has been dropped.
     pub fn activate_arc(
         &self,
-        interface: impl Into<String>,
+        interface: impl Into<Arc<str>>,
         servant: Arc<dyn Servant>,
     ) -> Result<ObjectRef, OrbError> {
         if self.inner.orb.upgrade().is_none() {
-            return Err(OrbError::NodeNotFound(self.inner.name.clone()));
+            return Err(OrbError::NodeNotFound(self.inner.name.to_string()));
         }
         let id = ObjectId::new(
             self.inner.seq,
             self.inner.object_seq.fetch_add(1, Ordering::Relaxed),
         );
         self.inner.servants.write().insert(id, servant);
-        Ok(ObjectRef::new(id, self.inner.name.clone(), interface))
+        Ok(ObjectRef::new(id, Arc::clone(&self.inner.name), interface))
     }
 
     /// Deactivate the object; later invocations fail with
@@ -114,24 +114,40 @@ impl Node {
     ///
     /// Propagates transport errors ([`OrbError::Timeout`],
     /// [`OrbError::Partitioned`]) and servant failures.
-    pub fn invoke(&self, object: &ObjectRef, request: Request) -> Result<Reply, OrbError> {
+    pub fn invoke(&self, object: &ObjectRef, mut request: Request) -> Result<Reply, OrbError> {
         let orb = self
             .inner
             .orb
             .upgrade()
-            .ok_or_else(|| OrbError::NodeNotFound(self.inner.name.clone()))?;
-        orb.invoke_from(&self.inner.name, object, request)
+            .ok_or_else(|| OrbError::NodeNotFound(self.inner.name.to_string()))?;
+        orb.invoke_from(&self.inner.name, object, &mut request)
     }
+}
+
+/// An interceptor list as the invoke path reads it: an immutable snapshot
+/// swapped whole on registration (cold), so a call clones one `Arc` instead
+/// of the list.
+type Snapshot<T> = RwLock<Arc<[Arc<T>]>>;
+
+fn publish<T: ?Sized>(list: &Snapshot<T>, item: Arc<T>) {
+    let mut list = list.write();
+    *list = list.iter().cloned().chain(std::iter::once(item)).collect();
+}
+
+fn snapshot<T: ?Sized>(list: &Snapshot<T>) -> Arc<[Arc<T>]> {
+    Arc::clone(&list.read())
 }
 
 struct OrbInner {
     network: SimulatedNetwork,
-    nodes: RwLock<HashMap<String, Arc<NodeInner>>>,
+    nodes: RwLock<HashMap<Arc<str>, Arc<NodeInner>>>,
     node_seq: AtomicU64,
-    client_interceptors: RwLock<Vec<Arc<dyn ClientRequestInterceptor>>>,
-    server_interceptors: RwLock<Vec<Arc<dyn ServerRequestInterceptor>>>,
+    client_interceptors: Snapshot<dyn ClientRequestInterceptor>,
+    server_interceptors: Snapshot<dyn ServerRequestInterceptor>,
     registry: NameRegistry,
     delivery_seq: AtomicU64,
+    /// [`EXTERNAL_CALLER`] as the shared handle requests are routed with.
+    external: Arc<str>,
     env: Arc<Env>,
 }
 
@@ -205,10 +221,11 @@ impl OrbBuilder {
                 network,
                 nodes: RwLock::new(HashMap::new()),
                 node_seq: AtomicU64::new(1),
-                client_interceptors: RwLock::new(Vec::new()),
-                server_interceptors: RwLock::new(Vec::new()),
+                client_interceptors: RwLock::new(Arc::from([])),
+                server_interceptors: RwLock::new(Arc::from([])),
                 registry: NameRegistry::new(),
                 delivery_seq: AtomicU64::new(1),
+                external: Arc::from(EXTERNAL_CALLER),
                 env: Arc::clone(&env),
             }),
         };
@@ -249,11 +266,12 @@ impl Orb {
     pub fn add_node(&self, name: impl Into<String>) -> Result<Node, OrbError> {
         let name = name.into();
         let mut nodes = self.inner.nodes.write();
-        if nodes.contains_key(&name) {
+        if nodes.contains_key(name.as_str()) {
             return Err(OrbError::DuplicateNode(name));
         }
+        let name: Arc<str> = name.into();
         let inner = Arc::new(NodeInner {
-            name: name.clone(),
+            name: Arc::clone(&name),
             seq: self.inner.node_seq.fetch_add(1, Ordering::Relaxed),
             orb: Arc::downgrade(&self.inner),
             servants: RwLock::new(HashMap::new()),
@@ -294,12 +312,12 @@ impl Orb {
 
     /// Register a client-side interceptor (runs on every outgoing request).
     pub fn add_client_interceptor(&self, interceptor: Arc<dyn ClientRequestInterceptor>) {
-        self.inner.client_interceptors.write().push(interceptor);
+        publish(&self.inner.client_interceptors, interceptor);
     }
 
     /// Register a server-side interceptor (runs on every incoming request).
     pub fn add_server_interceptor(&self, interceptor: Arc<dyn ServerRequestInterceptor>) {
-        self.inner.server_interceptors.write().push(interceptor);
+        publish(&self.inner.server_interceptors, interceptor);
     }
 
     /// Invoke from outside the simulation (source [`EXTERNAL_CALLER`]).
@@ -308,22 +326,24 @@ impl Orb {
     ///
     /// Propagates transport errors and servant failures; see
     /// [`Node::invoke`].
-    pub fn invoke(&self, object: &ObjectRef, request: Request) -> Result<Reply, OrbError> {
-        self.inner.invoke_from(EXTERNAL_CALLER, object, request)
+    pub fn invoke(&self, object: &ObjectRef, mut request: Request) -> Result<Reply, OrbError> {
+        self.inner.invoke_from(&self.inner.external, object, &mut request)
     }
 
-    /// Invoke with an explicit source node name.
+    /// Invoke with an explicit source node name. Callers that hold the name
+    /// as an `Arc<str>` pass a clone and the request is routed without
+    /// copying it.
     ///
     /// # Errors
     ///
     /// Propagates transport errors and servant failures.
     pub fn invoke_from(
         &self,
-        from: &str,
+        from: impl Into<Arc<str>>,
         object: &ObjectRef,
-        request: Request,
+        mut request: Request,
     ) -> Result<Reply, OrbError> {
-        self.inner.invoke_from(from, object, request)
+        self.inner.invoke_from(&from.into(), object, &mut request)
     }
 
     /// One-way (fire-and-forget) invocation: the request leg goes through
@@ -331,8 +351,13 @@ impl Orb {
     /// CORBA `oneway` semantics. Returns whether the request was delivered
     /// at all (a dropped or partitioned request is reported, since the
     /// simulation knows; a real ORB would not).
-    pub fn invoke_oneway(&self, from: &str, object: &ObjectRef, request: Request) -> bool {
-        self.inner.invoke_oneway(from, object, request)
+    pub fn invoke_oneway(
+        &self,
+        from: impl Into<Arc<str>>,
+        object: &ObjectRef,
+        request: Request,
+    ) -> bool {
+        self.inner.invoke_oneway(&from.into(), object, request)
     }
 
     /// Invoke under an explicit [`RetryPolicy`] and optional absolute
@@ -347,9 +372,11 @@ impl Orb {
     ///
     /// The request is stamped with a [`Request::delivery_id`] — once per
     /// *logical* call, before the first attempt — so every retry shares the
-    /// id and dedup-guarded receivers process the call effect-once. Per
-    /// attempt, the target node's health is reported to the context's
-    /// failure detector (if any).
+    /// id and dedup-guarded receivers process the call effect-once. Every
+    /// attempt sends that one stamped request: it is borrowed, not cloned,
+    /// and the client interceptors overwrite the contexts they set on the
+    /// previous attempt. Per attempt, the target node's health is reported
+    /// to the context's failure detector (if any).
     ///
     /// # Errors
     ///
@@ -358,15 +385,18 @@ impl Orb {
     /// (including mid-backoff), and non-retryable failures immediately.
     pub fn invoke_with_policy(
         &self,
-        from: &str,
+        from: impl Into<Arc<str>>,
         object: &ObjectRef,
         mut request: Request,
         policy: &RetryPolicy,
         deadline: Option<Duration>,
     ) -> Result<Reply, OrbError> {
-        self.inner.stamp_delivery_id(from, &mut request);
-        let delivery_id = request.delivery_id().expect("stamped above").to_owned();
-        let operation = request.operation().to_owned();
+        let from = from.into();
+        self.inner.stamp_delivery_id(&from, &mut request);
+        // Handles on the two names the loop reports, so the attempts can
+        // borrow the request itself mutably.
+        let delivery_id = Arc::clone(request.shared_delivery_id().expect("stamped above"));
+        let operation = request.operation.clone();
         let detector = self.inner.env.detector.as_ref();
         let telemetry = self.inner.env.telemetry.as_ref();
         policy.run(self.clock(), deadline, &operation, &delivery_id, |attempt| {
@@ -385,7 +415,7 @@ impl Orb {
                 t.enter(span);
                 span
             });
-            let result = self.inner.invoke_from(from, object, request.clone());
+            let result = self.inner.invoke_from(&from, object, &mut request);
             if let (Some(telemetry), Some(span)) = (telemetry, &span) {
                 if let Err(e) = &result {
                     telemetry.set_attr(span, "error", &e.to_string());
@@ -416,14 +446,14 @@ impl OrbInner {
     /// Stamp the route and (if absent) a fresh delivery id — once per
     /// logical call, before client interceptors run, so every request on
     /// the wire is dedup-addressable and interceptors know both ends.
-    fn prepare_request(&self, from: &str, object: &ObjectRef, request: &mut Request) {
+    fn prepare_request(&self, from: &Arc<str>, object: &ObjectRef, request: &mut Request) {
         self.stamp_delivery_id(from, request);
-        request.set_route(from, object.node());
+        request.set_route(Arc::clone(from), Arc::clone(object.shared_node()));
     }
 
-    fn invoke_oneway(&self, from: &str, object: &ObjectRef, mut request: Request) -> bool {
+    fn invoke_oneway(&self, from: &Arc<str>, object: &ObjectRef, mut request: Request) -> bool {
         self.prepare_request(from, object, &mut request);
-        let client_interceptors: Vec<_> = self.client_interceptors.read().clone();
+        let client_interceptors = snapshot(&self.client_interceptors);
         for (ran, ci) in client_interceptors.iter().enumerate() {
             if let Err(e) = ci.send_request(&mut request) {
                 notify_exception(&client_interceptors[..ran], &request, &e);
@@ -496,10 +526,10 @@ impl OrbInner {
         request: &Request,
         copies: u32,
     ) -> Result<(Result<Value, OrbError>, ServiceContext), OrbError> {
-        let server_interceptors: Vec<_> = self.server_interceptors.read().clone();
+        let server_interceptors = snapshot(&self.server_interceptors);
         let mut first = None;
         for _ in 0..copies {
-            for si in &server_interceptors {
+            for si in server_interceptors.iter() {
                 si.receive_request(request)?;
             }
             let result = servant.dispatch(request);
@@ -512,32 +542,36 @@ impl OrbInner {
         Ok(first.expect("at least one delivery"))
     }
 
+    /// One attempt. The request is the caller's: a retry loop passes the
+    /// same one again, so what is stamped here must be idempotent (the
+    /// delivery id is kept, the route and the interceptors' contexts are
+    /// overwritten).
     fn invoke_from(
         &self,
-        from: &str,
+        from: &Arc<str>,
         object: &ObjectRef,
-        mut request: Request,
+        request: &mut Request,
     ) -> Result<Reply, OrbError> {
-        self.prepare_request(from, object, &mut request);
+        self.prepare_request(from, object, request);
         // 1. Client interceptors stamp the outgoing request. A veto
         //    partway through still notifies the interceptors that already
         //    ran, so their per-request state unwinds.
-        let client_interceptors: Vec<_> = self.client_interceptors.read().clone();
+        let client_interceptors = snapshot(&self.client_interceptors);
         for (ran, ci) in client_interceptors.iter().enumerate() {
-            if let Err(e) = ci.send_request(&mut request) {
+            if let Err(e) = ci.send_request(request) {
                 let veto = match e {
                     veto @ OrbError::InterceptorVeto(_) => veto,
                     other => OrbError::InterceptorVeto(format!("{}: {other}", ci.name())),
                 };
-                notify_exception(&client_interceptors[..ran], &request, &veto);
+                notify_exception(&client_interceptors[..ran], request, &veto);
                 return Err(veto);
             }
         }
 
-        match self.invoke_transport(from, object, &request) {
+        match self.invoke_transport(from, object, request) {
             Ok(mut reply) => {
                 for ci in client_interceptors.iter().rev() {
-                    ci.receive_reply(&request, &mut reply);
+                    ci.receive_reply(request, &mut reply);
                 }
                 Ok(reply)
             }
@@ -545,7 +579,7 @@ impl OrbInner {
                 // No reply came back (transport loss, servant failure, or
                 // a server-side veto): the error-path counterpart of
                 // `receive_reply`.
-                notify_exception(&client_interceptors, &request, &e);
+                notify_exception(&client_interceptors, request, &e);
                 Err(e)
             }
         }
@@ -1021,6 +1055,28 @@ mod tests {
         let seen = seen.lock();
         assert!(seen[0].as_deref().unwrap().starts_with(EXTERNAL_CALLER));
         assert_ne!(seen[0], seen[1], "distinct logical calls get distinct ids");
+    }
+
+    #[test]
+    fn a_request_is_routed_with_the_names_its_ends_already_hold() {
+        use parking_lot::Mutex;
+        let orb = Orb::new();
+        let client = orb.add_node("client").unwrap();
+        let server = orb.add_node("server").unwrap();
+        let routes = Arc::new(Mutex::new(Vec::new()));
+        let routes2 = Arc::clone(&routes);
+        let obj = server
+            .activate("C", move |req: &Request| {
+                let (from, to) = req.route().expect("routed by the invoke path");
+                routes2.lock().push((Arc::clone(from), Arc::clone(to)));
+                Ok(Value::Null)
+            })
+            .unwrap();
+        client.invoke(&obj, Request::new("x")).unwrap();
+        let routes = routes.lock();
+        assert!(Arc::ptr_eq(&routes[0].0, &client.inner.name), "the node's own name, not a copy");
+        assert!(Arc::ptr_eq(&routes[0].1, obj.shared_node()), "the reference's name, not a copy");
+        assert!(Arc::ptr_eq(obj.shared_node(), &server.inner.name));
     }
 
     #[test]

@@ -44,20 +44,21 @@ impl fmt::Display for ObjectId {
 
 /// A location-transparent reference to a remote (or local) object.
 ///
-/// `ObjectRef` is cheap to clone and safe to ship across the simulated
-/// network (see [`ObjectRef::to_value`] / [`ObjectRef::from_value`]); it is
-/// the analogue of a CORBA IOR.
+/// `ObjectRef` is cheap to clone (the names are shared, so a clone copies
+/// no text) and safe to ship across the simulated network (see
+/// [`ObjectRef::to_value`] / [`ObjectRef::from_value`]); it is the analogue
+/// of a CORBA IOR.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ObjectRef {
     id: ObjectId,
-    node: String,
-    interface: String,
+    node: Arc<str>,
+    interface: Arc<str>,
 }
 
 impl ObjectRef {
     /// Build a reference from its parts. Normally produced by
     /// [`crate::Node::activate`], not constructed by hand.
-    pub fn new(id: ObjectId, node: impl Into<String>, interface: impl Into<String>) -> Self {
+    pub fn new(id: ObjectId, node: impl Into<Arc<str>>, interface: impl Into<Arc<str>>) -> Self {
         ObjectRef { id, node: node.into(), interface: interface.into() }
     }
 
@@ -68,6 +69,12 @@ impl ObjectRef {
 
     /// Name of the node hosting the object.
     pub fn node(&self) -> &str {
+        &self.node
+    }
+
+    /// The hosting node's name as the shared handle the invoke path routes
+    /// requests with.
+    pub fn shared_node(&self) -> &Arc<str> {
         &self.node
     }
 
@@ -83,8 +90,8 @@ impl ObjectRef {
         let mut m = crate::value::ValueMap::new();
         m.insert("node_seq".into(), Value::U64(self.id.node_seq));
         m.insert("object_seq".into(), Value::U64(self.id.object_seq));
-        m.insert("node".into(), Value::Str(self.node.clone()));
-        m.insert("interface".into(), Value::Str(self.interface.clone()));
+        m.insert("node".into(), Value::from(&*self.node));
+        m.insert("interface".into(), Value::from(&*self.interface));
         Value::Map(m)
     }
 

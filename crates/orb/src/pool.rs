@@ -49,8 +49,17 @@ pub struct DispatchConfig {
 
 impl DispatchConfig {
     /// Fan out across the machine's available parallelism.
+    ///
+    /// The width is fixed at first use: the CPU count is read once per
+    /// process (on Linux each read walks the affinity mask and the cgroup
+    /// quota files — syscalls and allocations no per-activity default may
+    /// cost), so a later change to the affinity mask or the quota is not
+    /// seen, exactly as [`WorkerPool::global`] is sized once.
     pub fn parallel() -> Self {
-        let workers = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+        static WORKERS: OnceLock<usize> = OnceLock::new();
+        let workers = *WORKERS.get_or_init(|| {
+            std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+        });
         DispatchConfig { workers }
     }
 
@@ -341,6 +350,14 @@ impl<T> Iterator for OrderedResults<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_default_width_is_read_once() {
+        let width = DispatchConfig::parallel();
+        assert!(width.workers() >= 1);
+        assert_eq!(DispatchConfig::default(), width);
+        assert_eq!(WorkerPool::global().workers(), width.workers());
+    }
     use std::sync::atomic::AtomicUsize;
 
     #[test]

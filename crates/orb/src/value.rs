@@ -7,16 +7,22 @@
 //! so that they can cross the simulated network and be written to the
 //! recovery log.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::error::OrbError;
 
 /// An ordered attribute→value map; the tuple-space representation used by
 /// the paper's `PropertyGroup` (§3.3) and by signal payloads.
-pub type ValueMap = BTreeMap<String, Value>;
+///
+/// Keys are static-or-owned: the field names the framework itself writes
+/// (`"name"`, `"set"`, `"data"`, …) are `&'static str`s, so `"name".into()`
+/// builds a key without allocating; keys that come off the wire or out of
+/// application data are owned. Both encode to the same bytes.
+pub type ValueMap = BTreeMap<Cow<'static, str>, Value>;
 
 /// A dynamically typed value, analogous to CORBA's `any`.
 ///
@@ -62,12 +68,35 @@ impl Value {
     /// The encoding is a tag byte followed by a type-specific body; strings,
     /// byte arrays, lists and maps are length-prefixed with a `u32`.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
-        self.encode_into(&mut buf);
-        buf.freeze()
+        Bytes::from(self.encode_to_vec())
     }
 
-    fn encode_into(&self, buf: &mut BytesMut) {
+    /// [`Value::encode`] into a fresh `Vec<u8>` of exactly
+    /// [`Value::encoded_len`] bytes: one allocation, no regrowth. Log record
+    /// builders hand the result straight to `Wal::append`.
+    pub fn encode_to_vec(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// The exact number of bytes [`Value::encode`] produces.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            Value::Null => 0,
+            Value::Bool(_) => 1,
+            Value::I64(_) | Value::U64(_) | Value::F64(_) => 8,
+            Value::Str(s) => 4 + s.len(),
+            Value::Bytes(b) => 4 + b.len(),
+            Value::List(items) => 4 + items.iter().map(Value::encoded_len).sum::<usize>(),
+            Value::Map(map) => {
+                4 + map.iter().map(|(k, v)| 4 + k.len() + v.encoded_len()).sum::<usize>()
+            }
+        }
+    }
+
+    /// Append the encoding of `self` to `buf`.
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         match self {
             Value::Null => buf.put_u8(TAG_NULL),
             Value::Bool(b) => {
@@ -203,7 +232,7 @@ impl Value {
                     let key = String::from_utf8(kraw)
                         .map_err(|e| OrbError::Codec(format!("invalid utf-8 in key: {e}")))?;
                     let value = Self::decode_from(buf)?;
-                    map.insert(key, value);
+                    map.insert(Cow::Owned(key), value);
                 }
                 Ok(Value::Map(map))
             }
@@ -369,9 +398,16 @@ impl FromIterator<Value> for Value {
         Value::List(iter.into_iter().collect())
     }
 }
-impl FromIterator<(String, Value)> for Value {
-    fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
-        Value::Map(iter.into_iter().collect())
+impl<K: Into<Cow<'static, str>>> FromIterator<(K, Value)> for Value {
+    fn from_iter<T: IntoIterator<Item = (K, Value)>>(iter: T) -> Self {
+        // Inserted one by one: `BTreeMap`'s own `collect` stages the pairs
+        // in a `Vec` first, an allocation the record builders would pay
+        // per log record.
+        let mut map = ValueMap::new();
+        for (k, v) in iter {
+            map.insert(k.into(), v);
+        }
+        Value::Map(map)
     }
 }
 
@@ -405,6 +441,36 @@ mod tests {
         map.insert("list".into(), Value::List(vec![Value::I64(1), Value::Str("x".into())]));
         map.insert("inner".into(), Value::Map(ValueMap::new()));
         roundtrip(&Value::Map(map));
+    }
+
+    #[test]
+    fn static_and_owned_keys_are_one_key_and_one_encoding() {
+        let mut literal = ValueMap::new();
+        literal.insert("name".into(), Value::I64(1));
+        let mut owned = ValueMap::new();
+        owned.insert(String::from("name").into(), Value::I64(1));
+        assert!(matches!(literal.keys().next(), Some(Cow::Borrowed(_))), "a literal key is not copied");
+        assert_eq!(literal, owned);
+        let (literal, owned) = (Value::Map(literal), Value::Map(owned));
+        assert_eq!(literal.encode(), owned.encode());
+        // Keys off the wire are owned and still answer to the literal.
+        let decoded = Value::decode(&literal.encode()).unwrap();
+        assert_eq!(decoded.as_map().unwrap().get("name"), Some(&Value::I64(1)));
+        assert_eq!(decoded, literal);
+    }
+
+    #[test]
+    fn encoded_len_is_the_exact_size_of_the_encoding() {
+        let mut map = ValueMap::new();
+        map.insert("list".into(), Value::List(vec![Value::Null, Value::Bool(true), Value::F64(0.5)]));
+        map.insert("bytes".into(), Value::Bytes(vec![1, 2, 3]));
+        map.insert("text".into(), Value::from("héllo"));
+        map.insert("inner".into(), Value::Map(ValueMap::new()));
+        let value = Value::List(vec![Value::Map(map), Value::U64(7), Value::I64(-7)]);
+        assert_eq!(value.encoded_len(), value.encode().len());
+        let encoded = value.encode_to_vec();
+        assert_eq!(encoded.capacity(), encoded.len(), "allocated once, at the right size");
+        assert_eq!(encoded[..], value.encode()[..]);
     }
 
     #[test]

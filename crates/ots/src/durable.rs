@@ -199,7 +199,7 @@ impl DurableKv {
         let mut m = ValueMap::new();
         m.insert("store".into(), Value::from(self.name()));
         m.insert("state".into(), effects_to_value(&snapshot));
-        self.wal.append_durable(KIND_KV_CHECKPOINT, &Value::Map(m).encode())?;
+        self.wal.append_durable(KIND_KV_CHECKPOINT, &Value::Map(m).encode_to_vec())?;
         Ok(())
     }
 
@@ -209,7 +209,7 @@ impl DurableKv {
         m.insert("tx".into(), txid_to_value(tx));
         // Durable before acking: under a group-commit log outcomes from
         // concurrent transactions share one sync.
-        self.wal.append_durable(kind, &Value::Map(m).encode())?;
+        self.wal.append_durable(kind, &Value::Map(m).encode_to_vec())?;
         Ok(())
     }
 }
@@ -233,7 +233,7 @@ impl Resource for DurableKv {
             m.insert("effects".into(), effects_to_value(&effects));
             // Force the redo record BEFORE voting: the participant
             // contract.
-            self.wal.append_durable(KIND_KV_PREPARED, &Value::Map(m).encode())?;
+            self.wal.append_durable(KIND_KV_PREPARED, &Value::Map(m).encode_to_vec())?;
         }
         Ok(vote)
     }

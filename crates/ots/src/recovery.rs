@@ -408,7 +408,7 @@ impl RecoverableResource {
         m.insert("resource".into(), Value::from(self.name.as_str()));
         m.insert("tx".into(), txid_to_value(tx));
         m.insert("committed".into(), Value::Bool(committed));
-        self.wal.append_durable(kind, &Value::Map(m).encode())?;
+        self.wal.append_durable(kind, &Value::Map(m).encode_to_vec())?;
         Ok(())
     }
 
@@ -528,7 +528,7 @@ impl Resource for RecoverableResource {
             m.insert("coordinator".into(), Value::from(self.coordinator_node.as_str()));
             // Forced BEFORE the vote returns: a restarted participant must
             // know both that it is in doubt and whom to interrogate.
-            self.wal.append_durable(KIND_RES_PREPARED, &Value::Map(m).encode())?;
+            self.wal.append_durable(KIND_RES_PREPARED, &Value::Map(m).encode_to_vec())?;
             self.in_doubt.lock().insert(tx.clone(), self.coordinator_node.clone());
             self.failpoints.hit(failpoints::AFTER_PREPARED).map_err(TxError::from)?;
         }

@@ -38,25 +38,11 @@ pub const KIND_TX_COMPLETED: u32 = 0x0104;
 pub fn txid_to_value(tx: &TxId) -> Value {
     let mut m = ValueMap::new();
     m.insert("top".into(), Value::U64(tx.top_seq()));
-    let mut indices = Vec::new();
-    collect_branch_indices(tx, &mut indices);
     m.insert(
         "branch".into(),
-        Value::List(indices.into_iter().map(|i| Value::U64(u64::from(i))).collect()),
+        Value::List(tx.branch().iter().map(|&i| Value::U64(u64::from(i))).collect()),
     );
     Value::Map(m)
-}
-
-fn collect_branch_indices(tx: &TxId, out: &mut Vec<u32>) {
-    // Reconstruct branch indices by walking the Display form: "tx-7.0.2".
-    let s = tx.to_string();
-    let mut parts = s.trim_start_matches("tx-").split('.');
-    let _top = parts.next();
-    for p in parts {
-        if let Ok(i) = p.parse::<u32>() {
-            out.push(i);
-        }
-    }
 }
 
 /// Deserialise a [`TxId`] from a [`Value`].
@@ -86,7 +72,7 @@ pub fn txid_from_value(value: &Value) -> Result<TxId, TxError> {
 ///
 /// Propagates log failures.
 pub fn log_begun(wal: &dyn Wal, tx: &TxId) -> Result<Lsn, LogError> {
-    wal.append(KIND_TX_BEGUN, &txid_to_value(tx).encode())
+    wal.append(KIND_TX_BEGUN, &txid_to_value(tx).encode_to_vec())
 }
 
 /// Write the phase-one record with participant names.
@@ -101,7 +87,7 @@ pub fn log_prepared(wal: &dyn Wal, tx: &TxId, participants: &[&str]) -> Result<L
         "participants".into(),
         Value::List(participants.iter().map(|p| Value::from(*p)).collect()),
     );
-    wal.append(KIND_TX_PREPARED, &Value::Map(m).encode())
+    wal.append(KIND_TX_PREPARED, &Value::Map(m).encode_to_vec())
 }
 
 /// Force the commit decision: the one record of the protocol that must be
@@ -114,7 +100,7 @@ pub fn log_prepared(wal: &dyn Wal, tx: &TxId, participants: &[&str]) -> Result<L
 ///
 /// Propagates log failures.
 pub fn log_decision_commit(wal: &dyn Wal, tx: &TxId) -> Result<Lsn, LogError> {
-    wal.append_durable(KIND_TX_DECISION, &txid_to_value(tx).encode())
+    wal.append_durable(KIND_TX_DECISION, &txid_to_value(tx).encode_to_vec())
 }
 
 /// Record that the outcome was fully delivered.
@@ -126,7 +112,7 @@ pub fn log_completed(wal: &dyn Wal, tx: &TxId, status: TxStatus) -> Result<Lsn, 
     let mut m = ValueMap::new();
     m.insert("tx".into(), txid_to_value(tx));
     m.insert("committed".into(), Value::Bool(status == TxStatus::Committed));
-    wal.append(KIND_TX_COMPLETED, &Value::Map(m).encode())
+    wal.append(KIND_TX_COMPLETED, &Value::Map(m).encode_to_vec())
 }
 
 /// Maps logged participant names back to live resources after a restart.

@@ -71,6 +71,12 @@ impl TxId {
     pub fn top_seq(&self) -> u64 {
         self.top
     }
+
+    /// The subtransaction indices below the top-level transaction, outermost
+    /// first (empty for a top-level id).
+    pub fn branch(&self) -> &[u32] {
+        &self.branch
+    }
 }
 
 impl fmt::Display for TxId {

@@ -65,7 +65,7 @@ impl WorkflowJournal {
         // One durability barrier per outcome: under a group-commit log
         // concurrent tasks finishing together share a single sync.
         self.wal
-            .append_durable(KIND_WF_TASK_DONE, &Value::Map(m).encode())
+            .append_durable(KIND_WF_TASK_DONE, &Value::Map(m).encode_to_vec())
             .map_err(|e| WorkflowError::Activity(e.to_string()))?;
         Ok(())
     }

@@ -1,0 +1,174 @@
+//! Allocation budgets for one signal hop (DESIGN.md "What one signal hop
+//! costs"): coordinator → `RemoteActionProxy` → ORB → `DedupServant` →
+//! `ActionServant`, on a reliable network with the activity service's
+//! context interceptors attached.
+//!
+//! The budgets are counts made by this binary's own allocator, per thread
+//! (the test harness runs tests on parallel threads), so they repeat exactly
+//! from run to run. They are ceilings: lower them when a change earns it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+
+use activity_service::{
+    Action, ActionServant, ActivityCoordinator, ActivityId, ActivityService, DispatchConfig,
+    FnAction, Outcome, RemoteActionProxy, Signal,
+};
+use orb::{DedupServant, DedupWindow, Env, FaultScript, NetworkConfig, Orb, RetryPolicy};
+
+struct CountingAllocator;
+
+thread_local! {
+    // Const-initialised and without a destructor, so the allocator can bump
+    // it at any point of a thread's life without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bump touches only a
+// destructor-free thread-local, so it neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations the calling thread makes while `work` runs.
+fn allocs_during<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let result = work();
+    (ALLOCS.with(Cell::get) - before, result)
+}
+
+/// One whole hop of a stamped 2PC `prepare`, both directions, including the
+/// servant side (signal decode, the action, outcome encode, dedup memo).
+/// Measured 20 when this budget was set; the commit before spent 60.
+const HOP_BUDGET: u64 = 20;
+
+/// What a second attempt of the same logical call may add once the first
+/// reply is lost: re-stamping the borrowed request, the dedup hit's memo
+/// copy, the reply — and no copy of the request. Measured 9; the commit
+/// before spent 36, most of it cloning the request for the attempt.
+const RETRY_BUDGET: u64 = 9;
+
+struct Hop {
+    orb: Orb,
+    service: ActivityService,
+    proxy: RemoteActionProxy,
+    executions: Arc<AtomicU32>,
+}
+
+fn hop() -> Hop {
+    let orb = Orb::builder().network(NetworkConfig::lossy(0.0, 0.0, 1)).build();
+    let service = ActivityService::new();
+    service.attach_to_orb(&orb);
+    orb.add_node("coordinator").unwrap();
+    let node = orb.add_node("participant").unwrap();
+    let executions = Arc::new(AtomicU32::new(0));
+    let executions2 = Arc::clone(&executions);
+    let action: Arc<dyn Action> = Arc::new(FnAction::new("resource", move |_s: &Signal| {
+        executions2.fetch_add(1, Ordering::SeqCst);
+        Ok(Outcome::done())
+    }));
+    let servant = DedupServant::new(
+        Arc::new(ActionServant::new(action)),
+        // Never full in these tests: eviction would leave tombstones in the
+        // window's hash map, and when those force a rehash depends on the
+        // process's random hash seed.
+        Arc::new(DedupWindow::new(1024)),
+    );
+    let object = node.activate("Action", servant).unwrap();
+    let proxy = RemoteActionProxy::new("resource", orb.clone(), "coordinator", object)
+        .with_policy(RetryPolicy::immediate(3));
+    Hop { orb, service, proxy, executions }
+}
+
+fn prepare(seq: u32) -> Signal {
+    Signal::new("prepare", "2PCSignalSet").with_delivery_id(format!("17:2PCSignalSet:{seq}"))
+}
+
+#[test]
+fn one_signal_hop_stays_inside_its_allocation_budget() {
+    let hop = hop();
+    hop.service.begin("op").unwrap();
+    // Warm up past every lazily initialised thread-local and to where the
+    // dedup window's map and queue are far from their next doubling (at 113
+    // and 129 entries).
+    for seq in 0..80 {
+        hop.proxy.process_signal(&prepare(seq)).unwrap();
+    }
+    let signal = prepare(100);
+    let (first, outcome) = allocs_during(|| hop.proxy.process_signal(&signal));
+    assert!(outcome.unwrap().is_done());
+    assert!(first <= HOP_BUDGET, "one fault-free hop made {first} allocations, budget {HOP_BUDGET}");
+
+    // Lose the next call's reply (remote messages are numbered from 0: two
+    // per hop so far): its second attempt sends the same request again.
+    let sent = hop.orb.network().remote_messages();
+    hop.orb.network().install_script(FaultScript::new().drop_nth(sent + 1));
+    let signal = prepare(101);
+    let executed = hop.executions.load(Ordering::SeqCst);
+    let (retried, outcome) = allocs_during(|| hop.proxy.process_signal(&signal));
+    assert!(outcome.unwrap().is_done());
+    assert_eq!(hop.orb.network().remote_messages(), sent + 4, "two attempts were made");
+    assert_eq!(hop.executions.load(Ordering::SeqCst), executed + 1, "answered from the window");
+    let second = retried - first;
+    assert!(
+        second <= RETRY_BUDGET && second <= first,
+        "attempt 2 added {second} allocations to attempt 1's {first}, budget {RETRY_BUDGET}"
+    );
+    hop.service.complete().unwrap();
+}
+
+#[test]
+fn a_coordinator_pays_nothing_for_its_default_dispatch_width() {
+    // The first call reads the CPU count; from then on it is a constant.
+    let width = DispatchConfig::default();
+    let (allocs, _) = allocs_during(|| {
+        for _ in 0..1_000 {
+            assert_eq!(std::hint::black_box(DispatchConfig::default()), width);
+        }
+    });
+    assert_eq!(allocs, 0, "DispatchConfig::default() allocated");
+
+    // A coordinator therefore costs what its context costs and no more.
+    let (contexts, _) = allocs_during(|| {
+        for _ in 0..1_000 {
+            std::hint::black_box(Env::new());
+        }
+    });
+    let (coordinators, _) = allocs_during(|| {
+        for id in 0..1_000 {
+            std::hint::black_box(ActivityCoordinator::new(ActivityId::new(id)));
+        }
+    });
+    assert_eq!(coordinators, contexts, "1 000 coordinators allocated beyond their contexts");
+}

@@ -255,3 +255,104 @@ fn activity_completion_with_remote_actions_survives_chaos() {
         assert!(*flag.lock(), "every action eventually processed the signal");
     }
 }
+
+/// The retry loop sends ONE stamped request on every attempt — it is
+/// borrowed, not cloned — so what travels on the retry must be what a fresh
+/// copy would have carried: the same delivery id, each service context once
+/// (client interceptors replace what they set on the previous attempt), and
+/// the client interceptors unwound once per attempt in reverse order.
+#[test]
+fn a_retried_request_is_the_first_request_stamped_once() {
+    use orb::context::ACTIVITY_SERVICE_CONTEXT;
+    use orb::interceptor::ClientRequestInterceptor;
+    use orb::{FaultScript, OrbError, Reply};
+    use parking_lot::Mutex;
+
+    struct Recording {
+        tag: &'static str,
+        log: Arc<Mutex<Vec<String>>>,
+    }
+    impl ClientRequestInterceptor for Recording {
+        fn name(&self) -> &str {
+            self.tag
+        }
+        fn send_request(&self, _request: &mut Request) -> Result<(), OrbError> {
+            self.log.lock().push(format!("{}.send", self.tag));
+            Ok(())
+        }
+        fn receive_reply(&self, _request: &Request, _reply: &mut Reply) {
+            self.log.lock().push(format!("{}.reply", self.tag));
+        }
+        fn receive_exception(&self, _request: &Request, _error: &OrbError) {
+            self.log.lock().push(format!("{}.exception", self.tag));
+        }
+    }
+
+    let orb = lossy_orb(0.0, 0.0, 7);
+    // Remote message 0 is the request leg, 1 its reply: the servant runs,
+    // the caller times out and tries again.
+    orb.network().install_script(FaultScript::new().drop_nth(1));
+    let service = ActivityService::new();
+    service.attach_to_orb(&orb);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    for tag in ["a", "b"] {
+        orb.add_client_interceptor(Arc::new(Recording { tag, log: Arc::clone(&log) }));
+    }
+
+    let executions = Arc::new(AtomicU32::new(0));
+    let executions2 = Arc::clone(&executions);
+    let action: Arc<dyn activity_service::Action> =
+        Arc::new(FnAction::new("once", move |_s: &Signal| {
+            executions2.fetch_add(1, Ordering::SeqCst);
+            Ok(Outcome::done())
+        }));
+    let window = Arc::new(DedupWindow::new(8));
+    let guarded = DedupServant::new(Arc::new(ActionServant::new(action)), Arc::clone(&window));
+    // What each attempt put on the wire: (delivery id, activity-context
+    // entries, all context entries).
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let seen2 = Arc::clone(&seen);
+    let node = orb.add_node("server").unwrap();
+    let obj = node
+        .activate("Action", move |request: &Request| {
+            let contexts = request.contexts();
+            let activity_entries =
+                contexts.iter().filter(|(id, _)| *id == ACTIVITY_SERVICE_CONTEXT).count();
+            seen2.lock().push((
+                request.delivery_id().map(str::to_owned),
+                activity_entries,
+                contexts.len(),
+            ));
+            guarded.dispatch(request)
+        })
+        .unwrap();
+
+    service.begin("job").unwrap();
+    let signal = Signal::new("prepare", "2pc").with_delivery_id("17:2pc:1");
+    let request = Request::new(activity_service::action::PROCESS_SIGNAL_OP)
+        .with_arg("signal", signal.to_value())
+        .with_delivery_id("17:2pc:1");
+    let reply = orb
+        .invoke_with_policy("client", &obj, request, &RetryPolicy::immediate(3), None)
+        .unwrap();
+    service.complete().unwrap();
+
+    assert_eq!(
+        seen.lock().as_slice(),
+        &[(Some("17:2pc:1".to_owned()), 1, 1), (Some("17:2pc:1".to_owned()), 1, 1)],
+        "both attempts carry the one id and the activity context exactly once"
+    );
+    assert_eq!(
+        log.lock().as_slice(),
+        &[
+            "a.send", "b.send", "b.exception", "a.exception", // attempt 1: reply lost
+            "a.send", "b.send", "b.reply", "a.reply", // attempt 2
+        ]
+    );
+    assert!(Outcome::from_value(&reply.result).unwrap().is_done());
+    assert_eq!(reply.deliveries, 1, "the retry was delivered once, not duplicated");
+    assert_eq!(executions.load(Ordering::SeqCst), 1, "the retry was answered from the window");
+    assert_eq!(window.len(), 1);
+    let stats = orb.network().stats();
+    assert_eq!((stats.sent, stats.dropped), (4, 1), "two attempts of two legs, one reply lost");
+}

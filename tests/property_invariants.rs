@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use activity_service::CompletionStatus;
-use orb::{Value, ValueMap};
+use orb::Value;
 use ots::{LockManager, LockMode, TxId, TxStatus};
 use recovery_log::{record::crc32, LogRecord, Lsn, MemWal, Wal};
 use tx_models::LruowStore;
@@ -26,16 +26,19 @@ fn arb_value() -> impl Strategy<Value = Value> {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 0..6).prop_map(Value::List),
             proptest::collection::btree_map(".{0,8}", inner, 0..6)
-                .prop_map(|m: ValueMap| Value::Map(m)),
+                .prop_map(|m| m.into_iter().collect::<Value>()),
         ]
     })
 }
 
 proptest! {
-    /// The `any` codec roundtrips every representable value.
+    /// The `any` codec roundtrips every representable value, and
+    /// `encoded_len` is the exact size of the encoding.
     #[test]
     fn value_codec_roundtrips(v in arb_value()) {
         let encoded = v.encode();
+        prop_assert_eq!(encoded.len(), v.encoded_len());
+        prop_assert_eq!(&encoded[..], &v.encode_to_vec()[..]);
         let decoded = Value::decode(&encoded).unwrap();
         prop_assert_eq!(decoded, v);
     }
