@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use orb::Env;
 use parking_lot::Mutex;
-use telemetry::RecordKind;
+use telemetry::{RecordKind, SpanContext};
 
 use crate::completion::CompletionStatus;
 use crate::coordinator::ActivityCoordinator;
@@ -81,6 +81,12 @@ struct ActivityInner {
     id_source: Arc<AtomicU64>,
     /// The per-tree typed probe; write-once, inherited by children.
     journal: OnceLock<ActivityJournal>,
+    /// This activity's `activity:` span, set by the service that begins it
+    /// under live telemetry: children parent under their *enclosing
+    /// activity's* span (fig. 4 nesting) rather than whatever happens to be
+    /// ambient, and suspend/resume move the ambient association with the
+    /// activity between threads.
+    span: OnceLock<SpanContext>,
 }
 
 /// A unit of work, arranged in a tree (fig. 4), coordinated through its
@@ -161,6 +167,7 @@ impl Activity {
                 journal: parent
                     .and_then(|p| p.inner.journal.get().cloned())
                     .map_or_else(OnceLock::new, OnceLock::from),
+                span: OnceLock::new(),
             }),
         };
         if let Some(parent) = parent {
@@ -172,6 +179,15 @@ impl Activity {
     /// The context this activity — and its whole tree — runs under.
     pub fn env(&self) -> &Arc<Env> {
         self.inner.coordinator.env()
+    }
+
+    /// The `activity:` span the owning service opened for this activity.
+    pub(crate) fn span(&self) -> Option<SpanContext> {
+        self.inner.span.get().copied()
+    }
+
+    pub(crate) fn set_span(&self, span: SpanContext) {
+        let _ = self.inner.span.set(span);
     }
 
     /// Emit one lifecycle event: to the flight recorder (kind `activity`)

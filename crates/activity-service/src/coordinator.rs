@@ -1,14 +1,13 @@
 //! The activity coordinator: drives SignalSets against registered Actions
 //! (fig. 5 of the paper).
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
-use orb::Env;
+use orb::{Env, SpanGuard};
 use parking_lot::Mutex;
-use telemetry::{RecordKind, SpanContext, Telemetry, MSC_FROM, MSC_MSG, MSC_REPLY, MSC_TO};
+use telemetry::{RecordKind, MSC_FROM, MSC_MSG, MSC_REPLY, MSC_TO};
 
 use crate::action::Action;
 use crate::activity::ActivityId;
@@ -252,7 +251,7 @@ impl ActivityCoordinator {
     /// [`ActivityError::SignalSetActive`] when another run has it checked
     /// out.
     pub fn process_signal_set(&self, set_name: &str) -> Result<Outcome, ActivityError> {
-        let mut entry = {
+        let mut checkout = {
             let mut inner = self.inner.lock();
             match inner.sets.get_mut(set_name) {
                 None => return Err(ActivityError::UnknownSignalSet(set_name.to_owned())),
@@ -262,7 +261,7 @@ impl ActivityCoordinator {
                         *slot = Some(entry);
                         return Err(ActivityError::SignalSetInactive(set_name.to_owned()));
                     }
-                    entry
+                    Checkout { coordinator: self, set_name, entry: Some(entry) }
                 }
                 Some(None) => return Err(ActivityError::SignalSetActive(set_name.to_owned())),
             }
@@ -270,28 +269,18 @@ impl ActivityCoordinator {
 
         // A protocol run is one `signal_set:` span; it is entered on the
         // driving thread so remote-Action invocations (and their retry
-        // attempts) parent under it via the ORB interceptors, and it is
-        // closed on *every* exit path — a crash-failpoint error must not
-        // leak an open span (oracle #7 rejects never-closed spans).
-        let scope = self.env.live_telemetry().map(|t| {
-            let span = t.start_span(&format!("signal_set:{set_name}"));
-            t.set_attr(&span, "activity", &self.activity.to_string());
-            t.enter(span);
-            (t, span)
-        });
-        let result = self.drive(set_name, &mut entry, scope);
-        if let Some((t, span)) = scope {
-            match &result {
-                Ok(outcome) => t.set_attr(&span, "outcome", outcome.name()),
-                Err(e) => t.set_attr(&span, "error", &e.to_string()),
-            }
-            t.exit();
-            t.end(&span);
+        // attempts) parent under it via the ORB interceptors. The guard
+        // closes it on *every* exit path — a crash-failpoint error or a
+        // panicking Action must not leak an open span (oracle #7 rejects
+        // never-closed spans) — and, declared after `checkout`, before the
+        // set goes back.
+        let scope = self.env.span(|| format!("signal_set:{set_name}"));
+        scope.attr("activity", self.activity);
+        let result = self.drive(set_name, checkout.entry.as_mut().expect("held until drop"), &scope);
+        match &result {
+            Ok(outcome) => scope.attr("outcome", outcome.name()),
+            Err(e) => scope.attr("error", e),
         }
-        entry.state = SignalSetState::End;
-        // Return the (ended) set so late outcome queries and inactive-reuse
-        // errors behave per the IDL.
-        self.inner.lock().sets.insert(set_name.to_owned(), Some(entry));
         result
     }
 
@@ -299,7 +288,7 @@ impl ActivityCoordinator {
         &self,
         set_name: &str,
         entry: &mut SetEntry,
-        tel: Option<(&Telemetry, SpanContext)>,
+        scope: &SpanGuard<'_>,
     ) -> Result<Outcome, ActivityError> {
         let config = *self.dispatch.lock();
         let detector = self.env.detector.as_ref();
@@ -310,7 +299,7 @@ impl ActivityCoordinator {
         let mut id_buf = String::new();
         loop {
             self.env.hit(failpoints::BEFORE_GET_SIGNAL)?;
-            self.record(tel, || TraceEvent::GetSignal { set: set_name.to_owned() });
+            self.record(scope, || TraceEvent::GetSignal { set: set_name.to_owned() });
             let next = entry.set.get_signal();
             entry.state = entry
                 .state
@@ -359,68 +348,50 @@ impl ActivityCoordinator {
                 None => actions,
             };
             self.env.hit(failpoints::BEFORE_TRANSMIT)?;
-            // Fan out. The set's responses are fed in registration order
-            // regardless of the fan-out width, so protocol decisions and
-            // traces are identical to a serial run; `RequestNext` breaks
-            // delivery early and cancels outstanding transmissions.
+            // Transmit. The set's responses are fed in registration order
+            // regardless of the fan-out width, so protocol decisions,
+            // traces and what the detector sees are identical to a serial
+            // run; `RequestNext` breaks delivery early and abandons
+            // outstanding transmissions. The signal itself travels into
+            // the round (scattered deliveries may outlive this frame);
+            // collation reports it by its two shared names.
             let set = &mut entry.set;
-            // Collation runs in registration order, so pairing each outcome
-            // with its action by index is exact — the detector sees the
-            // same success/failure sequence under serial and parallel
-            // dispatch.
-            let mut collated = 0usize;
-            // Per-delivery span handoff between the `before` and `after`
-            // hooks; both run sequentially at collation on the driving
-            // thread, so one slot is enough even under parallel fan-out.
-            let open_transmit: Cell<Option<SpanContext>> = Cell::new(None);
-            let request_next = dispatch::dispatch_signal(
-                config,
-                &actions,
-                &signal,
-                |action| {
-                    let span = tel.map(|(t, parent)| {
-                        let span =
-                            t.start_child(&parent, &format!("transmit:{}", signal.name()));
-                        t.set_attr(&span, MSC_FROM, "coordinator");
-                        t.set_attr(&span, MSC_TO, action.name());
-                        t.set_attr(&span, MSC_MSG, signal.name());
-                        if let Some(id) = signal.delivery_id() {
-                            t.set_attr(&span, "delivery_id", id);
-                        }
-                        t.metrics()
+            let (name, delivery_id) =
+                (signal.shared_name().clone(), signal.shared_delivery_id().cloned());
+            let request_next =
+                dispatch::dispatch_signal(config, &actions, signal, |action, deliver| {
+                    let span = scope.child(|| format!("transmit:{name}"));
+                    span.attr(MSC_FROM, "coordinator");
+                    span.attr(MSC_TO, action.name());
+                    span.attr(MSC_MSG, &name);
+                    if let Some(id) = &delivery_id {
+                        span.attr("delivery_id", id);
+                    }
+                    if let Some(telemetry) = span.telemetry() {
+                        telemetry
+                            .metrics()
                             .incr(&format!("signals_transmitted_total{{set=\"{set_name}\"}}"));
-                        span
-                    });
-                    self.record(tel.map(|(t, _)| t).zip(span), || TraceEvent::Transmit {
-                        signal: signal.name().to_owned(),
+                    }
+                    self.record(&span, || TraceEvent::Transmit {
+                        signal: name.as_ref().to_owned(),
                         action: action.name().to_owned(),
                     });
-                    open_transmit.set(span);
-                },
-                |outcome| {
+                    let outcome = deliver();
                     if let Some(detector) = detector {
-                        if let Some(action) = actions.get(collated) {
-                            if outcome.name() == crate::outcome::OUTCOME_ERROR {
-                                detector.record_failure(action.name());
-                            } else {
-                                detector.record_success(action.name());
-                            }
+                        if outcome.name() == crate::outcome::OUTCOME_ERROR {
+                            detector.record_failure(action.name());
+                        } else {
+                            detector.record_success(action.name());
                         }
                     }
-                    collated += 1;
-                    self.record(tel, || TraceEvent::SetResponse {
+                    self.record(scope, || TraceEvent::SetResponse {
                         set: set_name.to_owned(),
                         outcome: outcome.name().to_owned(),
                     });
-                    if let Some((t, _)) = tel {
-                        if let Some(span) = open_transmit.take() {
-                            t.set_attr(&span, MSC_REPLY, outcome.name());
-                            t.end(&span);
-                        }
-                    }
+                    span.attr(MSC_REPLY, outcome.name());
+                    drop(span);
                     set.set_response(&outcome) == AfterResponse::RequestNext
-                },
-            );
+                });
             if last && !request_next {
                 entry.state = entry.state.on_last_signal_delivered();
                 break;
@@ -429,7 +400,7 @@ impl ActivityCoordinator {
         entry.state.check_outcome_readable(set_name)?;
         self.env.hit(failpoints::BEFORE_OUTCOME)?;
         let outcome = entry.set.get_outcome();
-        self.record(tel, || TraceEvent::GetOutcome {
+        self.record(scope, || TraceEvent::GetOutcome {
             set: set_name.to_owned(),
             outcome: outcome.name().to_owned(),
         });
@@ -437,21 +408,39 @@ impl ActivityCoordinator {
     }
 
     /// Emit one protocol step — to the flight recorder and the trace log
-    /// and, when a span is given, as a span event with the same `Display`
-    /// text — from the same call site, so the views cannot drift apart.
-    /// With none of the three listening (the common case for production
+    /// and, on a live span, as a span event with the same `Display` text —
+    /// from the same call site, so the views cannot drift apart. With none
+    /// of the three listening (the common case for production
     /// coordinators) the event is never built.
-    fn record(&self, span: Option<(&Telemetry, SpanContext)>, event: impl FnOnce() -> TraceEvent) {
+    fn record(&self, span: &SpanGuard<'_>, event: impl FnOnce() -> TraceEvent) {
         let trace = self.trace.get();
-        match span {
-            None => self.env.emit(RecordKind::Trace, trace, event),
-            Some((telemetry, span)) => {
-                let event = event();
-                let text = event.to_string();
-                self.env.emit(RecordKind::Trace, trace, || event);
-                telemetry.event(&span, &text);
-            }
+        if span.telemetry().is_none() {
+            return self.env.emit(RecordKind::Trace, trace, event);
         }
+        let event = event();
+        let text = event.to_string();
+        self.env.emit(RecordKind::Trace, trace, || event);
+        span.event(&text);
+    }
+}
+
+/// A signal set taken out of its slot for one protocol run. Dropping it
+/// puts the set back, ended — also when the run unwinds (an Action
+/// panicking inline, or its panic re-raised by collation), so the name
+/// never stays `SignalSetActive` with nobody driving it.
+struct Checkout<'a> {
+    coordinator: &'a ActivityCoordinator,
+    set_name: &'a str,
+    entry: Option<SetEntry>,
+}
+
+impl Drop for Checkout<'_> {
+    fn drop(&mut self) {
+        let mut entry = self.entry.take().expect("held until drop");
+        entry.state = SignalSetState::End;
+        // Return the (ended) set so late outcome queries and inactive-reuse
+        // errors behave per the IDL.
+        self.coordinator.inner.lock().sets.insert(self.set_name.to_owned(), Some(entry));
     }
 }
 
@@ -463,6 +452,7 @@ mod tests {
     use crate::signal_set::BroadcastSignalSet;
     use orb::Value;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use telemetry::Telemetry;
 
     fn coordinator() -> ActivityCoordinator {
         ActivityCoordinator::new(ActivityId::new(1))
@@ -643,6 +633,46 @@ mod tests {
         let tree = tel.span_tree();
         assert_eq!(tree.verify(), Vec::<String>::new(), "error path must close spans");
         assert!(tree.roots()[0].attr("error").is_some());
+    }
+
+    #[test]
+    fn a_panicking_action_leaves_the_set_ended_and_no_span_behind() {
+        // Xu, Randell, Romanovsky et al.: a coordinated action is never
+        // left mid-state. Under both widths the panic surfaces from
+        // `process_signal_set`, the set is back in its slot (ended, so it
+        // can be replaced) and the `signal_set:` span is closed and off the
+        // driving thread's ambient stack.
+        for dispatch in [DispatchConfig::serial(), DispatchConfig::with_workers(4)] {
+            let tel = Telemetry::new();
+            let c = coordinator_in(Env { telemetry: Some(tel.clone()), ..Default::default() });
+            c.set_dispatch_config(dispatch);
+            c.add_signal_set(Box::new(BroadcastSignalSet::new("S", "prepare", Value::Null)))
+                .unwrap();
+            let hits = Arc::new(AtomicU32::new(0));
+            c.register_action("S", counting_action("first", Arc::clone(&hits)));
+            c.register_action(
+                "S",
+                Arc::new(FnAction::new("bomb", |s: &Signal| -> Result<Outcome, _> {
+                    panic!("action blew up on {}", s.name())
+                })),
+            );
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = c.process_signal_set("S");
+            }));
+            assert!(unwound.is_err(), "{dispatch:?}: the panic must reach the driver");
+
+            assert_eq!(c.signal_set_state("S").unwrap(), SignalSetState::End, "{dispatch:?}");
+            assert!(matches!(
+                c.process_signal_set("S"),
+                Err(ActivityError::SignalSetInactive(_))
+            ));
+            c.add_signal_set(Box::new(BroadcastSignalSet::new("S", "prepare", Value::Null)))
+                .expect("an ended set can be replaced");
+            assert!(tel.current().is_none(), "{dispatch:?}: span left on the ambient stack");
+            let tree = tel.span_tree();
+            assert_eq!(tree.verify(), Vec::<String>::new(), "{dispatch:?}: span left open");
+            assert_eq!(tree.roots()[0].attr("error"), Some("panicked"));
+        }
     }
 
     #[test]

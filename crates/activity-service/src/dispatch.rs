@@ -1,4 +1,4 @@
-//! Concurrent signal fan-out with ordered collation.
+//! Signal fan-out with ordered collation.
 //!
 //! The paper's fig. 5 loop transmits each Signal to every registered
 //! Action and feeds the Outcomes back into the SignalSet. The Actions
@@ -7,95 +7,62 @@
 //! stateful and the TraceLog is an ordered message-sequence chart, so
 //! the *collation* must look exactly like the serial loop.
 //!
-//! This module enforces that split: [`dispatch_signal`] fans the signal
-//! out on the shared [`WorkerPool`] and then replays the results in
-//! registration order. Trace events are emitted at collation time, so a
-//! parallel run's TraceLog is byte-identical to a serial run's.
+//! [`dispatch_signal`] is that loop, written once over an
+//! [`orb::pool::Round`]: at width 1 taking a delivery *is* making it, so
+//! this is the legacy serial loop; otherwise the signal was handed to
+//! every action when the round started and the loop collates the results
+//! in registration order. Trace events are emitted at collation time, so
+//! a parallel run's TraceLog is byte-identical to a serial run's.
 //!
-//! **Early break.** When the SignalSet answers `RequestNext`, the serial
-//! loop stops delivering the current signal. The parallel path mirrors
-//! that at collation: it fires a [`CancelToken`] (so actions whose
-//! delivery has not started yet are skipped), stops consuming results,
-//! and discards whatever the already-running speculative deliveries
-//! produce. Speculative delivery is sound because Signal delivery is
-//! at-least-once and Actions are idempotent (§3.4) — an Action may see
-//! a signal the protocol engine abandoned, exactly as it may see a
-//! duplicate from a transport retry. Tests that assert the *strictly
-//! serial* property (no action ever observes an abandoned signal) pin
-//! [`DispatchConfig::serial`], which runs the exact legacy loop inline.
+//! **Early break.** When the SignalSet answers `RequestNext`, the loop
+//! stops and the round is dropped. At width 1 the remaining actions never
+//! see the signal. Scattered, the drop fires the round's [`CancelToken`]
+//! (actions whose delivery has not started yet are skipped) and whatever
+//! the already-running speculative deliveries produce is discarded.
+//! Speculative delivery is sound because Signal delivery is at-least-once
+//! and Actions are idempotent (§3.4) — an Action may see a signal the
+//! protocol engine abandoned, exactly as it may see a duplicate from a
+//! transport retry. Tests that assert the *strictly serial* property (no
+//! action ever observes an abandoned signal) pin [`DispatchConfig::serial`].
 //!
-//! **Panics.** An action panic is captured on the worker and re-raised
-//! on the driving thread at the panicking action's position in
-//! registration order, after its `before` hook — the same observable
-//! order as the serial loop. Panics past an early-break point are
-//! discarded with their results.
+//! **Panics.** An action panic surfaces on the driving thread at the
+//! panicking action's position in registration order, inside its
+//! `collate` call — the same observable order under every width. Panics
+//! past an early-break point are discarded with their results.
 
 use std::sync::Arc;
 
+use orb::pool::Round;
 pub use orb::pool::{CancelToken, DispatchConfig, TaskOutcome, WorkerPool};
 
 use crate::action::Action;
 use crate::outcome::Outcome;
 use crate::signal::Signal;
 
-/// Fan `signal` out to `actions` and collate in registration order.
+/// Transmit `signal` to `actions` and collate in registration order.
 ///
-/// For each action, in registration order: `before(action)` runs (trace
-/// hook), then `after(outcome)` consumes the action's response — an
-/// action error is already converted to an `"error"` outcome. When
-/// `after` returns `true` (the set requested the next signal) delivery
-/// of this signal stops; outstanding parallel work is cancelled and its
-/// results are discarded. Returns whether that early break happened.
+/// For each action in turn, `collate(action, deliver)` runs: it calls
+/// `deliver()` exactly once for the action's response — an action error is
+/// already converted to an `"error"` outcome — with whatever belongs
+/// before and after the transmission around that call. When it returns
+/// `true` (the set requested the next signal) delivery of this signal
+/// stops; see the module docs for what becomes of the rest. Returns
+/// whether that early break happened.
 pub(crate) fn dispatch_signal(
     config: DispatchConfig,
-    actions: &[Arc<dyn Action>],
-    signal: &Signal,
-    mut before: impl FnMut(&Arc<dyn Action>),
-    mut after: impl FnMut(Outcome) -> bool,
+    actions: &Arc<[Arc<dyn Action>]>,
+    signal: Signal,
+    mut collate: impl FnMut(&Arc<dyn Action>, &mut dyn FnMut() -> Outcome) -> bool,
 ) -> bool {
-    // The serial config is the exact legacy loop; a single action gains
-    // nothing from the pool either.
-    if config.is_serial() || actions.len() <= 1 {
-        for action in actions {
-            before(action);
-            let outcome = match action.process_signal(signal) {
-                Ok(outcome) => outcome,
-                Err(e) => Outcome::from_error(e.message()),
-            };
-            if after(outcome) {
-                return true;
-            }
+    let mut round = Round::start(config, actions.len(), {
+        let actions = Arc::clone(actions);
+        move |index| match actions[index].process_signal(&signal) {
+            Ok(outcome) => outcome,
+            Err(e) => Outcome::from_error(e.message()),
         }
-        return false;
-    }
-
-    let cancel = CancelToken::new();
-    let tasks: Vec<Box<dyn FnOnce() -> Outcome + Send>> = actions
-        .iter()
-        .map(|action| {
-            let action = Arc::clone(action);
-            let signal = signal.clone();
-            Box::new(move || match action.process_signal(&signal) {
-                Ok(outcome) => outcome,
-                Err(e) => Outcome::from_error(e.message()),
-            }) as Box<dyn FnOnce() -> Outcome + Send>
-        })
-        .collect();
-    let mut results = WorkerPool::shared(config.workers()).scatter(tasks, &cancel);
-
-    for action in actions {
-        before(action);
-        let outcome = match results.next() {
-            Some(TaskOutcome::Done(outcome)) => outcome,
-            Some(TaskOutcome::Panicked(payload)) => std::panic::resume_unwind(payload),
-            // Cancellation only fires after collation stops consuming,
-            // and the batch is exactly as long as `actions`.
-            Some(TaskOutcome::Cancelled) | None => {
-                unreachable!("dispatch result missing before early break")
-            }
-        };
-        if after(outcome) {
-            cancel.cancel();
+    });
+    for (index, action) in actions.iter().enumerate() {
+        if collate(action, &mut || round.take(index)) {
             return true;
         }
     }
@@ -107,6 +74,21 @@ mod tests {
     use super::*;
     use crate::action::FnAction;
     use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// Drive `dispatch_signal` the way the coordinator does: `before` runs
+    /// ahead of each delivery, `after` consumes its outcome.
+    fn dispatch(
+        config: DispatchConfig,
+        actions: Vec<Arc<dyn Action>>,
+        signal: &Signal,
+        mut before: impl FnMut(&Arc<dyn Action>),
+        mut after: impl FnMut(Outcome) -> bool,
+    ) -> bool {
+        dispatch_signal(config, &actions.into(), signal.clone(), |action, deliver| {
+            before(action);
+            after(deliver())
+        })
+    }
 
     fn spin_action(name: &str, hits: Arc<AtomicU32>) -> Arc<dyn Action> {
         Arc::new(FnAction::new(name, move |_s: &Signal| {
@@ -123,9 +105,9 @@ mod tests {
             .collect();
         let signal = Signal::new("go", "S");
         let mut seen = Vec::new();
-        let broke = dispatch_signal(
+        let broke = dispatch(
             DispatchConfig::with_workers(8),
-            &actions,
+            actions,
             &signal,
             |action| seen.push(action.name().to_owned()),
             |outcome| {
@@ -150,9 +132,9 @@ mod tests {
             .collect();
         let signal = Signal::new("try", "S");
         let mut fed = 0;
-        let broke = dispatch_signal(
+        let broke = dispatch(
             DispatchConfig::with_workers(4),
-            &actions,
+            actions,
             &signal,
             |_| {},
             |outcome| {
@@ -174,9 +156,9 @@ mod tests {
         ];
         let signal = Signal::new("go", "S");
         let mut outcomes = Vec::new();
-        dispatch_signal(
+        dispatch(
             DispatchConfig::with_workers(2),
-            &actions,
+            actions,
             &signal,
             |_| {},
             |outcome| {
@@ -196,9 +178,9 @@ mod tests {
             actions.push(spin_action(&format!("later{i}"), Arc::clone(&hits)));
         }
         let signal = Signal::new("try", "S");
-        let broke = dispatch_signal(
+        let broke = dispatch(
             DispatchConfig::serial(),
-            &actions,
+            actions,
             &signal,
             |_| {},
             |outcome| outcome.is_negative(),

@@ -21,14 +21,14 @@
 use crate::activity::{Activity, ActivityId, ActivityState};
 use crate::completion::CompletionStatus;
 use crate::error::ActivityError;
-use recovery_log::FailpointSet;
 
 /// Named failpoint sites for the reaper (see the audit table in
 /// `recovery-log/src/crash.rs` and `harness::registry`).
 pub mod failpoints {
     /// The reaper decided to complete an orphan but crashes before the
     /// completion protocol runs — the orphan stays active for the next
-    /// reaper pass.
+    /// reaper pass. Passed through the *orphan's* context
+    /// (`activity.env().hit(..)`), like every other `activity.*` site.
     pub const BEFORE_COMPLETE: &str = "activity.reaper.before_complete";
     /// Every site this module hits.
     pub const FAILPOINT_SITES: &[&str] = &[BEFORE_COMPLETE];
@@ -48,22 +48,13 @@ pub struct ReapReport {
 /// unreachable. Stateless between passes: run it from a detector
 /// quarantine hook, after a partition heals, or on a periodic virtual-time
 /// tick.
-#[derive(Debug, Default)]
-pub struct OrphanReaper {
-    failpoints: FailpointSet,
-}
+#[derive(Debug, Default, Clone, Copy)]
+pub struct OrphanReaper;
 
 impl OrphanReaper {
-    /// A reaper with no crash injection.
+    /// A reaper.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Share `failpoints` for crash injection at the reaper site.
-    #[must_use]
-    pub fn with_failpoints(mut self, failpoints: FailpointSet) -> Self {
-        self.failpoints = failpoints;
-        self
+        OrphanReaper
     }
 
     /// Sweep the trees under `roots`, completing every orphan: an activity
@@ -73,7 +64,8 @@ impl OrphanReaper {
     ///
     /// # Errors
     ///
-    /// [`ActivityError::Log`]-convertible crash injection; completion
+    /// [`ActivityError::Log`]-convertible crash injection (armed in the
+    /// visited activity's [`orb::Env`]); completion
     /// errors other than [`ActivityError::ChildrenActive`] (a still-active
     /// child that was itself skipped is expected, not an error).
     pub fn reap(
@@ -104,7 +96,7 @@ impl OrphanReaper {
             report.skipped.push(activity.id());
             return Ok(());
         }
-        self.failpoints.hit(failpoints::BEFORE_COMPLETE)?;
+        activity.env().hit(failpoints::BEFORE_COMPLETE)?;
         match activity.complete_with_status(CompletionStatus::FailOnly) {
             // A child skipped in this same pass (not yet timed out) keeps
             // the parent alive; the next pass retries.
@@ -125,7 +117,8 @@ impl OrphanReaper {
 mod tests {
     use super::*;
     use crate::journal::{ActivityEvent, ActivityJournal};
-    use orb::SimClock;
+    use orb::{Env, SimClock};
+    use recovery_log::FailpointSet;
     use std::time::Duration;
 
     fn orphan(clock: &SimClock) -> Activity {
@@ -201,11 +194,13 @@ mod tests {
     #[test]
     fn injected_crash_leaves_the_orphan_for_the_next_pass() {
         let clock = SimClock::new();
-        let root = orphan(&clock);
-        clock.advance(Duration::from_millis(10));
         let failpoints = FailpointSet::new();
         failpoints.arm(failpoints::BEFORE_COMPLETE, 0);
-        let reaper = OrphanReaper::new().with_failpoints(failpoints.clone());
+        let env = Env { clock: clock.clone(), failpoints: Some(failpoints.clone()), ..Env::default() };
+        let root = Activity::new_root("orphan", env.wired());
+        root.set_timeout(Duration::from_millis(5));
+        clock.advance(Duration::from_millis(10));
+        let reaper = OrphanReaper::new();
         assert!(reaper.reap(std::slice::from_ref(&root), &|_| false).is_err());
         assert_eq!(root.state(), ActivityState::Active, "crash before completion");
         // "Restart": the site is spent, the next pass succeeds.

@@ -2,19 +2,15 @@
 //! durable logging.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use orb::context::ACTIVITY_SERVICE_CONTEXT;
 use orb::interceptor::{ClientRequestInterceptor, ServerRequestInterceptor};
 use orb::{Env, Orb, Reply, Request, SimClock};
-use parking_lot::Mutex;
 use recovery_log::Wal;
-use telemetry::SpanContext;
 
 use crate::activity::Activity;
-use crate::activity::ActivityId;
 use crate::completion::CompletionStatus;
 use crate::context::ActivityContext;
 use crate::error::ActivityError;
@@ -28,20 +24,17 @@ thread_local! {
     static RECEIVED: RefCell<Vec<Option<ActivityContext>>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Nothing here grows with finished work: an activity lives as long as its
+/// handles (the thread association, its parent's child list, the caller's
+/// clone) and carries its own `activity:` span.
 struct ServiceInner {
     /// The context every activity (and so every coordinator) begun through
     /// this service inherits.
     env: Arc<Env>,
     logger: Option<Arc<ActivityLogger>>,
     id_source: Arc<AtomicU64>,
-    roots: Mutex<Vec<Activity>>,
     /// Node-local stores backing by-reference property groups (§3.3).
     shared_groups: crate::property::PropertyGroupManager,
-    /// Live activity → its `activity:` span, so child activities parent
-    /// under their *enclosing activity's* span (fig. 4 nesting) rather
-    /// than whatever happens to be ambient, and suspend/resume can move
-    /// the ambient association between threads.
-    activity_spans: Mutex<HashMap<ActivityId, SpanContext>>,
 }
 
 /// The Activity Service: creates activities, associates them with threads,
@@ -57,7 +50,6 @@ pub struct ActivityService {
 impl std::fmt::Debug for ActivityService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ActivityService")
-            .field("roots", &self.inner.roots.lock().len())
             .field("logged", &self.inner.logger.is_some())
             .finish()
     }
@@ -127,9 +119,7 @@ impl ActivityServiceBuilder {
                 env: self.env.unwrap_or_default(),
                 logger: self.wal.map(ActivityLogger::new),
                 id_source: Arc::new(AtomicU64::new(self.first_id.max(1))),
-                roots: Mutex::new(Vec::new()),
                 shared_groups: crate::property::PropertyGroupManager::new(),
-                activity_spans: Mutex::new(HashMap::new()),
             }),
         }
     }
@@ -157,13 +147,11 @@ impl ActivityService {
         &self.inner.env.clock
     }
 
-    fn close_activity_span(&self, id: ActivityId, outcome: &Outcome) {
-        if let Some(telemetry) = self.inner.env.live_telemetry() {
-            if let Some(span) = self.inner.activity_spans.lock().remove(&id) {
-                telemetry.set_attr(&span, "outcome", outcome.name());
-                telemetry.exit();
-                telemetry.end(&span);
-            }
+    fn close_activity_span(&self, activity: &Activity, outcome: &Outcome) {
+        if let Some((telemetry, span)) = self.inner.env.live_telemetry().zip(activity.span()) {
+            telemetry.set_attr(&span, "outcome", outcome.name());
+            telemetry.exit();
+            telemetry.end(&span);
         }
     }
 
@@ -177,25 +165,19 @@ impl ActivityService {
         let parent = Self::peek();
         let activity = match &parent {
             Some(parent) => parent.begin_child(name)?,
-            None => {
-                let root = Activity::new_root_with(
-                    name,
-                    Arc::clone(&self.inner.env),
-                    self.inner.logger.clone(),
-                    Arc::clone(&self.inner.id_source),
-                );
-                self.inner.roots.lock().push(root.clone());
-                root
-            }
+            None => Activity::new_root_with(
+                name,
+                Arc::clone(&self.inner.env),
+                self.inner.logger.clone(),
+                Arc::clone(&self.inner.id_source),
+            ),
         };
         if let Some(telemetry) = self.inner.env.live_telemetry() {
             // Mirror the fig. 4 activity tree: a nested activity's span is
             // a child of its enclosing activity's span; a root activity
             // parents under whatever is ambient (e.g. a `serve:` span on
             // an interposed node) or starts a fresh trace.
-            let parent_span = parent
-                .as_ref()
-                .and_then(|p| self.inner.activity_spans.lock().get(&p.id()).copied());
+            let parent_span = parent.as_ref().and_then(Activity::span);
             let span_name = format!("activity:{}", activity.name());
             let span = match parent_span {
                 Some(parent_span) => telemetry.start_child(&parent_span, &span_name),
@@ -203,7 +185,7 @@ impl ActivityService {
             };
             telemetry.set_attr(&span, "id", &activity.id().to_string());
             telemetry.enter(span);
-            self.inner.activity_spans.lock().insert(activity.id(), span);
+            activity.set_span(span);
         }
         CURRENT.with(|c| c.borrow_mut().push(activity.clone()));
         Ok(activity)
@@ -230,7 +212,7 @@ impl ActivityService {
     pub fn complete(&self) -> Result<Outcome, ActivityError> {
         let activity = Self::peek().ok_or(ActivityError::NoCurrentActivity)?;
         let outcome = activity.complete()?;
-        self.close_activity_span(activity.id(), &outcome);
+        self.close_activity_span(&activity, &outcome);
         Self::pop();
         Ok(outcome)
     }
@@ -246,7 +228,7 @@ impl ActivityService {
     ) -> Result<Outcome, ActivityError> {
         let activity = Self::peek().ok_or(ActivityError::NoCurrentActivity)?;
         let outcome = activity.complete_with_status(status)?;
-        self.close_activity_span(activity.id(), &outcome);
+        self.close_activity_span(&activity, &outcome);
         Self::pop();
         Ok(outcome)
     }
@@ -264,7 +246,7 @@ impl ActivityService {
         if let Some(telemetry) = self.inner.env.live_telemetry() {
             // The span stays open (the activity is alive); only the
             // thread's ambient association moves with the activity.
-            if self.inner.activity_spans.lock().contains_key(&activity.id()) {
+            if activity.span().is_some() {
                 telemetry.exit();
             }
         }
@@ -273,17 +255,10 @@ impl ActivityService {
 
     /// Re-associate a previously suspended activity with this thread.
     pub fn resume(&self, activity: Activity) {
-        if let Some(telemetry) = self.inner.env.live_telemetry() {
-            if let Some(span) = self.inner.activity_spans.lock().get(&activity.id()).copied() {
-                telemetry.enter(span);
-            }
+        if let Some((telemetry, span)) = self.inner.env.live_telemetry().zip(activity.span()) {
+            telemetry.enter(span);
         }
         CURRENT.with(|c| c.borrow_mut().push(activity));
-    }
-
-    /// All root activities created through this service.
-    pub fn roots(&self) -> Vec<Activity> {
-        self.inner.roots.lock().clone()
     }
 
     /// Register the client and server interceptors that give this ORB
@@ -420,7 +395,6 @@ mod tests {
         assert_eq!(svc.current().unwrap().id(), a.id());
         svc.complete().unwrap();
         assert!(svc.current().is_none());
-        assert_eq!(svc.roots().len(), 1);
     }
 
     #[test]

@@ -84,6 +84,12 @@ impl Signal {
         &self.name
     }
 
+    /// The name as the static-or-owned handle it is held in (cloning it is
+    /// free for a protocol's constant names).
+    pub(crate) fn shared_name(&self) -> &Cow<'static, str> {
+        &self.name
+    }
+
     /// The name of the signal set that produced it.
     pub fn signal_set_name(&self) -> &str {
         &self.signal_set_name

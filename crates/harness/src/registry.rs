@@ -163,14 +163,19 @@ mod tests {
 
     #[test]
     fn reaper_probe_observes_exactly_the_declared_sites() {
+        // The reaper is stateless: its site is passed through the visited
+        // activity's own context.
         let clock = orb::SimClock::new();
-        let orphan = activity_service::Activity::new_root("orphan", clock.clone());
+        let failpoints = FailpointSet::new();
+        let env = orb::Env {
+            clock: clock.clone(),
+            failpoints: Some(failpoints.clone()),
+            ..Default::default()
+        };
+        let orphan = activity_service::Activity::new_root("orphan", env.wired());
         orphan.set_timeout(std::time::Duration::from_millis(5));
         clock.advance(std::time::Duration::from_millis(10));
-        let failpoints = FailpointSet::new();
-        let reaper =
-            activity_service::OrphanReaper::new().with_failpoints(failpoints.clone());
-        reaper.reap(&[orphan], &|_| false).unwrap();
+        activity_service::OrphanReaper::new().reap(&[orphan], &|_| false).unwrap();
         assert_eq!(
             failpoints.observed_sites().into_iter().collect::<BTreeSet<_>>(),
             sorted(activity_service::reaper::failpoints::FAILPOINT_SITES),

@@ -21,7 +21,7 @@ use std::fmt::{self, Display};
 use std::sync::Arc;
 
 use recovery_log::{FailpointSet, LogError};
-use telemetry::{CausalityPlane, FlightRecorder, Journal, RecordKind, Telemetry};
+use telemetry::{CausalityPlane, FlightRecorder, Journal, RecordKind, SpanContext, Telemetry};
 
 use crate::choice::DeliverySequencer;
 use crate::clock::SimClock;
@@ -78,9 +78,13 @@ pub struct Env {
     /// every request and reply with Lamport clocks and records
     /// `wire-send`/`wire-recv` in the recorders registered with the plane.
     pub causality: Option<CausalityPlane>,
-    /// Who picks the next delivery of a serial 2PC round (prepare, phase
-    /// two, rollback), so a model-checking explorer owns delivery order;
-    /// without one, or under parallel dispatch, registration order rules.
+    /// Who picks which delivery of a 2PC round (prepare, phase two,
+    /// rollback) is taken next, so a model-checking explorer owns delivery
+    /// order; without one, registration order rules. At width 1 taking a
+    /// delivery *is* making it; under scattered dispatch every participant
+    /// has already been asked and the pick only orders collation (journal,
+    /// detector and `report` calls), so explorers pin
+    /// `DispatchConfig::serial`.
     pub sequencer: Option<Arc<dyn DeliverySequencer>>,
 }
 
@@ -160,6 +164,19 @@ impl Env {
         self.telemetry.as_ref().filter(|telemetry| telemetry.is_enabled())
     }
 
+    /// Open a span named `name()` under the calling thread's ambient span
+    /// and make it the ambient one until the returned guard drops. With
+    /// telemetry absent or gated off the guard is inert: `name` is never
+    /// called and nothing allocates.
+    pub fn span(&self, name: impl FnOnce() -> String) -> SpanGuard<'_> {
+        let live = self.live_telemetry().map(|telemetry| {
+            let span = telemetry.start_span(&name());
+            telemetry.enter(span);
+            (telemetry, span)
+        });
+        SpanGuard { live, entered: true }
+    }
+
     /// Emit one typed protocol event from its source: mirror it into the
     /// flight recorder under `kind` (rendered with `Display`), then append
     /// it to the caller's typed `sink`. The event is only built when one of
@@ -184,6 +201,62 @@ impl Env {
     }
 }
 
+/// One open span ([`Env::span`], [`SpanGuard::child`]), closed when the
+/// guard drops — on every path out of its scope, early `?` returns and
+/// unwinding included, so no protocol step can leak a span open or leave
+/// it on the thread's ambient stack (oracle #7 rejects both). An inert
+/// guard (no live telemetry) ignores every call.
+pub struct SpanGuard<'a> {
+    live: Option<(&'a Telemetry, SpanContext)>,
+    /// Whether the span sits on the ambient stack and must be popped.
+    entered: bool,
+}
+
+impl<'a> SpanGuard<'a> {
+    /// Open a span under this one **without** making it ambient: spans
+    /// opened by the work it brackets (a participant's `attempt:`s, say)
+    /// keep parenting under the enclosing scope.
+    pub fn child(&self, name: impl FnOnce() -> String) -> SpanGuard<'a> {
+        let live =
+            self.live.map(|(telemetry, parent)| (telemetry, telemetry.start_child(&parent, &name())));
+        SpanGuard { live, entered: false }
+    }
+
+    /// Attach an attribute; `value` is only rendered on a live span.
+    pub fn attr(&self, key: &str, value: impl Display) {
+        if let Some((telemetry, span)) = &self.live {
+            telemetry.set_attr(span, key, &value.to_string());
+        }
+    }
+
+    /// Attach a point event.
+    pub fn event(&self, text: &str) {
+        if let Some((telemetry, span)) = &self.live {
+            telemetry.event(span, text);
+        }
+    }
+
+    /// The telemetry this span records into (for the metrics that go with
+    /// it); `None` on an inert guard.
+    pub fn telemetry(&self) -> Option<&'a Telemetry> {
+        self.live.map(|(telemetry, _)| telemetry)
+    }
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        if let Some((telemetry, span)) = &self.live {
+            if std::thread::panicking() {
+                telemetry.set_attr(span, "error", "panicked");
+            }
+            if self.entered {
+                telemetry.exit();
+            }
+            telemetry.end(span);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,5 +273,31 @@ mod tests {
         env.emit(RecordKind::Protocol, None::<&Journal<String>>, || "unsunk".to_owned());
         assert_eq!(sink.events(), vec!["decided"]);
         assert_eq!(recorder.details_of_kind(RecordKind::Protocol), vec!["decided", "unsunk"]);
+    }
+
+    #[test]
+    fn span_guards_close_on_every_path_and_are_inert_without_telemetry() {
+        // Absent or gated off: the name is never built.
+        Env::new().span(|| unreachable!()).child(|| unreachable!()).attr("k", "v");
+        let gated = Telemetry::disabled();
+        let env = Env { telemetry: Some(gated.clone()), ..Env::default() }.wired();
+        env.span(|| unreachable!()).attr("k", "v");
+        assert_eq!(gated.span_count(), 0);
+
+        let tel = Telemetry::new();
+        let env = Env { telemetry: Some(tel.clone()), ..Env::default() }.wired();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let scope = env.span(|| "scope".into());
+            let _step = scope.child(|| "step".into());
+            // A child is not ambient; the scope is.
+            assert_eq!(tel.current().map(|c| c.span_id), scope.live.map(|(_, c)| c.span_id));
+            panic!("mid-scope");
+        }));
+        assert!(unwound.is_err());
+        assert!(tel.current().is_none(), "the unwinding guard popped the ambient stack");
+        let tree = tel.span_tree();
+        assert_eq!(tree.verify(), Vec::<String>::new(), "both spans closed");
+        assert_eq!(tree.roots()[0].attr("error"), Some("panicked"));
+        assert_eq!(tree.children(tree.roots()[0].context.span_id)[0].name, "step");
     }
 }

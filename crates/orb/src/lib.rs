@@ -72,7 +72,7 @@ pub use clock::SimClock;
 pub use context::ServiceContext;
 pub use dedup::{DedupServant, DedupWindow};
 pub use detector::{DetectorConfig, FailureDetector, HealthStatus};
-pub use env::Env;
+pub use env::{Env, SpanGuard};
 pub use error::OrbError;
 pub use interceptor::{
     LamportClientInterceptor, LamportServerInterceptor, SpanClientInterceptor,
@@ -84,6 +84,6 @@ pub use network::{FaultScript, NetworkConfig, PartitionWindow, SimulatedNetwork}
 pub use node::{Node, Orb, OrbBuilder};
 pub use retry::RetryPolicy;
 pub use object::{ObjectId, ObjectRef, Servant};
-pub use pool::{CancelToken, DispatchConfig, OrderedResults, TaskOutcome, WorkerPool};
+pub use pool::{CancelToken, DispatchConfig, OrderedResults, Round, TaskOutcome, WorkerPool};
 pub use registry::NameRegistry;
 pub use value::{Value, ValueMap};

@@ -397,32 +397,27 @@ impl Orb {
         // borrow the request itself mutably.
         let delivery_id = Arc::clone(request.shared_delivery_id().expect("stamped above"));
         let operation = request.operation.clone();
-        let detector = self.inner.env.detector.as_ref();
-        let telemetry = self.inner.env.telemetry.as_ref();
+        let env = &self.inner.env;
+        let detector = env.detector.as_ref();
         policy.run(self.clock(), deadline, &operation, &delivery_id, |attempt| {
             // Each attempt is its own span, tagged with the shared logical
             // delivery id; re-attempts (attempt > 0) bump the retry
             // counter. Both are single-atomic-load no-ops when telemetry
             // is absent or disabled.
-            let span = telemetry.filter(|t| t.is_enabled()).map(|t| {
-                if attempt > 0 {
-                    t.metrics().incr("retry_attempts_total");
+            let span = env.span(|| format!("attempt:{operation}"));
+            if attempt > 0 {
+                if let Some(telemetry) = span.telemetry() {
+                    telemetry.metrics().incr("retry_attempts_total");
                 }
-                let span = t.start_span(&format!("attempt:{operation}"));
-                t.set_attr(&span, "delivery_id", &delivery_id);
-                t.set_attr(&span, "attempt", &attempt.to_string());
-                t.set_attr(&span, "to", object.node());
-                t.enter(span);
-                span
-            });
-            let result = self.inner.invoke_from(&from, object, &mut request);
-            if let (Some(telemetry), Some(span)) = (telemetry, &span) {
-                if let Err(e) = &result {
-                    telemetry.set_attr(span, "error", &e.to_string());
-                }
-                telemetry.exit();
-                telemetry.end(span);
             }
+            span.attr("delivery_id", &delivery_id);
+            span.attr("attempt", attempt);
+            span.attr("to", object.node());
+            let result = self.inner.invoke_from(&from, object, &mut request);
+            if let Err(e) = &result {
+                span.attr("error", e);
+            }
+            drop(span);
             if let Some(detector) = detector {
                 match &result {
                     Ok(_) => detector.record_success(object.node()),

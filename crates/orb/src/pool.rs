@@ -13,9 +13,13 @@
 //! * [`WorkerPool`] — long-lived worker threads behind a global,
 //!   lazily-created instance ([`WorkerPool::global`]), so short-lived
 //!   coordinators never pay thread spawn/teardown;
-//! * [`WorkerPool::scatter`] — submit a batch of indexed tasks and get
-//!   an [`OrderedResults`] iterator that yields outcomes in submission
-//!   order as they become available;
+//! * [`Round`] — one round of deliveries, and the **only** place that
+//!   decides between serial and scattered delivery: `take(i)` runs task
+//!   `i` inline at width 1 and waits for scattered task `i` otherwise, so
+//!   a protocol's collation loop is written once (DESIGN.md §8);
+//! * [`WorkerPool::scatter`] — what a scattered round stands on: submit a
+//!   batch of indexed tasks and get an [`OrderedResults`] iterator that
+//!   yields outcomes in submission order as they become available;
 //! * [`CancelToken`] — cooperative cancellation: tasks not yet started
 //!   when the token fires are skipped (the `EarlyBreak` optimisation:
 //!   once a protocol engine asks for the next signal, outstanding
@@ -232,9 +236,22 @@ impl WorkerPool {
         tasks: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
         cancel: &CancelToken,
     ) -> OrderedResults<'_, T> {
+        let mut tasks = tasks.into_iter();
         let total = tasks.len();
+        self.scatter_each(total, |_| tasks.next().expect("one task per index"), cancel)
+    }
+
+    /// [`WorkerPool::scatter`] over tasks made on the spot: `task(index)`
+    /// is what runs at `index`, and goes into its pool job unboxed.
+    fn scatter_each<T: Send + 'static, J: FnOnce() -> T + Send + 'static>(
+        &self,
+        total: usize,
+        mut task: impl FnMut(usize) -> J,
+        cancel: &CancelToken,
+    ) -> OrderedResults<'_, T> {
         let (tx, rx): (Sender<(usize, TaskOutcome<T>)>, Receiver<_>) = std::sync::mpsc::channel();
-        for (index, task) in tasks.into_iter().enumerate() {
+        for index in 0..total {
+            let task = task(index);
             let tx = tx.clone();
             let cancel = cancel.clone();
             self.submit(Box::new(move || {
@@ -251,7 +268,7 @@ impl WorkerPool {
                 let _ = tx.send((index, outcome));
             }));
         }
-        OrderedResults { pool: self, rx, buffer: BTreeMap::new(), next: 0, total }
+        OrderedResults { pool: self, rx, buffer: BTreeMap::new(), received: 0, next: 0, total }
     }
 }
 
@@ -299,50 +316,159 @@ pub struct OrderedResults<'p, T> {
     pool: &'p WorkerPool,
     rx: Receiver<(usize, TaskOutcome<T>)>,
     buffer: BTreeMap<usize, TaskOutcome<T>>,
+    /// How many tasks have reported so far (buffered or already yielded).
+    received: usize,
     next: usize,
     total: usize,
+}
+
+impl<T> OrderedResults<'_, T> {
+    /// Receive one more outcome into the buffer, if one arrives soon.
+    /// While none does, help with queued pool work instead of spinning,
+    /// and park briefly only when the queue is dry too.
+    fn pump(&mut self) {
+        let received = match self.rx.try_recv() {
+            Ok(received) => received,
+            Err(TryRecvError::Empty) if self.pool.try_run_one() => return,
+            Err(TryRecvError::Empty) => {
+                match self.rx.recv_timeout(Duration::from_micros(100)) {
+                    Ok(received) => received,
+                    Err(RecvTimeoutError::Timeout) => return,
+                    Err(RecvTimeoutError::Disconnected) => {
+                        unreachable!("a scatter task vanished without reporting");
+                    }
+                }
+            }
+            Err(TryRecvError::Disconnected) => {
+                unreachable!("a scatter task vanished without reporting");
+            }
+        };
+        self.received += 1;
+        self.buffer.insert(received.0, received.1);
+    }
+
+    /// The outcome of task `index`, whichever order the tasks finish in.
+    /// Blocks until it is available. Each index can be waited for once.
+    fn wait_for(&mut self, index: usize) -> TaskOutcome<T> {
+        loop {
+            if let Some(outcome) = self.buffer.remove(&index) {
+                return outcome;
+            }
+            assert!(self.received < self.total, "scatter task {index} was already collated");
+            self.pump();
+        }
+    }
+
+    /// Block until every task has reported.
+    fn wait_all(&mut self) {
+        while self.received < self.total {
+            self.pump();
+        }
+    }
 }
 
 impl<T> Iterator for OrderedResults<'_, T> {
     type Item = TaskOutcome<T>;
 
     /// The next task's outcome, in submission order. Returns `None`
-    /// once every task has been yielded. Blocks until the outcome is
-    /// available, running queued pool jobs on this thread while waiting.
+    /// once every task has been yielded.
     fn next(&mut self) -> Option<TaskOutcome<T>> {
         if self.next >= self.total {
             return None;
         }
-        loop {
-            if let Some(outcome) = self.buffer.remove(&self.next) {
-                self.next += 1;
-                return Some(outcome);
-            }
-            match self.rx.try_recv() {
-                Ok((index, outcome)) => {
-                    self.buffer.insert(index, outcome);
-                }
-                Err(TryRecvError::Empty) => {
-                    // Help with queued work instead of spinning; park
-                    // briefly only when the queue is dry too.
-                    if !self.pool.try_run_one() {
-                        match self.rx.recv_timeout(Duration::from_micros(100)) {
-                            Ok((index, outcome)) => {
-                                self.buffer.insert(index, outcome);
-                            }
-                            Err(RecvTimeoutError::Timeout) => {}
-                            Err(RecvTimeoutError::Disconnected) => {
-                                unreachable!(
-                                    "scatter task {} vanished without reporting", self.next
-                                );
-                            }
-                        }
-                    }
-                }
-                Err(TryRecvError::Disconnected) => {
-                    unreachable!("scatter task {} vanished without reporting", self.next);
-                }
-            }
+        self.next += 1;
+        Some(self.wait_for(self.next - 1))
+    }
+}
+
+/// One round of `n` deliveries — the one place where "serial or
+/// scattered" is decided, so that a protocol's collation loop
+///
+/// ```text
+/// for i in order { before(i); let result = round.take(i); after(i, result); /* break to stop */ }
+/// ```
+///
+/// is the same code under every [`DispatchConfig`]:
+///
+/// * at width 1 (or with at most one task) `take(i)` **runs task `i`
+///   inline, now**: the caller's statements bracket the call exactly as in
+///   a hand-written serial loop, a panic unwinds straight out of `take`,
+///   and a `break` means the remaining tasks are never run at all. Nothing
+///   is boxed, shared or sent — a width-1 round allocates nothing;
+/// * otherwise every task was handed to the shared [`WorkerPool`] when the
+///   round started and `take(i)` **waits for task `i`** (helping with
+///   queued work meanwhile): the caller's statements bracket the wait, a
+///   task's panic is re-raised at its own `take` and nowhere else, and
+///   whatever is never taken is discarded, panics included.
+///
+/// How a round ends is the caller's protocol knowledge. Dropping it fires
+/// its [`CancelToken`]: tasks that have not started are skipped and the
+/// running ones finish unobserved, which at-least-once, idempotent signal
+/// delivery permits (§3.4). [`Round::join`] instead waits for everything
+/// that was asked — what 2PC needs before it tells a participant to roll
+/// back. At width 1 the two coincide: nothing untaken ever started.
+pub struct Round<T, F> {
+    delivery: Delivery<T, F>,
+}
+
+enum Delivery<T, F> {
+    /// Width 1: `take` is the call.
+    Inline(F),
+    /// Every task is on the pool; `take` collates.
+    Scattered { results: OrderedResults<'static, T>, cancel: CancelToken },
+}
+
+impl<T, F> Round<T, F>
+where
+    T: Send + 'static,
+    F: Fn(usize) -> T + Send + Sync + 'static,
+{
+    /// Start a round of tasks `0..n` of `task` under `config`.
+    pub fn start(config: DispatchConfig, n: usize, task: F) -> Self {
+        // A single task gains nothing from the pool either.
+        if config.is_serial() || n <= 1 {
+            return Round { delivery: Delivery::Inline(task) };
+        }
+        // One shared task; each pool job carries a handle and its index.
+        let task = Arc::new(task);
+        let cancel = CancelToken::new();
+        let results = WorkerPool::shared(config.workers()).scatter_each(
+            n,
+            |index| {
+                let task = Arc::clone(&task);
+                move || task(index)
+            },
+            &cancel,
+        );
+        Round { delivery: Delivery::Scattered { results, cancel } }
+    }
+
+    /// The result of task `index` (see the type's docs for what that
+    /// means per width). Take each index at most once.
+    pub fn take(&mut self, index: usize) -> T {
+        match &mut self.delivery {
+            Delivery::Inline(task) => task(index),
+            Delivery::Scattered { results, .. } => match results.wait_for(index) {
+                TaskOutcome::Done(value) => value,
+                TaskOutcome::Panicked(payload) => std::panic::resume_unwind(payload),
+                TaskOutcome::Cancelled => unreachable!("a round is only cancelled by its drop"),
+            },
+        }
+    }
+
+    /// End the round without abandoning anyone: wait until every task that
+    /// was handed out has finished, discarding what was not taken.
+    pub fn join(mut self) {
+        if let Delivery::Scattered { results, .. } = &mut self.delivery {
+            results.wait_all();
+        }
+    }
+}
+
+impl<T, F> Drop for Round<T, F> {
+    fn drop(&mut self) {
+        if let Delivery::Scattered { cancel, .. } = &self.delivery {
+            cancel.cancel();
         }
     }
 }
@@ -486,6 +612,135 @@ mod tests {
                 Some(TaskOutcome::Done(sum)) => assert_eq!(sum, i * 40 + 6),
                 _ => panic!("outer task {i} failed"),
             }
+        }
+    }
+
+    /// A round of `n` tasks that log their index and return it doubled.
+    fn logging_round(
+        config: DispatchConfig,
+        n: usize,
+        ran: &Arc<Mutex<Vec<usize>>>,
+    ) -> Round<usize, impl Fn(usize) -> usize + Send + Sync + 'static> {
+        let ran = Arc::clone(ran);
+        Round::start(config, n, move |index| {
+            ran.lock().unwrap().push(index);
+            index * 2
+        })
+    }
+
+    #[test]
+    fn a_width_one_round_runs_each_task_at_its_take_and_no_other() {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let mut round = logging_round(DispatchConfig::serial(), 6, &ran);
+        assert!(ran.lock().unwrap().is_empty(), "starting a width-1 round runs nothing");
+        // Any order: `take(i)` is the call.
+        for index in [3, 0, 5] {
+            assert_eq!(round.take(index), index * 2);
+        }
+        assert_eq!(*ran.lock().unwrap(), vec![3, 0, 5]);
+        // A break after k takes: the rest never run, dropped or joined.
+        drop(round);
+        logging_round(DispatchConfig::serial(), 6, &ran).join();
+        assert_eq!(*ran.lock().unwrap(), vec![3, 0, 5]);
+        // A lone task is not worth the pool either, whatever the width.
+        let mut lone = logging_round(DispatchConfig::with_workers(4), 1, &ran);
+        assert_eq!(ran.lock().unwrap().len(), 3);
+        assert_eq!(lone.take(0), 0);
+    }
+
+    #[test]
+    fn a_scattered_round_collates_in_take_order_whatever_finishes_first() {
+        let mut round = Round::start(DispatchConfig::with_workers(4), 16, |index: usize| {
+            // Later tasks finish first.
+            std::thread::sleep(Duration::from_micros(((16 - index) * 50) as u64));
+            index
+        });
+        let order: Vec<usize> = (0..16).rev().step_by(2).chain((0..16).step_by(2)).collect();
+        for index in order {
+            assert_eq!(round.take(index), index);
+        }
+    }
+
+    #[test]
+    fn dropping_a_scattered_round_cancels_what_has_not_started() {
+        // A width no other test scatters at (not 2, 4 or the machine's), so
+        // this test has a pool of its own and nobody helps with its queue.
+        // Every task blocks on a gate: once every worker is inside one,
+        // the round is dropped, and only then is the gate opened — the
+        // thirteen queued tasks can only see the fired token. What the
+        // running ones return is discarded unobserved.
+        let width = DispatchConfig::parallel().workers() + 5;
+        let config = DispatchConfig::with_workers(width);
+        let started = Arc::new(AtomicUsize::new(0));
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let round = Round::start(config, width + 13, {
+            let (started, gate) = (Arc::clone(&started), Arc::clone(&gate));
+            move |index: usize| {
+                started.fetch_add(1, Ordering::SeqCst);
+                let (open, opened) = &*gate;
+                drop(opened.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+                index
+            }
+        });
+        while started.load(Ordering::SeqCst) < width {
+            std::thread::yield_now();
+        }
+        drop(round);
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        // The queue is FIFO: once a later round has been served, the
+        // dropped one's jobs have all been popped (and skipped).
+        let mut flush = Round::start(config, 2, |index: usize| index);
+        assert_eq!((flush.take(0), flush.take(1)), (0, 1));
+        assert_eq!(started.load(Ordering::SeqCst), width, "a queued task ran after the drop");
+    }
+
+    #[test]
+    fn joining_a_scattered_round_waits_for_everything_it_asked() {
+        let finished = Arc::new(AtomicUsize::new(0));
+        let mut round = Round::start(DispatchConfig::with_workers(4), 12, {
+            let finished = Arc::clone(&finished);
+            move |index: usize| {
+                std::thread::sleep(Duration::from_millis(2));
+                finished.fetch_add(1, Ordering::SeqCst);
+                index
+            }
+        });
+        assert_eq!(round.take(0), 0);
+        round.join();
+        assert_eq!(finished.load(Ordering::SeqCst), 12, "join abandons nobody");
+    }
+
+    #[test]
+    fn a_panicking_task_re_raises_at_its_own_take_and_nowhere_else() {
+        for config in [DispatchConfig::serial(), DispatchConfig::with_workers(4)] {
+            let mut round = Round::start(config, 4, |index: usize| {
+                assert_ne!(index, 2, "boom at 2");
+                index
+            });
+            assert_eq!(round.take(0), 0);
+            assert_eq!(round.take(3), 3, "{config:?}: a later take is not poisoned");
+            let caught = catch_unwind(AssertUnwindSafe(|| round.take(2)));
+            let payload = caught.expect_err("the panic surfaces at take(2)");
+            let message = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(message.contains("boom at 2"), "{config:?}: {message}");
+            assert_eq!(round.take(1), 1, "{config:?}: the round survives the panic");
+            // An untaken panic is discarded with its round.
+            Round::start(config, 3, |_: usize| -> usize { panic!("never observed") }).join();
+        }
+    }
+
+    #[test]
+    fn nested_rounds_from_inside_a_task_do_not_deadlock() {
+        // More outer tasks than workers, each blocking on an inner round
+        // of the same pool: progress relies on collators helping.
+        let config = DispatchConfig::with_workers(2);
+        let mut outer = Round::start(config, 6, move |i: usize| {
+            let mut inner = Round::start(config, 4, move |j: usize| i * 10 + j);
+            (0..4).map(|j| inner.take(j)).sum::<usize>()
+        });
+        for i in 0..6 {
+            assert_eq!(outer.take(i), i * 40 + 6);
         }
     }
 

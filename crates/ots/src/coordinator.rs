@@ -32,11 +32,11 @@ pub mod failpoints {
 use std::time::Duration;
 
 use orb::choice::clamp_choice;
-use orb::pool::{CancelToken, DispatchConfig, TaskOutcome, WorkerPool};
-use orb::Env;
+use orb::pool::{DispatchConfig, Round};
+use orb::{Env, SpanGuard};
 use parking_lot::Mutex;
 use recovery_log::Wal;
-use telemetry::{RecordKind, SpanContext, Telemetry};
+use telemetry::RecordKind;
 
 use crate::error::TxError;
 use crate::journal::{ProtocolJournal, TwoPcEvent, VoteKind};
@@ -44,6 +44,10 @@ use crate::resource::{Resource, SubtransactionAwareResource, Synchronization, Vo
 use crate::status::TxStatus;
 use crate::txlog;
 use crate::xid::TxId;
+
+/// A snapshot of participants, shared by `Arc` with the (possibly
+/// scattered) deliveries of every round it goes through.
+type Participants = Arc<[Arc<dyn Resource>]>;
 
 /// Outcome of a completed transaction, as reported to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,44 +151,6 @@ impl Coordinator {
         self.dispatch
     }
 
-    /// Apply `op` to every resource and return the results in registration
-    /// order. Under a parallel [`DispatchConfig`] the calls run concurrently
-    /// on the shared worker pool; the serial config (or a single resource)
-    /// keeps the exact legacy in-order loop. A participant panic is re-raised
-    /// here at the panicking resource's registration position.
-    fn fan_out<T: Send + 'static>(
-        &self,
-        resources: &[Arc<dyn Resource>],
-        op: impl Fn(&dyn Resource, &TxId) -> T + Send + Sync + 'static,
-    ) -> Vec<T> {
-        if self.dispatch.is_serial() || resources.len() <= 1 {
-            return resources.iter().map(|r| op(r.as_ref(), &self.id)).collect();
-        }
-        let op = Arc::new(op);
-        let tasks: Vec<Box<dyn FnOnce() -> T + Send>> = resources
-            .iter()
-            .map(|resource| {
-                let resource = Arc::clone(resource);
-                let id = self.id.clone();
-                let op = Arc::clone(&op);
-                Box::new(move || op(resource.as_ref(), &id)) as Box<dyn FnOnce() -> T + Send>
-            })
-            .collect();
-        // 2PC joins every result (votes before the decision, acknowledgements
-        // before the completion record), so no cancellation is ever needed.
-        let cancel = CancelToken::new();
-        let results = WorkerPool::shared(self.dispatch.workers()).scatter(tasks, &cancel);
-        let mut collated = Vec::with_capacity(resources.len());
-        for outcome in results {
-            match outcome {
-                TaskOutcome::Done(value) => collated.push(value),
-                TaskOutcome::Panicked(payload) => std::panic::resume_unwind(payload),
-                TaskOutcome::Cancelled => unreachable!("2PC fan-out never cancels"),
-            }
-        }
-        collated
-    }
-
     /// Which of the round's still-`pending` deliveries (indices into
     /// `resources`) goes next: the sequencer's pick when one is in the
     /// context and there is a choice, registration order otherwise.
@@ -199,39 +165,66 @@ impl Coordinator {
         }
     }
 
-    /// Deliver one round of `op`, returning results in **registration**
-    /// order so collation is dispatch-invisible: scattered across the pool
-    /// under parallel dispatch, otherwise one at a time in
+    /// The one delivery loop of this coordinator: `op` goes to every
+    /// resource as one [`Round`] under the factory's [`DispatchConfig`],
+    /// and the deliveries are taken one at a time, in
     /// [`orb::DeliverySequencer`] order (registration order without a
-    /// sequencer), each delivery reported back to the sequencer with
-    /// `clean(&result)`.
-    fn round<T: Send + 'static>(
+    /// sequencer). Each goes through `collate(index, take)`, which calls
+    /// `take()` exactly once — at width 1 that call *is* the delivery, so
+    /// whatever `collate` does around it brackets the participant call —
+    /// and answers whether the round goes on. A participant panic surfaces
+    /// from its own `take()`.
+    ///
+    /// When `collate` stops the round, participants not yet taken are never
+    /// asked at width 1; scattered, they were all asked at the start, and
+    /// the round is joined before this returns — 2PC may not tell a
+    /// participant to roll back while its `prepare` is still running.
+    fn deliver<T: Send + 'static>(
         &self,
         stage: &str,
-        resources: &[Arc<dyn Resource>],
+        resources: &Participants,
         op: impl Fn(&dyn Resource, &TxId) -> T + Send + Sync + 'static,
-        clean: impl Fn(&T) -> bool,
-    ) -> Vec<T> {
-        if !self.dispatch.is_serial() && resources.len() > 1 {
-            return self.fan_out(resources, op);
-        }
-        let sequencer = self.env.sequencer.as_ref();
-        let mut slots: Vec<Option<T>> = resources.iter().map(|_| None).collect();
+        mut collate: impl FnMut(usize, &mut dyn FnMut() -> T) -> bool,
+    ) {
+        let mut round = Round::start(self.dispatch, resources.len(), {
+            let (resources, id) = (Arc::clone(resources), self.id.clone());
+            move |index| op(resources[index].as_ref(), &id)
+        });
         let mut pending: Vec<usize> = (0..resources.len()).collect();
         while !pending.is_empty() {
             let index = pending.remove(self.next_slot(stage, resources, &pending));
-            let resource = &resources[index];
-            let result = op(resource.as_ref(), &self.id);
-            if let Some(seq) = sequencer {
-                seq.report(stage, resource.resource_name(), clean(&result));
+            if !collate(index, &mut || round.take(index)) {
+                break;
+            }
+        }
+        round.join();
+    }
+
+    /// Deliver one full round of `op` and return the results in
+    /// **registration** order, so what the caller journals is
+    /// delivery-order-invisible; each delivery is reported back to the
+    /// sequencer with `clean(&result)`.
+    fn round<T: Send + 'static>(
+        &self,
+        stage: &str,
+        resources: &Participants,
+        op: impl Fn(&dyn Resource, &TxId) -> T + Send + Sync + 'static,
+        clean: impl Fn(&T) -> bool,
+    ) -> Vec<T> {
+        let mut slots: Vec<Option<T>> = resources.iter().map(|_| None).collect();
+        self.deliver(stage, resources, op, |index, take| {
+            let result = take();
+            if let Some(seq) = &self.env.sequencer {
+                seq.report(stage, resources[index].resource_name(), clean(&result));
             }
             slots[index] = Some(result);
-        }
+            true
+        });
         slots.into_iter().map(|slot| slot.expect("every delivery ran")).collect()
     }
 
     /// Deliver a rollback round and journal each delivery's fate.
-    fn rollback_round(&self, resources: &[Arc<dyn Resource>]) {
+    fn rollback_round(&self, resources: &Participants) {
         let results =
             self.round("rollback", resources, |resource, id| resource.rollback(id).is_ok(), |ok| *ok);
         for (resource, ok) in resources.iter().zip(results) {
@@ -396,32 +389,25 @@ impl Coordinator {
     pub fn commit(&self, report_heuristics: bool) -> Result<TxOutcome, TxError> {
         // The whole commit is one span, entered on the driving thread so
         // participant invocations (and, on a remote resource proxy, their
-        // retry-attempt spans) nest under it. It closes on every exit
-        // path, including injected crashes — oracle #7 rejects open spans.
-        let scope = self.env.live_telemetry().map(|t| {
-            let span = t.start_span(&format!("commit:{}", self.id));
-            t.set_attr(&span, "top_level", if self.is_top_level() { "true" } else { "false" });
-            t.enter(span);
-            (t, span)
-        });
-        let result = self.commit_inner(report_heuristics, scope);
-        if let Some((t, span)) = scope {
+        // retry-attempt spans) nest under it. The guard closes it on every
+        // exit path, including injected crashes and participant panics —
+        // oracle #7 rejects open spans.
+        let scope = self.env.span(|| format!("commit:{}", self.id));
+        scope.attr("top_level", self.is_top_level());
+        let result = self.commit_inner(report_heuristics, &scope);
+        match &result {
+            Ok(TxOutcome::Committed) => scope.attr("outcome", "committed"),
+            Ok(TxOutcome::RolledBack) => scope.attr("outcome", "rolled_back"),
+            Err(e) => scope.attr("error", e),
+        }
+        if let Some(telemetry) = scope.telemetry().filter(|_| self.is_top_level()) {
             match &result {
-                Ok(TxOutcome::Committed) => t.set_attr(&span, "outcome", "committed"),
-                Ok(TxOutcome::RolledBack) => t.set_attr(&span, "outcome", "rolled_back"),
-                Err(e) => t.set_attr(&span, "error", &e.to_string()),
-            }
-            if self.is_top_level() {
-                match &result {
-                    Ok(TxOutcome::Committed) => t.metrics().incr("twopc_commits_total"),
-                    Ok(TxOutcome::RolledBack) | Err(TxError::RolledBack(_)) => {
-                        t.metrics().incr("twopc_aborts_total");
-                    }
-                    Err(_) => {}
+                Ok(TxOutcome::Committed) => telemetry.metrics().incr("twopc_commits_total"),
+                Ok(TxOutcome::RolledBack) | Err(TxError::RolledBack(_)) => {
+                    telemetry.metrics().incr("twopc_aborts_total");
                 }
+                Err(_) => {}
             }
-            t.exit();
-            t.end(&span);
         }
         result
     }
@@ -429,7 +415,7 @@ impl Coordinator {
     fn commit_inner(
         &self,
         report_heuristics: bool,
-        tel: Option<(&Telemetry, SpanContext)>,
+        scope: &SpanGuard<'_>,
     ) -> Result<TxOutcome, TxError> {
         // Settle children and collect a snapshot under the lock, then drive
         // the protocol outside it (participants may call back in).
@@ -455,7 +441,8 @@ impl Coordinator {
             }
             let inner = self.inner.lock();
             let doomed = inner.status == TxStatus::MarkedRollback;
-            (inner.resources.clone(), inner.synchronizations.clone(), doomed)
+            let resources: Participants = Arc::from(inner.resources.as_slice());
+            (resources, inner.synchronizations.clone(), doomed)
         };
         if doomed {
             self.rollback()?;
@@ -481,10 +468,10 @@ impl Coordinator {
         // participant's skip decision is computed exactly once (`should_skip`
         // claims half-open probe slots as a side effect).
         let detector = self.env.detector.as_ref();
-        let resources: Vec<Arc<dyn Resource>> = if let Some(detector) = detector {
+        let resources: Participants = if let Some(detector) = detector {
             let mut kept = Vec::with_capacity(resources.len());
             let mut quarantined_voter = false;
-            for resource in resources {
+            for resource in resources.iter() {
                 if detector.should_skip(resource.resource_name()) {
                     if resource.read_only_hint() {
                         // Its vote could only be ReadOnly; dropping it cannot
@@ -498,9 +485,11 @@ impl Coordinator {
                     // learn the outcome when it recovers.
                     quarantined_voter = true;
                 } else {
-                    kept.push(resource);
+                    kept.push(Arc::clone(resource));
                 }
             }
+            let kept: Participants =
+                if kept.len() == resources.len() { resources } else { kept.into() };
             if quarantined_voter {
                 self.set_status(TxStatus::RollingBack);
                 self.rollback_round(&kept);
@@ -526,119 +515,66 @@ impl Coordinator {
             };
         }
 
-        // Phase one. The `prepare` span closes before the AFTER_PREPARE
-        // failpoint so an injected crash there cannot leak it open.
+        // Phase one.
         self.set_status(TxStatus::Preparing);
         if let Some(wal) = &self.wal {
             let names: Vec<&str> = resources.iter().map(|r| r.resource_name()).collect();
             txlog::log_prepared(wal.as_ref(), &self.id, &names)?;
         }
-        let prepare_span = tel.map(|(t, parent)| {
-            let span = t.start_child(&parent, "prepare");
-            t.set_attr(&span, "participants", &resources.len().to_string());
-            span
-        });
-        let mut prepared: Vec<Arc<dyn Resource>> = Vec::new();
+        let prepare_span = scope.child(|| "prepare".into());
+        prepare_span.attr("participants", resources.len());
+        // Who voted commit, in the order the votes were taken.
+        let mut prepared: Vec<usize> = Vec::new();
         let mut voted_rollback = false;
-        if self.dispatch.is_serial() {
-            // Legacy serial phase one: stop asking for votes at the first
-            // veto — resources after the break never see `prepare`. A
-            // sequencer, when attached, picks which pending participant is
-            // asked next; without one the loop walks registration order
-            // exactly as before.
-            let sequencer = self.env.sequencer.as_ref();
-            let mut pending: Vec<usize> = (0..resources.len()).collect();
-            while !pending.is_empty() {
-                let slot = self.next_slot("prepare", &resources, &pending);
-                let resource = &resources[pending.remove(slot)];
-                let vote_started = tel.map(|_| self.env.clock.now());
-                self.journal(|| TwoPcEvent::PrepareSent {
-                    participant: resource.resource_name().to_owned(),
-                });
-                // Per-vote child span under `prepare`: the critical-path
-                // walk reads the slowest of these as the slowest-vote
-                // annotation.
-                let vote_span = match (tel, prepare_span.as_ref()) {
-                    (Some((t, _)), Some(parent)) => Some(
-                        t.start_child(parent, &format!("vote:{}", resource.resource_name())),
-                    ),
-                    _ => None,
-                };
-                let answer = resource.prepare(&self.id);
-                if let (Some((t, _)), Some(span)) = (tel, vote_span.as_ref()) {
-                    t.end(span);
+        // Every vote is solicited as one round that stops at the first veto
+        // (see `deliver` for what that means per width). Speculatively
+        // preparing a resource whose peer vetoes is safe — presumed abort
+        // means it is simply rolled back, exactly as a prepared resource
+        // is. Journal, latency and detector are fed here, at collation, so
+        // they evolve in the same order under every width.
+        self.deliver("prepare", &resources, |resource, id| resource.prepare(id), |index, take| {
+            let resource = &resources[index];
+            let vote_started = self.env.clock.now();
+            self.journal(|| TwoPcEvent::PrepareSent {
+                participant: resource.resource_name().to_owned(),
+            });
+            // Per-vote child span under `prepare`: the critical-path walk
+            // reads the slowest of these as the slowest-vote annotation.
+            let vote_span = prepare_span.child(|| format!("vote:{}", resource.resource_name()));
+            let answer = take();
+            drop(vote_span);
+            if let Some(telemetry) = scope.telemetry() {
+                // The virtual time this coordinator spent on (or, scattered,
+                // still had to wait for) this vote.
+                let waited = self.env.clock.now().saturating_sub(vote_started);
+                telemetry.metrics().observe("twopc_vote_latency_seconds", waited);
+            }
+            if let Some(detector) = detector {
+                match &answer {
+                    Ok(_) => detector.record_success(resource.resource_name()),
+                    Err(_) => detector.record_failure(resource.resource_name()),
                 }
-                if let Some((t, _)) = tel {
-                    t.metrics()
-                        .observe("twopc_vote_latency_seconds", self.elapsed_since(vote_started));
-                }
-                if let Some(detector) = detector {
-                    match &answer {
-                        Ok(_) => detector.record_success(resource.resource_name()),
-                        Err(_) => detector.record_failure(resource.resource_name()),
-                    }
-                }
-                self.journal(|| TwoPcEvent::VoteRecorded {
-                    participant: resource.resource_name().to_owned(),
-                    vote: VoteKind::from_answer(&answer),
-                });
+            }
+            self.journal(|| TwoPcEvent::VoteRecorded {
+                participant: resource.resource_name().to_owned(),
+                vote: VoteKind::from_answer(&answer),
+            });
+            if let Some(seq) = &self.env.sequencer {
                 let clean = matches!(answer, Ok(Vote::Commit) | Ok(Vote::ReadOnly));
-                if let Some(seq) = sequencer {
-                    seq.report("prepare", resource.resource_name(), clean);
-                }
-                match answer {
-                    Ok(Vote::Commit) => prepared.push(Arc::clone(resource)),
-                    Ok(Vote::ReadOnly) => {}
-                    Ok(Vote::Rollback) | Err(_) => {
-                        voted_rollback = true;
-                        break;
-                    }
-                }
+                seq.report("prepare", resource.resource_name(), clean);
             }
-        } else {
-            let phase_started = tel.map(|_| self.env.clock.now());
-            // Parallel phase one: every vote is solicited concurrently and
-            // all are joined before the decision. Speculatively preparing a
-            // resource whose peer vetoes is safe — presumed abort means it
-            // is simply rolled back, exactly as a prepared resource is on
-            // the serial path.
-            let votes = self.fan_out(&resources, |resource, id| resource.prepare(id));
-            // Detector feeding (and journal recording) happens here at
-            // collation (registration order), not inside the scattered
-            // tasks, so suspicion counters and the journal evolve
-            // deterministically under parallel dispatch.
-            for (resource, vote) in resources.iter().zip(votes) {
-                self.journal(|| TwoPcEvent::PrepareSent {
-                    participant: resource.resource_name().to_owned(),
-                });
-                self.journal(|| TwoPcEvent::VoteRecorded {
-                    participant: resource.resource_name().to_owned(),
-                    vote: VoteKind::from_answer(&vote),
-                });
-                if let Some((t, _)) = tel {
-                    // Votes are joined, so per-vote latency is the phase
-                    // latency — the time this coordinator actually waited.
-                    t.metrics()
-                        .observe("twopc_vote_latency_seconds", self.elapsed_since(phase_started));
-                }
-                if let Some(detector) = detector {
-                    match &vote {
-                        Ok(_) => detector.record_success(resource.resource_name()),
-                        Err(_) => detector.record_failure(resource.resource_name()),
-                    }
-                }
-                match vote {
-                    Ok(Vote::Commit) => prepared.push(Arc::clone(resource)),
-                    Ok(Vote::ReadOnly) => {}
-                    Ok(Vote::Rollback) | Err(_) => voted_rollback = true,
-                }
+            match answer {
+                Ok(Vote::Commit) => prepared.push(index),
+                Ok(Vote::ReadOnly) => {}
+                Ok(Vote::Rollback) | Err(_) => voted_rollback = true,
             }
-        }
-        if let Some(((t, _), span)) = tel.zip(prepare_span.as_ref()) {
-            t.set_attr(span, "prepared", &prepared.len().to_string());
-            t.set_attr(span, "voted_rollback", if voted_rollback { "true" } else { "false" });
-            t.end(span);
-        }
+            !voted_rollback
+        });
+        prepare_span.attr("prepared", prepared.len());
+        prepare_span.attr("voted_rollback", voted_rollback);
+        // The `prepare` span closes before the AFTER_PREPARE failpoint so an
+        // injected crash there finds it closed.
+        drop(prepare_span);
         self.env.hit(failpoints::AFTER_PREPARE)?;
 
         if voted_rollback {
@@ -659,6 +595,13 @@ impl Coordinator {
             return Ok(TxOutcome::Committed);
         }
 
+        // Phase two goes to whoever voted commit, in the order they voted —
+        // the snapshot itself when that is everyone in registration order.
+        let prepared: Participants = if prepared.iter().copied().eq(0..resources.len()) {
+            resources
+        } else {
+            prepared.iter().map(|index| Arc::clone(&resources[*index])).collect()
+        };
         self.set_status(TxStatus::Prepared);
         self.env.hit(failpoints::BEFORE_DECISION)?;
         if let Some(wal) = &self.wal {
@@ -677,11 +620,8 @@ impl Coordinator {
         // independent; heuristics are collated in registration order. The
         // span closes before the BEFORE_COMPLETION_RECORD failpoint.
         self.set_status(TxStatus::Committing);
-        let phase2_span = tel.map(|(t, parent)| {
-            let span = t.start_child(&parent, "phase2");
-            t.set_attr(&span, "participants", &prepared.len().to_string());
-            span
-        });
+        let phase2_span = scope.child(|| "phase2".into());
+        phase2_span.attr("participants", prepared.len());
         let deliveries: Vec<Option<String>> = self.round(
             "phase2",
             &prepared,
@@ -709,10 +649,8 @@ impl Coordinator {
             }
         }
         let heuristics: Vec<String> = deliveries.into_iter().flatten().collect();
-        if let Some(((t, _), span)) = tel.zip(phase2_span.as_ref()) {
-            t.set_attr(span, "heuristics", &heuristics.len().to_string());
-            t.end(span);
-        }
+        phase2_span.attr("heuristics", heuristics.len());
+        drop(phase2_span);
         self.env.hit(failpoints::BEFORE_COMPLETION_RECORD)?;
         self.finish(TxStatus::Committed, &synchronizations);
 
@@ -774,7 +712,7 @@ impl Coordinator {
                 let _ = child.rollback();
             }
         }
-        self.rollback_round(&resources);
+        self.rollback_round(&resources.into());
         for participant in &subtx_aware {
             participant.rollback_subtransaction(&self.id);
         }
@@ -784,13 +722,6 @@ impl Coordinator {
 
     fn set_status(&self, status: TxStatus) {
         self.inner.lock().status = status;
-    }
-
-    /// Virtual time elapsed since `started` (zero when nothing was timed).
-    fn elapsed_since(&self, started: Option<Duration>) -> Duration {
-        started.map_or(Duration::ZERO, |started| {
-            self.env.clock.now().saturating_sub(started)
-        })
     }
 
     fn finish(&self, status: TxStatus, synchronizations: &[Arc<dyn Synchronization>]) {
@@ -814,6 +745,7 @@ mod tests {
     use orb::detector::FailureDetector;
     use orb::SimClock;
     use recovery_log::{FailpointSet, MemWal};
+    use telemetry::Telemetry;
 
     fn top(wal: Option<Arc<dyn Wal>>) -> Arc<Coordinator> {
         Coordinator::new_top_level(

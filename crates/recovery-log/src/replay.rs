@@ -61,40 +61,6 @@ impl Replayer {
         Replayer { honor_checkpoints: false }
     }
 
-    /// [`Replayer::replay`], recorded as a `wal_replay` span on `telemetry`
-    /// (attrs: records replayed, checkpoint use) plus the
-    /// `wal_replays_total` / `wal_replayed_records_total` counters.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Replayer::replay`].
-    pub fn replay_traced<H: RecoveryHandler>(
-        &self,
-        wal: &dyn Wal,
-        handler: &mut H,
-        telemetry: &telemetry::Telemetry,
-    ) -> Result<ReplayReport, LogError> {
-        let span = telemetry.is_enabled().then(|| telemetry.start_span("wal_replay"));
-        let result = self.replay(wal, handler);
-        if let Some(span) = span {
-            match &result {
-                Ok(report) => {
-                    telemetry.set_attr(&span, "replayed", &report.replayed.to_string());
-                    telemetry.set_attr(
-                        &span,
-                        "from_checkpoint",
-                        &report.from_checkpoint.to_string(),
-                    );
-                    telemetry.metrics().incr("wal_replays_total");
-                    telemetry.metrics().add("wal_replayed_records_total", report.replayed as u64);
-                }
-                Err(e) => telemetry.set_attr(&span, "error", &e.to_string()),
-            }
-            telemetry.end(&span);
-        }
-        result
-    }
-
     /// Run recovery.
     ///
     /// # Errors
@@ -172,27 +138,6 @@ mod tests {
         assert!(!report.from_checkpoint);
         assert_eq!(report.last_lsn, Some(Lsn::new(4)));
         assert_eq!(sum.total, 10);
-    }
-
-    #[test]
-    fn traced_replay_records_span_and_counters() {
-        let tel = telemetry::Telemetry::new();
-        let wal = MemWal::new();
-        wal.set_telemetry(&tel);
-        for i in 1..=3u64 {
-            wal.append(1, &i.to_be_bytes()).unwrap();
-        }
-        let mut sum = Sum::default();
-        let report = Replayer::new().replay_traced(&wal, &mut sum, &tel).unwrap();
-        assert_eq!(report.replayed, 3);
-        assert_eq!(tel.metrics().counter_value("wal_appends_total"), 3);
-        assert_eq!(tel.metrics().counter_value("wal_replays_total"), 1);
-        assert_eq!(tel.metrics().counter_value("wal_replayed_records_total"), 3);
-        let tree = tel.span_tree();
-        assert_eq!(tree.verify(), Vec::<String>::new());
-        let span = tree.find("wal_replay").expect("replay span");
-        assert_eq!(span.attr("replayed"), Some("3"));
-        assert_eq!(span.attr("from_checkpoint"), Some("false"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use orb::Value;
+use orb::{Env, Value};
 
 use crate::error::WorkflowError;
 use crate::graph::WorkflowGraph;
@@ -51,7 +51,10 @@ pub fn plan(graph: &WorkflowGraph, completed_in_order: &[String]) -> Vec<Compens
 /// application ... to be able to compensate").
 ///
 /// Compensation failures do not stop the sweep — every step runs, and the
-/// records say which succeeded.
+/// records say which succeeded. Under live telemetry in `env` the sweep is
+/// one `compensation` span (under the caller's ambient span) with a
+/// `compensate:{task}` child per step, and each step bumps
+/// `wf_compensations_total{status=...}`.
 ///
 /// # Errors
 ///
@@ -62,29 +65,17 @@ pub fn execute(
     registry: &TaskRegistry,
     params: &Value,
     outputs: &BTreeMap<String, Value>,
+    env: &Env,
 ) -> Result<Vec<CompensationRecord>, WorkflowError> {
-    execute_traced(plan, registry, params, outputs, None)
-}
-
-/// [`execute`], but each step additionally records a `compensate:{task}`
-/// span (under the caller's ambient span) and bumps
-/// `wf_compensations_total{status=...}` on the given recorder.
-///
-/// # Errors
-///
-/// Same as [`execute`].
-pub fn execute_traced(
-    plan: &[CompensationStep],
-    registry: &TaskRegistry,
-    params: &Value,
-    outputs: &BTreeMap<String, Value>,
-    telemetry: Option<&telemetry::Telemetry>,
-) -> Result<Vec<CompensationRecord>, WorkflowError> {
+    let sweep = env.span(|| "compensation".into());
+    sweep.attr("planned", plan.len());
     // Validate the whole plan first so a missing body cannot strand a
     // half-compensated workflow.
     for step in plan {
         if registry.body(&step.compensation).is_none() {
-            return Err(WorkflowError::MissingBody(step.compensation.clone()));
+            let missing = WorkflowError::MissingBody(step.compensation.clone());
+            sweep.attr("error", &missing);
+            return Err(missing);
         }
     }
     let mut records = Vec::with_capacity(plan.len());
@@ -95,23 +86,18 @@ pub fn execute_traced(
             upstream.insert(step.task.clone(), output.clone());
         }
         let input = TaskInput { params: params.clone(), upstream };
-        let span = telemetry.map(|t| {
-            let span = t.start_span(&format!("compensate:{}", step.task));
-            t.set_attr(&span, "compensation", &step.compensation);
-            t.set_attr(&span, telemetry::MSC_FROM, "coordinator");
-            t.set_attr(
-                &span,
-                telemetry::MSC_NOTE,
-                &format!("compensate {} via {}", step.task, step.compensation),
-            );
-            span
-        });
+        let span = sweep.child(|| format!("compensate:{}", step.task));
+        span.attr("compensation", &step.compensation);
+        span.attr(telemetry::MSC_FROM, "coordinator");
+        span.attr(
+            telemetry::MSC_NOTE,
+            format_args!("compensate {} via {}", step.task, step.compensation),
+        );
         let TaskResult { success, .. } = body.execute(&input);
-        if let (Some(t), Some(span)) = (telemetry, span.as_ref()) {
-            let status = if success { "ok" } else { "failed" };
-            t.set_attr(span, "outcome", status);
-            t.end(span);
-            t.metrics().incr(&format!("wf_compensations_total{{status=\"{status}\"}}"));
+        let status = if success { "ok" } else { "failed" };
+        span.attr("outcome", status);
+        if let Some(telemetry) = span.telemetry() {
+            telemetry.metrics().incr(&format!("wf_compensations_total{{status=\"{status}\"}}"));
         }
         records.push(CompensationRecord { step: step.clone(), success });
     }
@@ -166,7 +152,7 @@ mod tests {
 
         let mut outputs = BTreeMap::new();
         outputs.insert("t2".to_string(), Value::from("booking-42"));
-        let records = execute(&steps, &registry, &Value::Null, &outputs).unwrap();
+        let records = execute(&steps, &registry, &Value::Null, &outputs, &Env::default()).unwrap();
         assert_eq!(records.len(), 1);
         assert!(records[0].success);
         assert_eq!(*seen.lock(), vec!["booking-42"]);
@@ -185,7 +171,7 @@ mod tests {
             TaskResult::ok(Value::Null)
         });
         // undo-t2 missing.
-        let err = execute(&steps, &registry, &Value::Null, &BTreeMap::new()).unwrap_err();
+        let err = execute(&steps, &registry, &Value::Null, &BTreeMap::new(), &Env::default()).unwrap_err();
         assert!(matches!(err, WorkflowError::MissingBody(name) if name == "undo-t2"));
         assert_eq!(*ran.lock(), 0, "nothing may run when the plan is unexecutable");
     }
@@ -198,7 +184,7 @@ mod tests {
         let mut registry = TaskRegistry::new();
         registry.register("undo-t3", |_i: &TaskInput| TaskResult::failed("stuck"));
         registry.register("undo-t2", |_i: &TaskInput| TaskResult::ok(Value::Null));
-        let records = execute(&steps, &registry, &Value::Null, &BTreeMap::new()).unwrap();
+        let records = execute(&steps, &registry, &Value::Null, &BTreeMap::new(), &Env::default()).unwrap();
         assert_eq!(records.len(), 2);
         assert!(!records[0].success);
         assert!(records[1].success);

@@ -5,6 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use activity_service::{Activity, ActivityService, CompletionStatus};
+use orb::pool::{DispatchConfig, Round};
 use orb::{Env, Value, ValueMap};
 use tx_models::workflow_signals::{CompletedSignalSet, COMPLETED_SET};
 
@@ -148,7 +149,7 @@ impl WorkflowEngine {
         name: &str,
         params: Value,
     ) -> Result<WorkflowReport, WorkflowError> {
-        self.run_inner(service, name, params, false, None)
+        self.run_inner(service, name, params, DispatchConfig::serial(), None)
     }
 
     /// Run with a durable journal: every task outcome is logged before the
@@ -167,12 +168,13 @@ impl WorkflowEngine {
         params: Value,
         journal: &WorkflowJournal,
     ) -> Result<WorkflowReport, WorkflowError> {
-        self.run_inner(service, name, params, false, Some(journal))
+        self.run_inner(service, name, params, DispatchConfig::serial(), Some(journal))
     }
 
     /// Like [`WorkflowEngine::run`] but executes each ready batch of task
-    /// bodies on concurrent threads (batch-synchronous parallelism); all
-    /// activity machinery stays on the calling thread.
+    /// bodies concurrently on the shared [`orb::pool::WorkerPool`]
+    /// (batch-synchronous parallelism, as wide as the machine; a wider
+    /// batch queues); all activity machinery stays on the calling thread.
     ///
     /// # Errors
     ///
@@ -183,7 +185,7 @@ impl WorkflowEngine {
         name: &str,
         params: Value,
     ) -> Result<WorkflowReport, WorkflowError> {
-        self.run_inner(service, name, params, true, None)
+        self.run_inner(service, name, params, DispatchConfig::parallel(), None)
     }
 
     fn run_inner(
@@ -191,30 +193,21 @@ impl WorkflowEngine {
         service: &ActivityService,
         name: &str,
         params: Value,
-        parallel: bool,
+        dispatch: DispatchConfig,
         journal: Option<&WorkflowJournal>,
     ) -> Result<WorkflowReport, WorkflowError> {
         // The `workflow:{name}` span wraps the whole run so every exit path
         // (including activity-machinery errors) closes it.
-        let scope = self.env.live_telemetry().map(|t| {
-            let span = t.start_span(&format!("workflow:{name}"));
-            t.set_attr(&span, "tasks", &self.graph.len().to_string());
-            t.enter(span);
-            (t, span)
-        });
-        let result = self.run_exec(service, name, params, parallel, journal);
-        if let Some((t, span)) = scope {
-            match &result {
-                Ok(report) => {
-                    t.set_attr(&span, "completed", &report.completed.len().to_string());
-                    t.set_attr(&span, "failed", &report.failed.len().to_string());
-                    let outcome = if report.succeeded() { "success" } else { "failed" };
-                    t.set_attr(&span, "outcome", outcome);
-                }
-                Err(e) => t.set_attr(&span, "error", &e.to_string()),
+        let scope = self.env.span(|| format!("workflow:{name}"));
+        scope.attr("tasks", self.graph.len());
+        let result = self.run_exec(service, name, params, dispatch, journal);
+        match &result {
+            Ok(report) => {
+                scope.attr("completed", report.completed.len());
+                scope.attr("failed", report.failed.len());
+                scope.attr("outcome", if report.succeeded() { "success" } else { "failed" });
             }
-            t.exit();
-            t.end(&span);
+            Err(e) => scope.attr("error", e),
         }
         result
     }
@@ -224,10 +217,9 @@ impl WorkflowEngine {
         service: &ActivityService,
         name: &str,
         params: Value,
-        parallel: bool,
+        dispatch: DispatchConfig,
         journal: Option<&WorkflowJournal>,
     ) -> Result<WorkflowReport, WorkflowError> {
-        let tel = self.env.live_telemetry();
         let workflow = service.begin(name)?;
         let mut controllers: BTreeMap<String, Arc<TaskController>> = BTreeMap::new();
         for task in self.graph.task_names() {
@@ -295,44 +287,33 @@ impl WorkflowEngine {
                 None => (ready, Vec::new()),
             };
 
-            // Execute the batch's bodies (concurrently when asked); the
+            // Execute the batch's bodies as one round (concurrently when
+            // asked — a body's panic surfaces here either way); the
             // signalling below stays on this thread.
-            let mut results: Vec<(String, TaskResult, u32)> = if parallel && ready.len() > 1 {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = ready
-                        .iter()
-                        .map(|task| {
-                            let body = self.registry.body(task).expect("validated");
-                            let retries = self.graph.node(task).expect("listed").retries;
-                            let input = TaskInput {
-                                params: params.clone(),
-                                upstream: controllers[task].inputs(),
-                            };
-                            let task = task.clone();
-                            scope.spawn(move || {
-                                let (result, attempts) =
-                                    execute_with_retries(&*body, &input, retries);
-                                (task, result, attempts)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("task body panicked")).collect()
+            let jobs: Vec<_> = ready
+                .iter()
+                .map(|task| {
+                    let body = self.registry.body(task).expect("validated");
+                    let retries = self.graph.node(task).expect("listed").retries;
+                    let input = TaskInput {
+                        params: params.clone(),
+                        upstream: controllers[task].inputs(),
+                    };
+                    (body, input, retries)
                 })
-            } else {
-                ready
-                    .iter()
-                    .map(|task| {
-                        let body = self.registry.body(task).expect("validated");
-                        let retries = self.graph.node(task).expect("listed").retries;
-                        let input = TaskInput {
-                            params: params.clone(),
-                            upstream: controllers[task].inputs(),
-                        };
-                        let (result, attempts) = execute_with_retries(&*body, &input, retries);
-                        (task.clone(), result, attempts)
-                    })
-                    .collect()
-            };
+                .collect();
+            let mut round = Round::start(dispatch, jobs.len(), move |index| {
+                let (body, input, retries) = &jobs[index];
+                execute_with_retries(&**body, input, *retries)
+            });
+            let mut results: Vec<(String, TaskResult, u32)> = ready
+                .into_iter()
+                .enumerate()
+                .map(|(index, task)| {
+                    let (result, attempts) = round.take(index);
+                    (task, result, attempts)
+                })
+                .collect();
 
             // Feed the detector from *executed* results only, then append
             // the quarantine failures (after the executed batch, so its
@@ -357,28 +338,23 @@ impl WorkflowEngine {
                 // outcome exchange (the Completed child activity itself
                 // parents under the workflow activity, per fig. 4).
                 let status = if result.success { "ok" } else { "failed" };
-                let task_scope = tel.map(|t| {
-                    let span = t.start_span(&format!("task:{task}"));
-                    t.set_attr(&span, "attempts", &attempts.to_string());
-                    t.set_attr(&span, "outcome", status);
-                    t.enter(span);
-                    (t, span)
-                });
+                let task_scope = self.env.span(|| format!("task:{task}"));
+                task_scope.attr("attempts", attempts);
+                task_scope.attr("outcome", status);
                 let notified = (|| {
                     if let Some(journal) = journal {
                         journal.record(&task, result.success, &result.output)?;
                     }
                     self.notify_completion(&workflow, &task, &result, &controllers)
                 })();
-                if let Some((t, span)) = task_scope {
-                    if let Err(e) = &notified {
-                        t.set_attr(&span, "error", &e.to_string());
-                    }
-                    t.exit();
-                    t.end(&span);
-                    t.metrics().incr(&format!("wf_tasks_total{{status=\"{status}\"}}"));
-                    t.metrics().add("wf_task_attempts_total", u64::from(attempts));
+                if let Err(e) = &notified {
+                    task_scope.attr("error", e);
                 }
+                if let Some(telemetry) = task_scope.telemetry() {
+                    telemetry.metrics().incr(&format!("wf_tasks_total{{status=\"{status}\"}}"));
+                    telemetry.metrics().add("wf_task_attempts_total", u64::from(attempts));
+                }
+                drop(task_scope);
                 notified?;
                 if result.success {
                     report.outputs.insert(task.clone(), result.output);
@@ -408,22 +384,8 @@ impl WorkflowEngine {
 
         if !report.failed.is_empty() && self.policy == FailurePolicy::CompensateAndStop {
             let plan = compensate::plan(&self.graph, &report.completed);
-            let comp_scope = tel.map(|t| {
-                let span = t.start_span("compensation");
-                t.set_attr(&span, "planned", &plan.len().to_string());
-                t.enter(span);
-                (t, span)
-            });
-            let executed =
-                compensate::execute_traced(&plan, &self.registry, &params, &report.outputs, tel);
-            if let Some((t, span)) = comp_scope {
-                if let Err(e) = &executed {
-                    t.set_attr(&span, "error", &e.to_string());
-                }
-                t.exit();
-                t.end(&span);
-            }
-            report.compensations = executed?;
+            report.compensations =
+                compensate::execute(&plan, &self.registry, &params, &report.outputs, &self.env)?;
         }
 
         if report.failed.is_empty() {
@@ -523,6 +485,22 @@ mod tests {
         let report = engine.run_parallel(&service, "diamond", Value::Null).unwrap();
         assert!(report.succeeded());
         assert_eq!(report.outputs.len(), 4);
+
+        // One ready batch wider than the shared pool: the surplus queues
+        // behind the workers (and the collating thread helps) instead of
+        // each task getting a thread of its own.
+        let width = orb::pool::WorkerPool::global().workers() * 2 + 3;
+        let names: Vec<String> = (0..width).map(|i| format!("t{i:03}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut graph = WorkflowGraph::new();
+        for name in &names {
+            graph.add_task(*name).unwrap();
+        }
+        let engine = WorkflowEngine::new(graph, recording_registry(&names, &log)).unwrap();
+        let sequential = engine.run(&service, "wide", Value::Null).unwrap();
+        let parallel = engine.run_parallel(&service, "wide", Value::Null).unwrap();
+        assert!(parallel.succeeded());
+        assert_eq!(parallel, sequential, "same report, collated in name order");
     }
 
     #[test]
@@ -743,12 +721,16 @@ mod tests {
         let registry = recording_registry(&["a", "b"], &log);
         let engine = WorkflowEngine::new(graph, registry).unwrap();
         let service = ActivityService::new();
+        // The service keeps no registry of finished work; look under a
+        // parent begun here.
+        let parent = service.begin("parent").unwrap();
         engine.run(&service, "wf", Value::Null).unwrap();
-        let roots = service.roots();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].name(), "wf");
+        service.complete().unwrap();
+        let runs = parent.children();
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].name(), "wf");
         let child_names: Vec<String> =
-            roots[0].children().iter().map(|c| c.name().to_owned()).collect();
+            runs[0].children().iter().map(|c| c.name().to_owned()).collect();
         assert_eq!(child_names, vec!["a", "b"]);
     }
 }

@@ -172,3 +172,65 @@ fn a_coordinator_pays_nothing_for_its_default_dispatch_width() {
     });
     assert_eq!(coordinators, contexts, "1 000 coordinators allocated beyond their contexts");
 }
+
+#[test]
+fn a_width_one_round_of_deliveries_allocates_nothing_of_its_own() {
+    use activity_service::BroadcastSignalSet;
+    use orb::{Round, Value};
+
+    // The primitive: starting a width-1 round and taking every delivery
+    // boxes, shares and sends nothing.
+    let hits = Arc::new(AtomicU32::new(0));
+    let (allocs, _) = allocs_during(|| {
+        let hits = Arc::clone(&hits);
+        let mut round = Round::start(DispatchConfig::serial(), 64, move |index: usize| {
+            hits.fetch_add(1, Ordering::Relaxed);
+            index
+        });
+        for index in 0..64 {
+            assert_eq!(round.take(index), index);
+        }
+    });
+    assert_eq!((allocs, hits.load(Ordering::Relaxed)), (0, 64), "a width-1 round allocated");
+
+    // The fig. 5 loop on top of it: what one protocol run costs does not
+    // depend on how many actions the signal goes to.
+    let run_cost = |actions: u32| {
+        let coordinator = ActivityCoordinator::new(ActivityId::new(1));
+        coordinator.set_dispatch_config(DispatchConfig::serial());
+        for _ in 0..actions {
+            coordinator.register_action(
+                "S",
+                Arc::new(FnAction::new("a", |_s: &Signal| Ok(Outcome::done()))) as Arc<dyn Action>,
+            );
+        }
+        coordinator
+            .add_signal_set(Box::new(BroadcastSignalSet::new("S", "go", Value::Null)))
+            .unwrap();
+        let (allocs, outcome) = allocs_during(|| coordinator.process_signal_set("S"));
+        assert!(outcome.unwrap().is_done());
+        allocs
+    };
+    assert_eq!(run_cost(32), run_cost(1), "deliveries of a width-1 round allocated");
+}
+
+#[test]
+fn an_absent_telemetry_span_guard_allocates_nothing() {
+    let absent = Env::new();
+    let gated = Env { telemetry: Some(telemetry::Telemetry::disabled()), ..Env::default() }.wired();
+    for env in [absent, gated] {
+        let (allocs, _) = allocs_during(|| {
+            for attempt in 0..100u32 {
+                let scope = env.span(|| format!("commit:{attempt}"));
+                scope.attr("top_level", true);
+                let step = scope.child(|| format!("vote:{attempt}"));
+                step.attr("attempt", attempt);
+                step.event("never rendered");
+                drop(step);
+                scope.attr("error", format_args!("attempt {attempt} failed"));
+                assert!(scope.telemetry().is_none());
+            }
+        });
+        assert_eq!(allocs, 0, "an inert span guard allocated");
+    }
+}

@@ -115,7 +115,6 @@ fn parallel_activity_trees_are_isolated() {
         }
     });
     assert_eq!(completions.load(Ordering::SeqCst), 400);
-    assert_eq!(service.roots().len(), 400);
 }
 
 #[test]

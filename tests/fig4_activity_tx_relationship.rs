@@ -69,7 +69,7 @@ fn fig4_structure_reproduced() {
 
     // ---- A4, A5: activities whose transactions abort do not abort the
     //      activity itself (activities relax ACID as needed). ----
-    let _a4 = service.begin("A4").unwrap();
+    let a4 = service.begin("A4").unwrap();
     let t4 = factory.create().unwrap();
     store.enlist(&t4).unwrap();
     store.write(t4.id(), "a4", Value::from(5i64)).unwrap();
@@ -80,9 +80,13 @@ fn fig4_structure_reproduced() {
     assert!(outcome.is_done());
     assert_eq!(store.read_committed("a4"), None);
 
-    // The service saw all five root activities.
-    let names: Vec<String> = service.roots().iter().map(|a| a.name().to_owned()).collect();
-    assert_eq!(names, vec!["A1", "A2", "A3", "A4"]);
+    // Four root activities (A3' nests under A3), every one completed; the
+    // service keeps none of them — these handles are what is left.
+    for root in [&a1, &a2, &a3, &a4] {
+        assert!(root.parent().is_none(), "{} is a root", root.name());
+        assert_eq!(root.state(), ActivityState::Completed);
+    }
+    assert_eq!(a3.children().len(), 1);
 }
 
 #[test]
