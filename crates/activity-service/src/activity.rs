@@ -1,6 +1,7 @@
 //! Activities: units of (distributed) work that may or may not be
 //! transactional (§3.1–3.2 of the paper).
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -67,14 +68,19 @@ impl fmt::Display for ActivityState {
 
 struct ActivityInner {
     id: ActivityId,
-    name: String,
+    /// Shared: a caller that already holds the name as an `Arc<str>` (a
+    /// compiled workflow's task names, a coordination context's id) begins
+    /// the activity without copying it.
+    name: Arc<str>,
     parent: Weak<ActivityInner>,
     children: Mutex<Vec<Activity>>,
     state: Mutex<ActivityState>,
     completion: Mutex<CompletionStatus>,
     coordinator: ActivityCoordinator,
     properties: PropertyGroupManager,
-    completion_set: Mutex<Option<String>>,
+    /// Static-or-owned: designating a protocol's constant set name, and
+    /// reading it back at completion, copies nothing.
+    completion_set: Mutex<Option<Cow<'static, str>>>,
     outcome: Mutex<Option<Outcome>>,
     deadline: Mutex<Option<Duration>>,
     logger: Option<Arc<ActivityLogger>>,
@@ -115,12 +121,12 @@ impl Activity {
     /// plane-less context of its own. Most callers go through
     /// [`crate::service::ActivityService::begin`] instead, which wires the
     /// thread association, logging and the service's [`Env`].
-    pub fn new_root(name: impl Into<String>, env: impl Into<Arc<Env>>) -> Activity {
+    pub fn new_root(name: impl Into<Arc<str>>, env: impl Into<Arc<Env>>) -> Activity {
         Self::new_root_with(name, env.into(), None, Arc::new(AtomicU64::new(1)))
     }
 
     pub(crate) fn new_root_with(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         env: Arc<Env>,
         logger: Option<Arc<ActivityLogger>>,
         id_source: Arc<AtomicU64>,
@@ -141,7 +147,7 @@ impl Activity {
     /// children; its coordinator runs under `env`.
     pub(crate) fn assemble(
         id: ActivityId,
-        name: String,
+        name: Arc<str>,
         parent: Option<&Activity>,
         env: Arc<Env>,
         logger: Option<Arc<ActivityLogger>>,
@@ -199,7 +205,7 @@ impl Activity {
     fn begun(&self) -> ActivityEvent {
         ActivityEvent::Begun {
             activity: self.inner.id,
-            name: self.inner.name.clone(),
+            name: self.inner.name.as_ref().to_owned(),
             parent: self.inner.parent.upgrade().map(|p| p.id),
         }
     }
@@ -222,7 +228,7 @@ impl Activity {
     ///
     /// [`ActivityError::InvalidState`] unless this activity is active;
     /// [`ActivityError::TimedOut`] when this activity's deadline passed.
-    pub fn begin_child(&self, name: impl Into<String>) -> Result<Activity, ActivityError> {
+    pub fn begin_child(&self, name: impl Into<Arc<str>>) -> Result<Activity, ActivityError> {
         self.check_active("begin a child")?;
         let id = ActivityId::new(self.inner.id_source.fetch_add(1, Ordering::Relaxed));
         let name = name.into();
@@ -320,7 +326,7 @@ impl Activity {
     }
 
     /// Designate the SignalSet (by name) that [`Activity::complete`] drives.
-    pub fn set_completion_signal_set(&self, set_name: impl Into<String>) {
+    pub fn set_completion_signal_set(&self, set_name: impl Into<Cow<'static, str>>) {
         let set_name = set_name.into();
         if let Some(logger) = &self.inner.logger {
             let _ = logger.log_completion_set(self.inner.id, &set_name);
@@ -330,7 +336,7 @@ impl Activity {
 
     /// Name of the designated completion SignalSet, if any.
     pub fn completion_signal_set(&self) -> Option<String> {
-        self.inner.completion_set.lock().clone()
+        self.inner.completion_set.lock().as_deref().map(str::to_owned)
     }
 
     /// Arm a timeout: once the virtual clock passes `now + timeout`, the
@@ -440,10 +446,10 @@ impl Activity {
         }
 
         let completion_set = self.inner.completion_set.lock().clone();
-        let outcome = match completion_set {
+        let outcome = match completion_set.as_deref() {
             Some(set_name) => {
-                self.inner.coordinator.set_completion_status(&set_name, effective)?;
-                match self.inner.coordinator.process_signal_set(&set_name) {
+                self.inner.coordinator.set_completion_status(set_name, effective)?;
+                match self.inner.coordinator.process_signal_set(set_name) {
                     Ok(outcome) => outcome,
                     Err(e) => {
                         *self.inner.state.lock() = ActivityState::Active;

@@ -1,7 +1,7 @@
 //! The activity coordinator: drives SignalSets against registered Actions
 //! (fig. 5 of the paper).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
@@ -12,7 +12,7 @@ use telemetry::{RecordKind, MSC_FROM, MSC_MSG, MSC_REPLY, MSC_TO};
 use crate::action::Action;
 use crate::activity::ActivityId;
 use crate::completion::CompletionStatus;
-use crate::dispatch::{self, DispatchConfig};
+use crate::dispatch::{self, ActionList, DispatchConfig};
 use crate::error::ActivityError;
 use crate::outcome::Outcome;
 use crate::signal_set::{AfterResponse, NextSignal, SignalSet, SignalSetState};
@@ -40,16 +40,55 @@ struct SetEntry {
     state: SignalSetState,
 }
 
+/// Where a slot's signal set is.
+enum SetSlot {
+    /// Actions registered interest before any set was associated.
+    Vacant,
+    /// Associated and at rest.
+    Held(SetEntry),
+    /// A processing run has the set checked out.
+    Running,
+}
+
+/// Everything the coordinator keeps under one set name: the set associated
+/// under it and the actions registered for it. Either may arrive first
+/// ("Actions register interest in SignalSets, rather than specific
+/// Signals").
+struct Slot {
+    /// A protocol's set name is nearly always a constant, so the key is
+    /// static-or-owned and creating a slot copies nothing.
+    name: Cow<'static, str>,
+    set: SetSlot,
+    /// Shared so the per-signal snapshot on the hot path is one `Arc` bump;
+    /// registration appends in place unless a run holds a snapshot.
+    actions: ActionList,
+}
+
+/// An activity has one or two set names, so the slots are a vector searched
+/// linearly; slots are never removed, so a run may hold its slot's index.
+#[derive(Default)]
 struct CoordinatorInner {
-    /// set name → actions registered for it. Actions may register for sets
-    /// that have not been associated yet ("Actions register interest in
-    /// SignalSets, rather than specific Signals"). Stored as a shared
-    /// immutable slice so the per-signal snapshot on the hot path is one
-    /// `Arc` bump instead of a `Vec` clone; registration (cold) rebuilds.
-    registrations: HashMap<String, Arc<[Arc<dyn Action>]>>,
-    /// set name → the set itself. `None` while a processing run has the set
-    /// checked out.
-    sets: HashMap<String, Option<SetEntry>>,
+    slots: Vec<Slot>,
+}
+
+impl CoordinatorInner {
+    fn position(&self, set_name: &str) -> Option<usize> {
+        self.slots.iter().position(|slot| slot.name == set_name)
+    }
+
+    /// The slot named `set_name`, created empty — keyed by `key()` — when
+    /// this is the first mention of the name.
+    fn slot_for(&mut self, set_name: &str, key: impl FnOnce() -> Cow<'static, str>) -> &mut Slot {
+        let index = self.position(set_name).unwrap_or_else(|| {
+            self.slots.push(Slot {
+                name: key(),
+                set: SetSlot::Vacant,
+                actions: dispatch::no_actions(),
+            });
+            self.slots.len() - 1
+        });
+        &mut self.slots[index]
+    }
 }
 
 /// Coordinates one activity's protocol runs.
@@ -73,10 +112,12 @@ pub struct ActivityCoordinator {
 impl std::fmt::Debug for ActivityCoordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
+        let sets = inner.slots.iter().filter(|s| !matches!(s.set, SetSlot::Vacant)).count();
+        let registrations = inner.slots.iter().filter(|s| !s.actions.is_empty()).count();
         f.debug_struct("ActivityCoordinator")
             .field("activity", &self.activity)
-            .field("signal_sets", &inner.sets.len())
-            .field("registrations", &inner.registrations.len())
+            .field("signal_sets", &sets)
+            .field("registrations", &registrations)
             .finish()
     }
 }
@@ -93,10 +134,7 @@ impl ActivityCoordinator {
     pub(crate) fn in_env(activity: ActivityId, env: Arc<Env>) -> Self {
         ActivityCoordinator {
             activity,
-            inner: Mutex::new(CoordinatorInner {
-                registrations: HashMap::new(),
-                sets: HashMap::new(),
-            }),
+            inner: Mutex::new(CoordinatorInner::default()),
             env,
             trace: OnceLock::new(),
             dispatch: Mutex::new(DispatchConfig::default()),
@@ -143,53 +181,49 @@ impl ActivityCoordinator {
     /// Returns [`ActivityError::SignalSetActive`] when a set with that name
     /// is already associated (ended sets may be replaced).
     pub fn add_signal_set(&self, set: Box<dyn SignalSet>) -> Result<(), ActivityError> {
-        let name = set.signal_set_name().to_owned();
         let mut inner = self.inner.lock();
-        match inner.sets.get(&name) {
-            Some(Some(entry)) if entry.state != SignalSetState::End => {
-                return Err(ActivityError::SignalSetActive(name));
+        let slot = inner.slot_for(set.signal_set_name(), || set.shared_signal_set_name());
+        match &slot.set {
+            SetSlot::Held(entry) if entry.state != SignalSetState::End => {
+                Err(ActivityError::SignalSetActive(slot.name.as_ref().to_owned()))
             }
-            Some(None) => return Err(ActivityError::SignalSetActive(name)),
-            _ => {}
+            SetSlot::Running => Err(ActivityError::SignalSetActive(slot.name.as_ref().to_owned())),
+            _ => {
+                slot.set = SetSlot::Held(SetEntry { set, state: SignalSetState::Waiting });
+                Ok(())
+            }
         }
-        inner
-            .sets
-            .insert(name, Some(SetEntry { set, state: SignalSetState::Waiting }));
-        Ok(())
     }
 
     /// Register an action's interest in the named signal set. An Action
     /// "may register interest in more than one SignalSet", and registration
-    /// may precede the set's association.
-    pub fn register_action(&self, set_name: impl Into<String>, action: Arc<dyn Action>) {
+    /// may precede the set's association (only then is the name copied).
+    pub fn register_action(&self, set_name: &str, action: Arc<dyn Action>) {
         let mut inner = self.inner.lock();
-        let slot = inner.registrations.entry(set_name.into()).or_insert_with(|| Arc::from([]));
-        // Copy-on-write: registration is cold, per-signal snapshots are hot.
-        let mut actions = slot.to_vec();
-        actions.push(action);
-        *slot = actions.into();
+        let slot = inner.slot_for(set_name, || Cow::Owned(set_name.to_owned()));
+        // In place unless a protocol run holds the list as its snapshot;
+        // that run keeps what it took and sees the new action at its next
+        // signal.
+        Arc::make_mut(&mut slot.actions).push(action);
     }
 
     /// Remove every registration of the action named `action_name` from the
     /// named set. Returns how many registrations were removed.
     pub fn unregister_action(&self, set_name: &str, action_name: &str) -> usize {
         let mut inner = self.inner.lock();
-        match inner.registrations.get_mut(set_name) {
-            Some(slot) => {
-                let before = slot.len();
-                let kept: Vec<Arc<dyn Action>> =
-                    slot.iter().filter(|a| a.name() != action_name).cloned().collect();
-                let removed = before - kept.len();
-                *slot = kept.into();
-                removed
-            }
-            None => 0,
+        let Some(index) = inner.position(set_name) else { return 0 };
+        let actions = &mut inner.slots[index].actions;
+        let before = actions.len();
+        if actions.iter().any(|a| a.name() == action_name) {
+            Arc::make_mut(actions).retain(|a| a.name() != action_name);
         }
+        before - actions.len()
     }
 
     /// Number of actions currently registered for the named set.
     pub fn action_count(&self, set_name: &str) -> usize {
-        self.inner.lock().registrations.get(set_name).map_or(0, |a| a.len())
+        let inner = self.inner.lock();
+        inner.position(set_name).map_or(0, |index| inner.slots[index].actions.len())
     }
 
     /// The fig. 7 state of the named set.
@@ -199,16 +233,25 @@ impl ActivityCoordinator {
     /// Returns [`ActivityError::UnknownSignalSet`] when not associated.
     pub fn signal_set_state(&self, set_name: &str) -> Result<SignalSetState, ActivityError> {
         let inner = self.inner.lock();
-        match inner.sets.get(set_name) {
-            Some(Some(entry)) => Ok(entry.state),
-            Some(None) => Ok(SignalSetState::GetSignal),
-            None => Err(ActivityError::UnknownSignalSet(set_name.to_owned())),
+        match inner.position(set_name).map(|index| &inner.slots[index].set) {
+            Some(SetSlot::Held(entry)) => Ok(entry.state),
+            Some(SetSlot::Running) => Ok(SignalSetState::GetSignal),
+            Some(SetSlot::Vacant) | None => {
+                Err(ActivityError::UnknownSignalSet(set_name.to_owned()))
+            }
         }
     }
 
     /// Names of associated signal sets.
     pub fn signal_set_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.lock().sets.keys().cloned().collect();
+        let mut names: Vec<String> = self
+            .inner
+            .lock()
+            .slots
+            .iter()
+            .filter(|slot| !matches!(slot.set, SetSlot::Vacant))
+            .map(|slot| slot.name.as_ref().to_owned())
+            .collect();
         names.sort();
         names
     }
@@ -225,13 +268,15 @@ impl ActivityCoordinator {
         status: CompletionStatus,
     ) -> Result<(), ActivityError> {
         let mut inner = self.inner.lock();
-        match inner.sets.get_mut(set_name) {
-            Some(Some(entry)) => {
+        match inner.position(set_name).map(|index| &mut inner.slots[index].set) {
+            Some(SetSlot::Held(entry)) => {
                 entry.set.set_completion_status(status);
                 Ok(())
             }
-            Some(None) => Err(ActivityError::SignalSetActive(set_name.to_owned())),
-            None => Err(ActivityError::UnknownSignalSet(set_name.to_owned())),
+            Some(SetSlot::Running) => Err(ActivityError::SignalSetActive(set_name.to_owned())),
+            Some(SetSlot::Vacant) | None => {
+                Err(ActivityError::UnknownSignalSet(set_name.to_owned()))
+            }
         }
     }
 
@@ -253,17 +298,24 @@ impl ActivityCoordinator {
     pub fn process_signal_set(&self, set_name: &str) -> Result<Outcome, ActivityError> {
         let mut checkout = {
             let mut inner = self.inner.lock();
-            match inner.sets.get_mut(set_name) {
-                None => return Err(ActivityError::UnknownSignalSet(set_name.to_owned())),
-                Some(slot @ Some(_)) => {
-                    let entry = slot.take().expect("just matched Some");
-                    if entry.state == SignalSetState::End {
-                        *slot = Some(entry);
-                        return Err(ActivityError::SignalSetInactive(set_name.to_owned()));
-                    }
-                    Checkout { coordinator: self, set_name, entry: Some(entry) }
+            let index = inner.position(set_name);
+            match index.map(|index| &mut inner.slots[index].set) {
+                Some(SetSlot::Held(entry)) if entry.state == SignalSetState::End => {
+                    return Err(ActivityError::SignalSetInactive(set_name.to_owned()));
                 }
-                Some(None) => return Err(ActivityError::SignalSetActive(set_name.to_owned())),
+                Some(slot @ SetSlot::Held(_)) => {
+                    let SetSlot::Held(entry) = std::mem::replace(slot, SetSlot::Running) else {
+                        unreachable!("just matched Held")
+                    };
+                    let index = index.expect("a slot matched");
+                    Checkout { coordinator: self, index, entry: Some(entry) }
+                }
+                Some(SetSlot::Running) => {
+                    return Err(ActivityError::SignalSetActive(set_name.to_owned()));
+                }
+                Some(SetSlot::Vacant) | None => {
+                    return Err(ActivityError::UnknownSignalSet(set_name.to_owned()));
+                }
             }
         };
 
@@ -276,7 +328,9 @@ impl ActivityCoordinator {
         // set goes back.
         let scope = self.env.span(|| format!("signal_set:{set_name}"));
         scope.attr("activity", self.activity);
-        let result = self.drive(set_name, checkout.entry.as_mut().expect("held until drop"), &scope);
+        let index = checkout.index;
+        let entry = checkout.entry.as_mut().expect("held until drop");
+        let result = self.drive(set_name, index, entry, &scope);
         match &result {
             Ok(outcome) => scope.attr("outcome", outcome.name()),
             Err(e) => scope.attr("error", e),
@@ -287,16 +341,13 @@ impl ActivityCoordinator {
     fn drive(
         &self,
         set_name: &str,
+        slot: usize,
         entry: &mut SetEntry,
         scope: &SpanGuard<'_>,
     ) -> Result<Outcome, ActivityError> {
         let config = *self.dispatch.lock();
         let detector = self.env.detector.as_ref();
         let mut signal_seq = 0u64;
-        // Reused across signals: delivery-id stamping formats into this
-        // buffer instead of allocating a fresh growth-by-doubling String
-        // per signal.
-        let mut id_buf = String::new();
         loop {
             self.env.hit(failpoints::BEFORE_GET_SIGNAL)?;
             self.record(scope, || TraceEvent::GetSignal { set: set_name.to_owned() });
@@ -309,41 +360,34 @@ impl ActivityCoordinator {
                 NextSignal::LastSignal(s) => (s, true),
                 NextSignal::End => break,
             };
-            // Stamp a delivery id unique to (activity, set, signal number):
-            // redelivery of the same logical signal — including transport
-            // retries inside a remote Action proxy — shares the id, so
-            // exactly-once consumers can deduplicate (§3.4).
             signal_seq += 1;
-            let signal = if signal.delivery_id().is_some() {
-                signal
-            } else {
-                id_buf.clear();
-                let _ = write!(id_buf, "{}:{}:{}", self.activity, set_name, signal_seq);
-                signal.with_delivery_id(id_buf.as_str())
-            };
             // Fresh snapshot per signal (one `Arc` bump): actions
             // registered while the protocol runs receive subsequent
             // signals.
-            let actions: Arc<[Arc<dyn Action>]> = self
-                .inner
-                .lock()
-                .registrations
-                .get(set_name)
-                .cloned()
-                .unwrap_or_else(|| Arc::from([]));
+            let actions = Arc::clone(&self.inner.lock().slots[slot].actions);
+            // Stamp a delivery id unique to (activity, set, signal number):
+            // redelivery of the same logical signal — including transport
+            // retries inside a remote Action proxy — shares the id, so
+            // exactly-once consumers can deduplicate (§3.4). A signal
+            // nobody is registered for reaches nobody and goes unstamped.
+            let signal = if signal.delivery_id().is_some() || actions.is_empty() {
+                signal
+            } else {
+                signal.with_delivery_id(delivery_id(self.activity, set_name, signal_seq))
+            };
             // Quarantined participants sit this signal out (each skip
             // decision is computed once — `should_skip` claims half-open
             // probe slots). At-least-once semantics make the skip sound:
             // it is indistinguishable from the transport dropping every
             // copy of this delivery.
-            let actions: Arc<[Arc<dyn Action>]> = match detector {
+            let actions = match detector {
                 Some(detector) => {
                     let kept: Vec<Arc<dyn Action>> = actions
                         .iter()
                         .filter(|action| !detector.should_skip(action.name()))
                         .cloned()
                         .collect();
-                    if kept.len() == actions.len() { actions } else { Arc::from(kept) }
+                    if kept.len() == actions.len() { actions } else { Arc::new(kept) }
                 }
                 None => actions,
             };
@@ -424,13 +468,37 @@ impl ActivityCoordinator {
     }
 }
 
+/// The text `{activity}:{set}:{seq}` as a shared handle, formatted on the
+/// stack so the handle is the only allocation (an id too long for the
+/// buffer — a set name past some 60 bytes — goes through a `String`).
+fn delivery_id(activity: ActivityId, set_name: &str, seq: u64) -> Arc<str> {
+    struct OnStack {
+        bytes: [u8; 96],
+        len: usize,
+    }
+    impl std::fmt::Write for OnStack {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            let end = self.len + s.len();
+            self.bytes.get_mut(self.len..end).ok_or(std::fmt::Error)?.copy_from_slice(s.as_bytes());
+            self.len = end;
+            Ok(())
+        }
+    }
+    let mut id = OnStack { bytes: [0; 96], len: 0 };
+    match write!(id, "{activity}:{set_name}:{seq}") {
+        Ok(()) => std::str::from_utf8(&id.bytes[..id.len]).expect("whole strs were written").into(),
+        Err(_) => format!("{activity}:{set_name}:{seq}").into(),
+    }
+}
+
 /// A signal set taken out of its slot for one protocol run. Dropping it
 /// puts the set back, ended — also when the run unwinds (an Action
 /// panicking inline, or its panic re-raised by collation), so the name
 /// never stays `SignalSetActive` with nobody driving it.
 struct Checkout<'a> {
     coordinator: &'a ActivityCoordinator,
-    set_name: &'a str,
+    /// The slot the set came out of.
+    index: usize,
     entry: Option<SetEntry>,
 }
 
@@ -440,7 +508,7 @@ impl Drop for Checkout<'_> {
         entry.state = SignalSetState::End;
         // Return the (ended) set so late outcome queries and inactive-reuse
         // errors behave per the IDL.
-        self.coordinator.inner.lock().sets.insert(self.set_name.to_owned(), Some(entry));
+        self.coordinator.inner.lock().slots[self.index].set = SetSlot::Held(entry);
     }
 }
 

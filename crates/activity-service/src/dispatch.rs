@@ -30,7 +30,7 @@
 //! `collate` call — the same observable order under every width. Panics
 //! past an early-break point are discarded with their results.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use orb::pool::Round;
 pub use orb::pool::{CancelToken, DispatchConfig, TaskOutcome, WorkerPool};
@@ -38,6 +38,17 @@ pub use orb::pool::{CancelToken, DispatchConfig, TaskOutcome, WorkerPool};
 use crate::action::Action;
 use crate::outcome::Outcome;
 use crate::signal::Signal;
+
+/// The actions registered for one signal set, in registration order, as
+/// the shared list a signal's round is started over.
+pub(crate) type ActionList = Arc<Vec<Arc<dyn Action>>>;
+
+/// The list of a set nobody registered for: one per process, so a protocol
+/// run with no listeners allocates nothing for them.
+pub(crate) fn no_actions() -> ActionList {
+    static EMPTY: OnceLock<ActionList> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(ActionList::default))
+}
 
 /// Transmit `signal` to `actions` and collate in registration order.
 ///
@@ -50,7 +61,7 @@ use crate::signal::Signal;
 /// whether that early break happened.
 pub(crate) fn dispatch_signal(
     config: DispatchConfig,
-    actions: &Arc<[Arc<dyn Action>]>,
+    actions: &ActionList,
     signal: Signal,
     mut collate: impl FnMut(&Arc<dyn Action>, &mut dyn FnMut() -> Outcome) -> bool,
 ) -> bool {
@@ -84,7 +95,7 @@ mod tests {
         mut before: impl FnMut(&Arc<dyn Action>),
         mut after: impl FnMut(Outcome) -> bool,
     ) -> bool {
-        dispatch_signal(config, &actions.into(), signal.clone(), |action, deliver| {
+        dispatch_signal(config, &Arc::new(actions), signal.clone(), |action, deliver| {
             before(action);
             after(deliver())
         })

@@ -7,6 +7,7 @@
 //! implementers interact with the underlying Activity Service
 //! implementation. ... Activities can be demarcated through UserActivity."
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,7 +40,7 @@ impl UserActivity {
     /// # Errors
     ///
     /// See [`ActivityService::begin`].
-    pub fn begin(&self, name: impl Into<String>) -> Result<(), ActivityError> {
+    pub fn begin(&self, name: impl Into<Arc<str>>) -> Result<(), ActivityError> {
         self.service.begin(name)?;
         Ok(())
     }
@@ -52,7 +53,7 @@ impl UserActivity {
     /// See [`ActivityService::begin`].
     pub fn begin_with_timeout(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         timeout: Duration,
     ) -> Result<(), ActivityError> {
         let activity = self.service.begin(name)?;
@@ -178,7 +179,10 @@ impl ActivityManager {
     /// # Errors
     ///
     /// [`ActivityError::NoCurrentActivity`].
-    pub fn set_completion_signal_set(&self, set_name: &str) -> Result<(), ActivityError> {
+    pub fn set_completion_signal_set(
+        &self,
+        set_name: impl Into<Cow<'static, str>>,
+    ) -> Result<(), ActivityError> {
         self.current()?.set_completion_signal_set(set_name);
         Ok(())
     }

@@ -384,7 +384,7 @@ pub fn recover_activities(
         };
         let activity = Activity::assemble(
             ActivityId::new(*id),
-            info.name.clone(),
+            info.name.as_str().into(),
             parent.as_ref(),
             Arc::clone(&env),
             Some(Arc::clone(&logger)),
@@ -404,7 +404,7 @@ pub fn recover_activities(
             for (set_name, factory) in &info.actions {
                 activity
                     .coordinator()
-                    .register_action(set_name.clone(), action_factories.create(factory)?);
+                    .register_action(set_name, action_factories.create(factory)?);
             }
             if let Some(status) = info.status {
                 activity.set_completion_status(status)?;

@@ -161,7 +161,7 @@ impl ActivityService {
     /// # Errors
     ///
     /// Propagates [`Activity::begin_child`] failures.
-    pub fn begin(&self, name: impl Into<String>) -> Result<Activity, ActivityError> {
+    pub fn begin(&self, name: impl Into<Arc<str>>) -> Result<Activity, ActivityError> {
         let parent = Self::peek();
         let activity = match &parent {
             Some(parent) => parent.begin_child(name)?,

@@ -17,6 +17,8 @@
 //! "The intelligence about which Signal to send to an Action is hidden
 //! within a SignalSet and may be as complex or as simple as is required."
 
+use std::borrow::Cow;
+
 use crate::completion::CompletionStatus;
 use crate::error::ActivityError;
 use crate::outcome::Outcome;
@@ -53,6 +55,13 @@ pub enum AfterResponse {
 pub trait SignalSet: Send {
     /// The set's name — what Actions register interest under.
     fn signal_set_name(&self) -> &str;
+
+    /// The name as the static-or-owned key the coordinator files the set
+    /// under. A set named by a constant overrides this to hand the constant
+    /// out, so associating it copies nothing.
+    fn shared_signal_set_name(&self) -> Cow<'static, str> {
+        Cow::Owned(self.signal_set_name().to_owned())
+    }
 
     /// Produce the next signal (fig. 7: `Waiting`/`Get Signal` → `Get
     /// Signal`), or [`NextSignal::End`].

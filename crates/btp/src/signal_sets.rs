@@ -1,5 +1,7 @@
 //! The BTP signal sets of figs. 11 and 12.
 
+use std::borrow::Cow;
+
 use activity_service::signal_set::{AfterResponse, NextSignal, SignalSet};
 use activity_service::{CompletionStatus, Outcome, Signal};
 use orb::Value;
@@ -38,6 +40,10 @@ impl PrepareSignalSet {
 impl SignalSet for PrepareSignalSet {
     fn signal_set_name(&self) -> &str {
         PREPARE_SET
+    }
+
+    fn shared_signal_set_name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(PREPARE_SET)
     }
 
     fn get_signal(&mut self) -> NextSignal {
@@ -122,6 +128,10 @@ impl CompleteSignalSet {
 impl SignalSet for CompleteSignalSet {
     fn signal_set_name(&self) -> &str {
         COMPLETE_SET
+    }
+
+    fn shared_signal_set_name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(COMPLETE_SET)
     }
 
     fn get_signal(&mut self) -> NextSignal {

@@ -505,6 +505,80 @@ mod tests {
         assert!(syncs <= 401, "at most one sync per barrier, got {syncs}");
     }
 
+    /// A sink whose first `sync` announces itself and then waits for the
+    /// test's go-ahead, and which notes the size of every batch it is handed.
+    struct GatedSink {
+        log: MemWal,
+        batches: Mutex<Vec<usize>>,
+        syncs: Mutex<usize>,
+        entered: Mutex<std::sync::mpsc::Sender<()>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Wal for GatedSink {
+        fn append(&self, kind: u32, payload: &[u8]) -> Result<Lsn, LogError> {
+            self.log.append(kind, payload)
+        }
+        fn append_batch(&self, records: &[(u32, &[u8])]) -> Result<Lsn, LogError> {
+            self.batches.lock().unwrap().push(records.len());
+            self.log.append_batch(records)
+        }
+        fn scan(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
+            self.log.scan(from)
+        }
+        fn truncate_prefix(&self, upto: Lsn) -> Result<(), LogError> {
+            self.log.truncate_prefix(upto)
+        }
+        fn sync(&self) -> Result<(), LogError> {
+            let mut syncs = self.syncs.lock().unwrap();
+            *syncs += 1;
+            if *syncs == 1 {
+                self.entered.lock().unwrap().send(()).unwrap();
+                self.release.lock().unwrap().recv().unwrap();
+            }
+            self.log.sync()
+        }
+        fn next_lsn(&self) -> Lsn {
+            self.log.next_lsn()
+        }
+    }
+
+    /// Why two alternating committers never share a sync (EXPERIMENTS.md
+    /// W1): a flush covers what was staged when its leader took the batch.
+    /// A barrier arriving while that flush is in flight stages behind it,
+    /// waits it out as a follower, finds itself still not durable and leads
+    /// the next flush alone.
+    #[test]
+    fn a_waiter_staged_during_a_flush_is_not_covered_by_it() {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let wal = GroupCommitWal::new(GatedSink {
+            log: MemWal::new(),
+            batches: Mutex::new(Vec::new()),
+            syncs: Mutex::new(0),
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        });
+        std::thread::scope(|s| {
+            let first = s.spawn(|| wal.append_durable(1, b"first").unwrap());
+            entered.recv().unwrap(); // the first flush is at its sync
+            let second = s.spawn(|| wal.append_durable(2, b"second").unwrap());
+            // The second committer has staged once its LSN is handed out;
+            // from there it can only wait on the flush in flight.
+            while wal.next_lsn() != Lsn::new(3) {
+                std::thread::yield_now();
+            }
+            assert_eq!(wal.staged_len(), 1, "staged behind the flush, not taken into it");
+            assert_eq!(wal.durable_lsn(), Lsn::new(0));
+            release.send(()).unwrap();
+            assert_eq!(first.join().unwrap(), Lsn::new(1));
+            assert_eq!(second.join().unwrap(), Lsn::new(2));
+        });
+        assert_eq!(*wal.inner().batches.lock().unwrap(), [1, 1], "batches of one each");
+        assert_eq!(*wal.inner().syncs.lock().unwrap(), 2, "two forces, two syncs");
+        assert_eq!(wal.durable_lsn(), Lsn::new(2));
+    }
+
     #[test]
     fn telemetry_records_sync_count_and_group_size() {
         let wal = GroupCommitWal::new(MemWal::new());

@@ -16,6 +16,7 @@
 //! resolved exception) otherwise, and `abort` when cooperative handling
 //! itself fails.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -176,6 +177,10 @@ impl CaActionSignalSet {
 impl SignalSet for CaActionSignalSet {
     fn signal_set_name(&self) -> &str {
         CA_ACTION_SET
+    }
+
+    fn shared_signal_set_name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(CA_ACTION_SET)
     }
 
     fn get_signal(&mut self) -> NextSignal {

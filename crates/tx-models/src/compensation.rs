@@ -9,6 +9,7 @@
 //! * a **CompensationAction** that, on `propagate`, re-registers itself with
 //!   the enclosing activity and, on a later `failure`, starts !B.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -103,6 +104,10 @@ impl Default for CompletionSignalSet {
 impl SignalSet for CompletionSignalSet {
     fn signal_set_name(&self) -> &str {
         COMPLETION_SET
+    }
+
+    fn shared_signal_set_name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(COMPLETION_SET)
     }
 
     fn get_signal(&mut self) -> NextSignal {

@@ -8,6 +8,7 @@
 //! `SagaSignalSet` that emits one targeted `compensate` signal per completed
 //! step (newest first) when the saga activity completes in failure.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use activity_service::signal_set::{AfterResponse, NextSignal, SignalSet};
@@ -75,6 +76,10 @@ impl SagaSignalSet {
 impl SignalSet for SagaSignalSet {
     fn signal_set_name(&self) -> &str {
         SAGA_SET
+    }
+
+    fn shared_signal_set_name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(SAGA_SET)
     }
 
     fn get_signal(&mut self) -> NextSignal {

@@ -8,6 +8,7 @@
 //! signal again that is then sent to the next registered Action and so
 //! forth."
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use activity_service::signal_set::{AfterResponse, NextSignal, SignalSet};
@@ -70,6 +71,10 @@ impl TwoPhaseCommitSignalSet {
 impl SignalSet for TwoPhaseCommitSignalSet {
     fn signal_set_name(&self) -> &str {
         TWO_PC_SET
+    }
+
+    fn shared_signal_set_name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(TWO_PC_SET)
     }
 
     fn get_signal(&mut self) -> NextSignal {

@@ -8,6 +8,7 @@
 //! registered Action with `outcome` through its **Completed** SignalSet
 //! (acknowledged with `outcome_ack`).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use activity_service::signal_set::{AfterResponse, NextSignal, SignalSet};
@@ -51,6 +52,10 @@ impl TaskStartSignalSet {
 impl SignalSet for TaskStartSignalSet {
     fn signal_set_name(&self) -> &str {
         TASK_START_SET
+    }
+
+    fn shared_signal_set_name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(TASK_START_SET)
     }
 
     fn get_signal(&mut self) -> NextSignal {
@@ -116,6 +121,10 @@ impl CompletedSignalSet {
 impl SignalSet for CompletedSignalSet {
     fn signal_set_name(&self) -> &str {
         COMPLETED_SET
+    }
+
+    fn shared_signal_set_name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(COMPLETED_SET)
     }
 
     fn get_signal(&mut self) -> NextSignal {

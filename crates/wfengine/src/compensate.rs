@@ -4,9 +4,8 @@ use std::collections::BTreeMap;
 
 use orb::{Env, Value};
 
-use crate::error::WorkflowError;
-use crate::graph::WorkflowGraph;
-use crate::task::{TaskInput, TaskRegistry, TaskResult};
+use crate::plan::{Plan, PlanTask};
+use crate::task::{TaskInput, TaskResult};
 
 /// One planned compensation: undo `task` by running `compensation`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,25 +25,20 @@ pub struct CompensationRecord {
     pub success: bool,
 }
 
-/// Plan which compensations to run after a failure: completed tasks that
-/// declare a compensation, newest-first (the reverse-execution rule sagas
-/// and fig. 2 share).
-pub fn plan(graph: &WorkflowGraph, completed_in_order: &[String]) -> Vec<CompensationStep> {
+/// Plan which compensations to run after a failure: completed tasks (by
+/// plan index, in completion order) that declare a compensation,
+/// newest-first (the reverse-execution rule sagas and fig. 2 share).
+pub(crate) fn plan<'p>(plan: &'p Plan, completed_in_order: &[usize]) -> Vec<&'p PlanTask> {
     completed_in_order
         .iter()
         .rev()
-        .filter_map(|task| {
-            graph.node(task).and_then(|spec| {
-                spec.compensation.as_ref().map(|compensation| CompensationStep {
-                    task: task.clone(),
-                    compensation: compensation.clone(),
-                })
-            })
-        })
+        .map(|&task| &plan.tasks[task])
+        .filter(|task| task.compensation.is_some())
         .collect()
 }
 
-/// Execute a compensation plan. Each compensation body receives the
+/// Execute a compensation plan. Each compensation body — resolved when the
+/// workflow was compiled, so none can be missing here — receives the
 /// workflow parameters and, as its single upstream input, the output the
 /// compensated task produced ("it is only application programmers who
 /// possess sufficient information about the role of data within the
@@ -55,32 +49,21 @@ pub fn plan(graph: &WorkflowGraph, completed_in_order: &[String]) -> Vec<Compens
 /// one `compensation` span (under the caller's ambient span) with a
 /// `compensate:{task}` child per step, and each step bumps
 /// `wf_compensations_total{status=...}`.
-///
-/// # Errors
-///
-/// [`WorkflowError::MissingBody`] when a planned compensation has no
-/// registered body (detected before anything runs).
-pub fn execute(
-    plan: &[CompensationStep],
-    registry: &TaskRegistry,
+pub(crate) fn execute(
+    plan: &[&PlanTask],
     params: &Value,
     outputs: &BTreeMap<String, Value>,
     env: &Env,
-) -> Result<Vec<CompensationRecord>, WorkflowError> {
+) -> Vec<CompensationRecord> {
     let sweep = env.span(|| "compensation".into());
     sweep.attr("planned", plan.len());
-    // Validate the whole plan first so a missing body cannot strand a
-    // half-compensated workflow.
-    for step in plan {
-        if registry.body(&step.compensation).is_none() {
-            let missing = WorkflowError::MissingBody(step.compensation.clone());
-            sweep.attr("error", &missing);
-            return Err(missing);
-        }
-    }
     let mut records = Vec::with_capacity(plan.len());
-    for step in plan {
-        let body = registry.body(&step.compensation).expect("validated above");
+    for task in plan {
+        let (compensation, body) = task.compensation.as_ref().expect("planned steps compensate");
+        let step = CompensationStep {
+            task: task.name.as_ref().to_owned(),
+            compensation: compensation.clone(),
+        };
         let mut upstream = BTreeMap::new();
         if let Some(output) = outputs.get(&step.task) {
             upstream.insert(step.task.clone(), output.clone());
@@ -99,92 +82,85 @@ pub fn execute(
         if let Some(telemetry) = span.telemetry() {
             telemetry.metrics().incr(&format!("wf_compensations_total{{status=\"{status}\"}}"));
         }
-        records.push(CompensationRecord { step: step.clone(), success });
+        records.push(CompensationRecord { step, success });
     }
-    Ok(records)
+    records
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::WorkflowGraph;
+    use crate::task::TaskRegistry;
     use parking_lot::Mutex;
     use std::sync::Arc;
 
-    fn graph_with_compensations() -> WorkflowGraph {
+    /// t1..t4 with `undo-t2`/`undo-t3` bound, compiled against `registry`
+    /// (forward bodies are filled in as no-ops).
+    fn compiled(mut registry: TaskRegistry) -> Plan {
         let mut g = WorkflowGraph::new();
         for t in ["t1", "t2", "t3", "t4"] {
             g.add_task(t).unwrap();
+            registry.register(t, |_i: &TaskInput| TaskResult::ok(Value::Null));
         }
         g.set_compensation("t2", "undo-t2").unwrap();
         g.set_compensation("t3", "undo-t3").unwrap();
-        g
+        Plan::compile(&g, &registry).unwrap()
+    }
+
+    fn undo_registry(
+        t2: impl Fn(&TaskInput) -> TaskResult + Send + Sync + 'static,
+        t3: impl Fn(&TaskInput) -> TaskResult + Send + Sync + 'static,
+    ) -> TaskRegistry {
+        let mut registry = TaskRegistry::new();
+        registry.register("undo-t2", t2);
+        registry.register("undo-t3", t3);
+        registry
     }
 
     #[test]
     fn plan_is_reverse_order_and_filtered() {
-        let g = graph_with_compensations();
-        let completed = vec!["t1".to_string(), "t2".to_string(), "t3".to_string()];
-        let plan = plan(&g, &completed);
-        assert_eq!(
-            plan,
-            vec![
-                CompensationStep { task: "t3".into(), compensation: "undo-t3".into() },
-                CompensationStep { task: "t2".into(), compensation: "undo-t2".into() },
-            ],
-            "t1 has no compensation; order is newest-first"
-        );
+        let ok = |_i: &TaskInput| TaskResult::ok(Value::Null);
+        let compiled = compiled(undo_registry(ok, ok));
+        let steps = plan(&compiled, &[0, 1, 2]);
+        let undone: Vec<&str> = steps.iter().map(|task| &*task.name).collect();
+        assert_eq!(undone, ["t3", "t2"], "t1 has no compensation; order is newest-first");
     }
 
     #[test]
     fn execute_feeds_each_compensation_its_tasks_output() {
-        let g = graph_with_compensations();
-        let completed = vec!["t2".to_string()];
-        let steps = plan(&g, &completed);
-
         let seen = Arc::new(Mutex::new(Vec::<String>::new()));
         let seen2 = Arc::clone(&seen);
-        let mut registry = TaskRegistry::new();
-        registry.register("undo-t2", move |input: &TaskInput| {
-            let original = input.upstream.get("t2").and_then(Value::as_str).unwrap_or("?");
-            seen2.lock().push(original.to_owned());
-            TaskResult::ok(Value::Null)
-        });
+        let compiled = compiled(undo_registry(
+            move |input: &TaskInput| {
+                let original = input.upstream.get("t2").and_then(Value::as_str).unwrap_or("?");
+                seen2.lock().push(original.to_owned());
+                TaskResult::ok(Value::Null)
+            },
+            |_i: &TaskInput| TaskResult::ok(Value::Null),
+        ));
+        let steps = plan(&compiled, &[1]);
 
         let mut outputs = BTreeMap::new();
         outputs.insert("t2".to_string(), Value::from("booking-42"));
-        let records = execute(&steps, &registry, &Value::Null, &outputs, &Env::default()).unwrap();
+        let records = execute(&steps, &Value::Null, &outputs, &Env::default());
         assert_eq!(records.len(), 1);
         assert!(records[0].success);
+        assert_eq!(
+            records[0].step,
+            CompensationStep { task: "t2".into(), compensation: "undo-t2".into() }
+        );
         assert_eq!(*seen.lock(), vec!["booking-42"]);
     }
 
     #[test]
-    fn missing_body_aborts_before_running_anything() {
-        let g = graph_with_compensations();
-        let completed = vec!["t2".to_string(), "t3".to_string()];
-        let steps = plan(&g, &completed);
-        let ran = Arc::new(Mutex::new(0u32));
-        let ran2 = Arc::clone(&ran);
-        let mut registry = TaskRegistry::new();
-        registry.register("undo-t3", move |_i: &TaskInput| {
-            *ran2.lock() += 1;
-            TaskResult::ok(Value::Null)
-        });
-        // undo-t2 missing.
-        let err = execute(&steps, &registry, &Value::Null, &BTreeMap::new(), &Env::default()).unwrap_err();
-        assert!(matches!(err, WorkflowError::MissingBody(name) if name == "undo-t2"));
-        assert_eq!(*ran.lock(), 0, "nothing may run when the plan is unexecutable");
-    }
-
-    #[test]
     fn failed_compensations_do_not_stop_the_sweep() {
-        let g = graph_with_compensations();
-        let completed = vec!["t2".to_string(), "t3".to_string()];
-        let steps = plan(&g, &completed);
-        let mut registry = TaskRegistry::new();
-        registry.register("undo-t3", |_i: &TaskInput| TaskResult::failed("stuck"));
-        registry.register("undo-t2", |_i: &TaskInput| TaskResult::ok(Value::Null));
-        let records = execute(&steps, &registry, &Value::Null, &BTreeMap::new(), &Env::default()).unwrap();
+        let compiled = compiled(undo_registry(
+            |_i: &TaskInput| TaskResult::ok(Value::Null),
+            |_i: &TaskInput| TaskResult::failed("stuck"),
+        ));
+        let steps = plan(&compiled, &[1, 2]);
+        let records = execute(&steps, &Value::Null, &BTreeMap::new(), &Env::default());
         assert_eq!(records.len(), 2);
         assert!(!records[0].success);
         assert!(records[1].success);

@@ -5,7 +5,7 @@
 //! of other task controllers and use this information to determine when its
 //! associated task can be started."
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use activity_service::{ActionError, Outcome, Signal};
@@ -13,14 +13,17 @@ use orb::Value;
 use parking_lot::Mutex;
 use tx_models::common::{SIG_OUTCOME, SIG_OUTCOME_ACK};
 
-use crate::graph::{JoinKind, NodeSpec};
+use crate::graph::JoinKind;
 
 /// Collects dependency outcomes for one task and decides when it may start.
+///
+/// Outcomes are held in slots aligned with the dependency list, so a
+/// notification says which slot it fills and nothing is looked up by name.
 pub struct TaskController {
-    task: String,
-    dependencies: Vec<String>,
+    task: Arc<str>,
+    dependencies: Arc<[Arc<str>]>,
     join: JoinKind,
-    received: Mutex<HashMap<String, (bool, Value)>>,
+    received: Mutex<Vec<Option<(bool, Value)>>>,
 }
 
 impl std::fmt::Debug for TaskController {
@@ -28,20 +31,18 @@ impl std::fmt::Debug for TaskController {
         f.debug_struct("TaskController")
             .field("task", &self.task)
             .field("dependencies", &self.dependencies)
-            .field("received", &self.received.lock().len())
+            .field("received", &self.received.lock().iter().flatten().count())
             .finish()
     }
 }
 
 impl TaskController {
-    /// A controller for `task` with the given node spec.
-    pub fn new(task: impl Into<String>, spec: &NodeSpec) -> Arc<Self> {
-        Arc::new(TaskController {
-            task: task.into(),
-            dependencies: spec.dependencies.clone(),
-            join: spec.join,
-            received: Mutex::new(HashMap::new()),
-        })
+    /// A controller for `task`, which waits for `dependencies` under `join`.
+    /// Both names are shared handles (a compiled workflow hands out its
+    /// own), so a run's controllers copy no names.
+    pub fn new(task: Arc<str>, dependencies: Arc<[Arc<str>]>, join: JoinKind) -> Arc<Self> {
+        let received = Mutex::new(vec![None; dependencies.len()]);
+        Arc::new(TaskController { task, dependencies, join, received })
     }
 
     /// The controlled task's name.
@@ -49,58 +50,37 @@ impl TaskController {
         &self.task
     }
 
-    /// Record a dependency's outcome (idempotent per source: redelivery
-    /// keeps the first notification).
-    pub fn note_outcome(&self, source: &str, success: bool, output: Value) {
-        self.received
-            .lock()
-            .entry(source.to_owned())
-            .or_insert((success, output));
+    /// Record the outcome of the dependency at `slot` of the dependency
+    /// list (idempotent per slot: redelivery keeps the first notification).
+    pub fn note_outcome(&self, slot: usize, success: bool, output: Value) {
+        let mut received = self.received.lock();
+        if received[slot].is_none() {
+            received[slot] = Some((success, output));
+        }
     }
 
-    /// Whether the task may start now.
+    /// Whether the task may start now. A task that is not ready once every
+    /// dependency has reported never will be — a required dependency
+    /// failed — and its workflow reports it skipped.
     pub fn is_ready(&self) -> bool {
-        if self.dependencies.is_empty() {
-            return true;
-        }
         let received = self.received.lock();
+        let mut succeeded = received.iter().map(|slot| matches!(slot, Some((true, _))));
         match self.join {
-            JoinKind::All => self
-                .dependencies
-                .iter()
-                .all(|d| received.get(d).is_some_and(|(ok, _)| *ok)),
-            JoinKind::Any => self
-                .dependencies
-                .iter()
-                .any(|d| received.get(d).is_some_and(|(ok, _)| *ok)),
-        }
-    }
-
-    /// Whether the task can *never* start (a required dependency failed).
-    pub fn is_doomed(&self) -> bool {
-        if self.dependencies.is_empty() {
-            return false;
-        }
-        let received = self.received.lock();
-        match self.join {
-            JoinKind::All => self
-                .dependencies
-                .iter()
-                .any(|d| received.get(d).is_some_and(|(ok, _)| !*ok)),
-            JoinKind::Any => {
-                self.dependencies.len() == received.len()
-                    && received.values().all(|(ok, _)| !*ok)
-            }
+            JoinKind::All => succeeded.all(|ok| ok),
+            JoinKind::Any => received.is_empty() || succeeded.any(|ok| ok),
         }
     }
 
     /// Successful upstream outputs, keyed by task name.
     pub fn inputs(&self) -> BTreeMap<String, Value> {
-        self.received
-            .lock()
+        let received = self.received.lock();
+        self.dependencies
             .iter()
-            .filter(|(_, (ok, _))| *ok)
-            .map(|(name, (_, output))| (name.clone(), output.clone()))
+            .zip(received.iter())
+            .filter_map(|(name, slot)| match slot {
+                Some((true, output)) => Some((name.as_ref().to_owned(), output.clone())),
+                _ => None,
+            })
             .collect()
     }
 }
@@ -110,14 +90,15 @@ impl TaskController {
 /// activity registers an Action with it that is used to deliver the
 /// 'outcome' Signal".
 pub struct DependencyWatch {
-    source: String,
+    slot: usize,
     controller: Arc<TaskController>,
 }
 
 impl DependencyWatch {
-    /// Watch `source` on behalf of `controller`'s task.
-    pub fn new(source: impl Into<String>, controller: Arc<TaskController>) -> Arc<Self> {
-        Arc::new(DependencyWatch { source: source.into(), controller })
+    /// Watch, on behalf of `controller`'s task, the dependency at `slot` of
+    /// its dependency list.
+    pub fn new(slot: usize, controller: Arc<TaskController>) -> Arc<Self> {
+        Arc::new(DependencyWatch { slot, controller })
     }
 }
 
@@ -132,7 +113,7 @@ impl activity_service::Action for DependencyWatch {
             .ok_or_else(|| ActionError::new("outcome payload must be a map"))?;
         let success = payload.get("success").and_then(Value::as_bool).unwrap_or(false);
         let result = payload.get("result").cloned().unwrap_or(Value::Null);
-        self.controller.note_outcome(&self.source, success, result);
+        self.controller.note_outcome(self.slot, success, result);
         Ok(Outcome::new(SIG_OUTCOME_ACK))
     }
 
@@ -145,29 +126,23 @@ impl activity_service::Action for DependencyWatch {
 mod tests {
     use super::*;
 
-    fn spec(deps: &[&str], join: JoinKind) -> NodeSpec {
-        NodeSpec {
-            dependencies: deps.iter().map(|d| (*d).to_owned()).collect(),
-            join,
-            compensation: None,
-            retries: 0,
-        }
+    fn controller(deps: &[&str], join: JoinKind) -> Arc<TaskController> {
+        TaskController::new("d".into(), deps.iter().map(|d| Arc::from(*d)).collect(), join)
     }
 
     #[test]
     fn no_dependencies_means_always_ready() {
-        let c = TaskController::new("root", &spec(&[], JoinKind::All));
-        assert!(c.is_ready());
-        assert!(!c.is_doomed());
+        assert!(controller(&[], JoinKind::All).is_ready());
+        assert!(controller(&[], JoinKind::Any).is_ready());
     }
 
     #[test]
     fn all_join_waits_for_everyone() {
-        let c = TaskController::new("d", &spec(&["b", "c"], JoinKind::All));
+        let c = controller(&["b", "c"], JoinKind::All);
         assert!(!c.is_ready());
-        c.note_outcome("b", true, Value::from(1i64));
+        c.note_outcome(0, true, Value::from(1i64));
         assert!(!c.is_ready());
-        c.note_outcome("c", true, Value::from(2i64));
+        c.note_outcome(1, true, Value::from(2i64));
         assert!(c.is_ready());
         let inputs = c.inputs();
         assert_eq!(inputs["b"].as_i64(), Some(1));
@@ -175,38 +150,37 @@ mod tests {
     }
 
     #[test]
-    fn all_join_dooms_on_any_failure() {
-        let c = TaskController::new("d", &spec(&["b", "c"], JoinKind::All));
-        c.note_outcome("b", false, Value::Null);
-        assert!(c.is_doomed());
+    fn all_join_never_starts_after_a_failure() {
+        let c = controller(&["b", "c"], JoinKind::All);
+        c.note_outcome(0, false, Value::Null);
+        c.note_outcome(1, true, Value::Null);
         assert!(!c.is_ready());
         // Failed outputs are not offered as inputs.
-        assert!(c.inputs().is_empty());
+        assert_eq!(c.inputs().keys().collect::<Vec<_>>(), ["c"]);
     }
 
     #[test]
     fn any_join_fires_on_first_success() {
-        let c = TaskController::new("d", &spec(&["b", "c"], JoinKind::Any));
-        c.note_outcome("b", false, Value::Null);
-        assert!(!c.is_ready());
-        assert!(!c.is_doomed(), "c might still succeed");
-        c.note_outcome("c", true, Value::from(5i64));
+        let c = controller(&["b", "c"], JoinKind::Any);
+        c.note_outcome(0, false, Value::Null);
+        assert!(!c.is_ready(), "c might still succeed");
+        c.note_outcome(1, true, Value::from(5i64));
         assert!(c.is_ready());
     }
 
     #[test]
-    fn any_join_dooms_when_all_fail() {
-        let c = TaskController::new("d", &spec(&["b", "c"], JoinKind::Any));
-        c.note_outcome("b", false, Value::Null);
-        c.note_outcome("c", false, Value::Null);
-        assert!(c.is_doomed());
+    fn any_join_never_starts_when_all_fail() {
+        let c = controller(&["b", "c"], JoinKind::Any);
+        c.note_outcome(0, false, Value::Null);
+        c.note_outcome(1, false, Value::Null);
+        assert!(!c.is_ready());
     }
 
     #[test]
     fn redelivered_notifications_keep_the_first() {
-        let c = TaskController::new("d", &spec(&["b"], JoinKind::All));
-        c.note_outcome("b", true, Value::from(1i64));
-        c.note_outcome("b", false, Value::from(2i64));
+        let c = controller(&["b"], JoinKind::All);
+        c.note_outcome(0, true, Value::from(1i64));
+        c.note_outcome(0, false, Value::from(2i64));
         assert!(c.is_ready());
         assert_eq!(c.inputs()["b"].as_i64(), Some(1));
     }
@@ -214,8 +188,8 @@ mod tests {
     #[test]
     fn dependency_watch_translates_outcome_signals() {
         use activity_service::Action;
-        let c = TaskController::new("d", &spec(&["b"], JoinKind::All));
-        let watch = DependencyWatch::new("b", Arc::clone(&c));
+        let c = controller(&["b"], JoinKind::All);
+        let watch = DependencyWatch::new(0, Arc::clone(&c));
         let mut payload = orb::ValueMap::new();
         payload.insert("success".into(), Value::Bool(true));
         payload.insert("result".into(), Value::from("out"));

@@ -1,12 +1,12 @@
 //! The workflow engine: schedules tasks over the Activity Service using the
 //! fig. 10 coordination signals, with fig. 2 compensation on failure.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use activity_service::{Activity, ActivityService, CompletionStatus};
 use orb::pool::{DispatchConfig, Round};
-use orb::{Env, Value, ValueMap};
+use orb::{Env, Value};
 use tx_models::workflow_signals::{CompletedSignalSet, COMPLETED_SET};
 
 use crate::compensate::{self, CompensationRecord};
@@ -14,6 +14,7 @@ use crate::controller::{DependencyWatch, TaskController};
 use crate::journal::WorkflowJournal;
 use crate::error::WorkflowError;
 use crate::graph::WorkflowGraph;
+use crate::plan::Plan;
 use crate::task::{TaskInput, TaskRegistry, TaskResult};
 
 /// What the engine does when a task fails.
@@ -26,6 +27,17 @@ pub enum FailurePolicy {
     /// Keep scheduling whatever remains startable (failed dependencies doom
     /// their All-join dependents); no automatic compensation.
     ContinuePossible,
+}
+
+/// Where one task of a run stands.
+#[derive(Clone, Copy, PartialEq)]
+enum Progress {
+    /// Not startable yet (or never, once its dependencies have failed).
+    Waiting,
+    /// In the batch that starts next.
+    Queued,
+    /// Handed to a batch, replayed from the journal, or failed fast.
+    Started,
 }
 
 /// Run a body, re-executing on failure up to `retries` extra times.
@@ -70,10 +82,12 @@ impl WorkflowReport {
 }
 
 /// Executes a [`WorkflowGraph`] whose node names are bound to bodies in a
-/// [`TaskRegistry`].
+/// [`TaskRegistry`]. Graph and registry are compiled into an indexed plan
+/// once, here; a run walks the plan and looks nothing up by name.
 pub struct WorkflowEngine {
     graph: WorkflowGraph,
-    registry: TaskRegistry,
+    /// Shared with each batch's round of bodies, which may outlive a frame.
+    plan: Arc<Plan>,
     policy: FailurePolicy,
     env: Arc<Env>,
 }
@@ -96,20 +110,10 @@ impl WorkflowEngine {
     /// [`WorkflowError::Cycle`] / [`WorkflowError::UnknownTask`] from graph
     /// validation; [`WorkflowError::MissingBody`] for unbound names.
     pub fn new(graph: WorkflowGraph, registry: TaskRegistry) -> Result<Self, WorkflowError> {
-        graph.validate()?;
-        for task in graph.task_names() {
-            if registry.body(&task).is_none() {
-                return Err(WorkflowError::MissingBody(task));
-            }
-            if let Some(compensation) = &graph.node(&task).expect("listed").compensation {
-                if registry.body(compensation).is_none() {
-                    return Err(WorkflowError::MissingBody(compensation.clone()));
-                }
-            }
-        }
+        let plan = Arc::new(Plan::compile(&graph, &registry)?);
         Ok(WorkflowEngine {
             graph,
-            registry,
+            plan,
             policy: FailurePolicy::default(),
             env: Env::new(),
         })
@@ -199,7 +203,7 @@ impl WorkflowEngine {
         // The `workflow:{name}` span wraps the whole run so every exit path
         // (including activity-machinery errors) closes it.
         let scope = self.env.span(|| format!("workflow:{name}"));
-        scope.attr("tasks", self.graph.len());
+        scope.attr("tasks", self.plan.tasks.len());
         let result = self.run_exec(service, name, params, dispatch, journal);
         match &result {
             Ok(report) => {
@@ -220,14 +224,18 @@ impl WorkflowEngine {
         dispatch: DispatchConfig,
         journal: Option<&WorkflowJournal>,
     ) -> Result<WorkflowReport, WorkflowError> {
+        let tasks = &self.plan.tasks;
         let workflow = service.begin(name)?;
-        let mut controllers: BTreeMap<String, Arc<TaskController>> = BTreeMap::new();
-        for task in self.graph.task_names() {
-            let spec = self.graph.node(&task).expect("listed");
-            controllers.insert(task.clone(), TaskController::new(task, spec));
-        }
-
-        let mut pending: BTreeSet<String> = self.graph.task_names().into_iter().collect();
+        // Per-run state, indexed like the plan's tasks.
+        let controllers: Vec<Arc<TaskController>> = tasks
+            .iter()
+            .map(|task| {
+                TaskController::new(Arc::clone(&task.name), Arc::clone(&task.dependencies), task.join)
+            })
+            .collect();
+        let mut progress = vec![Progress::Waiting; tasks.len()];
+        // Completed tasks in completion order; `report.completed` names them.
+        let mut completed: Vec<usize> = Vec::new();
         let mut report = WorkflowReport {
             completed: Vec::new(),
             outputs: BTreeMap::new(),
@@ -241,19 +249,21 @@ impl WorkflowEngine {
         let mut prior_failure = false;
         if let Some(journal) = journal {
             for outcome in journal.replay()? {
-                if !pending.remove(&outcome.task) {
+                let Some(task) = self
+                    .plan
+                    .index_of(&outcome.task)
+                    .filter(|&task| progress[task] == Progress::Waiting)
+                else {
                     continue; // stale entry for a task no longer defined
-                }
-                for dependent in self.graph.dependents(&outcome.task) {
-                    controllers[&dependent].note_outcome(
-                        &outcome.task,
-                        outcome.success,
-                        outcome.output.clone(),
-                    );
+                };
+                progress[task] = Progress::Started;
+                for &(dependent, slot) in &tasks[task].dependents {
+                    controllers[dependent].note_outcome(slot, outcome.success, outcome.output.clone());
                 }
                 if outcome.success {
                     report.outputs.insert(outcome.task.clone(), outcome.output);
                     report.completed.push(outcome.task);
+                    completed.push(task);
                 } else {
                     report.failed.push(outcome.task);
                     prior_failure = true;
@@ -261,20 +271,23 @@ impl WorkflowEngine {
             }
         }
 
-        'schedule: loop {
-            if prior_failure && self.policy == FailurePolicy::CompensateAndStop {
-                break;
+        // The batch to start next, in name order. A task becomes ready only
+        // when a dependency reports, so after this one scan the next batch
+        // is found among the dependents of the batch just finished.
+        let mut ready: Vec<usize> = Vec::new();
+        let queue_if_ready = |task: usize, progress: &mut [Progress], ready: &mut Vec<usize>| {
+            if progress[task] == Progress::Waiting && controllers[task].is_ready() {
+                progress[task] = Progress::Queued;
+                ready.push(task);
             }
-            let ready: Vec<String> = pending
-                .iter()
-                .filter(|t| controllers[*t].is_ready())
-                .cloned()
-                .collect();
-            if ready.is_empty() {
-                break;
-            }
-            for task in &ready {
-                pending.remove(task);
+        };
+        if !(prior_failure && self.policy == FailurePolicy::CompensateAndStop) {
+            (0..tasks.len()).for_each(|task| queue_if_ready(task, &mut progress, &mut ready));
+        }
+        let mut results: Vec<(usize, TaskResult, u32)> = Vec::new();
+        'schedule: while !ready.is_empty() {
+            for &task in &ready {
+                progress[task] = Progress::Started;
             }
 
             // Quarantined participants fail fast instead of executing: the
@@ -282,38 +295,40 @@ impl WorkflowEngine {
             // (ContinuePossible) or compensates (CompensateAndStop) without
             // burning their retry budgets. Skip decisions are computed once
             // per task (`should_skip` claims half-open probe slots).
-            let (ready, quarantined): (Vec<String>, Vec<String>) = match &self.env.detector {
-                Some(detector) => ready.into_iter().partition(|t| !detector.should_skip(t)),
-                None => (ready, Vec::new()),
-            };
+            let mut quarantined: Vec<usize> = Vec::new();
+            if let Some(detector) = &self.env.detector {
+                ready.retain(|&task| {
+                    let skip = detector.should_skip(&tasks[task].name);
+                    if skip {
+                        quarantined.push(task);
+                    }
+                    !skip
+                });
+            }
 
             // Execute the batch's bodies as one round (concurrently when
             // asked — a body's panic surfaces here either way); the
             // signalling below stays on this thread.
-            let jobs: Vec<_> = ready
+            let jobs: Vec<(usize, TaskInput)> = ready
                 .iter()
-                .map(|task| {
-                    let body = self.registry.body(task).expect("validated");
-                    let retries = self.graph.node(task).expect("listed").retries;
-                    let input = TaskInput {
-                        params: params.clone(),
-                        upstream: controllers[task].inputs(),
-                    };
-                    (body, input, retries)
+                .map(|&task| {
+                    let upstream = controllers[task].inputs();
+                    (task, TaskInput { params: params.clone(), upstream })
                 })
                 .collect();
-            let mut round = Round::start(dispatch, jobs.len(), move |index| {
-                let (body, input, retries) = &jobs[index];
-                execute_with_retries(&**body, input, *retries)
+            let mut round = Round::start(dispatch, jobs.len(), {
+                let plan = Arc::clone(&self.plan);
+                move |index| {
+                    let (task, input) = &jobs[index];
+                    let task = &plan.tasks[*task];
+                    execute_with_retries(&*task.body, input, task.retries)
+                }
             });
-            let mut results: Vec<(String, TaskResult, u32)> = ready
-                .into_iter()
-                .enumerate()
-                .map(|(index, task)| {
-                    let (result, attempts) = round.take(index);
-                    (task, result, attempts)
-                })
-                .collect();
+            results.clear();
+            results.extend(ready.iter().enumerate().map(|(index, &task)| {
+                let (result, attempts) = round.take(index);
+                (task, result, attempts)
+            }));
 
             // Feed the detector from *executed* results only, then append
             // the quarantine failures (after the executed batch, so its
@@ -322,30 +337,32 @@ impl WorkflowEngine {
             if let Some(detector) = &self.env.detector {
                 for (task, result, _) in &results {
                     if result.success {
-                        detector.record_success(task);
+                        detector.record_success(&tasks[*task].name);
                     } else {
-                        detector.record_failure(task);
+                        detector.record_failure(&tasks[*task].name);
                     }
                 }
             }
             results.extend(quarantined.into_iter().map(|task| {
-                let result = TaskResult::failed(format!("participant {task} quarantined"));
-                (task, result, 0)
+                let name = &tasks[task].name;
+                (task, TaskResult::failed(format!("participant {name} quarantined")), 0)
             }));
 
-            for (task, result, attempts) in results {
+            ready.clear();
+            for (task, result, attempts) in results.drain(..) {
+                let name = &tasks[task].name;
                 // The `task:{name}` span covers journaling plus the fig. 10
                 // outcome exchange (the Completed child activity itself
                 // parents under the workflow activity, per fig. 4).
                 let status = if result.success { "ok" } else { "failed" };
-                let task_scope = self.env.span(|| format!("task:{task}"));
+                let task_scope = self.env.span(|| format!("task:{name}"));
                 task_scope.attr("attempts", attempts);
                 task_scope.attr("outcome", status);
                 let notified = (|| {
                     if let Some(journal) = journal {
-                        journal.record(&task, result.success, &result.output)?;
+                        journal.record(name, result.success, &result.output)?;
                     }
-                    self.notify_completion(&workflow, &task, &result, &controllers)
+                    self.notify_completion(&workflow, task, &result, &controllers)
                 })();
                 if let Err(e) = &notified {
                     task_scope.attr("error", e);
@@ -357,35 +374,34 @@ impl WorkflowEngine {
                 drop(task_scope);
                 notified?;
                 if result.success {
-                    report.outputs.insert(task.clone(), result.output);
-                    report.completed.push(task);
+                    report.outputs.insert(name.as_ref().to_owned(), result.output);
+                    report.completed.push(name.as_ref().to_owned());
+                    completed.push(task);
                 } else {
-                    report.failed.push(task);
+                    report.failed.push(name.as_ref().to_owned());
                     if self.policy == FailurePolicy::CompensateAndStop {
                         break 'schedule;
                     }
                 }
+                // Whoever this outcome made startable joins the next batch.
+                for &(dependent, _) in &tasks[task].dependents {
+                    queue_if_ready(dependent, &mut progress, &mut ready);
+                }
             }
-
-            // Doomed tasks (a required dependency failed) are skipped.
-            let doomed: Vec<String> = pending
-                .iter()
-                .filter(|t| controllers[*t].is_doomed())
-                .cloned()
-                .collect();
-            for task in doomed {
-                pending.remove(&task);
-                report.skipped.push(task);
-            }
+            ready.sort_unstable();
         }
 
-        report.skipped.extend(pending);
-        report.skipped.sort();
+        // Whatever never became startable (a required dependency failed, or
+        // scheduling stopped first) is skipped; indices are in name order.
+        report.skipped.extend(
+            (0..tasks.len())
+                .filter(|&task| progress[task] != Progress::Started)
+                .map(|task| tasks[task].name.as_ref().to_owned()),
+        );
 
         if !report.failed.is_empty() && self.policy == FailurePolicy::CompensateAndStop {
-            let plan = compensate::plan(&self.graph, &report.completed);
-            report.compensations =
-                compensate::execute(&plan, &self.registry, &params, &report.outputs, &self.env)?;
+            let plan = compensate::plan(&self.plan, &completed);
+            report.compensations = compensate::execute(&plan, &params, &report.outputs, &self.env);
         }
 
         if report.failed.is_empty() {
@@ -402,22 +418,22 @@ impl WorkflowEngine {
     fn notify_completion(
         &self,
         workflow: &Activity,
-        task: &str,
+        task: usize,
         result: &TaskResult,
-        controllers: &BTreeMap<String, Arc<TaskController>>,
+        controllers: &[Arc<TaskController>],
     ) -> Result<(), WorkflowError> {
-        let child = workflow.begin_child(task)?;
-        let mut payload = ValueMap::new();
-        payload.insert("task".into(), Value::from(task));
+        let task = &self.plan.tasks[task];
+        let child = workflow.begin_child(Arc::clone(&task.name))?;
+        // The watches are memory writes on this thread's own controllers:
+        // handing them to the pool costs more than making them.
+        child.coordinator().set_dispatch_config(DispatchConfig::serial());
         child
             .coordinator()
             .add_signal_set(Box::new(CompletedSignalSet::new(result.output.clone())))?;
         child.set_completion_signal_set(COMPLETED_SET);
-        for dependent in self.graph.dependents(task) {
-            let controller = Arc::clone(&controllers[&dependent]);
-            child
-                .coordinator()
-                .register_action(COMPLETED_SET, DependencyWatch::new(task, controller) as _);
+        for &(dependent, slot) in &task.dependents {
+            let watch = DependencyWatch::new(slot, Arc::clone(&controllers[dependent]));
+            child.coordinator().register_action(COMPLETED_SET, watch as _);
         }
         let status = if result.success {
             CompletionStatus::Success
@@ -688,6 +704,32 @@ mod tests {
     }
 
     #[test]
+    fn any_join_whose_alternatives_all_failed_is_skipped_with_its_dependents() {
+        let mut graph = script::parse(
+            "task theatre;
+             task cinema;
+             task dinner after theatre, cinema;
+             task taxi after dinner;
+             task nightcap;",
+        )
+        .unwrap();
+        graph.set_join("dinner", JoinKind::Any).unwrap();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut registry = recording_registry(&["dinner", "taxi", "nightcap"], &log);
+        registry.register("theatre", |_i: &TaskInput| TaskResult::failed("sold out"));
+        registry.register("cinema", |_i: &TaskInput| TaskResult::failed("closed"));
+        let engine = WorkflowEngine::new(graph, registry)
+            .unwrap()
+            .with_policy(FailurePolicy::ContinuePossible);
+        let service = ActivityService::new();
+        let report = engine.run(&service, "evening", Value::Null).unwrap();
+        assert_eq!(report.failed, vec!["cinema", "theatre"]);
+        assert_eq!(report.completed, vec!["nightcap"]);
+        assert_eq!(report.skipped, vec!["dinner", "taxi"], "name order, doomed and stranded alike");
+        assert_eq!(*log.lock(), vec!["nightcap"]);
+    }
+
+    #[test]
     fn missing_bodies_rejected_eagerly() {
         let graph = script::parse("task a;\ncompensate a with undo_a;").unwrap();
         let mut registry = TaskRegistry::new();
@@ -910,6 +952,35 @@ mod journal_tests {
         assert_eq!(report.failed, vec!["b"]);
         assert_eq!(report.completed, vec!["a"]);
         assert_eq!(*undone.lock(), 1, "compensation re-planned from the journal");
+    }
+
+    #[test]
+    fn resume_ignores_stale_and_repeated_journal_entries() {
+        let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
+        let graph = script::parse("task a;\ntask b after a;\ntask c after b;").unwrap();
+        let journal = WorkflowJournal::new("wf", Arc::clone(&wal));
+        // A task the script no longer defines, `a` done, and `a` again with
+        // a different output: only the first `a` counts.
+        journal.record("retired", true, &Value::from(100i64)).unwrap();
+        journal.record("a", true, &Value::from(1i64)).unwrap();
+        journal.record("a", false, &Value::from("late duplicate")).unwrap();
+
+        let mut registry = TaskRegistry::new();
+        registry.register("a", |_i: &TaskInput| panic!("a must not re-run"));
+        for name in ["b", "c"] {
+            registry.register(name, |input: &TaskInput| {
+                let sum: i64 = input.upstream.values().filter_map(Value::as_i64).sum();
+                TaskResult::ok(Value::I64(sum + 1))
+            });
+        }
+        let engine = WorkflowEngine::new(graph, registry).unwrap();
+        let service = ActivityService::new();
+        let report = engine.run_journaled(&service, "wf", Value::Null, &journal).unwrap();
+        assert!(report.succeeded(), "{report:?}");
+        assert_eq!(report.completed, vec!["a", "b", "c"]);
+        assert_eq!(report.outputs["b"].as_i64(), Some(2), "fed by the journalled output of a");
+        assert_eq!(report.outputs["c"].as_i64(), Some(3));
+        assert!(!report.outputs.contains_key("retired"));
     }
 
     #[test]

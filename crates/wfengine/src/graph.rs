@@ -1,7 +1,7 @@
 //! Workflow definition graphs: tasks, dependencies, join conditions,
 //! compensation bindings.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::WorkflowError;
 
@@ -165,43 +165,36 @@ impl WorkflowGraph {
     ///
     /// [`WorkflowError::UnknownTask`] or [`WorkflowError::Cycle`].
     pub fn validate(&self) -> Result<Vec<String>, WorkflowError> {
-        // Kahn's algorithm over the (already name-checked) edges.
-        let mut in_degree: HashMap<&str, usize> = HashMap::new();
-        for (name, spec) in &self.nodes {
-            in_degree.entry(name.as_str()).or_insert(0);
+        // Kahn's algorithm over indices in name order, with the adjacency
+        // built once: each node's in-degree and who depends on it.
+        let names: Vec<&String> = self.nodes.keys().collect();
+        let mut in_degree = vec![0usize; names.len()];
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
+        for (node, spec) in self.nodes.values().enumerate() {
             for dep in &spec.dependencies {
-                if !self.nodes.contains_key(dep) {
-                    return Err(WorkflowError::UnknownTask(dep.clone()));
-                }
-                *in_degree.entry(name.as_str()).or_insert(0) += 1;
+                let dep = names
+                    .binary_search(&dep)
+                    .map_err(|_| WorkflowError::UnknownTask(dep.clone()))?;
+                in_degree[node] += 1;
+                dependents[dep].push(node);
             }
         }
-        let mut ready: BTreeSet<&str> = in_degree
-            .iter()
-            .filter(|(_, d)| **d == 0)
-            .map(|(n, _)| *n)
-            .collect();
-        let mut order = Vec::with_capacity(self.nodes.len());
-        while let Some(&next) = ready.iter().next() {
-            ready.remove(next);
-            order.push(next.to_owned());
-            for dependent in self.dependents(next) {
-                let d = in_degree.get_mut(dependent.as_str()).expect("known node");
-                *d -= 1;
-                if *d == 0 {
-                    let (key, _) = self.nodes.get_key_value(&dependent).expect("known node");
-                    ready.insert(key.as_str());
+        // Smallest index first is smallest name first.
+        let mut ready: BTreeSet<usize> =
+            (0..names.len()).filter(|&node| in_degree[node] == 0).collect();
+        let mut order = Vec::with_capacity(names.len());
+        while let Some(next) = ready.pop_first() {
+            order.push(names[next].clone());
+            for &dependent in &dependents[next] {
+                in_degree[dependent] -= 1;
+                if in_degree[dependent] == 0 {
+                    ready.insert(dependent);
                 }
             }
         }
-        if order.len() != self.nodes.len() {
-            let stuck = self
-                .nodes
-                .keys()
-                .find(|n| !order.contains(n))
-                .cloned()
-                .unwrap_or_default();
-            return Err(WorkflowError::Cycle(stuck));
+        // A node still waiting on someone sits on a cycle or behind one.
+        if let Some(stuck) = in_degree.iter().position(|&degree| degree > 0) {
+            return Err(WorkflowError::Cycle(names[stuck].clone()));
         }
         Ok(order)
     }

@@ -46,6 +46,7 @@ pub mod engine;
 pub mod error;
 pub mod graph;
 pub mod journal;
+mod plan;
 pub mod script;
 pub mod task;
 

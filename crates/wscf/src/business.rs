@@ -7,6 +7,7 @@
 //! discard compensation data) or `compensate` (undo). This is §4.2's
 //! compensation idea packaged as a reusable coordination protocol.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use activity_service::signal_set::{AfterResponse, NextSignal, SignalSet};
@@ -87,6 +88,10 @@ impl BusinessAgreementSignalSet {
 impl SignalSet for BusinessAgreementSignalSet {
     fn signal_set_name(&self) -> &str {
         BUSINESS_AGREEMENT_SET
+    }
+
+    fn shared_signal_set_name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(BUSINESS_AGREEMENT_SET)
     }
 
     fn get_signal(&mut self) -> NextSignal {

@@ -1,6 +1,8 @@
 //! Coordination contexts: the WS-Coordination-style token that identifies
 //! a coordinated piece of work and says where to register for it.
 
+use std::sync::Arc;
+
 use orb::{ObjectRef, Value, ValueMap};
 
 use crate::error::WscfError;
@@ -15,15 +17,16 @@ pub const TYPE_BUSINESS_AGREEMENT: &str = "wscf:business-agreement";
 /// registration service to enlist with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoordinationContext {
-    id: String,
-    coordination_type: String,
+    /// Shared with the coordination service's own record of the context.
+    id: Arc<str>,
+    coordination_type: Arc<str>,
     registration: Option<ObjectRef>,
 }
 
 impl CoordinationContext {
     /// Build a context. Normally produced by
     /// [`crate::service::CoordinationService::create_context`].
-    pub fn new(id: impl Into<String>, coordination_type: impl Into<String>) -> Self {
+    pub fn new(id: impl Into<Arc<str>>, coordination_type: impl Into<Arc<str>>) -> Self {
         CoordinationContext {
             id: id.into(),
             coordination_type: coordination_type.into(),
@@ -57,8 +60,8 @@ impl CoordinationContext {
     /// Serialise for transport (rides in application messages).
     pub fn to_value(&self) -> Value {
         let mut m = ValueMap::new();
-        m.insert("id".into(), Value::from(self.id.as_str()));
-        m.insert("type".into(), Value::from(self.coordination_type.as_str()));
+        m.insert("id".into(), Value::from(&*self.id));
+        m.insert("type".into(), Value::from(&*self.coordination_type));
         if let Some(reg) = &self.registration {
             m.insert("registration".into(), reg.to_value());
         }
@@ -87,8 +90,8 @@ impl CoordinationContext {
             .map(|v| ObjectRef::from_value(v).map_err(|e| WscfError::Codec(e.to_string())))
             .transpose()?;
         Ok(CoordinationContext {
-            id: id.to_owned(),
-            coordination_type: coordination_type.to_owned(),
+            id: id.into(),
+            coordination_type: coordination_type.into(),
             registration,
         })
     }

@@ -3,6 +3,7 @@
 //! Activation, Registration and protocol services, hosted on the Activity
 //! Service.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,7 +54,10 @@ impl ProtocolSuite {
 
 struct ActiveContext {
     activity: Activity,
-    coordination_type: String,
+    coordination_type: Arc<str>,
+    /// The suite the context's sets were made from, as registered when the
+    /// context was created.
+    suite: Arc<ProtocolSuite>,
 }
 
 /// The coordination service: knows the registered coordination types,
@@ -63,8 +67,11 @@ struct ActiveContext {
 pub struct CoordinationService {
     /// The plane-less context every context's activity shares.
     env: Arc<Env>,
-    types: Mutex<HashMap<String, ProtocolSuite>>,
-    contexts: Mutex<HashMap<String, ActiveContext>>,
+    /// Type names and suites are shared with every context of the type,
+    /// and a context's id with its activity and its token: creating a
+    /// context copies none of them.
+    types: Mutex<HashMap<Arc<str>, Arc<ProtocolSuite>>>,
+    contexts: Mutex<HashMap<Arc<str>, ActiveContext>>,
     counter: AtomicU64,
     registration_ref: Mutex<Option<ObjectRef>>,
 }
@@ -98,12 +105,13 @@ impl CoordinationService {
 
     /// Register (or replace) a coordination type.
     pub fn register_coordination_type(&self, coordination_type: impl Into<String>, suite: ProtocolSuite) {
-        self.types.lock().insert(coordination_type.into(), suite);
+        self.types.lock().insert(coordination_type.into().into(), Arc::new(suite));
     }
 
     /// Sorted names of registered coordination types.
     pub fn coordination_types(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.types.lock().keys().cloned().collect();
+        let mut names: Vec<String> =
+            self.types.lock().keys().map(|name| name.as_ref().to_owned()).collect();
         names.sort();
         names
     }
@@ -120,14 +128,15 @@ impl CoordinationService {
         &self,
         coordination_type: &str,
     ) -> Result<CoordinationContext, WscfError> {
-        let suite = self
+        let (coordination_type, suite) = self
             .types
             .lock()
-            .get(coordination_type)
-            .cloned()
+            .get_key_value(coordination_type)
+            .map(|(name, suite)| (Arc::clone(name), Arc::clone(suite)))
             .ok_or_else(|| WscfError::UnknownCoordinationType(coordination_type.to_owned()))?;
-        let id = format!("wscf-ctx-{}", self.counter.fetch_add(1, Ordering::Relaxed));
-        let activity = Activity::new_root(id.clone(), Arc::clone(&self.env));
+        let id: Arc<str> =
+            format!("wscf-ctx-{}", self.counter.fetch_add(1, Ordering::Relaxed)).into();
+        let activity = Activity::new_root(Arc::clone(&id), Arc::clone(&self.env));
         for (protocol, factory) in &suite.factories {
             let set = factory();
             if set.signal_set_name() != protocol {
@@ -139,8 +148,12 @@ impl CoordinationService {
             activity.coordinator().add_signal_set(set)?;
         }
         self.contexts.lock().insert(
-            id.clone(),
-            ActiveContext { activity, coordination_type: coordination_type.to_owned() },
+            Arc::clone(&id),
+            ActiveContext {
+                activity,
+                coordination_type: Arc::clone(&coordination_type),
+                suite,
+            },
         );
         let mut context = CoordinationContext::new(id, coordination_type);
         if let Some(reg) = self.registration_ref.lock().clone() {
@@ -165,14 +178,9 @@ impl CoordinationService {
         let ctx = contexts
             .get(context_id)
             .ok_or_else(|| WscfError::UnknownContext(context_id.to_owned()))?;
-        let known = self
-            .types
-            .lock()
-            .get(&ctx.coordination_type)
-            .is_some_and(|s| s.factories.contains_key(protocol));
-        if !known {
+        if !ctx.suite.factories.contains_key(protocol) {
             return Err(WscfError::UnknownProtocol {
-                coordination_type: ctx.coordination_type.clone(),
+                coordination_type: ctx.coordination_type.as_ref().to_owned(),
                 protocol: protocol.to_owned(),
             });
         }
@@ -199,12 +207,13 @@ impl CoordinationService {
     pub fn complete(
         &self,
         context_id: &str,
-        protocol: &str,
+        protocol: impl Into<Cow<'static, str>>,
         status: CompletionStatus,
     ) -> Result<Outcome, WscfError> {
+        let protocol = protocol.into();
         let activity = self.activity(context_id)?;
-        activity.set_completion_signal_set(protocol);
-        activity.coordinator().set_completion_status(protocol, status)?;
+        activity.set_completion_signal_set(protocol.clone());
+        activity.coordinator().set_completion_status(&protocol, status)?;
         activity.set_completion_status(status)?;
         let outcome = activity.complete()?;
         self.contexts.lock().remove(context_id);
@@ -288,7 +297,10 @@ impl Servant for RegistrationServant {
 }
 
 /// Client-side helper: register a local action (exposed as a servant on
-/// `node`) with a remote coordination context.
+/// `node`) with a remote coordination context. Returns the reference of
+/// the `wscf:Action` servant it activated, so the caller can
+/// [`Node::deactivate`] it once the coordinated work has completed; a
+/// failed registration deactivates it itself.
 ///
 /// # Errors
 ///
@@ -300,7 +312,7 @@ pub fn register_remote(
     context: &CoordinationContext,
     protocol: &str,
     action: Arc<dyn Action>,
-) -> Result<(), WscfError> {
+) -> Result<ObjectRef, WscfError> {
     let registration = context
         .registration()
         .ok_or_else(|| WscfError::Remote("context carries no registration endpoint".into()))?;
@@ -311,14 +323,17 @@ pub fn register_remote(
         .with_arg("protocol", Value::from(protocol))
         .with_arg("participant", servant_ref.to_value())
         .with_arg("name", Value::from(name));
-    orb.invoke_with_policy(
+    if let Err(error) = orb.invoke_with_policy(
         node.name(),
         registration,
         request,
         &RetryPolicy::AT_LEAST_ONCE,
         None,
-    )?;
-    Ok(())
+    ) {
+        node.deactivate(&servant_ref);
+        return Err(error.into());
+    }
+    Ok(servant_ref)
 }
 
 #[cfg(test)]
@@ -439,7 +454,7 @@ mod tests {
         // registered through the wire.
         let ledger = StagedLedger::new("remote-ledger");
         ledger.stage("k", Value::I64(42));
-        register_remote(
+        let servant = register_remote(
             &orb,
             &participant_node,
             &ctx,
@@ -454,6 +469,48 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.name(), "committed");
         assert_eq!(ledger.read("k"), Some(Value::I64(42)));
+        assert!(participant_node.deactivate(&servant));
+    }
+
+    #[test]
+    fn a_finished_transaction_leaves_no_servant_behind() {
+        use crate::acid::{StagedLedger, WsParticipantAction};
+
+        let orb = Orb::new();
+        let coordinator_node = orb.add_node("coordinator").unwrap();
+        let host = orb.add_node("participant-host").unwrap();
+        let service = service_with_types();
+        service.expose_registration(&orb, &coordinator_node).unwrap();
+        let baseline = host.servant_count();
+
+        for (first, expected) in [
+            (StagedLedger::new("willing"), "committed"),
+            (StagedLedger::refusing("unwilling"), "rolled_back"),
+        ] {
+            let ctx = service.create_context(TYPE_ATOMIC_TRANSACTION).unwrap();
+            let servants: Vec<ObjectRef> = [first, StagedLedger::new("partner")]
+                .into_iter()
+                .map(|ledger| {
+                    ledger.stage("k", Value::I64(1));
+                    let action = WsParticipantAction::new(ledger as _) as Arc<dyn Action>;
+                    register_remote(&orb, &host, &ctx, TWO_PC_SET, action).unwrap()
+                })
+                .collect();
+            assert_eq!(host.servant_count(), baseline + 2);
+            let outcome = service.complete(ctx.id(), TWO_PC_SET, CompletionStatus::Success).unwrap();
+            assert_eq!(outcome.name(), expected);
+            for servant in &servants {
+                assert!(host.deactivate(servant), "the reference names the activated servant");
+            }
+            assert_eq!(host.servant_count(), baseline, "after a {expected} transaction");
+        }
+
+        // A registration that fails takes its servant down itself.
+        let stale = service.create_context(TYPE_ATOMIC_TRANSACTION).unwrap();
+        service.complete(stale.id(), TWO_PC_SET, CompletionStatus::Success).unwrap();
+        let action = WsParticipantAction::new(StagedLedger::new("late") as _) as Arc<dyn Action>;
+        assert!(register_remote(&orb, &host, &stale, TWO_PC_SET, action).is_err());
+        assert_eq!(host.servant_count(), baseline);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the ORB — classic WS-Coordination registration, at-least-once.
     let inventory = StagedLedger::new("shop-inventory");
     inventory.stage("widget-stock", Value::I64(99));
-    register_remote(
+    let shop_servant = register_remote(
         &orb,
         &shop_node,
         &ctx,
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let accounts = StagedLedger::new("bank-accounts");
     accounts.stage("buyer-balance", Value::I64(40));
-    register_remote(
+    let bank_servant = register_remote(
         &orb,
         &bank_node,
         &ctx,
@@ -71,6 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(inventory.read("widget-stock"), Some(Value::I64(99)));
     assert_eq!(accounts.read("buyer-balance"), Some(Value::I64(40)));
     println!("both ledgers committed atomically — and no OTS exists in this process");
+    // The participants' Action servants have served their transaction.
+    shop_node.deactivate(&shop_servant);
+    bank_node.deactivate(&bank_servant);
 
     // The failing variant: one participant refuses, everyone rolls back.
     let ctx2 = service.create_context(TYPE_ATOMIC_TRANSACTION)?;
@@ -78,11 +81,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     flaky.stage("parts", Value::I64(7));
     let steady = StagedLedger::new("steady-partner");
     steady.stage("order", Value::I64(1));
-    register_remote(&orb, &shop_node, &ctx2, TWO_PC_SET,
+    let shop_servant = register_remote(&orb, &shop_node, &ctx2, TWO_PC_SET,
         WsParticipantAction::new(flaky.clone() as _) as Arc<dyn Action>)?;
-    register_remote(&orb, &bank_node, &ctx2, TWO_PC_SET,
+    let bank_servant = register_remote(&orb, &bank_node, &ctx2, TWO_PC_SET,
         WsParticipantAction::new(steady.clone() as _) as Arc<dyn Action>)?;
     let outcome = service.complete(ctx2.id(), TWO_PC_SET, CompletionStatus::Success)?;
+    shop_node.deactivate(&shop_servant);
+    bank_node.deactivate(&bank_servant);
     println!("\nsecond context outcome: {outcome}");
     assert_eq!(outcome.name(), "rolled_back");
     assert_eq!(steady.read("order"), None, "the steady partner was rolled back too");

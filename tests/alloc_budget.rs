@@ -234,3 +234,190 @@ fn an_absent_telemetry_span_guard_allocates_nothing() {
         assert_eq!(allocs, 0, "an inert span guard allocated");
     }
 }
+
+// ---------------------------------------------------------------------
+// What setting a protocol up costs (DESIGN.md §19).
+// ---------------------------------------------------------------------
+
+/// Allocations of one root activity under a shared context: begin it, let
+/// `set_up` associate whatever it wants, complete it.
+fn activity_cost(set_up: impl FnOnce(&activity_service::Activity)) -> u64 {
+    let env = Env::new();
+    let run = |set_up: &mut dyn FnMut(&activity_service::Activity)| {
+        let activity = activity_service::Activity::new_root("op", Arc::clone(&env));
+        activity.coordinator().set_dispatch_config(DispatchConfig::serial());
+        set_up(&activity);
+        activity.complete().unwrap();
+    };
+    run(&mut |_| {}); // past the process's lazily initialised statics
+    let mut set_up = Some(set_up);
+    allocs_during(|| run(&mut |activity| (set_up.take().expect("one run"))(activity))).0
+}
+
+/// Associate a one-signal `Completed` set, designate it, register `actions`
+/// clones of one pre-built action (the action's own construction is the
+/// caller's business) and let `complete` drive it.
+fn completed_run_cost(actions: usize) -> u64 {
+    use tx_models::workflow_signals::{CompletedSignalSet, COMPLETED_SET};
+    let action: Arc<dyn Action> =
+        Arc::new(FnAction::new("watch", |_s: &Signal| Ok(Outcome::new("outcome_ack"))));
+    activity_cost(|activity| {
+        let set = Box::new(CompletedSignalSet::new(orb::Value::Null));
+        activity.coordinator().add_signal_set(set).unwrap();
+        activity.set_completion_signal_set(COMPLETED_SET);
+        for _ in 0..actions {
+            activity.coordinator().register_action(COMPLETED_SET, Arc::clone(&action));
+        }
+    })
+}
+
+#[test]
+fn driving_a_signal_set_costs_its_box_its_slot_and_its_signal() {
+    let bare = activity_cost(|_| {});
+    // Nobody listening: the boxed set, the coordinator's slot vector and
+    // the signal's payload map. No name is copied (the set's, the
+    // designation's and the slot's key are the one constant), no delivery id
+    // is stamped for nobody, and the empty registration list is the
+    // process-wide one. The commit before spent 12 here.
+    let unheard = completed_run_cost(0);
+    assert!(unheard - bare <= 3, "a run nobody listens to added {} to a bare {bare}", unheard - bare);
+
+    // The first listener brings the shared list, its buffer and the
+    // delivery id there is now somebody to stamp for; from there a
+    // registration appends in place (the commit before copied the whole
+    // list: 4 allocations per action, now at most the buffer's doubling).
+    let costs: Vec<u64> = (0..=8).map(completed_run_cost).collect();
+    assert!(costs[1] - costs[0] <= 3, "the first action added {}", costs[1] - costs[0]);
+    for (actions, pair) in costs.windows(2).enumerate().skip(1) {
+        assert!(pair[1] - pair[0] <= 1, "action {} added {}", actions + 1, pair[1] - pair[0]);
+    }
+    assert!(costs[8] - costs[1] <= 1, "seven more actions added {}", costs[8] - costs[1]);
+}
+
+#[test]
+fn a_thousand_registrations_append_in_place_even_under_a_running_protocol() {
+    use activity_service::signal_set::{AfterResponse, NextSignal, SignalSet};
+    use activity_service::CompletionStatus;
+    use std::sync::atomic::AtomicU64;
+
+    /// Two signals, `one` then `two`.
+    struct TwoSignals(u8);
+    impl SignalSet for TwoSignals {
+        fn signal_set_name(&self) -> &str {
+            "S"
+        }
+        fn get_signal(&mut self) -> NextSignal {
+            self.0 += 1;
+            match self.0 {
+                1 => NextSignal::Signal(Signal::new("one", "S")),
+                2 => NextSignal::LastSignal(Signal::new("two", "S")),
+                _ => NextSignal::End,
+            }
+        }
+        fn set_response(&mut self, _response: &Outcome) -> AfterResponse {
+            AfterResponse::Continue
+        }
+        fn get_outcome(&mut self) -> Outcome {
+            Outcome::done()
+        }
+        fn set_completion_status(&mut self, _status: CompletionStatus) {}
+        fn completion_status(&self) -> CompletionStatus {
+            CompletionStatus::Success
+        }
+    }
+
+    let coordinator = Arc::new(ActivityCoordinator::new(ActivityId::new(1)));
+    coordinator.set_dispatch_config(DispatchConfig::serial());
+    coordinator.add_signal_set(Box::new(TwoSignals(0))).unwrap();
+
+    let heard = Arc::new(parking_lot::Mutex::new(Vec::<String>::new()));
+    let late: Arc<dyn Action> = Arc::new(FnAction::new("late", {
+        let heard = Arc::clone(&heard);
+        move |signal: &Signal| {
+            heard.lock().push(signal.name().to_owned());
+            Ok(Outcome::done())
+        }
+    }));
+    // The first action enlists 1 024 more while the run that is delivering
+    // `one` to it holds the registration list as its snapshot.
+    let spent = Arc::new(AtomicU64::new(0));
+    let enlister: Arc<dyn Action> = Arc::new(FnAction::new("enlister", {
+        let (coordinator, spent) = (Arc::downgrade(&coordinator), Arc::clone(&spent));
+        move |signal: &Signal| {
+            if signal.name() == "one" {
+                let coordinator = coordinator.upgrade().expect("running");
+                let (allocs, ()) = allocs_during(|| {
+                    for _ in 0..1_024 {
+                        coordinator.register_action("S", Arc::clone(&late));
+                    }
+                });
+                spent.store(allocs, Ordering::SeqCst);
+            }
+            Ok(Outcome::done())
+        }
+    }));
+    coordinator.register_action("S", enlister);
+    assert!(coordinator.process_signal_set("S").unwrap().is_done());
+
+    // One copy of the list (the run keeps its snapshot), then doubling: 4,
+    // 8, … 1 024 and once more. The commit before copied the list on every
+    // registration: 3 072.
+    let spent = spent.load(Ordering::SeqCst);
+    assert!(spent <= 12, "1 024 registrations made {spent} allocations");
+    assert_eq!(coordinator.action_count("S"), 1_025);
+    let heard = heard.lock();
+    assert_eq!(heard.len(), 1_024, "every late action heard exactly one signal");
+    assert!(heard.iter().all(|name| name == "two"), "the snapshot of `one` predates them");
+}
+
+/// `chains` independent chains of `length` no-op tasks each.
+fn chains_engine(chains: usize, length: usize) -> wfengine::WorkflowEngine {
+    use wfengine::{TaskInput, TaskRegistry, TaskResult, WorkflowGraph};
+    let name = |chain: usize, step: usize| format!("c{chain}-s{step}");
+    let mut graph = WorkflowGraph::new();
+    let mut registry = TaskRegistry::new();
+    for chain in 0..chains {
+        for step in 0..length {
+            graph.add_task(name(chain, step)).unwrap();
+            registry.register(name(chain, step), |_: &TaskInput| TaskResult::ok(orb::Value::Null));
+            if step > 0 {
+                graph.add_dependency(&name(chain, step), &name(chain, step - 1)).unwrap();
+            }
+        }
+    }
+    wfengine::WorkflowEngine::new(graph, registry).unwrap()
+}
+
+fn run_cost(engine: &wfengine::WorkflowEngine) -> u64 {
+    let service = ActivityService::new();
+    engine.run(&service, "warm-up", orb::Value::Null).unwrap();
+    let (allocs, report) = allocs_during(|| engine.run(&service, "wf", orb::Value::Null));
+    assert!(report.unwrap().succeeded());
+    allocs
+}
+
+#[test]
+fn a_workflow_run_walks_its_compiled_plan() {
+    use wfengine::{script, TaskInput, TaskRegistry, TaskResult, WorkflowEngine};
+    let mut registry = TaskRegistry::new();
+    for name in ["price", "pay", "fulfil"] {
+        registry.register(name, |_: &TaskInput| TaskResult::ok(orb::Value::Null));
+    }
+    let graph = script::parse("task price;\ntask pay after price;\ntask fulfil after pay;").unwrap();
+    let order = run_cost(&WorkflowEngine::new(graph, registry).unwrap());
+    // Three activities and three fig. 10 exchanges beside the report's and
+    // the inputs' names; the commit before, walking the graph by name every
+    // round, spent 114.
+    assert!(order <= WORKFLOW_BUDGET, "price → pay → fulfil made {order} allocations");
+
+    // Linear in tasks: eight chains of eight cost eight times one chain of
+    // eight (and a little less — the run's own vectors are shared).
+    let (one, eight) = (run_cost(&chains_engine(1, 8)), run_cost(&chains_engine(8, 8)));
+    assert!(
+        eight * 10 <= one * 8 * 11,
+        "64 tasks made {eight} allocations, 8 tasks {one}: more than 8x + 10 %"
+    );
+}
+
+/// `WorkflowEngine::run` of the three-task order script with no-op bodies.
+const WORKFLOW_BUDGET: u64 = 50;

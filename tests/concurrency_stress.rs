@@ -181,7 +181,7 @@ fn sixteen_concurrent_signal_set_runs_share_one_coordinator() {
         for j in 0..6 {
             let hits = Arc::clone(&hits);
             coordinator.register_action(
-                format!("S{i}"),
+                &format!("S{i}"),
                 Arc::new(FnAction::new(format!("a{i}-{j}"), move |_s: &Signal| {
                     hits.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_micros(50));

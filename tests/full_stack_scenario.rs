@@ -93,17 +93,18 @@ fn registry(world: &World, payment_works: bool, courier_available: bool) -> Task
         };
         payer.stage("debit", Value::F64(price));
         shop.stage("credit", Value::F64(price));
-        register_remote(
+        let (bank_node, shop_node) = (orb.node("bank").unwrap(), orb.node("shop").unwrap());
+        let bank_servant = register_remote(
             &orb,
-            &orb.node("bank").unwrap(),
+            &bank_node,
             &ctx,
             TWO_PC_SET,
             WsParticipantAction::new(payer as _) as Arc<dyn Action>,
         )
         .unwrap();
-        register_remote(
+        let shop_servant = register_remote(
             &orb,
-            &orb.node("shop").unwrap(),
+            &shop_node,
             &ctx,
             TWO_PC_SET,
             WsParticipantAction::new(Arc::clone(&shop) as _) as Arc<dyn Action>,
@@ -112,6 +113,8 @@ fn registry(world: &World, payment_works: bool, courier_available: bool) -> Task
         let outcome = coordination
             .complete(ctx.id(), TWO_PC_SET, activity_service::CompletionStatus::Success)
             .unwrap();
+        bank_node.deactivate(&bank_servant);
+        shop_node.deactivate(&shop_servant);
         if outcome.name() == "committed" {
             TaskResult::ok(Value::F64(price))
         } else {

@@ -346,3 +346,187 @@ proptest! {
         }
     }
 }
+
+/// What the reference scheduler below expects of a run.
+#[derive(Debug, Default, PartialEq)]
+struct Expected {
+    completed: Vec<String>,
+    outputs: std::collections::BTreeMap<String, Value>,
+    failed: Vec<String>,
+    skipped: Vec<String>,
+    compensations: Vec<(String, String)>,
+    trace: Vec<String>,
+}
+
+/// One generated task: who it waits for and how, how often its body may be
+/// retried, how many of its first attempts fail, whether it is compensated.
+struct TaskModel {
+    name: String,
+    dependencies: Vec<String>,
+    any_join: bool,
+    retries: u32,
+    failing_attempts: u32,
+    compensated: bool,
+}
+
+/// A body's output: one more than the sum of what it was handed, so
+/// `outputs` checks which upstream results reached which task.
+fn body_output(upstream: impl Iterator<Item = i64>) -> i64 {
+    1 + upstream.sum::<i64>()
+}
+
+/// The scheduler written the obvious way — by name, rescanning everything
+/// every round, batch-synchronous, ready tasks in name order — against
+/// which the compiled, indexed run path is checked.
+fn reference_run(tasks: &[TaskModel], stop_on_failure: bool) -> Expected {
+    use std::collections::{BTreeMap, BTreeSet};
+    let by_name: BTreeMap<&str, &TaskModel> = tasks.iter().map(|t| (t.name.as_str(), t)).collect();
+    let mut finished: BTreeMap<&str, Option<i64>> = BTreeMap::new(); // Some(output) = succeeded
+    let mut pending: BTreeSet<&str> = by_name.keys().copied().collect();
+    let mut expected = Expected::default();
+    let succeeded = |finished: &BTreeMap<&str, Option<i64>>, dep: &String| {
+        finished.get(dep.as_str()).copied().flatten()
+    };
+    'schedule: loop {
+        let ready: Vec<&TaskModel> = pending
+            .iter()
+            .map(|name| by_name[name])
+            .filter(|task| {
+                let mut oks = task.dependencies.iter().map(|d| succeeded(&finished, d).is_some());
+                task.dependencies.is_empty() || if task.any_join { oks.any(|ok| ok) } else { oks.all(|ok| ok) }
+            })
+            .collect();
+        if ready.is_empty() {
+            break;
+        }
+        // The whole batch starts from what had finished before it.
+        let results: Vec<(&TaskModel, Option<i64>)> = ready
+            .iter()
+            .map(|task| {
+                pending.remove(task.name.as_str());
+                let inputs = task.dependencies.iter().filter_map(|d| succeeded(&finished, d));
+                (*task, (task.failing_attempts <= task.retries).then(|| body_output(inputs)))
+            })
+            .collect();
+        for (task, output) in results {
+            // The fig. 10 exchange: one `outcome` signal to every dependent.
+            expected.trace.push("get_signal(CompletedSignalSet)".into());
+            for dependent in by_name.values().filter(|t| t.dependencies.contains(&task.name)) {
+                expected.trace.push(format!("\"outcome\" -> {}", dependent.name));
+                expected.trace.push("set_response(CompletedSignalSet, outcome_ack)".into());
+            }
+            expected.trace.push("get_outcome(CompletedSignalSet) = done".into());
+            finished.insert(&task.name, output);
+            match output {
+                Some(output) => {
+                    expected.outputs.insert(task.name.clone(), Value::I64(output));
+                    expected.completed.push(task.name.clone());
+                }
+                None => {
+                    expected.failed.push(task.name.clone());
+                    if stop_on_failure {
+                        break 'schedule;
+                    }
+                }
+            }
+        }
+    }
+    expected.skipped = pending.iter().map(|name| (*name).to_owned()).collect();
+    if stop_on_failure && !expected.failed.is_empty() {
+        expected.compensations = expected
+            .completed
+            .iter()
+            .rev()
+            .filter(|name| by_name[name.as_str()].compensated)
+            .map(|name| (name.clone(), format!("undo-{name}")))
+            .collect();
+    }
+    expected
+}
+
+proptest! {
+    /// The compiled plan schedules exactly as the by-name reference does:
+    /// same report, and the same coordinator trace text, for random DAGs
+    /// (name order unrelated to dependency order), join kinds, retries and
+    /// failing bodies, under both failure policies.
+    #[test]
+    fn compiled_plan_matches_the_reference_scheduler(
+        specs in proptest::collection::vec(
+            (any::<u16>(), any::<bool>(), 0u32..3, 0u32..5, any::<bool>(), any::<u8>()),
+            1..10,
+        ),
+        stop_on_failure in any::<bool>(),
+    ) {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+
+        let mut tasks: Vec<TaskModel> = Vec::new();
+        for (index, (mask, any_join, retries, failing, compensated, key)) in specs.into_iter().enumerate() {
+            // Two in five bodies fail at first; retries rescue some of them.
+            let failing_attempts = failing.saturating_sub(2);
+            let dependencies = (0..index)
+                .filter(|earlier| mask & (1 << earlier) != 0 && mask & (1 << (earlier + 8)) != 0)
+                .map(|earlier| tasks[earlier].name.clone())
+                .collect();
+            let name = format!("t{key:03}-{index}");
+            tasks.push(TaskModel { name, dependencies, any_join, retries, failing_attempts, compensated });
+        }
+
+        let mut graph = WorkflowGraph::new();
+        let mut registry = TaskRegistry::new();
+        for task in &tasks {
+            graph.add_task(&task.name).unwrap();
+            let (attempts, failing) = (AtomicU32::new(0), task.failing_attempts);
+            registry.register(&task.name, move |input: &TaskInput| {
+                if attempts.fetch_add(1, Ordering::SeqCst) < failing {
+                    return TaskResult::failed("injected");
+                }
+                TaskResult::ok(Value::I64(body_output(input.upstream.values().filter_map(Value::as_i64))))
+            });
+            if task.compensated {
+                graph.set_compensation(&task.name, format!("undo-{}", task.name)).unwrap();
+                registry.register(format!("undo-{}", task.name), |_: &TaskInput| TaskResult::ok(Value::Null));
+            }
+        }
+        for task in &tasks {
+            for dependency in &task.dependencies {
+                graph.add_dependency(&task.name, dependency).unwrap();
+            }
+            graph.set_retries(&task.name, task.retries).unwrap();
+            if task.any_join {
+                graph.set_join(&task.name, wfengine::JoinKind::Any).unwrap();
+            }
+        }
+
+        let recorder = telemetry::FlightRecorder::new("wf", 4096);
+        let env = orb::Env { recorder: Some(recorder.clone()), ..Default::default() }.wired();
+        let policy = if stop_on_failure {
+            FailurePolicy::CompensateAndStop
+        } else {
+            FailurePolicy::ContinuePossible
+        };
+        let engine = WorkflowEngine::new(graph, registry)
+            .unwrap()
+            .with_policy(policy)
+            .with_env(Arc::clone(&env));
+        let service = activity_service::ActivityService::builder().env(env).build();
+        let report = engine.run(&service, "prop", Value::Null).unwrap();
+
+        let actual = Expected {
+            completed: report.completed,
+            outputs: report.outputs,
+            failed: report.failed,
+            skipped: report.skipped,
+            compensations: report
+                .compensations
+                .into_iter()
+                .map(|record| {
+                    assert!(record.success);
+                    (record.step.task, record.step.compensation)
+                })
+                .collect(),
+            trace: recorder.details_of_kind(telemetry::RecordKind::Trace),
+        };
+        prop_assert_eq!(actual, reference_run(&tasks, stop_on_failure));
+    }
+}
