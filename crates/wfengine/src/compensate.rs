@@ -25,14 +25,15 @@ pub struct CompensationRecord {
     pub success: bool,
 }
 
-/// Plan which compensations to run after a failure: completed tasks (by
-/// plan index, in completion order) that declare a compensation,
-/// newest-first (the reverse-execution rule sagas and fig. 2 share).
-pub(crate) fn plan<'p>(plan: &'p Plan, completed_in_order: &[usize]) -> Vec<&'p PlanTask> {
+/// Plan which compensations to run after a failure: completed tasks that
+/// declare a compensation, newest-first (the reverse-execution rule sagas
+/// and fig. 2 share).
+pub(crate) fn plan<'p>(plan: &'p Plan, completed_in_order: &[String]) -> Vec<&'p PlanTask> {
     completed_in_order
         .iter()
         .rev()
-        .map(|&task| &plan.tasks[task])
+        .filter_map(|task| plan.index_of(task))
+        .map(|task| &plan.tasks[task])
         .filter(|task| task.compensation.is_some())
         .collect()
 }
@@ -122,7 +123,7 @@ mod tests {
     fn plan_is_reverse_order_and_filtered() {
         let ok = |_i: &TaskInput| TaskResult::ok(Value::Null);
         let compiled = compiled(undo_registry(ok, ok));
-        let steps = plan(&compiled, &[0, 1, 2]);
+        let steps = plan(&compiled, &["t1".into(), "t2".into(), "t3".into()]);
         let undone: Vec<&str> = steps.iter().map(|task| &*task.name).collect();
         assert_eq!(undone, ["t3", "t2"], "t1 has no compensation; order is newest-first");
     }
@@ -139,7 +140,7 @@ mod tests {
             },
             |_i: &TaskInput| TaskResult::ok(Value::Null),
         ));
-        let steps = plan(&compiled, &[1]);
+        let steps = plan(&compiled, &["t2".into()]);
 
         let mut outputs = BTreeMap::new();
         outputs.insert("t2".to_string(), Value::from("booking-42"));
@@ -159,7 +160,7 @@ mod tests {
             |_i: &TaskInput| TaskResult::ok(Value::Null),
             |_i: &TaskInput| TaskResult::failed("stuck"),
         ));
-        let steps = plan(&compiled, &[1, 2]);
+        let steps = plan(&compiled, &["t2".into(), "t3".into()]);
         let records = execute(&steps, &Value::Null, &BTreeMap::new(), &Env::default());
         assert_eq!(records.len(), 2);
         assert!(!records[0].success);

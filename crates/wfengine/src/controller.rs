@@ -40,9 +40,9 @@ impl TaskController {
     /// A controller for `task`, which waits for `dependencies` under `join`.
     /// Both names are shared handles (a compiled workflow hands out its
     /// own), so a run's controllers copy no names.
-    pub fn new(task: Arc<str>, dependencies: Arc<[Arc<str>]>, join: JoinKind) -> Arc<Self> {
+    pub fn new(task: Arc<str>, dependencies: Arc<[Arc<str>]>, join: JoinKind) -> Self {
         let received = Mutex::new(vec![None; dependencies.len()]);
-        Arc::new(TaskController { task, dependencies, join, received })
+        TaskController { task, dependencies, join, received }
     }
 
     /// The controlled task's name.
@@ -74,14 +74,15 @@ impl TaskController {
     /// Successful upstream outputs, keyed by task name.
     pub fn inputs(&self) -> BTreeMap<String, Value> {
         let received = self.received.lock();
-        self.dependencies
-            .iter()
-            .zip(received.iter())
-            .filter_map(|(name, slot)| match slot {
-                Some((true, output)) => Some((name.as_ref().to_owned(), output.clone())),
-                _ => None,
-            })
-            .collect()
+        // Inserted one by one: collecting would stage the pairs in a
+        // vector first to sort them.
+        let mut inputs = BTreeMap::new();
+        for (name, slot) in self.dependencies.iter().zip(received.iter()) {
+            if let Some((true, output)) = slot {
+                inputs.insert(name.as_ref().to_owned(), output.clone());
+            }
+        }
+        inputs
     }
 }
 
@@ -90,15 +91,21 @@ impl TaskController {
 /// activity registers an Action with it that is used to deliver the
 /// 'outcome' Signal".
 pub struct DependencyWatch {
+    controllers: Arc<[TaskController]>,
+    dependent: usize,
     slot: usize,
-    controller: Arc<TaskController>,
 }
 
 impl DependencyWatch {
-    /// Watch, on behalf of `controller`'s task, the dependency at `slot` of
-    /// its dependency list.
-    pub fn new(slot: usize, controller: Arc<TaskController>) -> Arc<Self> {
-        Arc::new(DependencyWatch { slot, controller })
+    /// Watch, on behalf of the task controlled by `controllers[dependent]`
+    /// (a run's controllers are one shared slice), the dependency at `slot`
+    /// of its dependency list.
+    pub fn new(controllers: Arc<[TaskController]>, dependent: usize, slot: usize) -> Arc<Self> {
+        Arc::new(DependencyWatch { controllers, dependent, slot })
+    }
+
+    fn controller(&self) -> &TaskController {
+        &self.controllers[self.dependent]
     }
 }
 
@@ -113,12 +120,12 @@ impl activity_service::Action for DependencyWatch {
             .ok_or_else(|| ActionError::new("outcome payload must be a map"))?;
         let success = payload.get("success").and_then(Value::as_bool).unwrap_or(false);
         let result = payload.get("result").cloned().unwrap_or(Value::Null);
-        self.controller.note_outcome(self.slot, success, result);
+        self.controller().note_outcome(self.slot, success, result);
         Ok(Outcome::new(SIG_OUTCOME_ACK))
     }
 
     fn name(&self) -> &str {
-        self.controller.task()
+        self.controller().task()
     }
 }
 
@@ -126,7 +133,7 @@ impl activity_service::Action for DependencyWatch {
 mod tests {
     use super::*;
 
-    fn controller(deps: &[&str], join: JoinKind) -> Arc<TaskController> {
+    fn controller(deps: &[&str], join: JoinKind) -> TaskController {
         TaskController::new("d".into(), deps.iter().map(|d| Arc::from(*d)).collect(), join)
     }
 
@@ -188,8 +195,9 @@ mod tests {
     #[test]
     fn dependency_watch_translates_outcome_signals() {
         use activity_service::Action;
-        let c = controller(&["b"], JoinKind::All);
-        let watch = DependencyWatch::new(0, Arc::clone(&c));
+        let controllers: Arc<[TaskController]> = [controller(&["b"], JoinKind::All)].into();
+        let c = &controllers[0];
+        let watch = DependencyWatch::new(Arc::clone(&controllers), 0, 0);
         let mut payload = orb::ValueMap::new();
         payload.insert("success".into(), Value::Bool(true));
         payload.insert("result".into(), Value::from("out"));

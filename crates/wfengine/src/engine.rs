@@ -227,15 +227,13 @@ impl WorkflowEngine {
         let tasks = &self.plan.tasks;
         let workflow = service.begin(name)?;
         // Per-run state, indexed like the plan's tasks.
-        let controllers: Vec<Arc<TaskController>> = tasks
+        let controllers: Arc<[TaskController]> = tasks
             .iter()
             .map(|task| {
                 TaskController::new(Arc::clone(&task.name), Arc::clone(&task.dependencies), task.join)
             })
             .collect();
         let mut progress = vec![Progress::Waiting; tasks.len()];
-        // Completed tasks in completion order; `report.completed` names them.
-        let mut completed: Vec<usize> = Vec::new();
         let mut report = WorkflowReport {
             completed: Vec::new(),
             outputs: BTreeMap::new(),
@@ -263,7 +261,6 @@ impl WorkflowEngine {
                 if outcome.success {
                     report.outputs.insert(outcome.task.clone(), outcome.output);
                     report.completed.push(outcome.task);
-                    completed.push(task);
                 } else {
                     report.failed.push(outcome.task);
                     prior_failure = true;
@@ -376,7 +373,6 @@ impl WorkflowEngine {
                 if result.success {
                     report.outputs.insert(name.as_ref().to_owned(), result.output);
                     report.completed.push(name.as_ref().to_owned());
-                    completed.push(task);
                 } else {
                     report.failed.push(name.as_ref().to_owned());
                     if self.policy == FailurePolicy::CompensateAndStop {
@@ -400,7 +396,7 @@ impl WorkflowEngine {
         );
 
         if !report.failed.is_empty() && self.policy == FailurePolicy::CompensateAndStop {
-            let plan = compensate::plan(&self.plan, &completed);
+            let plan = compensate::plan(&self.plan, &report.completed);
             report.compensations = compensate::execute(&plan, &params, &report.outputs, &self.env);
         }
 
@@ -420,7 +416,7 @@ impl WorkflowEngine {
         workflow: &Activity,
         task: usize,
         result: &TaskResult,
-        controllers: &[Arc<TaskController>],
+        controllers: &Arc<[TaskController]>,
     ) -> Result<(), WorkflowError> {
         let task = &self.plan.tasks[task];
         let child = workflow.begin_child(Arc::clone(&task.name))?;
@@ -432,7 +428,7 @@ impl WorkflowEngine {
             .add_signal_set(Box::new(CompletedSignalSet::new(result.output.clone())))?;
         child.set_completion_signal_set(COMPLETED_SET);
         for &(dependent, slot) in &task.dependents {
-            let watch = DependencyWatch::new(slot, Arc::clone(&controllers[dependent]));
+            let watch = DependencyWatch::new(Arc::clone(controllers), dependent, slot);
             child.coordinator().register_action(COMPLETED_SET, watch as _);
         }
         let status = if result.success {

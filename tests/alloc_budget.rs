@@ -420,4 +420,4 @@ fn a_workflow_run_walks_its_compiled_plan() {
 }
 
 /// `WorkflowEngine::run` of the three-task order script with no-op bodies.
-const WORKFLOW_BUDGET: u64 = 50;
+const WORKFLOW_BUDGET: u64 = 44;
