@@ -76,6 +76,14 @@ impl CoordinatorInner {
         self.slots.iter().position(|slot| slot.name == set_name)
     }
 
+    fn slot(&self, set_name: &str) -> Option<&Slot> {
+        self.slots.iter().find(|slot| slot.name == set_name)
+    }
+
+    fn slot_mut(&mut self, set_name: &str) -> Option<&mut Slot> {
+        self.slots.iter_mut().find(|slot| slot.name == set_name)
+    }
+
     /// The slot named `set_name`, created empty — keyed by `key()` — when
     /// this is the first mention of the name.
     fn slot_for(&mut self, set_name: &str, key: impl FnOnce() -> Cow<'static, str>) -> &mut Slot {
@@ -183,16 +191,16 @@ impl ActivityCoordinator {
     pub fn add_signal_set(&self, set: Box<dyn SignalSet>) -> Result<(), ActivityError> {
         let mut inner = self.inner.lock();
         let slot = inner.slot_for(set.signal_set_name(), || set.shared_signal_set_name());
-        match &slot.set {
-            SetSlot::Held(entry) if entry.state != SignalSetState::End => {
-                Err(ActivityError::SignalSetActive(slot.name.as_ref().to_owned()))
-            }
-            SetSlot::Running => Err(ActivityError::SignalSetActive(slot.name.as_ref().to_owned())),
-            _ => {
-                slot.set = SetSlot::Held(SetEntry { set, state: SignalSetState::Waiting });
-                Ok(())
-            }
+        let in_use = match &slot.set {
+            SetSlot::Held(entry) => entry.state != SignalSetState::End,
+            SetSlot::Running => true,
+            SetSlot::Vacant => false,
+        };
+        if in_use {
+            return Err(ActivityError::SignalSetActive(slot.name.as_ref().to_owned()));
         }
+        slot.set = SetSlot::Held(SetEntry { set, state: SignalSetState::Waiting });
+        Ok(())
     }
 
     /// Register an action's interest in the named signal set. An Action
@@ -211,8 +219,7 @@ impl ActivityCoordinator {
     /// named set. Returns how many registrations were removed.
     pub fn unregister_action(&self, set_name: &str, action_name: &str) -> usize {
         let mut inner = self.inner.lock();
-        let Some(index) = inner.position(set_name) else { return 0 };
-        let actions = &mut inner.slots[index].actions;
+        let Some(Slot { actions, .. }) = inner.slot_mut(set_name) else { return 0 };
         let before = actions.len();
         if actions.iter().any(|a| a.name() == action_name) {
             Arc::make_mut(actions).retain(|a| a.name() != action_name);
@@ -222,8 +229,7 @@ impl ActivityCoordinator {
 
     /// Number of actions currently registered for the named set.
     pub fn action_count(&self, set_name: &str) -> usize {
-        let inner = self.inner.lock();
-        inner.position(set_name).map_or(0, |index| inner.slots[index].actions.len())
+        self.inner.lock().slot(set_name).map_or(0, |slot| slot.actions.len())
     }
 
     /// The fig. 7 state of the named set.
@@ -233,7 +239,7 @@ impl ActivityCoordinator {
     /// Returns [`ActivityError::UnknownSignalSet`] when not associated.
     pub fn signal_set_state(&self, set_name: &str) -> Result<SignalSetState, ActivityError> {
         let inner = self.inner.lock();
-        match inner.position(set_name).map(|index| &inner.slots[index].set) {
+        match inner.slot(set_name).map(|slot| &slot.set) {
             Some(SetSlot::Held(entry)) => Ok(entry.state),
             Some(SetSlot::Running) => Ok(SignalSetState::GetSignal),
             Some(SetSlot::Vacant) | None => {
@@ -268,7 +274,7 @@ impl ActivityCoordinator {
         status: CompletionStatus,
     ) -> Result<(), ActivityError> {
         let mut inner = self.inner.lock();
-        match inner.position(set_name).map(|index| &mut inner.slots[index].set) {
+        match inner.slot_mut(set_name).map(|slot| &mut slot.set) {
             Some(SetSlot::Held(entry)) => {
                 entry.set.set_completion_status(status);
                 Ok(())
@@ -298,22 +304,23 @@ impl ActivityCoordinator {
     pub fn process_signal_set(&self, set_name: &str) -> Result<Outcome, ActivityError> {
         let mut checkout = {
             let mut inner = self.inner.lock();
-            let index = inner.position(set_name);
-            match index.map(|index| &mut inner.slots[index].set) {
-                Some(SetSlot::Held(entry)) if entry.state == SignalSetState::End => {
-                    return Err(ActivityError::SignalSetInactive(set_name.to_owned()));
-                }
-                Some(slot @ SetSlot::Held(_)) => {
-                    let SetSlot::Held(entry) = std::mem::replace(slot, SetSlot::Running) else {
-                        unreachable!("just matched Held")
-                    };
-                    let index = index.expect("a slot matched");
+            let Some(index) = inner.position(set_name) else {
+                return Err(ActivityError::UnknownSignalSet(set_name.to_owned()));
+            };
+            let slot = &mut inner.slots[index].set;
+            match std::mem::replace(slot, SetSlot::Running) {
+                SetSlot::Held(entry) if entry.state != SignalSetState::End => {
                     Checkout { coordinator: self, index, entry: Some(entry) }
                 }
-                Some(SetSlot::Running) => {
+                ended @ SetSlot::Held(_) => {
+                    *slot = ended;
+                    return Err(ActivityError::SignalSetInactive(set_name.to_owned()));
+                }
+                SetSlot::Running => {
                     return Err(ActivityError::SignalSetActive(set_name.to_owned()));
                 }
-                Some(SetSlot::Vacant) | None => {
+                SetSlot::Vacant => {
+                    *slot = SetSlot::Vacant;
                     return Err(ActivityError::UnknownSignalSet(set_name.to_owned()));
                 }
             }

@@ -104,8 +104,8 @@ impl CoordinationService {
     }
 
     /// Register (or replace) a coordination type.
-    pub fn register_coordination_type(&self, coordination_type: impl Into<String>, suite: ProtocolSuite) {
-        self.types.lock().insert(coordination_type.into().into(), Arc::new(suite));
+    pub fn register_coordination_type(&self, coordination_type: impl Into<Arc<str>>, suite: ProtocolSuite) {
+        self.types.lock().insert(coordination_type.into(), Arc::new(suite));
     }
 
     /// Sorted names of registered coordination types.

@@ -243,15 +243,19 @@ fn an_absent_telemetry_span_guard_allocates_nothing() {
 /// `set_up` associate whatever it wants, complete it.
 fn activity_cost(set_up: impl FnOnce(&activity_service::Activity)) -> u64 {
     let env = Env::new();
-    let run = |set_up: &mut dyn FnMut(&activity_service::Activity)| {
+    let begin = || {
         let activity = activity_service::Activity::new_root("op", Arc::clone(&env));
         activity.coordinator().set_dispatch_config(DispatchConfig::serial());
-        set_up(&activity);
-        activity.complete().unwrap();
+        activity
     };
-    run(&mut |_| {}); // past the process's lazily initialised statics
-    let mut set_up = Some(set_up);
-    allocs_during(|| run(&mut |activity| (set_up.take().expect("one run"))(activity))).0
+    begin().complete().unwrap(); // past the process's lazily initialised statics
+    let (allocs, outcome) = allocs_during(|| {
+        let activity = begin();
+        set_up(&activity);
+        activity.complete()
+    });
+    outcome.unwrap();
+    allocs
 }
 
 /// Associate a one-signal `Completed` set, designate it, register `actions`
@@ -370,6 +374,12 @@ fn a_thousand_registrations_append_in_place_even_under_a_running_protocol() {
     assert!(heard.iter().all(|name| name == "two"), "the snapshot of `one` predates them");
 }
 
+/// `WorkflowEngine::run` of the three-task order script with no-op bodies:
+/// three activities and three fig. 10 exchanges beside the names in the
+/// report and the inputs. Measured 44; the commit before, walking the graph
+/// by name every round, spent 114.
+const WORKFLOW_BUDGET: u64 = 44;
+
 /// `chains` independent chains of `length` no-op tasks each.
 fn chains_engine(chains: usize, length: usize) -> wfengine::WorkflowEngine {
     use wfengine::{TaskInput, TaskRegistry, TaskResult, WorkflowGraph};
@@ -405,9 +415,6 @@ fn a_workflow_run_walks_its_compiled_plan() {
     }
     let graph = script::parse("task price;\ntask pay after price;\ntask fulfil after pay;").unwrap();
     let order = run_cost(&WorkflowEngine::new(graph, registry).unwrap());
-    // Three activities and three fig. 10 exchanges beside the report's and
-    // the inputs' names; the commit before, walking the graph by name every
-    // round, spent 114.
     assert!(order <= WORKFLOW_BUDGET, "price → pay → fulfil made {order} allocations");
 
     // Linear in tasks: eight chains of eight cost eight times one chain of
@@ -418,6 +425,3 @@ fn a_workflow_run_walks_its_compiled_plan() {
         "64 tasks made {eight} allocations, 8 tasks {one}: more than 8x + 10 %"
     );
 }
-
-/// `WorkflowEngine::run` of the three-task order script with no-op bodies.
-const WORKFLOW_BUDGET: u64 = 44;
