@@ -85,23 +85,39 @@ fn main() {
 
     // ---------------- F10: fig. 10 — workflow makespan -------------------
     println!("## F10 (fig. 10): workflow engine, width x depth sweeps");
-    println!("{:>7} {:>7} {:>10} {:>14} {:>14}", "width", "depth", "tasks", "seq µs", "par µs");
-    for (width, depth) in [(1usize, 8usize), (2, 8), (4, 8), (8, 8), (8, 1), (8, 2), (8, 4)] {
+    println!(
+        "{:>7} {:>7} {:>7} {:>10} {:>10} {:>10} {:>12}",
+        "width", "depth", "tasks", "seq µs", "par µs", "run µs", "run ns/task"
+    );
+    for (width, depth) in
+        [(1usize, 8usize), (1, 64), (2, 8), (4, 8), (8, 8), (8, 1), (8, 2), (8, 4)]
+    {
         let (done_seq, seq) = time(|| bench::fig10_workflow(width, depth, false));
         let (done_par, par) = time(|| bench::fig10_workflow(width, depth, true));
         assert_eq!(done_seq, width * depth);
         assert_eq!(done_par, width * depth);
+        // seq/par build the graph and the engine inside the timed call;
+        // `run` is one sequential run of an engine built once (best of 50).
+        let (graph, registry) = bench::layered_workflow(width, depth);
+        let engine = wfengine::WorkflowEngine::new(graph, registry).expect("engine");
+        let service = activity_service::ActivityService::new();
+        let run = (0..50)
+            .map(|_| time(|| engine.run(&service, "bench", orb::Value::Null).expect("run")).1)
+            .min()
+            .expect("fifty runs");
         println!(
-            "{:>7} {:>7} {:>10} {:>14} {:>14}",
+            "{:>7} {:>7} {:>7} {:>10} {:>10} {:>10.1} {:>12.0}",
             width,
             depth,
             width * depth,
             seq.as_micros(),
-            par.as_micros()
+            par.as_micros(),
+            run.as_secs_f64() * 1e6,
+            run.as_secs_f64() * 1e9 / (width * depth) as f64,
         );
     }
-    println!("# shape: cost grows with total tasks; depth costs serial rounds, width is");
-    println!("#        amortised by the parallel scheduler.\n");
+    println!("# shape: a run costs per task and per edge (a width-w layer adds w tasks and");
+    println!("#        w*w edges); at a fixed width every further layer costs the same.\n");
 
     // ---------------- F11/F12: BTP atoms & cohesions ---------------------
     println!("## F11/F12 (figs. 11-12): BTP termination");
