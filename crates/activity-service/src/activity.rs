@@ -9,12 +9,11 @@ use std::time::Duration;
 
 use orb::Env;
 use parking_lot::Mutex;
-use telemetry::{RecordKind, SpanContext};
+use telemetry::{Origin, ProtocolEvent, SpanContext};
 
 use crate::completion::CompletionStatus;
 use crate::coordinator::ActivityCoordinator;
 use crate::error::ActivityError;
-use crate::journal::{ActivityEvent, ActivityJournal};
 use crate::outcome::Outcome;
 use crate::property::PropertyGroupManager;
 use crate::recovery::ActivityLogger;
@@ -32,6 +31,11 @@ impl ActivityId {
     /// The raw id.
     pub const fn raw(self) -> u64 {
         self.0
+    }
+
+    /// This activity as the origin of the protocol steps it emits.
+    pub const fn origin(self) -> Origin {
+        Origin::Activity(self.0)
     }
 }
 
@@ -85,8 +89,6 @@ struct ActivityInner {
     deadline: Mutex<Option<Duration>>,
     logger: Option<Arc<ActivityLogger>>,
     id_source: Arc<AtomicU64>,
-    /// The per-tree typed probe; write-once, inherited by children.
-    journal: OnceLock<ActivityJournal>,
     /// This activity's `activity:` span, set by the service that begins it
     /// under live telemetry: children parent under their *enclosing
     /// activity's* span (fig. 4 nesting) rather than whatever happens to be
@@ -143,8 +145,8 @@ impl Activity {
 
     /// The one place an activity is put together (recovery calls it
     /// directly, with the logged id): a child takes its parent's property
-    /// visibility, deadline and journal and is linked into the parent's
-    /// children; its coordinator runs under `env`.
+    /// visibility and deadline and is linked into the parent's children; its
+    /// coordinator runs under `env`.
     pub(crate) fn assemble(
         id: ActivityId,
         name: Arc<str>,
@@ -170,9 +172,6 @@ impl Activity {
                 deadline: Mutex::new(parent.and_then(|p| *p.inner.deadline.lock())),
                 logger,
                 id_source,
-                journal: parent
-                    .and_then(|p| p.inner.journal.get().cloned())
-                    .map_or_else(OnceLock::new, OnceLock::from),
                 span: OnceLock::new(),
             }),
         };
@@ -196,17 +195,16 @@ impl Activity {
         let _ = self.inner.span.set(span);
     }
 
-    /// Emit one lifecycle event: to the flight recorder (kind `activity`)
-    /// and to the attached journal, if any.
-    fn emit(&self, event: impl FnOnce() -> ActivityEvent) {
-        self.env().emit(RecordKind::Activity, self.inner.journal.get(), event);
+    /// Emit one lifecycle step of this activity.
+    fn emit(&self, event: impl FnOnce() -> ProtocolEvent) {
+        self.env().emit(|| (self.inner.id.origin(), event()));
     }
 
-    fn begun(&self) -> ActivityEvent {
-        ActivityEvent::Begun {
-            activity: self.inner.id,
+    fn begun(&self) -> ProtocolEvent {
+        ProtocolEvent::ActivityBegun {
+            activity: self.inner.id.raw(),
             name: self.inner.name.as_ref().to_owned(),
-            parent: self.inner.parent.upgrade().map(|p| p.id),
+            parent: self.inner.parent.upgrade().map(|p| p.id.raw()),
         }
     }
 
@@ -245,19 +243,6 @@ impl Activity {
         );
         child.emit(|| child.begun());
         Ok(child)
-    }
-
-    /// Attach an [`ActivityJournal`]: this activity (and every child begun
-    /// afterwards, which inherits the journal) records its lifecycle —
-    /// begin and complete — for conformance replay against a reference
-    /// nesting model. Attaching records this activity's own `Begun` event
-    /// (the flight recorder saw it when the activity began). Write-once: an
-    /// activity keeps the first journal it is given or inherits.
-    pub fn set_journal(&self, journal: ActivityJournal) {
-        if self.inner.journal.get().is_none() {
-            journal.record(self.begun());
-            let _ = self.inner.journal.set(journal);
-        }
     }
 
     /// This activity's id.
@@ -467,9 +452,13 @@ impl Activity {
         };
         *self.inner.state.lock() = ActivityState::Completed;
         *self.inner.outcome.lock() = Some(outcome.clone());
-        self.emit(|| ActivityEvent::Completed {
-            activity: self.inner.id,
-            status: effective,
+        self.emit(|| ProtocolEvent::ActivityCompleted {
+            activity: self.inner.id.raw(),
+            status: match effective {
+                CompletionStatus::Success => "Success",
+                CompletionStatus::Fail => "Fail",
+                CompletionStatus::FailOnly => "FailOnly",
+            },
             outcome: outcome.name().to_owned(),
         });
         if let Some(logger) = &self.inner.logger {
@@ -679,6 +668,39 @@ mod tests {
             .unwrap();
         fp.arm(crate::failpoints::BEFORE_GET_SIGNAL, 0);
         assert!(c.signal("S").is_err());
+    }
+
+    #[test]
+    fn lifecycle_steps_are_emitted_in_order_under_each_activitys_own_origin() {
+        let recorder = telemetry::FlightRecorder::new("test", usize::MAX);
+        let env = Env { recorder: Some(recorder.clone()), ..Default::default() }.wired();
+        let root = Activity::new_root("root", env);
+        let child = root.begin_child("child").unwrap();
+        child.complete().unwrap();
+        root.complete_with_status(CompletionStatus::Fail).unwrap();
+
+        let (root_id, child_id) = (root.id().raw(), child.id().raw());
+        let begun = |activity, name: &str, parent| ProtocolEvent::ActivityBegun {
+            activity,
+            name: name.into(),
+            parent,
+        };
+        let completed = |activity, status, outcome: &str| ProtocolEvent::ActivityCompleted {
+            activity,
+            status,
+            outcome: outcome.into(),
+        };
+        assert_eq!(
+            recorder.steps(),
+            vec![
+                (root.id().origin(), begun(root_id, "root", None)),
+                (child.id().origin(), begun(child_id, "child", Some(root_id))),
+                (child.id().origin(), completed(child_id, "Success", "done")),
+                (root.id().origin(), completed(root_id, "Fail", "abort")),
+            ]
+        );
+        // With nothing listening nothing is built, and nothing breaks.
+        Activity::new_root("unheard", SimClock::new()).complete().unwrap();
     }
 
     #[test]

@@ -3,11 +3,11 @@
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use orb::{Env, SpanGuard};
 use parking_lot::Mutex;
-use telemetry::{RecordKind, MSC_FROM, MSC_MSG, MSC_REPLY, MSC_TO};
+use telemetry::{ProtocolEvent, MSC_FROM, MSC_MSG, MSC_REPLY, MSC_TO};
 
 use crate::action::Action;
 use crate::activity::ActivityId;
@@ -16,7 +16,6 @@ use crate::dispatch::{self, ActionList, DispatchConfig};
 use crate::error::ActivityError;
 use crate::outcome::Outcome;
 use crate::signal_set::{AfterResponse, NextSignal, SignalSet, SignalSetState};
-use crate::trace::{TraceEvent, TraceLog};
 
 /// Named failpoint sites this crate's protocol code passes through.
 ///
@@ -111,9 +110,6 @@ pub struct ActivityCoordinator {
     /// The owning service's context, shared by the whole activity tree:
     /// failpoints, failure detector, telemetry, recorder.
     env: Arc<Env>,
-    /// The per-activity typed probe; write-once, so protocol steps read it
-    /// with one atomic load.
-    trace: OnceLock<TraceLog>,
     dispatch: Mutex<DispatchConfig>,
 }
 
@@ -144,7 +140,6 @@ impl ActivityCoordinator {
             activity,
             inner: Mutex::new(CoordinatorInner::default()),
             env,
-            trace: OnceLock::new(),
             dispatch: Mutex::new(DispatchConfig::default()),
         }
     }
@@ -171,12 +166,6 @@ impl ActivityCoordinator {
     /// The owning activity's id.
     pub fn activity(&self) -> ActivityId {
         self.activity
-    }
-
-    /// Attach a trace log; every subsequent protocol step is recorded.
-    /// Write-once: a coordinator keeps the first log it is given.
-    pub fn set_trace(&self, trace: TraceLog) {
-        let _ = self.trace.set(trace);
     }
 
     /// Associate a signal set with this activity, keyed by its
@@ -357,7 +346,7 @@ impl ActivityCoordinator {
         let mut signal_seq = 0u64;
         loop {
             self.env.hit(failpoints::BEFORE_GET_SIGNAL)?;
-            self.record(scope, || TraceEvent::GetSignal { set: set_name.to_owned() });
+            self.record(scope, || ProtocolEvent::GetSignal { set: set_name.to_owned() });
             let next = entry.set.get_signal();
             entry.state = entry
                 .state
@@ -423,7 +412,8 @@ impl ActivityCoordinator {
                             .metrics()
                             .incr(&format!("signals_transmitted_total{{set=\"{set_name}\"}}"));
                     }
-                    self.record(&span, || TraceEvent::Transmit {
+                    self.record(&span, || ProtocolEvent::Transmit {
+                        set: set_name.to_owned(),
                         signal: name.as_ref().to_owned(),
                         action: action.name().to_owned(),
                     });
@@ -435,7 +425,7 @@ impl ActivityCoordinator {
                             detector.record_success(action.name());
                         }
                     }
-                    self.record(scope, || TraceEvent::SetResponse {
+                    self.record(scope, || ProtocolEvent::SetResponse {
                         set: set_name.to_owned(),
                         outcome: outcome.name().to_owned(),
                     });
@@ -451,27 +441,26 @@ impl ActivityCoordinator {
         entry.state.check_outcome_readable(set_name)?;
         self.env.hit(failpoints::BEFORE_OUTCOME)?;
         let outcome = entry.set.get_outcome();
-        self.record(scope, || TraceEvent::GetOutcome {
+        self.record(scope, || ProtocolEvent::GetOutcome {
             set: set_name.to_owned(),
             outcome: outcome.name().to_owned(),
         });
         Ok(outcome)
     }
 
-    /// Emit one protocol step — to the flight recorder and the trace log
-    /// and, on a live span, as a span event with the same `Display` text —
-    /// from the same call site, so the views cannot drift apart. With none
-    /// of the three listening (the common case for production
-    /// coordinators) the event is never built.
-    fn record(&self, span: &SpanGuard<'_>, event: impl FnOnce() -> TraceEvent) {
-        let trace = self.trace.get();
+    /// Emit one fig. 5 step of this activity — and, on a live span, the
+    /// same step's `Display` text as a span event — from the same call
+    /// site, so the two views cannot drift apart. With neither listening
+    /// (the common case for production coordinators) the event is never
+    /// built.
+    fn record(&self, span: &SpanGuard<'_>, event: impl FnOnce() -> ProtocolEvent) {
+        let origin = || self.activity.origin();
         if span.telemetry().is_none() {
-            return self.env.emit(RecordKind::Trace, trace, event);
+            return self.env.emit(|| (origin(), event()));
         }
         let event = event();
-        let text = event.to_string();
-        self.env.emit(RecordKind::Trace, trace, || event);
-        span.event(&text);
+        span.event(&event.to_string());
+        self.env.emit(|| (origin(), event));
     }
 }
 
@@ -527,7 +516,7 @@ mod tests {
     use crate::signal_set::BroadcastSignalSet;
     use orb::Value;
     use std::sync::atomic::{AtomicU32, Ordering};
-    use telemetry::Telemetry;
+    use telemetry::{FlightRecorder, Telemetry};
 
     fn coordinator() -> ActivityCoordinator {
         ActivityCoordinator::new(ActivityId::new(1))
@@ -535,6 +524,16 @@ mod tests {
 
     fn coordinator_in(env: Env) -> ActivityCoordinator {
         ActivityCoordinator::in_env(ActivityId::new(1), env.wired())
+    }
+
+    /// A coordinator whose steps are all kept, and the recorder keeping them.
+    fn recorded(env: Env) -> (ActivityCoordinator, FlightRecorder) {
+        let recorder = FlightRecorder::new("test", usize::MAX);
+        (coordinator_in(Env { recorder: Some(recorder.clone()), ..env }), recorder)
+    }
+
+    fn steps(recorder: &FlightRecorder) -> Vec<ProtocolEvent> {
+        recorder.steps().into_iter().map(|(_, step)| step).collect()
     }
 
     fn counting_action(name: &str, counter: Arc<AtomicU32>) -> Arc<dyn Action> {
@@ -640,35 +639,37 @@ mod tests {
 
     #[test]
     fn trace_records_fig5_loop() {
-        let c = coordinator();
-        let trace = TraceLog::new();
-        c.set_trace(trace.clone());
+        let (c, recorder) = recorded(Env::default());
         c.add_signal_set(Box::new(BroadcastSignalSet::new("S", "go", Value::Null)))
             .unwrap();
         let hits = Arc::new(AtomicU32::new(0));
         c.register_action("S", counting_action("a1", Arc::clone(&hits)));
         c.register_action("S", counting_action("a2", Arc::clone(&hits)));
         c.process_signal_set("S").unwrap();
-        let events = trace.events();
+        let transmit = |action: &str| ProtocolEvent::Transmit {
+            set: "S".into(),
+            signal: "go".into(),
+            action: action.into(),
+        };
         assert_eq!(
-            events,
+            steps(&recorder),
             vec![
-                TraceEvent::GetSignal { set: "S".into() },
-                TraceEvent::Transmit { signal: "go".into(), action: "a1".into() },
-                TraceEvent::SetResponse { set: "S".into(), outcome: "done".into() },
-                TraceEvent::Transmit { signal: "go".into(), action: "a2".into() },
-                TraceEvent::SetResponse { set: "S".into(), outcome: "done".into() },
-                TraceEvent::GetOutcome { set: "S".into(), outcome: "done".into() },
+                ProtocolEvent::GetSignal { set: "S".into() },
+                transmit("a1"),
+                ProtocolEvent::SetResponse { set: "S".into(), outcome: "done".into() },
+                transmit("a2"),
+                ProtocolEvent::SetResponse { set: "S".into(), outcome: "done".into() },
+                ProtocolEvent::GetOutcome { set: "S".into(), outcome: "done".into() },
             ]
         );
+        // Every step is the activity's own.
+        assert!(recorder.steps().iter().all(|(origin, _)| *origin == c.activity().origin()));
     }
 
     #[test]
     fn telemetry_projection_matches_the_trace_byte_for_byte() {
-        let trace = TraceLog::new();
         let tel = Telemetry::new();
-        let c = coordinator_in(Env { telemetry: Some(tel.clone()), ..Default::default() });
-        c.set_trace(trace.clone());
+        let (c, recorder) = recorded(Env { telemetry: Some(tel.clone()), ..Default::default() });
         c.add_signal_set(Box::new(BroadcastSignalSet::new("S", "go", Value::Null)))
             .unwrap();
         let hits = Arc::new(AtomicU32::new(0));
@@ -678,7 +679,7 @@ mod tests {
 
         let tree = tel.span_tree();
         assert_eq!(tree.verify(), Vec::<String>::new());
-        assert_eq!(tree.coordinator_projection(), trace.render());
+        assert_eq!(tree.coordinator_projection(), telemetry::render_steps(&steps(&recorder)));
 
         // One signal_set root carrying one transmit child per delivery.
         let roots = tree.roots();
@@ -859,10 +860,8 @@ mod tests {
         // is strictly serial: under parallel dispatch the bystander may be
         // transmitted to speculatively (and the delivery discarded), which
         // the at-least-once contract permits. Pin the exact legacy path.
-        let c = coordinator();
+        let (c, recorder) = recorded(Env::default());
         c.set_dispatch_config(DispatchConfig::serial());
-        let trace = TraceLog::new();
-        c.set_trace(trace.clone());
         c.add_signal_set(Box::new(AbortSwitch { phase: 0, saw_abort: false })).unwrap();
         c.register_action(
             "Switch",
@@ -884,11 +883,12 @@ mod tests {
         );
         let outcome = c.process_signal_set("Switch").unwrap();
         assert!(outcome.is_negative());
-        let transmits: Vec<String> = trace
-            .events()
+        let transmits: Vec<String> = steps(&recorder)
             .into_iter()
             .filter_map(|e| match e {
-                TraceEvent::Transmit { signal, action } => Some(format!("{signal}->{action}")),
+                ProtocolEvent::Transmit { signal, action, .. } => {
+                    Some(format!("{signal}->{action}"))
+                }
                 _ => None,
             })
             .collect();

@@ -4,7 +4,7 @@
 //! Action and feeds the Outcomes back into the SignalSet. The Actions
 //! are independent distributed objects, so the *transmissions* are
 //! embarrassingly parallel — but SignalSet protocol engines are
-//! stateful and the TraceLog is an ordered message-sequence chart, so
+//! stateful and the recorded trace is an ordered message-sequence chart, so
 //! the *collation* must look exactly like the serial loop.
 //!
 //! [`dispatch_signal`] is that loop, written once over an
@@ -12,7 +12,7 @@
 //! this is the legacy serial loop; otherwise the signal was handed to
 //! every action when the round started and the loop collates the results
 //! in registration order. Trace events are emitted at collation time, so
-//! a parallel run's TraceLog is byte-identical to a serial run's.
+//! a parallel run's trace is byte-identical to a serial run's.
 //!
 //! **Early break.** When the SignalSet answers `RequestNext`, the loop
 //! stops and the round is dropped. At width 1 the remaining actions never

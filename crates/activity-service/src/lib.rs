@@ -69,7 +69,6 @@ pub mod error;
 pub mod exactly_once;
 pub mod hls;
 pub mod interposition;
-pub mod journal;
 pub mod outcome;
 pub mod property;
 pub mod reaper;
@@ -77,7 +76,6 @@ pub mod recovery;
 pub mod service;
 pub mod signal;
 pub mod signal_set;
-pub mod trace;
 
 pub use action::{Action, ActionServant, FnAction, RemoteActionProxy};
 pub use activity::{Activity, ActivityId, ActivityState};
@@ -89,7 +87,6 @@ pub use error::{ActionError, ActivityError};
 pub use exactly_once::ExactlyOnceAction;
 pub use hls::{ActivityManager, UserActivity, UserWorkArea};
 pub use interposition::{interpose, CollationPolicy, SubordinateRelay};
-pub use journal::{ActivityEvent, ActivityJournal};
 pub use outcome::Outcome;
 pub use property::{
     BasicPropertyGroup, NestedVisibility, Propagation, PropertyGroup, PropertyGroupManager,
@@ -102,4 +99,3 @@ pub use recovery::{
 pub use service::{ActivityService, ActivityServiceBuilder};
 pub use signal::Signal;
 pub use signal_set::{AfterResponse, BroadcastSignalSet, NextSignal, SignalSet, SignalSetState};
-pub use trace::{TraceEvent, TraceLog};

@@ -10,9 +10,9 @@
 //! still `Active`, past its [`crate::Activity::set_timeout`] deadline and
 //! whose coordinator is unreachable. Completion goes through the ordinary
 //! [`crate::Activity::complete_with_status`] path, so the timeout forces
-//! `FailOnly`, the failure outcome is produced and the
-//! [`crate::ActivityJournal`] records the terminal event — the refinement
-//! models see a legal trace, not a vanished activity.
+//! `FailOnly`, the failure outcome is produced and the terminal lifecycle
+//! step is emitted like any other — the refinement models see a legal
+//! trace, not a vanished activity.
 //!
 //! Trees are reaped post-order (children before parents) because
 //! completion refuses to run while a child is still active
@@ -116,7 +116,6 @@ impl OrphanReaper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{ActivityEvent, ActivityJournal};
     use orb::{Env, SimClock};
     use recovery_log::FailpointSet;
     use std::time::Duration;
@@ -165,17 +164,18 @@ mod tests {
     #[test]
     fn reaping_is_journaled_for_the_refinement_models() {
         let clock = SimClock::new();
-        let root = orphan(&clock);
-        let journal = ActivityJournal::new();
-        root.set_journal(journal.clone());
+        let recorder = telemetry::FlightRecorder::new("test", usize::MAX);
+        let env = Env { clock: clock.clone(), recorder: Some(recorder.clone()), ..Env::default() };
+        let root = Activity::new_root("orphan", env.wired());
+        root.set_timeout(Duration::from_millis(5));
         clock.advance(Duration::from_millis(10));
         OrphanReaper::new().reap(std::slice::from_ref(&root), &|_| false).unwrap();
-        let completed = journal.events().into_iter().any(|e| {
-            matches!(
-                e,
-                ActivityEvent::Completed { activity, status: CompletionStatus::FailOnly, .. }
-                    if activity == root.id()
-            )
+        let completed = recorder.steps().into_iter().any(|(origin, step)| {
+            origin == root.id().origin()
+                && matches!(
+                    step,
+                    telemetry::ProtocolEvent::ActivityCompleted { status: "FailOnly", .. }
+                )
         });
         assert!(completed, "the reaper must journal the terminal event");
     }

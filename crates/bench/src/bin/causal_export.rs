@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orb::{Env, Orb, Request, SimClock, Value};
-use ots::{ProtocolJournal, TwoPcEvent, VoteKind};
+use telemetry::{Origin, ProtocolEvent, VoteKind};
 
 const PACE: Duration = Duration::from_micros(200);
 const PARTICIPANTS: [&str; 2] = ["store", "witness"];
@@ -43,9 +43,9 @@ fn run_once() -> (String, u64, usize) {
     let orb = Orb::builder().env(Arc::clone(&env)).build();
     let coordinator = orb.add_node("coordinator").expect("coordinator node");
     // The hand-paced coordinator emits its protocol steps the way the real
-    // one does: into its context's flight recorder.
-    let journal = |event: TwoPcEvent| {
-        env.emit(telemetry::RecordKind::Protocol, None::<&ProtocolJournal>, || event);
+    // one does: through its context, as its one transaction's.
+    let journal = |event: ProtocolEvent| {
+        env.emit(|| (Origin::Transaction { top: 1, branch: Vec::new() }, event));
     };
 
     let mut participants = Vec::new();
@@ -71,11 +71,11 @@ fn run_once() -> (String, u64, usize) {
     // Phase one: solicit both votes over the wire, paced on the virtual
     // clock so the Perfetto slices spread out visibly.
     for (name, object) in &participants {
-        journal(TwoPcEvent::PrepareSent { participant: (*name).into() });
+        journal(ProtocolEvent::PrepareSent { participant: (*name).into() });
         clock.advance(PACE);
         let reply = coordinator.invoke(object, Request::new("prepare")).expect("prepare");
         assert_eq!(reply.result.as_str(), Some("commit"));
-        journal(TwoPcEvent::VoteRecorded {
+        journal(ProtocolEvent::VoteRecorded {
             participant: (*name).into(),
             vote: VoteKind::Commit,
         });
@@ -83,19 +83,19 @@ fn run_once() -> (String, u64, usize) {
 
     // Decision point, then phase two.
     clock.advance(PACE);
-    journal(TwoPcEvent::DecisionForced { commit: true });
+    journal(ProtocolEvent::DecisionForced { commit: true });
     for (name, object) in &participants {
         clock.advance(PACE);
         coordinator.invoke(object, Request::new("outcome")).expect("outcome");
-        journal(TwoPcEvent::OutcomeDelivered {
+        journal(ProtocolEvent::OutcomeDelivered {
             participant: (*name).into(),
             commit: true,
             ok: true,
         });
-        journal(TwoPcEvent::Forgotten { participant: (*name).into() });
+        journal(ProtocolEvent::Forgotten { participant: (*name).into() });
     }
     clock.advance(PACE);
-    journal(TwoPcEvent::Completed { committed: true });
+    journal(ProtocolEvent::TxCompleted { committed: true });
 
     let dag = plane.merge().build();
     let violations = dag.verify();

@@ -23,9 +23,7 @@ use std::time::Duration;
 use orb::{
     DedupWindow, Env, FailureDetector, Introspection, Orb, Request, SimClock, Value,
 };
-use ots::{
-    ProtocolJournal, RecoverableResource, Resource, TransactionFactory, TransactionalKv,
-};
+use ots::{RecoverableResource, Resource, TransactionFactory, TransactionalKv};
 use recovery_log::{GroupCommitWal, MemWal, Wal};
 
 const VOTE_PACE: Duration = Duration::from_micros(250);
@@ -56,14 +54,12 @@ fn main() {
     let store_node = orb.add_node("store").expect("store node");
     let witness_node = orb.add_node("witness").expect("witness node");
 
-    // Coordinator-side state: group-commit WAL, journal, detector.
+    // Coordinator-side state: group-commit WAL, detector.
     let group = Arc::new(GroupCommitWal::new(MemWal::new()));
     let wal: Arc<dyn Wal> = Arc::clone(&group) as Arc<dyn Wal>;
-    let journal = ProtocolJournal::new();
     let factory = TransactionFactory::with_wal(Arc::clone(&wal))
         .with_env(env)
-        .with_dispatch(ots::DispatchConfig::serial())
-        .with_journal(journal.clone());
+        .with_dispatch(ots::DispatchConfig::serial());
 
     // Participant-side state: recoverable wrappers over paced stores, a
     // dedup window with some remembered deliveries.
@@ -126,9 +122,10 @@ fn main() {
         coord_surface.register("wal", move || group.introspect());
         let detector = detector.clone();
         coord_surface.register("detector", move || detector.introspect());
-        let journal = journal.clone();
+        // The protocol journal is the recorder's typed steps.
+        let journal = recorder.clone();
         coord_surface.register("journal", move || {
-            journal.events().iter().map(|e| format!("{e}\n")).collect()
+            journal.steps().iter().map(|(_, step)| format!("{step}\n")).collect()
         });
         let recorder = recorder.clone();
         coord_surface.register("recorder", move || {

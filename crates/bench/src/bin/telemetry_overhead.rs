@@ -7,8 +7,9 @@
 //! noise.
 //!
 //! The third table measures the flight recorder's own gate (DESIGN.md §15):
-//! a disabled [`telemetry::FlightRecorder`] attached to the coordinator's
-//! journal and failpoint set versus none at all. Setting
+//! a disabled [`telemetry::FlightRecorder`] in the coordinator's context,
+//! reached by every protocol step and failpoint passage, versus none at
+//! all. Setting
 //! `RECORDER_BUDGET_PCT` (the CI introspection job sets `2`) turns that
 //! budget into a hard failure.
 //!
@@ -103,11 +104,11 @@ fn main() {
         );
     }
 
-    // The flight-recorder gate (DESIGN.md §15): journal + failpoint mirrors
-    // attached but disabled, versus no recorder at all. When the
+    // The flight-recorder gate (DESIGN.md §15): protocol steps and failpoint
+    // passages reaching a disabled recorder, versus no recorder at all. When the
     // `RECORDER_BUDGET_PCT` env is set (the CI introspection job sets it),
     // a median delta above the budget fails the run.
-    println!("# fig. 8 2PC fan-out: no flight recorder vs disabled recorder on journal+failpoints");
+    println!("# fig. 8 2PC fan-out: no flight recorder vs disabled recorder on steps+failpoints");
     println!("{:>8} {:>13} {:>13} {:>10}", "parts", "bare", "disabled", "delta");
     let recorder =
         telemetry::FlightRecorder::disabled("bench", telemetry::DEFAULT_RECORDER_CAPACITY);

@@ -6,24 +6,34 @@
 
 use std::sync::Arc;
 
-use activity_service::{Activity, CompletionStatus, FnAction, Outcome, Signal, TraceLog};
-use orb::{SimClock, Value};
+use activity_service::{Activity, CompletionStatus, FnAction, Outcome, Signal};
+use orb::{Env, Value};
+use telemetry::{FlightRecorder, Origin, ProtocolEvent, RecordKind};
 
 fn banner(title: &str) {
     println!("\n==== {title} ====");
 }
 
-fn print_trace(trace: &TraceLog) {
-    for line in trace.render().lines() {
-        println!("  {line}");
+/// A root activity whose context keeps every protocol step of its tree, and
+/// the recorder that keeps them.
+fn recorded_root(name: &str) -> (Activity, FlightRecorder) {
+    let recorder = FlightRecorder::new("traces", usize::MAX);
+    let env = Env { recorder: Some(recorder.clone()), ..Env::default() };
+    (Activity::new_root(name, env.wired()), recorder)
+}
+
+/// Print the fig. 5 steps among `steps` that are `activity`'s own.
+fn print_trace(steps: &[(Origin, ProtocolEvent)], activity: &Activity) {
+    for (origin, step) in steps {
+        if *origin == activity.id().origin() && step.kind() == RecordKind::Trace {
+            println!("  {step}");
+        }
     }
 }
 
 fn fig8() {
     banner("fig. 8 — two-phase commit with Signals, SignalSets and Actions");
-    let activity = Activity::new_root("tx", SimClock::new());
-    let trace = TraceLog::new();
-    activity.coordinator().set_trace(trace.clone());
+    let (activity, recorder) = recorded_root("tx");
     activity
         .coordinator()
         .add_signal_set(Box::new(tx_models::TwoPhaseCommitSignalSet::new()))
@@ -36,14 +46,12 @@ fn fig8() {
         );
     }
     activity.complete().unwrap();
-    print_trace(&trace);
+    print_trace(&recorder.steps(), &activity);
 }
 
 fn fig10() {
     banner("fig. 10 — workflow coordination: a starts b and c");
-    let activity = Activity::new_root("a", SimClock::new());
-    let trace = TraceLog::new();
-    activity.coordinator().set_trace(trace.clone());
+    let (activity, recorder) = recorded_root("a");
     activity
         .coordinator()
         .add_signal_set(Box::new(tx_models::TaskStartSignalSet::new(Value::from("order"))))
@@ -55,12 +63,10 @@ fn fig10() {
         );
     }
     activity.signal(tx_models::TASK_START_SET).unwrap();
-    print_trace(&trace);
+    print_trace(&recorder.steps(), &activity);
 
     println!("  --- child b reports its outcome back to a ---");
     let child = activity.begin_child("b").unwrap();
-    let child_trace = TraceLog::new();
-    child.coordinator().set_trace(child_trace.clone());
     child
         .coordinator()
         .add_signal_set(Box::new(tx_models::CompletedSignalSet::new(Value::from("b-result"))))
@@ -71,46 +77,40 @@ fn fig10() {
         tx_models::OutcomeCollector::new("a") as _,
     );
     child.complete().unwrap();
-    print_trace(&child_trace);
+    print_trace(&recorder.steps(), &child);
 }
 
 fn fig11_12() {
     banner("fig. 11 — the BTP PrepareSignalSet");
-    let activity = Activity::new_root("atom", SimClock::new());
-    let trace = TraceLog::new();
-    activity.coordinator().set_trace(trace.clone());
+    let (activity, recorder) = recorded_root("atom");
     let atom = btp::Atom::new("booking", activity).unwrap();
     for name in ["Action-1", "Action-2"] {
         atom.enroll(btp::Reservation::new(name) as _).unwrap();
     }
     atom.prepare().unwrap();
-    print_trace(&trace);
+    let prepared = recorder.steps();
+    print_trace(&prepared, atom.activity());
 
     banner("fig. 12 — the BTP CompleteSignalSet (confirm)");
-    trace.clear();
     atom.confirm().unwrap();
-    print_trace(&trace);
+    print_trace(&recorder.steps()[prepared.len()..], atom.activity());
 
     banner("fig. 12 variant — cancel in place of confirm");
-    let activity = Activity::new_root("atom-2", SimClock::new());
-    let trace = TraceLog::new();
-    activity.coordinator().set_trace(trace.clone());
+    let (activity, recorder) = recorded_root("atom-2");
     let atom = btp::Atom::new("booking-2", activity).unwrap();
     for name in ["Action-1", "Action-2"] {
         atom.enroll(btp::Reservation::new(name) as _).unwrap();
     }
     atom.prepare().unwrap();
-    trace.clear();
+    let prepared = recorder.steps().len();
     atom.cancel().unwrap();
-    print_trace(&trace);
+    print_trace(&recorder.steps()[prepared..], atom.activity());
 }
 
 fn fig9() {
     banner("fig. 9 / sec 4.2 — open nesting: B propagates, A fails, !B runs");
     let registry = tx_models::InMemoryActivityRegistry::new();
-    let a = Activity::new_root("A", SimClock::new());
-    let a_trace = TraceLog::new();
-    a.coordinator().set_trace(a_trace.clone());
+    let (a, recorder) = recorded_root("A");
     a.coordinator()
         .add_signal_set(Box::new(tx_models::CompletionSignalSet::new()))
         .unwrap();
@@ -118,8 +118,6 @@ fn fig9() {
     registry.register(&a);
 
     let b = a.begin_child("B").unwrap();
-    let b_trace = TraceLog::new();
-    b.coordinator().set_trace(b_trace.clone());
     b.coordinator()
         .add_signal_set(Box::new(tx_models::CompletionSignalSet::propagating_to(a.id())))
         .unwrap();
@@ -134,12 +132,12 @@ fn fig9() {
 
     b.complete().unwrap();
     println!("  --- B completes successfully: Propagate carries A's identity ---");
-    print_trace(&b_trace);
+    print_trace(&recorder.steps(), &b);
 
     a.set_completion_status(CompletionStatus::FailOnly).unwrap();
     a.complete().unwrap();
     println!("  --- A later fails: the propagated action receives Failure and starts !B ---");
-    print_trace(&a_trace);
+    print_trace(&recorder.steps(), &a);
 }
 
 fn main() {

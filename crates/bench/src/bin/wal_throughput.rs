@@ -77,16 +77,15 @@ fn main() {
         // append + its own fsync, serialized through the log.
         let tel_rec = telemetry::Telemetry::new();
         let path = bench_path(&format!("rec-{n}"));
-        let file = FileWal::open(&path).expect("open per-record wal");
-        file.set_telemetry(&tel_rec);
+        let file = FileWal::open(&path).expect("open per-record wal").metered_by(&tel_rec);
         let (rec_tput, rec_syncs) = run(Arc::new(file), n, &tel_rec);
         let _ = std::fs::remove_file(&path);
 
         // Group commit: same sink, one leader sync per batch.
         let tel_grp = telemetry::Telemetry::new();
         let path = bench_path(&format!("grp-{n}"));
-        let group = GroupCommitWal::new(FileWal::open(&path).expect("open group wal"));
-        group.set_telemetry(&tel_grp);
+        let group = GroupCommitWal::new(FileWal::open(&path).expect("open group wal"))
+            .metered_by(&tel_grp);
         let (grp_tput, grp_syncs) = run(Arc::new(group), n, &tel_grp);
         let _ = std::fs::remove_file(&path);
 

@@ -168,17 +168,6 @@ fn ping_trivial_actions(activity: &Activity, actions: usize) -> u64 {
     broadcast_bench(activity, actions, trivial_action)
 }
 
-/// Trace-gate micro-workload: the fig. 5 broadcast over trivial actions
-/// with tracing either enabled or left off, to measure the cost of the
-/// coordinator's `record()` path (an atomic-load fast path when off).
-pub fn fig5_dispatch_traced(actions: usize, traced: bool) -> u64 {
-    let activity = Activity::new_root("dispatch", SimClock::new());
-    if traced {
-        activity.coordinator().set_trace(activity_service::TraceLog::new());
-    }
-    ping_trivial_actions(&activity, actions)
-}
-
 /// Telemetry-gate micro-workload (DESIGN.md §11): the fig. 5 broadcast over
 /// trivial actions with a *disabled* span recorder either in the service's
 /// context or absent. Every signal dispatch still reaches the
@@ -207,11 +196,11 @@ pub fn two_phase_with_telemetry(participants: usize, instrumented: bool) -> bool
 }
 
 /// Flight-recorder gate workload (DESIGN.md §15): the same native-OTS
-/// commit as [`two_phase_with_telemetry`], with a journal and failpoint set
-/// on the hot path and a *disabled* [`telemetry::FlightRecorder`] either
-/// in the factory's context or absent. Every journal record and failpoint
-/// passage still reaches the mirror, but the closed gate collapses it to
-/// one atomic load — the delta is the recorder's whole disabled-path cost.
+/// commit as [`two_phase_with_telemetry`], with a failpoint set on the hot
+/// path and a *disabled* [`telemetry::FlightRecorder`] either in the
+/// factory's context or absent. Every protocol step and failpoint passage
+/// still reaches the recorder, but the closed gate collapses it to one
+/// atomic load — the delta is the recorder's whole disabled-path cost.
 /// The caller builds the recorder once and passes it in: constructing the
 /// ring (one bounded allocation) is setup cost, not per-site cost, and
 /// attaching a shared handle is one `Arc` bump per mirror.
@@ -224,9 +213,7 @@ pub fn two_phase_with_recorder(
         recorder: recorder.cloned(),
         ..Default::default()
     });
-    let factory =
-        TransactionFactory::new().with_journal(ots::ProtocolJournal::new()).with_env(env);
-    commit_over_stores(&factory, participants)
+    commit_over_stores(&TransactionFactory::new().with_env(env), participants)
 }
 
 /// A [`Resource`] decorator that advances the virtual clock on every
@@ -699,8 +686,6 @@ mod tests {
     fn configured_workloads_agree_across_widths() {
         assert_eq!(fig5_dispatch_configured(9, 1, 0), 9);
         assert_eq!(fig5_dispatch_configured(9, 8, 0), 9);
-        assert_eq!(fig5_dispatch_traced(7, true), 7);
-        assert_eq!(fig5_dispatch_traced(7, false), 7);
         assert!(fig8_2pc_configured(6, 1, 0));
         assert!(fig8_2pc_configured(6, 8, 0));
     }

@@ -55,7 +55,8 @@ use parking_lot::Mutex;
 
 use crate::oracle::{self, Observation, Violation};
 use crate::schedule::{FaultEvent, FaultSchedule};
-use crate::sweep::{fnv_fold, greedy_minimal, FNV_OFFSET};
+use crate::sweep::greedy_minimal;
+use telemetry::{fnv1a, FNV_OFFSET};
 
 /// A scenario the explorer can enumerate: runs hermetically under a fault
 /// schedule and routes every delivery-order decision through the driver.
@@ -249,14 +250,14 @@ pub struct ExploreReport {
 
 fn fingerprint(obs: &Observation) -> u64 {
     let mut hash = FNV_OFFSET;
-    hash = fnv_fold(hash, obs.trace.as_bytes());
-    hash = fnv_fold(hash, &[obs.outcome as u8]);
+    hash = fnv1a(hash, obs.trace.as_bytes());
+    hash = fnv1a(hash, &[obs.outcome as u8]);
     for (name, committed) in &obs.participant_commits {
-        hash = fnv_fold(hash, name.as_bytes());
-        hash = fnv_fold(hash, &[u8::from(*committed)]);
+        hash = fnv1a(hash, name.as_bytes());
+        hash = fnv1a(hash, &[u8::from(*committed)]);
     }
     if let Some(events) = &obs.model_events {
-        hash = fnv_fold(hash, format!("{events:?}").as_bytes());
+        hash = fnv1a(hash, format!("{events:?}").as_bytes());
     }
     hash
 }

@@ -25,12 +25,11 @@
 //!   retry budget must not prevent commit), telemetry conformance (the
 //!   span tree is well-formed and its projection onto coordinator events is
 //!   byte-identical to the trace), durability (acked LSNs survive crashes),
-//!   refinement (the run's journal replays cleanly through the
-//!   executable reference models), and eventual resolution (once faults
-//!   cease and partitions heal no participant stays in-doubt, and
+//!   refinement (the protocol steps the run emitted replay cleanly through
+//!   the executable reference models), and eventual resolution (once
+//!   faults cease and partitions heal no participant stays in-doubt, and
 //!   heuristics are recorded only for genuinely hazarded histories), and
-//!   recorder consistency (the flight recorder's retained window is a
-//!   causally-contiguous suffix of the trace, fingerprints replay
+//!   recorder consistency (the flight recorder's fingerprint replays
 //!   bit-identically, and critical-path attribution partitions the
 //!   commit span exactly), and causal consistency (the merged
 //!   happens-before DAG over every node's Lamport-stamped log is acyclic,
@@ -39,8 +38,9 @@
 //!   phase two landed).
 //! * [`model`] — executable reference models transcribed from the paper:
 //!   presumed-abort 2PC, fig. 4 nesting, fig. 5 checked signal sets, §5.1
-//!   saga compensation. Pure `step(state, event)` machines the refinement
-//!   oracle replays observed journals through.
+//!   saga compensation. Pure `step(state, event)` machines that consume
+//!   the recorded `(origin, step)` stream as it is — one machine per
+//!   transaction, per (activity, set), per activity tree.
 //! * [`mod@sweep`] — the sweep loop: probe the schedule space (failpoint
 //!   sites are *discovered* from the run, not hardcoded), generate seeded
 //!   schedules, run each twice, oracle-check, and greedily shrink any
@@ -67,7 +67,7 @@ pub use enumerate::{
     ExploreReport, ExploreSchedule,
 };
 pub use sweep::{shrink, sweep, FailureReport, SweepConfig, SweepReport};
-pub use model::{replay_all, Event as ModelEvent, SpecViolation};
+pub use model::{replay_all, SpecViolation};
 pub use oracle::{check_all, check_determinism, EffectCount, Observation, RunOutcome, Violation};
 pub use scenario::Scenario;
 pub use schedule::{generate, FaultEvent, FaultSchedule, ScheduleSpace};

@@ -16,9 +16,16 @@
 //! * [`saga`] — §5.1 compensation: committed steps are compensated in
 //!   reverse order, and an aborted saga compensates everything.
 //!
-//! All four machines consume the shared [`Event`] vocabulary, ignoring
-//! events that belong to other protocols, so a scenario can journal one
-//! flat trace and [`replay_all`] audits it against every model at once.
+//! The first three step on the protocols' own account of what they did —
+//! the stream of `(origin, step)` pairs a run's flight recorder kept
+//! (`telemetry::FlightRecorder::steps`, DESIGN.md §20) — with no
+//! transcription in between: there is one 2PC machine per transaction, one
+//! signal-set machine per (activity, set) and one nesting tree keyed by
+//! activity id, so a stream may interleave any number of transactions and
+//! coordinators running sets of the same name. Each machine ignores the
+//! steps of the other protocols, and [`replay_all`] audits one stream
+//! against all three at once. The saga machine has no emitter beneath it:
+//! it takes the committed and compensated step lists a saga reports.
 //! The explorer's refinement oracle (oracle #9) calls [`replay_all`] on
 //! every execution it enumerates; the first divergence is shrunk to a
 //! 1-minimal schedule.
@@ -33,78 +40,17 @@ pub mod twopc;
 
 use std::fmt;
 
-/// How a participant answered a prepare request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vote {
-    /// Yes — the participant can commit and holds durable prepared state.
-    Commit,
-    /// Yes, but nothing to persist; drop out of phase two.
-    ReadOnly,
-    /// No — the participant refuses the transaction.
-    Rollback,
-    /// The prepare call itself failed; counts as a refusal.
-    Failed,
-}
+use telemetry::{Origin, ProtocolEvent};
 
-impl Vote {
-    /// Whether this vote permits a commit decision.
-    #[must_use]
-    pub fn is_yes(self) -> bool {
-        matches!(self, Vote::Commit | Vote::ReadOnly)
-    }
-}
-
-/// One observable protocol step, in the shared vocabulary all reference
-/// models consume. Scenarios map their implementation journals
-/// ([`ots::ProtocolJournal`], [`activity_service::ActivityJournal`],
-/// trace logs) into this enum.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    // --- presumed-abort two-phase commit ---
-    /// The coordinator asked a participant to prepare.
-    PrepareSent { participant: String },
-    /// The participant's vote came back.
-    VoteRecorded { participant: String, vote: Vote },
-    /// The coordinator forced its decision record durable.
-    DecisionForced { commit: bool },
-    /// Phase two delivered the outcome to one participant.
-    OutcomeDelivered { participant: String, commit: bool },
-    /// The coordinator dropped its obligation to a delivered participant.
-    Forgotten { participant: String },
-    /// The transaction finished, in this direction.
-    TxCompleted { committed: bool },
-
-    // --- activity nesting ---
-    /// An activity entered the tree.
-    ActivityBegun { activity: u64, parent: Option<u64> },
-    /// An activity's completion protocol finished.
-    ActivityCompleted { activity: u64, success: bool },
-
-    // --- checked signal sets ---
-    /// The coordinator polled the set for its next signal.
-    SignalRequested { set: String },
-    /// A signal went out to one registered action.
-    SignalTransmitted { set: String, signal: String, action: String },
-    /// The action's outcome was fed back into the set.
-    ResponseCollated { set: String, failure: bool },
-    /// The collated outcome of the whole set was read.
-    OutcomeRead { set: String, failure: bool },
-
-    // --- sagas ---
-    /// A forward step committed.
-    StepCommitted { step: String },
-    /// A committed step's compensator ran.
-    StepCompensated { step: String },
-    /// The saga finished: `completed` forward, or fully compensated.
-    SagaEnded { completed: bool },
-}
+/// One recorded protocol step with whose it is: what the machines consume.
+pub type Step = (Origin, ProtocolEvent);
 
 /// A divergence between an observed execution and a reference model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecViolation {
     /// Which reference model rejected the trace.
     pub model: &'static str,
-    /// Index into the event trace of the offending event.
+    /// Index into the stream of the offending step (its origin says whose).
     pub event_index: usize,
     /// What rule the event broke.
     pub detail: String,
@@ -116,46 +62,118 @@ impl fmt::Display for SpecViolation {
     }
 }
 
-/// Replay one trace through all four reference models, collecting every
-/// divergence. Each model sees the full trace and ignores events outside
-/// its vocabulary, so interleaved protocols audit independently.
+/// Replay one stream through the three stream-fed reference models,
+/// collecting every divergence. Each model sees the full stream and
+/// ignores steps outside its vocabulary, so interleaved protocols audit
+/// independently.
 #[must_use]
-pub fn replay_all(events: &[Event]) -> Vec<SpecViolation> {
+pub fn replay_all(stream: &[Step]) -> Vec<SpecViolation> {
     let mut violations = Vec::new();
-    violations.extend(twopc::replay(events));
-    violations.extend(nesting::replay(events));
-    violations.extend(signal_set::replay(events));
-    violations.extend(saga::replay(events));
+    violations.extend(twopc::replay(stream));
+    violations.extend(nesting::replay(stream));
+    violations.extend(signal_set::replay(stream));
     violations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::VoteKind;
+
+    fn tx(top: u64) -> Origin {
+        Origin::Transaction { top, branch: Vec::new() }
+    }
+
+    /// One committing transaction over participant `a`.
+    fn commit_of(top: u64) -> Vec<Step> {
+        let a = || "a".to_owned();
+        [
+            ProtocolEvent::PrepareSent { participant: a() },
+            ProtocolEvent::VoteRecorded { participant: a(), vote: VoteKind::Commit },
+            ProtocolEvent::DecisionForced { commit: true },
+            ProtocolEvent::OutcomeDelivered { participant: a(), commit: true, ok: true },
+            ProtocolEvent::Forgotten { participant: a() },
+            ProtocolEvent::TxCompleted { committed: true },
+        ]
+        .into_iter()
+        .map(|step| (tx(top), step))
+        .collect()
+    }
+
+    /// One activity's completion run of a set named `Completion` with one
+    /// action, bracketed by its lifecycle.
+    fn completion_of(activity: u64, parent: Option<u64>) -> Vec<Step> {
+        let set = || "Completion".to_owned();
+        [
+            ProtocolEvent::ActivityBegun { activity, name: "a".into(), parent },
+            ProtocolEvent::GetSignal { set: set() },
+            ProtocolEvent::Transmit { set: set(), signal: "success".into(), action: "x".into() },
+            ProtocolEvent::SetResponse { set: set(), outcome: "done".into() },
+            ProtocolEvent::GetSignal { set: set() },
+            ProtocolEvent::GetOutcome { set: set(), outcome: "done".into() },
+            ProtocolEvent::ActivityCompleted { activity, status: "Success", outcome: "done".into() },
+        ]
+        .into_iter()
+        .map(|step| (Origin::Activity(activity), step))
+        .collect()
+    }
+
+    /// Two transactions and two activities dealt round-robin into one
+    /// stream: both transactions use the same participant name and both
+    /// coordinators run a set of the same name. `second` is transaction 2.
+    fn interleaved(second: Vec<Step>) -> Vec<Step> {
+        // The child begins after, and completes before, its parent.
+        let mut parent = completion_of(1, None);
+        let completed = parent.pop().expect("lifecycle end");
+        let mut stream = vec![parent.remove(0)];
+        let mut lanes =
+            [commit_of(1), completion_of(2, Some(1)), second, parent].map(Vec::into_iter);
+        loop {
+            let dealt: Vec<Step> = lanes.iter_mut().filter_map(Iterator::next).collect();
+            if dealt.is_empty() {
+                break;
+            }
+            stream.extend(dealt);
+        }
+        stream.push(completed);
+        stream
+    }
 
     #[test]
-    fn a_clean_interleaved_trace_satisfies_every_model() {
-        let t = vec![
-            Event::ActivityBegun { activity: 1, parent: None },
-            Event::PrepareSent { participant: "a".into() },
-            Event::VoteRecorded { participant: "a".into(), vote: Vote::Commit },
-            Event::StepCommitted { step: "taxi".into() },
-            Event::DecisionForced { commit: true },
-            Event::OutcomeDelivered { participant: "a".into(), commit: true },
-            Event::Forgotten { participant: "a".into() },
-            Event::TxCompleted { committed: true },
-            Event::SagaEnded { completed: true },
-            Event::ActivityCompleted { activity: 1, success: true },
-        ];
-        assert_eq!(replay_all(&t), Vec::new());
+    fn interleaved_transactions_and_same_named_sets_audit_clean_without_renaming() {
+        let stream = interleaved(commit_of(2));
+        assert_eq!(stream.len(), 2 * 6 + 2 * 7);
+        // Transaction 2 votes after transaction 1 forced its decision, and
+        // the child's set is polled while the parent's is mid-run.
+        assert_eq!(replay_all(&stream), Vec::new());
+    }
+
+    #[test]
+    fn a_planted_vote_after_decision_is_attributed_to_its_transaction() {
+        // Transaction 2 records its vote only after forcing its decision.
+        let mut second = commit_of(2);
+        second.swap(1, 2);
+        let stream = interleaved(second);
+        let violations = replay_all(&stream);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].model, "twopc");
+        // Its own machine rejects the decision, forced over an outstanding
+        // vote; transaction 1, activities and sets are untouched.
+        let (origin, step) = &stream[violations[0].event_index];
+        assert_eq!(*origin, tx(2));
+        assert_eq!(*step, ProtocolEvent::DecisionForced { commit: true });
+        assert!(violations[0].detail.contains("outstanding"), "{}", violations[0].detail);
     }
 
     #[test]
     fn violations_carry_the_offending_event_index() {
         let t = vec![
-            Event::PrepareSent { participant: "a".into() },
-            Event::VoteRecorded { participant: "a".into(), vote: Vote::Rollback },
-            Event::DecisionForced { commit: true },
+            (tx(1), ProtocolEvent::PrepareSent { participant: "a".into() }),
+            (
+                tx(1),
+                ProtocolEvent::VoteRecorded { participant: "a".into(), vote: VoteKind::Rollback },
+            ),
+            (tx(1), ProtocolEvent::DecisionForced { commit: true }),
         ];
         let violations = replay_all(&t);
         assert_eq!(violations.len(), 1);

@@ -9,7 +9,9 @@
 
 use std::collections::BTreeMap;
 
-use super::{Event, SpecViolation};
+use telemetry::ProtocolEvent;
+
+use super::{SpecViolation, Step};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Status {
@@ -34,13 +36,13 @@ impl Nesting {
         Err(SpecViolation { model: "nesting", event_index: index, detail })
     }
 
-    /// Advance by one event; foreign events are ignored.
+    /// Advance by one event; steps of other protocols are ignored.
     ///
     /// # Errors
     /// The first rule the event breaks, as a [`SpecViolation`].
-    pub fn step(&mut self, index: usize, event: &Event) -> Result<(), SpecViolation> {
+    pub fn step(&mut self, index: usize, event: &ProtocolEvent) -> Result<(), SpecViolation> {
         match event {
-            Event::ActivityBegun { activity, parent } => {
+            ProtocolEvent::ActivityBegun { activity, parent, .. } => {
                 if self.activities.contains_key(activity) {
                     return Self::reject(index, format!("activity {activity} began twice"));
                 }
@@ -63,7 +65,7 @@ impl Nesting {
                 }
                 self.activities.insert(*activity, Status::Active { children: Vec::new() });
             }
-            Event::ActivityCompleted { activity, .. } => match self.activities.get(activity) {
+            ProtocolEvent::ActivityCompleted { activity, .. } => match self.activities.get(activity) {
                 Some(Status::Active { children }) => {
                     if let Some(open) = children
                         .iter()
@@ -89,11 +91,11 @@ impl Nesting {
     }
 }
 
-/// Replay a trace, stopping at the first divergence.
+/// Replay a stream, stopping at the first divergence.
 #[must_use]
-pub fn replay(events: &[Event]) -> Vec<SpecViolation> {
+pub fn replay(stream: &[Step]) -> Vec<SpecViolation> {
     let mut machine = Nesting::new();
-    for (index, event) in events.iter().enumerate() {
+    for (index, (_, event)) in stream.iter().enumerate() {
         if let Err(violation) = machine.step(index, event) {
             return vec![violation];
         }
@@ -105,11 +107,16 @@ pub fn replay(events: &[Event]) -> Vec<SpecViolation> {
 mod tests {
     use super::*;
 
-    fn begun(a: u64, parent: Option<u64>) -> Event {
-        Event::ActivityBegun { activity: a, parent }
+    use telemetry::Origin;
+
+    fn begun(a: u64, parent: Option<u64>) -> Step {
+        let event = ProtocolEvent::ActivityBegun { activity: a, name: "a".into(), parent };
+        (Origin::Activity(a), event)
     }
-    fn completed(a: u64) -> Event {
-        Event::ActivityCompleted { activity: a, success: true }
+    fn completed(a: u64) -> Step {
+        let event =
+            ProtocolEvent::ActivityCompleted { activity: a, status: "Success", outcome: "done".into() };
+        (Origin::Activity(a), event)
     }
 
     #[test]

@@ -8,90 +8,46 @@
 //!    the committed stack — strictly newest-first;
 //! 2. a saga that ends `completed` compensated nothing;
 //! 3. a saga that ends aborted compensated **every** committed step
-//!    (no orphaned forward effects);
-//! 4. nothing happens after the saga ended.
+//!    (no orphaned forward effects).
+//!
+//! No protocol step is emitted for a saga step, so this machine is fed by
+//! what a saga reports: the steps it committed, the compensations it ran,
+//! each in execution order, and whether it completed. Forward steps commit
+//! strictly before any compensation runs, so the two lists in that order
+//! are the temporal order.
 
-use super::{Event, SpecViolation};
+use super::SpecViolation;
 
-/// The machine's state between events.
-#[derive(Debug, Clone, Default)]
-pub struct Saga {
-    committed: Vec<String>,
-    compensated: usize,
-    ended: bool,
-}
-
-impl Saga {
-    /// Fresh saga, nothing committed.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn reject(index: usize, detail: String) -> Result<(), SpecViolation> {
-        Err(SpecViolation { model: "saga", event_index: index, detail })
-    }
-
-    /// Advance by one event; foreign events are ignored.
-    ///
-    /// # Errors
-    /// The first rule the event breaks, as a [`SpecViolation`].
-    pub fn step(&mut self, index: usize, event: &Event) -> Result<(), SpecViolation> {
-        match event {
-            Event::StepCommitted { step } => {
-                if self.ended {
-                    return Self::reject(index, format!("step {step} committed after the saga ended"));
-                }
-                self.committed.push(step.clone());
-            }
-            Event::StepCompensated { step } => {
-                if self.ended {
-                    return Self::reject(index, format!("step {step} compensated after the saga ended"));
-                }
-                match self.committed.pop() {
-                    Some(top) if top == *step => self.compensated += 1,
-                    Some(top) => {
-                        return Self::reject(
-                            index,
-                            format!("step {step} compensated out of order — {top} committed more recently"),
-                        );
-                    }
-                    None => {
-                        return Self::reject(index, format!("step {step} compensated but never committed"));
-                    }
-                }
-            }
-            Event::SagaEnded { completed } => {
-                if self.ended {
-                    return Self::reject(index, "the saga ended twice".into());
-                }
-                if *completed && self.compensated > 0 {
-                    return Self::reject(index, "a completed saga must not have compensated".into());
-                }
-                if !*completed {
-                    if let Some(orphan) = self.committed.last() {
-                        return Self::reject(
-                            index,
-                            format!("saga aborted with step {orphan} committed but not compensated"),
-                        );
-                    }
-                }
-                self.ended = true;
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-}
-
-/// Replay a trace, stopping at the first divergence.
+/// Replay one saga's report, stopping at the first divergence;
+/// `event_index` counts commits, then compensations, then the ending.
 #[must_use]
-pub fn replay(events: &[Event]) -> Vec<SpecViolation> {
-    let mut machine = Saga::new();
-    for (index, event) in events.iter().enumerate() {
-        if let Err(violation) = machine.step(index, event) {
-            return vec![violation];
+pub fn replay(committed: &[String], compensated: &[String], completed: bool) -> Vec<SpecViolation> {
+    let reject = |index: usize, detail: String| {
+        vec![SpecViolation { model: "saga", event_index: index, detail }]
+    };
+    let mut stack: Vec<&String> = committed.iter().collect();
+    for (offset, step) in compensated.iter().enumerate() {
+        let index = committed.len() + offset;
+        match stack.pop() {
+            Some(top) if top == step => {}
+            Some(top) => {
+                return reject(
+                    index,
+                    format!("step {step} compensated out of order — {top} committed more recently"),
+                );
+            }
+            None => return reject(index, format!("step {step} compensated but never committed")),
         }
+    }
+    let ending = committed.len() + compensated.len();
+    if completed && !compensated.is_empty() {
+        return reject(ending, "a completed saga must not have compensated".into());
+    }
+    if let (false, Some(orphan)) = (completed, stack.last()) {
+        return reject(
+            ending,
+            format!("saga aborted with step {orphan} committed but not compensated"),
+        );
     }
     Vec::new()
 }
@@ -100,45 +56,42 @@ pub fn replay(events: &[Event]) -> Vec<SpecViolation> {
 mod tests {
     use super::*;
 
-    fn commit(s: &str) -> Event {
-        Event::StepCommitted { step: s.into() }
-    }
-    fn compensate(s: &str) -> Event {
-        Event::StepCompensated { step: s.into() }
+    fn steps(names: &[&str]) -> Vec<String> {
+        names.iter().map(|name| (*name).to_owned()).collect()
     }
 
     #[test]
     fn completed_saga_passes() {
-        let t = vec![commit("taxi"), commit("hotel"), Event::SagaEnded { completed: true }];
-        assert!(replay(&t).is_empty());
+        assert!(replay(&steps(&["taxi", "hotel"]), &[], true).is_empty());
     }
 
     #[test]
     fn reverse_order_compensation_passes() {
-        let t = vec![
-            commit("taxi"),
-            commit("restaurant"),
-            compensate("restaurant"),
-            compensate("taxi"),
-            Event::SagaEnded { completed: false },
-        ];
-        assert!(replay(&t).is_empty());
+        let committed = steps(&["taxi", "restaurant"]);
+        assert!(replay(&committed, &steps(&["restaurant", "taxi"]), false).is_empty());
     }
 
     #[test]
     fn forward_order_compensation_is_rejected() {
-        let t = vec![commit("taxi"), commit("restaurant"), compensate("taxi")];
-        assert!(replay(&t)[0].detail.contains("out of order"));
+        let committed = steps(&["taxi", "restaurant"]);
+        let violations = replay(&committed, &steps(&["taxi"]), false);
+        assert!(violations[0].detail.contains("out of order"));
+        assert_eq!(violations[0].event_index, 2);
     }
 
     #[test]
     fn aborting_with_an_uncompensated_step_is_rejected() {
-        let t = vec![commit("taxi"), Event::SagaEnded { completed: false }];
-        assert!(replay(&t)[0].detail.contains("not compensated"));
+        assert!(replay(&steps(&["taxi"]), &[], false)[0].detail.contains("not compensated"));
     }
 
     #[test]
     fn compensating_an_uncommitted_step_is_rejected() {
-        assert!(replay(&[compensate("hotel")])[0].detail.contains("never committed"));
+        assert!(replay(&[], &steps(&["hotel"]), false)[0].detail.contains("never committed"));
+    }
+
+    #[test]
+    fn a_completed_saga_that_compensated_is_rejected() {
+        let violations = replay(&steps(&["taxi"]), &steps(&["taxi"]), true);
+        assert!(violations[0].detail.contains("must not have compensated"));
     }
 }

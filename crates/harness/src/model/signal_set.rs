@@ -17,14 +17,16 @@
 //! 5. **failure propagation**: if any collated response reported a
 //!    failure, the set outcome must not read as a success.
 //!
-//! The mapping from a [`activity_service::TraceLog`] to model events
-//! lives in [`events_from_trace`]; `Transmit` trace events carry no set
-//! name, so the mapper attributes them to the most recently polled set —
-//! faithful to the coordinator's one-set-at-a-time processing loop.
+//! A set is identified by the activity whose coordinator runs it (the
+//! step's origin) and its name (carried by every fig. 5 step), so two
+//! coordinators running sets of the same name are two machines. Outcome
+//! names are classified by [`conventional_failure`].
 
 use std::collections::BTreeMap;
 
-use super::{Event, SpecViolation};
+use telemetry::{Origin, ProtocolEvent};
+
+use super::{SpecViolation, Step};
 
 #[derive(Debug, Clone, Default)]
 struct SetState {
@@ -35,10 +37,10 @@ struct SetState {
     concluded: bool,
 }
 
-/// The machine's state between events, one entry per signal set.
+/// The machine's state between events, one entry per (activity, set).
 #[derive(Debug, Clone, Default)]
 pub struct SignalSets {
-    sets: BTreeMap<String, SetState>,
+    sets: BTreeMap<(Origin, String), SetState>,
 }
 
 impl SignalSets {
@@ -52,21 +54,33 @@ impl SignalSets {
         Err(SpecViolation { model: "signal_set", event_index: index, detail })
     }
 
-    /// Advance by one event; foreign events are ignored.
+    /// Advance by one step of `origin`'s coordinator; steps of other
+    /// protocols are ignored.
     ///
     /// # Errors
     /// The first rule the event breaks, as a [`SpecViolation`].
-    pub fn step(&mut self, index: usize, event: &Event) -> Result<(), SpecViolation> {
+    pub fn step(
+        &mut self,
+        index: usize,
+        origin: &Origin,
+        event: &ProtocolEvent,
+    ) -> Result<(), SpecViolation> {
+        let (ProtocolEvent::GetSignal { set }
+        | ProtocolEvent::Transmit { set, .. }
+        | ProtocolEvent::SetResponse { set, .. }
+        | ProtocolEvent::GetOutcome { set, .. }) = event
+        else {
+            return Ok(());
+        };
+        let state = self.sets.entry((origin.clone(), set.clone())).or_default();
         match event {
-            Event::SignalRequested { set } => {
-                let state = self.sets.entry(set.clone()).or_default();
+            ProtocolEvent::GetSignal { .. } => {
                 if state.concluded {
                     return Self::reject(index, format!("set {set} polled after its outcome was read"));
                 }
                 state.polled = true;
             }
-            Event::SignalTransmitted { set, signal, .. } => {
-                let state = self.sets.entry(set.clone()).or_default();
+            ProtocolEvent::Transmit { signal, .. } => {
                 if state.concluded {
                     return Self::reject(
                         index,
@@ -81,8 +95,7 @@ impl SignalSets {
                 }
                 state.transmits += 1;
             }
-            Event::ResponseCollated { set, failure } => {
-                let state = self.sets.entry(set.clone()).or_default();
+            ProtocolEvent::SetResponse { outcome, .. } => {
                 if state.concluded {
                     return Self::reject(index, format!("response collated after set {set}'s outcome was read"));
                 }
@@ -93,10 +106,9 @@ impl SignalSets {
                     );
                 }
                 state.responses += 1;
-                state.any_failure_response |= failure;
+                state.any_failure_response |= conventional_failure(outcome);
             }
-            Event::OutcomeRead { set, failure } => {
-                let state = self.sets.entry(set.clone()).or_default();
+            ProtocolEvent::GetOutcome { outcome, .. } => {
                 if state.concluded {
                     return Self::reject(index, format!("set {set}'s outcome read twice"));
                 }
@@ -110,7 +122,7 @@ impl SignalSets {
                         ),
                     );
                 }
-                if state.any_failure_response && !failure {
+                if state.any_failure_response && !conventional_failure(outcome) {
                     return Self::reject(
                         index,
                         format!("set {set} read a success outcome despite a failure response — checked signals must propagate"),
@@ -124,56 +136,16 @@ impl SignalSets {
     }
 }
 
-/// Replay a trace, stopping at the first divergence.
+/// Replay a stream, stopping at the first divergence.
 #[must_use]
-pub fn replay(events: &[Event]) -> Vec<SpecViolation> {
+pub fn replay(stream: &[Step]) -> Vec<SpecViolation> {
     let mut machine = SignalSets::new();
-    for (index, event) in events.iter().enumerate() {
-        if let Err(violation) = machine.step(index, event) {
+    for (index, (origin, event)) in stream.iter().enumerate() {
+        if let Err(violation) = machine.step(index, origin, event) {
             return vec![violation];
         }
     }
     Vec::new()
-}
-
-/// Map a coordinator [`TraceLog`](activity_service::TraceLog) trace into
-/// model events. `is_failure` classifies an outcome name as a failure
-/// (the conventional vocabulary: `"abort"` and `"error"` are failures,
-/// `"done"` is not).
-#[must_use]
-pub fn events_from_trace(
-    trace: &[activity_service::TraceEvent],
-    is_failure: &dyn Fn(&str) -> bool,
-) -> Vec<Event> {
-    use activity_service::TraceEvent;
-    let mut events = Vec::with_capacity(trace.len());
-    let mut current_set: Option<String> = None;
-    for step in trace {
-        match step {
-            TraceEvent::GetSignal { set } => {
-                current_set = Some(set.clone());
-                events.push(Event::SignalRequested { set: set.clone() });
-            }
-            TraceEvent::Transmit { signal, action } => {
-                // Transmits carry no set name; the coordinator processes
-                // one set at a time, so the last poll names it.
-                if let Some(set) = &current_set {
-                    events.push(Event::SignalTransmitted {
-                        set: set.clone(),
-                        signal: signal.clone(),
-                        action: action.clone(),
-                    });
-                }
-            }
-            TraceEvent::SetResponse { set, outcome } => {
-                events.push(Event::ResponseCollated { set: set.clone(), failure: is_failure(outcome) });
-            }
-            TraceEvent::GetOutcome { set, outcome } => {
-                events.push(Event::OutcomeRead { set: set.clone(), failure: is_failure(outcome) });
-            }
-        }
-    }
-    events
 }
 
 /// The conventional outcome classifier: `"abort"`, `"error"` and the
@@ -187,17 +159,23 @@ pub fn conventional_failure(outcome: &str) -> bool {
 mod tests {
     use super::*;
 
-    fn poll(set: &str) -> Event {
-        Event::SignalRequested { set: set.into() }
+    fn of(activity: u64, event: ProtocolEvent) -> Step {
+        (Origin::Activity(activity), event)
     }
-    fn transmit(set: &str) -> Event {
-        Event::SignalTransmitted { set: set.into(), signal: "s".into(), action: "a".into() }
+    fn poll(set: &str) -> Step {
+        of(1, ProtocolEvent::GetSignal { set: set.into() })
     }
-    fn respond(set: &str, failure: bool) -> Event {
-        Event::ResponseCollated { set: set.into(), failure }
+    fn transmit(set: &str) -> Step {
+        of(1, ProtocolEvent::Transmit { set: set.into(), signal: "s".into(), action: "a".into() })
     }
-    fn outcome(set: &str, failure: bool) -> Event {
-        Event::OutcomeRead { set: set.into(), failure }
+    fn outcome_name(failure: bool) -> String {
+        if failure { "abort" } else { "done" }.to_owned()
+    }
+    fn respond(set: &str, failure: bool) -> Step {
+        of(1, ProtocolEvent::SetResponse { set: set.into(), outcome: outcome_name(failure) })
+    }
+    fn outcome(set: &str, failure: bool) -> Step {
+        of(1, ProtocolEvent::GetOutcome { set: set.into(), outcome: outcome_name(failure) })
     }
 
     #[test]
@@ -244,20 +222,19 @@ mod tests {
     }
 
     #[test]
-    fn trace_mapping_attributes_transmits_to_the_polled_set() {
-        use activity_service::TraceEvent;
-        let trace = vec![
-            TraceEvent::GetSignal { set: "Completed".into() },
-            TraceEvent::Transmit { signal: "finished".into(), action: "auditor".into() },
-            TraceEvent::SetResponse { set: "Completed".into(), outcome: "done".into() },
-            TraceEvent::GetOutcome { set: "Completed".into(), outcome: "done".into() },
-        ];
-        let events = events_from_trace(&trace, &conventional_failure);
-        assert_eq!(events.len(), 4);
-        assert!(matches!(
-            &events[1],
-            Event::SignalTransmitted { set, .. } if set == "Completed"
-        ));
-        assert!(replay(&events).is_empty());
+    fn the_same_set_name_under_another_activity_is_another_set() {
+        // Activity 2 polls and concludes `c` while activity 1's `c` is
+        // mid-run; activity 1's run is unaffected, and a transmit by
+        // activity 2 after *its* conclusion is the one rejected.
+        let poll2 = of(2, ProtocolEvent::GetSignal { set: "c".into() });
+        let read2 = of(2, ProtocolEvent::GetOutcome { set: "c".into(), outcome: "done".into() });
+        let mut t = vec![poll("c"), transmit("c"), poll2, read2, respond("c", false)];
+        t.push(outcome("c", false));
+        assert!(replay(&t).is_empty());
+        let late = ProtocolEvent::Transmit { set: "c".into(), signal: "s".into(), action: "a".into() };
+        t.push(of(2, late));
+        let violations = replay(&t);
+        assert_eq!(violations[0].event_index, t.len() - 1);
+        assert!(violations[0].detail.contains("after set"));
     }
 }

@@ -21,7 +21,15 @@
 
 use std::collections::BTreeMap;
 
-use super::{Event, SpecViolation, Vote};
+use telemetry::{Origin, ProtocolEvent, VoteKind};
+
+use super::{SpecViolation, Step};
+
+/// Whether a vote permits a commit decision.
+#[must_use]
+pub fn is_yes(vote: VoteKind) -> bool {
+    matches!(vote, VoteKind::Commit | VoteKind::ReadOnly)
+}
 
 /// Where one participant stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,14 +37,14 @@ enum Participant {
     /// Prepare sent, vote outstanding.
     Solicited,
     /// Voted; phase two pending.
-    Voted(Vote),
+    Voted(VoteKind),
     /// Outcome delivered, in this direction.
     Delivered { commit: bool },
     /// Obligation dropped.
     Forgotten,
 }
 
-/// The machine's state between events.
+/// One transaction's state between events.
 #[derive(Debug, Clone, Default)]
 pub struct TwoPc {
     participants: BTreeMap<String, Participant>,
@@ -58,13 +66,14 @@ impl TwoPc {
         Err(SpecViolation { model: "twopc", event_index: model_index, detail })
     }
 
-    /// Advance by one event; foreign events are ignored.
+    /// Advance by one step of this transaction; steps of other protocols
+    /// are ignored.
     ///
     /// # Errors
     /// The first rule the event breaks, as a [`SpecViolation`].
-    pub fn step(&mut self, index: usize, event: &Event) -> Result<(), SpecViolation> {
+    pub fn step(&mut self, index: usize, event: &ProtocolEvent) -> Result<(), SpecViolation> {
         match event {
-            Event::PrepareSent { participant } => {
+            ProtocolEvent::PrepareSent { participant } => {
                 if self.completed.is_some() {
                     return Self::reject(index, format!("prepare sent to {participant} after the transaction completed"));
                 }
@@ -76,7 +85,7 @@ impl TwoPc {
                 }
                 self.participants.insert(participant.clone(), Participant::Solicited);
             }
-            Event::VoteRecorded { participant, vote } => {
+            ProtocolEvent::VoteRecorded { participant, vote } => {
                 match self.participants.get(participant) {
                     Some(Participant::Solicited) => {}
                     Some(_) => {
@@ -87,14 +96,14 @@ impl TwoPc {
                     }
                 }
                 self.participants.insert(participant.clone(), Participant::Voted(*vote));
-                if !vote.is_yes() {
+                if !is_yes(*vote) {
                     self.any_no_vote = true;
                 }
-                if *vote == Vote::Commit {
+                if *vote == VoteKind::Commit {
                     self.any_commit_vote = true;
                 }
             }
-            Event::DecisionForced { commit } => {
+            ProtocolEvent::DecisionForced { commit } => {
                 if self.completed.is_some() {
                     return Self::reject(index, "decision forced after the transaction completed".into());
                 }
@@ -125,7 +134,7 @@ impl TwoPc {
                 }
                 self.decision = Some(*commit);
             }
-            Event::OutcomeDelivered { participant, commit } => {
+            ProtocolEvent::OutcomeDelivered { participant, commit, .. } => {
                 if self.completed.is_some() {
                     return Self::reject(index, format!("outcome delivered to {participant} after completion"));
                 }
@@ -137,7 +146,7 @@ impl TwoPc {
                         );
                     }
                     match self.participants.get(participant) {
-                        Some(Participant::Voted(Vote::Commit)) => {}
+                        Some(Participant::Voted(VoteKind::Commit)) => {}
                         Some(Participant::Voted(v)) => {
                             return Self::reject(index, format!("commit delivered to {participant}, which voted {v:?}"));
                         }
@@ -167,7 +176,7 @@ impl TwoPc {
                 }
                 self.participants.insert(participant.clone(), Participant::Delivered { commit: *commit });
             }
-            Event::Forgotten { participant } => {
+            ProtocolEvent::Forgotten { participant } => {
                 match self.participants.get(participant) {
                     Some(Participant::Delivered { .. }) => {}
                     Some(Participant::Forgotten) => {
@@ -179,7 +188,7 @@ impl TwoPc {
                 }
                 self.participants.insert(participant.clone(), Participant::Forgotten);
             }
-            Event::TxCompleted { committed } => {
+            ProtocolEvent::TxCompleted { committed } => {
                 if self.completed.is_some() {
                     return Self::reject(index, "the transaction completed twice".into());
                 }
@@ -204,13 +213,14 @@ impl TwoPc {
     }
 }
 
-/// Replay a trace, collecting the first divergence (a broken machine's
-/// subsequent state is unspecified, so replay stops at the first error).
+/// Replay a stream, one machine per transaction, collecting the first
+/// divergence (a broken machine's subsequent state is unspecified, so replay
+/// stops at the first error).
 #[must_use]
-pub fn replay(events: &[Event]) -> Vec<SpecViolation> {
-    let mut machine = TwoPc::new();
-    for (index, event) in events.iter().enumerate() {
-        if let Err(violation) = machine.step(index, event) {
+pub fn replay(stream: &[Step]) -> Vec<SpecViolation> {
+    let mut transactions: BTreeMap<&Origin, TwoPc> = BTreeMap::new();
+    for (index, (origin, event)) in stream.iter().enumerate() {
+        if let Err(violation) = transactions.entry(origin).or_default().step(index, event) {
             return vec![violation];
         }
     }
@@ -221,14 +231,29 @@ pub fn replay(events: &[Event]) -> Vec<SpecViolation> {
 mod tests {
     use super::*;
 
-    fn prepare(p: &str) -> Event {
-        Event::PrepareSent { participant: p.into() }
+    use telemetry::VoteKind as Vote;
+
+    fn of_one_transaction(event: ProtocolEvent) -> Step {
+        (Origin::Transaction { top: 1, branch: Vec::new() }, event)
     }
-    fn vote(p: &str, v: Vote) -> Event {
-        Event::VoteRecorded { participant: p.into(), vote: v }
+    fn prepare(p: &str) -> Step {
+        of_one_transaction(ProtocolEvent::PrepareSent { participant: p.into() })
     }
-    fn deliver(p: &str, commit: bool) -> Event {
-        Event::OutcomeDelivered { participant: p.into(), commit }
+    fn vote(p: &str, v: Vote) -> Step {
+        of_one_transaction(ProtocolEvent::VoteRecorded { participant: p.into(), vote: v })
+    }
+    fn decide() -> Step {
+        of_one_transaction(ProtocolEvent::DecisionForced { commit: true })
+    }
+    fn deliver(p: &str, commit: bool) -> Step {
+        let delivery = ProtocolEvent::OutcomeDelivered { participant: p.into(), commit, ok: true };
+        of_one_transaction(delivery)
+    }
+    fn forget(p: &str) -> Step {
+        of_one_transaction(ProtocolEvent::Forgotten { participant: p.into() })
+    }
+    fn complete(committed: bool) -> Step {
+        of_one_transaction(ProtocolEvent::TxCompleted { committed })
     }
 
     #[test]
@@ -238,10 +263,10 @@ mod tests {
             vote("a", Vote::Commit),
             prepare("b"),
             vote("b", Vote::ReadOnly),
-            Event::DecisionForced { commit: true },
+            decide(),
             deliver("a", true),
-            Event::Forgotten { participant: "a".into() },
-            Event::TxCompleted { committed: true },
+            forget("a"),
+            complete(true),
         ];
         assert!(replay(&t).is_empty());
     }
@@ -255,7 +280,7 @@ mod tests {
             vote("b", Vote::Rollback),
             deliver("a", false),
             deliver("b", false),
-            Event::TxCompleted { committed: false },
+            complete(false),
         ];
         assert!(replay(&t).is_empty());
     }
@@ -265,7 +290,7 @@ mod tests {
         let t = vec![
             prepare("a"),
             vote("a", Vote::ReadOnly),
-            Event::TxCompleted { committed: true },
+            complete(true),
         ];
         assert!(replay(&t).is_empty());
     }
@@ -277,7 +302,7 @@ mod tests {
             vote("a", Vote::Commit),
             prepare("c"),
             vote("c", Vote::Rollback),
-            Event::DecisionForced { commit: true },
+            decide(),
         ];
         let v = replay(&t);
         assert_eq!(v.len(), 1);
@@ -295,7 +320,7 @@ mod tests {
         let t = vec![
             prepare("a"),
             vote("a", Vote::Commit),
-            Event::DecisionForced { commit: true },
+            decide(),
             deliver("a", false),
         ];
         assert!(replay(&t)[0].detail.contains("after a commit decision"));
@@ -306,8 +331,8 @@ mod tests {
         let t = vec![
             prepare("a"),
             vote("a", Vote::Commit),
-            Event::DecisionForced { commit: true },
-            Event::Forgotten { participant: "a".into() },
+            decide(),
+            forget("a"),
         ];
         assert!(replay(&t)[0].detail.contains("before its outcome"));
     }
@@ -317,7 +342,7 @@ mod tests {
         let t = vec![
             prepare("a"),
             vote("a", Vote::Commit),
-            Event::TxCompleted { committed: true },
+            complete(true),
         ];
         assert!(replay(&t)[0].detail.contains("without a forced commit decision"));
     }
@@ -330,7 +355,7 @@ mod tests {
             vote("a", Vote::Failed),
             deliver("a", false),
             deliver("b", false),
-            Event::TxCompleted { committed: false },
+            complete(false),
         ];
         assert!(replay(&t).is_empty());
     }

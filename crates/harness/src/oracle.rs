@@ -23,17 +23,19 @@
 //! 7. **telemetry-conformance** — when the scenario records spans, the span
 //!    tree must be well-formed (single-rooted per trace, no orphans, no
 //!    never-closed spans) and its projection onto coordinator events must be
-//!    byte-identical to the rendered [`TraceLog`]: the telemetry plane may
-//!    never disagree with the protocol's own account of what happened;
+//!    byte-identical to the rendered fig. 5 steps the flight recorder kept:
+//!    spans are a second store, and the telemetry plane may never disagree
+//!    with the protocol's own account of what happened;
 //! 8. **durability** — every record the log acknowledged as durable before
 //!    an injected crash must survive replay: if the scenario reports the
 //!    highest acked LSN and the set of LSNs found after restart, LSNs
 //!    `1..=acked` must all be present. The unacked tail may tear; acked
 //!    records may not;
-//! 9. **refinement** — when the scenario journals its protocol steps as
-//!    [`crate::model::Event`]s, the trace must replay cleanly through the
-//!    executable reference models ([`crate::model::replay_all`]): the
-//!    implementation's observable behaviour refines the paper's
+//! 9. **refinement** — when the scenario reports the protocol steps its
+//!    run emitted (the flight recorder's typed stream, as is), they must
+//!    replay cleanly through the executable reference models
+//!    ([`crate::model::replay_all`]), and a reported saga through the saga
+//!    model: the implementation's observable behaviour refines the paper's
 //!    specification, event by event. The [`crate::enumerate`] module runs
 //!    this oracle over every interleaving it enumerates;
 //! 10. **eventual-resolution** — once injected faults cease and partitions
@@ -43,14 +45,14 @@
 //!     zero. Heuristic outcomes are reported only for genuinely hazarded
 //!     histories — a heuristic on an unhazarded run means the participant
 //!     gave up when interrogation would have answered;
-//! 11. **recorder-consistency** — when the scenario attaches a flight
-//!     recorder, the recorder's black box must agree with the protocol's
-//!     own account: its `trace`-kind events must be exactly the (possibly
-//!     ring-evicted) tail of the [`TraceLog`]'s rendered lines, in the same
-//!     causal order, and the critical-path attribution over the commit span
-//!     must partition the root duration exactly. The recorder's fingerprint
-//!     is additionally compared across the determinism oracle's two runs —
-//!     the black box itself must be bit-identical under replay;
+//! 11. **recorder-consistency** — when the scenario reports its flight
+//!     recorder, the critical-path attribution over the commit span must
+//!     partition the root duration exactly, and the recorder's fingerprint
+//!     is compared across the determinism oracle's two runs — the black box
+//!     itself must be bit-identical under replay. (The trace *is* the
+//!     recorder's view of the fig. 5 steps, so there is no second account
+//!     to compare it with; strict oldest-first eviction is pinned by
+//!     `tests/recorder_props.rs`.);
 //! 12. **causal-consistency** — when the scenario merges its per-node
 //!     flight-recorder logs into a global happens-before DAG
 //!     (`telemetry::CausalMerge`), the merge must verify clean: the DAG is
@@ -143,10 +145,14 @@ pub struct Observation {
     /// Raw LSNs found in the log after the post-crash restart
     /// (`None` when the scenario does not report durability accounting).
     pub survived_lsns: Option<Vec<u64>>,
-    /// Protocol steps journaled in the reference-model vocabulary
-    /// (`None` when the scenario does not journal model events; the
-    /// refinement oracle binds only when present).
-    pub model_events: Option<Vec<crate::model::Event>>,
+    /// The protocol steps the run emitted, each with its origin — the
+    /// flight recorder's typed stream as recorded (`None` when the scenario
+    /// does not report it; the refinement oracle binds only when present).
+    pub model_events: Option<Vec<crate::model::Step>>,
+    /// Whether the saga the run drove completed forward (`None` when it
+    /// drove none): with it, `completed_steps` and `compensated_steps`
+    /// replay through the saga reference model.
+    pub saga_completed: Option<bool>,
     /// Nodes the scenario exposes to [`crate::schedule::FaultEvent::Partition`]
     /// arms (probe runs use this to build the schedule space).
     pub partition_nodes: Vec<String>,
@@ -167,14 +173,6 @@ pub struct Observation {
     /// heuristic was the participant's only legal exit (`None` when the
     /// scenario does not report hazard accounting).
     pub hazarded: Option<bool>,
-    /// Flight-recorder events as `(kind label, detail)` pairs, oldest
-    /// retained first (`None` when the scenario attaches no recorder; the
-    /// recorder-consistency oracle binds only when present).
-    pub recorder_events: Option<Vec<(String, String)>>,
-    /// The [`TraceLog`]'s rendered lines, in record order (`None` when the
-    /// scenario has no trace log; with `recorder_events` present this arms
-    /// the recorder-vs-trace causal-order check).
-    pub trace_log_events: Option<Vec<String>>,
     /// FNV fingerprint over the recorder's retained events; compared across
     /// the determinism oracle's two runs (`None` without a recorder).
     pub recorder_fingerprint: Option<u64>,
@@ -224,13 +222,12 @@ impl Observation {
             durable_acked_lsn: None,
             survived_lsns: None,
             model_events: None,
+            saga_completed: None,
             partition_nodes: Vec::new(),
             restart_sites: Vec::new(),
             in_doubt_after_resolution: None,
             heuristics: None,
             hazarded: None,
-            recorder_events: None,
-            trace_log_events: None,
             recorder_fingerprint: None,
             recorder_dump: None,
             critical_path_exact: None,
@@ -240,16 +237,9 @@ impl Observation {
         }
     }
 
-    /// Report the node's black box (oracle #11): its retained events, its
-    /// fingerprint and the dump a shrunk reproducer ships with.
+    /// Report the node's black box (oracle #11): its fingerprint and the
+    /// dump a shrunk reproducer ships with.
     pub fn report_recorder(&mut self, recorder: &telemetry::FlightRecorder) {
-        self.recorder_events = Some(
-            recorder
-                .events()
-                .iter()
-                .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
-                .collect(),
-        );
         self.recorder_fingerprint = Some(recorder.fingerprint());
         self.recorder_dump = Some(recorder.dump());
     }
@@ -489,16 +479,25 @@ fn check_durability(obs: &Observation, out: &mut Vec<Violation>) {
 }
 
 fn check_refinement(obs: &Observation, out: &mut Vec<Violation>) {
-    // The oracle binds only when the scenario journals model events.
-    let Some(events) = &obs.model_events else { return };
-    for divergence in crate::model::replay_all(events) {
-        let offending = events
-            .get(divergence.event_index)
-            .map_or_else(|| "<past end>".to_owned(), |e| format!("{e:?}"));
-        out.push(Violation {
-            oracle: "refinement",
-            detail: format!("{divergence}; offending event: {offending}"),
-        });
+    // The oracle binds only to what the scenario reports: its protocol
+    // steps, its saga, or both.
+    if let Some(events) = &obs.model_events {
+        for divergence in crate::model::replay_all(events) {
+            let offending = events
+                .get(divergence.event_index)
+                .map_or_else(|| "<past end>".to_owned(), |e| format!("{e:?}"));
+            out.push(Violation {
+                oracle: "refinement",
+                detail: format!("{divergence}; offending event: {offending}"),
+            });
+        }
+    }
+    if let Some(completed) = obs.saga_completed {
+        let divergences =
+            crate::model::saga::replay(&obs.completed_steps, &obs.compensated_steps, completed);
+        for divergence in divergences {
+            out.push(Violation { oracle: "refinement", detail: divergence.to_string() });
+        }
     }
 }
 
@@ -529,39 +528,6 @@ fn check_eventual_resolution(obs: &Observation, out: &mut Vec<Violation>) {
 }
 
 fn check_recorder(obs: &Observation, out: &mut Vec<Violation>) {
-    // The oracle binds only when the scenario attaches a flight recorder.
-    let Some(events) = &obs.recorder_events else { return };
-    if let Some(trace_lines) = &obs.trace_log_events {
-        // The recorder mirrors every TraceLog record as a `trace`-kind
-        // event; the ring may have evicted the oldest, so what remains must
-        // be exactly the trace's tail, in the trace's own order.
-        let retained: Vec<&String> =
-            events.iter().filter(|(kind, _)| kind == "trace").map(|(_, d)| d).collect();
-        if retained.len() > trace_lines.len() {
-            out.push(Violation {
-                oracle: "recorder-consistency",
-                detail: format!(
-                    "recorder retained {} trace event(s) but the trace log only \
-                     recorded {} — the black box invented events",
-                    retained.len(),
-                    trace_lines.len()
-                ),
-            });
-        } else {
-            let tail = &trace_lines[trace_lines.len() - retained.len()..];
-            if !retained.iter().zip(tail.iter()).all(|(a, b)| *a == b) {
-                out.push(Violation {
-                    oracle: "recorder-consistency",
-                    detail: format!(
-                        "recorder trace events disagree with the trace log's tail \
-                         (causal order broken):\n--- recorder ---\n{}\n--- trace tail ---\n{}",
-                        retained.iter().map(|s| s.as_str()).collect::<Vec<_>>().join("\n"),
-                        tail.join("\n")
-                    ),
-                });
-            }
-        }
-    }
     if obs.critical_path_exact == Some(false) {
         out.push(Violation {
             oracle: "recorder-consistency",
@@ -825,34 +791,58 @@ mod tests {
         assert!(check_all(&obs).is_empty());
     }
 
+    fn of_one_transaction(steps: Vec<telemetry::ProtocolEvent>) -> Vec<crate::model::Step> {
+        let origin = telemetry::Origin::Transaction { top: 1, branch: Vec::new() };
+        steps.into_iter().map(|step| (origin.clone(), step)).collect()
+    }
+
     #[test]
     fn a_spec_conformant_journal_passes_refinement() {
-        use crate::model::{Event, Vote};
+        use telemetry::{ProtocolEvent as Event, VoteKind};
         let mut obs = Observation::new(RunOutcome::Committed);
-        obs.model_events = Some(vec![
+        obs.model_events = Some(of_one_transaction(vec![
             Event::PrepareSent { participant: "store".into() },
-            Event::VoteRecorded { participant: "store".into(), vote: Vote::Commit },
+            Event::VoteRecorded { participant: "store".into(), vote: VoteKind::Commit },
             Event::DecisionForced { commit: true },
-            Event::OutcomeDelivered { participant: "store".into(), commit: true },
+            Event::OutcomeDelivered { participant: "store".into(), commit: true, ok: true },
             Event::Forgotten { participant: "store".into() },
             Event::TxCompleted { committed: true },
-        ]);
+        ]));
         assert!(check_all(&obs).is_empty());
     }
 
     #[test]
     fn a_spec_divergent_journal_fails_refinement() {
-        use crate::model::{Event, Vote};
+        use telemetry::{ProtocolEvent as Event, VoteKind};
         let mut obs = Observation::new(RunOutcome::Committed);
-        obs.model_events = Some(vec![
+        obs.model_events = Some(of_one_transaction(vec![
             Event::PrepareSent { participant: "c".into() },
-            Event::VoteRecorded { participant: "c".into(), vote: Vote::Rollback },
+            Event::VoteRecorded { participant: "c".into(), vote: VoteKind::Rollback },
             Event::DecisionForced { commit: true },
-        ]);
+        ]));
         let v = check_all(&obs);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].oracle, "refinement");
         assert!(v[0].detail.contains("presumed abort"), "{}", v[0].detail);
+    }
+
+    #[test]
+    fn a_reported_saga_replays_through_the_saga_model() {
+        let mut obs = Observation::new(RunOutcome::Aborted);
+        obs.compensation_required = true;
+        obs.completed_steps = vec!["taxi".into(), "hotel".into()];
+        obs.compensated_steps = vec!["hotel".into(), "taxi".into()];
+        // Without the saga's ending the model does not bind.
+        assert!(check_all(&obs).is_empty());
+        obs.saga_completed = Some(false);
+        assert!(check_all(&obs).is_empty());
+        // A saga claiming forward completion after compensating diverges
+        // (the compensation oracle has no opinion on the ending).
+        obs.saga_completed = Some(true);
+        let v = check_all(&obs);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].oracle, "refinement");
+        assert!(v[0].detail.contains("must not have compensated"), "{}", v[0].detail);
     }
 
     #[test]
@@ -898,59 +888,8 @@ mod tests {
     }
 
     #[test]
-    fn recorder_oracle_does_not_bind_without_a_recorder() {
-        let mut obs = Observation::new(RunOutcome::Committed);
-        obs.trace_log_events = Some(vec!["get_signal(2pc)".into()]);
-        assert!(check_all(&obs).is_empty());
-    }
-
-    #[test]
-    fn recorder_mirror_matching_the_trace_passes() {
-        let mut obs = Observation::new(RunOutcome::Committed);
-        obs.trace_log_events = Some(vec!["a".into(), "b".into(), "c".into()]);
-        obs.recorder_events = Some(vec![
-            ("span-open".into(), "commit:tx-1".into()),
-            ("trace".into(), "a".into()),
-            ("trace".into(), "b".into()),
-            ("protocol".into(), "decision_forced(commit=true)".into()),
-            ("trace".into(), "c".into()),
-        ]);
-        assert!(check_all(&obs).is_empty());
-    }
-
-    #[test]
-    fn ring_eviction_keeps_only_the_trace_tail() {
-        let mut obs = Observation::new(RunOutcome::Committed);
-        obs.trace_log_events = Some(vec!["a".into(), "b".into(), "c".into()]);
-        // Oldest mirror ("a") evicted by the ring: a legal tail.
-        obs.recorder_events =
-            Some(vec![("trace".into(), "b".into()), ("trace".into(), "c".into())]);
-        assert!(check_all(&obs).is_empty());
-        // But a *gap* in the middle breaks causal order.
-        obs.recorder_events =
-            Some(vec![("trace".into(), "a".into()), ("trace".into(), "c".into())]);
-        let v = check_all(&obs);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].oracle, "recorder-consistency");
-        assert!(v[0].detail.contains("causal order"), "{}", v[0].detail);
-    }
-
-    #[test]
-    fn recorder_with_invented_events_is_a_violation() {
-        let mut obs = Observation::new(RunOutcome::Committed);
-        obs.trace_log_events = Some(vec!["a".into()]);
-        obs.recorder_events =
-            Some(vec![("trace".into(), "a".into()), ("trace".into(), "ghost".into())]);
-        let v = check_all(&obs);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].oracle, "recorder-consistency");
-        assert!(v[0].detail.contains("invented"), "{}", v[0].detail);
-    }
-
-    #[test]
     fn inexact_critical_path_is_a_violation() {
         let mut obs = Observation::new(RunOutcome::Committed);
-        obs.recorder_events = Some(Vec::new());
         obs.critical_path_exact = Some(true);
         assert!(check_all(&obs).is_empty());
         obs.critical_path_exact = Some(false);

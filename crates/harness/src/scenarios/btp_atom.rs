@@ -3,10 +3,11 @@
 
 use std::sync::Arc;
 
-use activity_service::{Activity, DispatchConfig, TraceLog};
+use activity_service::{Activity, DispatchConfig};
 use btp::{Atom, AtomState, BtpError, BtpParticipant, BtpVote, Reservation, ReservationState};
-use orb::SimClock;
+use orb::Env;
 use recovery_log::FailpointSet;
+use telemetry::FlightRecorder;
 
 use crate::oracle::{Observation, RunOutcome};
 use crate::scenario::Scenario;
@@ -32,10 +33,13 @@ impl Scenario for BtpAtomScenario {
         let failpoints = FailpointSet::new();
         schedule.arm_into(&failpoints);
 
-        let activity = Activity::new_root("atom", SimClock::new());
+        // Attached only to read the atom's trace back: not a reported black
+        // box.
+        let steps = FlightRecorder::new("atom", usize::MAX);
+        let env = Env { recorder: Some(steps.clone()), ..Env::default() };
+        let activity = Activity::new_root("atom", env.wired());
         activity.coordinator().set_dispatch_config(DispatchConfig::serial());
-        let trace = TraceLog::new();
-        activity.coordinator().set_trace(trace.clone());
+        let coordinator = activity.id();
         let atom = Atom::new("booking", activity).expect("bind atom");
 
         let reservations: Vec<Arc<Reservation>> = PARTICIPANTS
@@ -68,7 +72,7 @@ impl Scenario for BtpAtomScenario {
             .iter()
             .map(|r| (r.name().to_owned(), r.state() == ReservationState::Confirmed))
             .collect();
-        obs.trace = trace.render();
+        obs.trace = super::coordinator_trace(&steps.steps(), coordinator);
         obs.observed_sites = failpoints.observed_sites();
         obs
     }

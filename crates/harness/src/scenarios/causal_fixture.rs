@@ -16,8 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orb::{Env, NetworkConfig, Orb, Request, SimClock, Value};
-use ots::journal::{ProtocolJournal, TwoPcEvent, VoteKind};
-use telemetry::RecordKind;
+use telemetry::{Origin, ProtocolEvent, VoteKind};
 
 use crate::oracle::{Observation, RunOutcome};
 use crate::scenario::Scenario;
@@ -63,9 +62,9 @@ impl Scenario for ReorderedOutcomeScenario {
         let orb = Orb::builder().network(NetworkConfig::reliable()).env(Arc::clone(&env)).build();
         let coord_node = orb.add_node(COORDINATOR).expect("add coordinator");
         // The hand-rolled coordinator emits its protocol steps the way the
-        // real one does: straight into its context's flight recorder.
-        let journal = |event: TwoPcEvent| {
-            env.emit(RecordKind::Protocol, None::<&ProtocolJournal>, || event);
+        // real one does: through its context, as its one transaction's.
+        let journal = |event: ProtocolEvent| {
+            env.emit(|| (Origin::Transaction { top: 1, branch: Vec::new() }, event));
         };
 
         let mut refs = Vec::new();
@@ -92,11 +91,11 @@ impl Scenario for ReorderedOutcomeScenario {
 
         // Phase one: solicit both votes.
         for (name, object) in &refs {
-            journal(TwoPcEvent::PrepareSent { participant: (*name).into() });
+            journal(ProtocolEvent::PrepareSent { participant: (*name).into() });
             clock.advance(STEP);
             let reply = coord_node.invoke(object, Request::new("prepare")).expect("invoke");
             let _ = writeln!(trace, "prepare({name}) -> {:?}", reply.result);
-            journal(TwoPcEvent::VoteRecorded {
+            journal(ProtocolEvent::VoteRecorded {
                 participant: (*name).into(),
                 vote: VoteKind::Commit,
             });
@@ -109,7 +108,7 @@ impl Scenario for ReorderedOutcomeScenario {
             clock.advance(STEP);
             let reply = coord_node.invoke(object, Request::new("outcome")).expect("invoke");
             let _ = writeln!(trace, "outcome({name}) -> {:?}", reply.result);
-            journal(TwoPcEvent::OutcomeDelivered {
+            journal(ProtocolEvent::OutcomeDelivered {
                 participant: (*name).into(),
                 commit: true,
                 ok: true,
@@ -117,15 +116,15 @@ impl Scenario for ReorderedOutcomeScenario {
         };
         if racy {
             deliver(0);
-            journal(TwoPcEvent::DecisionForced { commit: true });
+            journal(ProtocolEvent::DecisionForced { commit: true });
             deliver(1);
         } else {
-            journal(TwoPcEvent::DecisionForced { commit: true });
+            journal(ProtocolEvent::DecisionForced { commit: true });
             deliver(0);
             deliver(1);
         }
         clock.advance(STEP);
-        journal(TwoPcEvent::Completed { committed: true });
+        journal(ProtocolEvent::TxCompleted { committed: true });
 
         let mut obs = Observation::new(RunOutcome::Committed);
         // Every per-node fact is healthy — the commit landed everywhere —
@@ -137,8 +136,7 @@ impl Scenario for ReorderedOutcomeScenario {
         obs.trace = trace;
         obs.observed_sites = vec![RACE_SITE.to_owned()];
         obs.remote_messages = orb.network().remote_messages();
-        obs.recorder_fingerprint = Some(coord_recorder.fingerprint());
-        obs.recorder_dump = Some(coord_recorder.dump());
+        obs.report_recorder(&coord_recorder);
         let dag = plane.merge().build();
         obs.report_causal(&dag);
         obs

@@ -4,8 +4,9 @@
 //! the OTS coordinator with the explorer's [`ChoiceDriver`] installed as
 //! the delivery sequencer, so every prepare/phase-two delivery order is
 //! enumerable, crossed with a crash at each `ots.*` failpoint site. The
-//! coordinator's [`ots::ProtocolJournal`] is mapped into reference-model
-//! events, binding the refinement oracle on every interleaving.
+//! steps the coordinator emitted — its flight recorder's typed stream — are
+//! reported as they are, binding the refinement oracle on every
+//! interleaving.
 //!
 //! [`BrokenAtomicCommitScenario`] is the planted spec violation the
 //! explorer must catch: a hand-rolled commit loop that decides from the
@@ -14,7 +15,9 @@
 //! invisible; any order that polls it earlier forces a commit decision
 //! after a rollback vote — exactly the transition the presumed-abort
 //! model rejects. Effects are arranged so every other oracle stays
-//! quiet: only refinement (#9) sees it, and only under reordering.
+//! quiet: only refinement (#9) sees it, and only under reordering. It keeps
+//! its own list of what it did, because what it tells its recorder is not
+//! that: it always reports a forced decision, commit or not.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -22,45 +25,15 @@ use std::sync::Arc;
 use orb::choice::DeliverySequencer;
 use orb::pool::DispatchConfig;
 use orb::Value;
-use ots::txlog::KIND_TX_DECISION;
-use ots::{Resource, TransactionFactory, TransactionalKv, TwoPcEvent, TxError};
-use recovery_log::{FailpointSet, Lsn, MemWal, Wal};
+use ots::{TransactionFactory, TransactionalKv, TxError};
+use recovery_log::{FailpointSet, MemWal, Wal};
+use telemetry::{Origin, ProtocolEvent, VoteKind};
 
+use super::two_phase::recover_from_crash;
 use crate::enumerate::{ChoiceDriver, Explorable};
-use crate::model::{Event, Vote};
+use crate::model::twopc::is_yes;
 use crate::oracle::{Observation, RunOutcome};
 use crate::schedule::FaultSchedule;
-
-/// Map the coordinator's protocol journal into reference-model events.
-/// Shared with the seeded-sweep 2PC scenarios, which journal the same
-/// protocol.
-pub(crate) fn model_events_from_journal(events: &[TwoPcEvent]) -> Vec<Event> {
-    events
-        .iter()
-        .map(|event| match event {
-            TwoPcEvent::PrepareSent { participant } => {
-                Event::PrepareSent { participant: participant.clone() }
-            }
-            TwoPcEvent::VoteRecorded { participant, vote } => Event::VoteRecorded {
-                participant: participant.clone(),
-                vote: match vote {
-                    ots::VoteKind::Commit => Vote::Commit,
-                    ots::VoteKind::ReadOnly => Vote::ReadOnly,
-                    ots::VoteKind::Rollback => Vote::Rollback,
-                    ots::VoteKind::Failed => Vote::Failed,
-                },
-            },
-            TwoPcEvent::DecisionForced { commit } => Event::DecisionForced { commit: *commit },
-            TwoPcEvent::OutcomeDelivered { participant, commit, .. } => {
-                Event::OutcomeDelivered { participant: participant.clone(), commit: *commit }
-            }
-            TwoPcEvent::Forgotten { participant } => {
-                Event::Forgotten { participant: participant.clone() }
-            }
-            TwoPcEvent::Completed { committed } => Event::TxCompleted { committed: *committed },
-        })
-        .collect()
-}
 
 /// Three-participant logged 2PC with explorer-steered delivery order.
 pub struct ExplorableTwoPhase;
@@ -74,7 +47,6 @@ impl Explorable for ExplorableTwoPhase {
         let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
         let failpoints = FailpointSet::new();
         faults.arm_into(&failpoints);
-        let journal = ots::ProtocolJournal::new();
         // The black box the explorer staples to a shrunk divergence.
         let recorder = telemetry::FlightRecorder::new(
             "coordinator",
@@ -88,8 +60,7 @@ impl Explorable for ExplorableTwoPhase {
         });
         let factory = TransactionFactory::with_wal(Arc::clone(&wal))
             .with_env(env)
-            .with_dispatch(DispatchConfig::serial())
-            .with_journal(journal.clone());
+            .with_dispatch(DispatchConfig::serial());
         let store = Arc::new(TransactionalKv::new("store"));
         let witness = Arc::new(TransactionalKv::new("witness"));
         let ledger = Arc::new(TransactionalKv::new("ledger"));
@@ -103,64 +74,17 @@ impl Explorable for ExplorableTwoPhase {
         }
 
         let commit = control.terminator().commit();
-        let mut trace = String::new();
-        let _ = writeln!(trace, "commit: {commit:?}");
-
         let mut obs = Observation::new(RunOutcome::Committed);
-        let mut model_events = model_events_from_journal(&journal.events());
+        let _ = writeln!(obs.trace, "commit: {commit:?}");
+        obs.model_events = Some(recorder.steps());
         match commit {
             Ok(_) => {}
             Err(TxError::Log(_)) => {
-                // The injected crash: disarm, then a fresh factory (no
-                // sequencer, no journal — recovery has no ordering
-                // freedom) replays the surviving log.
-                failpoints.clear();
-                let decision_durable = wal
-                    .scan(Lsn::new(0))
-                    .expect("scan wal")
-                    .iter()
-                    .any(|r| r.kind == KIND_TX_DECISION);
-                let (store2, witness2, ledger2) =
-                    (Arc::clone(&store), Arc::clone(&witness), Arc::clone(&ledger));
-                let resolver = move |name: &str| -> Option<Arc<dyn Resource>> {
-                    match name {
-                        "store" => Some(store2.clone()),
-                        "witness" => Some(witness2.clone()),
-                        "ledger" => Some(ledger2.clone()),
-                        _ => None,
-                    }
-                };
-                let report = TransactionFactory::with_wal(Arc::clone(&wal))
-                    .recover(&resolver)
-                    .expect("recovery");
-                let replayed = if report.recommitted.is_empty() {
-                    RunOutcome::Aborted
-                } else {
-                    RunOutcome::Committed
-                };
-                let _ = writeln!(
-                    trace,
-                    "recovered: recommitted={:?} presumed_aborted={:?}",
-                    report.recommitted, report.presumed_aborted
-                );
-                let second = TransactionFactory::with_wal(Arc::clone(&wal))
-                    .recover(&resolver)
-                    .expect("second recovery");
-                obs.replay_stable =
-                    Some(second.recommitted.is_empty() && second.presumed_aborted.is_empty());
-                obs.decision_durable = Some(decision_durable);
-                obs.replay_outcome = Some(replayed);
-                obs.outcome = replayed;
-                // The crash cut the journal short of its terminal event;
-                // recovery settled the direction, so close the model
-                // trace with it (the §12 rules still apply: a committed
-                // close without a forced decision is a divergence).
-                model_events.push(Event::TxCompleted {
-                    committed: replayed == RunOutcome::Committed,
-                });
+                let participants = [&store, &witness, &ledger];
+                recover_from_crash(&wal, &failpoints, &participants, control.id(), &mut obs);
             }
             Err(other) => {
-                let _ = writeln!(trace, "non-crash failure: {other:?}");
+                let _ = writeln!(obs.trace, "non-crash failure: {other:?}");
                 obs.outcome = RunOutcome::Aborted;
             }
         }
@@ -171,15 +95,13 @@ impl Explorable for ExplorableTwoPhase {
             ("ledger".into(), ledger.read_committed("l").is_some()),
         ];
         let _ = writeln!(
-            trace,
+            obs.trace,
             "final: store={:?} witness={:?} ledger={:?}",
             store.read_committed("k"),
             witness.read_committed("w"),
             ledger.read_committed("l")
         );
-        obs.trace = trace;
         obs.observed_sites = failpoints.observed_sites();
-        obs.model_events = Some(model_events);
         obs.report_recorder(&recorder);
         obs
     }
@@ -190,7 +112,7 @@ pub struct BrokenAtomicCommitScenario;
 
 struct BrokenParticipant {
     name: &'static str,
-    vote: Vote,
+    vote: VoteKind,
     has_effect: bool,
 }
 
@@ -203,11 +125,12 @@ impl Explorable for BrokenAtomicCommitScenario {
         // "auditor" vetoes but holds no forward effects, so atomicity has
         // nothing to disagree with — only the decision rule is wrong.
         let participants = [
-            BrokenParticipant { name: "store", vote: Vote::Commit, has_effect: true },
-            BrokenParticipant { name: "witness", vote: Vote::Commit, has_effect: true },
-            BrokenParticipant { name: "auditor", vote: Vote::Rollback, has_effect: false },
+            BrokenParticipant { name: "store", vote: VoteKind::Commit, has_effect: true },
+            BrokenParticipant { name: "witness", vote: VoteKind::Commit, has_effect: true },
+            BrokenParticipant { name: "auditor", vote: VoteKind::Rollback, has_effect: false },
         ];
         let mut events = Vec::new();
+        let mut did = |step| events.push((Origin::Transaction { top: 1, branch: Vec::new() }, step));
         let mut trace = String::new();
         // Even the planted bug keeps a black box: its dump rides the
         // minimized divergence, showing the vote order that exposed it.
@@ -230,40 +153,42 @@ impl Explorable for BrokenAtomicCommitScenario {
                 0
             };
             let participant = &participants[pending.remove(pick)];
-            events.push(Event::PrepareSent { participant: participant.name.to_owned() });
-            events.push(Event::VoteRecorded {
+            did(ProtocolEvent::PrepareSent { participant: participant.name.to_owned() });
+            did(ProtocolEvent::VoteRecorded {
                 participant: participant.name.to_owned(),
                 vote: participant.vote,
             });
-            driver.report("prepare", participant.name, participant.vote.is_yes());
+            driver.report("prepare", participant.name, is_yes(participant.vote));
             recorder.record(telemetry::RecordKind::Protocol, || {
                 format!("vote_recorded({}, {:?})", participant.name, participant.vote)
             });
             let _ = writeln!(trace, "voted: {} {:?}", participant.name, participant.vote);
             last_vote = Some(participant.vote);
         }
-        let commit = last_vote == Some(Vote::Commit);
+        let commit = last_vote == Some(VoteKind::Commit);
         recorder
             .record(telemetry::RecordKind::Protocol, || format!("decision_forced(commit={commit})"));
 
         if commit {
-            events.push(Event::DecisionForced { commit: true });
-            for participant in participants.iter().filter(|p| p.vote == Vote::Commit) {
-                events.push(Event::OutcomeDelivered {
+            did(ProtocolEvent::DecisionForced { commit: true });
+            for participant in participants.iter().filter(|p| p.vote == VoteKind::Commit) {
+                did(ProtocolEvent::OutcomeDelivered {
                     participant: participant.name.to_owned(),
                     commit: true,
+                    ok: true,
                 });
-                events.push(Event::Forgotten { participant: participant.name.to_owned() });
+                did(ProtocolEvent::Forgotten { participant: participant.name.to_owned() });
             }
         } else {
             for participant in &participants {
-                events.push(Event::OutcomeDelivered {
+                did(ProtocolEvent::OutcomeDelivered {
                     participant: participant.name.to_owned(),
                     commit: false,
+                    ok: true,
                 });
             }
         }
-        events.push(Event::TxCompleted { committed: commit });
+        did(ProtocolEvent::TxCompleted { committed: commit });
         let _ = writeln!(trace, "decision: commit={commit}");
 
         let mut obs =

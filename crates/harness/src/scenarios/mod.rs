@@ -20,7 +20,17 @@ pub use termination::{ForgetfulCoordinatorScenario, TerminationScenario};
 pub use two_phase::{TwoPhaseGroupCommitScenario, TwoPhaseScenario};
 pub use workflow::{WorkflowNoRetryScenario, WorkflowRetryScenario, WorkflowScenario};
 
+use crate::model::Step;
 use crate::scenario::Scenario;
+
+/// One coordinator's own trace, rendered a step per line: the fig. 5 steps
+/// of `activity` in a run's recorded `stream`.
+fn coordinator_trace(stream: &[Step], activity: activity_service::ActivityId) -> String {
+    let own = stream.iter().filter(|(origin, step)| {
+        *origin == activity.origin() && step.kind() == telemetry::RecordKind::Trace
+    });
+    telemetry::render_steps(own.map(|(_, step)| step))
+}
 
 /// Every well-behaved scenario (excludes the intentionally broken
 /// fixture), in sweep order.

@@ -5,40 +5,18 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use activity_service::{
-    Activity, ActivityEvent, ActivityJournal, CompletionStatus, DispatchConfig, TraceLog,
-};
-use orb::SimClock;
+use activity_service::{Activity, CompletionStatus, DispatchConfig};
+use orb::Env;
 use recovery_log::FailpointSet;
+use telemetry::FlightRecorder;
 use tx_models::compensation::{
     ActivityRegistry, CompensationAction, CompletionSignalSet, InMemoryActivityRegistry,
     COMPLETION_SET,
 };
 
-use crate::model::signal_set::{conventional_failure, events_from_trace};
-use crate::model::Event;
 use crate::oracle::{EffectCount, Observation, RunOutcome};
 use crate::scenario::Scenario;
 use crate::schedule::FaultSchedule;
-
-/// Both coordinators run a set named [`COMPLETION_SET`]; prefix each
-/// trace's set names with its activity so the reference model audits them
-/// as the distinct protocol instances they are.
-fn prefix_sets(events: Vec<Event>, prefix: &str) -> impl Iterator<Item = Event> + use<'_> {
-    events.into_iter().map(move |event| match event {
-        Event::SignalRequested { set } => Event::SignalRequested { set: format!("{prefix}/{set}") },
-        Event::SignalTransmitted { set, signal, action } => {
-            Event::SignalTransmitted { set: format!("{prefix}/{set}"), signal, action }
-        }
-        Event::ResponseCollated { set, failure } => {
-            Event::ResponseCollated { set: format!("{prefix}/{set}"), failure }
-        }
-        Event::OutcomeRead { set, failure } => {
-            Event::OutcomeRead { set: format!("{prefix}/{set}"), failure }
-        }
-        other => other,
-    })
-}
 
 /// Site making nested activity B fail instead of committing early.
 pub const SITE_FAIL_B: &str = "fig9.fail_b";
@@ -60,12 +38,14 @@ impl Scenario for NestedCompensationScenario {
         let a_fails = failpoints.hit(SITE_FAIL_A).is_err();
 
         let registry = InMemoryActivityRegistry::new();
-        let a = Activity::new_root("A", SimClock::new());
-        let activity_journal = ActivityJournal::new();
-        a.set_journal(activity_journal.clone());
+        // The whole account of the run: A and B share one context, so both
+        // coordinators' steps and both lifecycles land in this recorder,
+        // each under its activity's origin. It is read, not reported — the
+        // scenario has no black box for oracle #11.
+        let steps = FlightRecorder::new("activities", usize::MAX);
+        let env = Env { recorder: Some(steps.clone()), ..Env::default() };
+        let a = Activity::new_root("A", env.wired());
         a.coordinator().set_dispatch_config(DispatchConfig::serial());
-        let trace_a = TraceLog::new();
-        a.coordinator().set_trace(trace_a.clone());
         a.coordinator()
             .add_signal_set(Box::new(CompletionSignalSet::new()))
             .expect("A completion set");
@@ -74,8 +54,6 @@ impl Scenario for NestedCompensationScenario {
 
         let b = a.begin_child("B").expect("begin B");
         b.coordinator().set_dispatch_config(DispatchConfig::serial());
-        let trace_b = TraceLog::new();
-        b.coordinator().set_trace(trace_b.clone());
         b.coordinator()
             .add_signal_set(Box::new(CompletionSignalSet::propagating_to(a.id())))
             .expect("B completion set");
@@ -126,31 +104,14 @@ impl Scenario for NestedCompensationScenario {
             min: required,
             max: required,
         }];
-        obs.trace = format!("--- A ---\n{}--- B ---\n{}", trace_a.render(), trace_b.render());
+        // The stream holds the fig. 4 nesting steps and each coordinator's
+        // fig. 5 steps; both run a set named [`COMPLETION_SET`], which the
+        // origins keep apart. The rendered trace is each coordinator's own.
+        let stream = steps.steps();
+        let trace_of = |activity: &Activity| super::coordinator_trace(&stream, activity.id());
+        obs.trace = format!("--- A ---\n{}--- B ---\n{}", trace_of(&a), trace_of(&b));
         obs.observed_sites = failpoints.observed_sites();
-        // The activity journal gives the fig. 4 nesting events; each
-        // coordinator trace gives its fig. 5 signal-set events. The
-        // models audit independently, so order across protocols is free —
-        // B's set concluded before A's ran.
-        let mut model_events: Vec<Event> = activity_journal
-            .events()
-            .iter()
-            .map(|event| match event {
-                ActivityEvent::Begun { activity, parent, .. } => Event::ActivityBegun {
-                    activity: activity.raw(),
-                    parent: parent.map(|p| p.raw()),
-                },
-                ActivityEvent::Completed { activity, status, .. } => Event::ActivityCompleted {
-                    activity: activity.raw(),
-                    success: *status == CompletionStatus::Success,
-                },
-            })
-            .collect();
-        model_events
-            .extend(prefix_sets(events_from_trace(&trace_b.events(), &conventional_failure), "B"));
-        model_events
-            .extend(prefix_sets(events_from_trace(&trace_a.events(), &conventional_failure), "A"));
-        obs.model_events = Some(model_events);
+        obs.model_events = Some(stream);
         obs
     }
 }

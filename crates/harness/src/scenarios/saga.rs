@@ -9,7 +9,6 @@ use parking_lot::Mutex;
 use recovery_log::FailpointSet;
 use tx_models::sagas::{Saga, SagaOutcome};
 
-use crate::model::Event;
 use crate::oracle::{EffectCount, Observation, RunOutcome};
 use crate::scenario::Scenario;
 use crate::schedule::FaultSchedule;
@@ -89,22 +88,9 @@ impl Scenario for SagaScenario {
             report.outcome
         );
         obs.observed_sites = failpoints.observed_sites();
-        // Reconstruct the run as reference-model events (forward steps
-        // commit strictly before any compensation runs, so committed
-        // order followed by undo order is the temporal order) and let the
-        // refinement oracle replay it through the §5.1 saga model.
-        let mut model_events: Vec<Event> = report
-            .committed
-            .iter()
-            .map(|s| Event::StepCommitted { step: s.clone() })
-            .collect();
-        model_events.extend(
-            obs.compensated_steps.iter().map(|s| Event::StepCompensated { step: s.clone() }),
-        );
-        model_events.push(Event::SagaEnded {
-            completed: matches!(report.outcome, SagaOutcome::Completed),
-        });
-        obs.model_events = Some(model_events);
+        // The committed and compensated lists above replay through the
+        // §5.1 saga model once the saga's ending is reported with them.
+        obs.saga_completed = Some(matches!(report.outcome, SagaOutcome::Completed));
         obs
     }
 }

@@ -26,13 +26,12 @@ use orb::{Env, NetworkConfig, Orb, Request, RetryPolicy, SimClock, Value};
 use ots::recovery::{self, CoordinatorLocator, RECOVERY_COORDINATOR_INTERFACE};
 use ots::txlog::{txid_to_value, KIND_TX_DECISION};
 use ots::{
-    DispatchConfig, DurableKv, ProtocolJournal, RecoverableResource, RecoveryCoordinator,
-    Resource, ResolutionConfig, TransactionFactory, TxError,
+    DispatchConfig, DurableKv, RecoverableResource, RecoveryCoordinator, Resource,
+    ResolutionConfig, TransactionFactory, TxError,
 };
 use recovery_log::{FailpointSet, Lsn, MemWal, Wal};
+use telemetry::ProtocolEvent;
 
-use super::explore_two_phase::model_events_from_journal;
-use crate::model::Event;
 use crate::oracle::{Observation, RunOutcome};
 use crate::scenario::Scenario;
 use crate::schedule::{FaultEvent, FaultSchedule};
@@ -100,7 +99,7 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
     let coordinator_wal: Arc<dyn Wal> = Arc::new(MemWal::new());
     let participant_wal: Arc<dyn Wal> = Arc::new(MemWal::new());
 
-    // The participant-side black box (oracle #11): journal entries,
+    // The participant-side black box (oracle #11): protocol steps,
     // failpoint passages, partition windows and every restart land in one
     // ring on the run's virtual clock — this is the dump the explorer
     // staples to a shrunk forgetful-coordinator reproducer.
@@ -133,7 +132,7 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
     orb.add_node(PARTICIPANT_NODE).expect("add participant node");
 
     // The protocol side runs under its own context: the schedule's
-    // failpoints, mirrored (with every journal entry) into `recorder`.
+    // failpoints, mirrored (beside every protocol step) into `recorder`.
     let failpoints = FailpointSet::new();
     schedule.arm_into(&failpoints);
     let env = Env::wired(Env {
@@ -165,11 +164,9 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
         Arc::new(move |node: &str| (node == COORDINATOR_NODE).then(|| object.clone()))
     };
 
-    let journal = ProtocolJournal::new();
     let factory = TransactionFactory::with_wal(Arc::clone(&coordinator_wal))
         .with_env(env)
-        .with_dispatch(DispatchConfig::serial())
-        .with_journal(journal.clone());
+        .with_dispatch(DispatchConfig::serial());
 
     let kv_store = DurableKv::new("store", Arc::clone(&participant_wal));
     let kv_witness = DurableKv::new("witness", Arc::clone(&participant_wal));
@@ -210,7 +207,7 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
     failpoints.clear();
 
     let mut obs = Observation::new(RunOutcome::Committed);
-    let mut model_events = model_events_from_journal(&journal.events());
+    let mut model_events = recorder.steps();
 
     let decision_durable = coordinator_wal
         .scan(Lsn::new(0))
@@ -316,9 +313,10 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
             kv_witness2.store().read_committed("w")
         );
         if coordinator_crashed {
-            // The crash cut the journal short of its terminal event; the
+            // The crash cut the stream short of its terminal step; the
             // durable decision settles the direction for the model trace.
-            model_events.push(Event::TxCompleted { committed: decision_durable });
+            let closing = ProtocolEvent::TxCompleted { committed: decision_durable };
+            model_events.push((control.id().origin(), closing));
         }
         (remaining, heuristics)
     } else {

@@ -10,9 +10,9 @@
 //! the staged (unacked) tail, and the oracle proves no acked record was
 //! lost with it.
 //!
-//! Both flavours attach an [`ots::ProtocolJournal`] and report its events
-//! in the reference-model vocabulary, so the refinement oracle replays
-//! every sweep run through the presumed-abort 2PC model.
+//! Both flavours report the protocol steps their coordinator emitted — the
+//! flight recorder's typed stream — so the refinement oracle replays every
+//! sweep run through the presumed-abort 2PC model.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -20,11 +20,10 @@ use std::sync::Arc;
 use orb::pool::DispatchConfig;
 use orb::Value;
 use ots::txlog::KIND_TX_DECISION;
-use ots::{Resource, TransactionFactory, TransactionalKv, TxError};
+use ots::{Resource, TransactionFactory, TransactionalKv, TxError, TxId};
 use recovery_log::{FailpointSet, GroupCommitWal, Lsn, MemWal, Wal};
+use telemetry::ProtocolEvent;
 
-use super::explore_two_phase::model_events_from_journal;
-use crate::model::Event;
 use crate::oracle::{Observation, RunOutcome};
 use crate::scenario::Scenario;
 use crate::schedule::FaultSchedule;
@@ -68,8 +67,7 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
     };
     let failpoints = FailpointSet::new();
     schedule.arm_into(&failpoints);
-    let journal = ots::ProtocolJournal::new();
-    // The coordinator's black box (oracle #11): journal entries, failpoint
+    // The coordinator's black box (oracle #11): protocol steps, failpoint
     // passages and span open/close all land in one causally-ordered ring,
     // identically wired for both wal flavours so the byte-identity guard
     // between them keeps holding. Spans run on a virtual clock pinned at
@@ -85,8 +83,7 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
     });
     let factory = TransactionFactory::with_wal(Arc::clone(&wal))
         .with_env(env)
-        .with_dispatch(DispatchConfig::serial())
-        .with_journal(journal.clone());
+        .with_dispatch(DispatchConfig::serial());
     let store = Arc::new(TransactionalKv::new("store"));
     let witness = Arc::new(TransactionalKv::new("witness"));
 
@@ -97,17 +94,12 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
     witness.write(control.id(), "w", Value::from(2i64)).expect("write witness");
 
     let commit = control.terminator().commit();
-    let mut trace = String::new();
-    let _ = writeln!(trace, "commit: {commit:?}");
-
     let mut obs = Observation::new(RunOutcome::Committed);
-    let mut model_events = model_events_from_journal(&journal.events());
+    let _ = writeln!(obs.trace, "commit: {commit:?}");
+    obs.model_events = Some(recorder.steps());
     match commit {
         Ok(_) => {}
         Err(TxError::Log(_)) => {
-            // The injected crash. "Restart": disarm, then a fresh
-            // factory replays the surviving log.
-            failpoints.clear();
             if let Some(group) = &group {
                 // The crash kills the process: staged (unacked) records
                 // are gone; whatever was acked durable must survive. Take
@@ -124,51 +116,10 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
                         .collect(),
                 );
             }
-            let decision_durable = wal
-                .scan(Lsn::new(0))
-                .expect("scan wal")
-                .iter()
-                .any(|r| r.kind == KIND_TX_DECISION);
-            let store2 = Arc::clone(&store);
-            let witness2 = Arc::clone(&witness);
-            let resolver = move |name: &str| -> Option<Arc<dyn Resource>> {
-                match name {
-                    "store" => Some(store2.clone()),
-                    "witness" => Some(witness2.clone()),
-                    _ => None,
-                }
-            };
-            let report = TransactionFactory::with_wal(Arc::clone(&wal))
-                .recover(&resolver)
-                .expect("recovery");
-            let replayed = if report.recommitted.is_empty() {
-                RunOutcome::Aborted
-            } else {
-                RunOutcome::Committed
-            };
-            let _ = writeln!(
-                trace,
-                "recovered: recommitted={:?} presumed_aborted={:?}",
-                report.recommitted, report.presumed_aborted
-            );
-            // Replay equivalence, part two: a second incarnation over
-            // the same log must find nothing left in doubt.
-            let second = TransactionFactory::with_wal(Arc::clone(&wal))
-                .recover(&resolver)
-                .expect("second recovery");
-            obs.replay_stable =
-                Some(second.recommitted.is_empty() && second.presumed_aborted.is_empty());
-            obs.decision_durable = Some(decision_durable);
-            obs.replay_outcome = Some(replayed);
-            obs.outcome = replayed;
-            // The crash cut the journal short of its terminal event;
-            // recovery settled the direction, so close the model trace
-            // with it and let the refinement oracle hold it to §12.
-            model_events
-                .push(Event::TxCompleted { committed: replayed == RunOutcome::Committed });
+            recover_from_crash(&wal, &failpoints, &[&store, &witness], control.id(), &mut obs);
         }
         Err(other) => {
-            let _ = writeln!(trace, "non-crash failure: {other:?}");
+            let _ = writeln!(obs.trace, "non-crash failure: {other:?}");
             obs.outcome = RunOutcome::Aborted;
         }
     }
@@ -178,23 +129,62 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
         ("witness".into(), witness.read_committed("w").is_some()),
     ];
     let _ = writeln!(
-        trace,
+        obs.trace,
         "final: store={:?} witness={:?}",
         store.read_committed("k"),
         witness.read_committed("w")
     );
-    obs.trace = trace;
     obs.observed_sites = failpoints.observed_sites();
-    obs.model_events = Some(model_events);
     obs.report_recorder(&recorder);
     obs.critical_path_exact = telemetry.span_tree().critical_path().map(|path| path.is_exact());
     // Oracle #12: even a single-node run has a causal story — program
-    // order plus the 2PC protocol-order rules over the journal mirror.
+    // order plus the 2PC protocol-order rules over the recorded steps.
     let mut merge = telemetry::CausalMerge::new();
     merge.add_recorder(&recorder);
     let dag = merge.build();
     obs.report_causal(&dag);
     obs
+}
+
+/// The aftermath of an injected coordinator crash, shared by the seeded and
+/// the explored 2PC runs. "Restart": disarm, then a fresh factory (no
+/// sequencer, no recorder — recovery has no ordering freedom) replays the
+/// surviving log on behalf of `transaction`, and a second incarnation over
+/// the same log must find nothing left in doubt. Reports the replay facts
+/// and the outcome recovery settled, and closes the run's model stream —
+/// the crash cut it short of its terminal step — with that direction, so
+/// the refinement oracle holds it to §12 (a committed close without a
+/// forced decision is a divergence).
+pub(super) fn recover_from_crash(
+    wal: &Arc<dyn Wal>,
+    failpoints: &FailpointSet,
+    participants: &[&Arc<TransactionalKv>],
+    transaction: &TxId,
+    obs: &mut Observation,
+) {
+    failpoints.clear();
+    let decision_durable =
+        wal.scan(Lsn::new(0)).expect("scan wal").iter().any(|r| r.kind == KIND_TX_DECISION);
+    let resolver = |name: &str| -> Option<Arc<dyn Resource>> {
+        let found = participants.iter().find(|participant| participant.name() == name)?;
+        Some(Arc::clone(found) as Arc<dyn Resource>)
+    };
+    let report = TransactionFactory::with_wal(Arc::clone(wal)).recover(&resolver).expect("recovery");
+    let replayed =
+        if report.recommitted.is_empty() { RunOutcome::Aborted } else { RunOutcome::Committed };
+    let _ = writeln!(
+        obs.trace,
+        "recovered: recommitted={:?} presumed_aborted={:?}",
+        report.recommitted, report.presumed_aborted
+    );
+    let second =
+        TransactionFactory::with_wal(Arc::clone(wal)).recover(&resolver).expect("second recovery");
+    obs.replay_stable = Some(second.recommitted.is_empty() && second.presumed_aborted.is_empty());
+    obs.decision_durable = Some(decision_durable);
+    obs.replay_outcome = Some(replayed);
+    obs.outcome = replayed;
+    let closing = ProtocolEvent::TxCompleted { committed: replayed == RunOutcome::Committed };
+    obs.model_events.get_or_insert_with(Vec::new).push((transaction.origin(), closing));
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use activity_service::{
     ActionServant, ActivityService, BroadcastSignalSet, DispatchConfig, ExactlyOnceAction,
-    FnAction, Outcome, RemoteActionProxy, Signal, TraceLog,
+    FnAction, Outcome, RemoteActionProxy, Signal,
 };
 use orb::{Env, NetworkConfig, Orb, RetryPolicy, SimClock, Value};
 use recovery_log::{FailpointSet, MemWal, Wal};
@@ -43,10 +43,11 @@ pub(crate) fn run_workflow_with(
     // feeds oracle #7: the tree must stay well-formed on every schedule and
     // its event projection byte-identical to the coordinator trace.
     let telemetry = telemetry::Telemetry::with_time(Arc::new(clock.clone()));
-    // The coordinator's flight recorder (oracle #11): every trace event,
+    // The coordinator's flight recorder (oracle #11): every protocol step,
     // span open/close and failpoint passage lands in the ring on the same
     // virtual clock, so its fingerprint must be bit-identical across the
-    // determinism oracle's double runs.
+    // determinism oracle's double runs. The coordinator trace is read back
+    // from it; no sweep schedule makes the ring wrap.
     let recorder = telemetry::FlightRecorder::with_time(
         "coordinator",
         telemetry::DEFAULT_RECORDER_CAPACITY,
@@ -101,8 +102,6 @@ pub(crate) fn run_workflow_with(
     }
     let activity = service.begin("billing-run").expect("begin activity");
     activity.coordinator().set_dispatch_config(DispatchConfig::serial());
-    let trace = TraceLog::new();
-    activity.coordinator().set_trace(trace.clone());
     activity
         .coordinator()
         .add_signal_set(Box::new(BroadcastSignalSet::new("Bill", "charge", Value::U64(25))))
@@ -141,12 +140,11 @@ pub(crate) fn run_workflow_with(
         min,
         max,
     }];
-    obs.trace = trace.render();
+    obs.trace = super::coordinator_trace(&recorder.steps(), activity.id());
     let span_tree = telemetry.span_tree();
     obs.span_wellformed = Some(span_tree.verify());
     obs.span_projection = Some(span_tree.coordinator_projection());
     obs.span_fingerprint = Some(span_tree.fingerprint());
-    obs.trace_log_events = Some(trace.events().iter().map(ToString::to_string).collect());
     obs.report_recorder(&recorder);
     obs.critical_path_exact = span_tree.critical_path().map(|path| path.is_exact());
     obs.observed_sites = failpoints.observed_sites();

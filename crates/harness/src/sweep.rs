@@ -6,6 +6,7 @@
 use crate::oracle::{self, Observation, Violation};
 use crate::scenario::Scenario;
 use crate::schedule::{self, FaultSchedule, ScheduleSpace};
+use telemetry::{fnv1a, FNV_OFFSET};
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -120,35 +121,23 @@ pub struct SweepReport {
     pub failures: Vec<FailureReport>,
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a fold, shared by the sweep and enumeration fingerprints.
-pub(crate) fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 fn fingerprint_run(hash: u64, seed: u64, obs: &Observation, violations: usize) -> u64 {
-    let mut hash = fnv_fold(hash, &seed.to_le_bytes());
-    hash = fnv_fold(hash, &[obs.outcome as u8, violations as u8]);
-    hash = fnv_fold(hash, obs.trace.as_bytes());
+    let mut hash = fnv1a(hash, &seed.to_le_bytes());
+    hash = fnv1a(hash, &[obs.outcome as u8, violations as u8]);
+    hash = fnv1a(hash, obs.trace.as_bytes());
     for (name, committed) in &obs.participant_commits {
-        hash = fnv_fold(hash, name.as_bytes());
-        hash = fnv_fold(hash, &[u8::from(*committed)]);
+        hash = fnv1a(hash, name.as_bytes());
+        hash = fnv1a(hash, &[u8::from(*committed)]);
     }
     for effect in &obs.effects {
-        hash = fnv_fold(hash, effect.action.as_bytes());
-        hash = fnv_fold(hash, &effect.observed.to_le_bytes());
+        hash = fnv1a(hash, effect.action.as_bytes());
+        hash = fnv1a(hash, &effect.observed.to_le_bytes());
     }
     if let Some(recorder) = obs.recorder_fingerprint {
-        hash = fnv_fold(hash, &recorder.to_le_bytes());
+        hash = fnv1a(hash, &recorder.to_le_bytes());
     }
     if let Some(causal) = obs.causal_fingerprint {
-        hash = fnv_fold(hash, &causal.to_le_bytes());
+        hash = fnv1a(hash, &causal.to_le_bytes());
     }
     hash
 }

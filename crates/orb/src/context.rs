@@ -13,8 +13,6 @@ use crate::value::{Value, ValueMap};
 
 /// Well-known service-context id used by the Activity Service.
 pub const ACTIVITY_SERVICE_CONTEXT: &str = "ActivityService";
-/// Well-known service-context id used by the Object Transaction Service.
-pub const TRANSACTION_SERVICE_CONTEXT: &str = "TransactionService";
 
 /// A set of named, dynamically typed context entries attached to a request.
 ///

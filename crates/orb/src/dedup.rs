@@ -121,20 +121,12 @@ impl DedupWindow {
 pub struct DedupServant {
     inner: Arc<dyn Servant>,
     window: Arc<DedupWindow>,
-    hits: Mutex<Option<telemetry::Counter>>,
 }
 
 impl DedupServant {
     /// Guard `inner` with `window`.
     pub fn new(inner: Arc<dyn Servant>, window: Arc<DedupWindow>) -> Self {
-        DedupServant { inner, window, hits: Mutex::new(None) }
-    }
-
-    /// Count memo replays as `dedup_hits_total` in the given recorder's
-    /// metrics registry (the counter handle is pre-resolved, so the hit
-    /// path costs one atomic add).
-    pub fn set_telemetry(&self, telemetry: &telemetry::Telemetry) {
-        *self.hits.lock() = Some(telemetry.metrics().counter("dedup_hits_total"));
+        DedupServant { inner, window }
     }
 
     /// The shared window (receivers seed it at recovery time).
@@ -149,9 +141,6 @@ impl Servant for DedupServant {
             return self.inner.dispatch(request);
         };
         if let Some(memo) = self.window.lookup(id) {
-            if let Some(hits) = self.hits.lock().as_ref() {
-                hits.incr();
-            }
             return Ok(memo);
         }
         let result = self.inner.dispatch(request)?;

@@ -21,7 +21,7 @@ use std::fmt::{self, Display};
 use std::sync::Arc;
 
 use recovery_log::{FailpointSet, LogError};
-use telemetry::{CausalityPlane, FlightRecorder, Journal, RecordKind, SpanContext, Telemetry};
+use telemetry::{CausalityPlane, FlightRecorder, Origin, ProtocolEvent, SpanContext, Telemetry};
 
 use crate::choice::DeliverySequencer;
 use crate::clock::SimClock;
@@ -62,17 +62,18 @@ pub struct Env {
     /// `vote:` / `phase2` children, `twopc_vote_latency_seconds` and
     /// `twopc_commits_total` / `twopc_aborts_total`; a protocol run becomes
     /// a `signal_set:` span with one `transmit:` child per delivery, each
-    /// fig. 5 trace event doubling as a span event with the exact
-    /// `TraceEvent` text (what lets oracle #7 pin the span tree to the
-    /// trace log); `begin`/`complete` pairs become nested `activity:`
+    /// fig. 5 step doubling as a span event with the step's exact text
+    /// (what lets oracle #7 pin the span tree to the recorded trace);
+    /// `begin`/`complete` pairs become nested `activity:`
     /// spans; a workflow run a `workflow:` span with one `task:` child per
     /// finished task (tagged with attempts and outcome) and one
     /// `compensate:` child per compensation.
     pub telemetry: Option<Telemetry>,
-    /// The node's flight recorder: every typed protocol event (kinds
-    /// `trace`, `protocol`, `activity`) is mirrored into it at its emission
-    /// site, whether or not a typed journal is attached, next to span
-    /// open/close, failpoint passages and detector transitions.
+    /// The node's flight recorder, which is also the protocols' one
+    /// journal: every step [`Env::emit`] is given is kept in it, typed and
+    /// with its origin, next to span open/close, failpoint passages and
+    /// detector transitions. Give it a capacity that never evicts
+    /// (`usize::MAX`) to read back a whole run.
     pub recorder: Option<FlightRecorder>,
     /// The cross-node causal plane: an ORB built under this context stamps
     /// every request and reply with Lamport clocks and records
@@ -177,26 +178,13 @@ impl Env {
         SpanGuard { live, entered: true }
     }
 
-    /// Emit one typed protocol event from its source: mirror it into the
-    /// flight recorder under `kind` (rendered with `Display`), then append
-    /// it to the caller's typed `sink`. The event is only built when one of
-    /// the two will take it.
-    pub fn emit<E: Clone + Display>(
-        &self,
-        kind: RecordKind,
-        sink: Option<&Journal<E>>,
-        event: impl FnOnce() -> E,
-    ) {
-        let recorder = self.recorder.as_ref().filter(|recorder| recorder.is_enabled());
-        if sink.is_none() && recorder.is_none() {
-            return;
-        }
-        let event = event();
-        if let Some(recorder) = recorder {
-            recorder.record(kind, || event.to_string());
-        }
-        if let Some(sink) = sink {
-            sink.record(event);
+    /// Emit one protocol step from its source, with whose it is: the only
+    /// way a step is written down. It goes, typed, into the flight recorder
+    /// (its kind label follows from the variant); with no recorder, or a
+    /// gated-off one, `step` is never called and nothing is built.
+    pub fn emit(&self, step: impl FnOnce() -> (Origin, ProtocolEvent)) {
+        if let Some(recorder) = &self.recorder {
+            recorder.record_step(step);
         }
     }
 }
@@ -262,17 +250,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn emit_mirrors_before_it_appends_and_skips_unwanted_events() {
-        let sink: Journal<String> = Journal::new();
-        // No recorder, no sink: the event is never built.
-        Env::new().emit(RecordKind::Trace, None::<&Journal<String>>, || unreachable!());
-
-        let recorder = FlightRecorder::new("n", 8);
+    fn emit_keeps_the_typed_step_and_builds_nothing_unheard() {
+        // No recorder, or one gated off: the step is never built.
+        Env::new().emit(|| unreachable!());
+        let recorder = FlightRecorder::disabled("n", 8);
         let env = Env { recorder: Some(recorder.clone()), ..Env::default() }.wired();
-        env.emit(RecordKind::Protocol, Some(&sink), || "decided".to_owned());
-        env.emit(RecordKind::Protocol, None::<&Journal<String>>, || "unsunk".to_owned());
-        assert_eq!(sink.events(), vec!["decided"]);
-        assert_eq!(recorder.details_of_kind(RecordKind::Protocol), vec!["decided", "unsunk"]);
+        env.emit(|| unreachable!());
+
+        recorder.set_enabled(true);
+        let origin = Origin::Transaction { top: 1, branch: vec![0] };
+        let decided = ProtocolEvent::DecisionForced { commit: true };
+        env.emit(|| (origin.clone(), decided.clone()));
+        assert_eq!(recorder.steps(), vec![(origin, decided)]);
+        assert_eq!(
+            recorder.events()[0].render(),
+            "#0    @         0us L1     protocol decision_forced(commit=true)"
+        );
     }
 
     #[test]

@@ -329,16 +329,6 @@ impl SimulatedNetwork {
         self.record_partition_duration(until.saturating_sub(from));
     }
 
-    /// Drop every scheduled partition window (active or not).
-    pub fn clear_partitions(&self) {
-        self.windows.write().clear();
-    }
-
-    /// The scheduled partition windows, in insertion order.
-    pub fn partition_windows(&self) -> Vec<PartitionWindow> {
-        self.windows.read().clone()
-    }
-
     /// Whether a message from `from` can currently reach `to`: both the
     /// manual partition groups and any clock-active scheduled window must
     /// agree the pair is connected.

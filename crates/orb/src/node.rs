@@ -346,20 +346,6 @@ impl Orb {
         self.inner.invoke_from(&from.into(), object, &mut request)
     }
 
-    /// One-way (fire-and-forget) invocation: the request leg goes through
-    /// the network and the servant runs, but no reply is awaited — the
-    /// CORBA `oneway` semantics. Returns whether the request was delivered
-    /// at all (a dropped or partitioned request is reported, since the
-    /// simulation knows; a real ORB would not).
-    pub fn invoke_oneway(
-        &self,
-        from: impl Into<Arc<str>>,
-        object: &ObjectRef,
-        request: Request,
-    ) -> bool {
-        self.inner.invoke_oneway(&from.into(), object, request)
-    }
-
     /// Invoke under an explicit [`RetryPolicy`] and optional absolute
     /// virtual-time `deadline` (the composition point for
     /// `Activity::set_timeout`: pass the activity's deadline and the retry
@@ -444,45 +430,6 @@ impl OrbInner {
     fn prepare_request(&self, from: &Arc<str>, object: &ObjectRef, request: &mut Request) {
         self.stamp_delivery_id(from, request);
         request.set_route(Arc::clone(from), Arc::clone(object.shared_node()));
-    }
-
-    fn invoke_oneway(&self, from: &Arc<str>, object: &ObjectRef, mut request: Request) -> bool {
-        self.prepare_request(from, object, &mut request);
-        let client_interceptors = snapshot(&self.client_interceptors);
-        for (ran, ci) in client_interceptors.iter().enumerate() {
-            if let Err(e) = ci.send_request(&mut request) {
-                notify_exception(&client_interceptors[..ran], &request, &e);
-                return false;
-            }
-        }
-        let result = self.oneway_transport(from, object, &request);
-        match result {
-            Ok(()) => {
-                // No reply leg exists for a oneway; `receive_reply` fires
-                // with a synthetic local reply so per-request interceptor
-                // state (e.g. the span opened in `send_request`) closes.
-                let mut scratch = Reply::new(Value::Null);
-                for ci in client_interceptors.iter().rev() {
-                    ci.receive_reply(&request, &mut scratch);
-                }
-                true
-            }
-            Err(e) => {
-                notify_exception(&client_interceptors, &request, &e);
-                false
-            }
-        }
-    }
-
-    fn oneway_transport(
-        &self,
-        from: &str,
-        object: &ObjectRef,
-        request: &Request,
-    ) -> Result<(), OrbError> {
-        let servant = self.locate(object)?;
-        let copies = self.leg(from, object.node(), request)?;
-        self.serve(servant.as_ref(), request, copies).map(|_| ())
     }
 
     /// The servant behind `object`.
@@ -971,6 +918,14 @@ mod tests {
         assert_eq!(telemetry.span_count(), 0);
     }
 
+    fn wire_details(
+        recorder: &telemetry::FlightRecorder,
+        leg: telemetry::RecordKind,
+    ) -> Vec<String> {
+        let events = recorder.events();
+        events.iter().filter(|e| e.kind() == leg).map(telemetry::RecordedEvent::detail).collect()
+    }
+
     #[test]
     fn causal_plane_stamps_wire_events_end_to_end() {
         use telemetry::{CausalityPlane, FlightRecorder, RecordKind};
@@ -988,8 +943,8 @@ mod tests {
 
         // Four wire events: a sends, b receives, b sends the reply, a
         // receives it — two matched edges, each advancing the clock.
-        let sends_a = rec_a.details_of_kind(RecordKind::WireSend);
-        let recvs_b = rec_b.details_of_kind(RecordKind::WireRecv);
+        let sends_a = wire_details(&rec_a, RecordKind::WireSend);
+        let recvs_b = wire_details(&rec_b, RecordKind::WireRecv);
         assert_eq!(sends_a.len(), 1, "{sends_a:?}");
         assert_eq!(recvs_b.len(), 1, "{recvs_b:?}");
         assert_eq!(sends_a[0], recvs_b[0], "send and recv share token + route detail");
@@ -1024,8 +979,8 @@ mod tests {
         assert_eq!(reply.deliveries, 2);
         // Two receives of the one send (same token), two reply sends of
         // which only the first matched the caller's receive.
-        assert_eq!(rec.details_of_kind(RecordKind::WireRecv).len(), 2);
-        assert_eq!(rec.details_of_kind(RecordKind::WireSend).len(), 2);
+        assert_eq!(wire_details(&rec, RecordKind::WireRecv).len(), 2);
+        assert_eq!(wire_details(&rec, RecordKind::WireSend).len(), 2);
         let dag = plane.merge().build();
         assert!(dag.verify().is_empty(), "{:?}", dag.verify());
     }
@@ -1080,73 +1035,5 @@ mod tests {
         let orb2 = orb.clone();
         orb.add_node("n").unwrap();
         assert!(orb2.node("n").is_ok());
-    }
-}
-
-#[cfg(test)]
-mod oneway_tests {
-    use super::*;
-    use crate::value::Value;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn oneway_executes_without_a_reply_leg() {
-        let orb = Orb::new();
-        let node = orb.add_node("server").unwrap();
-        let hits = Arc::new(AtomicU32::new(0));
-        let hits2 = Arc::clone(&hits);
-        let obj = node
-            .activate("Notify", move |_r: &Request| {
-                hits2.fetch_add(1, Ordering::SeqCst);
-                Ok(Value::Null)
-            })
-            .unwrap();
-        assert!(orb.invoke_oneway(EXTERNAL_CALLER, &obj, Request::new("fire")));
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-        // Exactly one network message: the request leg only.
-        assert_eq!(orb.network().stats().sent, 1);
-    }
-
-    #[test]
-    fn oneway_reports_undeliverable_requests() {
-        let orb = Orb::builder().network(NetworkConfig::lossy(1.0, 0.0, 3)).build();
-        let node = orb.add_node("server").unwrap();
-        let obj = node.activate("N", |_r: &Request| Ok(Value::Null)).unwrap();
-        assert!(!orb.invoke_oneway(EXTERNAL_CALLER, &obj, Request::new("fire")));
-
-        let orb2 = Orb::new();
-        let node2 = orb2.add_node("server").unwrap();
-        let obj2 = node2.activate("N", |_r: &Request| Ok(Value::Null)).unwrap();
-        orb2.network().partition(&[&["server"], &["island"]]);
-        assert!(!orb2.invoke_from_oneway_helper(&obj2));
-        // Unknown objects are also reported.
-        node2.deactivate(&obj2);
-        orb2.network().heal();
-        assert!(!orb2.invoke_oneway(EXTERNAL_CALLER, &obj2, Request::new("fire")));
-    }
-
-    #[test]
-    fn oneway_duplication_runs_servant_twice() {
-        let orb = Orb::builder().network(NetworkConfig::lossy(0.0, 1.0, 4)).build();
-        let node = orb.add_node("server").unwrap();
-        let hits = Arc::new(AtomicU32::new(0));
-        let hits2 = Arc::clone(&hits);
-        let obj = node
-            .activate("N", move |_r: &Request| {
-                hits2.fetch_add(1, Ordering::SeqCst);
-                Ok(Value::Null)
-            })
-            .unwrap();
-        assert!(orb.invoke_oneway(EXTERNAL_CALLER, &obj, Request::new("fire")));
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
-    }
-}
-
-#[cfg(test)]
-impl Orb {
-    /// Test helper: a oneway from an isolated partition.
-    fn invoke_from_oneway_helper(&self, obj: &ObjectRef) -> bool {
-        self.invoke_oneway("island", obj, Request::new("fire"))
     }
 }

@@ -25,22 +25,10 @@
 
 use std::time::Duration;
 
+use telemetry::{fnv1a, FNV_OFFSET};
+
 use crate::clock::SimClock;
 use crate::error::OrbError;
-
-/// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut hash = seed;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// How a single logical request is retried across transport failures.
 ///

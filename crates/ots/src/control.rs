@@ -61,7 +61,6 @@ mod tests {
             orb::Env::new(),
             None,
             orb::pool::DispatchConfig::default(),
-            None,
         );
         let control = Control::new(c);
         assert_eq!(control.id(), &TxId::top_level(4));

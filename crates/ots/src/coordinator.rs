@@ -36,10 +36,9 @@ use orb::pool::{DispatchConfig, Round};
 use orb::{Env, SpanGuard};
 use parking_lot::Mutex;
 use recovery_log::Wal;
-use telemetry::RecordKind;
+use telemetry::{ProtocolEvent, VoteKind};
 
 use crate::error::TxError;
-use crate::journal::{ProtocolJournal, TwoPcEvent, VoteKind};
 use crate::resource::{Resource, SubtransactionAwareResource, Synchronization, Vote};
 use crate::status::TxStatus;
 use crate::txlog;
@@ -98,7 +97,6 @@ pub struct Coordinator {
     /// The factory's context, shared by every subtransaction: clock,
     /// failpoints, failure detector, telemetry, recorder, sequencer.
     env: Arc<Env>,
-    journal: Option<ProtocolJournal>,
 }
 
 impl std::fmt::Debug for Coordinator {
@@ -120,7 +118,6 @@ impl Coordinator {
         env: Arc<Env>,
         deadline: Option<Duration>,
         dispatch: DispatchConfig,
-        journal: Option<ProtocolJournal>,
     ) -> Arc<Self> {
         Arc::new(Coordinator {
             id,
@@ -129,7 +126,6 @@ impl Coordinator {
             wal,
             dispatch,
             env,
-            journal,
         })
     }
 
@@ -140,10 +136,10 @@ impl Coordinator {
         &self.env
     }
 
-    /// Emit one protocol step: prepare/vote, the forced decision, phase-two
-    /// deliveries, forgets and the terminal state.
-    fn journal(&self, event: impl FnOnce() -> TwoPcEvent) {
-        self.env.emit(RecordKind::Protocol, self.journal.as_ref(), event);
+    /// Emit one protocol step of this transaction: prepare/vote, the forced
+    /// decision, phase-two deliveries, forgets and the terminal state.
+    fn journal(&self, event: impl FnOnce() -> ProtocolEvent) {
+        self.env.emit(|| (self.id.origin(), event()));
     }
 
     /// How participant fan-out (prepare / commit / rollback) is scheduled.
@@ -228,7 +224,7 @@ impl Coordinator {
         let results =
             self.round("rollback", resources, |resource, id| resource.rollback(id).is_ok(), |ok| *ok);
         for (resource, ok) in resources.iter().zip(results) {
-            self.journal(|| TwoPcEvent::OutcomeDelivered {
+            self.journal(|| ProtocolEvent::OutcomeDelivered {
                 participant: resource.resource_name().to_owned(),
                 commit: false,
                 ok,
@@ -359,7 +355,6 @@ impl Coordinator {
             wal: self.wal.clone(),
             dispatch: self.dispatch,
             env: Arc::clone(&self.env),
-            journal: self.journal.clone(),
         });
         inner.children.push(Arc::clone(&child));
         Ok(child)
@@ -535,7 +530,7 @@ impl Coordinator {
         self.deliver("prepare", &resources, |resource, id| resource.prepare(id), |index, take| {
             let resource = &resources[index];
             let vote_started = self.env.clock.now();
-            self.journal(|| TwoPcEvent::PrepareSent {
+            self.journal(|| ProtocolEvent::PrepareSent {
                 participant: resource.resource_name().to_owned(),
             });
             // Per-vote child span under `prepare`: the critical-path walk
@@ -555,9 +550,14 @@ impl Coordinator {
                     Err(_) => detector.record_failure(resource.resource_name()),
                 }
             }
-            self.journal(|| TwoPcEvent::VoteRecorded {
+            self.journal(|| ProtocolEvent::VoteRecorded {
                 participant: resource.resource_name().to_owned(),
-                vote: VoteKind::from_answer(&answer),
+                vote: match &answer {
+                    Ok(Vote::Commit) => VoteKind::Commit,
+                    Ok(Vote::ReadOnly) => VoteKind::ReadOnly,
+                    Ok(Vote::Rollback) => VoteKind::Rollback,
+                    Err(_) => VoteKind::Failed,
+                },
             });
             if let Some(seq) = &self.env.sequencer {
                 let clean = matches!(answer, Ok(Vote::Commit) | Ok(Vote::ReadOnly));
@@ -588,7 +588,7 @@ impl Coordinator {
         if prepared.is_empty() {
             // Everybody read-only: committed with no phase two, no log.
             self.set_status(TxStatus::Committed);
-            self.journal(|| TwoPcEvent::Completed { committed: true });
+            self.journal(|| ProtocolEvent::TxCompleted { committed: true });
             for sync in &synchronizations {
                 sync.after_completion(&self.id, TxStatus::Committed);
             }
@@ -613,7 +613,7 @@ impl Coordinator {
             // presumed abort re-derives it on replay.
             txlog::log_decision_commit(wal.as_ref(), &self.id)?;
         }
-        self.journal(|| TwoPcEvent::DecisionForced { commit: true });
+        self.journal(|| ProtocolEvent::DecisionForced { commit: true });
         self.env.hit(failpoints::AFTER_DECISION)?;
 
         // Phase two. The decision is durable, so the commit deliveries are
@@ -637,13 +637,13 @@ impl Coordinator {
         );
         for (resource, heuristic) in prepared.iter().zip(&deliveries) {
             let ok = heuristic.is_none();
-            self.journal(|| TwoPcEvent::OutcomeDelivered {
+            self.journal(|| ProtocolEvent::OutcomeDelivered {
                 participant: resource.resource_name().to_owned(),
                 commit: true,
                 ok,
             });
             if ok {
-                self.journal(|| TwoPcEvent::Forgotten {
+                self.journal(|| ProtocolEvent::Forgotten {
                     participant: resource.resource_name().to_owned(),
                 });
             }
@@ -730,7 +730,9 @@ impl Coordinator {
             if let Some(wal) = &self.wal {
                 let _ = txlog::log_completed(wal.as_ref(), &self.id, status);
             }
-            self.journal(|| TwoPcEvent::Completed { committed: status == TxStatus::Committed });
+            self.journal(|| ProtocolEvent::TxCompleted {
+                committed: status == TxStatus::Committed,
+            });
         }
         for sync in synchronizations {
             sync.after_completion(&self.id, status);
@@ -754,14 +756,13 @@ mod tests {
             Env::new(),
             None,
             DispatchConfig::default(),
-            None,
         )
     }
 
     /// A log-less coordinator under `env`, as a factory built
     /// `with_env(env).with_dispatch(dispatch)` would create it.
     fn top_in(env: Env, dispatch: DispatchConfig) -> Arc<Coordinator> {
-        Coordinator::new_top_level(TxId::top_level(1), None, env.wired(), None, dispatch, None)
+        Coordinator::new_top_level(TxId::top_level(1), None, env.wired(), None, dispatch)
     }
 
     fn traced(tel: &Telemetry) -> Arc<Coordinator> {
@@ -836,6 +837,66 @@ mod tests {
         let names: Vec<&str> = tree.spans().iter().map(|s| s.name.as_str()).collect();
         assert!(names.contains(&"commit:tx-1.0"));
         assert_eq!(tel.metrics().counter_value("twopc_commits_total"), 1);
+    }
+
+    #[test]
+    fn every_prepare_answer_is_recorded_as_its_vote_kind() {
+        struct Unreachable;
+        impl Resource for Unreachable {
+            fn prepare(&self, tx: &TxId) -> Result<Vote, TxError> {
+                Err(TxError::Heuristic { tx: tx.clone(), detail: "unreachable".into() })
+            }
+            fn commit(&self, _tx: &TxId) -> Result<(), TxError> {
+                Ok(())
+            }
+            fn rollback(&self, _tx: &TxId) -> Result<(), TxError> {
+                Ok(())
+            }
+            fn resource_name(&self) -> &str {
+                "failed"
+            }
+        }
+        let recorder = telemetry::FlightRecorder::new("test", usize::MAX);
+        let env = Env { recorder: Some(recorder.clone()), ..Default::default() };
+        // Width 1 asks in registration order and stops at the first veto.
+        let c = top_in(env, DispatchConfig::serial());
+        c.register_resource(ScriptedResource::voting("commit", Vote::Commit)).unwrap();
+        c.register_resource(ScriptedResource::voting("read-only", Vote::ReadOnly)).unwrap();
+        c.register_resource(Arc::new(Unreachable)).unwrap();
+        c.register_resource(ScriptedResource::voting("rollback", Vote::Rollback)).unwrap();
+        assert!(c.commit(true).is_err());
+        // …and a second transaction, whose veto is an answer rather than an error.
+        let c2 = Coordinator::new_top_level(
+            TxId::top_level(2),
+            None,
+            Arc::clone(c.env()),
+            None,
+            DispatchConfig::serial(),
+        );
+        c2.register_resource(ScriptedResource::voting("rollback", Vote::Rollback)).unwrap();
+        c2.register_resource(ScriptedResource::voting("never", Vote::Commit)).unwrap();
+        assert!(c2.commit(true).is_err());
+
+        let votes: Vec<(telemetry::Origin, String, VoteKind)> = recorder
+            .steps()
+            .into_iter()
+            .filter_map(|(origin, step)| match step {
+                ProtocolEvent::VoteRecorded { participant, vote } => {
+                    Some((origin, participant, vote))
+                }
+                _ => None,
+            })
+            .collect();
+        let (first, second) = (c.id().origin(), c2.id().origin());
+        assert_eq!(
+            votes,
+            vec![
+                (first.clone(), "commit".to_owned(), VoteKind::Commit),
+                (first.clone(), "read-only".to_owned(), VoteKind::ReadOnly),
+                (first, "failed".to_owned(), VoteKind::Failed),
+                (second, "rollback".to_owned(), VoteKind::Rollback),
+            ]
+        );
     }
 
     #[test]
@@ -1074,7 +1135,6 @@ mod tests {
             Env::new(),
             None,
             DispatchConfig::default(),
-            None,
         );
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
         c.register_resource(ScriptedResource::voting("b", Vote::Commit)).unwrap();
@@ -1098,7 +1158,6 @@ mod tests {
             Env { failpoints: Some(failpoints), ..Default::default() }.wired(),
             None,
             DispatchConfig::default(),
-            None,
         );
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
         c.register_resource(ScriptedResource::voting("b", Vote::Commit)).unwrap();
@@ -1118,7 +1177,6 @@ mod tests {
             Env::with_clock(clock.clone()),
             Some(Duration::from_secs(1)),
             DispatchConfig::default(),
-            None,
         );
         c.register_resource(ScriptedResource::voting("r", Vote::Commit)).unwrap();
         clock.advance(Duration::from_secs(2));

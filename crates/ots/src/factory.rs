@@ -13,7 +13,6 @@ use recovery_log::Wal;
 use crate::control::Control;
 use crate::coordinator::Coordinator;
 use crate::error::TxError;
-use crate::journal::ProtocolJournal;
 use crate::txlog::{self, ParticipantResolver, TxRecoveryReport};
 use crate::xid::TxId;
 
@@ -27,7 +26,6 @@ pub struct TransactionFactory {
     wal: Option<Arc<dyn Wal>>,
     env: Arc<Env>,
     dispatch: DispatchConfig,
-    journal: Option<ProtocolJournal>,
     inflight: RwLock<HashMap<TxId, Arc<Coordinator>>>,
 }
 
@@ -55,7 +53,6 @@ impl TransactionFactory {
             wal: None,
             env: Env::new(),
             dispatch: DispatchConfig::default(),
-            journal: None,
             inflight: RwLock::new(HashMap::new()),
         }
     }
@@ -83,14 +80,6 @@ impl TransactionFactory {
     #[must_use]
     pub fn with_dispatch(mut self, dispatch: DispatchConfig) -> Self {
         self.dispatch = dispatch;
-        self
-    }
-
-    /// Attach a [`ProtocolJournal`]: every coordinator this factory creates
-    /// (and its subtransactions) records its protocol steps into it.
-    #[must_use]
-    pub fn with_journal(mut self, journal: ProtocolJournal) -> Self {
-        self.journal = Some(journal);
         self
     }
 
@@ -124,7 +113,6 @@ impl TransactionFactory {
             Arc::clone(&self.env),
             deadline,
             self.dispatch,
-            self.journal.clone(),
         );
         self.inflight.write().insert(id, Arc::clone(&coordinator));
         Ok(Control::new(coordinator))

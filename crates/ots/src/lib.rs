@@ -12,7 +12,6 @@
 //!   [`coordinator::Coordinator`] / [`terminator::Terminator`] handed out by
 //!   a [`factory::TransactionFactory`];
 //! * [`resource::Resource`] and [`resource::Synchronization`] participants;
-//! * a thread-associated [`current::Current`] for implicit demarcation;
 //! * durable **decision logging** and crash recovery ([`txlog`]) over the
 //!   `recovery-log` crate;
 //! * a [`lockmgr::LockManager`] and a transactional key-value store
@@ -48,11 +47,9 @@
 
 pub mod control;
 pub mod coordinator;
-pub mod current;
 pub mod durable;
 pub mod error;
 pub mod factory;
-pub mod journal;
 pub mod lockmgr;
 pub mod memres;
 pub mod recovery;
@@ -65,11 +62,9 @@ pub mod xid;
 pub use control::Control;
 pub use orb::pool::DispatchConfig;
 pub use coordinator::{failpoints, Coordinator};
-pub use current::Current;
 pub use durable::DurableKv;
 pub use error::TxError;
 pub use factory::TransactionFactory;
-pub use journal::{ProtocolJournal, TwoPcEvent, VoteKind};
 pub use lockmgr::{LockManager, LockMode, WaitDie};
 pub use memres::TransactionalKv;
 pub use recovery::{

@@ -66,9 +66,6 @@ pub struct LockManager {
     locks: Mutex<HashMap<String, LockState>>,
     stats: Mutex<LockStats>,
     clock: SimClock,
-    /// Pre-resolved `lock_acquired_total` / `lock_conflicts_total` counter
-    /// handles, mirroring [`LockStats`] into the telemetry registry.
-    counters: Mutex<Option<(telemetry::Counter, telemetry::Counter)>>,
 }
 
 impl Default for LockManager {
@@ -84,31 +81,15 @@ impl LockManager {
             locks: Mutex::new(HashMap::new()),
             stats: Mutex::new(LockStats::default()),
             clock,
-            counters: Mutex::new(None),
         }
-    }
-
-    /// Mirror grant/conflict counts into `telemetry`'s metrics registry as
-    /// `lock_acquired_total` and `lock_conflicts_total`.
-    pub fn set_telemetry(&self, telemetry: &telemetry::Telemetry) {
-        *self.counters.lock() = Some((
-            telemetry.metrics().counter("lock_acquired_total"),
-            telemetry.metrics().counter("lock_conflicts_total"),
-        ));
     }
 
     fn count_acquired(&self) {
         self.stats.lock().acquired += 1;
-        if let Some((acquired, _)) = self.counters.lock().as_ref() {
-            acquired.incr();
-        }
     }
 
     fn count_conflict(&self) {
         self.stats.lock().conflicts += 1;
-        if let Some((_, conflicts)) = self.counters.lock().as_ref() {
-            conflicts.incr();
-        }
     }
 
     /// Try to acquire `key` in `mode` on behalf of `tx`.

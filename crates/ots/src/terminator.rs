@@ -29,15 +29,6 @@ impl Terminator {
         self.coordinator.commit(true)
     }
 
-    /// Commit, swallowing heuristic hazards.
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::commit`].
-    pub fn commit_quietly(&self) -> Result<TxOutcome, TxError> {
-        self.coordinator.commit(false)
-    }
-
     /// Roll back.
     ///
     /// # Errors
@@ -62,7 +53,6 @@ mod tests {
             orb::Env::new(),
             None,
             orb::pool::DispatchConfig::default(),
-            None,
         );
         let t = Terminator::new(Arc::clone(&c));
         assert_eq!(t.commit().unwrap(), TxOutcome::Committed);
@@ -77,7 +67,6 @@ mod tests {
             orb::Env::new(),
             None,
             orb::pool::DispatchConfig::default(),
-            None,
         );
         let t = Terminator::new(Arc::clone(&c));
         assert_eq!(t.rollback().unwrap(), TxOutcome::RolledBack);

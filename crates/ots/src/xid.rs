@@ -77,6 +77,11 @@ impl TxId {
     pub fn branch(&self) -> &[u32] {
         &self.branch
     }
+
+    /// This transaction as the origin of the protocol steps it emits.
+    pub fn origin(&self) -> telemetry::Origin {
+        telemetry::Origin::Transaction { top: self.top, branch: self.branch.clone() }
+    }
 }
 
 impl fmt::Display for TxId {

@@ -1,12 +1,11 @@
 //! Checkpointing: bounding replay work by recording a stable prefix.
 //!
 //! A checkpoint is itself a log record (kind [`CHECKPOINT_KIND`]) whose
-//! payload is a component-provided snapshot. Replay then starts from the
-//! last checkpoint instead of the log head, and the prefix before it can be
+//! payload is a component-provided snapshot; the prefix before it can be
 //! compacted away.
 
 use crate::error::LogError;
-use crate::record::{LogRecord, Lsn};
+use crate::record::Lsn;
 use crate::wal::Wal;
 
 /// Reserved record kind for checkpoints. Component kind spaces must avoid it.
@@ -31,67 +30,10 @@ pub fn take_checkpoint(wal: &dyn Wal, snapshot: &[u8], compact: bool) -> Result<
     Ok(lsn)
 }
 
-/// Locate the most recent checkpoint record in the log, cloning only that
-/// one record (its snapshot payload) — the zero-copy path replay uses
-/// before streaming the tail with [`Wal::scan_with`].
-///
-/// # Errors
-///
-/// Propagates scan failures from the log.
-pub fn latest_checkpoint_record(wal: &dyn Wal) -> Result<Option<LogRecord>, LogError> {
-    let mut checkpoint: Option<LogRecord> = None;
-    wal.scan_with(Lsn::new(0), &mut |record| {
-        if record.kind == CHECKPOINT_KIND {
-            checkpoint = Some(record.clone());
-        }
-        Ok(())
-    })?;
-    Ok(checkpoint)
-}
-
-/// Locate the most recent checkpoint in the log, returning the checkpoint
-/// record (with its snapshot payload) and the records after it.
-///
-/// When no checkpoint exists, returns `None` and the full record list.
-/// Callers that only need to *visit* the tail should prefer
-/// [`latest_checkpoint_record`] + [`Wal::scan_with`], which clone nothing
-/// but the snapshot.
-///
-/// # Errors
-///
-/// Propagates scan failures from the log.
-pub fn latest_checkpoint(
-    wal: &dyn Wal,
-) -> Result<(Option<LogRecord>, Vec<LogRecord>), LogError> {
-    match latest_checkpoint_record(wal)? {
-        Some(cp) => {
-            let tail = wal.scan(cp.lsn.next())?;
-            Ok((Some(cp), tail))
-        }
-        None => Ok((None, wal.scan(Lsn::new(0))?)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wal::MemWal;
-
-    #[test]
-    fn checkpoint_splits_log() {
-        let wal = MemWal::new();
-        wal.append(1, b"a").unwrap();
-        wal.append(1, b"b").unwrap();
-        let cp = take_checkpoint(&wal, b"snapshot-1", false).unwrap();
-        wal.append(1, b"c").unwrap();
-
-        let (checkpoint, tail) = latest_checkpoint(&wal).unwrap();
-        let checkpoint = checkpoint.unwrap();
-        assert_eq!(checkpoint.lsn, cp);
-        assert_eq!(checkpoint.payload, b"snapshot-1");
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].payload, b"c");
-    }
 
     #[test]
     fn compacting_checkpoint_drops_prefix() {
@@ -102,27 +44,5 @@ mod tests {
         take_checkpoint(&wal, b"snap", true).unwrap();
         wal.append(1, b"new").unwrap();
         assert_eq!(wal.len(), 2, "checkpoint + one new record");
-    }
-
-    #[test]
-    fn latest_of_several_checkpoints_wins() {
-        let wal = MemWal::new();
-        take_checkpoint(&wal, b"one", false).unwrap();
-        wal.append(1, b"x").unwrap();
-        take_checkpoint(&wal, b"two", false).unwrap();
-        wal.append(1, b"y").unwrap();
-        let (checkpoint, tail) = latest_checkpoint(&wal).unwrap();
-        assert_eq!(checkpoint.unwrap().payload, b"two");
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].payload, b"y");
-    }
-
-    #[test]
-    fn no_checkpoint_returns_full_log() {
-        let wal = MemWal::new();
-        wal.append(1, b"a").unwrap();
-        let (checkpoint, tail) = latest_checkpoint(&wal).unwrap();
-        assert!(checkpoint.is_none());
-        assert_eq!(tail.len(), 1);
     }
 }

@@ -19,8 +19,8 @@ use crate::wal::Wal;
 pub struct FileWal {
     inner: Mutex<FileWalInner>,
     path: PathBuf,
-    appends: Mutex<Option<telemetry::Counter>>,
-    syncs: Mutex<Option<telemetry::Counter>>,
+    appends: Option<telemetry::Counter>,
+    syncs: Option<telemetry::Counter>,
 }
 
 #[derive(Debug)]
@@ -72,8 +72,8 @@ impl FileWal {
         Ok(FileWal {
             inner: Mutex::new(FileWalInner { file, records, next, encode_buf: Vec::new() }),
             path,
-            appends: Mutex::new(None),
-            syncs: Mutex::new(None),
+            appends: None,
+            syncs: None,
         })
     }
 
@@ -82,11 +82,13 @@ impl FileWal {
         &self.path
     }
 
-    /// Attach a telemetry recorder: every durable append bumps
+    /// Count into `telemetry`'s metrics: every durable append bumps
     /// `wal_appends_total` and every `sync_data` bumps `wal_syncs_total`.
-    pub fn set_telemetry(&self, telemetry: &telemetry::Telemetry) {
-        *self.appends.lock() = Some(telemetry.metrics().counter("wal_appends_total"));
-        *self.syncs.lock() = Some(telemetry.metrics().counter("wal_syncs_total"));
+    #[must_use]
+    pub fn metered_by(mut self, telemetry: &telemetry::Telemetry) -> Self {
+        self.appends = Some(telemetry.metrics().counter("wal_appends_total"));
+        self.syncs = Some(telemetry.metrics().counter("wal_syncs_total"));
+        self
     }
 }
 
@@ -101,7 +103,7 @@ impl Wal for FileWal {
         inner.file.write_all(&inner.encode_buf)?;
         inner.next += 1;
         inner.records.push(record);
-        if let Some(counter) = &*self.appends.lock() {
+        if let Some(counter) = &self.appends {
             counter.incr();
         }
         Ok(lsn)
@@ -124,7 +126,7 @@ impl Wal for FileWal {
         inner.file.write_all(&inner.encode_buf)?;
         let last = Lsn::new(inner.next - 1);
         if !records.is_empty() {
-            if let Some(counter) = &*self.appends.lock() {
+            if let Some(counter) = &self.appends {
                 counter.add(records.len() as u64);
             }
         }
@@ -181,7 +183,7 @@ impl Wal for FileWal {
 
     fn sync(&self) -> Result<(), LogError> {
         self.inner.lock().file.sync_data()?;
-        if let Some(counter) = &*self.syncs.lock() {
+        if let Some(counter) = &self.syncs {
             counter.incr();
         }
         Ok(())

@@ -90,7 +90,7 @@ pub struct GroupCommitWal<W> {
     config: GroupCommitConfig,
     state: Mutex<GroupState>,
     flushed: Condvar,
-    telemetry: Mutex<Option<GroupTelemetry>>,
+    telemetry: Option<GroupTelemetry>,
 }
 
 impl<W: Wal> GroupCommitWal<W> {
@@ -114,19 +114,21 @@ impl<W: Wal> GroupCommitWal<W> {
                 poisoned: None,
             }),
             flushed: Condvar::new(),
-            telemetry: Mutex::new(None),
+            telemetry: None,
         }
     }
 
-    /// Attach a telemetry recorder: every batch flush bumps
+    /// Count into `telemetry`'s metrics: every batch flush bumps
     /// `wal_syncs_total` and records `wal_group_size` (records per batch)
     /// and `wal_batch_bytes` (encoded bytes per batch) histogram
-    /// observations. Appends are counted by the sink's own recorder.
-    pub fn set_telemetry(&self, telemetry: &telemetry::Telemetry) {
-        *self.telemetry.lock().unwrap() = Some(GroupTelemetry {
+    /// observations. Appends are counted by the sink's own counters.
+    #[must_use]
+    pub fn metered_by(mut self, telemetry: &telemetry::Telemetry) -> Self {
+        self.telemetry = Some(GroupTelemetry {
             syncs: telemetry.metrics().counter("wal_syncs_total"),
             metrics: telemetry.metrics().clone(),
         });
+        self
     }
 
     /// The wrapped sink (e.g. to reopen its file after a simulated crash).
@@ -208,7 +210,7 @@ impl<W: Wal> GroupCommitWal<W> {
             match result {
                 Ok(()) => {
                     state.durable = batch_last;
-                    if let Some(tel) = &*self.telemetry.lock().unwrap() {
+                    if let Some(tel) = &self.telemetry {
                         tel.syncs.incr();
                         tel.metrics.observe_count("wal_group_size", batch.len() as u64);
                         tel.metrics.observe_count("wal_batch_bytes", batch_bytes as u64);
@@ -476,9 +478,8 @@ mod tests {
 
     #[test]
     fn concurrent_durable_appenders_share_flushes() {
-        let wal = Arc::new(GroupCommitWal::new(MemWal::new()));
         let tel = telemetry::Telemetry::new();
-        wal.set_telemetry(&tel);
+        let wal = Arc::new(GroupCommitWal::new(MemWal::new()).metered_by(&tel));
         std::thread::scope(|s| {
             for t in 0..8u32 {
                 let w = Arc::clone(&wal);
@@ -581,9 +582,8 @@ mod tests {
 
     #[test]
     fn telemetry_records_sync_count_and_group_size() {
-        let wal = GroupCommitWal::new(MemWal::new());
         let tel = telemetry::Telemetry::new();
-        wal.set_telemetry(&tel);
+        let wal = GroupCommitWal::new(MemWal::new()).metered_by(&tel);
         for _ in 0..5 {
             wal.append(1, b"ride-the-batch").unwrap();
         }

@@ -18,34 +18,28 @@
 //!   deterministic (timer-free) flush triggers and a `flush_lsn` barrier;
 //! * [`crash::FailpointSet`] and [`crash::CrashingWal`] — deterministic
 //!   crash injection at named protocol steps or after N appends;
-//! * [`replay::Replayer`] — scans a log and feeds records to a
-//!   [`replay::RecoveryHandler`];
 //! * [`checkpoint`] — prefix truncation bookkeeping.
+//!
+//! Replay is [`wal::Wal::scan_with`]: each component visits the records in
+//! place and rebuilds its own state from the kinds it owns.
 //!
 //! # Example
 //!
 //! ```
 //! use recovery_log::wal::{MemWal, Wal};
-//! use recovery_log::replay::{RecoveryHandler, Replayer};
-//! use recovery_log::record::LogRecord;
+//! use recovery_log::record::Lsn;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let wal = MemWal::new();
 //! wal.append(1, b"begin tx-7")?;
 //! wal.append(2, b"commit tx-7")?;
 //!
-//! struct Collect(Vec<u32>);
-//! impl RecoveryHandler for Collect {
-//!     type Error = std::convert::Infallible;
-//!     fn apply(&mut self, record: &LogRecord) -> Result<(), Self::Error> {
-//!         self.0.push(record.kind);
-//!         Ok(())
-//!     }
-//! }
-//! let mut handler = Collect(Vec::new());
-//! let report = Replayer::new().replay(&wal, &mut handler)?;
-//! assert_eq!(report.replayed, 2);
-//! assert_eq!(handler.0, vec![1, 2]);
+//! let mut kinds = Vec::new();
+//! wal.scan_with(Lsn::new(0), &mut |record| {
+//!     kinds.push(record.kind);
+//!     Ok(())
+//! })?;
+//! assert_eq!(kinds, vec![1, 2]);
 //! # Ok(())
 //! # }
 //! ```
@@ -56,7 +50,6 @@ pub mod error;
 pub mod file_wal;
 pub mod group_commit;
 pub mod record;
-pub mod replay;
 pub mod wal;
 
 pub use crash::{CrashingWal, FailpointSet};
@@ -64,5 +57,4 @@ pub use error::LogError;
 pub use file_wal::FileWal;
 pub use group_commit::{GroupCommitConfig, GroupCommitWal};
 pub use record::{LogRecord, Lsn};
-pub use replay::{RecoveryHandler, Replayer};
 pub use wal::{MemWal, Wal};

@@ -134,7 +134,6 @@ pub trait Wal: Send + Sync {
 #[derive(Debug, Default)]
 pub struct MemWal {
     inner: Mutex<MemWalInner>,
-    appends: Mutex<Option<telemetry::Counter>>,
 }
 
 #[derive(Debug, Default)]
@@ -149,14 +148,7 @@ impl MemWal {
     pub fn new() -> Self {
         MemWal {
             inner: Mutex::new(MemWalInner { records: Vec::new(), next: 1, sealed: false }),
-            appends: Mutex::new(None),
         }
-    }
-
-    /// Attach a telemetry recorder: every durable append bumps
-    /// `wal_appends_total`.
-    pub fn set_telemetry(&self, telemetry: &telemetry::Telemetry) {
-        *self.appends.lock() = Some(telemetry.metrics().counter("wal_appends_total"));
     }
 
     /// Seal the log: further appends fail with [`LogError::Sealed`]. Used to
@@ -180,10 +172,6 @@ impl Wal for MemWal {
         let lsn = Lsn::new(inner.next);
         inner.next += 1;
         inner.records.push(LogRecord::new(lsn, kind, payload.to_vec()));
-        drop(inner);
-        if let Some(counter) = &*self.appends.lock() {
-            counter.incr();
-        }
         Ok(lsn)
     }
 
@@ -197,14 +185,7 @@ impl Wal for MemWal {
             inner.next += 1;
             inner.records.push(LogRecord::new(lsn, *kind, payload.to_vec()));
         }
-        let last = Lsn::new(inner.next - 1);
-        drop(inner);
-        if !records.is_empty() {
-            if let Some(counter) = &*self.appends.lock() {
-                counter.add(records.len() as u64);
-            }
-        }
-        Ok(last)
+        Ok(Lsn::new(inner.next - 1))
     }
 
     fn scan(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {

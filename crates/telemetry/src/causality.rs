@@ -20,7 +20,8 @@
 //! - [`CausalDag::verify`]: cycles, Lamport/virtual-clock inversions on
 //!   every edge, and 2PC protocol-order violations (outcome delivered
 //!   before the decision forced, vote recorded after the decision,
-//!   completion before all phase-2 acks) as structured
+//!   completion before all phase-2 acks), checked per transaction — the
+//!   typed steps of one [`Origin`] on one node — as structured
 //!   [`CausalViolation`]s — harness oracle #12.
 //! - [`CausalDag::to_perfetto`]: a Chrome-trace/Perfetto JSON export
 //!   (one track per node, flow events per send→receive edge,
@@ -31,9 +32,11 @@
 //! [`CausalDag::fingerprint`] is invariant under input-log permutation —
 //! pinned-seed double runs must agree bit-for-bit.
 
-use crate::recorder::{FlightRecorder, RecordKind, RecordedEvent};
+use crate::event::{Origin, ProtocolEvent};
+use crate::recorder::{FlightRecorder, Record, RecordKind, RecordedEvent};
+use crate::{fnv1a, FNV_OFFSET};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -288,7 +291,7 @@ pub struct CausalDag {
 impl CausalDag {
     fn from_events(mut events: Vec<RecordedEvent>) -> CausalDag {
         events.sort_by(|a, b| a.node.cmp(&b.node).then(a.seq.cmp(&b.seq)));
-        let mut nodes: Vec<String> = events.iter().map(|e| e.node.clone()).collect();
+        let mut nodes: Vec<String> = events.iter().map(|e| e.node.to_string()).collect();
         nodes.dedup();
 
         // Program order: consecutive retained events of the same node.
@@ -302,22 +305,22 @@ impl CausalDag {
         // Wire order: every send→receive pair sharing a wire token. The
         // token is the first whitespace-separated field of the detail;
         // one send may match several receives (network duplication).
+        fn wire_token(event: &RecordedEvent, leg: RecordKind) -> Option<&str> {
+            match &event.record {
+                Record::Text(kind, detail) if *kind == leg => detail.split_whitespace().next(),
+                _ => None,
+            }
+        }
         let mut sends: HashMap<&str, usize> = HashMap::new();
         for (i, event) in events.iter().enumerate() {
-            if event.kind == RecordKind::WireSend {
-                if let Some(token) = event.detail.split_whitespace().next() {
-                    sends.insert(token, i);
-                }
+            if let Some(token) = wire_token(event, RecordKind::WireSend) {
+                sends.insert(token, i);
             }
         }
         let mut message_edges = Vec::new();
         for (i, event) in events.iter().enumerate() {
-            if event.kind == RecordKind::WireRecv {
-                if let Some(token) = event.detail.split_whitespace().next() {
-                    if let Some(&s) = sends.get(token) {
-                        message_edges.push((s, i));
-                    }
-                }
+            if let Some(&s) = wire_token(event, RecordKind::WireRecv).and_then(|t| sends.get(t)) {
+                message_edges.push((s, i));
             }
         }
         message_edges.sort_unstable();
@@ -441,75 +444,53 @@ impl CausalDag {
             }
         }
 
-        // Protocol order over the merged DAG. Protocol events are the
-        // journal mirrors (ots::TwoPcEvent renderings). Logs may hold
-        // several consecutive transactions; a `prepare_sent(` following a
-        // `completed(` starts the next epoch on that node and checks
-        // never compare across epochs.
-        let mut decisions: Vec<(usize, usize)> = Vec::new(); // (event, epoch)
-        let mut votes: Vec<(usize, usize)> = Vec::new();
-        let mut commit_outcomes: Vec<(usize, usize)> = Vec::new();
-        let mut all_outcomes: Vec<(usize, usize)> = Vec::new();
-        let mut completions: Vec<(usize, usize)> = Vec::new();
-        // node → (current epoch, whether this epoch already completed)
-        let mut epoch_of_node: HashMap<&str, (usize, bool)> = HashMap::new();
+        // Protocol order over the merged DAG, one transaction at a time: the
+        // two-phase-commit steps of one origin on one node. Logs hold many
+        // transactions, consecutive or interleaved; checks never compare
+        // across them.
+        #[derive(Default)]
+        struct Transaction {
+            decisions: Vec<usize>,
+            votes: Vec<usize>,
+            /// Phase-two deliveries, with whether each delivers a commit.
+            outcomes: Vec<(usize, bool)>,
+            completions: Vec<usize>,
+        }
+        let mut transactions: BTreeMap<(&str, &Origin), Transaction> = BTreeMap::new();
         for (i, event) in self.events.iter().enumerate() {
-            if event.kind != RecordKind::Protocol {
-                continue;
+            let Record::Step(origin, step) = &event.record else { continue };
+            let tx = transactions.entry((&*event.node, origin)).or_default();
+            match step {
+                ProtocolEvent::DecisionForced { .. } => tx.decisions.push(i),
+                ProtocolEvent::VoteRecorded { .. } => tx.votes.push(i),
+                ProtocolEvent::OutcomeDelivered { commit, .. } => tx.outcomes.push((i, *commit)),
+                ProtocolEvent::TxCompleted { .. } => tx.completions.push(i),
+                _ => {}
             }
-            let detail = event.detail.as_str();
-            let slot = epoch_of_node.entry(event.node.as_str()).or_insert((0, false));
-            if detail.starts_with("prepare_sent(") && slot.1 {
-                slot.0 += 1;
-                slot.1 = false;
-            }
-            let epoch = slot.0;
-            if detail.starts_with("decision_forced(") {
-                decisions.push((i, epoch));
-            } else if detail.starts_with("vote_recorded(") {
-                votes.push((i, epoch));
-            } else if detail.starts_with("outcome_delivered(") {
-                all_outcomes.push((i, epoch));
-                if detail.contains("commit=true") {
-                    commit_outcomes.push((i, epoch));
+        }
+
+        for tx in transactions.values() {
+            // A commit outcome needs the forced decision in its causal past.
+            // (Presumed abort: rollback outcomes legitimately have none.)
+            for &(o, commit) in &tx.outcomes {
+                if commit && !tx.decisions.iter().any(|&d| before(d, o)) {
+                    violations.push(CausalViolation::OutcomeBeforeDecision {
+                        outcome: self.events[o].render(),
+                    });
                 }
-            } else if detail.starts_with("completed(") {
-                completions.push((i, epoch));
-                slot.1 = true;
             }
-        }
-
-        // A commit outcome needs the forced decision in its causal past.
-        // (Presumed abort: rollback outcomes legitimately have none.)
-        for &(o, oe) in &commit_outcomes {
-            let ordered = decisions.iter().any(|&(d, de)| de == oe && before(d, o));
-            if !ordered {
-                violations.push(CausalViolation::OutcomeBeforeDecision {
-                    outcome: self.events[o].render(),
-                });
+            // No vote may be causally after the forced decision.
+            for &v in &tx.votes {
+                if let Some(&d) = tx.decisions.iter().find(|&&d| before(d, v)) {
+                    violations.push(CausalViolation::VoteAfterDecision {
+                        vote: self.events[v].render(),
+                        decision: self.events[d].render(),
+                    });
+                }
             }
-        }
-
-        // No vote may be causally after its epoch's forced decision.
-        for &(v, ve) in &votes {
-            if let Some(&(d, _)) =
-                decisions.iter().find(|&&(d, de)| de == ve && before(d, v))
-            {
-                violations.push(CausalViolation::VoteAfterDecision {
-                    vote: self.events[v].render(),
-                    decision: self.events[d].render(),
-                });
-            }
-        }
-
-        // Completion needs every phase-2 delivery of its epoch (same
-        // coordinator node) in its causal past.
-        for &(c, ce) in &completions {
-            for &(o, oe) in &all_outcomes {
-                if oe == ce
-                    && self.events[o].node == self.events[c].node
-                    && !before(o, c)
-                {
+            // Completion needs every phase-2 delivery in its causal past.
+            for &c in &tx.completions {
+                for &(o, _) in tx.outcomes.iter().filter(|&&(o, _)| !before(o, c)) {
                     violations.push(CausalViolation::CompletionBeforeAck {
                         completion: self.events[c].render(),
                         outcome: self.events[o].render(),
@@ -550,16 +531,8 @@ impl CausalDag {
     /// double runs (oracle #12 checks exactly that).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for byte in bytes {
-                hash ^= u64::from(*byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
-            hash ^= u64::from(b'\n');
-            hash = hash.wrapping_mul(PRIME);
-        };
+        let mut hash = FNV_OFFSET;
+        let mut eat = |bytes: &[u8]| hash = fnv1a(fnv1a(hash, bytes), b"\n");
         for event in &self.events {
             eat(event.node.as_bytes());
             eat(event.render().as_bytes());
@@ -612,13 +585,13 @@ impl CausalDag {
                 format!(
                     "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":1,\"pid\":1,\
                      \"tid\":{},\"args\":{{\"seq\":{},\"lamport\":{},\"detail\":{}}}}}",
-                    json_string(event.kind.label()),
-                    json_string(event.kind.label()),
+                    json_string(event.kind().label()),
+                    json_string(event.kind().label()),
                     event.at.as_micros(),
                     tid_of(&event.node),
                     event.seq,
                     event.lamport,
-                    json_string(&event.detail)
+                    json_string(&event.detail())
                 ),
             );
         }
@@ -731,17 +704,50 @@ pub fn check_perfetto_schema(json: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::VoteKind;
     use std::time::Duration;
 
-    fn ev(node: &str, seq: u64, lamport: u64, kind: RecordKind, detail: &str) -> RecordedEvent {
+    fn stamped(node: &str, seq: u64, lamport: u64, record: Record) -> RecordedEvent {
         RecordedEvent {
             seq,
             at: Duration::from_micros(lamport * 10),
             lamport,
-            node: node.to_owned(),
-            kind,
-            detail: detail.to_owned(),
+            node: node.into(),
+            record,
         }
+    }
+
+    fn ev(node: &str, seq: u64, lamport: u64, kind: RecordKind, detail: &str) -> RecordedEvent {
+        stamped(node, seq, lamport, Record::Text(kind, detail.to_owned()))
+    }
+
+    /// One node's log of typed steps, stamped in order: `(transaction, step)`.
+    fn log(steps: Vec<(u64, ProtocolEvent)>) -> Vec<RecordedEvent> {
+        let stamp = |(i, (top, step)): (usize, (u64, ProtocolEvent))| {
+            let origin = Origin::Transaction { top, branch: Vec::new() };
+            stamped("c", i as u64, i as u64 + 1, Record::Step(origin, step))
+        };
+        steps.into_iter().enumerate().map(stamp).collect()
+    }
+
+    fn prepare() -> ProtocolEvent {
+        ProtocolEvent::PrepareSent { participant: "a".into() }
+    }
+    fn vote() -> ProtocolEvent {
+        ProtocolEvent::VoteRecorded { participant: "a".into(), vote: VoteKind::Commit }
+    }
+    fn decision() -> ProtocolEvent {
+        ProtocolEvent::DecisionForced { commit: true }
+    }
+    fn outcome(commit: bool) -> ProtocolEvent {
+        ProtocolEvent::OutcomeDelivered { participant: "a".into(), commit, ok: true }
+    }
+    fn completed() -> ProtocolEvent {
+        ProtocolEvent::TxCompleted { committed: true }
+    }
+
+    fn verify(events: Vec<RecordedEvent>) -> Vec<CausalViolation> {
+        CausalMerge::new().add_events(events).build().verify()
     }
 
     #[test]
@@ -822,43 +828,24 @@ mod tests {
 
     #[test]
     fn outcome_before_decision_detected() {
-        let dag = CausalMerge::new()
-            .add_events(vec![
-                ev("c", 0, 1, RecordKind::Protocol, "outcome_delivered(store, commit=true, ok=true)"),
-                ev("c", 1, 2, RecordKind::Protocol, "decision_forced(commit=true)"),
-            ])
-            .build();
-        let violations = dag.verify();
+        let violations = verify(log(vec![(1, outcome(true)), (1, decision())]));
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(matches!(violations[0], CausalViolation::OutcomeBeforeDecision { .. }));
+        // Another transaction's decision does not excuse it.
+        let violations = verify(log(vec![(2, decision()), (1, outcome(true))]));
+        assert_eq!(violations.len(), 1, "{violations:?}");
     }
 
     #[test]
     fn rollback_outcome_needs_no_decision() {
         // Presumed abort: rollback deliveries are legitimate without a
         // forced decision.
-        let dag = CausalMerge::new()
-            .add_events(vec![ev(
-                "c",
-                0,
-                1,
-                RecordKind::Protocol,
-                "outcome_delivered(store, commit=false, ok=true)",
-            )])
-            .build();
-        assert!(dag.verify().is_empty(), "{:?}", dag.verify());
+        assert_eq!(verify(log(vec![(1, outcome(false))])), Vec::new());
     }
 
     #[test]
     fn vote_after_decision_detected() {
-        let dag = CausalMerge::new()
-            .add_events(vec![
-                ev("c", 0, 1, RecordKind::Protocol, "decision_forced(commit=true)"),
-                ev("c", 1, 2, RecordKind::Protocol, "vote_recorded(store, Commit)"),
-                ev("c", 2, 3, RecordKind::Protocol, "outcome_delivered(store, commit=true, ok=true)"),
-            ])
-            .build();
-        let violations = dag.verify();
+        let violations = verify(log(vec![(1, decision()), (1, vote()), (1, outcome(true))]));
         assert!(
             violations.iter().any(|v| matches!(v, CausalViolation::VoteAfterDecision { .. })),
             "{violations:?}"
@@ -867,47 +854,54 @@ mod tests {
 
     #[test]
     fn completion_before_ack_detected() {
-        // A phase-2 delivery journaled after the completion (same
-        // transaction: no new prepare in between) is not in the
-        // completion's causal past — flagged.
-        let dag = CausalMerge::new()
-            .add_events(vec![
-                ev("c", 0, 1, RecordKind::Protocol, "decision_forced(commit=true)"),
-                ev("c", 1, 2, RecordKind::Protocol, "completed(committed=true)"),
-                ev("c", 2, 3, RecordKind::Protocol, "outcome_delivered(store, commit=true, ok=true)"),
-            ])
-            .build();
-        let violations = dag.verify();
+        // A phase-2 delivery journaled after its transaction's completion
+        // is not in the completion's causal past — flagged.
+        let violations = verify(log(vec![(1, decision()), (1, completed()), (1, outcome(true))]));
         assert!(
             violations.iter().any(|v| matches!(v, CausalViolation::CompletionBeforeAck { .. })),
             "{violations:?}"
         );
 
-        // In-order epoch is clean.
-        let dag = CausalMerge::new()
-            .add_events(vec![
-                ev("c", 0, 1, RecordKind::Protocol, "decision_forced(commit=true)"),
-                ev("c", 1, 2, RecordKind::Protocol, "outcome_delivered(store, commit=true, ok=true)"),
-                ev("c", 2, 3, RecordKind::Protocol, "completed(committed=true)"),
-            ])
-            .build();
-        assert!(dag.verify().is_empty(), "in-order epoch is clean: {:?}", dag.verify());
+        // In order is clean.
+        let clean = vec![(1, decision()), (1, outcome(true)), (1, completed())];
+        assert_eq!(verify(log(clean)), Vec::new());
 
-        // A second transaction's deliveries (new prepare after the
-        // completion) are never compared against the first completion.
-        let dag = CausalMerge::new()
-            .add_events(vec![
-                ev("c", 0, 1, RecordKind::Protocol, "prepare_sent(store)"),
-                ev("c", 1, 2, RecordKind::Protocol, "decision_forced(commit=true)"),
-                ev("c", 2, 3, RecordKind::Protocol, "outcome_delivered(store, commit=true, ok=true)"),
-                ev("c", 3, 4, RecordKind::Protocol, "completed(committed=true)"),
-                ev("c", 4, 5, RecordKind::Protocol, "prepare_sent(store)"),
-                ev("c", 5, 6, RecordKind::Protocol, "decision_forced(commit=true)"),
-                ev("c", 6, 7, RecordKind::Protocol, "outcome_delivered(store, commit=true, ok=true)"),
-                ev("c", 7, 8, RecordKind::Protocol, "completed(committed=true)"),
-            ])
-            .build();
-        assert!(dag.verify().is_empty(), "{:?}", dag.verify());
+        // A second transaction's deliveries are never compared against the
+        // first completion.
+        let one = |tx| vec![(tx, prepare()), (tx, decision()), (tx, outcome(true)), (tx, completed())];
+        assert_eq!(verify(log([one(1), one(2)].concat())), Vec::new());
+    }
+
+    #[test]
+    fn transactions_interleaved_on_one_node_verify_clean() {
+        // What two concurrent clients of one coordinator node produce: every
+        // step legal within its own transaction, the second's vote after the
+        // first's decision and its delivery after the first's completion.
+        let interleaved = vec![
+            (1, prepare()),
+            (1, vote()),
+            (2, prepare()),
+            (1, decision()),
+            (2, vote()),
+            (1, outcome(true)),
+            (1, completed()),
+            (2, decision()),
+            (2, outcome(true)),
+            (2, completed()),
+        ];
+        assert_eq!(verify(log(interleaved)), Vec::new());
+    }
+
+    #[test]
+    fn text_that_reads_like_a_protocol_step_is_not_one() {
+        // The same reordering as `outcome_before_decision_detected`, told to
+        // the recorder as `protocol`-kind text: nothing to verify.
+        let told = vec![
+            ev("c", 0, 1, RecordKind::Protocol, "outcome_delivered(a, commit=true, ok=true)"),
+            ev("c", 1, 2, RecordKind::Protocol, "decision_forced(commit=true)"),
+        ];
+        assert_eq!(told[0].detail(), log(vec![(1, outcome(true))])[0].detail());
+        assert_eq!(verify(told), Vec::new());
     }
 
     #[test]

@@ -17,18 +17,20 @@
 //! - **Conformance surfaces** ([`SpanTree::verify`],
 //!   [`SpanTree::fingerprint`], [`SpanTree::coordinator_projection`])
 //!   consumed by harness oracle #7, which pins the span tree to the
-//!   `TraceLog` the figure pipeline already trusts.
+//!   coordinator trace the figure pipeline already trusts.
+//! - **The one protocol-event stream** ([`ProtocolEvent`], [`Origin`]):
+//!   every protocol step of every layer, typed and attributed, kept once in
+//!   the [`FlightRecorder`] (DESIGN.md §20).
 //!
 //! The crate sits at the bottom of the workspace dependency stack (it
 //! depends only on the vendored `parking_lot`), so every layer — orb,
 //! ots, activity-service, wfengine, recovery-log — can instrument itself
 //! with explicit handles. The handles travel in one immutable `orb::Env`
-//! passed to the four top-level constructors (DESIGN.md §17), and the
-//! typed event sinks of every layer are one generic [`Journal`]. There is
-//! no process-global state.
+//! passed to the four top-level constructors (DESIGN.md §17). There is no
+//! process-global state.
 
 mod causality;
-mod journal;
+mod event;
 mod metrics;
 mod recorder;
 mod sequence;
@@ -39,9 +41,11 @@ pub use causality::{
     check_perfetto_schema, parse_wire_stamp, wire_stamp, CausalDag, CausalMerge, CausalViolation,
     CausalityPlane, LamportClock, LAMPORT_CONTEXT_KEY,
 };
-pub use journal::Journal;
+pub use event::{render_steps, Origin, ProtocolEvent, VoteKind};
 pub use metrics::{Counter, Histogram, MetricsRegistry};
-pub use recorder::{FlightRecorder, RecordKind, RecordedEvent, DEFAULT_RECORDER_CAPACITY};
+pub use recorder::{
+    FlightRecorder, Record, RecordKind, RecordedEvent, DEFAULT_RECORDER_CAPACITY,
+};
 pub use sequence::{render_sequence, MSC_FROM, MSC_MSG, MSC_NOTE, MSC_REPLY, MSC_TO};
 pub use span::{SpanContext, SpanId, SpanRecord, TraceId};
 pub use tree::{CriticalPath, PhaseAttribution, SpanTree};
@@ -55,6 +59,22 @@ use std::time::Duration;
 
 /// Service-context key under which [`SpanContext`] travels in requests.
 pub const SPAN_CONTEXT_KEY: &str = "telemetry.span";
+
+/// 64-bit FNV-1a offset basis: the seed of every fingerprint in the
+/// workspace.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into `hash`, FNV-1a. The one copy behind the recorder,
+/// span-tree, causal-merge and sweep fingerprints and the retry jitter.
+#[inline]
+#[must_use]
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for byte in bytes {
+        hash ^= u64::from(*byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
 
 /// A source of virtual time. The ORB's `SimClock` implements this in the
 /// `orb` crate (the trait lives here so `telemetry` stays at the bottom

@@ -1,9 +1,8 @@
 //! Cross-layer metrics registry: counters and virtual-time histograms.
 //!
-//! The registry follows the `TraceLog` gate discipline from
-//! `activity-service::coordinator`: one `AtomicBool` load on the hot path,
-//! and when the gate is off nothing else runs — no name formatting, no map
-//! lookup, no allocation. Hot loops that cannot even afford the name
+//! The registry follows the plane's gate discipline: one `AtomicBool` load
+//! on the hot path, and when the gate is off nothing else runs — no name
+//! formatting, no map lookup, no allocation. Hot loops that cannot even afford the name
 //! lookup hold a pre-resolved [`Counter`] handle (one `Arc<AtomicU64>`),
 //! so the enabled path is a single relaxed fetch-add.
 //!

@@ -3,17 +3,21 @@
 //!
 //! The span tree answers "what was the causal structure"; the recorder
 //! answers "what did *this node* believe, in order, right before it
-//! failed". Every layer mirrors its journal into the ring — span
-//! open/close from [`crate::Telemetry`], `TraceLog`/`ProtocolJournal`/
-//! `ActivityJournal` entries, failpoint hits, detector transitions,
-//! partition open/heal, restarts — each stamped with a recorder-wide
-//! sequence number and the virtual time it happened.
+//! failed". It is also the one journal: every protocol step
+//! ([`ProtocolEvent`]) is kept here typed, beside its [`Origin`], next to
+//! the textual records of the other planes — span open/close from
+//! [`crate::Telemetry`], failpoint hits, detector transitions, partition
+//! open/heal, restarts, wire events — each stamped with a recorder-wide
+//! sequence number and the virtual time it happened. Whoever wants the
+//! whole account rather than the last moments passes a capacity that never
+//! evicts (`usize::MAX`) and filters [`FlightRecorder::steps`].
 //!
 //! Discipline matches the rest of the telemetry plane:
 //!
-//! - **Allocation-free when disabled.** [`FlightRecorder::record`] takes
-//!   the detail as a closure; when the gate is closed the call is a single
-//!   atomic load and the closure never runs — no formatting, no lock.
+//! - **Allocation-free when disabled.** [`FlightRecorder::record`] and
+//!   [`FlightRecorder::record_step`] take what they record as a closure;
+//!   when the gate is closed the call is a single atomic load and the
+//!   closure never runs — no formatting, no lock.
 //! - **Bounded.** The ring holds at most `capacity` events; recording the
 //!   `capacity + 1`-th evicts the oldest. Eviction is strictly
 //!   oldest-first, so the surviving window is always a causally-contiguous
@@ -25,7 +29,8 @@
 //!   staples to a shrunk reproducer.
 
 use crate::causality::LamportClock;
-use crate::TimeSource;
+use crate::event::{Origin, ProtocolEvent};
+use crate::{fnv1a, TimeSource, FNV_OFFSET};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
@@ -45,11 +50,11 @@ pub enum RecordKind {
     SpanOpen,
     /// A telemetry span closed (detail: span name).
     SpanClose,
-    /// A coordinator `TraceLog` event (detail: the rendered trace line).
+    /// A fig. 5 step of an activity coordinator.
     Trace,
-    /// An OTS `ProtocolJournal` event (2PC lifecycle).
+    /// A two-phase-commit step of a transaction coordinator.
     Protocol,
-    /// An `ActivityJournal` event (activity begun/completed).
+    /// An activity lifecycle step (begun/completed).
     Activity,
     /// A failpoint site was passed (detail: site, and whether it fired).
     Failpoint,
@@ -97,6 +102,17 @@ impl fmt::Display for RecordKind {
     }
 }
 
+/// What one ring entry holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Record {
+    /// A protocol step, typed, with whose it is — written only by
+    /// [`FlightRecorder::record_step`], i.e. by `orb::Env::emit`.
+    Step(Origin, ProtocolEvent),
+    /// A record of any other plane, as text. A `Text` whose detail merely
+    /// reads like a protocol step is not one: no reader of steps sees it.
+    Text(RecordKind, String),
+}
+
 /// One entry of the ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedEvent {
@@ -110,13 +126,39 @@ pub struct RecordedEvent {
     /// merged multi-node log is a happens-before DAG.
     pub lamport: u64,
     /// The recording node — [`crate::CausalMerge`] folds logs from many
-    /// nodes, so each event carries its origin.
-    pub node: String,
-    pub kind: RecordKind,
-    pub detail: String,
+    /// nodes, so each event carries the node it was recorded on (shared
+    /// with the recorder, not copied per event).
+    pub node: Arc<str>,
+    pub record: Record,
+}
+
+/// A record's detail text: a step's `Display`, or the text as recorded.
+impl fmt::Display for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Record::Step(_, event) => event.fmt(f),
+            Record::Text(_, detail) => f.write_str(detail),
+        }
+    }
 }
 
 impl RecordedEvent {
+    /// The kind the entry is labelled with: a step's follows from its
+    /// variant.
+    #[must_use]
+    pub fn kind(&self) -> RecordKind {
+        match &self.record {
+            Record::Step(_, event) => event.kind(),
+            Record::Text(kind, _) => *kind,
+        }
+    }
+
+    /// The entry's detail text.
+    #[must_use]
+    pub fn detail(&self) -> String {
+        self.record.to_string()
+    }
+
     /// The canonical one-line rendering fingerprints and dumps share.
     #[must_use]
     pub fn render(&self) -> String {
@@ -125,10 +167,15 @@ impl RecordedEvent {
             self.seq,
             self.at.as_micros(),
             self.lamport,
-            self.kind,
-            self.detail
+            self.kind(),
+            self.record
         )
     }
+}
+
+/// FNV-1a over the canonical rendering of `events`, one per line.
+fn fingerprint_of<'a>(events: impl Iterator<Item = &'a RecordedEvent>) -> u64 {
+    events.fold(FNV_OFFSET, |hash, event| fnv1a(fnv1a(hash, event.render().as_bytes()), b"\n"))
 }
 
 struct ZeroTime;
@@ -142,7 +189,7 @@ impl TimeSource for ZeroTime {
 struct RecorderInner {
     enabled: AtomicBool,
     time: Arc<dyn TimeSource>,
-    node: String,
+    node: Arc<str>,
     capacity: usize,
     seq: AtomicU64,
     /// The node's Lamport clock. Plain [`FlightRecorder::record`] ticks
@@ -154,7 +201,7 @@ struct RecorderInner {
 }
 
 /// The shared recorder handle; cloning is one `Arc` bump, all clones feed
-/// one ring (mirroring the `TraceLog`/`Telemetry` handle style).
+/// one ring (mirroring the `Telemetry` handle style).
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Arc<RecorderInner>,
@@ -198,7 +245,7 @@ impl FlightRecorder {
             inner: Arc::new(RecorderInner {
                 enabled: AtomicBool::new(enabled),
                 time,
-                node: node.to_string(),
+                node: node.into(),
                 capacity: capacity.max(1),
                 seq: AtomicU64::new(0),
                 lamport: LamportClock::new(),
@@ -247,14 +294,26 @@ impl FlightRecorder {
         self.inner.seq.load(Ordering::Relaxed)
     }
 
-    /// Record one event, ticking the node's Lamport clock. The gate is
-    /// checked before `detail` runs, so the disabled path does no
+    /// Record one textual event, ticking the node's Lamport clock. The
+    /// gate is checked before `detail` runs, so the disabled path does no
     /// formatting and takes no lock.
     pub fn record(&self, kind: RecordKind, detail: impl FnOnce() -> String) {
         if !self.is_enabled() {
             return;
         }
-        self.push(kind, self.inner.lamport.tick(), detail());
+        self.push(self.inner.lamport.tick(), Record::Text(kind, detail()));
+    }
+
+    /// Record one protocol step — kept as the typed event, not a rendering
+    /// of it — ticking the node's Lamport clock. `step` only runs behind
+    /// an open gate. Protocol code does not call this: it emits through
+    /// `orb::Env::emit`, the one caller.
+    pub fn record_step(&self, step: impl FnOnce() -> (Origin, ProtocolEvent)) {
+        if !self.is_enabled() {
+            return;
+        }
+        let (origin, event) = step();
+        self.push(self.inner.lamport.tick(), Record::Step(origin, event));
     }
 
     /// Record one event carrying an explicit Lamport stamp — for wire
@@ -265,18 +324,17 @@ impl FlightRecorder {
         if !self.is_enabled() {
             return;
         }
-        self.push(kind, lamport, detail());
+        self.push(lamport, Record::Text(kind, detail()));
     }
 
-    fn push(&self, kind: RecordKind, lamport: u64, detail: String) {
+    fn push(&self, lamport: u64, record: Record) {
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
         let event = RecordedEvent {
             seq,
             at: self.inner.time.virtual_now(),
             lamport,
-            node: self.inner.node.clone(),
-            kind,
-            detail,
+            node: Arc::clone(&self.inner.node),
+            record,
         };
         let mut ring = self.inner.ring.lock();
         if ring.len() == self.inner.capacity {
@@ -306,32 +364,23 @@ impl FlightRecorder {
         out
     }
 
-    /// Detail strings of every retained event of `kind`, in causal order —
-    /// what oracle #11 compares against the node's `TraceLog`.
-    pub fn details_of_kind(&self, kind: RecordKind) -> Vec<String> {
-        self.inner
-            .ring
-            .lock()
-            .iter()
-            .filter(|e| e.kind == kind)
-            .map(|e| e.detail.clone())
-            .collect()
+    /// The retained protocol steps, oldest first, each with its origin —
+    /// what every reader of the protocol's account narrows, by
+    /// [`ProtocolEvent::kind`] and by origin.
+    pub fn steps(&self) -> Vec<(Origin, ProtocolEvent)> {
+        let ring = self.inner.ring.lock();
+        let steps = ring.iter().filter_map(|entry| match &entry.record {
+            Record::Step(origin, event) => Some((origin.clone(), event.clone())),
+            Record::Text(..) => None,
+        });
+        steps.collect()
     }
 
     /// FNV-1a over the canonical rendering of the retained window. Since
     /// sequence numbers and virtual timestamps are simulation-driven, a
     /// pinned seed must reproduce this bit-identically (oracle #11).
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for event in self.inner.ring.lock().iter() {
-            for byte in event.render().as_bytes() {
-                hash ^= u64::from(*byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash ^= u64::from(b'\n');
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        fingerprint_of(self.inner.ring.lock().iter())
     }
 
     /// The black-box dump: header plus the retained window, one event per
@@ -349,19 +398,7 @@ impl FlightRecorder {
             ring.len(),
             total,
             self.inner.capacity,
-            {
-                // fingerprint() would deadlock on the held lock; fold inline.
-                let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-                for event in ring.iter() {
-                    for byte in event.render().as_bytes() {
-                        hash ^= u64::from(*byte);
-                        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                    }
-                    hash ^= u64::from(b'\n');
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                hash
-            }
+            fingerprint_of(ring.iter())
         );
         match ring.front() {
             Some(first) if first.seq > 0 => {
@@ -389,16 +426,25 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
+    fn tx(top: u64) -> Origin {
+        Origin::Transaction { top, branch: Vec::new() }
+    }
+
     #[test]
     fn records_in_order_with_sequence_numbers() {
         let rec = FlightRecorder::new("coordinator", 8);
-        rec.record(RecordKind::Protocol, || "prepare_sent(store)".into());
-        rec.record(RecordKind::Protocol, || "vote_recorded(store, Commit)".into());
+        rec.record_step(|| (tx(1), ProtocolEvent::PrepareSent { participant: "store".into() }));
+        rec.record(RecordKind::Failpoint, || "ots.before_decision passed".into());
         let events = rec.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[1].seq, 1);
-        assert_eq!(events[0].detail, "prepare_sent(store)");
+        assert_eq!(events[0].detail(), "prepare_sent(store)");
+        assert_eq!(events[0].kind(), RecordKind::Protocol, "a step's kind follows its variant");
+        assert_eq!(
+            events[1].render(),
+            "#1    @         0us L2     failpoint ots.before_decision passed"
+        );
         assert_eq!(rec.total_recorded(), 2);
     }
 
@@ -410,6 +456,7 @@ mod tests {
             ran = true;
             "never".into()
         });
+        rec.record_step(|| unreachable!("a step is not built behind a closed gate"));
         assert!(!ran, "the detail closure must not run behind a closed gate");
         assert_eq!(rec.len(), 0);
         assert_eq!(rec.total_recorded(), 0);
@@ -432,7 +479,7 @@ mod tests {
             events.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![7, 8, 9]
         );
-        assert_eq!(events[0].detail, "event-7");
+        assert_eq!(events[0].detail(), "event-7");
         let dump = rec.dump();
         assert!(dump.contains("7 earlier events evicted"), "{dump}");
         assert!(dump.contains("retained=3/10"), "{dump}");
@@ -458,15 +505,20 @@ mod tests {
     }
 
     #[test]
-    fn details_of_kind_filters_in_causal_order() {
+    fn steps_are_the_typed_records_in_causal_order_and_nothing_else() {
         let rec = FlightRecorder::new("node", 8);
-        rec.record(RecordKind::Trace, || "get_signal(Bill)".into());
-        rec.record(RecordKind::Protocol, || "decision_forced(true)".into());
-        rec.record(RecordKind::Trace, || "get_outcome(Bill) = success".into());
-        assert_eq!(
-            rec.details_of_kind(RecordKind::Trace),
-            vec!["get_signal(Bill)".to_string(), "get_outcome(Bill) = success".to_string()]
-        );
+        let poll = ProtocolEvent::GetSignal { set: "Bill".into() };
+        let decided = ProtocolEvent::DecisionForced { commit: true };
+        rec.record_step(|| (Origin::Activity(7), poll.clone()));
+        // Text that reads like a step is still text.
+        rec.record(RecordKind::Protocol, || "decision_forced(commit=true)".into());
+        rec.record_step(|| (tx(1), decided.clone()));
+        assert_eq!(rec.steps(), vec![(Origin::Activity(7), poll), (tx(1), decided)]);
+        // Rendered, the typed and the textual decision are the same line
+        // but for their stamps.
+        let events = rec.events();
+        assert_eq!(events[1].detail(), events[2].detail());
+        assert_eq!(events[1].kind(), events[2].kind());
     }
 
     #[test]
@@ -477,8 +529,8 @@ mod tests {
         }
         let tail = rec.tail(2);
         assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].detail, "e3");
-        assert_eq!(tail[1].detail, "e4");
+        assert_eq!(tail[0].detail(), "e3");
+        assert_eq!(tail[1].detail(), "e4");
     }
 
     #[test]
@@ -515,7 +567,7 @@ mod tests {
         let events = rec.events();
         assert_eq!(events[0].lamport, 1);
         assert_eq!(events[1].lamport, 2);
-        assert_eq!(events[0].node, "node");
+        assert_eq!(&*events[0].node, "node");
         // A wire event carries the caller-computed stamp verbatim.
         let stamp = rec.lamport_clock().observe(41);
         assert_eq!(stamp, 42);

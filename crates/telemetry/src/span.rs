@@ -88,8 +88,8 @@ pub struct SpanRecord {
     /// Point events `(global sequence, text)`. The sequence numbers are
     /// allocated from one recorder-wide counter, so events from different
     /// spans can be merged back into their emission order — that merged
-    /// stream is the coordinator projection oracle #7 compares against
-    /// `TraceLog`.
+    /// stream is the coordinator projection oracle #7 compares against the
+    /// recorded fig. 5 steps.
     pub events: Vec<(u64, String)>,
 }
 

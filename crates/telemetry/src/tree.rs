@@ -5,7 +5,7 @@
 //! harness asserts per seed that it is well-formed (single root per trace,
 //! no orphans, parents open-before/close-after children, no span left
 //! open) and that the merged point-event stream is byte-identical to the
-//! `TraceLog` the figure-regeneration pipeline already trusts.
+//! coordinator trace the figure-regeneration pipeline already trusts.
 
 use crate::span::{SpanId, SpanRecord, TraceId};
 use std::collections::{HashMap, HashSet};
@@ -225,20 +225,14 @@ impl SpanTree {
             .map(|roots| roots.iter().map(|r| canonical(r, &children)).collect())
             .unwrap_or_default();
         roots.sort();
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for canon in roots {
-            for byte in canon.as_bytes() {
-                hash ^= u64::from(*byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        hash
+        roots.iter().fold(crate::FNV_OFFSET, |hash, canon| crate::fnv1a(hash, canon.as_bytes()))
     }
 
     /// The coordinator projection: every point event on every span,
     /// merged back into emission order (the recorder-wide sequence
     /// number) and joined with newlines — the exact shape of
-    /// `TraceLog::render()`. Oracle #7 compares the two byte for byte.
+    /// [`crate::render_steps`] over the recorded fig. 5 steps. Oracle #7
+    /// compares the two byte for byte.
     pub fn coordinator_projection(&self) -> String {
         let mut events: Vec<(u64, &str)> = self
             .spans

@@ -188,24 +188,32 @@ impl activity_service::Action for ResourceAction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use activity_service::{Activity, FnAction, TraceEvent, TraceLog};
-    use orb::SimClock;
+    use activity_service::{Activity, FnAction};
+    use orb::{Env, SimClock};
     use ots::TransactionalKv;
+    use telemetry::{FlightRecorder, ProtocolEvent, RecordKind};
 
-    fn activity_with_2pc() -> (Activity, TraceLog) {
-        let a = Activity::new_root("tx", SimClock::new());
-        let trace = TraceLog::new();
-        a.coordinator().set_trace(trace.clone());
+    /// An activity driven by the 2PC set, and the recorder keeping its steps.
+    fn activity_with_2pc() -> (Activity, FlightRecorder) {
+        let recorder = FlightRecorder::new("test", usize::MAX);
+        let env = Env { recorder: Some(recorder.clone()), ..Env::default() };
+        let a = Activity::new_root("tx", env.wired());
         a.coordinator()
             .add_signal_set(Box::new(TwoPhaseCommitSignalSet::new()))
             .unwrap();
         a.set_completion_signal_set(TWO_PC_SET);
-        (a, trace)
+        (a, recorder)
+    }
+
+    /// The fig. 5 steps recorded so far.
+    fn trace(recorder: &FlightRecorder) -> Vec<ProtocolEvent> {
+        let steps = recorder.steps().into_iter().map(|(_, step)| step);
+        steps.filter(|step| step.kind() == RecordKind::Trace).collect()
     }
 
     #[test]
     fn commit_path_reproduces_fig8() {
-        let (a, trace) = activity_with_2pc();
+        let (a, recorder) = activity_with_2pc();
         for name in ["action-1", "action-2"] {
             a.coordinator().register_action(
                 TWO_PC_SET,
@@ -219,25 +227,31 @@ mod tests {
         // The exact fig. 8 exchange: get_signal, prepare→A1, set_response,
         // prepare→A2, set_response, get_signal, commit→A1, set_response,
         // commit→A2, set_response, get_outcome.
+        let transmit = |signal: &str, action: &str| ProtocolEvent::Transmit {
+            set: TWO_PC_SET.into(),
+            signal: signal.into(),
+            action: action.into(),
+        };
         let expected = vec![
-            TraceEvent::GetSignal { set: TWO_PC_SET.into() },
-            TraceEvent::Transmit { signal: SIG_PREPARE.into(), action: "action-1".into() },
-            TraceEvent::SetResponse { set: TWO_PC_SET.into(), outcome: "done".into() },
-            TraceEvent::Transmit { signal: SIG_PREPARE.into(), action: "action-2".into() },
-            TraceEvent::SetResponse { set: TWO_PC_SET.into(), outcome: "done".into() },
-            TraceEvent::GetSignal { set: TWO_PC_SET.into() },
-            TraceEvent::Transmit { signal: SIG_COMMIT.into(), action: "action-1".into() },
-            TraceEvent::SetResponse { set: TWO_PC_SET.into(), outcome: "done".into() },
-            TraceEvent::Transmit { signal: SIG_COMMIT.into(), action: "action-2".into() },
-            TraceEvent::SetResponse { set: TWO_PC_SET.into(), outcome: "done".into() },
-            TraceEvent::GetOutcome { set: TWO_PC_SET.into(), outcome: OUT_COMMITTED.into() },
+            ProtocolEvent::GetSignal { set: TWO_PC_SET.into() },
+            transmit(SIG_PREPARE, "action-1"),
+            ProtocolEvent::SetResponse { set: TWO_PC_SET.into(), outcome: "done".into() },
+            transmit(SIG_PREPARE, "action-2"),
+            ProtocolEvent::SetResponse { set: TWO_PC_SET.into(), outcome: "done".into() },
+            ProtocolEvent::GetSignal { set: TWO_PC_SET.into() },
+            transmit(SIG_COMMIT, "action-1"),
+            ProtocolEvent::SetResponse { set: TWO_PC_SET.into(), outcome: "done".into() },
+            transmit(SIG_COMMIT, "action-2"),
+            ProtocolEvent::SetResponse { set: TWO_PC_SET.into(), outcome: "done".into() },
+            ProtocolEvent::GetOutcome { set: TWO_PC_SET.into(), outcome: OUT_COMMITTED.into() },
         ];
-        assert_eq!(trace.events(), expected, "\nactual trace:\n{}", trace.render());
+        let actual = trace(&recorder);
+        assert_eq!(actual, expected, "\nactual trace:\n{}", telemetry::render_steps(&actual));
     }
 
     #[test]
     fn abort_vote_switches_to_rollback() {
-        let (a, trace) = activity_with_2pc();
+        let (a, recorder) = activity_with_2pc();
         a.coordinator().register_action(
             TWO_PC_SET,
             Arc::new(FnAction::new("refuser", |s: &Signal| {
@@ -259,11 +273,12 @@ mod tests {
         assert_eq!(outcome.name(), OUT_ROLLED_BACK);
         // The witness never saw prepare (the protocol switched immediately)
         // but did see rollback.
-        let witness_signals: Vec<String> = trace
-            .events()
+        let witness_signals: Vec<String> = trace(&recorder)
             .into_iter()
             .filter_map(|e| match e {
-                TraceEvent::Transmit { signal, action } if action == "witness" => Some(signal),
+                ProtocolEvent::Transmit { signal, action, .. } if action == "witness" => {
+                    Some(signal)
+                }
                 _ => None,
             })
             .collect();
@@ -289,7 +304,7 @@ mod tests {
 
     #[test]
     fn failure_completion_skips_prepare() {
-        let (a, trace) = activity_with_2pc();
+        let (a, recorder) = activity_with_2pc();
         a.coordinator().register_action(
             TWO_PC_SET,
             Arc::new(FnAction::new("p", |s: &Signal| {
@@ -300,10 +315,9 @@ mod tests {
         a.set_completion_status(CompletionStatus::FailOnly).unwrap();
         let outcome = a.complete().unwrap();
         assert_eq!(outcome.name(), OUT_ROLLED_BACK);
-        let prepares = trace
-            .events()
+        let prepares = trace(&recorder)
             .iter()
-            .filter(|e| matches!(e, TraceEvent::Transmit { signal, .. } if signal == SIG_PREPARE))
+            .filter(|e| matches!(e, ProtocolEvent::Transmit { signal, .. } if signal == SIG_PREPARE))
             .count();
         assert_eq!(prepares, 0);
     }

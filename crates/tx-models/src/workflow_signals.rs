@@ -250,17 +250,17 @@ impl activity_service::Action for OutcomeCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use activity_service::{Activity, TraceEvent, TraceLog};
-    use orb::SimClock;
+    use activity_service::Activity;
+    use orb::{Env, SimClock};
+    use telemetry::{FlightRecorder, ProtocolEvent, RecordKind};
 
     #[test]
     fn fig10_start_and_outcome_exchange() {
         // Activity `a` coordinates parallel b, c, then d (fig. 10). This
         // test reproduces the message exchange for the b∥c stage plus d.
-        let clock = SimClock::new();
-        let a = Activity::new_root("a", clock.clone());
-        let a_trace = TraceLog::new();
-        a.coordinator().set_trace(a_trace.clone());
+        let recorder = FlightRecorder::new("test", usize::MAX);
+        let env = Env { recorder: Some(recorder.clone()), ..Env::default() };
+        let a = Activity::new_root("a", env.wired());
 
         // Stage 1: one TaskStart set that b and c both register with
         // ("t2 and t3 would register with the same SignalSet since they
@@ -293,17 +293,34 @@ mod tests {
         b.complete().unwrap();
         assert_eq!(collector_b.received(), vec![(true, Value::from("b-result"))]);
 
-        // The trace of `a`'s start stage shows the fig. 10 exchange.
-        let events = a_trace.events();
+        // The fig. 5 steps of `a` itself — `b` ran its Completed set under
+        // the same recorder — show the fig. 10 start-stage exchange.
+        let events: Vec<ProtocolEvent> = recorder
+            .steps()
+            .into_iter()
+            .filter(|(origin, step)| {
+                *origin == a.id().origin() && step.kind() == RecordKind::Trace
+            })
+            .map(|(_, step)| step)
+            .collect();
+        let start = |action: &str| ProtocolEvent::Transmit {
+            set: TASK_START_SET.into(),
+            signal: SIG_START.into(),
+            action: action.into(),
+        };
+        let ack = || ProtocolEvent::SetResponse {
+            set: TASK_START_SET.into(),
+            outcome: SIG_START_ACK.into(),
+        };
         assert_eq!(
             events,
             vec![
-                TraceEvent::GetSignal { set: TASK_START_SET.into() },
-                TraceEvent::Transmit { signal: SIG_START.into(), action: "b".into() },
-                TraceEvent::SetResponse { set: TASK_START_SET.into(), outcome: SIG_START_ACK.into() },
-                TraceEvent::Transmit { signal: SIG_START.into(), action: "c".into() },
-                TraceEvent::SetResponse { set: TASK_START_SET.into(), outcome: SIG_START_ACK.into() },
-                TraceEvent::GetOutcome { set: TASK_START_SET.into(), outcome: "done".into() },
+                ProtocolEvent::GetSignal { set: TASK_START_SET.into() },
+                start("b"),
+                ack(),
+                start("c"),
+                ack(),
+                ProtocolEvent::GetOutcome { set: TASK_START_SET.into(), outcome: "done".into() },
             ]
         );
     }

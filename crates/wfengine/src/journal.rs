@@ -14,7 +14,9 @@ use std::sync::Arc;
 use crate::error::WorkflowError;
 
 /// Record kind: a task finished (payload: workflow, task, success, output).
-pub const KIND_WF_TASK_DONE: u32 = 0x0501;
+/// The `0x06xx` block is the workflow engine's own: a journal shares its
+/// log with `ots` resources, whose kinds are `0x05xx`.
+pub const KIND_WF_TASK_DONE: u32 = 0x0601;
 
 /// One journalled task outcome.
 #[derive(Debug, Clone, PartialEq)]

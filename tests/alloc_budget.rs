@@ -239,10 +239,13 @@ fn an_absent_telemetry_span_guard_allocates_nothing() {
 // What setting a protocol up costs (DESIGN.md §19).
 // ---------------------------------------------------------------------
 
-/// Allocations of one root activity under a shared context: begin it, let
-/// `set_up` associate whatever it wants, complete it.
+/// Allocations of one root activity under a shared plane-less context:
+/// begin it, let `set_up` associate whatever it wants, complete it.
 fn activity_cost(set_up: impl FnOnce(&activity_service::Activity)) -> u64 {
-    let env = Env::new();
+    activity_cost_in(Env::new(), set_up)
+}
+
+fn activity_cost_in(env: Arc<Env>, set_up: impl FnOnce(&activity_service::Activity)) -> u64 {
     let begin = || {
         let activity = activity_service::Activity::new_root("op", Arc::clone(&env));
         activity.coordinator().set_dispatch_config(DispatchConfig::serial());
@@ -296,6 +299,46 @@ fn driving_a_signal_set_costs_its_box_its_slot_and_its_signal() {
         assert!(pair[1] - pair[0] <= 1, "action {} added {}", actions + 1, pair[1] - pair[0]);
     }
     assert!(costs[8] - costs[1] <= 1, "seven more actions added {}", costs[8] - costs[1]);
+}
+
+/// What a live flight recorder may add to one two-action 2PC run (two
+/// signals to two actions, 13 steps with the activity's lifecycle): the
+/// names inside the typed steps it keeps, and nothing else — no rendered
+/// copy, no node name per entry, no growth of the pre-sized ring. Measured
+/// 26, one per name; the commit before, which built each step, rendered it
+/// into the ring and copied the node name beside it, spent 74.
+const RECORDED_RUN_BUDGET: u64 = 26;
+
+#[test]
+fn a_recorder_costs_a_protocol_run_its_typed_steps_and_nothing_when_gated_off() {
+    use telemetry::FlightRecorder;
+    use tx_models::{TwoPhaseCommitSignalSet, TWO_PC_SET};
+    let action: Arc<dyn Action> =
+        Arc::new(FnAction::new("resource", |_s: &Signal| Ok(Outcome::done())));
+    let run_cost = |recorder: Option<FlightRecorder>| {
+        activity_cost_in(Env { recorder, ..Env::default() }.wired(), |activity| {
+            let set = Box::new(TwoPhaseCommitSignalSet::new());
+            activity.coordinator().add_signal_set(set).unwrap();
+            activity.set_completion_signal_set(TWO_PC_SET);
+            for _ in 0..2 {
+                activity.coordinator().register_action(TWO_PC_SET, Arc::clone(&action));
+            }
+        })
+    };
+    run_cost(None); // past what the first 2PC run of the process initialises
+    let unrecorded = run_cost(None);
+    // Gated off, `Env::emit` stops at the gate: no step is built.
+    let gated = run_cost(Some(FlightRecorder::disabled("node", 1024)));
+    assert_eq!(gated, unrecorded, "a gated-off recorder cost allocations");
+
+    let recorder = FlightRecorder::new("node", 1024);
+    let recorded = run_cost(Some(recorder.clone()));
+    assert_eq!(recorder.steps().len(), 2 + 13, "the warm-up's lifecycle, then the run");
+    assert!(
+        recorded - unrecorded <= RECORDED_RUN_BUDGET,
+        "a live recorder added {} allocations to a run's {unrecorded}",
+        recorded - unrecorded
+    );
 }
 
 #[test]

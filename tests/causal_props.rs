@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use telemetry::{CausalMerge, LamportClock, RecordKind, RecordedEvent};
+use telemetry::{CausalMerge, LamportClock, Record, RecordKind, RecordedEvent};
 
 const NODES: [&str; 3] = ["alpha", "beta", "gamma"];
 
@@ -59,9 +59,8 @@ fn execute(ops: &[Op]) -> Vec<RecordedEvent> {
             seq: seqs[node],
             at: Duration::from_micros(time),
             lamport,
-            node: NODES[node].to_owned(),
-            kind,
-            detail,
+            node: NODES[node].into(),
+            record: Record::Text(kind, detail),
         });
         seqs[node] += 1;
     };
@@ -143,7 +142,7 @@ proptest! {
         for node in NODES {
             let stamps: Vec<u64> = events
                 .iter()
-                .filter(|e| e.node == node)
+                .filter(|e| &*e.node == node)
                 .map(|e| e.lamport)
                 .collect();
             for pair in stamps.windows(2) {

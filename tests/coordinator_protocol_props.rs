@@ -2,15 +2,16 @@
 //! for ARBITRARY scripted SignalSets — any number of signals, any
 //! mid-delivery switching — the framework's invariants must hold.
 
+mod common;
+
 use std::sync::Arc;
 
 use activity_service::signal_set::{AfterResponse, NextSignal, SignalSet};
-use activity_service::{
-    Activity, CompletionStatus, FnAction, Outcome, Signal, TraceEvent, TraceLog,
-};
+use activity_service::{Activity, CompletionStatus, FnAction, Outcome, Signal};
 use orb::{SimClock, Value};
 use parking_lot::Mutex;
 use proptest::prelude::*;
+use telemetry::ProtocolEvent;
 
 /// A fully scripted signal set: emits `signals.len()` signals; after
 /// feeding response `i` it requests the next signal early when
@@ -86,9 +87,7 @@ proptest! {
     ) {
         let signals: Vec<String> = (0..signal_count).map(|i| format!("s{i}")).collect();
         let any_switch = switches.iter().any(|b| *b);
-        let activity = Activity::new_root("prop", SimClock::new());
-        let trace = TraceLog::new();
-        activity.coordinator().set_trace(trace.clone());
+        let (activity, recorder) = common::recorded_root("prop");
         activity
             .coordinator()
             .add_signal_set(Box::new(Scripted {
@@ -110,20 +109,20 @@ proptest! {
         let outcome = activity.signal("Scripted").unwrap();
         prop_assert!(outcome.is_done());
 
-        let events = trace.events();
+        let events = common::trace(&recorder);
         // (2) structure.
         let outcome_positions: Vec<usize> = events
             .iter()
             .enumerate()
-            .filter(|(_, e)| matches!(e, TraceEvent::GetOutcome { .. }))
+            .filter(|(_, e)| matches!(e, ProtocolEvent::GetOutcome { .. }))
             .map(|(i, _)| i)
             .collect();
         prop_assert_eq!(outcome_positions.len(), 1);
         prop_assert_eq!(outcome_positions[0], events.len() - 1);
         for (i, e) in events.iter().enumerate() {
-            if matches!(e, TraceEvent::Transmit { .. }) {
+            if matches!(e, ProtocolEvent::Transmit { .. }) {
                 prop_assert!(
-                    matches!(events.get(i + 1), Some(TraceEvent::SetResponse { .. })),
+                    matches!(events.get(i + 1), Some(ProtocolEvent::SetResponse { .. })),
                     "transmit at {} not followed by set_response",
                     i
                 );
@@ -134,7 +133,7 @@ proptest! {
         let transmits: Vec<(String, String)> = events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Transmit { signal, action } => {
+                ProtocolEvent::Transmit { signal, action, .. } => {
                     Some((signal.clone(), action.clone()))
                 }
                 _ => None,

@@ -1,10 +1,12 @@
 //! Parallel dispatch must be observationally identical to the serial
 //! loop: for every protocol engine, a pool=8 run and a pool=1 run must
-//! produce byte-identical TraceLogs and the same final Outcome, because
+//! produce byte-identical traces and the same final Outcome, because
 //! results are collated in registration order and trace events are
 //! emitted at collation time. Actions deliberately sleep for *longer on
 //! earlier registrations* so the parallel run completes out of order
 //! under the hood.
+
+mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -12,9 +14,8 @@ use std::time::{Duration, Instant};
 
 use activity_service::{
     Activity, BroadcastSignalSet, CompletionStatus, DispatchConfig, FnAction, Outcome, Signal,
-    TraceLog,
 };
-use orb::{SimClock, Value};
+use orb::Value;
 use ots::{Resource, TransactionalKv, TxError, TxId, Vote};
 use tx_models::sagas::CompletedSteps;
 use tx_models::{ResourceAction, SagaSignalSet, StepCompensation, TwoPhaseCommitSignalSet,
@@ -32,23 +33,22 @@ fn run_traced(
     scenario: impl Fn(&Activity),
     complete: bool,
 ) -> (String, String) {
-    let activity = Activity::new_root("det", SimClock::new());
+    let (activity, recorder) = common::recorded_root("det");
     activity.coordinator().set_dispatch_config(config);
-    let trace = TraceLog::new();
-    activity.coordinator().set_trace(trace.clone());
     scenario(&activity);
     let outcome = if complete {
         activity.complete().expect("complete")
     } else {
         activity.signal("S").expect("signal")
     };
-    (trace.render(), format!("{}:{:?}", outcome.name(), outcome.data()))
+    let trace = telemetry::render_steps(&common::trace(&recorder));
+    (trace, format!("{}:{:?}", outcome.name(), outcome.data()))
 }
 
 fn assert_deterministic(scenario: impl Fn(&Activity) + Copy, complete: bool) {
     let serial = run_traced(DispatchConfig::serial(), scenario, complete);
     let parallel = run_traced(DispatchConfig::with_workers(8), scenario, complete);
-    assert_eq!(serial.0, parallel.0, "TraceLog must be byte-identical");
+    assert_eq!(serial.0, parallel.0, "the trace must be byte-identical");
     assert_eq!(serial.1, parallel.1, "final Outcome must be identical");
 }
 

@@ -14,7 +14,9 @@ use activity_service::{
 use orb::{Env, FailureDetector, Orb, SimClock, Value};
 use ots::{TransactionFactory, TransactionalKv};
 use recovery_log::FailpointSet;
-use telemetry::{CausalityPlane, FlightRecorder, RecordKind, Telemetry};
+use telemetry::{
+    CausalityPlane, FlightRecorder, Origin, ProtocolEvent, RecordKind, RecordedEvent, Telemetry,
+};
 use wfengine::{script, TaskInput, TaskRegistry, TaskResult, WorkflowEngine};
 
 const NODE: &str = "coordinator";
@@ -120,7 +122,12 @@ impl World {
     }
 
     fn recorded_kinds(&self) -> BTreeSet<&'static str> {
-        self.recorder.events().iter().map(|event| event.kind.label()).collect()
+        self.recorder.events().iter().map(|event| event.kind().label()).collect()
+    }
+
+    fn recorded_details(&self, kind: RecordKind) -> Vec<String> {
+        let events = self.recorder.events();
+        events.iter().filter(|event| event.kind() == kind).map(RecordedEvent::detail).collect()
     }
 }
 
@@ -192,11 +199,11 @@ fn a_subtransaction_and_its_parent_share_the_recorder() {
     world.run_nested_activity_with_subtransaction();
 
     // The provisional commit is a span of its own, mirrored as it opens…
-    let opened = world.recorder.details_of_kind(RecordKind::SpanOpen);
+    let opened = world.recorded_details(RecordKind::SpanOpen);
     assert!(opened.iter().any(|name| name == "commit:tx-1.0"), "{opened:?}");
     // …and the parent's 2PC over the inherited participants is journaled
-    // step by step, with no ProtocolJournal attached anywhere.
-    let protocol = world.recorder.details_of_kind(RecordKind::Protocol);
+    // step by step, with nothing attached anywhere.
+    let protocol = world.recorded_details(RecordKind::Protocol);
     assert_eq!(
         protocol,
         vec![
@@ -212,6 +219,64 @@ fn a_subtransaction_and_its_parent_share_the_recorder() {
             "completed(committed=true)",
         ]
     );
+}
+
+#[test]
+fn every_step_is_recorded_once_under_its_own_origin() {
+    let world = instrumented();
+    // A child activity…
+    world.service.begin("order").unwrap();
+    world.service.begin("fulfil").unwrap();
+    // …a subtransaction rolled back under a top-level transaction that
+    // commits without it…
+    let top = world.factory.create().unwrap();
+    let sub = top.begin_subtransaction().unwrap();
+    let store = Arc::new(TransactionalKv::new("ledger"));
+    store.enlist(&sub).unwrap();
+    store.write(sub.id(), "k", Value::from(1i64)).unwrap();
+    sub.terminator().rollback().unwrap();
+    top.terminator().commit().unwrap();
+    for _ in 0..2 {
+        world.service.complete().unwrap();
+    }
+    // …and a workflow, whose tasks are activities of their own.
+    world.run_two_task_workflow();
+
+    let steps = world.recorder.steps();
+    // Every activity began under its own origin, naming its parent.
+    let mut begun = std::collections::BTreeMap::new();
+    for (origin, step) in &steps {
+        if let ProtocolEvent::ActivityBegun { activity, name, parent } = step {
+            assert_eq!(*origin, Origin::Activity(*activity), "{name} began under a foreign origin");
+            assert!(begun.insert(name.as_str(), (*activity, *parent)).is_none(), "{name} began twice");
+        }
+    }
+    let id = |name: &str| begun[name].0;
+    let parent = |name: &str| begun[name].1;
+    assert_eq!(begun.len(), 5, "{begun:?}");
+    assert_eq!(parent("order"), None);
+    assert_eq!(parent("fulfil"), Some(id("order")));
+    assert_eq!(parent("ship"), None);
+    assert_eq!((parent("pick"), parent("pack")), (Some(id("ship")), Some(id("ship"))));
+    let ids: BTreeSet<u64> = begun.values().map(|(activity, _)| *activity).collect();
+    assert_eq!(ids.len(), 5, "five activities, five origins");
+    // A task's signal-set runs are its own activity's, not the workflow's.
+    for task in ["pick", "pack"] {
+        let polled = steps.iter().any(|(origin, step)| {
+            *origin == Origin::Activity(id(task)) && matches!(step, ProtocolEvent::GetSignal { .. })
+        });
+        assert!(polled, "no fig. 5 step under {task}'s origin");
+    }
+
+    // The rollback is the subtransaction's, the completion its parent's: the
+    // branch path tells them apart and names the parent.
+    let of = |branch: Vec<u32>| -> Vec<String> {
+        let origin = Origin::Transaction { top: 1, branch };
+        let own = steps.iter().filter(|(o, _)| *o == origin);
+        own.map(|(_, step)| step.to_string()).collect()
+    };
+    assert_eq!(of(vec![0]), vec!["outcome_delivered(ledger, commit=false, ok=true)"]);
+    assert_eq!(of(vec![]), vec!["completed(committed=true)"]);
 }
 
 #[test]

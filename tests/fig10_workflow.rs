@@ -3,11 +3,14 @@
 //! `start`/`start_ack`/`outcome`/`outcome_ack` exchange — 12 messages in
 //! the figure, asserted here exactly.
 
+mod common;
+
 use std::sync::Arc;
 
-use activity_service::{ActivityService, TraceEvent, TraceLog};
+use activity_service::ActivityService;
 use orb::Value;
 use parking_lot::Mutex;
+use telemetry::ProtocolEvent;
 use tx_models::common::{SIG_OUTCOME, SIG_OUTCOME_ACK, SIG_START, SIG_START_ACK};
 use tx_models::workflow_signals::{
     CompletedSignalSet, OutcomeCollector, TaskAction, TaskStartSignalSet, COMPLETED_SET,
@@ -173,13 +176,12 @@ fn fig10_failure_triggers_tc1() {
 /// The outcome collector used standalone records multiple children.
 #[test]
 fn outcome_collector_accumulates_children() {
-    let service = ActivityService::new();
+    let (env, recorder) = common::recording_env();
+    let service = ActivityService::builder().env(env).build();
     let parent = service.begin("parent").unwrap();
     let collector = OutcomeCollector::new("parent-collector");
-    let trace = TraceLog::new();
     for (i, name) in ["x", "y"].iter().enumerate() {
         let child = parent.begin_child(*name).unwrap();
-        child.coordinator().set_trace(trace.clone());
         child
             .coordinator()
             .add_signal_set(Box::new(CompletedSignalSet::new(Value::U64(i as u64))))
@@ -192,10 +194,9 @@ fn outcome_collector_accumulates_children() {
         collector.received(),
         vec![(true, Value::U64(0)), (true, Value::U64(1))]
     );
-    let outcome_count = trace
-        .events()
+    let outcome_count = common::trace(&recorder)
         .iter()
-        .filter(|e| matches!(e, TraceEvent::Transmit { signal, .. } if signal == SIG_OUTCOME))
+        .filter(|e| matches!(e, ProtocolEvent::Transmit { signal, .. } if signal == SIG_OUTCOME))
         .count();
     assert_eq!(outcome_count, 2);
     service.complete().unwrap();

@@ -2,32 +2,34 @@
 //! CompleteSignalSet exchanges, asserted against the coordinator trace, plus
 //! the fig. 1/fig. 2 cohesion scenario end-to-end.
 
+mod common;
+
 use std::sync::Arc;
 
-use activity_service::{Activity, ActivityService, TraceEvent, TraceLog};
+use activity_service::ActivityService;
 use btp::{Atom, BtpError, BtpParticipant, Cohesion, Reservation, ReservationState};
-use orb::SimClock;
+use telemetry::{FlightRecorder, ProtocolEvent};
 use tx_models::common::{SIG_CANCEL, SIG_CONFIRM, SIG_PREPARE};
 
-fn traced_atom() -> (Arc<Atom>, TraceLog, Vec<Arc<Reservation>>) {
-    let activity = Activity::new_root("atom", SimClock::new());
-    let trace = TraceLog::new();
-    activity.coordinator().set_trace(trace.clone());
+fn traced_atom() -> (Arc<Atom>, FlightRecorder, Vec<Arc<Reservation>>) {
+    let (activity, recorder) = common::recorded_root("atom");
     let atom = Atom::new("atom", activity).unwrap();
     let participants: Vec<Arc<Reservation>> =
         vec![Reservation::new("action-1"), Reservation::new("action-2")];
     for p in &participants {
         atom.enroll(Arc::clone(p) as Arc<dyn BtpParticipant>).unwrap();
     }
-    (atom, trace, participants)
+    (atom, recorder, participants)
 }
 
-fn transmits(trace: &TraceLog) -> Vec<(String, String)> {
-    trace
-        .events()
-        .into_iter()
+/// The transmissions among `steps`, as (signal, action).
+fn transmits(steps: &[ProtocolEvent]) -> Vec<(String, String)> {
+    steps
+        .iter()
         .filter_map(|e| match e {
-            TraceEvent::Transmit { signal, action } => Some((signal, action)),
+            ProtocolEvent::Transmit { signal, action, .. } => {
+                Some((signal.clone(), action.clone()))
+            }
             _ => None,
         })
         .collect()
@@ -35,31 +37,38 @@ fn transmits(trace: &TraceLog) -> Vec<(String, String)> {
 
 #[test]
 fn fig11_prepare_exchange() {
-    let (atom, trace, _participants) = traced_atom();
+    let (atom, recorder, _participants) = traced_atom();
     atom.prepare().unwrap();
     // Fig. 11: get_signal, prepare → Action1, set_response, prepare →
     // Action2, set_response, get_outcome.
+    let set = || "PrepareSignalSet".to_owned();
+    let prepare = |action: &str| ProtocolEvent::Transmit {
+        set: set(),
+        signal: SIG_PREPARE.into(),
+        action: action.into(),
+    };
+    let prepared = || ProtocolEvent::SetResponse { set: set(), outcome: "prepared".into() };
     assert_eq!(
-        trace.events(),
+        common::trace(&recorder),
         vec![
-            TraceEvent::GetSignal { set: "PrepareSignalSet".into() },
-            TraceEvent::Transmit { signal: SIG_PREPARE.into(), action: "action-1".into() },
-            TraceEvent::SetResponse { set: "PrepareSignalSet".into(), outcome: "prepared".into() },
-            TraceEvent::Transmit { signal: SIG_PREPARE.into(), action: "action-2".into() },
-            TraceEvent::SetResponse { set: "PrepareSignalSet".into(), outcome: "prepared".into() },
-            TraceEvent::GetOutcome { set: "PrepareSignalSet".into(), outcome: "prepared".into() },
+            ProtocolEvent::GetSignal { set: set() },
+            prepare("action-1"),
+            prepared(),
+            prepare("action-2"),
+            prepared(),
+            ProtocolEvent::GetOutcome { set: set(), outcome: "prepared".into() },
         ]
     );
 }
 
 #[test]
 fn fig12_confirm_exchange() {
-    let (atom, trace, participants) = traced_atom();
+    let (atom, recorder, participants) = traced_atom();
     atom.prepare().unwrap();
-    trace.clear();
+    let prepared = common::trace(&recorder).len();
     atom.confirm().unwrap();
     assert_eq!(
-        transmits(&trace),
+        transmits(&common::trace(&recorder)[prepared..]),
         vec![
             (SIG_CONFIRM.to_string(), "action-1".to_string()),
             (SIG_CONFIRM.to_string(), "action-2".to_string()),
@@ -75,12 +84,12 @@ fn fig12_confirm_exchange() {
 fn fig12_cancel_exchange() {
     // "If the atom is instructed to cancel, then obviously the confirm
     // Signal is replaced by cancel."
-    let (atom, trace, participants) = traced_atom();
+    let (atom, recorder, participants) = traced_atom();
     atom.prepare().unwrap();
-    trace.clear();
+    let prepared = common::trace(&recorder).len();
     atom.cancel().unwrap();
     assert_eq!(
-        transmits(&trace),
+        transmits(&common::trace(&recorder)[prepared..]),
         vec![
             (SIG_CANCEL.to_string(), "action-1".to_string()),
             (SIG_CANCEL.to_string(), "action-2".to_string()),

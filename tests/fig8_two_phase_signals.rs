@@ -3,12 +3,14 @@
 //! on remote nodes and signalled through `RemoteActionProxy` (at-least-once
 //! delivery).
 
+mod common;
+
 use std::sync::Arc;
 
 use activity_service::{
-    ActionServant, Activity, ActivityService, CompletionStatus, RemoteActionProxy, TraceEvent,
-    TraceLog,
+    ActionServant, Activity, ActivityService, CompletionStatus, RemoteActionProxy,
 };
+use telemetry::{FlightRecorder, ProtocolEvent};
 use orb::{NetworkConfig, Orb, RetryPolicy, Value};
 use ots::{Resource, TransactionalKv, TxId};
 use tx_models::common::{OUT_COMMITTED, OUT_ROLLED_BACK, SIG_COMMIT, SIG_PREPARE};
@@ -18,15 +20,14 @@ use tx_models::{ResourceAction, TwoPhaseCommitSignalSet, TWO_PC_SET};
 /// transactional store behind an Action servant.
 fn distributed_2pc(
     network: NetworkConfig,
-) -> (Orb, Activity, Vec<Arc<TransactionalKv>>, TxId, TraceLog) {
+) -> (Orb, Activity, Vec<Arc<TransactionalKv>>, TxId, FlightRecorder) {
     let orb = Orb::builder().network(network).build();
-    let service = ActivityService::new();
+    let (env, recorder) = common::recording_env();
+    let service = ActivityService::builder().env(env).build();
     service.attach_to_orb(&orb);
     orb.add_node("coordinator").unwrap();
 
     let activity = service.begin("distributed-commit").unwrap();
-    let trace = TraceLog::new();
-    activity.coordinator().set_trace(trace.clone());
     activity
         .coordinator()
         .add_signal_set(Box::new(TwoPhaseCommitSignalSet::new()))
@@ -57,12 +58,12 @@ fn distributed_2pc(
     }
     // Detach from the test thread so we can complete the activity directly.
     let _ = service.suspend().unwrap();
-    (orb, activity, stores, tx, trace)
+    (orb, activity, stores, tx, recorder)
 }
 
 #[test]
 fn fig8_commit_across_nodes() {
-    let (orb, activity, stores, _tx, trace) = distributed_2pc(NetworkConfig::reliable());
+    let (orb, activity, stores, _tx, recorder) = distributed_2pc(NetworkConfig::reliable());
     let outcome = activity.complete().unwrap();
     assert_eq!(outcome.name(), OUT_COMMITTED);
     for (i, store) in stores.iter().enumerate() {
@@ -73,11 +74,10 @@ fn fig8_commit_across_nodes() {
         );
     }
     // Exact fig. 8 signal order, across the network.
-    let transmits: Vec<(String, String)> = trace
-        .events()
+    let transmits: Vec<(String, String)> = common::trace(&recorder)
         .into_iter()
         .filter_map(|e| match e {
-            TraceEvent::Transmit { signal, action } => Some((signal, action)),
+            ProtocolEvent::Transmit { signal, action, .. } => Some((signal, action)),
             _ => None,
         })
         .collect();

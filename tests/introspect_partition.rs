@@ -69,8 +69,8 @@ fn query_inside_an_open_partition_window_is_a_structured_error() {
     let transitions: Vec<String> = recorder
         .events()
         .iter()
-        .filter(|e| e.kind == telemetry::RecordKind::Detector)
-        .map(|e| e.detail.clone())
+        .filter(|e| e.kind() == telemetry::RecordKind::Detector)
+        .map(telemetry::RecordedEvent::detail)
         .collect();
     assert_eq!(
         transitions,
@@ -97,5 +97,5 @@ fn query_inside_an_open_partition_window_is_a_structured_error() {
     assert!(recorder
         .events()
         .iter()
-        .any(|e| e.detail == "target: quarantined -> healthy"));
+        .any(|e| e.detail() == "target: quarantined -> healthy"));
 }

@@ -1,6 +1,8 @@
 //! Property-based tests over the core data structures and protocol
 //! invariants, with `proptest`.
 
+mod common;
+
 use proptest::prelude::*;
 
 use activity_service::CompletionStatus;
@@ -525,7 +527,7 @@ proptest! {
                     (record.step.task, record.step.compensation)
                 })
                 .collect(),
-            trace: recorder.details_of_kind(telemetry::RecordKind::Trace),
+            trace: common::trace(&recorder).iter().map(ToString::to_string).collect(),
         };
         prop_assert_eq!(actual, reference_run(&tasks, stop_on_failure));
     }

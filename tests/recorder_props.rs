@@ -8,40 +8,43 @@
 //!    or fabricates.
 //! 2. **Wrapped dumps stay causally whole** — when the ring's capacity
 //!    aligns with whole per-transaction 2PC journals, a wrapped recorder
-//!    still retains only *complete* journals: every surviving transaction
-//!    replays through the reference models without a violation. This is
-//!    the property oracle #11 leans on — ring eviction may lose history,
-//!    but the window it keeps is a causally-contiguous suffix, never a
-//!    gap-riddled one.
+//!    still retains only *complete* journals: the retained typed steps are
+//!    exactly the history's tail, origins included, and every surviving
+//!    transaction replays through the reference models without a
+//!    violation. This is what lets the recorder be the protocols' one
+//!    journal — ring eviction may lose history, but the window it keeps is
+//!    a causally-contiguous suffix, never a gap-riddled one.
 //! 3. **Deterministic fingerprints** — replaying the identical history
 //!    into a fresh recorder reproduces the fingerprint bit-identically,
 //!    and the dump header carries the eviction count.
 
-use harness::model::{self, Event, Vote};
+use harness::model::{self, Step};
 use proptest::prelude::*;
-use telemetry::{FlightRecorder, RecordKind};
+use telemetry::{FlightRecorder, Origin, ProtocolEvent as Event, RecordKind, VoteKind};
 
-/// One complete, model-clean 2PC journal over `participants` resources:
-/// prepare + vote for each, one forced decision, outcome + forget for
-/// each, one completion. Fixed length `4 * participants + 2` so a ring
-/// capacity that is a multiple of it aligns with transaction boundaries.
-fn tx_journal(tx: usize, participants: usize, commit: bool) -> Vec<Event> {
-    let name = |p: usize| format!("tx{tx}-res{p}");
+/// One complete, model-clean 2PC journal of transaction `tx` over
+/// `participants` resources (the same names in every transaction): prepare
+/// and vote for each, one forced decision, outcome and forget for each, one
+/// completion. Fixed length `4 * participants + 2` so a ring capacity that
+/// is a multiple of it aligns with transaction boundaries.
+fn tx_journal(tx: usize, participants: usize, commit: bool) -> Vec<Step> {
+    let name = |p: usize| format!("res{p}");
     let mut events = Vec::with_capacity(4 * participants + 2);
     for p in 0..participants {
         events.push(Event::PrepareSent { participant: name(p) });
         events.push(Event::VoteRecorded {
             participant: name(p),
-            vote: if commit { Vote::Commit } else { Vote::Rollback },
+            vote: if commit { VoteKind::Commit } else { VoteKind::Rollback },
         });
     }
     events.push(Event::DecisionForced { commit });
     for p in 0..participants {
-        events.push(Event::OutcomeDelivered { participant: name(p), commit });
+        events.push(Event::OutcomeDelivered { participant: name(p), commit, ok: true });
         events.push(Event::Forgotten { participant: name(p) });
     }
     events.push(Event::TxCompleted { committed: commit });
-    events
+    let origin = Origin::Transaction { top: tx as u64, branch: Vec::new() };
+    events.into_iter().map(|event| (origin.clone(), event)).collect()
 }
 
 proptest! {
@@ -69,7 +72,7 @@ proptest! {
         for (offset, event) in retained.iter().enumerate() {
             let source = first_kept + offset;
             prop_assert_eq!(event.seq, source as u64);
-            prop_assert_eq!(&event.detail, &format!("event-{source}"));
+            prop_assert_eq!(event.detail(), format!("event-{source}"));
         }
         for pair in retained.windows(2) {
             prop_assert!(pair[0].seq + 1 == pair[1].seq, "eviction tore a causal gap");
@@ -90,39 +93,33 @@ proptest! {
         let total_txs = window_txs + extra_txs;
 
         // Flat source history: `total_txs` back-to-back journals, mixing
-        // commits and aborts, recorded as protocol events.
+        // commits and aborts, emitted as typed steps.
         let mut source = Vec::new();
         for tx in 0..total_txs {
             let commit = commit_bits[tx % commit_bits.len()] == 1;
             source.extend(tx_journal(tx, participants, commit));
         }
         let rec = FlightRecorder::new("coordinator", capacity);
-        for event in &source {
-            rec.record(RecordKind::Protocol, || format!("{event:?}"));
+        for step in &source {
+            rec.record_step(|| step.clone());
         }
 
-        let retained = rec.events();
+        let retained = rec.steps();
         prop_assert_eq!(retained.len(), capacity, "the history must wrap the ring");
         // The window starts on a transaction boundary by construction;
         // check the seq arithmetic agrees.
-        let first_kept = retained[0].seq as usize;
+        let first_kept = rec.events()[0].seq as usize;
         prop_assert_eq!(first_kept % journal_len, 0, "window misaligned with journals");
 
-        // Reconstruct each surviving transaction from the source via the
-        // retained seqs (the details were checked against the source in
-        // property 1) and replay it through every reference model.
-        for chunk in retained.chunks(journal_len) {
-            let events: Vec<Event> =
-                chunk.iter().map(|e| source[e.seq as usize].clone()).collect();
-            for (kept, rebuilt) in chunk.iter().zip(events.iter()) {
-                prop_assert_eq!(&kept.detail, &format!("{rebuilt:?}"));
-            }
-            let violations = model::replay_all(&events);
-            prop_assert!(
-                violations.is_empty(),
-                "a wrapped-but-aligned window must replay cleanly: {violations:?}"
-            );
-        }
+        // What the ring kept is the history's tail as it was emitted —
+        // typed, with its origins — and it replays, one machine per
+        // surviving transaction, through every reference model.
+        prop_assert_eq!(&retained[..], &source[first_kept..]);
+        let violations = model::replay_all(&retained);
+        prop_assert!(
+            violations.is_empty(),
+            "a wrapped-but-aligned window must replay cleanly: {violations:?}"
+        );
     }
 
     /// Property 3: identical histories fingerprint identically, and the

@@ -497,8 +497,8 @@ fn sixteen_concurrent_committers_survive_restart() {
 
     let tel = telemetry::Telemetry::new();
     let acked: Vec<u64> = {
-        let group = Arc::new(GroupCommitWal::new(FileWal::open(&path).unwrap()));
-        group.set_telemetry(&tel);
+        let group =
+            Arc::new(GroupCommitWal::new(FileWal::open(&path).unwrap()).metered_by(&tel));
         let mut handles = Vec::new();
         for t in 0..THREADS {
             let group = Arc::clone(&group);
@@ -784,4 +784,40 @@ fn activity_logger_is_constructible() {
     let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
     let logger = ActivityLogger::new(Arc::clone(&wal));
     assert_eq!(logger.wal().next_lsn(), recovery_log::Lsn::new(1));
+}
+
+/// Components share logs (a workflow journal and a `RecoverableResource` on
+/// one WAL is the documented deployment), and each finds its own records by
+/// kind alone: no two kinds may share a number.
+#[test]
+fn record_kinds_are_pairwise_distinct() {
+    use activity_service::{exactly_once, recovery as activity_recovery};
+    use ots::{durable, recovery as resource_recovery, txlog};
+    let kinds = [
+        ("txlog::KIND_TX_BEGUN", txlog::KIND_TX_BEGUN),
+        ("txlog::KIND_TX_PREPARED", txlog::KIND_TX_PREPARED),
+        ("txlog::KIND_TX_DECISION", txlog::KIND_TX_DECISION),
+        ("txlog::KIND_TX_COMPLETED", txlog::KIND_TX_COMPLETED),
+        ("durable::KIND_KV_PREPARED", durable::KIND_KV_PREPARED),
+        ("durable::KIND_KV_COMMITTED", durable::KIND_KV_COMMITTED),
+        ("durable::KIND_KV_ABORTED", durable::KIND_KV_ABORTED),
+        ("durable::KIND_KV_CHECKPOINT", durable::KIND_KV_CHECKPOINT),
+        ("ots::recovery::KIND_RES_PREPARED", resource_recovery::KIND_RES_PREPARED),
+        ("ots::recovery::KIND_RES_RESOLVED", resource_recovery::KIND_RES_RESOLVED),
+        ("ots::recovery::KIND_RES_HEURISTIC", resource_recovery::KIND_RES_HEURISTIC),
+        ("KIND_ACT_BEGUN", activity_recovery::KIND_ACT_BEGUN),
+        ("KIND_ACT_SIGNAL_SET", activity_recovery::KIND_ACT_SIGNAL_SET),
+        ("KIND_ACT_ACTION", activity_recovery::KIND_ACT_ACTION),
+        ("KIND_ACT_STATUS", activity_recovery::KIND_ACT_STATUS),
+        ("KIND_ACT_COMPLETION_SET", activity_recovery::KIND_ACT_COMPLETION_SET),
+        ("KIND_ACT_COMPLETED", activity_recovery::KIND_ACT_COMPLETED),
+        ("KIND_SIGNAL_PROCESSED", exactly_once::KIND_SIGNAL_PROCESSED),
+        ("KIND_WF_TASK_DONE", wfengine::journal::KIND_WF_TASK_DONE),
+        ("CHECKPOINT_KIND", recovery_log::checkpoint::CHECKPOINT_KIND),
+    ];
+    for (i, (name, kind)) in kinds.iter().enumerate() {
+        for (other, same) in &kinds[i + 1..] {
+            assert_ne!(kind, same, "{name} and {other} are both {kind:#06x}");
+        }
+    }
 }

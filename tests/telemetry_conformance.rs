@@ -11,20 +11,22 @@
 //!    transition counts are exactly those implied by the injected
 //!    consecutive-failure run and the final rehabilitation.
 
+mod common;
+
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use activity_service::{
     ActionServant, ActivityService, BroadcastSignalSet, DispatchConfig, ExactlyOnceAction,
-    FnAction, Outcome, RemoteActionProxy, Signal, TraceLog,
+    FnAction, Outcome, RemoteActionProxy, Signal,
 };
 use harness::scenarios::WorkflowScenario;
 use harness::{generate, FaultSchedule, Scenario, ScheduleSpace};
 use orb::detector::{DetectorConfig, FailureDetector, HealthStatus};
 use orb::{Env, FaultScript, NetworkConfig, Orb, Request, RetryPolicy, SimClock, Value};
 use recovery_log::{FailpointSet, MemWal, Wal};
-use telemetry::Telemetry;
+use telemetry::{FlightRecorder, Telemetry};
 
 /// The fig. 10 workflow wiring (mirrors the harness `WorkflowRetryScenario`)
 /// with the run's `Telemetry` and `Orb` handed back for metric inspection.
@@ -33,10 +35,13 @@ fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb, Strin
     let telemetry = Telemetry::with_time(Arc::new(clock.clone()));
     let failpoints = FailpointSet::new();
     schedule.arm_into(&failpoints);
+    // The coordinator trace is read back, whole, from the recorder.
+    let recorder = FlightRecorder::new("coordinator", usize::MAX);
     let env = Env::wired(Env {
         clock,
         failpoints: Some(failpoints),
         telemetry: Some(telemetry.clone()),
+        recorder: Some(recorder.clone()),
         ..Default::default()
     });
     let orb = Orb::builder()
@@ -65,8 +70,6 @@ fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb, Strin
     }
     let activity = service.begin("billing-run").expect("begin activity");
     activity.coordinator().set_dispatch_config(DispatchConfig::serial());
-    let trace = TraceLog::new();
-    activity.coordinator().set_trace(trace.clone());
     activity
         .coordinator()
         .add_signal_set(Box::new(BroadcastSignalSet::new("Bill", "charge", Value::U64(25))))
@@ -85,7 +88,7 @@ fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb, Strin
         }
         let _ = service.suspend();
     }
-    (telemetry, orb, trace.render())
+    (telemetry, orb, telemetry::render_steps(&common::trace(&recorder)))
 }
 
 #[test]
