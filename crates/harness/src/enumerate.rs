@@ -1,25 +1,29 @@
 //! Exhaustive bounded-schedule exploration with dynamic partial-order
 //! reduction (DPOR).
 //!
-//! Where [`crate::sweep`] *samples* the schedule space (seeded random
+//! Where [`mod@crate::sweep`] *samples* the schedule space (seeded random
 //! fault schedules), this module *enumerates* it: every interleaving of
 //! ORB deliveries the coordinator can choose between, crossed with every
 //! single-crash fault plan, up to a configurable execution/wall-clock
 //! budget. Coverage claims ("no reachable execution at this depth
-//! violates the spec") need enumeration, not sampling.
+//! violates the spec") need enumeration, not sampling. Both run the same
+//! [`Scenario`]s under the same [`FaultSchedule`]s, detect with the same
+//! check and report the same [`FailureReport`]s.
 //!
 //! # How an execution is named
 //!
 //! A scenario exposes its nondeterminism through the
 //! [`orb::choice::DeliverySequencer`] hook: wherever the implementation
 //! has more than one pending delivery to pick from, it asks the sequencer
-//! which to deliver next. An execution is therefore named by a
-//! **prescription** — a vector of choice indices, one per decision point,
-//! with `0` (registration order) assumed past the prescribed prefix. The
-//! explorer runs the empty prescription first, reads back which choice
-//! points the run actually hit ([`ChoiceDriver::taken`]), and pushes one
-//! child prescription per untaken alternative — a depth-first search that
-//! visits each distinct schedule exactly once.
+//! which to deliver next. A scenario with such a component installs a
+//! [`ChoiceDriver`] replaying [`FaultSchedule::choices`] — a vector of
+//! choice indices, one per decision point, with `0` (registration order)
+//! assumed past the prescribed prefix — and reports the choice points the
+//! run actually hit ([`Observation::report_choices`]). The explorer runs
+//! the empty prescription first and pushes one child prescription per
+//! untaken alternative — a depth-first search that visits each distinct
+//! schedule exactly once. A scenario that reports no choice points is
+//! enumerated over its fault plans alone.
 //!
 //! # The reduction
 //!
@@ -38,13 +42,13 @@
 //! in-doubt participant uniformly from the durable decision, so
 //! intra-round order cannot matter. The honesty check on the reduction is
 //! measured, not assumed: [`ExploreReport::distinct_fingerprints`] must
-//! match between a reduced and an unreduced enumeration (see
-//! `tests/model_check.rs`).
+//! match between a reduced and an unreduced enumeration of a scenario
+//! whose facts do not record delivery order (see this module's tests).
 //!
-//! Every enumerated execution is checked by all nine oracles — including
-//! the refinement oracle replaying the run's journal through
-//! [`crate::model`] — and any divergence is shrunk to a 1-minimal
-//! [`ExploreSchedule`] by [`shrink_explored`].
+//! Every enumerated execution is run twice and checked by all twelve
+//! oracles — including the refinement oracle replaying the run's journal
+//! through [`crate::model`] — and any divergence is shrunk to a 1-minimal
+//! schedule by [`crate::shrink`].
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -53,22 +57,11 @@ use std::time::{Duration, Instant};
 use orb::choice::{clamp_choice, DeliverySequencer};
 use parking_lot::Mutex;
 
-use crate::oracle::{self, Observation, Violation};
+use crate::oracle::Observation;
+use crate::scenario::Scenario;
 use crate::schedule::{FaultEvent, FaultSchedule};
-use crate::sweep::greedy_minimal;
+use crate::sweep::{violations_for, FailureReport};
 use telemetry::{fnv1a, FNV_OFFSET};
-
-/// A scenario the explorer can enumerate: runs hermetically under a fault
-/// schedule and routes every delivery-order decision through the driver.
-pub trait Explorable {
-    /// Stable name for reports.
-    fn name(&self) -> &str;
-    /// One hermetic run. The scenario must install `driver` as the
-    /// [`DeliverySequencer`] of every component with delivery choices and
-    /// should journal model events into the observation so the refinement
-    /// oracle binds.
-    fn run_exploration(&self, faults: &FaultSchedule, driver: &Arc<ChoiceDriver>) -> Observation;
-}
 
 /// One decision point a run passed through.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,28 +132,12 @@ impl DeliverySequencer for ChoiceDriver {
     }
 }
 
-/// One fully-named execution: the fault plan plus the delivery-order
-/// prescription.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExploreSchedule {
-    /// Faults armed for the run.
-    pub faults: FaultSchedule,
-    /// Delivery-choice prescription (index 0 past its end).
-    pub choices: Vec<usize>,
-}
-
-impl std::fmt::Display for ExploreSchedule {
-    /// Copy-pasteable: the fault constructor plus the choice vector.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ExploreSchedule {{ faults: {}, choices: vec!{:?} }}", self.faults, self.choices)
-    }
-}
-
 /// Exploration bounds.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
-    /// Crash failpoints armed per fault plan (0 = fault-free only,
-    /// 1 = one plan per discovered site).
+    /// Crashes per fault plan (0 = fault-free only, 1 = one stay-dead plan
+    /// per discovered site plus one crash-and-recover plan per restart
+    /// site).
     pub max_crashes: u32,
     /// Whether the partial-order reduction prunes commuting subtrees.
     pub dpor: bool,
@@ -177,59 +154,13 @@ impl Default for ExploreConfig {
     }
 }
 
-/// One oracle divergence with its minimized reproducer.
-#[derive(Debug, Clone)]
-pub struct Divergence {
-    /// Scenario that diverged.
-    pub scenario: String,
-    /// The execution as enumerated.
-    pub schedule: ExploreSchedule,
-    /// The 1-minimal execution still reproducing a violation.
-    pub minimized: ExploreSchedule,
-    /// Violations the original execution produced.
-    pub violations: Vec<Violation>,
-    /// The flight recorder's dump from a run of the minimized execution
-    /// (`None` when the scenario attaches no recorder).
-    pub recorder_dump: Option<String>,
-}
-
-impl Divergence {
-    /// A copy-pasteable reproducer, with the minimized execution's flight
-    /// recorder appended as comment lines when one was attached.
-    #[must_use]
-    pub fn repro(&self) -> String {
-        let oracles: Vec<&str> = self.violations.iter().map(|v| v.oracle).collect();
-        let mut out = format!(
-            "// scenario: {} | violated: {:?}\n\
-             // minimal execution ({} fault event(s), {} prescribed choice(s)):\n\
-             let schedule = {};\n\
-             let driver = harness::ChoiceDriver::new(schedule.choices.clone());\n\
-             let violations = harness::oracle::check_all(&scenario.run_exploration(&schedule.faults, &driver));\n\
-             assert!(violations.is_empty(), \"{{violations:?}}\");\n",
-            self.scenario,
-            oracles,
-            self.minimized.faults.len(),
-            self.minimized.choices.len(),
-            self.minimized,
-        );
-        if let Some(dump) = &self.recorder_dump {
-            out.push_str("//\n// flight recorder at failure:\n");
-            for line in dump.lines() {
-                out.push_str("//   ");
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        out
-    }
-}
-
 /// What an exploration covered and found.
 #[derive(Debug, Clone, Default)]
 pub struct ExploreReport {
     /// Scenario explored.
     pub scenario: String,
-    /// Executions actually run.
+    /// Executions enumerated (each is run twice, for the determinism
+    /// oracle).
     pub executions: u64,
     /// Subtrees the reduction pruned (choice points whose alternatives
     /// all commuted).
@@ -243,7 +174,7 @@ pub struct ExploreReport {
     /// Fault plans enumerated (fault-free probe plan included).
     pub fault_plans: usize,
     /// Oracle divergences, each with a minimized reproducer.
-    pub divergences: Vec<Divergence>,
+    pub divergences: Vec<FailureReport>,
     /// Whether a budget cut enumeration short — coverage claims are void.
     pub truncated: bool,
 }
@@ -262,32 +193,35 @@ fn fingerprint(obs: &Observation) -> u64 {
     hash
 }
 
+/// The fault plans [`explore`] crosses delivery orders with: the fault-free
+/// plan, then (from one allowed crash up) a stay-dead crash at each
+/// failpoint site the fault-free `probe` run passed and a
+/// crash-and-recover at each restart site it declares.
+pub(crate) fn fault_plans(probe: &Observation, max_crashes: u32) -> Vec<FaultSchedule> {
+    let mut plans = vec![FaultSchedule::empty()];
+    if max_crashes >= 1 {
+        let space = &probe.space;
+        let crashes =
+            space.sites.iter().cloned().map(|site| FaultEvent::ArmFailpoint { site, after: 0 });
+        let restarts =
+            space.restart_sites.iter().cloned().map(|site| FaultEvent::Restart { site, after: 0 });
+        plans.extend(crashes.chain(restarts).map(|crash| FaultSchedule::from_events(vec![crash])));
+    }
+    plans
+}
+
 /// Enumerate every execution of `scenario` within `config`'s bounds,
 /// oracle-checking each one.
-pub fn explore(scenario: &dyn Explorable, config: &ExploreConfig) -> ExploreReport {
+pub fn explore(scenario: &dyn Scenario, config: &ExploreConfig) -> ExploreReport {
     let started = Instant::now();
     let mut report = ExploreReport { scenario: scenario.name().to_owned(), ..Default::default() };
 
-    // Probe: discover the failpoint sites the fault plans enumerate over.
-    let probe_driver = ChoiceDriver::new(Vec::new());
-    let probe = scenario.run_exploration(&FaultSchedule::empty(), &probe_driver);
-    let mut sites = probe.observed_sites.clone();
-    sites.sort();
-    sites.dedup();
-
-    let mut plans = vec![FaultSchedule::empty()];
-    if config.max_crashes >= 1 {
-        for site in &sites {
-            plans.push(FaultSchedule::from_events(vec![FaultEvent::ArmFailpoint {
-                site: site.clone(),
-                after: 0,
-            }]));
-        }
-    }
+    // Probe: discover the sites the fault plans enumerate over.
+    let plans = fault_plans(&scenario.run(&FaultSchedule::empty()), config.max_crashes);
     report.fault_plans = plans.len();
 
     let mut fingerprints = BTreeSet::new();
-    'plans: for faults in &plans {
+    'plans: for faults in plans {
         // Depth-first over prescriptions, starting from the default path.
         let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
         while let Some(prescription) = stack.pop() {
@@ -298,42 +232,27 @@ pub fn explore(scenario: &dyn Explorable, config: &ExploreConfig) -> ExploreRepo
                 break 'plans;
             }
 
-            let driver = ChoiceDriver::new(prescription.clone());
-            let obs = scenario.run_exploration(faults, &driver);
+            let prefix = prescription.len();
+            let schedule = faults.clone().with_choices(prescription);
+            let (obs, violations) = violations_for(scenario, &schedule);
             report.executions += 1;
             fingerprints.insert(fingerprint(&obs));
-
-            let violations = oracle::check_all(&obs);
             if !violations.is_empty() {
-                let schedule =
-                    ExploreSchedule { faults: faults.clone(), choices: prescription.clone() };
-                let minimized = shrink_explored(scenario, &schedule);
-                // One more run of the minimized execution captures the
-                // black box that matches the shipped reproducer.
-                let minimized_driver = ChoiceDriver::new(minimized.choices.clone());
-                let recorder_dump =
-                    scenario.run_exploration(&minimized.faults, &minimized_driver).recorder_dump;
-                report.divergences.push(Divergence {
-                    scenario: scenario.name().to_owned(),
-                    schedule,
-                    minimized,
-                    violations,
-                    recorder_dump,
-                });
+                let failure = FailureReport::new(scenario, None, schedule, violations, true);
+                report.divergences.push(failure);
             }
 
-            let taken = driver.taken();
-            let total_dirty = driver.total_dirty();
+            let taken = &obs.choice_points;
             report.max_choice_points = report.max_choice_points.max(taken.len());
 
             // Branch on every choice point past the prescribed prefix: the
             // prefix was fixed by an ancestor, so re-branching it would
             // enumerate paths twice.
-            for (index, point) in taken.iter().enumerate().skip(prescription.len()) {
+            for (index, point) in taken.iter().enumerate().skip(prefix) {
                 if point.options <= 1 {
                     continue;
                 }
-                if config.dpor && total_dirty == point.dirty_at_creation {
+                if config.dpor && obs.dirty_deliveries == point.dirty_at_creation {
                     // No disruptive delivery at or after this point: every
                     // alternative commutes with the chosen order.
                     report.pruned_subtrees += 1;
@@ -352,37 +271,6 @@ pub fn explore(scenario: &dyn Explorable, config: &ExploreConfig) -> ExploreRepo
     report
 }
 
-fn still_diverges(scenario: &dyn Explorable, candidate: &ExploreSchedule) -> bool {
-    let driver = ChoiceDriver::new(candidate.choices.clone());
-    let obs = scenario.run_exploration(&candidate.faults, &driver);
-    !oracle::check_all(&obs).is_empty()
-}
-
-/// Shrink an explored execution: drop fault events, truncate the trailing
-/// choice and decrement individual choices (tried in that order) while a
-/// violation still reproduces. The result is 1-minimal — no single
-/// remaining step can be removed or lowered.
-pub fn shrink_explored(scenario: &dyn Explorable, schedule: &ExploreSchedule) -> ExploreSchedule {
-    greedy_minimal(
-        schedule.clone(),
-        |current| {
-            let with_faults = |faults| ExploreSchedule { faults, choices: current.choices.clone() };
-            let with_choices =
-                |choices| ExploreSchedule { faults: current.faults.clone(), choices };
-            let dropped =
-                (0..current.faults.len()).map(|i| with_faults(current.faults.without_event(i)));
-            let truncated = current.choices.split_last().map(|(_, rest)| with_choices(rest.to_vec()));
-            let lowered = (0..current.choices.len()).filter(|&i| current.choices[i] > 0).map(|i| {
-                let mut choices = current.choices.clone();
-                choices[i] -= 1;
-                with_choices(choices)
-            });
-            dropped.chain(truncated).chain(lowered).collect()
-        },
-        |candidate| still_diverges(scenario, candidate),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,16 +282,13 @@ mod tests {
     /// must find and the shrinker must reduce to `choices: [2]`.
     struct OrderSensitive;
 
-    impl Explorable for OrderSensitive {
-        fn name(&self) -> &str {
+    impl Scenario for OrderSensitive {
+        fn name(&self) -> &'static str {
             "order-sensitive"
         }
 
-        fn run_exploration(
-            &self,
-            _faults: &FaultSchedule,
-            driver: &Arc<ChoiceDriver>,
-        ) -> Observation {
+        fn run(&self, schedule: &FaultSchedule) -> Observation {
+            let driver = ChoiceDriver::new(schedule.choices().to_vec());
             let mut first_delivered = None;
             for round in ["prepare", "phase2"] {
                 let mut pending = vec!["a", "b", "c"];
@@ -428,6 +313,7 @@ mod tests {
                 // Planted: delivering c first loses a participant.
                 obs.participant_commits = vec![("a".into(), false)];
             }
+            obs.report_choices(&driver);
             obs
         }
     }
@@ -450,8 +336,9 @@ mod tests {
         // 12 of 36 paths deliver c first (choices starting [2] or [1,1]).
         assert_eq!(report.divergences.len(), 12);
         for divergence in &report.divergences {
-            assert!(divergence.minimized.faults.is_empty());
-            assert_eq!(divergence.minimized.choices, vec![2], "{divergence:?}");
+            assert!(divergence.minimized.is_empty());
+            assert_eq!(divergence.minimized.choices(), &[2], "{divergence:?}");
+            assert!(divergence.repro().contains("]).with_choices(vec![2])"));
         }
     }
 
@@ -475,23 +362,20 @@ mod tests {
         assert!(reduced.pruned_subtrees > 0);
         assert_eq!(reduced.distinct_fingerprints, full.distinct_fingerprints);
         assert!(!reduced.divergences.is_empty());
-        assert_eq!(reduced.divergences[0].minimized.choices, vec![2]);
+        assert_eq!(reduced.divergences[0].minimized.choices(), &[2]);
     }
 
     /// All-clean variant: every delivery commutes, so DPOR collapses the
     /// whole space to the default path.
     struct AllClean;
 
-    impl Explorable for AllClean {
-        fn name(&self) -> &str {
+    impl Scenario for AllClean {
+        fn name(&self) -> &'static str {
             "all-clean"
         }
 
-        fn run_exploration(
-            &self,
-            _faults: &FaultSchedule,
-            driver: &Arc<ChoiceDriver>,
-        ) -> Observation {
+        fn run(&self, schedule: &FaultSchedule) -> Observation {
+            let driver = ChoiceDriver::new(schedule.choices().to_vec());
             let mut pending = vec!["a", "b", "c"];
             while !pending.is_empty() {
                 let pick = if pending.len() > 1 {
@@ -502,7 +386,9 @@ mod tests {
                 let peer = pending.remove(pick);
                 driver.report("prepare", peer, true);
             }
-            Observation::new(RunOutcome::Committed)
+            let mut obs = Observation::new(RunOutcome::Committed);
+            obs.report_choices(&driver);
+            obs
         }
     }
 
@@ -545,5 +431,47 @@ mod tests {
         };
         let report = explore(&OrderSensitive, &config);
         assert!(report.truncated);
+    }
+
+    /// A scenario whose trace carries a process-wide counter: every single
+    /// run looks healthy, and no two runs agree.
+    struct Unrepeatable;
+
+    impl Scenario for Unrepeatable {
+        fn name(&self) -> &'static str {
+            "unrepeatable"
+        }
+
+        fn run(&self, _schedule: &FaultSchedule) -> Observation {
+            static RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let mut obs = Observation::new(RunOutcome::Committed);
+            obs.trace = format!("run {}", RUNS.fetch_add(1, std::sync::atomic::Ordering::SeqCst));
+            obs
+        }
+    }
+
+    #[test]
+    fn a_nondeterministic_scenario_is_reported_under_determinism() {
+        let report = explore(&Unrepeatable, &ExploreConfig::default());
+        assert_eq!(report.divergences.len(), 1, "{:?}", report.divergences);
+        let violations = &report.divergences[0].violations;
+        assert!(violations.iter().all(|v| v.oracle == "determinism"), "{violations:?}");
+    }
+
+    #[test]
+    fn restart_sites_are_enumerated_as_crash_and_recover_plans() {
+        use crate::scenarios::TerminationScenario;
+        let probe = TerminationScenario.run(&FaultSchedule::empty());
+        let (sites, restarts) = (probe.space.sites.len(), probe.space.restart_sites.len());
+        assert_eq!((sites, restarts), (7, 3));
+        let plans = fault_plans(&probe, 1);
+        let recovered = plans.iter().filter(|plan| {
+            matches!(plan.events(), [FaultEvent::Restart { after: 0, .. }])
+        });
+        assert_eq!(recovered.count(), restarts);
+        let report = explore(&TerminationScenario, &ExploreConfig::default());
+        assert_eq!(report.fault_plans, 1 + 7 + 3);
+        assert!(!report.truncated);
+        assert!(report.divergences.is_empty(), "{:?}", report.divergences);
     }
 }

@@ -7,18 +7,25 @@
 //! compensation on failure. This crate *hunts* for executions that break
 //! them:
 //!
-//! * [`schedule`] — seeds map deterministically to small, discrete
-//!   [`schedule::FaultSchedule`]s: arm a named failpoint
-//!   ([`recovery_log::FailpointSet`]), drop or duplicate the n-th remote
-//!   message ([`orb::FaultScript`]), partition a node over a virtual-time
-//!   window, or crash-and-restart a site through its recovery path.
-//!   Discrete events (not fault *rates*) make every run replayable and
-//!   every schedule shrinkable.
-//! * [`scenario`] + [`scenarios`] — hermetic end-to-end adapters, one per
-//!   figure-test: 2PC with WAL replay, fig. 9 open nesting, Sagas, the
-//!   fig. 10 workflow over the simulated ORB, BTP atoms, plus an
-//!   intentionally broken fixture the sweep must catch.
-//! * [`oracle`] — twelve invariants checked after every run: atomicity,
+//! * [`schedule`] — what one run is subjected to: a
+//!   [`schedule::FaultSchedule`] is a small, discrete list of faults — arm
+//!   a named failpoint ([`recovery_log::FailpointSet`]), drop or duplicate
+//!   the n-th remote message ([`orb::FaultScript`]), partition a node over
+//!   a virtual-time window, or crash-and-restart a site through its
+//!   recovery path — plus the delivery choices a sequenced component
+//!   replays. Seeds map deterministically to the faults; the explorer
+//!   enumerates the choices. Discrete steps (not fault *rates*) make every
+//!   run replayable and every schedule shrinkable.
+//! * [`scenario`] + [`scenarios`] — the one contract,
+//!   [`Scenario::run`]`(&FaultSchedule) -> Observation`, and its hermetic
+//!   end-to-end adapters, one per figure-test: 2PC with WAL replay, fig. 9
+//!   open nesting, Sagas, the fig. 10 workflow over the simulated ORB, BTP
+//!   atoms, termination under partitions, plus the planted fixtures the
+//!   sweep and the explorer must catch. Sampled or enumerated, a scenario
+//!   is the same trait object.
+//! * [`oracle`] — an [`Observation`] that reports by oracle (a section is
+//!   `Some` exactly when its oracle binds) and the twelve invariants
+//!   checked after every run: atomicity,
 //!   exactly-once effect counts, reverse-order compensation completeness,
 //!   WAL-replay equivalence, trace determinism (same seed ⇒ byte-identical
 //!   trace), liveness under bounded transient faults (drops within the
@@ -45,10 +52,13 @@
 //!   sites are *discovered* from the run, not hardcoded), generate seeded
 //!   schedules, run each twice, oracle-check, and greedily shrink any
 //!   violation to a 1-minimal reproducer printed as a copy-pasteable test.
-//! * [`enumerate`] — the exhaustive counterpart: enumerate *every* delivery
-//!   interleaving × single-crash fault plan up to a bounded depth, with
-//!   dynamic partial-order reduction pruning commuting subtrees, and
-//!   shrink any divergence to a 1-minimal execution.
+//!   Its check (two runs, every oracle), its shrinker ([`shrink`]) and its
+//!   [`FailureReport`] are the only ones: the explorer uses them too.
+//! * [`enumerate`] — the exhaustive counterpart over the same scenarios:
+//!   enumerate *every* delivery interleaving × single-crash (stay-dead or
+//!   crash-and-recover) fault plan up to a bounded depth, with dynamic
+//!   partial-order reduction pruning commuting subtrees; a divergence is
+//!   the sweep's failure report.
 //! * [`registry`] — the workspace failpoint-site audit: probe runs must
 //!   observe exactly the sites each crate's `failpoints` constants
 //!   declare.
@@ -62,10 +72,7 @@ pub mod scenarios;
 pub mod schedule;
 pub mod sweep;
 
-pub use enumerate::{
-    explore, shrink_explored, ChoiceDriver, ChoicePoint, Divergence, Explorable, ExploreConfig,
-    ExploreReport, ExploreSchedule,
-};
+pub use enumerate::{explore, ChoiceDriver, ChoicePoint, ExploreConfig, ExploreReport};
 pub use sweep::{shrink, sweep, FailureReport, SweepConfig, SweepReport};
 pub use model::{replay_all, SpecViolation};
 pub use oracle::{check_all, check_determinism, EffectCount, Observation, RunOutcome, Violation};

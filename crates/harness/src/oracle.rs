@@ -65,10 +65,15 @@
 //!     the *global* causal history must be bit-identical under replay, not
 //!     just each node's local log.
 
+use crate::enumerate::{ChoiceDriver, ChoicePoint};
+use crate::schedule::{FaultSchedule, ScheduleSpace};
+
 /// Terminal outcome of one simulated run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RunOutcome {
-    /// The protocol completed in the forward direction.
+    /// The protocol completed in the forward direction (what a run is
+    /// until something says otherwise).
+    #[default]
     Committed,
     /// The protocol completed in the backward direction (rollback,
     /// cancellation or compensation).
@@ -91,8 +96,11 @@ pub struct EffectCount {
     pub max: u64,
 }
 
-/// Everything a scenario run reports to the oracles.
-#[derive(Debug, Clone)]
+/// Everything a scenario run reports to the oracles. What every run has is
+/// a plain field; what only some oracles need is an `Option<section>`, and
+/// `Some` is what makes that oracle bind — a scenario fills in only what it
+/// claims, and a half-reported section is not representable.
+#[derive(Debug, Clone, Default)]
 pub struct Observation {
     /// Terminal outcome.
     pub outcome: RunOutcome,
@@ -106,150 +114,179 @@ pub struct Observation {
     pub compensated_steps: Vec<String>,
     /// Whether the run's ending obliges compensation of completed steps.
     pub compensation_required: bool,
-    /// Whether a commit decision record was durable at the crash
-    /// (`None` when no crash-recovery pass ran).
-    pub decision_durable: Option<bool>,
-    /// Outcome the WAL replay reached (`None` when no crash occurred).
-    pub replay_outcome: Option<RunOutcome>,
-    /// Whether a *second* replay over the same log found nothing left to
-    /// do (`None` when no crash occurred).
-    pub replay_stable: Option<bool>,
     /// Rendered protocol trace; byte-compared by the determinism oracle.
     pub trace: String,
-    /// Failpoint sites the run passed through (probe runs use this to
-    /// discover the schedule space).
-    pub observed_sites: Vec<String>,
-    /// Remote messages the run sent (probe runs use this to bound
-    /// message-fault sequence numbers).
-    pub remote_messages: u64,
-    /// Transient faults (dropped messages) the schedule injected
-    /// (`None` when the scenario does not report fault accounting).
-    pub transient_faults: Option<u32>,
-    /// Hard faults (armed crash failpoints) the schedule injected.
-    pub hard_faults: Option<u32>,
-    /// The per-call retry budget the run's reliability layer had
-    /// (`None` when retries are disabled or unreported).
-    pub retry_budget: Option<u32>,
-    /// Span-tree well-formedness defects from `SpanTree::verify`
-    /// (`None` when the scenario records no telemetry).
-    pub span_wellformed: Option<Vec<String>>,
-    /// The span tree's projection onto coordinator events
-    /// (`None` when the scenario records no telemetry).
-    pub span_projection: Option<String>,
-    /// Canonical span-tree fingerprint; compared across the determinism
-    /// oracle's two runs (`None` when the scenario records no telemetry).
-    pub span_fingerprint: Option<u64>,
-    /// Highest LSN the log acknowledged as durable before the crash
-    /// (`None` when the scenario does not report durability accounting).
-    pub durable_acked_lsn: Option<u64>,
-    /// Raw LSNs found in the log after the post-crash restart
-    /// (`None` when the scenario does not report durability accounting).
-    pub survived_lsns: Option<Vec<u64>>,
+    /// The schedule space the run exposes — failpoint sites passed, remote
+    /// messages sent, partitionable nodes, restartable sites. Probe runs
+    /// are how the sweep and the explorer discover what to inject.
+    pub space: ScheduleSpace,
+    /// The delivery choice points the run hit, in order
+    /// ([`ChoiceDriver::taken`]; empty without a sequenced component) —
+    /// what the explorer branches on.
+    pub choice_points: Vec<ChoicePoint>,
+    /// Disruptive deliveries the run reported
+    /// ([`ChoiceDriver::total_dirty`]) — what the explorer prunes on.
+    pub dirty_deliveries: u64,
     /// The protocol steps the run emitted, each with its origin — the
-    /// flight recorder's typed stream as recorded (`None` when the scenario
-    /// does not report it; the refinement oracle binds only when present).
+    /// flight recorder's typed stream as recorded (oracle #9 replays them
+    /// through the reference models).
     pub model_events: Option<Vec<crate::model::Step>>,
-    /// Whether the saga the run drove completed forward (`None` when it
-    /// drove none): with it, `completed_steps` and `compensated_steps`
-    /// replay through the saga reference model.
+    /// Whether the saga the run drove completed forward: with it,
+    /// `completed_steps` and `compensated_steps` replay through the saga
+    /// reference model (oracle #9).
     pub saga_completed: Option<bool>,
-    /// Nodes the scenario exposes to [`crate::schedule::FaultEvent::Partition`]
-    /// arms (probe runs use this to build the schedule space).
-    pub partition_nodes: Vec<String>,
-    /// Failpoint sites the scenario recovers from after a
-    /// [`crate::schedule::FaultEvent::Restart`] crash (probe runs use this
-    /// to build the schedule space).
-    pub restart_sites: Vec<String>,
-    /// Participants still in doubt after faults ceased, partitions healed
-    /// and the scenario ran its bounded resolution rounds (`None` when the
-    /// scenario does not drive termination; the eventual-resolution oracle
-    /// binds only when present).
-    pub in_doubt_after_resolution: Option<u32>,
-    /// Heuristic outcomes participants recorded during the run (`None`
-    /// when the scenario does not drive termination).
-    pub heuristics: Option<u32>,
-    /// Whether the history genuinely hazarded an outcome — i.e. the
-    /// coordinator's decision was unknowable for long enough that a
-    /// heuristic was the participant's only legal exit (`None` when the
-    /// scenario does not report hazard accounting).
-    pub hazarded: Option<bool>,
-    /// FNV fingerprint over the recorder's retained events; compared across
-    /// the determinism oracle's two runs (`None` without a recorder).
-    pub recorder_fingerprint: Option<u64>,
-    /// The recorder's rendered dump, attached verbatim to failure repros
-    /// (`None` without a recorder; never compared by oracles).
-    pub recorder_dump: Option<String>,
     /// Whether `SpanTree::critical_path` partitioned the commit span's
-    /// duration exactly (`None` when the scenario computes no attribution).
+    /// duration exactly (oracle #11).
     pub critical_path_exact: Option<bool>,
-    /// Rendered [`telemetry::CausalViolation`]s from verifying the merged
-    /// happens-before DAG (`None` when the scenario builds no causal
-    /// merge; the causal-consistency oracle binds only when present —
-    /// `Some(vec![])` means the merge verified clean).
-    pub causal_violations: Option<Vec<String>>,
-    /// Fingerprint of the merged causal DAG (events + program-order +
-    /// message edges); compared across the determinism oracle's two runs
-    /// (`None` without a causal merge).
-    pub causal_fingerprint: Option<u64>,
-    /// The merged DAG exported as Perfetto/Chrome-trace JSON, attached
-    /// verbatim to failure repros (`None` without a causal merge; never
+    /// Oracle #4: a post-crash recovery pass ran.
+    pub replay: Option<Replay>,
+    /// Oracle #6: the scenario accounts for its faults and retries.
+    pub fault_budget: Option<FaultBudget>,
+    /// Oracle #7: the scenario records spans.
+    pub spans: Option<Spans>,
+    /// Oracle #8: the log's acked watermark and what survived the crash.
+    pub durability: Option<Durability>,
+    /// Oracle #10: the scenario drives termination.
+    pub termination: Option<Termination>,
+    /// Oracle #11: the node's flight recorder.
+    pub black_box: Option<BlackBox>,
+    /// Oracle #12: the merged happens-before DAG.
+    pub causal: Option<Causal>,
+}
+
+/// What a post-crash WAL replay found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Replay {
+    /// Whether a commit decision record was durable at the crash.
+    pub decision_durable: bool,
+    /// Outcome the replay reached.
+    pub outcome: RunOutcome,
+    /// Whether a *second* replay over the same log found nothing left to do.
+    pub stable: bool,
+}
+
+/// The bounded-fault envelope a run was inside (or not).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultBudget {
+    /// Transient faults (dropped messages) the schedule injected.
+    pub transient: u32,
+    /// Hard faults (crash failpoints, restarts, partitions) it injected.
+    pub hard: u32,
+    /// The per-call retry budget the run's reliability layer had.
+    pub retry_budget: u32,
+}
+
+impl FaultBudget {
+    /// `schedule`'s fault counts against a budget of `retry_budget`.
+    pub fn of(schedule: &FaultSchedule, retry_budget: u32) -> Self {
+        FaultBudget {
+            transient: schedule.transient_fault_count(),
+            hard: schedule.hard_fault_count(),
+            retry_budget,
+        }
+    }
+}
+
+/// The telemetry plane's account of the run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Spans {
+    /// Span-tree well-formedness defects from `SpanTree::verify`.
+    pub defects: Vec<String>,
+    /// The span tree's projection onto coordinator events.
+    pub projection: String,
+    /// Canonical span-tree fingerprint; compared across the determinism
+    /// oracle's two runs.
+    pub fingerprint: u64,
+}
+
+impl Spans {
+    /// Everything the oracles read off `tree`.
+    pub fn of(tree: &telemetry::SpanTree) -> Self {
+        Spans {
+            defects: tree.verify(),
+            projection: tree.coordinator_projection(),
+            fingerprint: tree.fingerprint(),
+        }
+    }
+}
+
+/// Both sides of the durability contract.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Durability {
+    /// Highest LSN the log acknowledged as durable before the crash.
+    pub acked_lsn: u64,
+    /// Raw LSNs found in the log after the post-crash restart.
+    pub survived_lsns: Vec<u64>,
+}
+
+/// Post-heal resolution accounting.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Termination {
+    /// Participants still in doubt after faults ceased, partitions healed
+    /// and the scenario ran its bounded resolution rounds.
+    pub in_doubt: u32,
+    /// Heuristic outcomes participants recorded during the run.
+    pub heuristics: u32,
+    /// Whether the history genuinely hazarded an outcome — the
+    /// coordinator's decision was unknowable for long enough that a
+    /// heuristic was the participant's only legal exit.
+    pub hazarded: bool,
+}
+
+/// A node's flight recorder at the end of the run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlackBox {
+    /// FNV fingerprint over the retained events; compared across the
+    /// determinism oracle's two runs.
+    pub fingerprint: u64,
+    /// The rendered dump, attached verbatim to failure repros (never
     /// compared by oracles).
-    pub causal_perfetto: Option<String>,
+    pub dump: String,
+}
+
+impl BlackBox {
+    /// `recorder`'s fingerprint and the dump a shrunk reproducer ships with.
+    pub fn of(recorder: &telemetry::FlightRecorder) -> Self {
+        BlackBox { fingerprint: recorder.fingerprint(), dump: recorder.dump() }
+    }
+}
+
+/// The global happens-before DAG merged from every node's recorder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Causal {
+    /// Rendered [`telemetry::CausalViolation`]s from verifying the DAG
+    /// (empty means the merge verified clean).
+    pub violations: Vec<String>,
+    /// Fingerprint of the DAG (events + program-order + message edges);
+    /// compared across the determinism oracle's two runs.
+    pub fingerprint: u64,
+    /// The DAG as Perfetto/Chrome-trace JSON, attached verbatim to failure
+    /// repros (never compared by oracles).
+    pub perfetto: String,
+}
+
+impl Causal {
+    /// `dag`'s verification result, fingerprint and Perfetto export.
+    pub fn of(dag: &telemetry::CausalDag) -> Self {
+        Causal {
+            violations: dag.verify().iter().map(ToString::to_string).collect(),
+            fingerprint: dag.fingerprint(),
+            perfetto: dag.to_perfetto(),
+        }
+    }
 }
 
 impl Observation {
     /// An observation with the given outcome and no other facts.
     pub fn new(outcome: RunOutcome) -> Self {
-        Observation {
-            outcome,
-            participant_commits: Vec::new(),
-            effects: Vec::new(),
-            completed_steps: Vec::new(),
-            compensated_steps: Vec::new(),
-            compensation_required: false,
-            decision_durable: None,
-            replay_outcome: None,
-            replay_stable: None,
-            trace: String::new(),
-            observed_sites: Vec::new(),
-            remote_messages: 0,
-            transient_faults: None,
-            hard_faults: None,
-            retry_budget: None,
-            span_wellformed: None,
-            span_projection: None,
-            span_fingerprint: None,
-            durable_acked_lsn: None,
-            survived_lsns: None,
-            model_events: None,
-            saga_completed: None,
-            partition_nodes: Vec::new(),
-            restart_sites: Vec::new(),
-            in_doubt_after_resolution: None,
-            heuristics: None,
-            hazarded: None,
-            recorder_fingerprint: None,
-            recorder_dump: None,
-            critical_path_exact: None,
-            causal_violations: None,
-            causal_fingerprint: None,
-            causal_perfetto: None,
-        }
+        Observation { outcome, ..Observation::default() }
     }
 
-    /// Report the node's black box (oracle #11): its fingerprint and the
-    /// dump a shrunk reproducer ships with.
-    pub fn report_recorder(&mut self, recorder: &telemetry::FlightRecorder) {
-        self.recorder_fingerprint = Some(recorder.fingerprint());
-        self.recorder_dump = Some(recorder.dump());
-    }
-
-    /// Report the merged happens-before DAG (oracle #12): its violations,
-    /// its fingerprint and its Perfetto export.
-    pub fn report_causal(&mut self, dag: &telemetry::CausalDag) {
-        self.causal_violations = Some(dag.verify().iter().map(ToString::to_string).collect());
-        self.causal_fingerprint = Some(dag.fingerprint());
-        self.causal_perfetto = Some(dag.to_perfetto());
+    /// Report the delivery choices `driver` steered: the points it hit and
+    /// the disruptive deliveries it was told of.
+    pub fn report_choices(&mut self, driver: &ChoiceDriver) {
+        self.choice_points = driver.taken();
+        self.dirty_deliveries = driver.total_dirty();
     }
 }
 
@@ -268,286 +305,203 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Oracle names, in the order [`check_all`] evaluates them.
-pub const ORACLES: &[&str] = &[
-    "atomicity",
-    "exactly-once",
-    "compensation",
-    "replay-equivalence",
-    "determinism",
-    "liveness-under-bounded-faults",
-    "telemetry-conformance",
-    "durability",
-    "refinement",
-    "eventual-resolution",
-    "recorder-consistency",
-    "causal-consistency",
+/// One single-observation oracle: the details of every way `obs` breaks it.
+pub type Check = fn(&Observation) -> Vec<String>;
+
+/// The single-observation oracles by name, in the order [`check_all`]
+/// evaluates them. Oracle #5 needs two runs: [`check_determinism`].
+pub const ORACLES: &[(&str, Check)] = &[
+    ("atomicity", atomicity),
+    ("exactly-once", exactly_once),
+    ("compensation", compensation),
+    ("replay-equivalence", replay_equivalence),
+    ("liveness-under-bounded-faults", liveness),
+    ("telemetry-conformance", telemetry_conformance),
+    ("durability", durability),
+    ("refinement", refinement),
+    ("eventual-resolution", eventual_resolution),
+    ("recorder-consistency", recorder_consistency),
+    ("causal-consistency", causal_consistency),
 ];
 
 /// Run every single-observation oracle (all but determinism).
 pub fn check_all(obs: &Observation) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    check_atomicity(obs, &mut violations);
-    check_exactly_once(obs, &mut violations);
-    check_compensation(obs, &mut violations);
-    check_replay(obs, &mut violations);
-    check_liveness(obs, &mut violations);
-    check_telemetry(obs, &mut violations);
-    check_durability(obs, &mut violations);
-    check_refinement(obs, &mut violations);
-    check_eventual_resolution(obs, &mut violations);
-    check_recorder(obs, &mut violations);
-    check_causal(obs, &mut violations);
-    violations
+    let tagged = ORACLES.iter().flat_map(|&(oracle, check)| {
+        check(obs).into_iter().map(move |detail| Violation { oracle, detail })
+    });
+    tagged.collect()
 }
 
-fn check_atomicity(obs: &Observation, out: &mut Vec<Violation>) {
+fn atomicity(obs: &Observation) -> Vec<String> {
+    // Every participant whose state is `wrong` for an outcome of `ended`.
+    let uneven = |wrong: bool, ended: &str, verb: &str| {
+        let offenders = obs.participant_commits.iter().filter(move |(_, c)| *c == wrong);
+        offenders
+            .map(|(name, _)| format!("outcome {ended} but participant {name:?} {verb} its effects"))
+            .collect()
+    };
     match obs.outcome {
-        RunOutcome::Committed => {
-            for (name, committed) in &obs.participant_commits {
-                if !committed {
-                    out.push(Violation {
-                        oracle: "atomicity",
-                        detail: format!("outcome committed but participant {name:?} lost its effects"),
-                    });
-                }
-            }
-        }
-        RunOutcome::Aborted => {
-            for (name, committed) in &obs.participant_commits {
-                if *committed {
-                    out.push(Violation {
-                        oracle: "atomicity",
-                        detail: format!("outcome aborted but participant {name:?} kept its effects"),
-                    });
-                }
-            }
-        }
+        RunOutcome::Committed => uneven(false, "committed", "lost"),
+        RunOutcome::Aborted => uneven(true, "aborted", "kept"),
         RunOutcome::Crashed => {
             // No recovery pass ran: the only claim is uniformity.
-            let committed: Vec<bool> =
-                obs.participant_commits.iter().map(|(_, c)| *c).collect();
-            if committed.iter().any(|c| *c) && committed.iter().any(|c| !*c) {
-                out.push(Violation {
-                    oracle: "atomicity",
-                    detail: format!(
-                        "crashed run left mixed participant states: {:?}",
-                        obs.participant_commits
-                    ),
-                });
-            }
+            let mixed = obs.participant_commits.iter().any(|(_, c)| *c)
+                && obs.participant_commits.iter().any(|(_, c)| !*c);
+            let detail = || {
+                format!("crashed run left mixed participant states: {:?}", obs.participant_commits)
+            };
+            mixed.then(detail).into_iter().collect()
         }
     }
 }
 
-fn check_exactly_once(obs: &Observation, out: &mut Vec<Violation>) {
-    for effect in &obs.effects {
-        if effect.observed < effect.min || effect.observed > effect.max {
-            out.push(Violation {
-                oracle: "exactly-once",
-                detail: format!(
-                    "action {:?} produced {} effects, contract allows {}..={}",
-                    effect.action, effect.observed, effect.min, effect.max
-                ),
-            });
-        }
-    }
+fn exactly_once(obs: &Observation) -> Vec<String> {
+    let out_of_band = obs.effects.iter().filter(|e| e.observed < e.min || e.observed > e.max);
+    out_of_band
+        .map(|effect| {
+            format!(
+                "action {:?} produced {} effects, contract allows {}..={}",
+                effect.action, effect.observed, effect.min, effect.max
+            )
+        })
+        .collect()
 }
 
-fn check_compensation(obs: &Observation, out: &mut Vec<Violation>) {
+fn compensation(obs: &Observation) -> Vec<String> {
+    let mut out = Vec::new();
     if obs.compensation_required {
         let expected: Vec<String> = obs.completed_steps.iter().rev().cloned().collect();
         if obs.compensated_steps != expected {
-            out.push(Violation {
-                oracle: "compensation",
-                detail: format!(
-                    "completed steps {:?} require compensations {expected:?}, observed {:?}",
-                    obs.completed_steps, obs.compensated_steps
-                ),
-            });
+            out.push(format!(
+                "completed steps {:?} require compensations {expected:?}, observed {:?}",
+                obs.completed_steps, obs.compensated_steps
+            ));
         }
     } else if !obs.compensated_steps.is_empty() {
-        out.push(Violation {
-            oracle: "compensation",
-            detail: format!(
-                "no compensation was required but {:?} were compensated",
-                obs.compensated_steps
-            ),
-        });
+        out.push(format!(
+            "no compensation was required but {:?} were compensated",
+            obs.compensated_steps
+        ));
     }
+    out
 }
 
-fn check_replay(obs: &Observation, out: &mut Vec<Violation>) {
-    let Some(replayed) = obs.replay_outcome else { return };
-    match obs.decision_durable {
-        Some(true) if replayed != RunOutcome::Committed => out.push(Violation {
-            oracle: "replay-equivalence",
-            detail: format!("decision was durable but replay reached {replayed:?}"),
-        }),
-        Some(false) if replayed != RunOutcome::Aborted => out.push(Violation {
-            oracle: "replay-equivalence",
-            detail: format!("no durable decision (presumed abort) but replay reached {replayed:?}"),
-        }),
-        None => out.push(Violation {
-            oracle: "replay-equivalence",
-            detail: "replay ran but the scenario reported no durability fact".into(),
-        }),
-        _ => {}
+fn replay_equivalence(obs: &Observation) -> Vec<String> {
+    let Some(replay) = &obs.replay else { return Vec::new() };
+    let mut out = Vec::new();
+    match (replay.decision_durable, replay.outcome) {
+        (true, RunOutcome::Committed) | (false, RunOutcome::Aborted) => {}
+        (true, reached) => out.push(format!("decision was durable but replay reached {reached:?}")),
+        (false, reached) => out.push(format!(
+            "no durable decision (presumed abort) but replay reached {reached:?}"
+        )),
     }
-    if obs.outcome != replayed {
-        out.push(Violation {
-            oracle: "replay-equivalence",
-            detail: format!(
-                "final outcome {:?} disagrees with replayed outcome {replayed:?}",
-                obs.outcome
-            ),
-        });
+    if obs.outcome != replay.outcome {
+        out.push(format!(
+            "final outcome {:?} disagrees with replayed outcome {:?}",
+            obs.outcome, replay.outcome
+        ));
     }
-    if obs.replay_stable == Some(false) {
-        out.push(Violation {
-            oracle: "replay-equivalence",
-            detail: "a second replay over the same log still found in-doubt work".into(),
-        });
+    if !replay.stable {
+        out.push("a second replay over the same log still found in-doubt work".into());
     }
+    out
 }
 
-fn check_liveness(obs: &Observation, out: &mut Vec<Violation>) {
-    // The oracle only binds when the scenario reports full fault accounting:
-    // how many transient faults the schedule injected, that no hard fault
-    // was armed, and what the reliability layer's retry budget was.
-    let (Some(transient), Some(hard), Some(budget)) =
-        (obs.transient_faults, obs.hard_faults, obs.retry_budget)
-    else {
-        return;
+fn liveness(obs: &Observation) -> Vec<String> {
+    let Some(faults) = &obs.fault_budget else { return Vec::new() };
+    // Outside the bounded-fault envelope any outcome is legal.
+    let bounded = faults.hard == 0 && faults.transient <= faults.retry_budget;
+    if !bounded || obs.outcome == RunOutcome::Committed {
+        return Vec::new();
+    }
+    vec![format!(
+        "schedule injected {} transient fault(s) within the retry budget of {} and no hard \
+         faults, yet the run ended {:?} instead of Committed",
+        faults.transient, faults.retry_budget, obs.outcome
+    )]
+}
+
+fn telemetry_conformance(obs: &Observation) -> Vec<String> {
+    let Some(spans) = &obs.spans else { return Vec::new() };
+    let mut out: Vec<String> =
+        spans.defects.iter().map(|defect| format!("span tree malformed: {defect}")).collect();
+    if spans.projection != obs.trace {
+        out.push(format!(
+            "span projection disagrees with the coordinator trace:\n\
+             --- projection ---\n{}\n--- trace ---\n{}",
+            spans.projection, obs.trace
+        ));
+    }
+    out
+}
+
+fn durability(obs: &Observation) -> Vec<String> {
+    let Some(Durability { acked_lsn, survived_lsns }) = &obs.durability else {
+        return Vec::new();
     };
-    if hard > 0 || transient > budget {
-        return; // outside the bounded-fault envelope: any outcome is legal
-    }
-    if obs.outcome != RunOutcome::Committed {
-        out.push(Violation {
-            oracle: "liveness-under-bounded-faults",
-            detail: format!(
-                "schedule injected {transient} transient fault(s) within the retry budget \
-                 of {budget} and no hard faults, yet the run ended {:?} instead of Committed",
-                obs.outcome
-            ),
-        });
-    }
+    let lost = (1..=*acked_lsn).filter(|lsn| !survived_lsns.contains(lsn));
+    lost.map(|lsn| {
+        format!(
+            "LSN {lsn} was acknowledged durable (acked up to {acked_lsn}) \
+             but did not survive the crash; survivors: {survived_lsns:?}"
+        )
+    })
+    .collect()
 }
 
-fn check_telemetry(obs: &Observation, out: &mut Vec<Violation>) {
-    // The oracle binds only when the scenario records spans at all.
-    if let Some(defects) = &obs.span_wellformed {
-        for defect in defects {
-            out.push(Violation {
-                oracle: "telemetry-conformance",
-                detail: format!("span tree malformed: {defect}"),
-            });
-        }
-    }
-    if let Some(projection) = &obs.span_projection {
-        if *projection != obs.trace {
-            out.push(Violation {
-                oracle: "telemetry-conformance",
-                detail: format!(
-                    "span projection disagrees with the coordinator trace:\n\
-                     --- projection ---\n{projection}\n--- trace ---\n{}",
-                    obs.trace
-                ),
-            });
-        }
-    }
-}
-
-fn check_durability(obs: &Observation, out: &mut Vec<Violation>) {
-    // The oracle binds only when the scenario reports both sides of the
-    // durability contract: what the log acked and what the restart found.
-    let (Some(acked), Some(survived)) = (obs.durable_acked_lsn, &obs.survived_lsns) else {
-        return;
-    };
-    for lsn in 1..=acked {
-        if !survived.contains(&lsn) {
-            out.push(Violation {
-                oracle: "durability",
-                detail: format!(
-                    "LSN {lsn} was acknowledged durable (acked up to {acked}) \
-                     but did not survive the crash; survivors: {survived:?}"
-                ),
-            });
-        }
-    }
-}
-
-fn check_refinement(obs: &Observation, out: &mut Vec<Violation>) {
-    // The oracle binds only to what the scenario reports: its protocol
-    // steps, its saga, or both.
+fn refinement(obs: &Observation) -> Vec<String> {
+    // The oracle binds to what the scenario reports: its protocol steps,
+    // its saga, or both.
+    let mut out = Vec::new();
     if let Some(events) = &obs.model_events {
         for divergence in crate::model::replay_all(events) {
             let offending = events
                 .get(divergence.event_index)
                 .map_or_else(|| "<past end>".to_owned(), |e| format!("{e:?}"));
-            out.push(Violation {
-                oracle: "refinement",
-                detail: format!("{divergence}; offending event: {offending}"),
-            });
+            out.push(format!("{divergence}; offending event: {offending}"));
         }
     }
     if let Some(completed) = obs.saga_completed {
         let divergences =
             crate::model::saga::replay(&obs.completed_steps, &obs.compensated_steps, completed);
-        for divergence in divergences {
-            out.push(Violation { oracle: "refinement", detail: divergence.to_string() });
-        }
+        out.extend(divergences.iter().map(ToString::to_string));
     }
+    out
 }
 
-fn check_eventual_resolution(obs: &Observation, out: &mut Vec<Violation>) {
-    // The oracle binds only when the scenario drives termination and
-    // reports its post-heal resolution accounting.
-    let Some(in_doubt) = obs.in_doubt_after_resolution else { return };
-    if in_doubt > 0 {
-        out.push(Violation {
-            oracle: "eventual-resolution",
-            detail: format!(
-                "{in_doubt} participant transaction(s) remain in doubt after faults \
-                 ceased and partitions healed — interrogation never terminated"
-            ),
-        });
+fn eventual_resolution(obs: &Observation) -> Vec<String> {
+    let Some(termination) = &obs.termination else { return Vec::new() };
+    let mut out = Vec::new();
+    if termination.in_doubt > 0 {
+        out.push(format!(
+            "{} participant transaction(s) remain in doubt after faults \
+             ceased and partitions healed — interrogation never terminated",
+            termination.in_doubt
+        ));
     }
-    if let Some(heuristics) = obs.heuristics {
-        if heuristics > 0 && obs.hazarded == Some(false) {
-            out.push(Violation {
-                oracle: "eventual-resolution",
-                detail: format!(
-                    "{heuristics} heuristic outcome(s) recorded for an unhazarded \
-                     history — interrogation would have answered"
-                ),
-            });
-        }
+    if termination.heuristics > 0 && !termination.hazarded {
+        out.push(format!(
+            "{} heuristic outcome(s) recorded for an unhazarded \
+             history — interrogation would have answered",
+            termination.heuristics
+        ));
     }
+    out
 }
 
-fn check_recorder(obs: &Observation, out: &mut Vec<Violation>) {
-    if obs.critical_path_exact == Some(false) {
-        out.push(Violation {
-            oracle: "recorder-consistency",
-            detail: "critical-path attribution does not partition the commit span's \
-                     duration exactly — a phase was double-counted or dropped"
-                .into(),
-        });
-    }
+fn recorder_consistency(obs: &Observation) -> Vec<String> {
+    let inexact = obs.critical_path_exact == Some(false);
+    let detail = || {
+        "critical-path attribution does not partition the commit span's \
+         duration exactly — a phase was double-counted or dropped"
+            .to_owned()
+    };
+    inexact.then(detail).into_iter().collect()
 }
 
-fn check_causal(obs: &Observation, out: &mut Vec<Violation>) {
-    // The oracle binds only when the scenario merges its recorder logs
-    // into a happens-before DAG and reports the verification result.
-    let Some(violations) = &obs.causal_violations else { return };
-    for violation in violations {
-        out.push(Violation {
-            oracle: "causal-consistency",
-            detail: violation.clone(),
-        });
-    }
+fn causal_consistency(obs: &Observation) -> Vec<String> {
+    obs.causal.as_ref().map_or_else(Vec::new, |causal| causal.violations.clone())
 }
 
 /// The determinism oracle: two runs of the same schedule must agree on
@@ -555,71 +509,53 @@ fn check_causal(obs: &Observation, out: &mut Vec<Violation>) {
 pub fn check_determinism(first: &Observation, second: &Observation) -> Vec<Violation> {
     let mut out = Vec::new();
     if first.trace != second.trace {
-        out.push(Violation {
-            oracle: "determinism",
-            detail: format!(
-                "same schedule, different traces:\n--- run 1 ---\n{}\n--- run 2 ---\n{}",
-                first.trace, second.trace
-            ),
-        });
+        out.push(format!(
+            "same schedule, different traces:\n--- run 1 ---\n{}\n--- run 2 ---\n{}",
+            first.trace, second.trace
+        ));
     }
     if first.outcome != second.outcome {
-        out.push(Violation {
-            oracle: "determinism",
-            detail: format!("same schedule, outcomes {:?} vs {:?}", first.outcome, second.outcome),
-        });
+        out.push(format!("same schedule, outcomes {:?} vs {:?}", first.outcome, second.outcome));
     }
     if first.participant_commits != second.participant_commits {
-        out.push(Violation {
-            oracle: "determinism",
-            detail: format!(
-                "same schedule, participant states {:?} vs {:?}",
-                first.participant_commits, second.participant_commits
-            ),
-        });
+        out.push(format!(
+            "same schedule, participant states {:?} vs {:?}",
+            first.participant_commits, second.participant_commits
+        ));
     }
     if first.effects != second.effects {
-        out.push(Violation {
-            oracle: "determinism",
-            detail: format!(
-                "same schedule, effect counts {:?} vs {:?}",
-                first.effects, second.effects
-            ),
-        });
+        out.push(format!(
+            "same schedule, effect counts {:?} vs {:?}",
+            first.effects, second.effects
+        ));
     }
-    if let (Some(a), Some(b)) = (first.span_fingerprint, second.span_fingerprint) {
-        if a != b {
-            out.push(Violation {
-                oracle: "determinism",
-                detail: format!(
-                    "same schedule, span-tree fingerprints {a:#018x} vs {b:#018x}"
-                ),
-            });
+    // A fingerprint binds when both runs carry its section.
+    let mut fingerprints = |what: &str, a: Option<u64>, b: Option<u64>, consequence: &str| {
+        if let (Some(a), Some(b)) = (a, b) {
+            if a != b {
+                out.push(format!(
+                    "same schedule, {what} fingerprints {a:#018x} vs {b:#018x}{consequence}"
+                ));
+            }
         }
-    }
-    if let (Some(a), Some(b)) = (first.recorder_fingerprint, second.recorder_fingerprint) {
-        if a != b {
-            out.push(Violation {
-                oracle: "determinism",
-                detail: format!(
-                    "same schedule, flight-recorder fingerprints {a:#018x} vs {b:#018x} \
-                     — the black box is not bit-identical under replay"
-                ),
-            });
-        }
-    }
-    if let (Some(a), Some(b)) = (first.causal_fingerprint, second.causal_fingerprint) {
-        if a != b {
-            out.push(Violation {
-                oracle: "determinism",
-                detail: format!(
-                    "same schedule, causal-merge fingerprints {a:#018x} vs {b:#018x} \
-                     — the global happens-before DAG is not bit-identical under replay"
-                ),
-            });
-        }
-    }
-    out
+    };
+    let spans = |obs: &Observation| obs.spans.as_ref().map(|s| s.fingerprint);
+    fingerprints("span-tree", spans(first), spans(second), "");
+    let black_box = |obs: &Observation| obs.black_box.as_ref().map(|b| b.fingerprint);
+    fingerprints(
+        "flight-recorder",
+        black_box(first),
+        black_box(second),
+        " — the black box is not bit-identical under replay",
+    );
+    let causal = |obs: &Observation| obs.causal.as_ref().map(|c| c.fingerprint);
+    fingerprints(
+        "causal-merge",
+        causal(first),
+        causal(second),
+        " — the global happens-before DAG is not bit-identical under replay",
+    );
+    out.into_iter().map(|detail| Violation { oracle: "determinism", detail }).collect()
 }
 
 #[cfg(test)]
@@ -666,20 +602,21 @@ mod tests {
     #[test]
     fn replay_must_follow_durable_decision() {
         let mut obs = Observation::new(RunOutcome::Aborted);
-        obs.decision_durable = Some(true);
-        obs.replay_outcome = Some(RunOutcome::Aborted);
-        obs.replay_stable = Some(true);
+        obs.replay =
+            Some(Replay { decision_durable: true, outcome: RunOutcome::Aborted, stable: true });
         let v = check_all(&obs);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].oracle, "replay-equivalence");
     }
 
+    fn budget(transient: u32, hard: u32, retry_budget: u32) -> Option<FaultBudget> {
+        Some(FaultBudget { transient, hard, retry_budget })
+    }
+
     #[test]
     fn bounded_transient_faults_must_still_commit() {
         let mut obs = Observation::new(RunOutcome::Aborted);
-        obs.transient_faults = Some(2);
-        obs.hard_faults = Some(0);
-        obs.retry_budget = Some(4);
+        obs.fault_budget = budget(2, 0, 4);
         let v = check_all(&obs);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].oracle, "liveness-under-bounded-faults");
@@ -689,13 +626,10 @@ mod tests {
     fn liveness_oracle_is_silent_outside_the_envelope() {
         // Over budget: an abort is legal.
         let mut obs = Observation::new(RunOutcome::Aborted);
-        obs.transient_faults = Some(9);
-        obs.hard_faults = Some(0);
-        obs.retry_budget = Some(4);
+        obs.fault_budget = budget(9, 0, 4);
         assert!(check_all(&obs).is_empty());
         // A hard fault voids the liveness claim too.
-        obs.transient_faults = Some(1);
-        obs.hard_faults = Some(1);
+        obs.fault_budget = budget(1, 1, 4);
         assert!(check_all(&obs).is_empty());
         // No fault accounting reported: oracle does not bind.
         let obs = Observation::new(RunOutcome::Aborted);
@@ -705,9 +639,7 @@ mod tests {
     #[test]
     fn committed_run_within_the_envelope_passes() {
         let mut obs = Observation::new(RunOutcome::Committed);
-        obs.transient_faults = Some(3);
-        obs.hard_faults = Some(0);
-        obs.retry_budget = Some(8);
+        obs.fault_budget = budget(3, 0, 8);
         assert!(check_all(&obs).is_empty());
     }
 
@@ -720,8 +652,11 @@ mod tests {
     #[test]
     fn malformed_span_tree_is_a_violation() {
         let mut obs = Observation::new(RunOutcome::Committed);
-        obs.span_wellformed = Some(vec!["span 3 never closed".into()]);
-        obs.span_projection = Some(String::new());
+        obs.spans = Some(Spans {
+            defects: vec!["span 3 never closed".into()],
+            projection: String::new(),
+            fingerprint: 0,
+        });
         let v = check_all(&obs);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].oracle, "telemetry-conformance");
@@ -731,10 +666,12 @@ mod tests {
     fn span_projection_must_match_the_trace_byte_for_byte() {
         let mut obs = Observation::new(RunOutcome::Committed);
         obs.trace = "get_signal(Bill)\n".into();
-        obs.span_wellformed = Some(Vec::new());
-        obs.span_projection = Some("get_signal(Bill)\n".into());
+        let spans = |projection: &str| {
+            Some(Spans { defects: Vec::new(), projection: projection.into(), fingerprint: 0 })
+        };
+        obs.spans = spans("get_signal(Bill)\n");
         assert!(check_all(&obs).is_empty());
-        obs.span_projection = Some("get_signal(Bill)".into());
+        obs.spans = spans("get_signal(Bill)");
         let v = check_all(&obs);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].oracle, "telemetry-conformance");
@@ -742,33 +679,33 @@ mod tests {
 
     #[test]
     fn determinism_compares_span_fingerprints() {
+        let spans = |fingerprint| {
+            Some(Spans { defects: Vec::new(), projection: String::new(), fingerprint })
+        };
         let mut a = Observation::new(RunOutcome::Committed);
-        a.span_fingerprint = Some(0xDEAD);
+        a.spans = spans(0xDEAD);
         let mut b = a.clone();
         assert!(check_determinism(&a, &b).is_empty());
-        b.span_fingerprint = Some(0xBEEF);
+        b.spans = spans(0xBEEF);
         let v = check_determinism(&a, &b);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].oracle, "determinism");
         // One-sided telemetry does not bind.
-        b.span_fingerprint = None;
+        b.spans = None;
         assert!(check_determinism(&a, &b).is_empty());
     }
 
     #[test]
     fn durability_oracle_does_not_bind_without_accounting() {
-        let mut obs = Observation::new(RunOutcome::Crashed);
-        assert!(check_all(&obs).is_empty());
-        // One-sided reports do not bind either.
-        obs.durable_acked_lsn = Some(3);
+        let obs = Observation::new(RunOutcome::Crashed);
         assert!(check_all(&obs).is_empty());
     }
 
     #[test]
     fn acked_records_must_survive_the_crash() {
         let mut obs = Observation::new(RunOutcome::Crashed);
-        obs.durable_acked_lsn = Some(3);
-        obs.survived_lsns = Some(vec![1, 2]); // lost LSN 3 after acking it
+        // Lost LSN 3 after acking it.
+        obs.durability = Some(Durability { acked_lsn: 3, survived_lsns: vec![1, 2] });
         let v = check_all(&obs);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].oracle, "durability");
@@ -778,10 +715,9 @@ mod tests {
     #[test]
     fn unacked_tail_may_tear() {
         let mut obs = Observation::new(RunOutcome::Crashed);
-        obs.durable_acked_lsn = Some(2);
         // LSNs 3 and 4 were staged but never acked: losing them is legal,
         // and so is their (partial) survival.
-        obs.survived_lsns = Some(vec![1, 2, 4]);
+        obs.durability = Some(Durability { acked_lsn: 2, survived_lsns: vec![1, 2, 4] });
         assert!(check_all(&obs).is_empty());
     }
 
@@ -851,12 +787,14 @@ mod tests {
         assert!(check_all(&obs).is_empty());
     }
 
+    fn terminated(in_doubt: u32, heuristics: u32, hazarded: bool) -> Option<Termination> {
+        Some(Termination { in_doubt, heuristics, hazarded })
+    }
+
     #[test]
     fn lingering_in_doubt_participants_are_a_violation() {
         let mut obs = Observation::new(RunOutcome::Aborted);
-        obs.in_doubt_after_resolution = Some(1);
-        obs.heuristics = Some(0);
-        obs.hazarded = Some(false);
+        obs.termination = terminated(1, 0, false);
         let v = check_all(&obs);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].oracle, "eventual-resolution");
@@ -866,9 +804,7 @@ mod tests {
     #[test]
     fn unhazarded_heuristics_are_a_violation() {
         let mut obs = Observation::new(RunOutcome::Aborted);
-        obs.in_doubt_after_resolution = Some(0);
-        obs.heuristics = Some(1);
-        obs.hazarded = Some(false);
+        obs.termination = terminated(0, 1, false);
         let v = check_all(&obs);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].oracle, "eventual-resolution");
@@ -878,12 +814,9 @@ mod tests {
     #[test]
     fn hazarded_heuristics_and_clean_resolution_pass() {
         let mut obs = Observation::new(RunOutcome::Aborted);
-        obs.in_doubt_after_resolution = Some(0);
-        obs.heuristics = Some(1);
-        obs.hazarded = Some(true);
+        obs.termination = terminated(0, 1, true);
         assert!(check_all(&obs).is_empty());
-        obs.heuristics = Some(0);
-        obs.hazarded = Some(false);
+        obs.termination = terminated(0, 0, false);
         assert!(check_all(&obs).is_empty());
     }
 
@@ -900,17 +833,18 @@ mod tests {
 
     #[test]
     fn determinism_compares_recorder_fingerprints() {
+        let black_box = |fingerprint| Some(BlackBox { fingerprint, dump: String::new() });
         let mut a = Observation::new(RunOutcome::Committed);
-        a.recorder_fingerprint = Some(0x1111);
+        a.black_box = black_box(0x1111);
         let mut b = a.clone();
         assert!(check_determinism(&a, &b).is_empty());
-        b.recorder_fingerprint = Some(0x2222);
+        b.black_box = black_box(0x2222);
         let v = check_determinism(&a, &b);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].oracle, "determinism");
         assert!(v[0].detail.contains("flight-recorder"));
         // One-sided recorders do not bind.
-        b.recorder_fingerprint = None;
+        b.black_box = None;
         assert!(check_determinism(&a, &b).is_empty());
     }
 
@@ -922,12 +856,14 @@ mod tests {
 
     #[test]
     fn clean_causal_merge_passes_and_violations_surface() {
+        let merged = |violations: Vec<String>| {
+            Some(Causal { violations, fingerprint: 0, perfetto: String::new() })
+        };
         let mut obs = Observation::new(RunOutcome::Committed);
-        obs.causal_violations = Some(Vec::new());
+        obs.causal = merged(Vec::new());
         assert!(check_all(&obs).is_empty());
-        obs.causal_violations = Some(vec![
-            "outcome delivered at coord#4 before any decision was forced".into(),
-        ]);
+        obs.causal =
+            merged(vec!["outcome delivered at coord#4 before any decision was forced".into()]);
         let v = check_all(&obs);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].oracle, "causal-consistency");
@@ -936,17 +872,20 @@ mod tests {
 
     #[test]
     fn determinism_compares_causal_fingerprints() {
+        let merged = |fingerprint| {
+            Some(Causal { violations: Vec::new(), fingerprint, perfetto: String::new() })
+        };
         let mut a = Observation::new(RunOutcome::Committed);
-        a.causal_fingerprint = Some(0xAAAA);
+        a.causal = merged(0xAAAA);
         let mut b = a.clone();
         assert!(check_determinism(&a, &b).is_empty());
-        b.causal_fingerprint = Some(0xBBBB);
+        b.causal = merged(0xBBBB);
         let v = check_determinism(&a, &b);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].oracle, "determinism");
         assert!(v[0].detail.contains("happens-before"));
         // One-sided merges do not bind.
-        b.causal_fingerprint = None;
+        b.causal = None;
         assert!(check_determinism(&a, &b).is_empty());
     }
 

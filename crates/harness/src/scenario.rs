@@ -1,9 +1,12 @@
-//! The scenario adapter contract.
+//! The scenario adapter contract — the only one: the seeded sweep, the
+//! exhaustive explorer and the shrinker all drive a [`Scenario`].
 //!
 //! A scenario wires one of the repo's figure-tests — 2PC, fig. 9 open
 //! nesting, Sagas, the fig. 10 workflow, BTP atoms — into a closed, seeded
 //! end-to-end run: build every component fresh, apply the
-//! [`FaultSchedule`], drive the protocol to a terminal state (recovering
+//! [`FaultSchedule`] (its faults, and — where a component takes a
+//! [`orb::DeliverySequencer`] — a [`crate::ChoiceDriver`] replaying its
+//! delivery choices), drive the protocol to a terminal state (recovering
 //! from injected crashes where a recovery path exists), and report the
 //! facts the oracles need.
 

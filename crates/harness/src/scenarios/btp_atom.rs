@@ -73,7 +73,7 @@ impl Scenario for BtpAtomScenario {
             .map(|r| (r.name().to_owned(), r.state() == ReservationState::Confirmed))
             .collect();
         obs.trace = super::coordinator_trace(&steps.steps(), coordinator);
-        obs.observed_sites = failpoints.observed_sites();
+        obs.space.sites = failpoints.observed_sites();
         obs
     }
 }
@@ -90,7 +90,7 @@ mod tests {
         assert_eq!(obs.outcome, RunOutcome::Committed);
         assert!(obs.participant_commits.iter().all(|(_, c)| *c));
         assert!(oracle::check_all(&obs).is_empty());
-        assert_eq!(obs.observed_sites.len(), PARTICIPANTS.len());
+        assert_eq!(obs.space.sites.len(), PARTICIPANTS.len());
     }
 
     #[test]

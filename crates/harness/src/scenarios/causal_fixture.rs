@@ -18,7 +18,7 @@ use std::time::Duration;
 use orb::{Env, NetworkConfig, Orb, Request, SimClock, Value};
 use telemetry::{Origin, ProtocolEvent, VoteKind};
 
-use crate::oracle::{Observation, RunOutcome};
+use crate::oracle::{BlackBox, Causal, Observation, RunOutcome};
 use crate::scenario::Scenario;
 use crate::schedule::{FaultEvent, FaultSchedule};
 
@@ -134,11 +134,10 @@ impl Scenario for ReorderedOutcomeScenario {
         obs.participant_commits =
             PARTICIPANTS.iter().map(|name| ((*name).to_owned(), true)).collect();
         obs.trace = trace;
-        obs.observed_sites = vec![RACE_SITE.to_owned()];
-        obs.remote_messages = orb.network().remote_messages();
-        obs.report_recorder(&coord_recorder);
-        let dag = plane.merge().build();
-        obs.report_causal(&dag);
+        obs.space.sites = vec![RACE_SITE.to_owned()];
+        obs.space.remote_messages = orb.network().remote_messages();
+        obs.black_box = Some(BlackBox::of(&coord_recorder));
+        obs.causal = Some(Causal::of(&plane.merge().build()));
         obs
     }
 }
@@ -152,7 +151,7 @@ mod tests {
     fn fault_free_fixture_passes_every_oracle() {
         let obs = ReorderedOutcomeScenario.run(&FaultSchedule::empty());
         assert_eq!(obs.outcome, RunOutcome::Committed);
-        assert_eq!(obs.causal_violations.as_deref(), Some(&[][..]));
+        assert!(obs.causal.as_ref().expect("the fixture merges").violations.is_empty());
         assert!(oracle::check_all(&obs).is_empty(), "{:?}", oracle::check_all(&obs));
     }
 
@@ -182,7 +181,7 @@ mod tests {
         let a = ReorderedOutcomeScenario.run(&schedule);
         let b = ReorderedOutcomeScenario.run(&schedule);
         assert!(oracle::check_determinism(&a, &b).is_empty());
-        let perfetto = a.causal_perfetto.expect("perfetto export");
+        let perfetto = a.causal.expect("the fixture merges").perfetto;
         telemetry::check_perfetto_schema(&perfetto).expect("schema-clean export");
     }
 }

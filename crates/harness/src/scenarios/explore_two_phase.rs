@@ -1,12 +1,11 @@
-//! [`Explorable`] 2PC scenarios for the DPOR explorer.
+//! The explorer's 2PC scenarios.
 //!
-//! [`ExplorableTwoPhase`] is the real protocol: three participants under
-//! the OTS coordinator with the explorer's [`ChoiceDriver`] installed as
-//! the delivery sequencer, so every prepare/phase-two delivery order is
-//! enumerable, crossed with a crash at each `ots.*` failpoint site. The
-//! steps the coordinator emitted — its flight recorder's typed stream — are
-//! reported as they are, binding the refinement oracle on every
-//! interleaving.
+//! [`ThreeParticipantTwoPhase`] is the real protocol: the seeded 2PC runner
+//! with a third participant under the OTS coordinator, so every
+//! prepare/phase-two round has delivery orders to enumerate, crossed with a
+//! crash at each `ots.*` failpoint site. The steps the coordinator emitted
+//! — its flight recorder's typed stream — are reported as they are, binding
+//! the refinement oracle on every interleaving.
 //!
 //! [`BrokenAtomicCommitScenario`] is the planted spec violation the
 //! explorer must catch: a hand-rolled commit loop that decides from the
@@ -20,90 +19,30 @@
 //! that: it always reports a forced decision, commit or not.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use orb::choice::DeliverySequencer;
-use orb::pool::DispatchConfig;
-use orb::Value;
-use ots::{TransactionFactory, TransactionalKv, TxError};
-use recovery_log::{FailpointSet, MemWal, Wal};
 use telemetry::{Origin, ProtocolEvent, VoteKind};
 
-use super::two_phase::recover_from_crash;
-use crate::enumerate::{ChoiceDriver, Explorable};
+use super::two_phase::{run_two_phase, Participant};
+use crate::enumerate::ChoiceDriver;
 use crate::model::twopc::is_yes;
-use crate::oracle::{Observation, RunOutcome};
+use crate::oracle::{BlackBox, Observation, RunOutcome};
+use crate::scenario::Scenario;
 use crate::schedule::FaultSchedule;
 
-/// Three-participant logged 2PC with explorer-steered delivery order.
-pub struct ExplorableTwoPhase;
+/// Three-participant logged 2PC: two real delivery choices per round.
+pub struct ThreeParticipantTwoPhase;
 
-impl Explorable for ExplorableTwoPhase {
-    fn name(&self) -> &str {
+const THREE_PARTICIPANTS: [Participant; 3] =
+    [("store", "k", 1), ("witness", "w", 2), ("ledger", "l", 3)];
+
+impl Scenario for ThreeParticipantTwoPhase {
+    fn name(&self) -> &'static str {
         "explorable-two-phase"
     }
 
-    fn run_exploration(&self, faults: &FaultSchedule, driver: &Arc<ChoiceDriver>) -> Observation {
-        let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
-        let failpoints = FailpointSet::new();
-        faults.arm_into(&failpoints);
-        // The black box the explorer staples to a shrunk divergence.
-        let recorder = telemetry::FlightRecorder::new(
-            "coordinator",
-            telemetry::DEFAULT_RECORDER_CAPACITY,
-        );
-        let env = orb::Env::wired(orb::Env {
-            failpoints: Some(failpoints.clone()),
-            recorder: Some(recorder.clone()),
-            sequencer: Some(Arc::clone(driver) as Arc<dyn orb::DeliverySequencer>),
-            ..Default::default()
-        });
-        let factory = TransactionFactory::with_wal(Arc::clone(&wal))
-            .with_env(env)
-            .with_dispatch(DispatchConfig::serial());
-        let store = Arc::new(TransactionalKv::new("store"));
-        let witness = Arc::new(TransactionalKv::new("witness"));
-        let ledger = Arc::new(TransactionalKv::new("ledger"));
-
-        let control = factory.create().expect("begin record");
-        for (kv, key, value) in
-            [(&store, "k", 1i64), (&witness, "w", 2i64), (&ledger, "l", 3i64)]
-        {
-            kv.enlist(&control).expect("enlist");
-            kv.write(control.id(), key, Value::from(value)).expect("write");
-        }
-
-        let commit = control.terminator().commit();
-        let mut obs = Observation::new(RunOutcome::Committed);
-        let _ = writeln!(obs.trace, "commit: {commit:?}");
-        obs.model_events = Some(recorder.steps());
-        match commit {
-            Ok(_) => {}
-            Err(TxError::Log(_)) => {
-                let participants = [&store, &witness, &ledger];
-                recover_from_crash(&wal, &failpoints, &participants, control.id(), &mut obs);
-            }
-            Err(other) => {
-                let _ = writeln!(obs.trace, "non-crash failure: {other:?}");
-                obs.outcome = RunOutcome::Aborted;
-            }
-        }
-
-        obs.participant_commits = vec![
-            ("store".into(), store.read_committed("k").is_some()),
-            ("witness".into(), witness.read_committed("w").is_some()),
-            ("ledger".into(), ledger.read_committed("l").is_some()),
-        ];
-        let _ = writeln!(
-            obs.trace,
-            "final: store={:?} witness={:?} ledger={:?}",
-            store.read_committed("k"),
-            witness.read_committed("w"),
-            ledger.read_committed("l")
-        );
-        obs.observed_sites = failpoints.observed_sites();
-        obs.report_recorder(&recorder);
-        obs
+    fn run(&self, schedule: &FaultSchedule) -> Observation {
+        run_two_phase(schedule, false, &THREE_PARTICIPANTS)
     }
 }
 
@@ -116,12 +55,13 @@ struct BrokenParticipant {
     has_effect: bool,
 }
 
-impl Explorable for BrokenAtomicCommitScenario {
-    fn name(&self) -> &str {
+impl Scenario for BrokenAtomicCommitScenario {
+    fn name(&self) -> &'static str {
         "broken-atomic-commit"
     }
 
-    fn run_exploration(&self, _faults: &FaultSchedule, driver: &Arc<ChoiceDriver>) -> Observation {
+    fn run(&self, schedule: &FaultSchedule) -> Observation {
+        let driver = ChoiceDriver::new(schedule.choices().to_vec());
         // "auditor" vetoes but holds no forward effects, so atomicity has
         // nothing to disagree with — only the decision rule is wrong.
         let participants = [
@@ -200,7 +140,8 @@ impl Explorable for BrokenAtomicCommitScenario {
             .collect();
         obs.trace = trace;
         obs.model_events = Some(events);
-        obs.report_recorder(&recorder);
+        obs.report_choices(&driver);
+        obs.black_box = Some(BlackBox::of(&recorder));
         obs
     }
 }
@@ -211,32 +152,35 @@ mod tests {
     use crate::enumerate::{explore, ExploreConfig};
     use crate::oracle;
 
+    fn ordered(choices: Vec<usize>) -> FaultSchedule {
+        FaultSchedule::empty().with_choices(choices)
+    }
+
     #[test]
     fn default_order_commits_cleanly_and_refines_the_model() {
-        let driver = ChoiceDriver::new(Vec::new());
-        let obs = ExplorableTwoPhase.run_exploration(&FaultSchedule::empty(), &driver);
+        let obs = ThreeParticipantTwoPhase.run(&FaultSchedule::empty());
         assert_eq!(obs.outcome, RunOutcome::Committed);
         assert!(oracle::check_all(&obs).is_empty(), "{:?}", oracle::check_all(&obs));
         // Three participants in serial 2PC: two real delivery choices per
         // round (3 pending, then 2), prepare and phase two.
-        assert_eq!(driver.taken().len(), 4);
+        assert_eq!(obs.choice_points.len(), 4);
         // The probe sees every ots site, so the explorer's fault plans
         // cover the full crash matrix.
-        assert_eq!(obs.observed_sites.len(), ots::failpoints::FAILPOINT_SITES.len());
+        assert_eq!(obs.space.sites.len(), ots::failpoints::FAILPOINT_SITES.len());
     }
 
     #[test]
     fn a_prescribed_reordering_still_refines_the_model() {
-        let driver = ChoiceDriver::new(vec![2, 1, 1, 0]);
-        let obs = ExplorableTwoPhase.run_exploration(&FaultSchedule::empty(), &driver);
+        let obs = ThreeParticipantTwoPhase.run(&ordered(vec![2, 1, 1, 0]));
         assert_eq!(obs.outcome, RunOutcome::Committed);
         assert!(oracle::check_all(&obs).is_empty(), "{:?}", oracle::check_all(&obs));
+        let chosen: Vec<usize> = obs.choice_points.iter().map(|point| point.chosen).collect();
+        assert_eq!(chosen, vec![2, 1, 1, 0]);
     }
 
     #[test]
     fn the_broken_fixture_is_clean_in_registration_order() {
-        let driver = ChoiceDriver::new(Vec::new());
-        let obs = BrokenAtomicCommitScenario.run_exploration(&FaultSchedule::empty(), &driver);
+        let obs = BrokenAtomicCommitScenario.run(&FaultSchedule::empty());
         // The veto happens to be polled last, so the bug stays hidden.
         assert_eq!(obs.outcome, RunOutcome::Aborted);
         assert!(oracle::check_all(&obs).is_empty(), "{:?}", oracle::check_all(&obs));
@@ -244,8 +188,7 @@ mod tests {
 
     #[test]
     fn polling_the_veto_first_forces_a_commit_after_a_no_vote() {
-        let driver = ChoiceDriver::new(vec![2]);
-        let obs = BrokenAtomicCommitScenario.run_exploration(&FaultSchedule::empty(), &driver);
+        let obs = BrokenAtomicCommitScenario.run(&ordered(vec![2]));
         assert_eq!(obs.outcome, RunOutcome::Committed);
         let violations = oracle::check_all(&obs);
         assert_eq!(violations.len(), 1, "{violations:?}");
@@ -258,7 +201,7 @@ mod tests {
         // Bounded but complete: every delivery order × every single-crash
         // plan, small enough to run in-tree (the full-budget version with
         // the reduction-factor assertion lives in tests/model_check.rs).
-        let report = explore(&ExplorableTwoPhase, &ExploreConfig::default());
+        let report = explore(&ThreeParticipantTwoPhase, &ExploreConfig::default());
         assert!(!report.truncated);
         assert!(report.divergences.is_empty(), "{:?}", report.divergences);
         assert_eq!(report.fault_plans, 1 + ots::failpoints::FAILPOINT_SITES.len());

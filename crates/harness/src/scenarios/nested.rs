@@ -110,7 +110,7 @@ impl Scenario for NestedCompensationScenario {
         let stream = steps.steps();
         let trace_of = |activity: &Activity| super::coordinator_trace(&stream, activity.id());
         obs.trace = format!("--- A ---\n{}--- B ---\n{}", trace_of(&a), trace_of(&b));
-        obs.observed_sites = failpoints.observed_sites();
+        obs.space.sites = failpoints.observed_sites();
         obs.model_events = Some(stream);
         obs
     }
@@ -132,7 +132,7 @@ mod tests {
         assert_eq!(obs.outcome, RunOutcome::Committed);
         assert_eq!(obs.participant_commits, vec![("B".to_owned(), true)]);
         assert!(oracle::check_all(&obs).is_empty());
-        assert_eq!(obs.observed_sites, vec![SITE_FAIL_A, SITE_FAIL_B]);
+        assert_eq!(obs.space.sites, vec![SITE_FAIL_A, SITE_FAIL_B]);
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl Scenario for SagaScenario {
             obs.compensated_steps,
             report.outcome
         );
-        obs.observed_sites = failpoints.observed_sites();
+        obs.space.sites = failpoints.observed_sites();
         // The committed and compensated lists above replay through the
         // §5.1 saga model once the saga's ending is reported with them.
         obs.saga_completed = Some(matches!(report.outcome, SagaOutcome::Completed));
@@ -107,7 +107,7 @@ mod tests {
         assert_eq!(obs.outcome, RunOutcome::Committed);
         assert_eq!(obs.completed_steps, STEPS);
         assert!(oracle::check_all(&obs).is_empty());
-        assert_eq!(obs.observed_sites.len(), STEPS.len());
+        assert_eq!(obs.space.sites.len(), STEPS.len());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! surviving WALs, heal partitions by advancing the virtual clock, and give
 //! the participants bounded resolution rounds of `replay_completion`
 //! interrogation. Whatever is still in doubt afterwards is reported in
-//! [`Observation::in_doubt_after_resolution`] — under presumed abort that
-//! number must be zero.
+//! [`Termination::in_doubt`] — under presumed abort that number must be
+//! zero.
 //!
 //! Two flavours share the runner: [`TerminationScenario`] interrogates an
 //! honest coordinator; [`ForgetfulCoordinatorScenario`] is the planted bug —
@@ -32,7 +32,9 @@ use ots::{
 use recovery_log::{FailpointSet, Lsn, MemWal, Wal};
 use telemetry::ProtocolEvent;
 
-use crate::oracle::{Observation, RunOutcome};
+use crate::oracle::{
+    BlackBox, Causal, FaultBudget, Observation, Replay, RunOutcome, Termination,
+};
 use crate::scenario::Scenario;
 use crate::schedule::{FaultEvent, FaultSchedule};
 
@@ -293,14 +295,11 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
             restart_participant("store", &participant_wal, &FailpointSet::new());
         let (_, res_witness3) =
             restart_participant("witness", &participant_wal, &FailpointSet::new());
-        obs.replay_stable = Some(
-            res_store3.in_doubt().len() == res_store2.in_doubt().len()
-                && res_witness3.in_doubt().len() == res_witness2.in_doubt().len(),
-        );
+        let stable = res_store3.in_doubt().len() == res_store2.in_doubt().len()
+            && res_witness3.in_doubt().len() == res_witness2.in_doubt().len();
         let replayed =
             if decision_durable { RunOutcome::Committed } else { RunOutcome::Aborted };
-        obs.decision_durable = Some(decision_durable);
-        obs.replay_outcome = Some(replayed);
+        obs.replay = Some(Replay { decision_durable, outcome: replayed, stable });
         obs.outcome = replayed;
         obs.participant_commits = vec![
             ("store".into(), kv_store2.store().read_committed("k").is_some()),
@@ -369,31 +368,27 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
         let _ = writeln!(trace, "audit[{name}]: {:?}", answer.map(|reply| reply.result));
     }
 
-    obs.in_doubt_after_resolution = Some(remaining as u32);
-    obs.heuristics = Some(heuristics as u32);
     // Nothing in this scenario makes an outcome unknowable forever: the
     // coordinator's log always answers once partitions heal, so a recorded
     // heuristic is never legitimate here.
-    obs.hazarded = Some(false);
-    obs.transient_faults = Some(schedule.transient_fault_count());
-    obs.hard_faults = Some(schedule.hard_fault_count());
-    obs.retry_budget = Some(3);
+    obs.termination = Some(Termination {
+        in_doubt: remaining as u32,
+        heuristics: heuristics as u32,
+        hazarded: false,
+    });
+    obs.fault_budget = Some(FaultBudget::of(schedule, 3));
     obs.trace = trace;
-    obs.observed_sites = failpoints.observed_sites();
-    obs.remote_messages = orb.network().remote_messages();
-    obs.partition_nodes =
-        vec![COORDINATOR_NODE.to_owned(), PARTICIPANT_NODE.to_owned()];
-    obs.restart_sites = recovery::failpoints::FAILPOINT_SITES
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
+    obs.space.sites = failpoints.observed_sites();
+    obs.space.remote_messages = orb.network().remote_messages();
+    obs.space.partition_nodes = vec![COORDINATOR_NODE.to_owned(), PARTICIPANT_NODE.to_owned()];
+    obs.space.restart_sites =
+        recovery::failpoints::FAILPOINT_SITES.iter().map(|s| (*s).to_owned()).collect();
     obs.model_events = Some(model_events);
-    obs.report_recorder(&recorder);
+    obs.black_box = Some(BlackBox::of(&recorder));
     // Oracle #12: fold both nodes' logs into the global happens-before
     // DAG and verify it — acyclic, receive-after-send on every matched
     // wire edge, protocol order respected across the merge.
-    let dag = plane.merge().build();
-    obs.report_causal(&dag);
+    obs.causal = Some(Causal::of(&plane.merge().build()));
     obs
 }
 
@@ -402,26 +397,32 @@ mod tests {
     use super::*;
     use crate::oracle;
 
+    /// `(in doubt after resolution, heuristics)` as the run reported them.
+    fn unresolved(obs: &Observation) -> (u32, u32) {
+        let termination = obs.termination.as_ref().expect("the scenario drives termination");
+        (termination.in_doubt, termination.heuristics)
+    }
+
+    fn decision_durable(obs: &Observation) -> bool {
+        obs.replay.as_ref().expect("a recovery pass ran").decision_durable
+    }
+
     #[test]
     fn fault_free_run_commits_resolves_nothing_and_passes_oracles() {
         let obs = TerminationScenario.run(&FaultSchedule::empty());
         assert_eq!(obs.outcome, RunOutcome::Committed);
-        assert_eq!(obs.in_doubt_after_resolution, Some(0));
-        assert_eq!(obs.heuristics, Some(0));
-        assert!(obs.remote_messages >= 2, "the audit interrogates remotely");
-        assert!(!obs.partition_nodes.is_empty() && !obs.restart_sites.is_empty());
+        assert_eq!(unresolved(&obs), (0, 0));
+        assert!(obs.space.remote_messages >= 2, "the audit interrogates remotely");
+        assert!(!obs.space.partition_nodes.is_empty() && !obs.space.restart_sites.is_empty());
         let violations = oracle::check_all(&obs);
         assert!(violations.is_empty(), "{violations:?}");
         // The probe observes the coordinator sites plus the participant
         // wrapper's prepare/apply sites (resolution never runs fault-free,
         // so before_resolve is reachable only through restart arms).
-        assert!(obs
-            .observed_sites
-            .contains(&recovery::failpoints::AFTER_PREPARED.to_owned()));
-        assert!(obs
-            .observed_sites
-            .contains(&recovery::failpoints::BEFORE_APPLY.to_owned()));
-        assert!(obs.observed_sites.contains(&"ots.before_decision".to_owned()));
+        let sites = &obs.space.sites;
+        assert!(sites.contains(&recovery::failpoints::AFTER_PREPARED.to_owned()));
+        assert!(sites.contains(&recovery::failpoints::BEFORE_APPLY.to_owned()));
+        assert!(sites.contains(&"ots.before_decision".to_owned()));
     }
 
     #[test]
@@ -432,9 +433,8 @@ mod tests {
         }]);
         let obs = TerminationScenario.run(&schedule);
         assert_eq!(obs.outcome, RunOutcome::Aborted);
-        assert_eq!(obs.decision_durable, Some(false));
-        assert_eq!(obs.in_doubt_after_resolution, Some(0));
-        assert_eq!(obs.heuristics, Some(0));
+        assert!(!decision_durable(&obs));
+        assert_eq!(unresolved(&obs), (0, 0));
         let violations = oracle::check_all(&obs);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -447,8 +447,8 @@ mod tests {
         }]);
         let obs = TerminationScenario.run(&schedule);
         assert_eq!(obs.outcome, RunOutcome::Committed);
-        assert_eq!(obs.decision_durable, Some(true));
-        assert_eq!(obs.in_doubt_after_resolution, Some(0));
+        assert!(decision_durable(&obs));
+        assert_eq!(unresolved(&obs).0, 0);
         assert!(obs.participant_commits.iter().all(|(_, c)| *c));
         let violations = oracle::check_all(&obs);
         assert!(violations.is_empty(), "{violations:?}");
@@ -465,8 +465,8 @@ mod tests {
         }]);
         let obs = TerminationScenario.run(&schedule);
         assert_eq!(obs.outcome, RunOutcome::Committed);
-        assert_eq!(obs.decision_durable, Some(true));
-        assert_eq!(obs.in_doubt_after_resolution, Some(0));
+        assert!(decision_durable(&obs));
+        assert_eq!(unresolved(&obs).0, 0);
         assert!(obs.participant_commits.iter().all(|(_, c)| *c));
         let violations = oracle::check_all(&obs);
         assert!(violations.is_empty(), "{violations:?}");
@@ -480,8 +480,7 @@ mod tests {
         ]);
         let obs = TerminationScenario.run(&schedule);
         assert_eq!(obs.outcome, RunOutcome::Committed);
-        assert_eq!(obs.in_doubt_after_resolution, Some(0), "heal then resolve");
-        assert_eq!(obs.heuristics, Some(0), "no heuristic while interrogation can answer");
+        assert_eq!(unresolved(&obs), (0, 0), "heal then resolve, without a heuristic");
         let violations = oracle::check_all(&obs);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -493,7 +492,7 @@ mod tests {
             after: 0,
         }]);
         let obs = ForgetfulCoordinatorScenario.run(&schedule);
-        assert_eq!(obs.in_doubt_after_resolution, Some(2), "both participants stuck");
+        assert_eq!(unresolved(&obs).0, 2, "both participants stuck");
         let violations = oracle::check_all(&obs);
         assert!(
             violations.iter().any(|v| v.oracle == "eventual-resolution"),

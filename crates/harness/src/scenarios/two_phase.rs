@@ -1,18 +1,23 @@
 //! 2PC over the OTS coordinator with durable decision logging, crash
 //! injection at every named protocol step, and WAL replay after the crash.
 //!
-//! Two scenario flavours share one runner: [`TwoPhaseScenario`] logs to a
+//! Three scenario flavours share one runner: [`TwoPhaseScenario`] logs to a
 //! per-record-sync [`MemWal`], [`TwoPhaseGroupCommitScenario`] routes the
-//! same protocol through a [`GroupCommitWal`] wrapper. The group flavour
+//! same protocol through a [`GroupCommitWal`] wrapper, and
+//! [`super::ThreeParticipantTwoPhase`] enlists a third participant so every
+//! round has delivery orders worth enumerating. The group flavour
 //! additionally reports durability accounting — the highest LSN the log
 //! acknowledged before the crash and the LSNs that survived the restart —
 //! which binds the harness's `durability` oracle: an injected crash discards
 //! the staged (unacked) tail, and the oracle proves no acked record was
 //! lost with it.
 //!
-//! Both flavours report the protocol steps their coordinator emitted — the
-//! flight recorder's typed stream — so the refinement oracle replays every
-//! sweep run through the presumed-abort 2PC model.
+//! Every flavour installs a [`ChoiceDriver`] replaying the schedule's
+//! delivery choices as the coordinator's sequencer (an empty prescription
+//! is registration order, byte for byte), and reports the protocol steps
+//! its coordinator emitted — the flight recorder's typed stream — so the
+//! refinement oracle replays every run through the presumed-abort 2PC
+//! model.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -24,7 +29,8 @@ use ots::{Resource, TransactionFactory, TransactionalKv, TxError, TxId};
 use recovery_log::{FailpointSet, GroupCommitWal, Lsn, MemWal, Wal};
 use telemetry::ProtocolEvent;
 
-use crate::oracle::{Observation, RunOutcome};
+use crate::enumerate::ChoiceDriver;
+use crate::oracle::{BlackBox, Causal, Durability, Observation, Replay, RunOutcome};
 use crate::scenario::Scenario;
 use crate::schedule::FaultSchedule;
 
@@ -44,7 +50,7 @@ impl Scenario for TwoPhaseScenario {
     }
 
     fn run(&self, schedule: &FaultSchedule) -> Observation {
-        run_two_phase(schedule, false)
+        run_two_phase(schedule, false, &TWO_PARTICIPANTS)
     }
 }
 
@@ -54,11 +60,21 @@ impl Scenario for TwoPhaseGroupCommitScenario {
     }
 
     fn run(&self, schedule: &FaultSchedule) -> Observation {
-        run_two_phase(schedule, true)
+        run_two_phase(schedule, true, &TWO_PARTICIPANTS)
     }
 }
 
-fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
+/// One participant of the logged transaction: resource name, the key it
+/// writes and the value.
+pub(super) type Participant = (&'static str, &'static str, i64);
+
+const TWO_PARTICIPANTS: [Participant; 2] = [("store", "k", 1), ("witness", "w", 2)];
+
+pub(super) fn run_two_phase(
+    schedule: &FaultSchedule,
+    group_commit: bool,
+    participants: &[Participant],
+) -> Observation {
     let group: Option<Arc<GroupCommitWal<MemWal>>> =
         group_commit.then(|| Arc::new(GroupCommitWal::new(MemWal::new())));
     let wal: Arc<dyn Wal> = match &group {
@@ -75,23 +91,27 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
     let recorder =
         telemetry::FlightRecorder::new("coordinator", telemetry::DEFAULT_RECORDER_CAPACITY);
     let telemetry = telemetry::Telemetry::with_time(Arc::new(orb::SimClock::new()));
+    let driver = ChoiceDriver::new(schedule.choices().to_vec());
     let env = orb::Env::wired(orb::Env {
         failpoints: Some(failpoints.clone()),
         telemetry: Some(telemetry.clone()),
         recorder: Some(recorder.clone()),
+        sequencer: Some(Arc::clone(&driver) as Arc<dyn orb::DeliverySequencer>),
         ..Default::default()
     });
     let factory = TransactionFactory::with_wal(Arc::clone(&wal))
         .with_env(env)
         .with_dispatch(DispatchConfig::serial());
-    let store = Arc::new(TransactionalKv::new("store"));
-    let witness = Arc::new(TransactionalKv::new("witness"));
+    let stores: Vec<Arc<TransactionalKv>> =
+        participants.iter().map(|(name, ..)| Arc::new(TransactionalKv::new(*name))).collect();
 
     let control = factory.create().expect("begin record");
-    store.enlist(&control).expect("enlist store");
-    witness.enlist(&control).expect("enlist witness");
-    store.write(control.id(), "k", Value::from(1i64)).expect("write store");
-    witness.write(control.id(), "w", Value::from(2i64)).expect("write witness");
+    for kv in &stores {
+        kv.enlist(&control).expect("enlist");
+    }
+    for (kv, (_, key, value)) in stores.iter().zip(participants) {
+        kv.write(control.id(), key, Value::from(*value)).expect("write");
+    }
 
     let commit = control.terminator().commit();
     let mut obs = Observation::new(RunOutcome::Committed);
@@ -104,19 +124,13 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
                 // The crash kills the process: staged (unacked) records
                 // are gone; whatever was acked durable must survive. Take
                 // the acked watermark first, then model the restart.
-                obs.durable_acked_lsn = Some(group.durable_lsn().raw());
+                let acked_lsn = group.durable_lsn().raw();
                 group.recover_from_sink();
-                obs.survived_lsns = Some(
-                    group
-                        .inner()
-                        .scan(Lsn::new(0))
-                        .expect("scan sink")
-                        .iter()
-                        .map(|r| r.lsn.raw())
-                        .collect(),
-                );
+                let survivors = group.inner().scan(Lsn::new(0)).expect("scan sink");
+                let survived_lsns = survivors.iter().map(|r| r.lsn.raw()).collect();
+                obs.durability = Some(Durability { acked_lsn, survived_lsns });
             }
-            recover_from_crash(&wal, &failpoints, &[&store, &witness], control.id(), &mut obs);
+            recover_from_crash(&wal, &failpoints, &stores, control.id(), &mut obs);
         }
         Err(other) => {
             let _ = writeln!(obs.trace, "non-crash failure: {other:?}");
@@ -124,41 +138,38 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
         }
     }
 
-    obs.participant_commits = vec![
-        ("store".into(), store.read_committed("k").is_some()),
-        ("witness".into(), witness.read_committed("w").is_some()),
-    ];
-    let _ = writeln!(
-        obs.trace,
-        "final: store={:?} witness={:?}",
-        store.read_committed("k"),
-        witness.read_committed("w")
-    );
-    obs.observed_sites = failpoints.observed_sites();
-    obs.report_recorder(&recorder);
+    obs.trace.push_str("final:");
+    for (kv, (name, key, _)) in stores.iter().zip(participants) {
+        let committed = kv.read_committed(key);
+        obs.participant_commits.push(((*name).to_owned(), committed.is_some()));
+        let _ = write!(obs.trace, " {name}={committed:?}");
+    }
+    obs.trace.push('\n');
+    obs.space.sites = failpoints.observed_sites();
+    obs.report_choices(&driver);
+    obs.black_box = Some(BlackBox::of(&recorder));
     obs.critical_path_exact = telemetry.span_tree().critical_path().map(|path| path.is_exact());
     // Oracle #12: even a single-node run has a causal story — program
     // order plus the 2PC protocol-order rules over the recorded steps.
     let mut merge = telemetry::CausalMerge::new();
     merge.add_recorder(&recorder);
-    let dag = merge.build();
-    obs.report_causal(&dag);
+    obs.causal = Some(Causal::of(&merge.build()));
     obs
 }
 
-/// The aftermath of an injected coordinator crash, shared by the seeded and
-/// the explored 2PC runs. "Restart": disarm, then a fresh factory (no
-/// sequencer, no recorder — recovery has no ordering freedom) replays the
-/// surviving log on behalf of `transaction`, and a second incarnation over
-/// the same log must find nothing left in doubt. Reports the replay facts
+/// The aftermath of an injected coordinator crash. "Restart": disarm, then
+/// a fresh factory (no sequencer, no recorder — recovery has no ordering
+/// freedom) replays the surviving log on behalf of `transaction`, and a
+/// second incarnation over the same log must find nothing left in doubt.
+/// Reports the replay facts
 /// and the outcome recovery settled, and closes the run's model stream —
 /// the crash cut it short of its terminal step — with that direction, so
 /// the refinement oracle holds it to §12 (a committed close without a
 /// forced decision is a divergence).
-pub(super) fn recover_from_crash(
+fn recover_from_crash(
     wal: &Arc<dyn Wal>,
     failpoints: &FailpointSet,
-    participants: &[&Arc<TransactionalKv>],
+    participants: &[Arc<TransactionalKv>],
     transaction: &TxId,
     obs: &mut Observation,
 ) {
@@ -179,9 +190,8 @@ pub(super) fn recover_from_crash(
     );
     let second =
         TransactionFactory::with_wal(Arc::clone(wal)).recover(&resolver).expect("second recovery");
-    obs.replay_stable = Some(second.recommitted.is_empty() && second.presumed_aborted.is_empty());
-    obs.decision_durable = Some(decision_durable);
-    obs.replay_outcome = Some(replayed);
+    let stable = second.recommitted.is_empty() && second.presumed_aborted.is_empty();
+    obs.replay = Some(Replay { decision_durable, outcome: replayed, stable });
     obs.outcome = replayed;
     let closing = ProtocolEvent::TxCompleted { committed: replayed == RunOutcome::Committed };
     obs.model_events.get_or_insert_with(Vec::new).push((transaction.origin(), closing));
@@ -193,6 +203,10 @@ mod tests {
     use crate::oracle;
     use crate::schedule::FaultEvent;
 
+    fn decision_durable(obs: &Observation) -> bool {
+        obs.replay.as_ref().expect("a replay ran").decision_durable
+    }
+
     #[test]
     fn fault_free_run_commits_and_passes_oracles() {
         let obs = TwoPhaseScenario.run(&FaultSchedule::empty());
@@ -200,7 +214,7 @@ mod tests {
         assert!(oracle::check_all(&obs).is_empty());
         // The probe discovers every ots failpoint site.
         assert_eq!(
-            obs.observed_sites,
+            obs.space.sites,
             ots::failpoints::FAILPOINT_SITES
                 .iter()
                 .map(|s| (*s).to_owned())
@@ -218,7 +232,7 @@ mod tests {
         }]);
         let obs = TwoPhaseScenario.run(&schedule);
         assert_eq!(obs.outcome, RunOutcome::Committed);
-        assert_eq!(obs.decision_durable, Some(true));
+        assert!(decision_durable(&obs));
         assert!(oracle::check_all(&obs).is_empty(), "{:?}", oracle::check_all(&obs));
     }
 
@@ -230,7 +244,7 @@ mod tests {
         }]);
         let obs = TwoPhaseScenario.run(&schedule);
         assert_eq!(obs.outcome, RunOutcome::Aborted);
-        assert_eq!(obs.decision_durable, Some(false));
+        assert!(!decision_durable(&obs));
         assert!(oracle::check_all(&obs).is_empty());
     }
 
@@ -254,8 +268,8 @@ mod tests {
         }]);
         let obs = TwoPhaseGroupCommitScenario.run(&schedule);
         assert_eq!(obs.outcome, RunOutcome::Committed);
-        assert_eq!(obs.decision_durable, Some(true));
-        let acked = obs.durable_acked_lsn.expect("durability accounting");
+        assert!(decision_durable(&obs));
+        let acked = obs.durability.as_ref().expect("durability accounting").acked_lsn;
         assert!(acked >= 1, "the forced decision must have been acked");
         assert!(oracle::check_all(&obs).is_empty(), "{:?}", oracle::check_all(&obs));
     }
@@ -268,7 +282,7 @@ mod tests {
         }]);
         let obs = TwoPhaseGroupCommitScenario.run(&schedule);
         assert_eq!(obs.outcome, RunOutcome::Aborted);
-        assert_eq!(obs.decision_durable, Some(false));
+        assert!(!decision_durable(&obs));
         assert!(oracle::check_all(&obs).is_empty(), "{:?}", oracle::check_all(&obs));
     }
 }

@@ -13,7 +13,7 @@ use activity_service::{
 use orb::{Env, NetworkConfig, Orb, RetryPolicy, SimClock, Value};
 use recovery_log::{FailpointSet, MemWal, Wal};
 
-use crate::oracle::{EffectCount, Observation, RunOutcome};
+use crate::oracle::{BlackBox, EffectCount, FaultBudget, Observation, RunOutcome, Spans};
 use crate::scenario::Scenario;
 use crate::schedule::FaultSchedule;
 
@@ -142,21 +142,15 @@ pub(crate) fn run_workflow_with(
     }];
     obs.trace = super::coordinator_trace(&recorder.steps(), activity.id());
     let span_tree = telemetry.span_tree();
-    obs.span_wellformed = Some(span_tree.verify());
-    obs.span_projection = Some(span_tree.coordinator_projection());
-    obs.span_fingerprint = Some(span_tree.fingerprint());
-    obs.report_recorder(&recorder);
+    obs.spans = Some(Spans::of(&span_tree));
+    obs.black_box = Some(BlackBox::of(&recorder));
     obs.critical_path_exact = span_tree.critical_path().map(|path| path.is_exact());
-    obs.observed_sites = failpoints.observed_sites();
-    obs.remote_messages = orb.network().remote_messages();
+    obs.space.sites = failpoints.observed_sites();
+    obs.space.remote_messages = orb.network().remote_messages();
     // Fault accounting for the liveness oracle: only reported by the
     // scenarios that are about the reliability layer, so the plain
     // scenarios' observations (and fingerprints) are untouched.
-    if accounted {
-        obs.transient_faults = Some(schedule.transient_fault_count());
-        obs.hard_faults = Some(schedule.hard_fault_count());
-        obs.retry_budget = Some(retry_budget);
-    }
+    obs.fault_budget = accounted.then(|| FaultBudget::of(schedule, retry_budget));
     obs
 }
 
@@ -220,13 +214,13 @@ mod tests {
         assert_eq!(obs.outcome, RunOutcome::Committed);
         assert_eq!(obs.effects[0].observed, 1);
         assert!(oracle::check_all(&obs).is_empty());
-        assert!(obs.remote_messages > 0, "the probe must count remote messages");
+        assert!(obs.space.remote_messages > 0, "the probe must count remote messages");
         let mut expected: Vec<String> = activity_service::failpoints::FAILPOINT_SITES
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
         expected.sort();
-        assert_eq!(obs.observed_sites, expected);
+        assert_eq!(obs.space.sites, expected);
     }
 
     #[test]
@@ -257,7 +251,7 @@ mod tests {
         assert_eq!(legacy.trace, retrying.trace, "fault-free traces must be byte-identical");
         assert_eq!(legacy.outcome, retrying.outcome);
         assert_eq!(legacy.effects, retrying.effects);
-        assert_eq!(legacy.remote_messages, retrying.remote_messages);
+        assert_eq!(legacy.space.remote_messages, retrying.space.remote_messages);
         let none = WorkflowNoRetryScenario.run(&FaultSchedule::empty());
         assert_eq!(legacy.trace, none.trace);
         assert_eq!(legacy.outcome, none.outcome);
@@ -271,8 +265,10 @@ mod tests {
         let schedule = FaultSchedule::from_events(vec![FaultEvent::DropMessage { nth: 0 }]);
         let retrying = WorkflowRetryScenario.run(&schedule);
         assert_eq!(retrying.outcome, RunOutcome::Committed);
-        assert_eq!(retrying.transient_faults, Some(1));
-        assert_eq!(retrying.hard_faults, Some(0));
+        assert_eq!(
+            retrying.fault_budget,
+            Some(FaultBudget { transient: 1, hard: 0, retry_budget: 7 })
+        );
         assert!(oracle::check_all(&retrying).is_empty(), "{:?}", oracle::check_all(&retrying));
 
         let bare = WorkflowNoRetryScenario.run(&schedule);

@@ -1,11 +1,14 @@
 //! Fault schedules: the *discrete, enumerable* unit of chaos.
 //!
-//! A schedule is a small list of [`FaultEvent`]s — arm this failpoint, drop
-//! that remote message — rather than probabilistic fault rates. Discrete
-//! events make runs replayable (the same schedule produces the same
-//! execution) and shrinkable (removing one event leaves every other event's
-//! meaning unchanged, because scenarios run the network with zero
-//! probabilistic fault rates and scripted faults never consult the PRNG).
+//! A schedule is everything one run is subjected to: a small list of
+//! [`FaultEvent`]s — arm this failpoint, drop that remote message — rather
+//! than probabilistic fault rates, plus the delivery **choices** a
+//! sequenced component replays (index 0, registration order, past their
+//! end). Discrete events make runs replayable (the same schedule produces
+//! the same execution) and shrinkable (removing one event leaves every
+//! other event's meaning unchanged, because scenarios run the network with
+//! zero probabilistic fault rates and scripted faults never consult the
+//! PRNG).
 
 use std::fmt;
 
@@ -91,10 +94,12 @@ impl fmt::Display for FaultEvent {
     }
 }
 
-/// An ordered list of fault events applied to one scenario run.
+/// What one scenario run is subjected to: an ordered list of fault events
+/// and the delivery-choice prescription its sequenced components replay.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
+    choices: Vec<usize>,
 }
 
 impl FaultSchedule {
@@ -103,14 +108,27 @@ impl FaultSchedule {
         Self::default()
     }
 
-    /// A schedule running exactly `events`.
+    /// A schedule running exactly `events`, in registration delivery order.
     pub fn from_events(events: Vec<FaultEvent>) -> Self {
-        FaultSchedule { events }
+        FaultSchedule { events, choices: Vec::new() }
+    }
+
+    /// The same faults with delivery order prescribed: the n-th choice
+    /// point a run hits takes `choices[n]`, and index 0 past their end.
+    #[must_use]
+    pub fn with_choices(self, choices: Vec<usize>) -> Self {
+        FaultSchedule { choices, ..self }
     }
 
     /// The events, in order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
+    }
+
+    /// The delivery-choice prescription (what a scenario hands its
+    /// [`crate::ChoiceDriver`]).
+    pub fn choices(&self) -> &[usize] {
+        &self.choices
     }
 
     /// Number of events.
@@ -123,12 +141,28 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
-    /// The schedule with event `index` removed (the shrinking step).
+    /// The schedule with event `index` removed.
     #[must_use]
     pub fn without_event(&self, index: usize) -> Self {
-        let mut events = self.events.clone();
-        events.remove(index);
-        FaultSchedule { events }
+        let mut smaller = self.clone();
+        smaller.events.remove(index);
+        smaller
+    }
+
+    /// Every one-step-smaller schedule, in the order [`crate::shrink`]
+    /// tries them: each event dropped, the last choice dropped, each
+    /// non-zero choice lowered by one. A failing schedule none of whose
+    /// reductions fails is 1-minimal.
+    pub fn reductions(&self) -> Vec<FaultSchedule> {
+        let with_choices = |choices: Vec<usize>| self.clone().with_choices(choices);
+        let dropped = (0..self.events.len()).map(|index| self.without_event(index));
+        let truncated = self.choices.split_last().map(|(_, rest)| with_choices(rest.to_vec()));
+        let lowered = (0..self.choices.len()).filter(|&i| self.choices[i] > 0).map(|i| {
+            let mut choices = self.choices.clone();
+            choices[i] -= 1;
+            with_choices(choices)
+        });
+        dropped.chain(truncated).chain(lowered).collect()
     }
 
     /// Arm every [`FaultEvent::ArmFailpoint`] and [`FaultEvent::Restart`]
@@ -165,7 +199,7 @@ impl FaultSchedule {
     /// Duplicates are excluded — a redelivered message can violate
     /// effect-once accounting but can never prevent termination, so it does
     /// not count against a retry budget. Feeds
-    /// [`crate::oracle::Observation::transient_faults`].
+    /// [`crate::oracle::FaultBudget::transient`].
     pub fn transient_fault_count(&self) -> u32 {
         self.events
             .iter()
@@ -177,7 +211,7 @@ impl FaultSchedule {
     /// failpoints (stay-dead and restart flavours) and partitions. Any hard
     /// fault voids the bounded-fault liveness claim — a partitioned or
     /// crashed component can legitimately miss its retry budget. Feeds
-    /// [`crate::oracle::Observation::hard_faults`].
+    /// [`crate::oracle::FaultBudget::hard`].
     pub fn hard_fault_count(&self) -> u32 {
         self.events
             .iter()
@@ -210,18 +244,25 @@ impl FaultSchedule {
 }
 
 impl fmt::Display for FaultSchedule {
+    /// Copy-pasteable: the constructor expression, with the choice vector
+    /// appended only when one is prescribed.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "FaultSchedule::from_events(vec![")?;
         for event in &self.events {
             writeln!(f, "    {event},")?;
         }
-        write!(f, "])")
+        write!(f, "])")?;
+        if !self.choices.is_empty() {
+            write!(f, ".with_choices(vec!{:?})", self.choices)?;
+        }
+        Ok(())
     }
 }
 
-/// The space a seed is mapped into: which failpoint sites exist (discovered
-/// by a fault-free probe run via `FailpointSet::observed_sites`) and how
-/// many remote messages the fault-free run sends.
+/// The space a seed is mapped into, and the part of every
+/// [`crate::Observation`] that describes it: which failpoint sites exist
+/// (discovered by a fault-free probe run via `FailpointSet::observed_sites`)
+/// and how many remote messages the fault-free run sends.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleSpace {
     /// Arm-able failpoint sites.
@@ -229,7 +270,8 @@ pub struct ScheduleSpace {
     /// Remote messages sent by the fault-free run (message faults target
     /// sequence numbers up to twice this, so retries are reachable too).
     pub remote_messages: u64,
-    /// Largest number of events in one generated schedule.
+    /// Largest number of events in one generated schedule (the sweep's
+    /// bound; a run reports 0).
     pub max_events: usize,
     /// Nodes eligible for [`FaultEvent::Partition`] windows. Empty for
     /// scenarios that do not expose their topology — the generator then
@@ -242,93 +284,50 @@ pub struct ScheduleSpace {
 
 /// Deterministically derive a schedule from `seed`. The same seed and space
 /// always produce the same schedule.
-///
-/// When the space has no partition nodes and no restart sites, the event
-/// choices (and the PRNG draws behind them) are identical to what earlier
-/// versions of this generator produced, so existing per-seed schedules —
-/// and the sweep fingerprints built on them — are stable.
 pub fn generate(seed: u64, space: &ScheduleSpace) -> FaultSchedule {
     let mut rng = StdRng::seed_from_u64(seed);
     let max = space.max_events.max(1) as u64;
     let count = rng.gen_range(1..=max);
     let mut events = Vec::with_capacity(count as usize);
+    // Pick uniformly among the kinds the space offers.
+    let offered = [
+        !space.sites.is_empty(),
+        space.remote_messages > 0,
+        !space.partition_nodes.is_empty(),
+        !space.restart_sites.is_empty(),
+    ];
+    let kinds: Vec<usize> = (0..offered.len()).filter(|&kind| offered[kind]).collect();
+    if kinds.is_empty() {
+        return FaultSchedule::empty();
+    }
+    let pick = |rng: &mut StdRng, from: &[String]| {
+        from[rng.gen_range(0..from.len() as u64) as usize].clone()
+    };
     for _ in 0..count {
-        let have_sites = !space.sites.is_empty();
-        let have_messages = space.remote_messages > 0;
-        let have_partitions = !space.partition_nodes.is_empty();
-        let have_restarts = !space.restart_sites.is_empty();
-        // Fast path: the legacy two-way choice, drawing exactly the PRNG
-        // values the original generator drew.
-        if !have_partitions && !have_restarts {
-            let pick_site = match (have_sites, have_messages) {
-                (true, true) => rng.gen_range(0..2u32) == 0,
-                (true, false) => true,
-                (false, true) => false,
-                (false, false) => break,
-            };
-            if pick_site {
-                let site =
-                    space.sites[rng.gen_range(0..space.sites.len() as u64) as usize].clone();
-                let after = rng.gen_range(0..3u32);
-                events.push(FaultEvent::ArmFailpoint { site, after });
-            } else {
-                let nth = rng.gen_range(0..space.remote_messages * 2);
-                if rng.gen_range(0..2u32) == 0 {
-                    events.push(FaultEvent::DropMessage { nth });
-                } else {
-                    events.push(FaultEvent::DuplicateMessage { nth });
-                }
-            }
-            continue;
-        }
-        // Extended choice set: pick uniformly among the offered kinds.
-        let mut kinds: Vec<u8> = Vec::with_capacity(4);
-        if have_sites {
-            kinds.push(0);
-        }
-        if have_messages {
-            kinds.push(1);
-        }
-        if have_partitions {
-            kinds.push(2);
-        }
-        if have_restarts {
-            kinds.push(3);
-        }
-        if kinds.is_empty() {
-            break;
-        }
-        match kinds[rng.gen_range(0..kinds.len() as u64) as usize] {
+        events.push(match kinds[rng.gen_range(0..kinds.len() as u64) as usize] {
             0 => {
-                let site =
-                    space.sites[rng.gen_range(0..space.sites.len() as u64) as usize].clone();
-                let after = rng.gen_range(0..3u32);
-                events.push(FaultEvent::ArmFailpoint { site, after });
+                let site = pick(&mut rng, &space.sites);
+                FaultEvent::ArmFailpoint { site, after: rng.gen_range(0..3u32) }
             }
             1 => {
                 let nth = rng.gen_range(0..space.remote_messages * 2);
                 if rng.gen_range(0..2u32) == 0 {
-                    events.push(FaultEvent::DropMessage { nth });
+                    FaultEvent::DropMessage { nth }
                 } else {
-                    events.push(FaultEvent::DuplicateMessage { nth });
+                    FaultEvent::DuplicateMessage { nth }
                 }
             }
             2 => {
-                let node = space.partition_nodes
-                    [rng.gen_range(0..space.partition_nodes.len() as u64) as usize]
-                    .clone();
+                let node = pick(&mut rng, &space.partition_nodes);
                 let from_us = rng.gen_range(0..800u64);
                 let until_us = from_us + rng.gen_range(100..1500u64);
-                events.push(FaultEvent::Partition { node, from_us, until_us });
+                FaultEvent::Partition { node, from_us, until_us }
             }
             _ => {
-                let site = space.restart_sites
-                    [rng.gen_range(0..space.restart_sites.len() as u64) as usize]
-                    .clone();
-                let after = rng.gen_range(0..3u32);
-                events.push(FaultEvent::Restart { site, after });
+                let site = pick(&mut rng, &space.restart_sites);
+                FaultEvent::Restart { site, after: rng.gen_range(0..3u32) }
             }
-        }
+        });
     }
     FaultSchedule::from_events(events)
 }
@@ -399,11 +398,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_spaces_generate_exactly_the_old_schedules() {
-        // The extended generator must be a strict superset: with no
-        // partition nodes or restart sites, every seed maps to the same
-        // schedule the two-way generator produced, keeping historical
-        // sweep fingerprints valid.
+    fn a_space_without_topology_draws_no_partition_or_restart_arms() {
+        // Only offered kinds are drawn (the sweep tests pin the exact
+        // schedules through their fingerprints).
         for seed in 0..100 {
             let schedule = generate(seed, &space());
             assert!(schedule.events().iter().all(|e| matches!(
@@ -487,6 +484,38 @@ mod tests {
         assert!(rendered.contains(
             "FaultEvent::Restart { site: \"ots.recovery.before_apply\".into(), after: 1 }"
         ));
+    }
+
+    #[test]
+    fn choices_ride_the_schedule_and_render_only_when_prescribed() {
+        let faults = FaultSchedule::from_events(vec![FaultEvent::DropMessage { nth: 2 }]);
+        assert!(faults.choices().is_empty());
+        assert!(!faults.to_string().contains("with_choices"));
+        let steered = faults.clone().with_choices(vec![2, 0, 1]);
+        assert_eq!(steered.choices(), &[2, 0, 1]);
+        assert_eq!(steered.events(), faults.events());
+        assert!(steered.to_string().ends_with("]).with_choices(vec![2, 0, 1])"), "{steered}");
+        assert_eq!(steered.without_event(0).choices(), &[2, 0, 1], "shrinking keeps the order");
+    }
+
+    #[test]
+    fn reductions_are_every_one_step_smaller_schedule() {
+        let events = vec![FaultEvent::DropMessage { nth: 0 }, FaultEvent::DropMessage { nth: 1 }];
+        let schedule = FaultSchedule::from_events(events.clone()).with_choices(vec![2, 0, 1]);
+        let with = |events: &[FaultEvent], choices: &[usize]| {
+            FaultSchedule::from_events(events.to_vec()).with_choices(choices.to_vec())
+        };
+        assert_eq!(
+            schedule.reductions(),
+            vec![
+                with(&events[1..], &[2, 0, 1]),
+                with(&events[..1], &[2, 0, 1]),
+                with(&events, &[2, 0]),
+                with(&events, &[1, 0, 1]),
+                with(&events, &[2, 0, 0]),
+            ]
+        );
+        assert!(FaultSchedule::empty().reductions().is_empty());
     }
 
     #[test]

@@ -27,15 +27,16 @@ impl Default for SweepConfig {
     }
 }
 
-/// One oracle violation with its (minimized) reproducer.
+/// One failing schedule with its (minimized) reproducer — what the seeded
+/// sweep and the explorer both report.
 #[derive(Debug, Clone)]
 pub struct FailureReport {
     /// Scenario that failed.
     pub scenario: String,
-    /// Seed whose schedule violated an oracle (`None` for the fault-free
-    /// probe run).
+    /// Seed the schedule was generated from (`None` for the fault-free
+    /// probe and for enumerated schedules).
     pub seed: Option<u64>,
-    /// The schedule as generated.
+    /// The schedule as generated or enumerated.
     pub schedule: FaultSchedule,
     /// The schedule after shrinking (equals `schedule` when shrinking is
     /// disabled).
@@ -54,18 +55,46 @@ pub struct FailureReport {
 }
 
 impl FailureReport {
+    /// The one place a failure becomes a report: shrink `schedule` (when
+    /// asked), then run the minimized schedule once more for the black box
+    /// and the causal trace that match the reproducer the report ships.
+    /// When `HARNESS_TRACE_DIR` is set (CI does this) the trace is written
+    /// there as an artifact.
+    pub(crate) fn new(
+        scenario: &dyn Scenario,
+        seed: Option<u64>,
+        schedule: FaultSchedule,
+        violations: Vec<Violation>,
+        minimize: bool,
+    ) -> Self {
+        let minimized = if minimize { shrink(scenario, &schedule) } else { schedule.clone() };
+        let rerun = scenario.run(&minimized);
+        let report = FailureReport {
+            scenario: scenario.name().to_owned(),
+            seed,
+            schedule,
+            minimized,
+            violations,
+            recorder_dump: rerun.black_box.map(|black_box| black_box.dump),
+            causal_trace: rerun.causal.map(|causal| causal.perfetto),
+        };
+        if let Ok(dir) = std::env::var("HARNESS_TRACE_DIR") {
+            report.write_causal_trace(std::path::Path::new(&dir));
+        }
+        report
+    }
+
     /// A copy-pasteable reproducer: seed, minimized schedule and the
     /// violated oracles, formatted as a Rust test body. When the scenario
     /// attaches a flight recorder, its dump from the minimized schedule is
     /// appended as comment lines.
     pub fn repro(&self) -> String {
         let oracles: Vec<&str> = self.violations.iter().map(|v| v.oracle).collect();
-        let seed = self
-            .seed
-            .map_or_else(|| "probe (fault-free)".to_owned(), |s| format!("{s}"));
+        let seed =
+            self.seed.map_or_else(|| "none (probe or enumerated)".to_owned(), |s| s.to_string());
         let mut out = format!(
             "// scenario: {} | seed: {} | violated: {:?}\n\
-             // minimal reproducer ({} fault events):\n\
+             // minimal reproducer ({} fault event(s), {} prescribed choice(s)):\n\
              let schedule = {};\n\
              let violations = harness::oracle::check_all(&scenario.run(&schedule));\n\
              assert!(violations.is_empty(), \"{{violations:?}}\");\n",
@@ -73,6 +102,7 @@ impl FailureReport {
             seed,
             oracles,
             self.minimized.len(),
+            self.minimized.choices().len(),
             self.minimized,
         );
         if let Some(dump) = &self.recorder_dump {
@@ -94,12 +124,16 @@ impl FailureReport {
     }
 
     /// Write the attached Perfetto trace to
-    /// `{dir}/{scenario}-{seed}.perfetto.json` and return the path, or
+    /// `{dir}/{scenario}-{seed}.perfetto.json` (an unseeded report is named
+    /// by the hash of its minimized schedule) and return the path, or
     /// `None` when no causal trace was captured.
     pub fn write_causal_trace(&self, dir: &std::path::Path) -> Option<std::path::PathBuf> {
         let trace = self.causal_trace.as_ref()?;
-        let seed = self.seed.map_or_else(|| "probe".to_owned(), |s| format!("{s}"));
-        let path = dir.join(format!("{}-{seed}.perfetto.json", self.scenario));
+        let tag = self.seed.map_or_else(
+            || format!("x{:016x}", fnv1a(FNV_OFFSET, self.minimized.to_string().as_bytes())),
+            |seed| seed.to_string(),
+        );
+        let path = dir.join(format!("{}-{tag}.perfetto.json", self.scenario));
         std::fs::create_dir_all(dir).ok()?;
         std::fs::write(&path, trace).ok()?;
         Some(path)
@@ -133,110 +167,64 @@ fn fingerprint_run(hash: u64, seed: u64, obs: &Observation, violations: usize) -
         hash = fnv1a(hash, effect.action.as_bytes());
         hash = fnv1a(hash, &effect.observed.to_le_bytes());
     }
-    if let Some(recorder) = obs.recorder_fingerprint {
-        hash = fnv1a(hash, &recorder.to_le_bytes());
+    if let Some(black_box) = &obs.black_box {
+        hash = fnv1a(hash, &black_box.fingerprint.to_le_bytes());
     }
-    if let Some(causal) = obs.causal_fingerprint {
-        hash = fnv1a(hash, &causal.to_le_bytes());
+    if let Some(causal) = &obs.causal {
+        hash = fnv1a(hash, &causal.fingerprint.to_le_bytes());
     }
     hash
 }
 
-fn violations_for(scenario: &dyn Scenario, schedule: &FaultSchedule) -> Vec<Violation> {
+/// The one check, behind the sweep, the explorer and the shrinker: run
+/// `schedule` twice, put the first run to every single-observation oracle
+/// and both to the determinism oracle. Returns the first run with what it
+/// violated.
+pub(crate) fn violations_for(
+    scenario: &dyn Scenario,
+    schedule: &FaultSchedule,
+) -> (Observation, Vec<Violation>) {
     let first = scenario.run(schedule);
     let second = scenario.run(schedule);
     let mut violations = oracle::check_all(&first);
     violations.extend(oracle::check_determinism(&first, &second));
-    violations
+    (first, violations)
 }
 
-/// Greedy delta-debugging, the one shrinker behind [`shrink`] and
-/// [`crate::shrink_explored`]: move to the first of `reductions(&current)`
-/// that `still_fails`, start over from it, and stop when none does. The
-/// result is 1-minimal — no single reduction of it still fails.
-pub(crate) fn greedy_minimal<S>(
-    start: S,
-    reductions: impl Fn(&S) -> Vec<S>,
-    still_fails: impl Fn(&S) -> bool,
-) -> S {
-    let mut current = start;
-    while let Some(smaller) = reductions(&current).into_iter().find(|c| still_fails(c)) {
+/// Shrink a violating schedule by greedy delta-debugging: move to the
+/// first of [`FaultSchedule::reductions`] that still fails, start over
+/// from it, and stop when none does. The result is 1-minimal — no event
+/// can be dropped and no choice dropped or lowered with the failure
+/// surviving.
+pub fn shrink(scenario: &dyn Scenario, schedule: &FaultSchedule) -> FaultSchedule {
+    let still_fails =
+        |candidate: &FaultSchedule| !violations_for(scenario, candidate).1.is_empty();
+    let mut current = schedule.clone();
+    while let Some(smaller) = current.reductions().into_iter().find(still_fails) {
         current = smaller;
     }
     current
 }
 
-/// Shrink a violating schedule by dropping single events: removing any
-/// one event of the result makes the failure vanish.
-pub fn shrink(scenario: &dyn Scenario, schedule: &FaultSchedule) -> FaultSchedule {
-    greedy_minimal(
-        schedule.clone(),
-        |current| (0..current.len()).map(|index| current.without_event(index)).collect(),
-        |candidate| !violations_for(scenario, candidate).is_empty(),
-    )
-}
-
 /// Sweep `scenario` under `config`: probe the schedule space, then run
 /// every seeded schedule twice and oracle-check it.
 pub fn sweep(scenario: &dyn Scenario, config: &SweepConfig) -> SweepReport {
-    let probe = scenario.run(&FaultSchedule::empty());
     let mut fingerprint = FNV_OFFSET;
     let mut failures = Vec::new();
-
-    let probe_violations = oracle::check_all(&probe);
-    fingerprint = fingerprint_run(fingerprint, u64::MAX, &probe, probe_violations.len());
-    if !probe_violations.is_empty() {
-        failures.push(FailureReport {
-            scenario: scenario.name().to_owned(),
-            seed: None,
-            schedule: FaultSchedule::empty(),
-            minimized: FaultSchedule::empty(),
-            violations: probe_violations,
-            recorder_dump: probe.recorder_dump.clone(),
-            causal_trace: probe.causal_perfetto.clone(),
-        });
-    }
-
-    let space = ScheduleSpace {
-        sites: probe.observed_sites.clone(),
-        remote_messages: probe.remote_messages,
-        max_events: config.max_events,
-        partition_nodes: probe.partition_nodes.clone(),
-        restart_sites: probe.restart_sites.clone(),
-    };
-    for offset in 0..config.schedules {
-        let seed = config.seed_start + offset;
-        let sched = schedule::generate(seed, &space);
-        let first = scenario.run(&sched);
-        let second = scenario.run(&sched);
-        let mut violations = oracle::check_all(&first);
-        violations.extend(oracle::check_determinism(&first, &second));
-        fingerprint = fingerprint_run(fingerprint, seed, &first, violations.len());
+    let mut check = |seed: Option<u64>, schedule: FaultSchedule| {
+        let (obs, violations) = violations_for(scenario, &schedule);
+        fingerprint =
+            fingerprint_run(fingerprint, seed.unwrap_or(u64::MAX), &obs, violations.len());
         if !violations.is_empty() {
-            let minimized =
-                if config.shrink { shrink(scenario, &sched) } else { sched.clone() };
-            // One extra run of the minimized schedule captures the black
-            // box and the causal trace that match the reproducer the
-            // report ships.
-            let rerun = scenario.run(&minimized);
-            failures.push(FailureReport {
-                scenario: scenario.name().to_owned(),
-                seed: Some(seed),
-                schedule: sched,
-                minimized,
-                violations,
-                recorder_dump: rerun.recorder_dump,
-                causal_trace: rerun.causal_perfetto,
-            });
+            failures.push(FailureReport::new(scenario, seed, schedule, violations, config.shrink));
         }
-    }
+        obs
+    };
 
-    // When HARNESS_TRACE_DIR is set (CI does this), every failure's causal
-    // Perfetto trace is written out as an artifact next to the repro.
-    if let Ok(dir) = std::env::var("HARNESS_TRACE_DIR") {
-        for failure in &failures {
-            failure.write_causal_trace(std::path::Path::new(&dir));
-        }
+    let probe = check(None, FaultSchedule::empty());
+    let space = ScheduleSpace { max_events: config.max_events, ..probe.space };
+    for seed in config.seed_start..config.seed_start + config.schedules {
+        check(Some(seed), schedule::generate(seed, &space));
     }
 
     SweepReport {
@@ -276,8 +264,8 @@ mod tests {
                 max: 1,
             }];
             obs.trace = format!("buggy={buggy}\n");
-            obs.observed_sites = vec!["syn.site".into()];
-            obs.remote_messages = 2;
+            obs.space.sites = vec!["syn.site".into()];
+            obs.space.remote_messages = 2;
             obs
         }
     }

@@ -27,10 +27,9 @@ fn config() -> SweepConfig {
 fn fault_free_fixture_is_clean_and_reports_the_merge() {
     let obs = ReorderedOutcomeScenario.run(&FaultSchedule::empty());
     assert!(harness::check_all(&obs).is_empty());
-    assert_eq!(obs.causal_violations.as_deref(), Some(&[][..]), "clean merge on clean runs");
-    let trace = obs.causal_perfetto.expect("fixture always exports a trace");
-    telemetry::check_perfetto_schema(&trace).expect("export is schema-clean");
-    assert!(obs.causal_fingerprint.is_some());
+    let causal = obs.causal.expect("the fixture always reports its merge");
+    assert!(causal.violations.is_empty(), "clean merge on clean runs");
+    telemetry::check_perfetto_schema(&causal.perfetto).expect("export is schema-clean");
 }
 
 #[test]
@@ -74,6 +73,8 @@ fn reordered_outcome_is_caught_by_the_causal_oracle_alone() {
         "causal sweep blew its wall-clock budget: {:?}",
         started.elapsed()
     );
+    assert_eq!(report.fingerprint, 0x4dbf_2753_6eb8_c2aa, "{:#018x}", report.fingerprint);
+    assert_eq!(report.failures.len(), 86);
 }
 
 #[test]
@@ -103,22 +104,19 @@ fn every_well_behaved_scenario_merges_clean() {
     // Scenarios that build a causal merge must verify clean fault-free,
     // and their merge fingerprints must be stable across reruns.
     for scenario in harness::scenarios::all() {
-        let obs = scenario.run(&FaultSchedule::empty());
-        if let Some(violations) = &obs.causal_violations {
-            assert!(
-                violations.is_empty(),
-                "{} merges dirty fault-free: {violations:?}",
-                scenario.name()
-            );
-        }
-        if obs.causal_fingerprint.is_some() {
-            let again = scenario.run(&FaultSchedule::empty());
-            assert_eq!(
-                obs.causal_fingerprint,
-                again.causal_fingerprint,
-                "{} has an unstable merge fingerprint",
-                scenario.name()
-            );
-        }
+        let Some(causal) = scenario.run(&FaultSchedule::empty()).causal else { continue };
+        assert!(
+            causal.violations.is_empty(),
+            "{} merges dirty fault-free: {:?}",
+            scenario.name(),
+            causal.violations
+        );
+        let again = scenario.run(&FaultSchedule::empty()).causal.expect("merged before");
+        assert_eq!(
+            causal.fingerprint,
+            again.fingerprint,
+            "{} has an unstable merge fingerprint",
+            scenario.name()
+        );
     }
 }

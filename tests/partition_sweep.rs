@@ -24,14 +24,7 @@ fn config() -> SweepConfig {
 /// The schedule space a fault-free probe run discovers — the same
 /// discovery the explorer performs before generating seeds.
 fn probe_space() -> ScheduleSpace {
-    let probe = TerminationScenario.run(&FaultSchedule::empty());
-    ScheduleSpace {
-        sites: probe.observed_sites.clone(),
-        remote_messages: probe.remote_messages,
-        max_events: 4,
-        partition_nodes: probe.partition_nodes.clone(),
-        restart_sites: probe.restart_sites.clone(),
-    }
+    ScheduleSpace { max_events: 4, ..TerminationScenario.run(&FaultSchedule::empty()).space }
 }
 
 #[test]
@@ -73,6 +66,7 @@ fn partition_sweep_holds_every_oracle_and_is_reproducible() {
         first.fingerprint, second.fingerprint,
         "two consecutive partition sweeps diverged — simulation is not deterministic"
     );
+    assert_eq!(first.fingerprint, 0x2233_262f_74a0_898b, "{:#018x}", first.fingerprint);
     assert!(
         first.failures.is_empty(),
         "oracle violations under partition/restart chaos:\n{}",
@@ -144,4 +138,6 @@ fn forgetful_coordinator_is_caught_and_shrunk_to_one_event() {
         single_event_repros > 0,
         "some schedule must shrink all the way to one crash arm"
     );
+    assert_eq!(report.fingerprint, 0xc8ff_48b1_6b90_7f99, "{:#018x}", report.fingerprint);
+    assert_eq!(report.failures.len(), 15);
 }

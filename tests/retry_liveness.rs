@@ -44,13 +44,7 @@ fn config() -> SweepConfig {
 /// The schedule space discovered by a fault-free probe of the retrying
 /// scenario (same discovery the explorer itself performs).
 fn probe_space() -> ScheduleSpace {
-    let probe = WorkflowRetryScenario.run(&FaultSchedule::empty());
-    ScheduleSpace {
-        sites: probe.observed_sites.clone(),
-        remote_messages: probe.remote_messages,
-        max_events: 4,
-        ..ScheduleSpace::default()
-    }
+    ScheduleSpace { max_events: 4, ..WorkflowRetryScenario.run(&FaultSchedule::empty()).space }
 }
 
 /// First seed at or after `SEED_START` whose schedule is crash-free yet
@@ -84,6 +78,10 @@ fn liveness_sweep_of_240_schedules_holds_every_oracle_and_is_reproducible() {
         first.fingerprint, second.fingerprint,
         "two consecutive liveness sweeps diverged — retry backoff must be deterministic"
     );
+    assert_eq!(first.fingerprint, 0x13fa_7f7f_1174_2d12, "{:#018x}", first.fingerprint);
+    // The negative control's population is pinned beside it.
+    let bare = sweep(&WorkflowNoRetryScenario, &config);
+    assert_eq!(bare.fingerprint, 0xba7f_bbe6_5a99_82c1, "{:#018x}", bare.fingerprint);
 }
 
 #[test]
@@ -135,7 +133,7 @@ fn fault_free_observations_are_byte_identical_across_retry_modes() {
         assert_eq!(legacy.effects, obs.effects, "{mode}");
         assert_eq!(legacy.participant_commits, obs.participant_commits, "{mode}");
         assert_eq!(
-            legacy.remote_messages, obs.remote_messages,
+            legacy.space.remote_messages, obs.space.remote_messages,
             "{mode}: the retry layer must add no fault-free network traffic"
         );
     }

@@ -14,7 +14,9 @@
 
 use harness::scenarios::{self, BrokenWorkflowScenario};
 use harness::scenarios::{TwoPhaseGroupCommitScenario, TwoPhaseScenario};
-use harness::{generate, sweep, FaultSchedule, Scenario, ScheduleSpace, SweepConfig};
+use harness::{
+    generate, sweep, FaultEvent, FaultSchedule, Scenario, ScheduleSpace, SweepConfig,
+};
 
 /// 7 scenarios × 40 seeds = 280 distinct fault schedules, plus the broken
 /// fixture's own 40 below.
@@ -29,12 +31,31 @@ fn config() -> SweepConfig {
     }
 }
 
+/// The sweep fingerprints of this file's population, pinned: a refactor
+/// that claims to leave behaviour alone must leave these alone.
+const FINGERPRINTS: [(&str, u64); 7] = [
+    ("two-phase-commit", 0xce5f_7649_b3bc_c71d),
+    ("two-phase-commit-group", 0x113b_8d49_7287_b34f),
+    ("nested-compensation", 0x199b_9a79_43fc_590c),
+    ("saga", 0xbe34_5e01_0965_1659),
+    ("workflow-exactly-once", 0xe9e4_94e1_0df2_94bd),
+    ("btp-atom", 0x6558_8869_ae5f_7067),
+    ("termination-protocol", 0xf5e9_ce79_6a3f_cb01),
+];
+
 #[test]
 fn bounded_sweep_holds_every_oracle_and_is_reproducible() {
     let config = config();
     let mut total = 0;
-    for scenario in scenarios::all() {
+    for (scenario, pinned) in scenarios::all().iter().zip(FINGERPRINTS) {
         let first = sweep(scenario.as_ref(), &config);
+        assert_eq!(
+            (first.scenario.as_str(), first.fingerprint),
+            pinned,
+            "{}: sweep fingerprint {:#018x} moved",
+            first.scenario,
+            first.fingerprint
+        );
         let second = sweep(scenario.as_ref(), &config);
         assert_eq!(
             first.fingerprint, second.fingerprint,
@@ -81,16 +102,11 @@ fn group_commit_is_protocol_invisible_across_the_sweep() {
     );
     assert_eq!(probe_a.participant_commits, probe_b.participant_commits);
     assert_eq!(
-        probe_a.observed_sites, probe_b.observed_sites,
+        probe_a.space.sites, probe_b.space.sites,
         "both configurations must expose the same schedule space"
     );
 
-    let space = ScheduleSpace {
-        sites: probe_a.observed_sites.clone(),
-        remote_messages: probe_a.remote_messages,
-        max_events: 4,
-        ..ScheduleSpace::default()
-    };
+    let space = ScheduleSpace { max_events: 4, ..probe_a.space };
     for offset in 0..SEEDS_PER_SCENARIO {
         let seed = 0x20260806 + offset;
         let sched = generate(seed, &space);
@@ -145,6 +161,12 @@ fn broken_fixture_is_caught_and_shrunk_to_a_tiny_reproducer() {
         );
         assert!(failure.repro().contains("seed"), "the reproducer must name its seed");
     }
+    // The sharpest reproducer is the single duplication (a dropped reply,
+    // retried, doubles the effect just as well).
+    let duplicate = [FaultEvent::DuplicateMessage { nth: 0 }];
+    assert!(report.failures.iter().any(|failure| failure.minimized.events() == duplicate));
+    assert_eq!(report.fingerprint, 0x3dd6_52a8_ee7a_7808, "{:#018x}", report.fingerprint);
+    assert_eq!(report.failures.len(), 12);
     // The same sweep is reproducible, failures included.
     let again = sweep(&BrokenWorkflowScenario, &config());
     assert_eq!(report.fingerprint, again.fingerprint);

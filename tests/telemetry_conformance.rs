@@ -94,13 +94,8 @@ fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb, Strin
 #[test]
 fn dropped_deliveries_are_covered_by_retry_attempts_across_a_sweep() {
     // Discover the schedule space exactly like the chaos explorer does.
-    let probe = WorkflowScenario.run(&FaultSchedule::empty());
-    let space = ScheduleSpace {
-        sites: probe.observed_sites.clone(),
-        remote_messages: probe.remote_messages,
-        max_events: 4,
-        ..ScheduleSpace::default()
-    };
+    let space =
+        ScheduleSpace { max_events: 4, ..WorkflowScenario.run(&FaultSchedule::empty()).space };
 
     let mut runs_with_drops = 0u32;
     for seed in 0..40u64 {
