@@ -3,15 +3,17 @@
 //! [`orb::Introspection`] servant on every node, and render what an
 //! operator would see — each node's live state table queried **over the
 //! wire**, the commit span's critical-path latency attribution as JSON,
-//! and the vote-latency quantiles from the metrics registry.
+//! the vote-latency quantiles from the metrics registry and the registry's
+//! whole JSON snapshot.
 //!
 //! Participants are wrapped in [`bench::PacedResource`], which advances the
 //! virtual clock on every protocol call, so spans carry real (virtual)
 //! durations and the attribution is non-trivial. Everything is
 //! deterministic: two runs print byte-identical output.
 //!
-//! Writes the cluster table to `INTROSPECT_SNAPSHOT` (default
-//! `target/introspection.txt`) and the attribution JSON to
+//! Writes the cluster table and the metrics snapshot to
+//! `INTROSPECT_SNAPSHOT` (default `target/introspection.txt`) and the
+//! attribution JSON to
 //! `INTROSPECT_ATTRIBUTION` (default `target/critical_path.json`) — the CI
 //! introspection job archives both.
 //!
@@ -175,6 +177,10 @@ fn main() {
         let latency = votes.quantile(q).expect("non-empty histogram");
         println!("p{:02}: {:.0}us", (q * 100.0) as u32, latency.as_secs_f64() * 1e6);
     }
+
+    let metrics = format!("## metrics registry\n{}", telemetry.metrics().snapshot_json());
+    print!("{metrics}");
+    table.push_str(&metrics);
 
     let table_path = std::env::var("INTROSPECT_SNAPSHOT")
         .unwrap_or_else(|_| "target/introspection.txt".to_owned());

@@ -1,18 +1,17 @@
-//! Shared workload builders for the benchmark suite and the
-//! figure-regeneration harness (`cargo run -p bench --bin figures`).
+//! Workload builders for the figure-regeneration harness
+//! (`cargo run -p bench --bin figures`).
 //!
 //! Each function here implements one experiment's workload from DESIGN.md's
-//! per-experiment index, so the Criterion benches and the printed-table
-//! harness measure exactly the same code.
+//! per-experiment index; `figures` prints the table, `tests/fig*.rs` assert
+//! the shapes. Wall-clock numbers come from `benchmarks/` (DESIGN.md §5).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use activity_service::{
-    Action, ActionServant, Activity, ActivityService, CompletionStatus, FnAction, Outcome,
-    RemoteActionProxy, Signal,
+    Action, Activity, ActivityService, CompletionStatus, FnAction, Outcome, Signal,
 };
-use orb::{Env, FailureDetector, NetworkConfig, Orb, RetryPolicy, SimClock, Value};
+use orb::{Env, SimClock, Value};
 use ots::{Resource, TransactionFactory, TransactionalKv, TxError, Vote};
 use recovery_log::{MemWal, Wal};
 use tx_models::{LruowStore, ResourceAction, Saga, TwoPhaseCommitSignalSet, TWO_PC_SET};
@@ -113,107 +112,16 @@ pub fn fig2_compensation(steps: usize) -> usize {
     report.committed.len()
 }
 
-/// The fig. 5 skeleton every dispatch workload shares: associate the
-/// `Bench` broadcast set, register `actions` actions made by `action(i)`,
-/// signal once. Returns the number of responses collated.
-fn broadcast_bench(
-    activity: &Activity,
-    actions: usize,
-    action: impl Fn(usize) -> Arc<dyn Action>,
-) -> u64 {
-    let set = activity_service::BroadcastSignalSet::new("Bench", "ping", Value::Null);
-    activity.coordinator().add_signal_set(Box::new(set)).expect("add set");
-    for i in 0..actions {
-        activity.coordinator().register_action("Bench", action(i));
-    }
-    activity.signal("Bench").expect("signal").data().as_u64().unwrap_or(0)
-}
-
-fn trivial_action(i: usize) -> Arc<dyn Action> {
-    Arc::new(FnAction::new(format!("a{i}"), |_s: &Signal| Ok(Outcome::done())))
-}
-
 /// Fig. 5 workload: one activity broadcasting one signal to `actions`
 /// registered actions; returns the number of responses collated.
 pub fn fig5_dispatch(actions: usize) -> u64 {
-    broadcast_bench(&Activity::new_root("dispatch", SimClock::new()), actions, trivial_action)
-}
-
-/// Fig. 5 (parallel dispatch) workload: one broadcast to `actions`
-/// registered actions, each simulating a remote invocation that takes
-/// `work_us` microseconds of latency, fanned out across `workers`
-/// (`workers == 1` is the exact legacy serial loop). Returns the number
-/// of responses collated.
-pub fn fig5_dispatch_configured(actions: usize, workers: usize, work_us: u64) -> u64 {
     let activity = Activity::new_root("dispatch", SimClock::new());
-    activity
-        .coordinator()
-        .set_dispatch_config(activity_service::DispatchConfig::with_workers(workers));
-    broadcast_bench(&activity, actions, |i| {
-        Arc::new(FnAction::new(format!("a{i}"), move |_s: &Signal| {
-            if work_us > 0 {
-                std::thread::sleep(Duration::from_micros(work_us));
-            }
-            Ok(Outcome::done())
-        }))
-    })
-}
-
-/// The gate micro-workloads' shared body: one serially dispatched `Bench`
-/// broadcast to `actions` trivial actions. Returns responses collated.
-fn ping_trivial_actions(activity: &Activity, actions: usize) -> u64 {
-    activity
-        .coordinator()
-        .set_dispatch_config(activity_service::DispatchConfig::serial());
-    broadcast_bench(activity, actions, trivial_action)
-}
-
-/// Telemetry-gate micro-workload (DESIGN.md §11): the fig. 5 broadcast over
-/// trivial actions with a *disabled* span recorder either in the service's
-/// context or absent. Every signal dispatch still reaches the
-/// instrumentation sites, but `Telemetry::is_enabled` short-circuits them
-/// to an atomic load — the delta is the whole disabled-path cost.
-pub fn fig5_dispatch_telemetry(actions: usize, instrumented: bool) -> u64 {
-    let telemetry = instrumented.then(telemetry::Telemetry::disabled);
-    let service =
-        ActivityService::builder().env(Env { telemetry, ..Default::default() }.wired()).build();
-    let activity = service.begin("dispatch").expect("begin");
-    let responses = ping_trivial_actions(&activity, actions);
-    service.complete().expect("complete");
-    responses
-}
-
-/// Telemetry-gate 2PC workload (DESIGN.md §11): a native-OTS commit over
-/// `participants` healthy stores, with a disabled recorder either in the
-/// factory's context (so every coordinator it mints carries the gate
-/// through both protocol phases) or absent. All spans are skipped at the
-/// `is_enabled` check; the delta is pure disabled-path bookkeeping.
-pub fn two_phase_with_telemetry(participants: usize, instrumented: bool) -> bool {
-    let telemetry = instrumented.then(telemetry::Telemetry::disabled);
-    let factory =
-        TransactionFactory::new().with_env(Env { telemetry, ..Default::default() }.wired());
-    commit_over_stores(&factory, participants)
-}
-
-/// Flight-recorder gate workload (DESIGN.md §15): the same native-OTS
-/// commit as [`two_phase_with_telemetry`], with a failpoint set on the hot
-/// path and a *disabled* [`telemetry::FlightRecorder`] either in the
-/// factory's context or absent. Every protocol step and failpoint passage
-/// still reaches the recorder, but the closed gate collapses it to one
-/// atomic load — the delta is the recorder's whole disabled-path cost.
-/// The caller builds the recorder once and passes it in: constructing the
-/// ring (one bounded allocation) is setup cost, not per-site cost, and
-/// attaching a shared handle is one `Arc` bump per mirror.
-pub fn two_phase_with_recorder(
-    participants: usize,
-    recorder: Option<&telemetry::FlightRecorder>,
-) -> bool {
-    let env = Env::wired(Env {
-        failpoints: Some(recovery_log::FailpointSet::new()),
-        recorder: recorder.cloned(),
-        ..Default::default()
-    });
-    commit_over_stores(&TransactionFactory::new().with_env(env), participants)
+    let set = activity_service::BroadcastSignalSet::new("Bench", "ping", Value::Null);
+    activity.coordinator().add_signal_set(Box::new(set)).expect("add set");
+    for action in trivial_actions(actions) {
+        activity.coordinator().register_action("Bench", action);
+    }
+    activity.signal("Bench").expect("signal").data().as_u64().unwrap_or(0)
 }
 
 /// A [`Resource`] decorator that advances the virtual clock on every
@@ -258,111 +166,6 @@ impl Resource for PacedResource {
     }
 }
 
-/// Run the two §11 workloads once with an *enabled* recorder and return
-/// the populated registry's JSON snapshot — the artifact the CI telemetry
-/// job archives next to the overhead table.
-pub fn instrumented_metrics_snapshot() -> String {
-    let tel = telemetry::Telemetry::new();
-    let env = Env { telemetry: Some(tel.clone()), ..Default::default() }.wired();
-
-    let service = ActivityService::builder().env(Arc::clone(&env)).build();
-    let activity = service.begin("dispatch").expect("begin");
-    ping_trivial_actions(&activity, 8);
-    service.complete().expect("complete");
-
-    let factory = TransactionFactory::new().with_env(env);
-    assert!(commit_over_stores(&factory, 8), "commit");
-
-    tel.metrics().snapshot_json()
-}
-
-/// Reliability-layer overhead workload (the fig. 5 broadcast *over the
-/// wire*): one activity signalling `actions` remote actions behind the
-/// simulated ORB, with the `orb::retry` policy layer either enabled
-/// (8 attempts, deterministic backoff — never exercised on this fault-free
-/// path) or the proxies' default immediate at-least-once policy. The delta between the
-/// two isolates the per-delivery cost of policy evaluation, delivery-id
-/// stamping and deadline checks. Returns responses collated.
-pub fn remote_dispatch_with_retry(actions: usize, with_policy: bool) -> u64 {
-    let orb = Orb::builder()
-        .network(NetworkConfig::lossy(0.0, 0.0, 0x0BE7_CAFE))
-        .clock(SimClock::new())
-        .build();
-    orb.add_node("coordinator").expect("coordinator node");
-    let worker = orb.add_node("worker").expect("worker node");
-    let activity = Activity::new_root("dispatch", SimClock::new());
-    broadcast_bench(&activity, actions, |i| {
-        let obj = worker
-            .activate("Action", ActionServant::new(trivial_action(i)))
-            .expect("activate action");
-        let mut proxy = RemoteActionProxy::new(format!("r{i}"), orb.clone(), "coordinator", obj);
-        if with_policy {
-            proxy = proxy
-                .with_policy(RetryPolicy::new(8).with_base_backoff(Duration::from_millis(1)));
-        }
-        Arc::new(proxy)
-    })
-}
-
-/// Detector-consult overhead workload (fig. 8 fan-out): a native-OTS 2PC
-/// over `participants` healthy transactional stores, with the participant
-/// failure detector either consulted (one `should_skip` + one
-/// `record_success` per resource per phase) or absent. All participants stay
-/// healthy, so the delta is pure bookkeeping cost on the commit fast path.
-pub fn two_phase_with_detector(participants: usize, with_detector: bool) -> bool {
-    let detector = with_detector.then(|| FailureDetector::new(SimClock::new()));
-    let factory =
-        TransactionFactory::new().with_env(Env { detector, ..Default::default() }.wired());
-    commit_over_stores(&factory, participants)
-}
-
-/// A commit-voting resource whose prepare/commit/rollback each cost
-/// `work_us` microseconds of simulated remote latency.
-pub fn slow_resource(name: &str, work_us: u64) -> Arc<dyn Resource> {
-    struct Slow(String, u64);
-    impl Slow {
-        fn work(&self) {
-            if self.1 > 0 {
-                std::thread::sleep(Duration::from_micros(self.1));
-            }
-        }
-    }
-    impl Resource for Slow {
-        fn prepare(&self, _tx: &ots::TxId) -> Result<Vote, TxError> {
-            self.work();
-            Ok(Vote::Commit)
-        }
-        fn commit(&self, _tx: &ots::TxId) -> Result<(), TxError> {
-            self.work();
-            Ok(())
-        }
-        fn rollback(&self, _tx: &ots::TxId) -> Result<(), TxError> {
-            self.work();
-            Ok(())
-        }
-        fn resource_name(&self) -> &str {
-            &self.0
-        }
-    }
-    Arc::new(Slow(name.to_owned(), work_us))
-}
-
-/// Fig. 8 (batched fan-out) workload: a native-OTS 2PC over
-/// `participants` resources whose prepare/commit each take `work_us`
-/// microseconds, with phase fan-out across `workers`.
-pub fn fig8_2pc_configured(participants: usize, workers: usize, work_us: u64) -> bool {
-    let factory =
-        TransactionFactory::new().with_dispatch(ots::DispatchConfig::with_workers(workers));
-    let control = factory.create().expect("create");
-    for i in 0..participants {
-        control
-            .coordinator()
-            .register_resource(slow_resource(&format!("r{i}"), work_us))
-            .expect("register");
-    }
-    control.terminator().commit().is_ok()
-}
-
 /// Fig. 8 workload, signal-framework flavour: a 2PC over `participants`
 /// transactional stores driven by the TwoPhaseCommitSignalSet.
 pub fn fig8_signal_2pc(participants: usize) -> bool {
@@ -389,15 +192,10 @@ pub fn fig8_signal_2pc(participants: usize) -> bool {
     outcome.name() == "committed"
 }
 
-/// Fig. 8 baseline: the same commit through the native OTS coordinator.
+/// Fig. 8 baseline: the same commit through the native OTS coordinator —
+/// `participants` healthy transactional stores, each with one write.
 pub fn fig8_native_2pc(participants: usize) -> bool {
-    commit_over_stores(&TransactionFactory::new(), participants)
-}
-
-/// One native-OTS commit over `participants` healthy transactional stores,
-/// each with one write: the body every native 2PC workload shares.
-fn commit_over_stores(factory: &TransactionFactory, participants: usize) -> bool {
-    let control = factory.create().expect("create");
+    let control = TransactionFactory::new().create().expect("create");
     for i in 0..participants {
         let store = Arc::new(TransactionalKv::new(format!("s{i}")));
         store.enlist(&control).expect("enlist");
@@ -575,7 +373,7 @@ pub fn recovery_replay(records: usize) -> usize {
 
 /// Ablation: dispatch a signal to actions directly (what "no framework"
 /// would cost), for comparison with the checked coordinator loop.
-pub fn direct_dispatch(actions: &[Arc<dyn activity_service::Action>]) -> usize {
+pub fn direct_dispatch(actions: &[Arc<dyn Action>]) -> usize {
     let signal = Signal::new("ping", "Bench");
     let mut done = 0;
     for action in actions {
@@ -586,12 +384,13 @@ pub fn direct_dispatch(actions: &[Arc<dyn activity_service::Action>]) -> usize {
     done
 }
 
-/// Build `n` trivial actions for the ablation benches.
-pub fn trivial_actions(n: usize) -> Vec<Arc<dyn activity_service::Action>> {
+/// Build `n` trivial actions (each answers `done`) for the dispatch and
+/// interposition workloads.
+pub fn trivial_actions(n: usize) -> Vec<Arc<dyn Action>> {
     (0..n)
         .map(|i| {
             Arc::new(FnAction::new(format!("a{i}"), |_s: &Signal| Ok(Outcome::done())))
-                as Arc<dyn activity_service::Action>
+                as Arc<dyn Action>
         })
         .collect()
 }
@@ -633,26 +432,6 @@ pub fn interposition_messages(participants: usize, interposed: bool) -> u64 {
     orb.network().stats().sent - before
 }
 
-/// A commit-voting no-op resource for protocol benches.
-pub fn noop_resource(name: &str) -> Arc<dyn Resource> {
-    struct Noop(String);
-    impl Resource for Noop {
-        fn prepare(&self, _tx: &ots::TxId) -> Result<Vote, TxError> {
-            Ok(Vote::Commit)
-        }
-        fn commit(&self, _tx: &ots::TxId) -> Result<(), TxError> {
-            Ok(())
-        }
-        fn rollback(&self, _tx: &ots::TxId) -> Result<(), TxError> {
-            Ok(())
-        }
-        fn resource_name(&self) -> &str {
-            &self.0
-        }
-    }
-    Arc::new(Noop(name.to_owned()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,30 +459,6 @@ mod tests {
     fn fig8_both_flavours_commit() {
         assert!(fig8_signal_2pc(4));
         assert!(fig8_native_2pc(4));
-    }
-
-    #[test]
-    fn configured_workloads_agree_across_widths() {
-        assert_eq!(fig5_dispatch_configured(9, 1, 0), 9);
-        assert_eq!(fig5_dispatch_configured(9, 8, 0), 9);
-        assert!(fig8_2pc_configured(6, 1, 0));
-        assert!(fig8_2pc_configured(6, 8, 0));
-    }
-
-    #[test]
-    fn retry_overhead_workloads_agree_across_modes() {
-        assert_eq!(remote_dispatch_with_retry(5, false), 5);
-        assert_eq!(remote_dispatch_with_retry(5, true), 5);
-        assert!(two_phase_with_detector(4, false));
-        assert!(two_phase_with_detector(4, true));
-    }
-
-    #[test]
-    fn telemetry_overhead_workloads_agree_across_modes() {
-        assert_eq!(fig5_dispatch_telemetry(5, false), 5);
-        assert_eq!(fig5_dispatch_telemetry(5, true), 5);
-        assert!(two_phase_with_telemetry(4, false));
-        assert!(two_phase_with_telemetry(4, true));
     }
 
     #[test]
@@ -741,11 +496,5 @@ mod tests {
     fn direct_dispatch_matches() {
         let actions = trivial_actions(9);
         assert_eq!(direct_dispatch(&actions), 9);
-    }
-
-    #[test]
-    fn noop_resource_commits() {
-        let r = noop_resource("x");
-        assert_eq!(r.prepare(&ots::TxId::top_level(1)).unwrap(), Vote::Commit);
     }
 }

@@ -500,8 +500,8 @@ mod tests {
         // Group commit must have coalesced at least some barriers: there
         // were 400 append_durable barriers; strictly fewer syncs would
         // prove grouping, but scheduling may serialize them all, so only
-        // the upper bound is asserted (the deterministic single-thread
-        // grouping proof lives in the telemetry test below).
+        // the upper bound is asserted (the deterministic proofs are the
+        // gated-sink tests and the telemetry test below).
         let syncs = tel.metrics().counter_value("wal_syncs_total");
         assert!(syncs <= 401, "at most one sync per barrier, got {syncs}");
     }
@@ -544,13 +544,10 @@ mod tests {
         }
     }
 
-    /// Why two alternating committers never share a sync (EXPERIMENTS.md
-    /// W1): a flush covers what was staged when its leader took the batch.
-    /// A barrier arriving while that flush is in flight stages behind it,
-    /// waits it out as a follower, finds itself still not durable and leads
-    /// the next flush alone.
-    #[test]
-    fn a_waiter_staged_during_a_flush_is_not_covered_by_it() {
+    /// Hold the first committer's flush at its `sync`, let `waiters` more
+    /// forces stage behind it, release. Returns the size of every batch the
+    /// sink was handed and how many times it was synced.
+    fn forces_staged_behind_a_held_flush(waiters: u64) -> (Vec<usize>, usize) {
         let (entered_tx, entered) = std::sync::mpsc::channel();
         let (release, release_rx) = std::sync::mpsc::channel();
         let wal = GroupCommitWal::new(GatedSink {
@@ -561,23 +558,53 @@ mod tests {
             release: Mutex::new(release_rx),
         });
         std::thread::scope(|s| {
+            let wal = &wal;
             let first = s.spawn(|| wal.append_durable(1, b"first").unwrap());
             entered.recv().unwrap(); // the first flush is at its sync
-            let second = s.spawn(|| wal.append_durable(2, b"second").unwrap());
-            // The second committer has staged once its LSN is handed out;
-            // from there it can only wait on the flush in flight.
-            while wal.next_lsn() != Lsn::new(3) {
+            let rest: Vec<_> = (0..waiters)
+                .map(|_| s.spawn(|| wal.append_durable(2, b"waiter").unwrap()))
+                .collect();
+            // A waiter has staged once its LSN is handed out; from there it
+            // can only wait on the flush in flight.
+            while wal.next_lsn() != Lsn::new(waiters + 2) {
                 std::thread::yield_now();
             }
-            assert_eq!(wal.staged_len(), 1, "staged behind the flush, not taken into it");
+            assert_eq!(wal.staged_len() as u64, waiters, "staged behind the flush, not in it");
             assert_eq!(wal.durable_lsn(), Lsn::new(0));
             release.send(()).unwrap();
             assert_eq!(first.join().unwrap(), Lsn::new(1));
-            assert_eq!(second.join().unwrap(), Lsn::new(2));
+            let mut acked: Vec<u64> =
+                rest.into_iter().map(|w| w.join().unwrap().raw()).collect();
+            acked.sort_unstable();
+            assert_eq!(acked, (2..waiters + 2).collect::<Vec<u64>>());
         });
-        assert_eq!(*wal.inner().batches.lock().unwrap(), [1, 1], "batches of one each");
-        assert_eq!(*wal.inner().syncs.lock().unwrap(), 2, "two forces, two syncs");
-        assert_eq!(wal.durable_lsn(), Lsn::new(2));
+        assert_eq!(wal.durable_lsn(), Lsn::new(waiters + 1));
+        let sink = wal.into_inner();
+        (sink.batches.into_inner().unwrap(), sink.syncs.into_inner().unwrap())
+    }
+
+    /// Why two alternating committers never share a sync (EXPERIMENTS.md
+    /// W1): a flush covers what was staged when its leader took the batch.
+    /// A barrier arriving while that flush is in flight stages behind it,
+    /// waits it out as a follower, finds itself still not durable and leads
+    /// the next flush alone.
+    #[test]
+    fn a_waiter_staged_during_a_flush_is_not_covered_by_it() {
+        let (batches, syncs) = forces_staged_behind_a_held_flush(1);
+        assert_eq!(batches, [1, 1], "batches of one each");
+        assert_eq!(syncs, 2, "two forces, two syncs");
+    }
+
+    /// The sharing group commit exists for (the 8-committer row of
+    /// EXPERIMENTS.md W1, counted instead of timed): every committer that
+    /// stages while a flush is in flight is taken into the *next* flush
+    /// together. Whichever of the eight wakes first leads; it takes all
+    /// eight staged records, and the other seven find themselves durable.
+    #[test]
+    fn eight_waiters_staged_during_a_flush_share_the_next_one() {
+        let (batches, syncs) = forces_staged_behind_a_held_flush(8);
+        assert_eq!(batches, [1, 8], "one batch took all eight");
+        assert_eq!(syncs, 2, "nine forces, two syncs");
     }
 
     #[test]

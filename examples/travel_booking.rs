@@ -6,7 +6,8 @@
 //! Also demonstrates the *quantitative* point of fig. 1: compared with one
 //! monolithic transaction, the activity structure holds each resource only
 //! for its own step, so competitors are blocked far less (see the printed
-//! lock statistics; the full sweep is in `cargo bench`).
+//! lock statistics; the full sweep is the F1 table of
+//! `cargo run -p bench --bin figures --release`).
 //!
 //! Run with: `cargo run --example travel_booking`
 

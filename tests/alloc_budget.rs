@@ -341,6 +341,69 @@ fn a_recorder_costs_a_protocol_run_its_typed_steps_and_nothing_when_gated_off() 
     );
 }
 
+/// Allocations of one native OTS commit over two `TransactionalKv` stores,
+/// one write each, by a factory under `env` — after a warm-up commit, so
+/// nothing lazily initialised is charged to the measured one. Dispatch is
+/// serial, so both phases run (and are counted) on the calling thread.
+fn native_commit_cost(env: Arc<Env>) -> u64 {
+    use ots::{TransactionFactory, TransactionalKv};
+    let factory =
+        TransactionFactory::new().with_env(env).with_dispatch(DispatchConfig::serial());
+    let commit = || {
+        let control = factory.create().unwrap();
+        for name in ["s0", "s1"] {
+            let store = Arc::new(TransactionalKv::new(name));
+            store.enlist(&control).unwrap();
+            store.write(control.id(), "k", orb::Value::from(1i64)).unwrap();
+        }
+        control.terminator().commit()
+    };
+    commit().unwrap();
+    let (allocs, outcome) = allocs_during(commit);
+    outcome.unwrap();
+    allocs
+}
+
+/// What a consulted failure detector adds to one two-store commit on which
+/// everybody stays healthy. Measured 1: the list of participants left after
+/// the `should_skip` pass, built before any vote is solicited and dropped
+/// again when nobody was skipped. The participants' detector entries are
+/// made by the warm-up commit (the stores are named alike from commit to
+/// commit), and `should_skip` / `record_success` on a known healthy
+/// participant touch its entry in place.
+const DETECTOR_COMMIT_DELTA: u64 = 1;
+
+/// The disabled planes' whole cost on the OTS commit path, counted: a
+/// gated-off span recorder, a gated-off flight recorder and an empty
+/// failpoint set are each one test at every site, so they build no span
+/// name, no step and no site string. (This is what the `< 2 %` wall-clock
+/// budgets of EXPERIMENTS.md O1/O2 stood in for; the activity coordinator's
+/// side is the recorder test above.)
+#[test]
+fn disabled_planes_cost_a_native_commit_nothing_and_a_detector_its_pinned_delta() {
+    use telemetry::{FlightRecorder, Telemetry};
+    let bare = native_commit_cost(Env::new());
+    let gated = native_commit_cost(
+        Env {
+            telemetry: Some(Telemetry::disabled()),
+            recorder: Some(FlightRecorder::disabled("node", 1024)),
+            failpoints: Some(recovery_log::FailpointSet::new()),
+            ..Env::default()
+        }
+        .wired(),
+    );
+    assert_eq!(gated, bare, "a disabled plane built something on the commit path");
+
+    let detector = orb::FailureDetector::new(orb::SimClock::new());
+    let consulted =
+        native_commit_cost(Env { detector: Some(detector), ..Env::default() }.wired());
+    assert_eq!(
+        consulted - bare,
+        DETECTOR_COMMIT_DELTA,
+        "a consulted detector's cost on a healthy commit moved (bare {bare})"
+    );
+}
+
 #[test]
 fn a_thousand_registrations_append_in_place_even_under_a_running_protocol() {
     use activity_service::signal_set::{AfterResponse, NextSignal, SignalSet};
