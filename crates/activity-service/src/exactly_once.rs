@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use recovery_log::{Lsn, Wal};
+use recovery_log::{Hold, Lsn, Wal};
 
 use crate::action::Action;
 use crate::error::{ActionError, ActivityError};
@@ -33,10 +33,15 @@ pub const KIND_SIGNAL_PROCESSED: u32 = 0x0301;
 /// Signals without a delivery id cannot be deduplicated and are passed
 /// straight through (the wrapped action's own idempotence is then the only
 /// guard, as with a plain at-least-once deployment).
+///
+/// The processed-set has no end of life yet (nothing says when a delivery
+/// id can no longer be redelivered), so the action holds its log from the
+/// first record on and never releases: a log it shares is pinned.
 pub struct ExactlyOnceAction {
     name: String,
     inner: Arc<dyn Action>,
     wal: Arc<dyn Wal>,
+    _hold: Option<Hold>,
     processed: Mutex<HashMap<String, Outcome>>,
 }
 
@@ -91,6 +96,7 @@ impl ExactlyOnceAction {
         Ok(Arc::new(ExactlyOnceAction {
             name,
             inner,
+            _hold: wal.hold(),
             wal,
             processed: Mutex::new(processed),
         }))

@@ -13,12 +13,13 @@
 //!   "predominately the application that is responsible for driving
 //!   recovery").
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use orb::{SimClock, Value, ValueMap};
-use recovery_log::{Lsn, Wal};
+use parking_lot::Mutex;
+use recovery_log::{Hold, Lsn, Wal};
 
 use crate::action::Action;
 use crate::activity::{Activity, ActivityId};
@@ -39,9 +40,20 @@ pub const KIND_ACT_COMPLETION_SET: u32 = 0x0205;
 /// Record kind: the activity completed.
 pub const KIND_ACT_COMPLETED: u32 = 0x0206;
 
-/// Writes activity lifecycle records to a [`Wal`].
+/// Each live root activity with the LSN of its `ACT_BEGUN` record. A deque
+/// keeps its capacity: begin and complete allocate nothing in steady state.
+type LiveRoots = VecDeque<(ActivityId, Lsn)>;
+
+/// Writes activity lifecycle records to a [`Wal`] and releases the log
+/// behind completed trees: a root's `ACT_BEGUN` is its tree's oldest record
+/// and a root completes last, so the logger holds from its oldest live root.
+/// Records of an earlier incarnation are held by the logger
+/// [`recover_activities`] builds, not by a fresh one: after a restart, run
+/// recovery before resuming work.
 pub struct ActivityLogger {
     wal: Arc<dyn Wal>,
+    /// The claim on `wal` and what it follows, if the log coordinates any.
+    retention: Option<(Hold, Mutex<LiveRoots>)>,
 }
 
 impl std::fmt::Debug for ActivityLogger {
@@ -59,7 +71,12 @@ fn record(fields: impl IntoIterator<Item = (&'static str, Value)>) -> Vec<u8> {
 impl ActivityLogger {
     /// A logger over `wal`.
     pub fn new(wal: Arc<dyn Wal>) -> Arc<Self> {
-        Arc::new(ActivityLogger { wal })
+        Self::with_live_roots(wal, VecDeque::new())
+    }
+
+    fn with_live_roots(wal: Arc<dyn Wal>, live: LiveRoots) -> Arc<Self> {
+        let retention = wal.hold().map(|hold| (hold, Mutex::new(live)));
+        Arc::new(ActivityLogger { wal, retention })
     }
 
     /// The underlying log.
@@ -74,8 +91,20 @@ impl ActivityLogger {
         parent: Option<ActivityId>,
     ) -> Result<(), ActivityError> {
         let parent = parent.map(|parent| ("parent", Value::U64(parent.raw())));
+        let root = parent.is_none();
         let fields = [("id", Value::U64(id.raw())), ("name", Value::from(name))];
-        self.wal.append(KIND_ACT_BEGUN, &record(fields.into_iter().chain(parent)))?;
+        let payload = record(fields.into_iter().chain(parent));
+        match &self.retention {
+            // A root is appended and noted under one lock: a release in
+            // between would take its begin record for nobody's.
+            Some((_, live)) if root => {
+                let mut live = live.lock();
+                live.push_back((id, self.wal.append(KIND_ACT_BEGUN, &payload)?));
+            }
+            _ => {
+                self.wal.append(KIND_ACT_BEGUN, &payload)?;
+            }
+        }
         Ok(())
     }
 
@@ -155,6 +184,17 @@ impl ActivityLogger {
                 ("outcome", Value::from(outcome)),
             ]),
         )?;
+        let Some((hold, live)) = &self.retention else { return Ok(()) };
+        let mut live = live.lock();
+        if let Some(at) = live.iter().position(|(root, _)| *root == id) {
+            // A root completed, its whole tree before it: release the log
+            // below the oldest root still live.
+            live.remove(at);
+            let oldest = live.iter().map(|(_, begun)| *begun).min();
+            let oldest = oldest.unwrap_or_else(|| self.wal.next_lsn());
+            drop(live);
+            hold.release_below(oldest)?;
+        }
         Ok(())
     }
 }
@@ -261,7 +301,8 @@ struct LoggedActivity {
     status: Option<CompletionStatus>,
     completion_set: Option<String>,
     completed: bool,
-    begun: bool,
+    /// LSN of the begin record, when the log still retains it.
+    begun: Option<Lsn>,
 }
 
 /// Result of [`recover_activities`].
@@ -272,7 +313,10 @@ pub struct RecoveredService {
     /// Activities that had not completed at crash time, in begin order —
     /// the application must drive these to consistency.
     pub incomplete: Vec<Activity>,
-    /// Ids of activities that had already completed.
+    /// Ids of the completed activities the log still retains: a completed
+    /// root's tree is released with it, so these are the completed
+    /// descendants of incomplete roots (and whatever a slower holder of a
+    /// shared log is keeping).
     pub completed: Vec<ActivityId>,
     /// The id the service's counter should continue from.
     pub next_id: u64,
@@ -314,7 +358,7 @@ pub fn recover_activities(
                 let m = payload()?;
                 let id = field_id(&m)?;
                 let entry = logged.entry(id).or_default();
-                entry.begun = true;
+                entry.begun = Some(rec.lsn);
                 entry.name = m.get("name").and_then(Value::as_str).unwrap_or("").to_owned();
                 entry.parent = m.get("parent").and_then(Value::as_u64);
             }
@@ -362,7 +406,10 @@ pub fn recover_activities(
 
     let next_id = logged.keys().max().map_or(1, |m| m + 1);
     let id_source = Arc::new(AtomicU64::new(next_id));
-    let logger = ActivityLogger::new(Arc::clone(&wal));
+    // The recovered logger holds the log from the oldest incomplete root on.
+    let live = logged.iter().filter(|(_, info)| info.parent.is_none() && !info.completed);
+    let live = live.filter_map(|(id, info)| Some((ActivityId::new(*id), info.begun?))).collect();
+    let logger = ActivityLogger::with_live_roots(Arc::clone(&wal), live);
     let env = orb::Env::with_clock(clock);
 
     // Rebuild the tree. BTreeMap order means parents (lower ids) come first.
@@ -371,7 +418,14 @@ pub fn recover_activities(
     let mut incomplete = Vec::new();
     let mut completed = Vec::new();
     for (id, info) in &logged {
-        if !info.begun {
+        // A completed tree whose root's begin record was released can leave
+        // a tail above the low-water mark (its completion record, a late
+        // child): nothing of it is live.
+        let orphan = info.parent.is_some_and(|pid| !rebuilt.contains_key(&pid));
+        if info.completed && (info.begun.is_none() || orphan) {
+            continue;
+        }
+        if info.begun.is_none() {
             return Err(ActivityError::Recovery(format!(
                 "activity {id} has records but no begin entry"
             )));
@@ -507,18 +561,52 @@ mod tests {
     }
 
     #[test]
-    fn completed_activities_recover_as_completed() {
+    fn completed_activities_recover_as_completed_until_their_root_completes() {
         let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
         {
             let root = logged_root(&wal);
-            root.complete().unwrap();
+            root.begin_child("step").unwrap().complete().unwrap();
         }
         let (sets, actions) = factories();
         let recovered =
             recover_activities(Arc::clone(&wal), &sets, &actions, SimClock::new()).unwrap();
+        // The live root holds its tree in the log, completed child included.
         assert_eq!(recovered.completed.len(), 1);
-        assert!(recovered.incomplete.is_empty());
-        assert_eq!(recovered.roots[0].state(), ActivityState::Completed);
+        assert_eq!(recovered.incomplete.len(), 1);
+        let root = &recovered.roots[0];
+        assert_eq!(root.children()[0].state(), ActivityState::Completed);
+        // Once the root completes, the recovered logger releases the tree.
+        root.complete().unwrap();
+        assert!(wal.is_empty(), "nothing of a completed tree is retained");
+        let again = recover_activities(wal, &sets, &actions, SimClock::new()).unwrap();
+        assert!(again.roots.is_empty() && again.completed.is_empty());
+        assert_eq!(again.next_id, 1, "an empty log starts the ids over");
+    }
+
+    #[test]
+    fn a_released_trees_tail_is_not_an_activity() {
+        let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
+        let logger = ActivityLogger::new(Arc::clone(&wal));
+        let ids = Arc::new(AtomicU64::new(1));
+        let new_root = |name: &'static str| {
+            Activity::new_root_with(name, orb::Env::new(), Some(Arc::clone(&logger)), Arc::clone(&ids))
+        };
+        // `old` begins first and completes while `young` is live: the log is
+        // released up to young's begin record, which leaves old's child and
+        // both completion records above the low-water mark without their
+        // begin record (or parent).
+        let old = new_root("old");
+        let young = new_root("young");
+        old.begin_child("late-child").unwrap().complete().unwrap();
+        old.complete().unwrap();
+        assert_eq!(wal.scan(Lsn::new(0)).unwrap()[0].kind, KIND_ACT_BEGUN);
+        let (sets, actions) = factories();
+        let recovered =
+            recover_activities(Arc::clone(&wal), &sets, &actions, SimClock::new()).unwrap();
+        assert_eq!(recovered.roots.len(), 1);
+        assert_eq!(recovered.incomplete[0].id(), young.id());
+        assert!(recovered.completed.is_empty());
+        assert_eq!(recovered.next_id, 4, "ids never run backwards over a released tail");
     }
 
     #[test]
@@ -569,8 +657,9 @@ mod tests {
         for a in first.incomplete.iter().rev() {
             a.complete().unwrap();
         }
+        assert!(wal.is_empty(), "the recovered logger released the completed tree");
         let second = recover_activities(wal, &sets, &actions, SimClock::new()).unwrap();
         assert!(second.incomplete.is_empty(), "everything completed before the second crash");
-        assert_eq!(second.completed.len(), 2);
+        assert!(second.completed.is_empty(), "and nothing of it is retained");
     }
 }

@@ -59,9 +59,11 @@ fn main() {
     // Coordinator-side state: group-commit WAL, detector.
     let group = Arc::new(GroupCommitWal::new(MemWal::new()));
     let wal: Arc<dyn Wal> = Arc::clone(&group) as Arc<dyn Wal>;
-    let factory = TransactionFactory::with_wal(Arc::clone(&wal))
-        .with_env(env)
-        .with_dispatch(ots::DispatchConfig::serial());
+    let factory = Arc::new(
+        TransactionFactory::with_wal(Arc::clone(&wal))
+            .with_env(env)
+            .with_dispatch(ots::DispatchConfig::serial()),
+    );
 
     // Participant-side state: recoverable wrappers over paced stores, a
     // dedup window with some remembered deliveries.
@@ -107,6 +109,9 @@ fn main() {
     kv_store.write(control.id(), "k", Value::from(1i64)).expect("write store");
     kv_witness.write(control.id(), "w", Value::from(2i64)).expect("write witness");
     control.terminator().commit().expect("commit");
+    // Forget the finished transaction: the factory releases the log behind
+    // it, which is what its `low_water` / `retained` gauges then show.
+    factory.reap_completed();
     // Seed the detector with evidence worth rendering: the witness dropped
     // one call and recovered; a flaky replica keeps failing.
     detector.record_failure("witness");
@@ -122,6 +127,9 @@ fn main() {
     {
         let group = Arc::clone(&group);
         coord_surface.register("wal", move || group.introspect());
+        // In flight, and the log's low-water mark and records retained.
+        let factory = Arc::clone(&factory);
+        coord_surface.register("factory", move || factory.introspect());
         let detector = detector.clone();
         coord_surface.register("detector", move || detector.introspect());
         // The protocol journal is the recorder's typed steps.

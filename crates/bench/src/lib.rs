@@ -349,9 +349,13 @@ pub fn locking_counter(ops: usize, conflict_every: usize) -> usize {
 }
 
 /// X2 workload: build a log of `records` completed activities and replay
-/// it. Returns the number of completed activities recovered.
+/// it. Returns the number of completed activities the log retained. A
+/// completed root's records are released unless somebody else still needs
+/// them, so the workload takes the part of that somebody: a second holder
+/// of the log that never releases pins every record.
 pub fn recovery_replay(records: usize) -> usize {
     let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
+    let _pin = wal.hold();
     {
         let service = ActivityService::builder().wal(Arc::clone(&wal)).build();
         for i in 0..records {

@@ -29,8 +29,9 @@
 //! 8. **durability** — every record the log acknowledged as durable before
 //!    an injected crash must survive replay: if the scenario reports the
 //!    highest acked LSN and the set of LSNs found after restart, LSNs
-//!    `1..=acked` must all be present. The unacked tail may tear; acked
-//!    records may not;
+//!    `low_water..=acked` must all be present. The unacked tail may tear
+//!    and what lies below the log's low-water mark was released by its
+//!    holders; acked records in between may not go missing;
 //! 9. **refinement** — when the scenario reports the protocol steps its
 //!    run emitted (the flight recorder's typed stream, as is), they must
 //!    replay cleanly through the executable reference models
@@ -215,6 +216,9 @@ impl Spans {
 pub struct Durability {
     /// Highest LSN the log acknowledged as durable before the crash.
     pub acked_lsn: u64,
+    /// The log's low-water mark at the crash: records below it were
+    /// released by their holders, not lost.
+    pub low_water: u64,
     /// Raw LSNs found in the log after the post-crash restart.
     pub survived_lsns: Vec<u64>,
 }
@@ -437,10 +441,10 @@ fn telemetry_conformance(obs: &Observation) -> Vec<String> {
 }
 
 fn durability(obs: &Observation) -> Vec<String> {
-    let Some(Durability { acked_lsn, survived_lsns }) = &obs.durability else {
+    let Some(Durability { acked_lsn, low_water, survived_lsns }) = &obs.durability else {
         return Vec::new();
     };
-    let lost = (1..=*acked_lsn).filter(|lsn| !survived_lsns.contains(lsn));
+    let lost = ((*low_water).max(1)..=*acked_lsn).filter(|lsn| !survived_lsns.contains(lsn));
     lost.map(|lsn| {
         format!(
             "LSN {lsn} was acknowledged durable (acked up to {acked_lsn}) \
@@ -705,10 +709,23 @@ mod tests {
     fn acked_records_must_survive_the_crash() {
         let mut obs = Observation::new(RunOutcome::Crashed);
         // Lost LSN 3 after acking it.
-        obs.durability = Some(Durability { acked_lsn: 3, survived_lsns: vec![1, 2] });
+        obs.durability = Some(Durability { acked_lsn: 3, low_water: 0, survived_lsns: vec![1, 2] });
         let v = check_all(&obs);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].oracle, "durability");
+        assert!(v[0].detail.contains("LSN 3"));
+    }
+
+    #[test]
+    fn records_below_the_low_water_mark_were_released_not_lost() {
+        let mut obs = Observation::new(RunOutcome::Crashed);
+        // LSNs 1 and 2 were released by their holders before the crash.
+        obs.durability = Some(Durability { acked_lsn: 4, low_water: 3, survived_lsns: vec![3, 4] });
+        assert!(check_all(&obs).is_empty());
+        // The mark excuses nothing at or above it.
+        obs.durability = Some(Durability { acked_lsn: 4, low_water: 3, survived_lsns: vec![4] });
+        let v = check_all(&obs);
+        assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].detail.contains("LSN 3"));
     }
 
@@ -717,7 +734,8 @@ mod tests {
         let mut obs = Observation::new(RunOutcome::Crashed);
         // LSNs 3 and 4 were staged but never acked: losing them is legal,
         // and so is their (partial) survival.
-        obs.durability = Some(Durability { acked_lsn: 2, survived_lsns: vec![1, 2, 4] });
+        obs.durability =
+            Some(Durability { acked_lsn: 2, low_water: 0, survived_lsns: vec![1, 2, 4] });
         assert!(check_all(&obs).is_empty());
     }
 

@@ -125,10 +125,11 @@ pub(super) fn run_two_phase(
                 // are gone; whatever was acked durable must survive. Take
                 // the acked watermark first, then model the restart.
                 let acked_lsn = group.durable_lsn().raw();
+                let low_water = group.hold().map_or(0, |hold| hold.low_water().raw());
                 group.recover_from_sink();
                 let survivors = group.inner().scan(Lsn::new(0)).expect("scan sink");
                 let survived_lsns = survivors.iter().map(|r| r.lsn.raw()).collect();
-                obs.durability = Some(Durability { acked_lsn, survived_lsns });
+                obs.durability = Some(Durability { acked_lsn, low_water, survived_lsns });
             }
             recover_from_crash(&wal, &failpoints, &stores, control.id(), &mut obs);
         }

@@ -65,6 +65,9 @@ struct CoordinatorInner {
     children: Vec<Arc<Coordinator>>,
     child_counter: u32,
     deadline: Option<Duration>,
+    /// Committed, but a phase-two delivery failed: that participant is
+    /// still in doubt and may yet ask for the decision.
+    unacknowledged: bool,
 }
 
 impl CoordinatorInner {
@@ -77,6 +80,7 @@ impl CoordinatorInner {
             children: Vec::new(),
             child_counter: 0,
             deadline,
+            unacknowledged: false,
         }
     }
 }
@@ -651,6 +655,9 @@ impl Coordinator {
         let heuristics: Vec<String> = deliveries.into_iter().flatten().collect();
         phase2_span.attr("heuristics", heuristics.len());
         drop(phase2_span);
+        if !heuristics.is_empty() {
+            self.inner.lock().unacknowledged = true;
+        }
         self.env.hit(failpoints::BEFORE_COMPLETION_RECORD)?;
         self.finish(TxStatus::Committed, &synchronizations);
 
@@ -724,11 +731,20 @@ impl Coordinator {
         self.inner.lock().status = status;
     }
 
+    /// Committed without every participant's acknowledgement (see the field).
+    pub(crate) fn unacknowledged(&self) -> bool {
+        self.inner.lock().unacknowledged
+    }
+
     fn finish(&self, status: TxStatus, synchronizations: &[Arc<dyn Synchronization>]) {
-        self.set_status(status);
+        let acknowledged = {
+            let mut inner = self.inner.lock();
+            inner.status = status;
+            !inner.unacknowledged
+        };
         if self.is_top_level() {
             if let Some(wal) = &self.wal {
-                let _ = txlog::log_completed(wal.as_ref(), &self.id, status);
+                let _ = txlog::log_completion(wal.as_ref(), &self.id, status, acknowledged);
             }
             self.journal(|| ProtocolEvent::TxCompleted {
                 committed: status == TxStatus::Committed,

@@ -15,10 +15,12 @@
 //!   service's own recovery ([`crate::txlog::recover`]) can finish the job
 //!   by re-delivering the outcome.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use orb::{Value, ValueMap};
-use recovery_log::{Lsn, Wal};
+use parking_lot::Mutex;
+use recovery_log::{Hold, Lsn, Wal};
 
 use crate::error::TxError;
 use crate::memres::TransactionalKv;
@@ -40,6 +42,12 @@ pub const KIND_KV_CHECKPOINT: u32 = 0x0404;
 pub struct DurableKv {
     inner: Arc<TransactionalKv>,
     wal: Arc<dyn Wal>,
+    /// This store's claim on `wal`. Its committed state lives in the log
+    /// until a checkpoint supersedes it, so only [`DurableKv::checkpoint`]
+    /// moves the hold: until then the store pins a shared log.
+    hold: Option<Hold>,
+    /// LSN of the `KV_PREPARED` record of every still-undecided transaction.
+    prepared: Mutex<HashMap<TxId, Lsn>>,
 }
 
 impl std::fmt::Debug for DurableKv {
@@ -47,6 +55,9 @@ impl std::fmt::Debug for DurableKv {
         f.debug_struct("DurableKv").field("name", &self.inner.name()).finish_non_exhaustive()
     }
 }
+
+/// A transaction's effects: each key with its new value (`None` deletes).
+type Effects = Vec<(String, Option<Value>)>;
 
 fn effects_to_value(effects: &[(String, Option<Value>)]) -> Value {
     let entries: Vec<Value> = effects
@@ -63,7 +74,7 @@ fn effects_to_value(effects: &[(String, Option<Value>)]) -> Value {
     Value::List(entries)
 }
 
-fn effects_from_value(value: &Value) -> Result<Vec<(String, Option<Value>)>, TxError> {
+fn effects_from_value(value: &Value) -> Result<Effects, TxError> {
     let list = value
         .as_list()
         .ok_or_else(|| TxError::Log("effects must be a list".into()))?;
@@ -86,7 +97,11 @@ impl DurableKv {
     /// [`recovery_log::FileWal`]); the log may be shared with other
     /// components — records are tagged with the store's name.
     pub fn new(name: impl Into<String>, wal: Arc<dyn Wal>) -> Arc<Self> {
-        Arc::new(DurableKv { inner: Arc::new(TransactionalKv::new(name)), wal })
+        Self::over(Arc::new(TransactionalKv::new(name)), wal)
+    }
+
+    fn over(inner: Arc<TransactionalKv>, wal: Arc<dyn Wal>) -> Arc<Self> {
+        Arc::new(DurableKv { inner, hold: wal.hold(), wal, prepared: Mutex::default() })
     }
 
     /// Rebuild a durable store from its log: committed effects are
@@ -101,8 +116,7 @@ impl DurableKv {
     pub fn recover(name: impl Into<String>, wal: Arc<dyn Wal>) -> Result<Arc<Self>, TxError> {
         let name = name.into();
         let store = Arc::new(TransactionalKv::new(name.clone()));
-        let mut prepared: std::collections::HashMap<TxId, Vec<(String, Option<Value>)>> =
-            std::collections::HashMap::new();
+        let mut prepared: HashMap<TxId, (Effects, Lsn)> = HashMap::new();
 
         for record in wal.scan(Lsn::new(0))? {
             let is_ours = |m: &ValueMap| {
@@ -118,10 +132,11 @@ impl DurableKv {
                     let entries = effects_from_value(
                         m.get("state").ok_or_else(|| TxError::Log("checkpoint missing state".into()))?,
                     )?;
+                    // Workspaces prepared before the checkpoint and still
+                    // undecided at it stay: their outcome comes later.
                     store.load_committed(
                         entries.into_iter().filter_map(|(k, v)| v.map(|v| (k, v))),
                     );
-                    prepared.clear();
                 }
                 KIND_KV_PREPARED => {
                     let v = decode(&record.payload)?;
@@ -136,7 +151,7 @@ impl DurableKv {
                         m.get("effects")
                             .ok_or_else(|| TxError::Log("prepared missing effects".into()))?,
                     )?;
-                    prepared.insert(tx, effects);
+                    prepared.insert(tx, (effects, record.lsn));
                 }
                 KIND_KV_COMMITTED => {
                     let v = decode(&record.payload)?;
@@ -147,7 +162,7 @@ impl DurableKv {
                     let tx = txid_from_value(
                         m.get("tx").ok_or_else(|| TxError::Log("committed missing tx".into()))?,
                     )?;
-                    if let Some(effects) = prepared.remove(&tx) {
+                    if let Some((effects, _)) = prepared.remove(&tx) {
                         store.restore_prepared(&tx, effects);
                         store.commit(&tx)?;
                     }
@@ -168,10 +183,12 @@ impl DurableKv {
         }
         // Whatever remains prepared is in doubt: reinstall it so outcome
         // re-delivery (commit or rollback) finds it waiting.
-        for (tx, effects) in prepared {
-            store.restore_prepared(&tx, effects);
+        let kv = Self::over(store, wal);
+        for (tx, (effects, lsn)) in prepared {
+            kv.inner.restore_prepared(&tx, effects);
+            kv.prepared.lock().insert(tx, lsn);
         }
-        Ok(Arc::new(DurableKv { inner: store, wal }))
+        Ok(kv)
     }
 
     /// The wrapped in-memory store (locking, reads, writes).
@@ -184,7 +201,9 @@ impl DurableKv {
         self.inner.name()
     }
 
-    /// Write a checkpoint of the committed state, bounding future replay.
+    /// Write a checkpoint of the committed state, bounding future replay,
+    /// and release what it supersedes: everything below it that no
+    /// still-prepared transaction needs.
     ///
     /// # Errors
     ///
@@ -199,7 +218,14 @@ impl DurableKv {
         let mut m = ValueMap::new();
         m.insert("store".into(), Value::from(self.name()));
         m.insert("state".into(), effects_to_value(&snapshot));
-        self.wal.append_durable(KIND_KV_CHECKPOINT, &Value::Map(m).encode_to_vec())?;
+        // Forced: the checkpoint must be durable before the prefix it
+        // supersedes may go.
+        let checkpoint =
+            self.wal.append_durable(KIND_KV_CHECKPOINT, &Value::Map(m).encode_to_vec())?;
+        if let Some(hold) = &self.hold {
+            let oldest_prepared = self.prepared.lock().values().copied().min();
+            hold.release_below(oldest_prepared.map_or(checkpoint, |lsn| lsn.min(checkpoint)))?;
+        }
         Ok(())
     }
 
@@ -210,6 +236,7 @@ impl DurableKv {
         // Durable before acking: under a group-commit log outcomes from
         // concurrent transactions share one sync.
         self.wal.append_durable(kind, &Value::Map(m).encode_to_vec())?;
+        self.prepared.lock().remove(tx);
         Ok(())
     }
 }
@@ -232,8 +259,15 @@ impl Resource for DurableKv {
             m.insert("tx".into(), txid_to_value(tx));
             m.insert("effects".into(), effects_to_value(&effects));
             // Force the redo record BEFORE voting: the participant
-            // contract.
-            self.wal.append_durable(KIND_KV_PREPARED, &Value::Map(m).encode_to_vec())?;
+            // contract. Appended and noted under one lock (no checkpoint in
+            // between may release it), forced outside.
+            let redo = {
+                let mut prepared = self.prepared.lock();
+                let redo = self.wal.append(KIND_KV_PREPARED, &Value::Map(m).encode_to_vec())?;
+                prepared.insert(tx.clone(), redo);
+                redo
+            };
+            self.wal.flush_lsn(redo)?;
         }
         Ok(vote)
     }

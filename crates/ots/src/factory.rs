@@ -8,7 +8,7 @@ use std::time::Duration;
 use orb::pool::DispatchConfig;
 use orb::Env;
 use parking_lot::RwLock;
-use recovery_log::Wal;
+use recovery_log::{Hold, Lsn, Wal};
 
 use crate::control::Control;
 use crate::coordinator::Coordinator;
@@ -24,9 +24,17 @@ use crate::xid::TxId;
 pub struct TransactionFactory {
     next_top: AtomicU64,
     wal: Option<Arc<dyn Wal>>,
+    /// This factory's claim on `wal`, moved up by `reap_completed`.
+    hold: Option<Hold>,
+    /// Raw LSN the hold never passes: the first record of the oldest commit
+    /// a participant has not acknowledged (`replay_completion` must keep
+    /// finding its decision), `u64::MAX` when there is none, 0 over a log
+    /// that was not empty until `recover` has read it.
+    floor: AtomicU64,
     env: Arc<Env>,
     dispatch: DispatchConfig,
-    inflight: RwLock<HashMap<TxId, Arc<Coordinator>>>,
+    /// Each in-flight transaction with the LSN of its `TX_BEGUN` record.
+    inflight: RwLock<HashMap<TxId, (Arc<Coordinator>, Lsn)>>,
 }
 
 impl std::fmt::Debug for TransactionFactory {
@@ -51,15 +59,25 @@ impl TransactionFactory {
         TransactionFactory {
             next_top: AtomicU64::new(1),
             wal: None,
+            hold: None,
+            floor: AtomicU64::new(u64::MAX),
             env: Env::new(),
             dispatch: DispatchConfig::default(),
             inflight: RwLock::new(HashMap::new()),
         }
     }
 
-    /// A factory whose coordinators write decision records to `wal`.
+    /// A factory whose coordinators write decision records to `wal` and
+    /// which releases it behind the transactions `reap_completed` forgets —
+    /// over a log that already holds records, not before `recover` has run.
     pub fn with_wal(wal: Arc<dyn Wal>) -> Self {
-        TransactionFactory { wal: Some(wal), ..Self::new() }
+        let floor = if wal.is_empty() { u64::MAX } else { 0 };
+        TransactionFactory {
+            hold: wal.hold(),
+            floor: AtomicU64::new(floor),
+            wal: Some(wal),
+            ..Self::new()
+        }
     }
 
     /// Run under the given context: every coordinator (and subtransaction)
@@ -104,9 +122,6 @@ impl TransactionFactory {
 
     fn create_inner(&self, deadline: Option<Duration>) -> Result<Control, TxError> {
         let id = TxId::top_level(self.next_top.fetch_add(1, Ordering::Relaxed));
-        if let Some(wal) = &self.wal {
-            txlog::log_begun(wal.as_ref(), &id)?;
-        }
         let coordinator = Coordinator::new_top_level(
             id.clone(),
             self.wal.clone(),
@@ -114,7 +129,14 @@ impl TransactionFactory {
             deadline,
             self.dispatch,
         );
-        self.inflight.write().insert(id, Arc::clone(&coordinator));
+        // The begin record is appended under the table lock: a reap sees
+        // either no record or the transaction that pins it.
+        let mut inflight = self.inflight.write();
+        let begun = match &self.wal {
+            Some(wal) => txlog::log_begun(wal.as_ref(), &id)?,
+            None => Lsn::new(0),
+        };
+        inflight.insert(id, (Arc::clone(&coordinator), begun));
         Ok(Control::new(coordinator))
     }
 
@@ -128,17 +150,48 @@ impl TransactionFactory {
         self.inflight
             .read()
             .get(id)
-            .cloned()
+            .map(|(coordinator, _)| Arc::clone(coordinator))
             .ok_or_else(|| TxError::Unknown(id.clone()))
     }
 
-    /// Drop terminal transactions from the in-flight table; returns how many
-    /// were reaped.
+    /// Drop terminal transactions from the in-flight table (returning how
+    /// many) and release the log below the oldest transaction still live —
+    /// or committed without every participant's acknowledgement: its
+    /// decision must keep answering `replay_completion`.
     pub fn reap_completed(&self) -> usize {
         let mut inflight = self.inflight.write();
         let before = inflight.len();
-        inflight.retain(|_, c| !c.status().is_terminal());
+        let mut floor = self.floor.load(Ordering::Relaxed);
+        let mut oldest_live = None;
+        inflight.retain(|_, (coordinator, begun)| {
+            let live = !coordinator.status().is_terminal();
+            if live {
+                oldest_live = Some(oldest_live.map_or(*begun, |oldest: Lsn| oldest.min(*begun)));
+            } else if coordinator.unacknowledged() {
+                floor = floor.min(begun.raw());
+            }
+            live
+        });
+        self.floor.store(floor, Ordering::Relaxed);
+        if let (Some(hold), Some(wal)) = (&self.hold, &self.wal) {
+            // Read under the table lock, so no begin record is younger.
+            let live_from = oldest_live.unwrap_or_else(|| wal.next_lsn());
+            // A compaction that fails leaves more history, never less.
+            let _ = hold.release_below(live_from.min(Lsn::new(floor)));
+        }
         before - inflight.len()
+    }
+
+    /// Render the factory's gauges for the introspection plane: how many
+    /// transactions are in flight, and its log's next LSN, low-water mark
+    /// and records retained between them.
+    #[must_use]
+    pub fn introspect(&self) -> String {
+        let low_water = self.hold.as_ref().map_or(Lsn::new(0), Hold::low_water);
+        let (next_lsn, retained) =
+            self.wal.as_ref().map_or((Lsn::new(0), 0), |wal| (wal.next_lsn(), wal.len()));
+        let inflight = self.inflight.read().len();
+        format!("inflight={inflight} next_lsn={next_lsn} low_water={low_water} retained={retained}\n")
     }
 
     /// Run crash recovery against this factory's log: re-deliver outcomes
@@ -159,6 +212,9 @@ impl TransactionFactory {
         if max_seen >= next {
             self.next_top.store(max_seen + 1, Ordering::Relaxed);
         }
+        // The log has been read: the next reap may release it, up to
+        // whatever is still unacknowledged.
+        self.floor.store(report.retain_from.map_or(u64::MAX, Lsn::raw), Ordering::Relaxed);
         Ok(report)
     }
 }

@@ -45,7 +45,7 @@ use orb::{
     ObjectRef, Orb, OrbError, Request, RetryPolicy, Servant, Value, ValueMap,
 };
 use parking_lot::Mutex;
-use recovery_log::{FailpointSet, Lsn, Wal};
+use recovery_log::{FailpointSet, Hold, LogError, Lsn, Wal};
 
 use crate::error::TxError;
 use crate::resource::{Resource, Vote};
@@ -157,20 +157,27 @@ impl RecoveryCoordinator {
     ///
     /// [`TxError::Log`] when the log cannot be scanned.
     pub fn replay_completion(&self, tx: &TxId) -> Result<ReplayStatus, TxError> {
-        for record in self.wal.scan(Lsn::new(0)).map_err(TxError::from)? {
-            if record.kind != KIND_TX_DECISION {
-                continue;
+        // Decoded in place, like `txlog::recover`: nothing is cloned out of
+        // the log, and what is visited is what the log still retains — the
+        // live set, not the history.
+        let mut decided = false;
+        self.wal.scan_with(Lsn::new(0), &mut |record| {
+            if record.kind == KIND_TX_DECISION && !decided {
+                let value = Value::decode(&record.payload)
+                    .map_err(|e| LogError::Handler(e.to_string()))?;
+                let logged =
+                    txid_from_value(&value).map_err(|e| LogError::Handler(e.to_string()))?;
+                decided = logged == *tx;
             }
-            let value = Value::decode(&record.payload)
-                .map_err(|e| TxError::Log(e.to_string()))?;
-            if txid_from_value(&value)? == *tx {
-                return Ok(ReplayStatus::Committed);
-            }
-        }
-        if self.forgets_presumed_abort {
-            return Ok(ReplayStatus::Unknown);
-        }
-        Ok(ReplayStatus::RolledBack)
+            Ok(())
+        })?;
+        Ok(if decided {
+            ReplayStatus::Committed
+        } else if self.forgets_presumed_abort {
+            ReplayStatus::Unknown
+        } else {
+            ReplayStatus::RolledBack
+        })
     }
 }
 
@@ -250,10 +257,14 @@ pub struct RecoverableResource {
     inner: Arc<dyn Resource>,
     name: String,
     wal: Arc<dyn Wal>,
+    /// This participant's claim on `wal`: everything from its oldest
+    /// in-doubt transaction's `RES_PREPARED` on.
+    hold: Option<Hold>,
     coordinator_node: String,
     failpoints: FailpointSet,
-    /// tx → coordinator node recorded at prepare time.
-    in_doubt: Mutex<BTreeMap<TxId, String>>,
+    /// tx → coordinator node recorded at prepare time, and the LSN of the
+    /// `RES_PREPARED` record that says so.
+    in_doubt: Mutex<BTreeMap<TxId, (String, Lsn)>>,
     heuristics: Mutex<Vec<(TxId, String)>>,
 }
 
@@ -279,6 +290,7 @@ impl RecoverableResource {
         RecoverableResource {
             inner,
             name,
+            hold: wal.hold(),
             wal,
             coordinator_node: coordinator_node.into(),
             failpoints: FailpointSet::new(),
@@ -298,7 +310,8 @@ impl RecoverableResource {
     /// `RES_PREPARED` minus `RES_RESOLVED`/`RES_HEURISTIC`, and any
     /// resolution that was recorded but possibly not applied is re-delivered
     /// to `inner` (idempotently — [`crate::DurableKv`] no-ops outcomes for
-    /// transactions it has nothing prepared for).
+    /// transactions it has nothing prepared for). The fresh hold starts at
+    /// LSN 0 and nothing is released here, only by the outcomes applied later.
     ///
     /// # Errors
     ///
@@ -308,10 +321,11 @@ impl RecoverableResource {
         wal: Arc<dyn Wal>,
         coordinator_node: impl Into<String>,
     ) -> Result<Self, TxError> {
-        let name = inner.resource_name().to_owned();
-        let mut prepared: BTreeMap<TxId, String> = BTreeMap::new();
+        let resource = Self::new(inner, wal, coordinator_node);
+        let name = resource.name.as_str();
+        let mut prepared: BTreeMap<TxId, (String, Lsn)> = BTreeMap::new();
         let mut resolved: Vec<(TxId, bool)> = Vec::new();
-        for record in wal.scan(Lsn::new(0)).map_err(TxError::from)? {
+        for record in resource.wal.scan(Lsn::new(0)).map_err(TxError::from)? {
             match record.kind {
                 KIND_RES_PREPARED | KIND_RES_RESOLVED | KIND_RES_HEURISTIC => {}
                 _ => continue,
@@ -321,7 +335,7 @@ impl RecoverableResource {
             let m = value
                 .as_map()
                 .ok_or_else(|| TxError::Log("resource record must be a map".into()))?;
-            if m.get("resource").and_then(Value::as_str) != Some(name.as_str()) {
+            if m.get("resource").and_then(Value::as_str) != Some(name) {
                 continue;
             }
             let tx = txid_from_value(
@@ -333,7 +347,7 @@ impl RecoverableResource {
                         .get("coordinator")
                         .and_then(Value::as_str)
                         .ok_or_else(|| TxError::Log("prepared record missing coordinator".into()))?;
-                    prepared.insert(tx, coordinator.to_owned());
+                    prepared.insert(tx, (coordinator.to_owned(), record.lsn));
                 }
                 _ => {
                     let committed =
@@ -343,15 +357,7 @@ impl RecoverableResource {
                 }
             }
         }
-        let resource = RecoverableResource {
-            inner,
-            name,
-            wal,
-            coordinator_node: coordinator_node.into(),
-            failpoints: FailpointSet::new(),
-            in_doubt: Mutex::new(prepared),
-            heuristics: Mutex::new(Vec::new()),
-        };
+        *resource.in_doubt.lock() = prepared;
         // Re-deliver recorded resolutions: the crash may have fallen between
         // forcing the resolution record and applying it to `inner`.
         for (tx, committed) in resolved {
@@ -366,7 +372,7 @@ impl RecoverableResource {
 
     /// The transactions currently in doubt, with their coordinators.
     pub fn in_doubt(&self) -> Vec<(TxId, String)> {
-        self.in_doubt.lock().iter().map(|(t, c)| (t.clone(), c.clone())).collect()
+        self.in_doubt.lock().iter().map(|(t, (c, _))| (t.clone(), c.clone())).collect()
     }
 
     /// Heuristic decisions taken so far (tx, detail).
@@ -381,18 +387,22 @@ impl RecoverableResource {
 
     /// Render the participant's recovery surface for the introspection
     /// plane: every in-doubt transaction with its coordinator, any
-    /// heuristic decisions taken, and the WAL watermark the prepared
-    /// records sit behind.
+    /// heuristic decisions taken, and the WAL watermarks the prepared
+    /// records sit between — the next LSN, the low-water mark below which
+    /// the log has been released, and the records it retains.
     #[must_use]
     pub fn introspect(&self) -> String {
         let in_doubt = self.in_doubt();
         let heuristics = self.heuristics();
+        let low_water = self.hold.as_ref().map_or(Lsn::new(0), Hold::low_water);
         let mut out = format!(
-            "resource={} in_doubt={} heuristics={} next_lsn={}\n",
+            "resource={} in_doubt={} heuristics={} next_lsn={} low_water={} retained={}\n",
             self.name,
             in_doubt.len(),
             heuristics.len(),
             self.wal.next_lsn(),
+            low_water,
+            self.wal.len(),
         );
         for (tx, coordinator) in in_doubt {
             out.push_str(&format!("in-doubt {tx} (coordinator {coordinator})\n"));
@@ -426,8 +436,21 @@ impl RecoverableResource {
         } else {
             self.inner.rollback(tx)?;
         }
-        self.in_doubt.lock().remove(tx);
-        Ok(())
+        self.resolved(tx)
+    }
+
+    /// `tx` is no longer in doubt: forget it and release the log below the
+    /// oldest transaction that still is.
+    fn resolved(&self, tx: &TxId) -> Result<(), TxError> {
+        let mut in_doubt = self.in_doubt.lock();
+        in_doubt.remove(tx);
+        let Some(hold) = &self.hold else { return Ok(()) };
+        // Read under the lock `prepare` appends under, so no RES_PREPARED
+        // is younger than what this finds.
+        let oldest = in_doubt.values().map(|(_, prepared)| *prepared).min();
+        let oldest = oldest.unwrap_or_else(|| self.wal.next_lsn());
+        drop(in_doubt);
+        Ok(hold.release_below(oldest)?)
     }
 
     /// Interrogate the coordinator for every in-doubt transaction and apply
@@ -484,7 +507,7 @@ impl RecoverableResource {
                         // Past the deadline: unilateral rollback, recorded.
                         self.log_resolution(KIND_RES_HEURISTIC, &tx, false)?;
                         self.inner.rollback(&tx)?;
-                        self.in_doubt.lock().remove(&tx);
+                        self.resolved(&tx)?;
                         self.heuristics.lock().push((tx.clone(), detail));
                         report.heuristic.push(tx);
                     } else {
@@ -527,9 +550,19 @@ impl Resource for RecoverableResource {
             m.insert("tx".into(), txid_to_value(tx));
             m.insert("coordinator".into(), Value::from(self.coordinator_node.as_str()));
             // Forced BEFORE the vote returns: a restarted participant must
-            // know both that it is in doubt and whom to interrogate.
-            self.wal.append_durable(KIND_RES_PREPARED, &Value::Map(m).encode_to_vec())?;
-            self.in_doubt.lock().insert(tx.clone(), self.coordinator_node.clone());
+            // know both that it is in doubt and whom to interrogate. Appended
+            // and noted under one lock (no release in between), forced outside.
+            let prepared = {
+                let mut in_doubt = self.in_doubt.lock();
+                let prepared =
+                    self.wal.append(KIND_RES_PREPARED, &Value::Map(m).encode_to_vec())?;
+                in_doubt.insert(tx.clone(), (self.coordinator_node.clone(), prepared));
+                prepared
+            };
+            if let Err(e) = self.wal.flush_lsn(prepared) {
+                self.in_doubt.lock().remove(tx);
+                return Err(e.into());
+            }
             self.failpoints.hit(failpoints::AFTER_PREPARED).map_err(TxError::from)?;
         }
         Ok(vote)

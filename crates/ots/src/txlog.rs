@@ -109,9 +109,25 @@ pub fn log_decision_commit(wal: &dyn Wal, tx: &TxId) -> Result<Lsn, LogError> {
 ///
 /// Propagates log failures.
 pub fn log_completed(wal: &dyn Wal, tx: &TxId, status: TxStatus) -> Result<Lsn, LogError> {
+    log_completion(wal, tx, status, true)
+}
+
+/// [`log_completed`], marking a commit some participant did not acknowledge
+/// (the fault-free record is unchanged): that participant will interrogate,
+/// so the decision must outlive the transaction — [`recover`] reports it in
+/// [`TxRecoveryReport::retain_from`].
+pub(crate) fn log_completion(
+    wal: &dyn Wal,
+    tx: &TxId,
+    status: TxStatus,
+    acknowledged: bool,
+) -> Result<Lsn, LogError> {
     let mut m = ValueMap::new();
     m.insert("tx".into(), txid_to_value(tx));
     m.insert("committed".into(), Value::Bool(status == TxStatus::Committed));
+    if !acknowledged {
+        m.insert("unacknowledged".into(), Value::Bool(true));
+    }
     wal.append(KIND_TX_COMPLETED, &Value::Map(m).encode_to_vec())
 }
 
@@ -141,14 +157,22 @@ pub struct TxRecoveryReport {
     pub presumed_aborted: Vec<TxId>,
     /// Participants that could not be rebound.
     pub unresolved: Vec<(TxId, String)>,
+    /// First record of the oldest commit some participant has still not
+    /// acknowledged (before the crash or in this pass): the log from here on
+    /// must stay, for `replay_completion` to keep answering `committed`.
+    pub retain_from: Option<Lsn>,
 }
 
 #[derive(Default)]
 struct TxTrace {
+    /// LSN of the first record the log retains of this transaction.
+    first: Lsn,
     participants: Vec<String>,
     prepared: bool,
     decided: bool,
     completed: bool,
+    /// The completion record says a participant never acknowledged.
+    unacknowledged: bool,
 }
 
 /// Scan `wal` and finish every in-doubt transaction.
@@ -163,18 +187,27 @@ pub fn recover(wal: &dyn Wal, resolver: &dyn ParticipantResolver) -> Result<TxRe
     // the log. Malformed records surface as `LogError::Handler` and are
     // rethrown as `TxError::Log` below.
     let mut classify = |record: &recovery_log::LogRecord| -> Result<(), TxError> {
+        // BEGUN and DECISION carry the bare id, PREPARED and COMPLETED a
+        // map with the id under "tx".
+        let wrapped = match record.kind {
+            KIND_TX_BEGUN | KIND_TX_DECISION => false,
+            KIND_TX_PREPARED | KIND_TX_COMPLETED => true,
+            _ => return Ok(()),
+        };
+        let v = decode(&record.payload)?;
+        let m = v.as_map().ok_or_else(|| TxError::Log("transaction record must be a map".into()))?;
+        let id = match wrapped {
+            true => m.get("tx").ok_or_else(|| TxError::Log("transaction record missing tx".into()))?,
+            false => &v,
+        };
+        let tx = txid_from_value(id)?;
+        // A lone record of a transaction whose prefix was released (its
+        // COMPLETED, say) starts a trace that asks for nothing below.
+        let trace = traces
+            .entry(tx)
+            .or_insert_with(|| TxTrace { first: record.lsn, ..Default::default() });
         match record.kind {
-            KIND_TX_BEGUN => {
-                let tx = txid_from_value(&decode(&record.payload)?)?;
-                traces.entry(tx).or_default();
-            }
             KIND_TX_PREPARED => {
-                let v = decode(&record.payload)?;
-                let m = v.as_map().ok_or_else(|| TxError::Log("bad prepared record".into()))?;
-                let tx = txid_from_value(
-                    m.get("tx").ok_or_else(|| TxError::Log("prepared record missing tx".into()))?,
-                )?;
-                let trace = traces.entry(tx).or_default();
                 trace.prepared = true;
                 if let Some(Value::List(items)) = m.get("participants") {
                     trace.participants = items
@@ -183,17 +216,10 @@ pub fn recover(wal: &dyn Wal, resolver: &dyn ParticipantResolver) -> Result<TxRe
                         .collect();
                 }
             }
-            KIND_TX_DECISION => {
-                let tx = txid_from_value(&decode(&record.payload)?)?;
-                traces.entry(tx).or_default().decided = true;
-            }
+            KIND_TX_DECISION => trace.decided = true,
             KIND_TX_COMPLETED => {
-                let v = decode(&record.payload)?;
-                let m = v.as_map().ok_or_else(|| TxError::Log("bad completed record".into()))?;
-                let tx = txid_from_value(
-                    m.get("tx").ok_or_else(|| TxError::Log("completed record missing tx".into()))?,
-                )?;
-                traces.entry(tx).or_default().completed = true;
+                trace.completed = true;
+                trace.unacknowledged = m.contains_key("unacknowledged");
             }
             _ => {}
         }
@@ -204,26 +230,43 @@ pub fn recover(wal: &dyn Wal, resolver: &dyn ParticipantResolver) -> Result<TxRe
     })?;
 
     let mut report = TxRecoveryReport::default();
+    let retain = |report: &mut TxRecoveryReport, from: Lsn| {
+        report.retain_from = Some(report.retain_from.map_or(from, |oldest| oldest.min(from)));
+    };
     for (tx, trace) in traces {
         if trace.completed || !trace.prepared {
+            if trace.unacknowledged {
+                retain(&mut report, trace.first);
+            }
             continue;
         }
+        let mut acknowledged = true;
         for name in &trace.participants {
             match resolver.resolve(name) {
                 Some(resource) => {
                     if trace.decided {
-                        let _ = resource.commit(&tx);
+                        acknowledged &= resource.commit(&tx).is_ok();
                     } else {
                         let _ = resource.rollback(&tx);
                     }
                 }
-                None => report.unresolved.push((tx.clone(), name.clone())),
+                None => {
+                    acknowledged = false;
+                    report.unresolved.push((tx.clone(), name.clone()));
+                }
             }
         }
-        let _ = log_completed(
+        // Only a commit needs remembering: a forgotten rollback is what
+        // presumed abort answers anyway.
+        let acknowledged = acknowledged || !trace.decided;
+        if !acknowledged {
+            retain(&mut report, trace.first);
+        }
+        let _ = log_completion(
             wal,
             &tx,
             if trace.decided { TxStatus::Committed } else { TxStatus::RolledBack },
+            acknowledged,
         );
         if trace.decided {
             report.recommitted.push(tx);

@@ -48,6 +48,7 @@ use parking_lot::Mutex;
 
 use crate::error::LogError;
 use crate::record::{LogRecord, Lsn};
+use crate::retention::Hold;
 use crate::wal::Wal;
 
 /// A set of named failpoints shared across components.
@@ -216,10 +217,6 @@ impl<W: Wal> Wal for CrashingWal<W> {
         self.inner.append(kind, payload)
     }
 
-    fn scan(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
-        self.inner.scan(from)
-    }
-
     fn scan_with(
         &self,
         from: Lsn,
@@ -230,6 +227,10 @@ impl<W: Wal> Wal for CrashingWal<W> {
 
     fn truncate_prefix(&self, upto: Lsn) -> Result<(), LogError> {
         self.inner.truncate_prefix(upto)
+    }
+
+    fn hold(&self) -> Option<Hold> {
+        self.inner.hold()
     }
 
     fn sync(&self) -> Result<(), LogError> {
@@ -250,10 +251,6 @@ impl<W: Wal> Wal for CrashingWal<W> {
 
     fn len(&self) -> usize {
         self.inner.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.inner.is_empty()
     }
 }
 

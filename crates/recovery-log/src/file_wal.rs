@@ -1,13 +1,16 @@
 //! A file-backed write-ahead log with torn-tail recovery.
 
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::error::LogError;
 use crate::record::{LogRecord, Lsn};
+use crate::retention::{Hold, Holds, Retained};
 use crate::wal::Wal;
 
 /// A [`Wal`] persisting records to a single append-only file.
@@ -17,7 +20,8 @@ use crate::wal::Wal;
 /// the valid prefix — the standard WAL recovery contract.
 #[derive(Debug)]
 pub struct FileWal {
-    inner: Mutex<FileWalInner>,
+    // Shared with the holds taken on this log.
+    inner: Arc<Mutex<FileWalInner>>,
     path: PathBuf,
     appends: Option<telemetry::Counter>,
     syncs: Option<telemetry::Counter>,
@@ -26,11 +30,66 @@ pub struct FileWal {
 #[derive(Debug)]
 struct FileWalInner {
     file: File,
-    records: Vec<LogRecord>,
+    path: PathBuf,
+    // LSN order, so a released prefix pops off the front.
+    records: VecDeque<LogRecord>,
     next: u64,
     // Reused encode scratch: appends and compaction encode into this one
     // buffer instead of allocating a fresh Vec per record.
     encode_buf: Vec<u8>,
+    holds: Holds,
+    // Bytes of the file that encode retained records, and bytes that
+    // encode released ones still awaiting compaction.
+    live_bytes: usize,
+    dead_bytes: usize,
+}
+
+impl FileWalInner {
+    /// Rewrite the file as exactly the retained records.
+    fn compact(&mut self) -> Result<(), LogError> {
+        // Write the retained suffix once to a sibling temp file, fsync it,
+        // then atomically rename over the log. A crash at any point leaves
+        // either the old complete log or the new complete log — never the
+        // half-rewritten file the old in-place rewrite could tear.
+        let tmp_path = self.path.with_extension("compact-tmp");
+        let mut tmp = File::create(&tmp_path)?;
+        self.encode_buf.clear();
+        for r in &self.records {
+            r.encode_into(&mut self.encode_buf);
+        }
+        tmp.write_all(&self.encode_buf)?;
+        tmp.sync_data()?;
+        std::fs::rename(&tmp_path, &self.path)?;
+        // Reopen: the old handle still points at the unlinked pre-compaction
+        // inode; appends must land in the renamed file.
+        let mut file = OpenOptions::new().read(true).append(true).open(&self.path)?;
+        file.seek(SeekFrom::End(0))?;
+        self.file = file;
+        self.dead_bytes = 0;
+        Ok(())
+    }
+}
+
+impl Retained for FileWalInner {
+    fn holds(&mut self) -> &mut Holds {
+        &mut self.holds
+    }
+
+    fn drop_below(&mut self, low_water: u64) -> Result<(), LogError> {
+        while let Some(front) = self.records.front().filter(|r| r.lsn.raw() < low_water) {
+            let len = front.encoded_len();
+            self.live_bytes -= len;
+            self.dead_bytes += len;
+            self.records.pop_front();
+        }
+        // Rewrite only once the file is mostly released records: amortised
+        // O(1) per append. Until then (and after a crash before then) they
+        // are still in the file: a reopened log has more history than needed.
+        if self.dead_bytes > self.live_bytes {
+            self.compact()?;
+        }
+        Ok(())
+    }
 }
 
 impl FileWal {
@@ -51,12 +110,12 @@ impl FileWal {
         file.seek(SeekFrom::Start(0))?;
         file.read_to_end(&mut raw)?;
 
-        let mut records = Vec::new();
+        let mut records = VecDeque::new();
         let mut offset = 0usize;
         while offset < raw.len() {
             match LogRecord::decode(&raw[offset..]) {
                 Ok((record, used)) => {
-                    records.push(record);
+                    records.push_back(record);
                     offset += used;
                 }
                 // A bad record anywhere means everything from here on is the
@@ -68,9 +127,19 @@ impl FileWal {
             file.set_len(offset as u64)?;
             file.seek(SeekFrom::End(0))?;
         }
-        let next = records.last().map(|r| r.lsn.raw() + 1).unwrap_or(1);
+        let next = records.back().map(|r| r.lsn.raw() + 1).unwrap_or(1);
+        let inner = FileWalInner {
+            file,
+            path: path.clone(),
+            records,
+            next,
+            encode_buf: Vec::new(),
+            holds: Holds::default(),
+            live_bytes: offset,
+            dead_bytes: 0,
+        };
         Ok(FileWal {
-            inner: Mutex::new(FileWalInner { file, records, next, encode_buf: Vec::new() }),
+            inner: Arc::new(Mutex::new(inner)),
             path,
             appends: None,
             syncs: None,
@@ -101,8 +170,9 @@ impl Wal for FileWal {
         inner.encode_buf.clear();
         record.encode_into(&mut inner.encode_buf);
         inner.file.write_all(&inner.encode_buf)?;
+        inner.live_bytes += inner.encode_buf.len();
         inner.next += 1;
-        inner.records.push(record);
+        inner.records.push_back(record);
         if let Some(counter) = &self.appends {
             counter.incr();
         }
@@ -121,9 +191,10 @@ impl Wal for FileWal {
             inner.next += 1;
             let record = LogRecord::new(lsn, *kind, payload.to_vec());
             record.encode_into(&mut inner.encode_buf);
-            inner.records.push(record);
+            inner.records.push_back(record);
         }
         inner.file.write_all(&inner.encode_buf)?;
+        inner.live_bytes += inner.encode_buf.len();
         let last = Lsn::new(inner.next - 1);
         if !records.is_empty() {
             if let Some(counter) = &self.appends {
@@ -131,17 +202,6 @@ impl Wal for FileWal {
             }
         }
         Ok(last)
-    }
-
-    fn scan(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
-        Ok(self
-            .inner
-            .lock()
-            .records
-            .iter()
-            .filter(|r| r.lsn >= from)
-            .cloned()
-            .collect())
     }
 
     fn scan_with(
@@ -158,27 +218,17 @@ impl Wal for FileWal {
 
     fn truncate_prefix(&self, upto: Lsn) -> Result<(), LogError> {
         let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        inner.records.retain(|r| r.lsn >= upto);
-        // Write the retained suffix once to a sibling temp file, fsync it,
-        // then atomically rename over the log. A crash at any point leaves
-        // either the old complete log or the new complete log — never the
-        // half-rewritten file the old in-place rewrite could tear.
-        let tmp_path = self.path.with_extension("compact-tmp");
-        let mut tmp = File::create(&tmp_path)?;
-        inner.encode_buf.clear();
-        for r in &inner.records {
-            r.encode_into(&mut inner.encode_buf);
+        let low_water = inner.holds.raise(upto.raw());
+        inner.drop_below(low_water)?;
+        // Whatever the balance: a truncation is persisted at once.
+        if inner.dead_bytes > 0 {
+            inner.compact()?;
         }
-        tmp.write_all(&inner.encode_buf)?;
-        tmp.sync_data()?;
-        std::fs::rename(&tmp_path, &self.path)?;
-        // Reopen: the old handle still points at the unlinked pre-compaction
-        // inode; appends must land in the renamed file.
-        let mut file = OpenOptions::new().read(true).append(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        inner.file = file;
         Ok(())
+    }
+
+    fn hold(&self) -> Option<Hold> {
+        Some(Hold::on(self.inner.clone()))
     }
 
     fn sync(&self) -> Result<(), LogError> {
@@ -195,10 +245,6 @@ impl Wal for FileWal {
 
     fn len(&self) -> usize {
         self.inner.lock().records.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.inner.lock().records.is_empty()
     }
 }
 
@@ -345,6 +391,34 @@ mod tests {
         assert_eq!(records.len(), 4);
         assert_eq!(records[0].lsn, Lsn::new(4));
         assert_eq!(records[3].payload, b"post");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_release_compacts_only_once_most_of_the_file_is_released() {
+        let path = temp_path("hold-compact");
+        let wal = FileWal::open(&path).unwrap();
+        let hold = wal.hold().unwrap();
+        for i in 0..10u32 {
+            wal.append(i, &i.to_be_bytes()).unwrap();
+        }
+        let full = std::fs::metadata(&path).unwrap().len();
+        // Five of ten released: as many dead bytes as live ones, no rewrite —
+        // the records are gone from the log but still in the file.
+        hold.release_below(Lsn::new(6)).unwrap();
+        assert_eq!(wal.len(), 5);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), full);
+        // One more tips the balance: the file is rewritten as the live half.
+        hold.release_below(Lsn::new(7)).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), full * 4 / 10);
+        assert!(!path.with_extension("compact-tmp").exists());
+        wal.append(9, b"post").unwrap();
+        drop(wal);
+        let wal = FileWal::open(&path).unwrap();
+        let records = wal.scan(Lsn::new(0)).unwrap();
+        assert_eq!(records.first().unwrap().lsn, Lsn::new(7));
+        assert_eq!(records.last().unwrap().payload, b"post");
+        assert_eq!(wal.next_lsn(), Lsn::new(12));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -35,10 +35,12 @@
 //! (a dead process stays dead), until [`GroupCommitWal::recover_from_sink`]
 //! re-adopts the sink's surviving state — the "restart".
 
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::error::LogError;
 use crate::record::{LogRecord, Lsn};
+use crate::retention::Hold;
 use crate::wal::Wal;
 
 /// Fixed header + checksum overhead per staged record, mirrored from the
@@ -69,8 +71,6 @@ struct GroupState {
     /// Next LSN to assign (mirrors the sink's counter: the sink only ever
     /// sees our flush batches, in order).
     next: u64,
-    /// Every LSN `<= durable` is flushed and synced into the sink.
-    durable: u64,
     /// Whether a leader currently owns a batch flush.
     flushing: bool,
     /// First flush failure; all later operations return a clone of it.
@@ -89,6 +89,9 @@ pub struct GroupCommitWal<W> {
     inner: W,
     config: GroupCommitConfig,
     state: Mutex<GroupState>,
+    /// Every LSN `<= durable` is flushed and synced into the sink. Written
+    /// under the `state` lock; the holds this log forwards stop at it.
+    durable: Arc<AtomicU64>,
     flushed: Condvar,
     telemetry: Option<GroupTelemetry>,
 }
@@ -109,10 +112,10 @@ impl<W: Wal> GroupCommitWal<W> {
                 staged: Vec::new(),
                 staged_bytes: 0,
                 next,
-                durable: next - 1,
                 flushing: false,
                 poisoned: None,
             }),
+            durable: Arc::new(AtomicU64::new(next - 1)),
             flushed: Condvar::new(),
             telemetry: None,
         }
@@ -145,7 +148,7 @@ impl<W: Wal> GroupCommitWal<W> {
     /// Highest LSN known durable in the sink. Records above this watermark
     /// are staged (or lost, if the wal is poisoned).
     pub fn durable_lsn(&self) -> Lsn {
-        Lsn::new(self.state.lock().unwrap().durable)
+        Lsn::new(self.durable.load(Ordering::Acquire))
     }
 
     /// Number of staged-but-unflushed records.
@@ -161,7 +164,7 @@ impl<W: Wal> GroupCommitWal<W> {
         let state = self.state.lock().unwrap();
         format!(
             "durable_lsn={} staged={} staged_bytes={} next_lsn={}\n",
-            state.durable,
+            self.durable.load(Ordering::Acquire),
             state.staged.len(),
             state.staged_bytes,
             state.next,
@@ -178,14 +181,14 @@ impl<W: Wal> GroupCommitWal<W> {
         state.staged_bytes = 0;
         state.poisoned = None;
         state.next = self.inner.next_lsn().raw();
-        state.durable = state.next - 1;
+        self.durable.store(state.next - 1, Ordering::Release);
     }
 
     /// Wait (or lead a flush) until every LSN `<= lsn` is durable.
     fn ensure_durable(&self, lsn: u64) -> Result<(), LogError> {
         let mut state = self.state.lock().unwrap();
         loop {
-            if state.durable >= lsn {
+            if self.durable.load(Ordering::Acquire) >= lsn {
                 return Ok(());
             }
             if let Some(err) = &state.poisoned {
@@ -209,7 +212,7 @@ impl<W: Wal> GroupCommitWal<W> {
             state.flushing = false;
             match result {
                 Ok(()) => {
-                    state.durable = batch_last;
+                    self.durable.store(batch_last, Ordering::Release);
                     if let Some(tel) = &self.telemetry {
                         tel.syncs.incr();
                         tel.metrics.observe_count("wal_group_size", batch.len() as u64);
@@ -289,11 +292,6 @@ impl<W: Wal> Wal for GroupCommitWal<W> {
         self.ensure_durable(lsn.raw().min(appended))
     }
 
-    fn scan(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
-        self.sync()?;
-        self.inner.scan(from)
-    }
-
     fn scan_with(
         &self,
         from: Lsn,
@@ -304,8 +302,14 @@ impl<W: Wal> Wal for GroupCommitWal<W> {
     }
 
     fn truncate_prefix(&self, upto: Lsn) -> Result<(), LogError> {
-        self.sync()?;
-        self.inner.truncate_prefix(upto)
+        // Only the already-durable prefix: dropping records never waits for
+        // (or forces) a flush. The staged tail is above `upto.min(..)`.
+        let durable = self.durable.load(Ordering::Acquire);
+        self.inner.truncate_prefix(upto.min(Lsn::new(durable + 1)))
+    }
+
+    fn hold(&self) -> Option<Hold> {
+        Some(self.inner.hold()?.capped_at(Arc::clone(&self.durable)))
     }
 
     fn sync(&self) -> Result<(), LogError> {
@@ -323,10 +327,6 @@ impl<W: Wal> Wal for GroupCommitWal<W> {
         let staged = self.state.lock().unwrap().staged.len();
         self.inner.len() + staged
     }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<W: Wal + std::fmt::Debug> std::fmt::Debug for GroupCommitWal<W> {
@@ -336,7 +336,7 @@ impl<W: Wal + std::fmt::Debug> std::fmt::Debug for GroupCommitWal<W> {
             .field("inner", &self.inner)
             .field("config", &self.config)
             .field("next", &state.next)
-            .field("durable", &state.durable)
+            .field("durable", &self.durable)
             .field("staged", &state.staged.len())
             .finish()
     }
@@ -524,11 +524,18 @@ mod tests {
             self.batches.lock().unwrap().push(records.len());
             self.log.append_batch(records)
         }
-        fn scan(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
-            self.log.scan(from)
+        fn scan_with(
+            &self,
+            from: Lsn,
+            visit: &mut dyn FnMut(&LogRecord) -> Result<(), LogError>,
+        ) -> Result<(), LogError> {
+            self.log.scan_with(from, visit)
         }
         fn truncate_prefix(&self, upto: Lsn) -> Result<(), LogError> {
             self.log.truncate_prefix(upto)
+        }
+        fn hold(&self) -> Option<Hold> {
+            self.log.hold()
         }
         fn sync(&self) -> Result<(), LogError> {
             let mut syncs = self.syncs.lock().unwrap();
@@ -605,6 +612,38 @@ mod tests {
         let (batches, syncs) = forces_staged_behind_a_held_flush(8);
         assert_eq!(batches, [1, 8], "one batch took all eight");
         assert_eq!(syncs, 2, "nine forces, two syncs");
+    }
+
+    /// A release costs no flush: it drops the already-durable prefix and
+    /// stops there, whether it comes through a hold or through the
+    /// sink-level primitive. Counted, not timed: the sink's `sync` count
+    /// does not move.
+    #[test]
+    fn a_release_never_forces_or_waits_for_a_flush() {
+        let (entered_tx, _entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        release.send(()).unwrap(); // the first sync passes straight through
+        let wal = GroupCommitWal::new(GatedSink {
+            log: MemWal::new(),
+            batches: Mutex::new(Vec::new()),
+            syncs: Mutex::new(0),
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        });
+        let hold = wal.hold().expect("the decorator forwards its sink's registry");
+        wal.append(1, b"a").unwrap();
+        wal.append_durable(1, b"b").unwrap();
+        wal.append(1, b"staged").unwrap();
+        let syncs = |wal: &GroupCommitWal<GatedSink>| *wal.inner().syncs.lock().unwrap();
+        assert_eq!((syncs(&wal), wal.staged_len()), (1, 1));
+
+        hold.release_below(Lsn::new(99)).unwrap();
+        assert_eq!(hold.low_water(), Lsn::new(3), "stops at the durable LSN");
+        wal.truncate_prefix(Lsn::new(99)).unwrap();
+        assert_eq!((syncs(&wal), wal.staged_len()), (1, 1), "nothing was flushed");
+        assert_eq!(wal.inner().len(), 0, "the durable prefix is gone");
+        // The staged record lands later, intact and with its own LSN.
+        assert_eq!(wal.scan(Lsn::new(0)).unwrap()[0].lsn, Lsn::new(3));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   deterministic (timer-free) flush triggers and a `flush_lsn` barrier;
 //! * [`crash::FailpointSet`] and [`crash::CrashingWal`] — deterministic
 //!   crash injection at named protocol steps or after N appends;
-//! * [`checkpoint`] — prefix truncation bookkeeping.
+//! * [`retention`] — [`retention::Hold`]s: each appender says what it still
+//!   needs and the log drops the prefix below the slowest holder.
 //!
 //! Replay is [`wal::Wal::scan_with`]: each component visits the records in
 //! place and rebuilds its own state from the kinds it owns.
@@ -44,12 +45,12 @@
 //! # }
 //! ```
 
-pub mod checkpoint;
 pub mod crash;
 pub mod error;
 pub mod file_wal;
 pub mod group_commit;
 pub mod record;
+pub mod retention;
 pub mod wal;
 
 pub use crash::{CrashingWal, FailpointSet};
@@ -57,4 +58,5 @@ pub use error::LogError;
 pub use file_wal::FileWal;
 pub use group_commit::{GroupCommitConfig, GroupCommitWal};
 pub use record::{LogRecord, Lsn};
+pub use retention::Hold;
 pub use wal::{MemWal, Wal};

@@ -1,9 +1,13 @@
 //! The write-ahead log interface and its in-memory implementation.
 
+use std::collections::VecDeque;
+use std::sync::Arc;
+
 use parking_lot::Mutex;
 
 use crate::error::LogError;
 use crate::record::{LogRecord, Lsn};
+use crate::retention::{Hold, Holds, Retained};
 
 /// A write-ahead log: append-only, scannable, prefix-truncatable.
 ///
@@ -72,42 +76,54 @@ pub trait Wal: Send + Sync {
         self.sync()
     }
 
-    /// Return every durable record at or after `from`, in LSN order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] if the log cannot be read. Torn or corrupt
-    /// *tails* are not errors: the valid prefix is returned (file logs
-    /// truncate the scan at the first bad record).
-    fn scan(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError>;
+    /// Return (clones of) every durable record at or after `from`, in LSN
+    /// order: [`Wal::scan_with`], materialised, and failing as it does.
+    fn scan(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
+        let mut records = Vec::new();
+        self.scan_with(from, &mut |record| {
+            records.push(record.clone());
+            Ok(())
+        })?;
+        Ok(records)
+    }
 
-    /// Visit every durable record at or after `from`, in LSN order, without
-    /// materialising (or cloning) the record list. Replay paths use this so
-    /// recovery is zero-copy over the log's retained records.
+    /// Visit every durable record at or after `from`, in LSN order, in
+    /// place. Replay paths use this so recovery is zero-copy over the log's
+    /// retained records.
     ///
     /// Implementations may hold internal locks across the visits: `visit`
     /// must not call back into the same log.
     ///
     /// # Errors
     ///
-    /// Propagates scan failures and the first error `visit` returns.
+    /// Returns [`LogError::Io`] if the log cannot be read, and the first
+    /// error `visit` returns. Torn or corrupt *tails* are not errors: the
+    /// valid prefix is visited (file logs cut the scan at the first bad
+    /// record).
     fn scan_with(
         &self,
         from: Lsn,
         visit: &mut dyn FnMut(&LogRecord) -> Result<(), LogError>,
-    ) -> Result<(), LogError> {
-        for record in self.scan(from)? {
-            visit(&record)?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), LogError>;
 
-    /// Drop all records with `lsn < upto` (checkpoint compaction).
+    /// Drop all records with `lsn < upto`, whoever holds them: the sink-level
+    /// primitive. Components release through their [`Hold`] instead.
     ///
     /// # Errors
     ///
     /// Returns [`LogError::Io`] if the compaction cannot be persisted.
     fn truncate_prefix(&self, upto: Lsn) -> Result<(), LogError>;
+
+    /// Register a holder of this log's records (see [`crate::retention`]):
+    /// every component that appends takes one at construction and releases
+    /// below its oldest unfinished unit of work.
+    ///
+    /// `None` — the default — means this log does not coordinate retention
+    /// and is left alone; a decorator that does not forward `hold` thereby
+    /// opts its log out.
+    fn hold(&self) -> Option<Hold> {
+        None
+    }
 
     /// Force durability of everything appended so far.
     ///
@@ -133,22 +149,36 @@ pub trait Wal: Send + Sync {
 /// An in-memory [`Wal`] for tests, benchmarks and volatile deployments.
 #[derive(Debug, Default)]
 pub struct MemWal {
-    inner: Mutex<MemWalInner>,
+    // Shared with the holds taken on this log.
+    inner: Arc<Mutex<MemWalInner>>,
 }
 
 #[derive(Debug, Default)]
 struct MemWalInner {
-    records: Vec<LogRecord>,
+    // LSN order, so a released prefix pops off the front.
+    records: VecDeque<LogRecord>,
     next: u64,
     sealed: bool,
+    holds: Holds,
+}
+
+impl Retained for MemWalInner {
+    fn holds(&mut self) -> &mut Holds {
+        &mut self.holds
+    }
+
+    fn drop_below(&mut self, low_water: u64) -> Result<(), LogError> {
+        while self.records.front().is_some_and(|r| r.lsn.raw() < low_water) {
+            self.records.pop_front();
+        }
+        Ok(())
+    }
 }
 
 impl MemWal {
     /// An empty in-memory log.
     pub fn new() -> Self {
-        MemWal {
-            inner: Mutex::new(MemWalInner { records: Vec::new(), next: 1, sealed: false }),
-        }
+        MemWal { inner: Arc::new(Mutex::new(MemWalInner { next: 1, ..Default::default() })) }
     }
 
     /// Seal the log: further appends fail with [`LogError::Sealed`]. Used to
@@ -171,7 +201,7 @@ impl Wal for MemWal {
         }
         let lsn = Lsn::new(inner.next);
         inner.next += 1;
-        inner.records.push(LogRecord::new(lsn, kind, payload.to_vec()));
+        inner.records.push_back(LogRecord::new(lsn, kind, payload.to_vec()));
         Ok(lsn)
     }
 
@@ -183,20 +213,9 @@ impl Wal for MemWal {
         for (kind, payload) in records {
             let lsn = Lsn::new(inner.next);
             inner.next += 1;
-            inner.records.push(LogRecord::new(lsn, *kind, payload.to_vec()));
+            inner.records.push_back(LogRecord::new(lsn, *kind, payload.to_vec()));
         }
         Ok(Lsn::new(inner.next - 1))
-    }
-
-    fn scan(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
-        Ok(self
-            .inner
-            .lock()
-            .records
-            .iter()
-            .filter(|r| r.lsn >= from)
-            .cloned()
-            .collect())
     }
 
     fn scan_with(
@@ -212,8 +231,13 @@ impl Wal for MemWal {
     }
 
     fn truncate_prefix(&self, upto: Lsn) -> Result<(), LogError> {
-        self.inner.lock().records.retain(|r| r.lsn >= upto);
-        Ok(())
+        let mut inner = self.inner.lock();
+        let low_water = inner.holds.raise(upto.raw());
+        inner.drop_below(low_water)
+    }
+
+    fn hold(&self) -> Option<Hold> {
+        Some(Hold::on(self.inner.clone()))
     }
 
     fn sync(&self) -> Result<(), LogError> {
@@ -226,10 +250,6 @@ impl Wal for MemWal {
 
     fn len(&self) -> usize {
         self.inner.lock().records.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.inner.lock().records.is_empty()
     }
 }
 
@@ -270,6 +290,31 @@ mod tests {
         assert_eq!(remaining[0].lsn, Lsn::new(4));
         // LSNs keep counting even after truncation.
         assert_eq!(wal.append(9, b"y").unwrap(), Lsn::new(6));
+    }
+
+    #[test]
+    fn the_log_drops_only_what_no_holder_needs() {
+        let wal = MemWal::new();
+        let (fast, slow) = (wal.hold().unwrap(), wal.hold().unwrap());
+        for i in 0..6u32 {
+            wal.append(i, b"x").unwrap();
+        }
+        fast.release_below(Lsn::new(5)).unwrap();
+        assert_eq!(wal.len(), 6, "the slow holder still needs everything");
+        assert_eq!(fast.low_water(), Lsn::new(0));
+        slow.release_below(Lsn::new(3)).unwrap();
+        assert_eq!(wal.scan(Lsn::new(0)).unwrap()[0].lsn, Lsn::new(3));
+        assert_eq!(slow.low_water(), Lsn::new(3));
+        // A dropped hold leaves with its component and releases nothing by
+        // itself; the next release is measured against who is left.
+        drop(slow);
+        assert_eq!(wal.len(), 4);
+        fast.release_below(Lsn::new(6)).unwrap();
+        assert_eq!(wal.len(), 1);
+        // Releasing past the end empties the log; LSNs keep counting.
+        fast.release_below(wal.next_lsn()).unwrap();
+        assert!(wal.is_empty());
+        assert_eq!(wal.append(9, b"y").unwrap(), Lsn::new(7));
     }
 
     #[test]

@@ -300,7 +300,8 @@ impl MetricsRegistry {
         out
     }
 
-    /// JSON snapshot (for the `telemetry_overhead` bin / CI artifact).
+    /// JSON snapshot (the `introspect` bin appends it to the introspection
+    /// job's CI artifact).
     pub fn snapshot_json(&self) -> String {
         fn escape(s: &str) -> String {
             s.replace('\\', "\\\\").replace('"', "\\\"")

@@ -8,7 +8,7 @@
 //! run's controllers so completed work is not re-executed.
 
 use orb::{Value, ValueMap};
-use recovery_log::{Lsn, Wal};
+use recovery_log::{Hold, Lsn, Wal};
 use std::sync::Arc;
 
 use crate::error::WorkflowError;
@@ -30,10 +30,15 @@ pub struct JournalledOutcome {
 }
 
 /// Append-only journal for one (named) workflow over a shared log.
+///
+/// Nothing tells the journal that its workflow instance is finished for
+/// good, so it holds the log from its first record on and never releases
+/// (clones share the one hold): a log it shares is pinned.
 #[derive(Clone)]
 pub struct WorkflowJournal {
     workflow: String,
     wal: Arc<dyn Wal>,
+    _hold: Option<Arc<Hold>>,
 }
 
 impl std::fmt::Debug for WorkflowJournal {
@@ -45,7 +50,7 @@ impl std::fmt::Debug for WorkflowJournal {
 impl WorkflowJournal {
     /// A journal for the workflow instance named `workflow`.
     pub fn new(workflow: impl Into<String>, wal: Arc<dyn Wal>) -> Self {
-        WorkflowJournal { workflow: workflow.into(), wal }
+        WorkflowJournal { workflow: workflow.into(), _hold: wal.hold().map(Arc::new), wal }
     }
 
     /// The journalled workflow's name.

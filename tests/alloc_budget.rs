@@ -404,6 +404,39 @@ fn disabled_planes_cost_a_native_commit_nothing_and_a_detector_its_pinned_delta(
     );
 }
 
+/// Releasing the log behind finished work is free of allocation: a reap of
+/// 256 committed transactions over the native benchmark's log stack moves
+/// the factory's hold, pops the released records off the front of the
+/// in-memory log and frees them — and builds nothing. (The records' own
+/// allocations were made, and are counted, by the appends.)
+#[test]
+fn reaping_and_releasing_the_log_allocates_nothing() {
+    use ots::{TransactionFactory, TransactionalKv};
+    use recovery_log::{GroupCommitWal, MemWal, Wal};
+    let wal: Arc<dyn Wal> = Arc::new(GroupCommitWal::new(MemWal::new()));
+    let factory = TransactionFactory::with_wal(Arc::clone(&wal))
+        .with_dispatch(DispatchConfig::serial());
+    let stores = ["s0", "s1"].map(|name| Arc::new(TransactionalKv::new(name)));
+    let batch = || {
+        for _ in 0..256 {
+            let control = factory.create().unwrap();
+            for store in &stores {
+                store.enlist(&control).unwrap();
+                store.write(control.id(), "k", orb::Value::from(1i64)).unwrap();
+            }
+            control.terminator().commit().unwrap();
+        }
+        let retained = wal.len();
+        let (allocs, reaped) = allocs_during(|| factory.reap_completed());
+        (allocs, reaped, retained, wal.len())
+    };
+    assert_eq!(batch().1, 256, "warm-up: the table and the log reach their working size");
+    let (allocs, reaped, before, after) = batch();
+    assert_eq!((reaped, before), (256, 4 * 256 + 1));
+    assert!(after <= 1, "the reap released the log behind it, {after} records left");
+    assert_eq!(allocs, 0, "reap + release allocated");
+}
+
 #[test]
 fn a_thousand_registrations_append_in_place_even_under_a_running_protocol() {
     use activity_service::signal_set::{AfterResponse, NextSignal, SignalSet};

@@ -313,11 +313,14 @@ fn activity_and_transaction_recovery_compose_over_file_wal() {
     }
     assert_eq!(*replayed.lock(), 1, "the recovered completion action ran");
 
-    // Third incarnation: everything is now completed; recovery is stable.
+    // Third incarnation: everything completed, so the recovered logger
+    // released the whole tree with its root — and, the file by then all
+    // released records, compacted it away. Recovery is stable: nothing.
     let wal: Arc<dyn Wal> = Arc::new(FileWal::open(&path).unwrap());
+    assert!(wal.is_empty(), "a completed tree is released with its root");
     let recovered = recover_activities(wal, &sets, &actions, SimClock::new()).unwrap();
     assert!(recovered.incomplete.is_empty());
-    assert_eq!(recovered.completed.len(), 2);
+    assert!(recovered.completed.is_empty() && recovered.roots.is_empty());
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -342,6 +345,9 @@ fn shared_wal_between_services() {
     let resolver = |_: &str| -> Option<Arc<dyn Resource>> { None };
     let tx_report = TransactionFactory::with_wal(Arc::clone(&wal)).recover(&resolver).unwrap();
     assert!(tx_report.recommitted.is_empty(), "transaction completed before the crash");
+    // The activity logger released its completed root, but the factory
+    // never reaped: its hold pins the shared log, so the activity's records
+    // are all still there for the logger's recovery to read.
     let recovered = recover_activities(
         wal,
         &SignalSetFactories::new(),
@@ -349,20 +355,20 @@ fn shared_wal_between_services() {
         SimClock::new(),
     )
     .unwrap();
-    assert_eq!(recovered.completed.len(), 1);
+    assert_eq!(recovered.completed.len(), 1, "retained by the slower holder");
     assert!(recovered.incomplete.is_empty());
 }
 
-/// §3.4 also allows *activity logs* to be checkpointed; verify replay time
-/// bounding composes with the activity logger (the checkpoint snapshot is
-/// opaque to the activity layer, so this just must not corrupt anything).
+/// A shared log carries other components' records between the activity
+/// logger's own (a store's checkpoint, say): they are opaque to the activity
+/// layer and must not corrupt its replay.
 #[test]
 fn activity_log_tolerates_foreign_checkpoint_records() {
     let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
     {
         let service = ActivityService::builder().wal(Arc::clone(&wal)).build();
         let _a = service.begin("job").unwrap();
-        recovery_log::checkpoint::take_checkpoint(wal.as_ref(), b"opaque", false).unwrap();
+        wal.append_durable(ots::durable::KIND_KV_CHECKPOINT, b"opaque").unwrap();
         let _b = service.begin("job-child").unwrap();
     }
     let recovered = recover_activities(
@@ -556,9 +562,11 @@ fn compaction_path(tag: &str) -> std::path::PathBuf {
 }
 
 /// Build the pre-compaction log (LSNs 1..=10) at `path` and return the
-/// exact bytes `truncate_prefix(Lsn::new(8))` writes to its `.compact-tmp`
+/// exact bytes a compaction below LSN 8 writes to its `.compact-tmp`
 /// sibling before the rename — obtained by running the real compaction
-/// against a throwaway copy of the log.
+/// against a throwaway copy of the log, triggered the way it is in
+/// service: the log's one holder releases below 8, which leaves the file
+/// more released bytes (seven records) than retained ones (three).
 fn stage_compaction(path: &std::path::Path) -> Vec<u8> {
     {
         let wal = FileWal::open(path).unwrap();
@@ -569,8 +577,10 @@ fn stage_compaction(path: &std::path::Path) -> Vec<u8> {
     }
     let donor = path.with_extension("donor");
     std::fs::copy(path, &donor).unwrap();
-    FileWal::open(&donor).unwrap().truncate_prefix(Lsn::new(8)).unwrap();
+    let compacting = FileWal::open(&donor).unwrap();
+    compacting.hold().unwrap().release_below(Lsn::new(8)).unwrap();
     let new_bytes = std::fs::read(&donor).unwrap();
+    assert!(new_bytes.len() < std::fs::read(path).unwrap().len(), "the release compacted");
     std::fs::remove_file(&donor).unwrap();
     new_bytes
 }
@@ -579,7 +589,7 @@ fn lsns_of(wal: &FileWal) -> Vec<u64> {
     wal.scan(Lsn::new(0)).unwrap().iter().map(|r| r.lsn.raw()).collect()
 }
 
-/// Torn-compaction matrix, pre-rename side: `FileWal::truncate_prefix`
+/// Torn-compaction matrix, pre-rename side: a `FileWal` compaction
 /// writes the retained suffix to a temp sibling, fsyncs it, then atomically
 /// renames it over the log. Crash anywhere BEFORE the rename — sweep the
 /// number of temp-file bytes that reached disk from zero to all of them —
@@ -630,7 +640,7 @@ fn compaction_crash_after_rename_sees_exactly_the_new_prefix() {
     let new_bytes = stage_compaction(&path);
     let tmp = path.with_extension("compact-tmp");
 
-    // Replay truncate_prefix's final two steps: the fully synced temp file,
+    // Replay the compaction's final two steps: the fully synced temp file,
     // then the atomic swap. The crash lands immediately after.
     std::fs::write(&tmp, &new_bytes).unwrap();
     std::fs::rename(&tmp, &path).unwrap();
@@ -652,10 +662,6 @@ fn compaction_crash_after_rename_sees_exactly_the_new_prefix() {
 fn participant_crash_cell(
     arms: &[(&str, u32)],
 ) -> (bool, Arc<ots::DurableKv>, Arc<ots::DurableKv>) {
-    use ots::recovery::{CoordinatorLocator, RECOVERY_COORDINATOR_INTERFACE};
-    use ots::{DurableKv, RecoverableResource, RecoveryCoordinator, ResolutionConfig};
-    use std::time::Duration;
-
     let coordinator_wal: Arc<dyn Wal> = Arc::new(MemWal::new());
     let participant_wal: Arc<dyn Wal> = Arc::new(MemWal::new());
     let failpoints = FailpointSet::new();
@@ -664,33 +670,14 @@ fn participant_crash_cell(
     }
 
     let factory = failpoint_factory(&coordinator_wal, &failpoints);
-    let kv_store = DurableKv::new("store", Arc::clone(&participant_wal));
-    let kv_witness = DurableKv::new("witness", Arc::clone(&participant_wal));
-    let store = Arc::new(
-        RecoverableResource::new(
-            Arc::clone(&kv_store) as Arc<dyn Resource>,
-            Arc::clone(&participant_wal),
-            "coordinator",
-        )
-        .with_failpoints(failpoints.clone()),
-    );
-    let witness = Arc::new(
-        RecoverableResource::new(
-            Arc::clone(&kv_witness) as Arc<dyn Resource>,
-            Arc::clone(&participant_wal),
-            "coordinator",
-        )
-        .with_failpoints(failpoints.clone()),
-    );
-
+    let store = recoverable_store("store", &participant_wal, &failpoints);
+    let witness = recoverable_store("witness", &participant_wal, &failpoints);
     let control = factory.create().unwrap();
-    control.coordinator().register_resource(Arc::clone(&store) as Arc<dyn Resource>).unwrap();
-    control
-        .coordinator()
-        .register_resource(Arc::clone(&witness) as Arc<dyn Resource>)
-        .unwrap();
-    kv_store.store().write(control.id(), "k", Value::from(1i64)).unwrap();
-    kv_witness.store().write(control.id(), "w", Value::from(2i64)).unwrap();
+    for (kv, resource) in [&store, &witness] {
+        control.coordinator().register_resource(Arc::clone(resource) as Arc<dyn Resource>).unwrap();
+        let (key, value) = if kv.name() == "store" { ("k", 1i64) } else { ("w", 2i64) };
+        kv.store().write(control.id(), key, Value::from(value)).unwrap();
+    }
     let result = control.terminator().commit();
     assert!(result.is_err(), "the armed participant crash must fail the commit: {result:?}");
     failpoints.clear();
@@ -702,53 +689,21 @@ fn participant_crash_cell(
         .any(|r| r.kind == ots::txlog::KIND_TX_DECISION);
 
     // Restart the participant "process" from its surviving WAL.
-    let kv_store2 = DurableKv::recover("store", Arc::clone(&participant_wal)).unwrap();
-    let store2 = Arc::new(
-        RecoverableResource::recover(
-            Arc::clone(&kv_store2) as Arc<dyn Resource>,
-            Arc::clone(&participant_wal),
-            "coordinator",
-        )
-        .unwrap(),
-    );
-    let kv_witness2 = DurableKv::recover("witness", Arc::clone(&participant_wal)).unwrap();
-    let witness2 = Arc::new(
-        RecoverableResource::recover(
-            Arc::clone(&kv_witness2) as Arc<dyn Resource>,
-            Arc::clone(&participant_wal),
-            "coordinator",
-        )
-        .unwrap(),
-    );
+    let store2 = restarted_store("store", &participant_wal);
+    let witness2 = restarted_store("witness", &participant_wal);
     assert!(
-        store2.in_doubt().len() + witness2.in_doubt().len() >= 1,
+        store2.1.in_doubt().len() + witness2.1.in_doubt().len() >= 1,
         "this matrix cell must leave at least one transaction in doubt"
     );
 
     // Interrogation over the ORB: the coordinator's log answers.
-    let orb = orb::Orb::builder()
-        .network(orb::NetworkConfig::reliable())
-        .clock(SimClock::new())
-        .build();
-    let coordinator_node = orb.add_node("coordinator").unwrap();
-    orb.add_node("participant").unwrap();
-    let object = coordinator_node
-        .activate(
-            RECOVERY_COORDINATOR_INTERFACE,
-            RecoveryCoordinator::new(Arc::clone(&coordinator_wal)),
-        )
-        .unwrap();
-    let locate: CoordinatorLocator =
-        Arc::new(move |node: &str| (node == "coordinator").then(|| object.clone()));
-    let config = ResolutionConfig::new(orb::RetryPolicy::new(3), Duration::from_secs(60));
-    for participant in [&store2, &witness2] {
-        let report =
-            participant.resolve_in_doubt(&orb, "participant", &locate, &config).unwrap();
+    for participant in [&store2.1, &witness2.1] {
+        let report = interrogate(participant, &coordinator_wal);
         assert!(report.unresolved.is_empty(), "interrogation must answer every doubt");
         assert!(report.heuristic.is_empty(), "an answerable history needs no heuristic");
         assert!(participant.in_doubt().is_empty());
     }
-    (decision_durable, kv_store2, kv_witness2)
+    (decision_durable, store2.0, witness2.0)
 }
 
 /// Commit side: the decision was forced durably, then every participant
@@ -776,6 +731,433 @@ fn participant_crash_during_prepare_presumed_aborts_via_interrogation() {
     assert!(!decided, "the veto aborted the transaction before any decision");
     assert_eq!(store.store().read_committed("k"), None);
     assert_eq!(witness.store().read_committed("w"), None);
+}
+
+// ---- Retention cells (DESIGN.md §12, "Retention") -------------------------
+
+/// A recoverable, durable store on `wal`: the `DurableKv` and the
+/// `RecoverableResource` wrapped around it, each holding the log.
+fn recoverable_store(
+    name: &str,
+    wal: &Arc<dyn Wal>,
+    failpoints: &FailpointSet,
+) -> (Arc<ots::DurableKv>, Arc<ots::RecoverableResource>) {
+    let kv = ots::DurableKv::new(name, Arc::clone(wal));
+    let resource = ots::RecoverableResource::new(
+        Arc::clone(&kv) as Arc<dyn Resource>,
+        Arc::clone(wal),
+        "coordinator",
+    )
+    .with_failpoints(failpoints.clone());
+    (kv, Arc::new(resource))
+}
+
+/// The restarted halves of [`recoverable_store`], in restart order: every
+/// component takes its fresh hold (at LSN 0) before any of them works.
+fn restarted_store(
+    name: &str,
+    wal: &Arc<dyn Wal>,
+) -> (Arc<ots::DurableKv>, Arc<ots::RecoverableResource>) {
+    let kv = ots::DurableKv::recover(name, Arc::clone(wal)).unwrap();
+    let resource = ots::RecoverableResource::recover(
+        Arc::clone(&kv) as Arc<dyn Resource>,
+        Arc::clone(wal),
+        "coordinator",
+    )
+    .unwrap();
+    (kv, Arc::new(resource))
+}
+
+/// One committed transaction writing `key = value` at each of `stores`.
+fn commit_at(
+    factory: &TransactionFactory,
+    stores: &[&(Arc<ots::DurableKv>, Arc<ots::RecoverableResource>)],
+    key: &str,
+    value: i64,
+) -> Result<ots::TxId, TxError> {
+    let control = factory.create().unwrap();
+    for (kv, resource) in stores {
+        control.coordinator().register_resource(Arc::clone(resource) as Arc<dyn Resource>)?;
+        kv.store().write(control.id(), key, Value::from(value))?;
+    }
+    control.terminator().commit().map(|_| control.id().clone())
+}
+
+/// Have `participant` interrogate the `RecoveryCoordinator` over
+/// `coordinator_wal` for everything it holds in doubt.
+fn interrogate(
+    participant: &ots::RecoverableResource,
+    coordinator_wal: &Arc<dyn Wal>,
+) -> ots::recovery::ResolutionReport {
+    use ots::recovery::{CoordinatorLocator, RECOVERY_COORDINATOR_INTERFACE};
+    let orb = orb::Orb::builder()
+        .network(orb::NetworkConfig::reliable())
+        .clock(SimClock::new())
+        .build();
+    let coordinator_node = orb.add_node("coordinator").unwrap();
+    orb.add_node("participant").unwrap();
+    let object = coordinator_node
+        .activate(
+            RECOVERY_COORDINATOR_INTERFACE,
+            ots::RecoveryCoordinator::new(Arc::clone(coordinator_wal)),
+        )
+        .unwrap();
+    let locate: CoordinatorLocator =
+        Arc::new(move |node: &str| (node == "coordinator").then(|| object.clone()));
+    let config = ots::ResolutionConfig::new(
+        orb::RetryPolicy::new(3),
+        std::time::Duration::from_secs(60),
+    );
+    participant.resolve_in_doubt(&orb, "participant", &locate, &config).unwrap()
+}
+
+/// Cell (a): one log shared by a factory, two `RecoverableResource`s and
+/// the two `DurableKv`s under them. The factory and the resources release
+/// as their transactions finish; the stores' committed state lives in the
+/// log until they checkpoint, so they pin it — nothing a holder still needs
+/// is ever dropped, and the log shrinks exactly when the slowest moves.
+#[test]
+fn a_shared_log_is_released_at_the_pace_of_its_slowest_holder() {
+    let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
+    let failpoints = FailpointSet::new();
+    // Serial dispatch: the order of the records below is then the order of
+    // registration, not of the pool's scheduling.
+    let factory = TransactionFactory::with_wal(Arc::clone(&wal))
+        .with_dispatch(ots::DispatchConfig::serial());
+    let store = recoverable_store("store", &wal, &failpoints);
+    let witness = recoverable_store("witness", &wal, &failpoints);
+    for i in 0..8i64 {
+        commit_at(&factory, &[&store, &witness], &format!("k{i}"), i).unwrap();
+        assert_eq!(factory.reap_completed(), 1);
+    }
+    // Three of the five holders have released everything they wrote; the
+    // stores have not checkpointed, and the log is whole.
+    let appended = wal.next_lsn().raw() - 1;
+    assert_eq!(wal.len() as u64, appended, "the stores' redo records pin the log");
+    let restarted = ots::DurableKv::recover("store", Arc::clone(&wal)).unwrap();
+    assert_eq!(restarted.store().read_committed("k7"), Some(Value::from(7i64)));
+    drop(restarted);
+
+    // One store checkpoints: it would let go, the other still pins.
+    store.0.checkpoint().unwrap();
+    assert_eq!(wal.len() as u64, appended + 1);
+    // A transaction left prepared across the second checkpoint keeps its
+    // redo record (and the participant's in-doubt record) under it.
+    let in_doubt = ots::TxId::top_level(99);
+    witness.0.store().write(&in_doubt, "pending", Value::from(1i64)).unwrap();
+    assert_eq!(witness.1.prepare(&in_doubt).unwrap(), ots::Vote::Commit);
+    witness.0.checkpoint().unwrap();
+    // Now every holder has moved and the log is short. The slowest is the
+    // idle `store` participant, which sits where it last released — at its
+    // own last outcome, three records before the first checkpoint.
+    let left: Vec<u32> = wal.scan(Lsn::new(0)).unwrap().iter().map(|r| r.kind).collect();
+    assert_eq!(
+        left,
+        [
+            ots::recovery::KIND_RES_RESOLVED,
+            ots::durable::KIND_KV_COMMITTED,
+            ots::txlog::KIND_TX_COMPLETED,
+            ots::durable::KIND_KV_CHECKPOINT,
+            ots::durable::KIND_KV_PREPARED,
+            ots::recovery::KIND_RES_PREPARED,
+            ots::durable::KIND_KV_CHECKPOINT,
+        ],
+        "{appended} records were appended"
+    );
+
+    // A restart over what is left loses nothing: both checkpoints, the
+    // prepared workspace and the doubt.
+    drop((factory, store, witness));
+    let store = restarted_store("store", &wal);
+    let witness = restarted_store("witness", &wal);
+    for i in 0..8i64 {
+        assert_eq!(store.0.store().read_committed(&format!("k{i}")), Some(Value::from(i)));
+        assert_eq!(witness.0.store().read_committed(&format!("k{i}")), Some(Value::from(i)));
+    }
+    assert_eq!(witness.1.in_doubt().len(), 1);
+    assert!(store.1.in_doubt().is_empty());
+    witness.1.commit(&in_doubt).unwrap();
+    assert_eq!(witness.0.store().read_committed("pending"), Some(Value::from(1i64)));
+}
+
+/// Cell (b): a commit whose phase two one participant never acknowledged
+/// (it died before applying). The coordinator finishes, reaps and goes on
+/// releasing behind three hundred later transactions — but not past that
+/// decision: the participant restarts in doubt, interrogates, and must
+/// still learn `committed`. A forgotten decision would answer presumed
+/// abort.
+#[test]
+fn an_unacknowledged_decision_outlives_the_reap_and_a_coordinator_restart() {
+    let coordinator_wal: Arc<dyn Wal> = Arc::new(MemWal::new());
+    let participant_wal: Arc<dyn Wal> = Arc::new(MemWal::new());
+    let failpoints = FailpointSet::new();
+    let factory = TransactionFactory::with_wal(Arc::clone(&coordinator_wal))
+        .with_dispatch(ots::DispatchConfig::serial());
+    let store = recoverable_store("store", &participant_wal, &failpoints);
+    let witness = recoverable_store("witness", &participant_wal, &failpoints);
+
+    let acknowledged = commit_at(&factory, &[&store, &witness], "a", 1).unwrap();
+    // The participants die with the outcome in hand: `before_apply` is
+    // passed once per delivery, and a fired failpoint stays dead.
+    failpoints.arm("ots.recovery.before_apply", 0);
+    let hazard = commit_at(&factory, &[&store, &witness], "b", 2);
+    assert!(matches!(hazard, Err(TxError::Heuristic { .. })), "got {hazard:?}");
+    failpoints.clear();
+    let witness_only = recoverable_store("w2", &participant_wal, &failpoints);
+    for i in 0..300i64 {
+        commit_at(&factory, &[&witness_only], "c", i).unwrap();
+        factory.reap_completed();
+    }
+    let retained = coordinator_wal.len();
+    assert!(retained > 300, "everything from the unacknowledged commit on is kept: {retained}");
+
+    let answers = |wal: &Arc<dyn Wal>| {
+        let coordinator = ots::RecoveryCoordinator::new(Arc::clone(wal));
+        let in_doubt = ots::TxId::top_level(acknowledged.top_seq() + 1);
+        (
+            coordinator.replay_completion(&acknowledged).unwrap(),
+            coordinator.replay_completion(&in_doubt).unwrap(),
+        )
+    };
+    use ots::recovery::ReplayStatus::{Committed, RolledBack};
+    assert_eq!(
+        answers(&coordinator_wal),
+        (RolledBack, Committed),
+        "the acknowledged transaction is forgotten, the unacknowledged decision is not"
+    );
+
+    // The coordinator restarts too: the log says which completion was never
+    // acknowledged, so the new factory keeps holding from there.
+    drop(factory);
+    let factory = TransactionFactory::with_wal(Arc::clone(&coordinator_wal));
+    let none = |_: &str| -> Option<Arc<dyn Resource>> { None };
+    let report = factory.recover(&none).unwrap();
+    assert!(report.recommitted.is_empty() && report.presumed_aborted.is_empty());
+    assert_eq!(report.retain_from, coordinator_wal.scan(Lsn::new(0)).unwrap().first().map(|r| r.lsn));
+    commit_at(&factory, &[&witness_only], "c", 300).unwrap();
+    factory.reap_completed();
+    assert_eq!(answers(&coordinator_wal), (RolledBack, Committed));
+
+    // The participant restarts in doubt and resolves it by asking.
+    drop((store, witness));
+    let store = restarted_store("store", &participant_wal);
+    assert_eq!(store.1.in_doubt().len(), 1);
+    let report = interrogate(&store.1, &coordinator_wal);
+    assert_eq!(report.committed.len(), 1, "{report:?}");
+    assert_eq!(store.0.store().read_committed("b"), Some(Value::from(2i64)));
+}
+
+/// A participant that, while it is being told to commit, begins the next
+/// transaction — so that transaction's begin record lands between this
+/// one's decision and its completion record.
+struct BeginsTheNext {
+    // Weak: the factory's table holds the coordinator this is registered at.
+    factory: std::sync::Weak<TransactionFactory>,
+    next: parking_lot::Mutex<Option<ots::Control>>,
+}
+
+impl Resource for BeginsTheNext {
+    fn prepare(&self, _tx: &ots::TxId) -> Result<ots::Vote, TxError> {
+        Ok(ots::Vote::Commit)
+    }
+    fn commit(&self, _tx: &ots::TxId) -> Result<(), TxError> {
+        *self.next.lock() = Some(self.factory.upgrade().expect("factory is up").create()?);
+        Ok(())
+    }
+    fn rollback(&self, _tx: &ots::TxId) -> Result<(), TxError> {
+        Ok(())
+    }
+    fn resource_name(&self) -> &str {
+        "begins-the-next"
+    }
+}
+
+/// What a restart finds after [`crash_with_or_without_a_release`].
+#[derive(Debug, PartialEq)]
+struct Aftermath {
+    recommitted: Vec<ots::TxId>,
+    presumed_aborted: Vec<ots::TxId>,
+    in_doubt: Vec<ots::TxId>,
+    stored: Option<Value>,
+}
+
+/// Cell (c)'s scenario. Transaction A commits; transaction B begins inside
+/// A's phase two, prepares at a recoverable store, forces its decision —
+/// and the coordinator dies. With `release`, A is reaped in between, which
+/// drops the coordinator's log up to B's begin record (leaving A's
+/// completion record alone above it) and the participant's up to B's
+/// prepared record.
+fn crash_with_or_without_a_release(release: bool) -> (Aftermath, usize, usize) {
+    let coordinator_wal: Arc<dyn Wal> = Arc::new(MemWal::new());
+    let participant_wal: Arc<dyn Wal> = Arc::new(MemWal::new());
+    let failpoints = FailpointSet::new();
+    let factory = Arc::new(
+        failpoint_factory(&coordinator_wal, &failpoints)
+            .with_dispatch(ots::DispatchConfig::serial()),
+    );
+    let store = recoverable_store("store", &participant_wal, &failpoints);
+    let witness = recoverable_store("witness", &participant_wal, &failpoints);
+    let spawner =
+        Arc::new(BeginsTheNext { factory: Arc::downgrade(&factory), next: Default::default() });
+
+    let a = factory.create().unwrap();
+    a.coordinator().register_resource(Arc::clone(&store.1) as Arc<dyn Resource>).unwrap();
+    a.coordinator().register_resource(Arc::clone(&spawner) as Arc<dyn Resource>).unwrap();
+    store.0.store().write(a.id(), "k", Value::from(1i64)).unwrap();
+    a.terminator().commit().unwrap();
+    let b = spawner.next.lock().take().expect("A's phase two began B");
+    // The stores checkpoint, so their hold is not what keeps A's records.
+    store.0.checkpoint().unwrap();
+    witness.0.checkpoint().unwrap();
+    if release {
+        assert_eq!(factory.reap_completed(), 1, "A is finished, B is live");
+        let kinds: Vec<u32> =
+            coordinator_wal.scan(Lsn::new(0)).unwrap().iter().map(|r| r.kind).collect();
+        assert_eq!(
+            kinds,
+            [ots::txlog::KIND_TX_BEGUN, ots::txlog::KIND_TX_COMPLETED],
+            "B's begin record, then A's completion record on its own"
+        );
+    }
+    for (kv, resource) in [&store, &witness] {
+        b.coordinator().register_resource(Arc::clone(resource) as Arc<dyn Resource>).unwrap();
+        kv.store().write(b.id(), "k", Value::from(2i64)).unwrap();
+    }
+    failpoints.arm("ots.after_decision", 0);
+    assert!(matches!(b.terminator().commit(), Err(TxError::Log(_))));
+    failpoints.clear();
+    let survived = (coordinator_wal.len(), participant_wal.len());
+    drop((a, b, spawner, factory, store, witness));
+
+    // Restart. Order matters and is pinned here: every restarted component
+    // takes its fresh hold before anything works, and a factory over a log
+    // it has not read yet releases nothing however often it reaps.
+    let store = restarted_store("store", &participant_wal);
+    let witness = restarted_store("witness", &participant_wal);
+    let factory = TransactionFactory::with_wal(Arc::clone(&coordinator_wal));
+    factory.reap_completed();
+    assert_eq!((coordinator_wal.len(), participant_wal.len()), survived);
+    let in_doubt = store.1.in_doubt().into_iter().map(|(tx, _)| tx).collect();
+    assert_eq!(witness.1.in_doubt().len(), 1);
+    let (store2, witness2) = (Arc::clone(&store.1), Arc::clone(&witness.1));
+    let resolver = move |name: &str| -> Option<Arc<dyn Resource>> {
+        match name {
+            "store" => Some(store2.clone()),
+            "witness" => Some(witness2.clone()),
+            _ => None,
+        }
+    };
+    let report = factory.recover(&resolver).unwrap();
+    assert_eq!(report.retain_from, None, "every redelivery was acknowledged");
+    let aftermath = Aftermath {
+        recommitted: report.recommitted,
+        presumed_aborted: report.presumed_aborted,
+        in_doubt,
+        stored: store.0.store().read_committed("k"),
+    };
+    // Recovery ran: the next reap may release what it finished.
+    factory.reap_completed();
+    assert!(coordinator_wal.is_empty(), "nothing is live on the coordinator");
+    (aftermath, survived.0, survived.1)
+}
+
+/// Cell (c): a crash right after a release. Both recoveries resolve the
+/// same in-doubt set, to the same outcome, as over the unreleased log; the
+/// released log is just shorter, and the completion record a release left
+/// standing alone is ignored.
+#[test]
+fn recovery_after_a_release_resolves_what_it_would_have_without_it() {
+    let (kept, kept_coordinator, kept_participant) = crash_with_or_without_a_release(false);
+    let (released, coordinator, participant) = crash_with_or_without_a_release(true);
+    assert_eq!(released, kept);
+    assert_eq!(released.recommitted.len(), 1);
+    assert_eq!(released.in_doubt, released.recommitted);
+    assert_eq!(released.stored, Some(Value::from(2i64)));
+    assert!(coordinator < kept_coordinator, "{coordinator} vs {kept_coordinator}");
+    assert_eq!(participant, kept_participant, "the stores' checkpoints released it either way");
+}
+
+/// Cell (d): sixteen committers, each reaping (and so releasing) every
+/// eighth commit, against each other's appends under one `GroupCommitWal`.
+/// A transaction begun before the storm and left live pins the log
+/// throughout: not one record from its begin record on may go missing,
+/// whatever the interleaving. Once it finishes, the log drains.
+#[test]
+fn sixteen_committers_release_against_concurrent_appends() {
+    const THREADS: usize = 16;
+    const COMMITS_PER_THREAD: usize = 64;
+    let group = Arc::new(GroupCommitWal::new(MemWal::new()));
+    let wal: Arc<dyn Wal> = Arc::clone(&group) as Arc<dyn Wal>;
+    let factory = Arc::new(TransactionFactory::with_wal(Arc::clone(&wal)));
+    let pinned = factory.create().unwrap();
+
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let factory = Arc::clone(&factory);
+            scope.spawn(move || {
+                let stores = [format!("a{t}"), format!("b{t}")]
+                    .map(|name| Arc::new(TransactionalKv::new(name)));
+                for i in 0..COMMITS_PER_THREAD {
+                    let control = factory.create().unwrap();
+                    for store in &stores {
+                        store.enlist(&control).unwrap();
+                        store.write(control.id(), "k", Value::from(i as i64)).unwrap();
+                    }
+                    control.terminator().commit().unwrap();
+                    if i % 8 == 7 {
+                        factory.reap_completed();
+                    }
+                }
+                for store in &stores {
+                    let last = Value::from(COMMITS_PER_THREAD as i64 - 1);
+                    assert_eq!(store.read_committed("k"), Some(last));
+                }
+            });
+        }
+    });
+
+    factory.reap_completed();
+    let lsns: Vec<u64> = wal.scan(Lsn::new(0)).unwrap().iter().map(|r| r.lsn.raw()).collect();
+    let appended = (THREADS * COMMITS_PER_THREAD * 4 + 1) as u64;
+    assert_eq!(lsns, (1..=appended).collect::<Vec<u64>>(), "the live transaction pinned it all");
+    pinned.terminator().rollback().unwrap();
+    // A release stops at the durable LSN; the rollback's completion record
+    // was not forced, so flush it for the log to drain completely.
+    wal.sync().unwrap();
+    factory.reap_completed();
+    assert!(wal.is_empty(), "nothing is live: {} records left", wal.len());
+    assert_eq!(wal.next_lsn(), Lsn::new(appended + 2), "LSNs keep counting past a drained log");
+}
+
+/// The counted gate behind the `native_2pc_mem` memory claim: a hundred
+/// thousand commits, reaped every 256th, never retain more than the four
+/// records of each transaction since the reap before last.
+#[test]
+fn a_sustained_run_keeps_a_constant_log() {
+    const REAP_EVERY: usize = 256;
+    let wal: Arc<dyn Wal> = Arc::new(GroupCommitWal::new(MemWal::new()));
+    let factory = TransactionFactory::with_wal(Arc::clone(&wal))
+        .with_dispatch(ots::DispatchConfig::serial());
+    let stores = ["p0", "p1"].map(|name| Arc::new(TransactionalKv::new(name)));
+    let mut most = 0;
+    for i in 0..100_000usize {
+        let control = factory.create().unwrap();
+        for store in &stores {
+            store.enlist(&control).unwrap();
+            store.write(control.id(), "k", Value::from(i as i64)).unwrap();
+        }
+        control.terminator().commit().unwrap();
+        if (i + 1) % REAP_EVERY == 0 {
+            most = most.max(wal.len());
+            factory.reap_completed();
+            // Nothing is live at a reap; the last completion record, never
+            // forced, is still staged above the durable LSN a release stops
+            // at, and goes with the next one.
+            assert!(wal.len() <= 1, "commit {i}: {} records kept", wal.len());
+        }
+    }
+    assert!(most <= 4 * REAP_EVERY + 4, "retained {most} records at the worst");
+    assert_eq!(wal.next_lsn(), Lsn::new(400_001));
 }
 
 /// Make sure ActivityLogger is reachable for documentation users.
@@ -813,7 +1195,6 @@ fn record_kinds_are_pairwise_distinct() {
         ("KIND_ACT_COMPLETED", activity_recovery::KIND_ACT_COMPLETED),
         ("KIND_SIGNAL_PROCESSED", exactly_once::KIND_SIGNAL_PROCESSED),
         ("KIND_WF_TASK_DONE", wfengine::journal::KIND_WF_TASK_DONE),
-        ("CHECKPOINT_KIND", recovery_log::checkpoint::CHECKPOINT_KIND),
     ];
     for (i, (name, kind)) in kinds.iter().enumerate() {
         for (other, same) in &kinds[i + 1..] {
