@@ -62,12 +62,52 @@ impl Default for GroupCommitConfig {
     }
 }
 
+/// Records staged for one batch: their payloads back to back in one
+/// buffer, and each record's kind and end offset.
+#[derive(Debug, Default)]
+struct Stage {
+    payloads: Vec<u8>,
+    ends: Vec<(u32, usize)>,
+}
+
+impl Stage {
+    fn push(&mut self, kind: u32, payload: &[u8]) {
+        self.payloads.extend_from_slice(payload);
+        self.ends.push((kind, self.payloads.len()));
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Encoded size of the staged records.
+    fn encoded_bytes(&self) -> usize {
+        self.payloads.len() + RECORD_OVERHEAD * self.ends.len()
+    }
+
+    fn clear(&mut self) {
+        self.payloads.clear();
+        self.ends.clear();
+    }
+
+    /// The staged records as the sink's `append_batch` takes them.
+    fn records(&self) -> impl Iterator<Item = (u32, &[u8])> {
+        let mut start = 0;
+        self.ends.iter().map(move |&(kind, end)| {
+            let payload = &self.payloads[start..end];
+            start = end;
+            (kind, payload)
+        })
+    }
+}
+
 #[derive(Debug)]
 struct GroupState {
     /// Staged records in LSN order; contiguous, ending at `next - 1`.
-    staged: Vec<(u32, Vec<u8>)>,
-    /// Encoded size of the staged batch.
-    staged_bytes: usize,
+    staged: Stage,
+    /// The stage the last leader flushed and handed back, emptied: the next
+    /// leader swaps it in, so neither buffer is grown again from scratch.
+    spare: Stage,
     /// Next LSN to assign (mirrors the sink's counter: the sink only ever
     /// sees our flush batches, in order).
     next: u64,
@@ -109,8 +149,8 @@ impl<W: Wal> GroupCommitWal<W> {
             inner,
             config,
             state: Mutex::new(GroupState {
-                staged: Vec::new(),
-                staged_bytes: 0,
+                staged: Stage::default(),
+                spare: Stage::default(),
                 next,
                 flushing: false,
                 poisoned: None,
@@ -166,7 +206,7 @@ impl<W: Wal> GroupCommitWal<W> {
             "durable_lsn={} staged={} staged_bytes={} next_lsn={}\n",
             self.durable.load(Ordering::Acquire),
             state.staged.len(),
-            state.staged_bytes,
+            state.staged.encoded_bytes(),
             state.next,
         )
     }
@@ -178,7 +218,6 @@ impl<W: Wal> GroupCommitWal<W> {
     pub fn recover_from_sink(&self) {
         let mut state = self.state.lock().unwrap();
         state.staged.clear();
-        state.staged_bytes = 0;
         state.poisoned = None;
         state.next = self.inner.next_lsn().raw();
         self.durable.store(state.next - 1, Ordering::Release);
@@ -203,8 +242,8 @@ impl<W: Wal> GroupCommitWal<W> {
             // Leader: take the whole staged batch — everything up to
             // next - 1 — so every waiter it covers is woken at once.
             state.flushing = true;
-            let batch = std::mem::take(&mut state.staged);
-            let batch_bytes = std::mem::replace(&mut state.staged_bytes, 0);
+            let spare = std::mem::take(&mut state.spare);
+            let mut batch = std::mem::replace(&mut state.staged, spare);
             let batch_last = state.next - 1;
             drop(state);
             let result = self.flush_batch(&batch);
@@ -216,7 +255,7 @@ impl<W: Wal> GroupCommitWal<W> {
                     if let Some(tel) = &self.telemetry {
                         tel.syncs.incr();
                         tel.metrics.observe_count("wal_group_size", batch.len() as u64);
-                        tel.metrics.observe_count("wal_batch_bytes", batch_bytes as u64);
+                        tel.metrics.observe_count("wal_batch_bytes", batch.encoded_bytes() as u64);
                     }
                 }
                 Err(e) => {
@@ -225,16 +264,29 @@ impl<W: Wal> GroupCommitWal<W> {
                     state.poisoned = Some(e);
                 }
             }
+            batch.clear();
+            state.spare = batch;
             self.flushed.notify_all();
         }
     }
 
-    /// One coalesced sink write + one sync for a taken batch.
-    fn flush_batch(&self, batch: &[(u32, Vec<u8>)]) -> Result<(), LogError> {
-        if !batch.is_empty() {
-            let refs: Vec<(u32, &[u8])> =
-                batch.iter().map(|(kind, payload)| (*kind, payload.as_slice())).collect();
-            self.inner.append_batch(&refs)?;
+    /// One coalesced sink write + one sync for a taken batch. The sink's
+    /// slice list of a batch of up to 16 records lives on the stack.
+    fn flush_batch(&self, batch: &Stage) -> Result<(), LogError> {
+        const INLINE: usize = 16;
+        match batch.len() {
+            0 => {}
+            n if n <= INLINE => {
+                let mut refs = [(0u32, &[] as &[u8]); INLINE];
+                for (slot, record) in refs.iter_mut().zip(batch.records()) {
+                    *slot = record;
+                }
+                self.inner.append_batch(&refs[..n])?;
+            }
+            _ => {
+                let refs: Vec<(u32, &[u8])> = batch.records().collect();
+                self.inner.append_batch(&refs)?;
+            }
         }
         self.inner.sync()
     }
@@ -248,10 +300,9 @@ impl<W: Wal> GroupCommitWal<W> {
         }
         let lsn = state.next;
         state.next += 1;
-        state.staged.push((kind, payload.to_vec()));
-        state.staged_bytes += RECORD_OVERHEAD + payload.len();
+        state.staged.push(kind, payload);
         let threshold_hit = state.staged.len() >= self.config.max_batch_records
-            || state.staged_bytes >= self.config.max_batch_bytes;
+            || state.staged.encoded_bytes() >= self.config.max_batch_bytes;
         Ok((lsn, threshold_hit))
     }
 }

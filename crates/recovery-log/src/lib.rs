@@ -11,7 +11,8 @@
 //!   caller-defined kinds;
 //! * [`wal::Wal`] — the append/scan/truncate interface, with an in-memory
 //!   implementation ([`wal::MemWal`]) and a file-backed one
-//!   ([`file_wal::FileWal`]) that tolerates torn tails;
+//!   ([`file_wal::FileWal`]) that tolerates torn tails and keeps its records
+//!   on disk only;
 //! * [`group_commit::GroupCommitWal`] — leader/follower group commit over
 //!   any sink: concurrent appenders stage into a shared batch, one leader
 //!   performs a single coalesced write + sync per batch, with

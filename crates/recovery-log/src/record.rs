@@ -9,7 +9,7 @@ use crate::error::LogError;
 /// Magic bytes opening every encoded record.
 const MAGIC: u16 = 0xA5C7;
 /// Fixed header size: magic (2) + kind (4) + lsn (8) + payload len (4).
-const HEADER_LEN: usize = 2 + 4 + 8 + 4;
+pub(crate) const HEADER_LEN: usize = 2 + 4 + 8 + 4;
 /// Trailing checksum size.
 const CRC_LEN: usize = 4;
 
@@ -80,15 +80,7 @@ impl LogRecord {
     /// buffer per log (clear + encode_into) instead of a fresh `Vec` per
     /// append.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.reserve(self.encoded_len());
-        let start = buf.len();
-        buf.put_u16(MAGIC);
-        buf.put_u32(self.kind);
-        buf.put_u64(self.lsn.raw());
-        buf.put_u32(self.payload.len() as u32);
-        buf.put_slice(&self.payload);
-        let crc = crc32(&buf[start..]);
-        buf.put_u32(crc);
+        encode_parts(self.lsn, self.kind, &self.payload, buf);
     }
 
     /// Decode one record from the front of `input`, returning the record and
@@ -96,10 +88,23 @@ impl LogRecord {
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::Corrupt`] for truncated input, a bad magic, or a
-    /// checksum mismatch. Truncation errors carry `lsn == Lsn::new(0)` when
-    /// the header itself is incomplete.
+    /// As [`LogRecord::decode_into`].
     pub fn decode(input: &[u8]) -> Result<(LogRecord, usize), LogError> {
+        let mut record = LogRecord::new(Lsn::new(0), 0, Vec::new());
+        let used = record.decode_into(input)?;
+        Ok((record, used))
+    }
+
+    /// Decode one record from the front of `input` into `self`, reusing its
+    /// payload buffer, and return the number of bytes consumed: how a log
+    /// streaming from its file decodes every record into one `LogRecord`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LogError::Corrupt`] for truncated input, a bad magic, or a
+    /// checksum mismatch, leaving `self` as it was. Truncation errors carry
+    /// `lsn == Lsn::new(0)` when the header itself is incomplete.
+    pub fn decode_into(&mut self, input: &[u8]) -> Result<usize, LogError> {
         if input.len() < HEADER_LEN {
             return Err(LogError::Corrupt {
                 lsn: Lsn::new(0),
@@ -124,9 +129,7 @@ impl LogRecord {
                 reason: format!("truncated body: need {total} bytes, have {}", input.len()),
             });
         }
-        let payload = cursor[..len].to_vec();
-        cursor.advance(len);
-        let stored_crc = cursor.get_u32();
+        let stored_crc = u32::from_be_bytes(input[total - CRC_LEN..total].try_into().unwrap());
         let actual_crc = crc32(&input[..HEADER_LEN + len]);
         if stored_crc != actual_crc {
             return Err(LogError::Corrupt {
@@ -134,28 +137,90 @@ impl LogRecord {
                 reason: format!("crc mismatch: stored {stored_crc:#010x}, actual {actual_crc:#010x}"),
             });
         }
-        Ok((LogRecord { lsn, kind, payload }, total))
+        self.lsn = lsn;
+        self.kind = kind;
+        self.payload.clear();
+        self.payload.extend_from_slice(&cursor[..len]);
+        Ok(total)
     }
 }
 
-/// Standard CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
-pub fn crc32(data: &[u8]) -> u32 {
-    // Table computed on first use; 1 KiB, cheap to build.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            }
-            *entry = crc;
+/// Append the encoding of record `(lsn, kind, payload)` to `buf`: what
+/// [`LogRecord::encode_into`] writes, for a log that has no `LogRecord`.
+pub(crate) fn encode_parts(lsn: Lsn, kind: u32, payload: &[u8], buf: &mut Vec<u8>) {
+    buf.reserve(HEADER_LEN + payload.len() + CRC_LEN);
+    let start = buf.len();
+    buf.put_u16(MAGIC);
+    buf.put_u32(kind);
+    buf.put_u64(lsn.raw());
+    buf.put_u32(payload.len() as u32);
+    buf.put_slice(payload);
+    let crc = crc32(&buf[start..]);
+    buf.put_u32(crc);
+}
+
+/// The encoded length of the record whose header opens `input`, or `None`
+/// while `input` is shorter than a header. Read before the record is whole,
+/// so a streaming reader knows how much to fetch; nothing is validated.
+pub(crate) fn encoded_len_at(input: &[u8]) -> Option<usize> {
+    let len = input.get(HEADER_LEN - 4..HEADER_LEN)?;
+    Some(HEADER_LEN + u32::from_be_bytes(len.try_into().unwrap()) as usize + CRC_LEN)
+}
+
+/// The [`Lsn`] in the header opening `input` (at least a header long).
+pub(crate) fn lsn_at(input: &[u8]) -> Lsn {
+    Lsn::new(u64::from_be_bytes(input[6..14].try_into().unwrap()))
+}
+
+/// The slicing-by-8 tables of [`crc32`], built at compile time: `T[0]` is
+/// the classic bytewise table, `T[k][b]` the CRC of byte `b` followed by
+/// `k` zero bytes, so eight input bytes fold in with eight lookups.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
         }
-        table
-    });
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// Standard CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`),
+/// eight bytes per step.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -257,5 +322,42 @@ mod tests {
         // Standard test vector: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_loop() {
+        fn bytewise(data: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &byte in data {
+                crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
+            }
+            !crc
+        }
+        let data: Vec<u8> = (0..265u32).map(|i| (i.wrapping_mul(167) ^ (i >> 3)) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=257 {
+                let slice = &data[start..start + len];
+                assert_eq!(crc32(slice), bytewise(slice), "start {start}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_into_reuses_the_record_and_matches_decode() {
+        let a = LogRecord::new(Lsn::new(1), 1, b"a longer payload".to_vec());
+        let b = LogRecord::new(Lsn::new(2), 2, b"bb".to_vec());
+        let mut stream = a.encode();
+        stream.extend_from_slice(&b.encode());
+        let mut record = LogRecord::new(Lsn::new(0), 0, Vec::new());
+        let used = record.decode_into(&stream).unwrap();
+        assert_eq!((&record, used), (&a, a.encoded_len()));
+        assert_eq!(encoded_len_at(&stream), Some(used));
+        assert_eq!(lsn_at(&stream[used..]), Lsn::new(2));
+        let capacity = record.payload.capacity();
+        record.decode_into(&stream[used..]).unwrap();
+        assert_eq!(record, b);
+        assert_eq!(record.payload.capacity(), capacity, "the payload buffer was reused");
+        assert!(record.decode_into(&stream[used + 1..]).is_err());
+        assert_eq!(encoded_len_at(&stream[..HEADER_LEN - 1]), None);
     }
 }

@@ -89,7 +89,7 @@ pub trait Wal: Send + Sync {
 
     /// Visit every durable record at or after `from`, in LSN order, in
     /// place. Replay paths use this so recovery is zero-copy over the log's
-    /// retained records.
+    /// retained records (a file log decodes each into one reused record).
     ///
     /// Implementations may hold internal locks across the visits: `visit`
     /// must not call back into the same log.

@@ -22,37 +22,41 @@ struct CountingAllocator;
 
 thread_local! {
     // Const-initialised and without a destructor, so the allocator can bump
-    // it at any point of a thread's life without allocating.
+    // them at any point of a thread's life without allocating.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // Bytes this thread has allocated minus those it has freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(grown: i64) {
     let _ = ALLOCS.try_with(|count| count.set(count.get() + 1));
+    let _ = LIVE.try_with(|live| live.set(live.get() + grown));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the bump touches only a
-// destructor-free thread-local, so it neither allocates nor unwinds.
+// upholds the `GlobalAlloc` contract; the counters are destructor-free
+// thread-locals, so touching them neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -563,4 +567,89 @@ fn a_workflow_run_walks_its_compiled_plan() {
         eight * 10 <= one * 8 * 11,
         "64 tasks made {eight} allocations, 8 tasks {one}: more than 8x + 10 %"
     );
+}
+
+// ---------------------------------------------------------------------
+// What the log costs a durable node (DESIGN.md §12).
+// ---------------------------------------------------------------------
+
+fn scratch_log(tag: &str) -> std::path::PathBuf {
+    let mut path = std::env::temp_dir();
+    path.push(format!("alloc-budget-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// Allocations of one group-committed round — three staged appends and a
+/// forced one, flushed together — after warm-up; with `release`, the log is
+/// released behind each round, so one that keeps its records in memory
+/// stays at its working size.
+fn group_commit_round_cost(wal: &dyn recovery_log::Wal, release: bool) -> u64 {
+    let hold = release.then(|| wal.hold().unwrap());
+    let round = || {
+        for _ in 0..3 {
+            wal.append(1, &[0x5a; 48]).unwrap();
+        }
+        wal.append_durable(2, &[0xa5; 96]).unwrap();
+        if let Some(hold) = &hold {
+            hold.release_below(wal.next_lsn()).unwrap();
+        }
+    };
+    for _ in 0..8 {
+        round(); // both stage buffers and the sink's scratch at working size
+    }
+    allocs_during(round).0
+}
+
+/// Group commit stages into two reused buffers swapped with its leader and
+/// hands the sink its slices from the stack; a file log encodes into one
+/// reused buffer. So a staged append plus a forced flush allocates nothing
+/// over `FileWal`, and over `MemWal` exactly the copy of each record that
+/// `MemWal` keeps. The commit before spent a payload copy per record in the
+/// stage, the slice list and a regrown stage per flush, and a record per
+/// append in `FileWal`'s in-memory mirror.
+#[test]
+fn a_group_committed_append_allocates_only_what_its_sink_keeps() {
+    use recovery_log::{FileWal, GroupCommitWal, MemWal};
+    let path = scratch_log("group-commit");
+    let file = GroupCommitWal::new(FileWal::open(&path).unwrap());
+    let over_file = group_commit_round_cost(&file, false);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(over_file, 0, "four records through group commit into a file allocated");
+    let over_memory = group_commit_round_cost(&GroupCommitWal::new(MemWal::new()), true);
+    assert_eq!(over_memory, 4, "four records into memory: one copy each and nothing else");
+}
+
+/// A file log's memory does not grow with its history. Nobody holds this
+/// one (the frozen benchmark's `PacedDisk` does not forward `hold`), so it
+/// keeps every record: 100 000 of them end within 64 KiB of what the log
+/// used after its first 1 000 — scans included.
+#[test]
+fn a_file_log_keeps_its_history_on_disk_not_in_memory() {
+    use recovery_log::{FileWal, Lsn, Wal};
+    let live = || LIVE.with(Cell::get);
+    let path = scratch_log("history");
+    let wal = FileWal::open(&path).unwrap();
+    let count = |wal: &FileWal| {
+        let mut seen = 0u64;
+        wal.scan_with(Lsn::new(0), &mut |_| {
+            seen += 1;
+            Ok(())
+        })
+        .unwrap();
+        seen
+    };
+    for _ in 0..1_000 {
+        wal.append(1, &[0x5a; 40]).unwrap();
+    }
+    assert_eq!(count(&wal), 1_000);
+    let warm = live();
+    for _ in 1_000..100_000 {
+        wal.append(1, &[0x5a; 40]).unwrap();
+    }
+    assert_eq!((count(&wal), wal.len()), (100_000, 100_000));
+    let grown = live() - warm;
+    drop(wal);
+    std::fs::remove_file(&path).unwrap();
+    assert!(grown.abs() <= 64 * 1024, "99 000 more records grew the log's memory by {grown} bytes");
 }

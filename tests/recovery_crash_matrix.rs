@@ -315,9 +315,10 @@ fn activity_and_transaction_recovery_compose_over_file_wal() {
 
     // Third incarnation: everything completed, so the recovered logger
     // released the whole tree with its root — and, the file by then all
-    // released records, compacted it away. Recovery is stable: nothing.
+    // released records, compacted it down to the newest one, which a log
+    // keeps so its LSNs go on past it. Recovery is stable: nothing.
     let wal: Arc<dyn Wal> = Arc::new(FileWal::open(&path).unwrap());
-    assert!(wal.is_empty(), "a completed tree is released with its root");
+    assert_eq!(wal.len(), 1, "a completed tree is released with its root");
     let recovered = recover_activities(wal, &sets, &actions, SimClock::new()).unwrap();
     assert!(recovered.incomplete.is_empty());
     assert!(recovered.completed.is_empty() && recovered.roots.is_empty());
@@ -650,6 +651,51 @@ fn compaction_crash_after_rename_sees_exactly_the_new_prefix() {
     assert_eq!(wal.next_lsn(), Lsn::new(11), "the LSN space survives compaction");
     assert!(!tmp.exists(), "the rename consumed the temp file");
     assert_eq!(wal.append(99, b"post-crash").unwrap(), Lsn::new(11));
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Drain cell: a file log released to its end reopens where it left off.
+/// The factory reaps three committed transactions and releases its whole
+/// log; the compaction keeps the newest record only (a `TX_COMPLETED`,
+/// which recovery ignores on its own), so the restarted log hands out the
+/// LSN after everything ever appended — not LSN 1 again — and nothing is in
+/// doubt.
+#[test]
+fn a_drained_file_log_reopens_past_its_history_with_nothing_in_doubt() {
+    let path = compaction_path("drained");
+    let store = Arc::new(TransactionalKv::new("store"));
+    let witness = Arc::new(TransactionalKv::new("witness"));
+    let appended = {
+        let wal: Arc<dyn Wal> = Arc::new(FileWal::open(&path).unwrap());
+        let factory = TransactionFactory::with_wal(Arc::clone(&wal));
+        for i in 0..3i64 {
+            let control = factory.create().unwrap();
+            store.enlist(&control).unwrap();
+            witness.enlist(&control).unwrap();
+            store.write(control.id(), "k", Value::from(i)).unwrap();
+            witness.write(control.id(), "w", Value::from(i)).unwrap();
+            control.terminator().commit().unwrap();
+        }
+        assert_eq!(factory.reap_completed(), 3);
+        assert!(wal.is_empty(), "the reap released the whole log");
+        wal.next_lsn().raw() - 1
+    };
+
+    let wal: Arc<dyn Wal> = Arc::new(FileWal::open(&path).unwrap());
+    assert_eq!(wal.next_lsn(), Lsn::new(appended + 1), "the LSN space survives the drain");
+    let (store2, witness2) = (Arc::clone(&store), Arc::clone(&witness));
+    let resolver = move |name: &str| -> Option<Arc<dyn Resource>> {
+        match name {
+            "store" => Some(store2.clone()),
+            "witness" => Some(witness2.clone()),
+            _ => None,
+        }
+    };
+    let report = TransactionFactory::with_wal(Arc::clone(&wal)).recover(&resolver).unwrap();
+    assert!(report.recommitted.is_empty() && report.presumed_aborted.is_empty());
+    assert!(report.unresolved.is_empty() && report.retain_from.is_none(), "nothing in doubt");
+    assert_eq!(store.read_committed("k"), Some(Value::from(2i64)));
+    assert_eq!(wal.append(99, b"next incarnation").unwrap(), Lsn::new(appended + 1));
     std::fs::remove_file(&path).unwrap();
 }
 
