@@ -16,8 +16,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use orb::MapWriter;
 use parking_lot::Mutex;
-use recovery_log::{Hold, Lsn, Wal};
+use recovery_log::{Hold, LogError, LogRecord, Lsn, Wal};
 
 use crate::action::Action;
 use crate::error::{ActionError, ActivityError};
@@ -69,9 +70,11 @@ impl ExactlyOnceAction {
     ) -> Result<Arc<Self>, ActivityError> {
         let name = name.into();
         let mut processed = HashMap::new();
-        for record in wal.scan(Lsn::new(0))? {
+        // Decoded in place, and only this component's kind: nothing is
+        // cloned out of the log.
+        let mut replay = |record: &LogRecord| -> Result<(), ActivityError> {
             if record.kind != KIND_SIGNAL_PROCESSED {
-                continue;
+                return Ok(());
             }
             let value = orb::Value::decode(&record.payload)
                 .map_err(|e| ActivityError::Log(e.to_string()))?;
@@ -80,7 +83,7 @@ impl ExactlyOnceAction {
                 .ok_or_else(|| ActivityError::Log("processed record must be a map".into()))?;
             let owner = m.get("action").and_then(orb::Value::as_str).unwrap_or_default();
             if owner != name {
-                continue; // another action's entry in a shared log
+                return Ok(()); // another action's entry in a shared log
             }
             let id = m
                 .get("id")
@@ -92,7 +95,11 @@ impl ExactlyOnceAction {
                 .transpose()?
                 .unwrap_or_else(Outcome::done);
             processed.insert(id.to_owned(), outcome);
-        }
+            Ok(())
+        };
+        wal.scan_with(Lsn::new(0), &mut |record| {
+            replay(record).map_err(|e| LogError::Handler(e.to_string()))
+        })?;
         Ok(Arc::new(ExactlyOnceAction {
             name,
             inner,
@@ -122,13 +129,16 @@ impl Action for ExactlyOnceAction {
         // error so the sender retries — the inner action must still be
         // idempotent against that narrow window, exactly as a transaction
         // participant must be between its work and its log force.
-        let mut m = orb::ValueMap::new();
-        m.insert("action".into(), orb::Value::from(self.name.as_str()));
-        m.insert("id".into(), orb::Value::from(id));
-        m.insert("outcome".into(), outcome.to_value());
-        self.wal
-            .append(KIND_SIGNAL_PROCESSED, &orb::Value::Map(m).encode_to_vec())
-            .map_err(|e| ActionError::new(e.to_string()))?;
+        MapWriter::encode(
+            |fields| {
+                fields
+                    .str("action", &self.name)
+                    .str("id", id)
+                    .map("outcome", |fields| outcome.write_fields(fields));
+            },
+            |record| self.wal.append(KIND_SIGNAL_PROCESSED, record),
+        )
+        .map_err(|e| ActionError::new(e.to_string()))?;
         self.processed.lock().insert(id.to_owned(), outcome.clone());
         Ok(outcome)
     }

@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use orb::{Value, ValueMap};
+use orb::{MapWriter, Value, ValueMap};
 
 use crate::error::ActivityError;
 
@@ -80,6 +80,11 @@ impl Outcome {
         m.insert("name".into(), Value::from(&*self.name));
         m.insert("data".into(), self.data.clone());
         Value::Map(m)
+    }
+
+    /// Write the fields of [`Outcome::to_value`]'s map, building nothing.
+    pub(crate) fn write_fields(&self, fields: &mut MapWriter<'_>) {
+        fields.value("data", &self.data).str("name", &self.name);
     }
 
     /// Inverse of [`Outcome::to_value`].

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use orb::{SimClock, Value, ValueMap};
+use orb::{MapWriter, SimClock, Value, ValueMap};
 use parking_lot::Mutex;
 use recovery_log::{Hold, Lsn, Wal};
 
@@ -62,12 +62,6 @@ impl std::fmt::Debug for ActivityLogger {
     }
 }
 
-/// One log record's payload: the fields as a map, encoded straight into
-/// the buffer handed to the log.
-fn record(fields: impl IntoIterator<Item = (&'static str, Value)>) -> Vec<u8> {
-    fields.into_iter().collect::<Value>().encode_to_vec()
-}
-
 impl ActivityLogger {
     /// A logger over `wal`.
     pub fn new(wal: Arc<dyn Wal>) -> Arc<Self> {
@@ -84,89 +78,130 @@ impl ActivityLogger {
         &self.wal
     }
 
-    pub(crate) fn log_begun(
+    /// Record that activity `id` named `name` began, under `parent` unless
+    /// it is a root.
+    ///
+    /// # Errors
+    ///
+    /// [`ActivityError::Log`] when the append fails.
+    pub fn log_begun(
         &self,
         id: ActivityId,
         name: &str,
         parent: Option<ActivityId>,
     ) -> Result<(), ActivityError> {
-        let parent = parent.map(|parent| ("parent", Value::U64(parent.raw())));
-        let root = parent.is_none();
-        let fields = [("id", Value::U64(id.raw())), ("name", Value::from(name))];
-        let payload = record(fields.into_iter().chain(parent));
-        match &self.retention {
-            // A root is appended and noted under one lock: a release in
-            // between would take its begin record for nobody's.
-            Some((_, live)) if root => {
-                let mut live = live.lock();
-                live.push_back((id, self.wal.append(KIND_ACT_BEGUN, &payload)?));
-            }
-            _ => {
-                self.wal.append(KIND_ACT_BEGUN, &payload)?;
-            }
-        }
-        Ok(())
+        MapWriter::encode(
+            |fields| {
+                fields.u64("id", id.raw()).str("name", name);
+                if let Some(parent) = parent {
+                    fields.u64("parent", parent.raw());
+                }
+            },
+            |record| -> Result<(), ActivityError> {
+                match &self.retention {
+                    // A root is appended and noted under one lock: a release
+                    // in between would take its begin record for nobody's.
+                    Some((_, live)) if parent.is_none() => {
+                        let mut live = live.lock();
+                        live.push_back((id, self.wal.append(KIND_ACT_BEGUN, record)?));
+                    }
+                    _ => {
+                        self.wal.append(KIND_ACT_BEGUN, record)?;
+                    }
+                }
+                Ok(())
+            },
+        )
     }
 
-    pub(crate) fn log_signal_set(
+    /// Record that the set `set_name`, rebuilt at recovery by the signal-set
+    /// factory registered as `factory`, was associated with activity `id`.
+    ///
+    /// # Errors
+    ///
+    /// [`ActivityError::Log`] when the append fails.
+    pub fn log_signal_set(
         &self,
         id: ActivityId,
         set_name: &str,
         factory: &str,
     ) -> Result<(), ActivityError> {
-        self.wal.append(
-            KIND_ACT_SIGNAL_SET,
-            &record([
-                ("id", Value::U64(id.raw())),
-                ("set", Value::from(set_name)),
-                ("factory", Value::from(factory)),
-            ]),
-        )?;
-        Ok(())
+        self.log_registration(KIND_ACT_SIGNAL_SET, id, set_name, factory)
     }
 
-    pub(crate) fn log_action(
+    /// Record that an action, rebuilt at recovery by the action factory
+    /// registered as `factory`, was registered with set `set_name` of
+    /// activity `id`.
+    ///
+    /// # Errors
+    ///
+    /// [`ActivityError::Log`] when the append fails.
+    pub fn log_action(
         &self,
         id: ActivityId,
         set_name: &str,
         factory: &str,
     ) -> Result<(), ActivityError> {
-        self.wal.append(
-            KIND_ACT_ACTION,
-            &record([
-                ("id", Value::U64(id.raw())),
-                ("set", Value::from(set_name)),
-                ("factory", Value::from(factory)),
-            ]),
+        self.log_registration(KIND_ACT_ACTION, id, set_name, factory)
+    }
+
+    fn log_registration(
+        &self,
+        kind: u32,
+        id: ActivityId,
+        set_name: &str,
+        factory: &str,
+    ) -> Result<(), ActivityError> {
+        MapWriter::encode(
+            |fields| {
+                fields.str("factory", factory).u64("id", id.raw()).str("set", set_name);
+            },
+            |record| self.wal.append(kind, record),
         )?;
         Ok(())
     }
 
-    pub(crate) fn log_completion_status(
+    /// Record activity `id`'s new completion status.
+    ///
+    /// # Errors
+    ///
+    /// [`ActivityError::Log`] when the append fails.
+    pub fn log_completion_status(
         &self,
         id: ActivityId,
         status: CompletionStatus,
     ) -> Result<(), ActivityError> {
-        self.wal.append(
-            KIND_ACT_STATUS,
-            &record([("id", Value::U64(id.raw())), ("status", Value::from(status.as_str()))]),
+        MapWriter::encode(
+            |fields| {
+                fields.u64("id", id.raw()).str("status", status.as_str());
+            },
+            |record| self.wal.append(KIND_ACT_STATUS, record),
         )?;
         Ok(())
     }
 
-    pub(crate) fn log_completion_set(
-        &self,
-        id: ActivityId,
-        set_name: &str,
-    ) -> Result<(), ActivityError> {
-        self.wal.append(
-            KIND_ACT_COMPLETION_SET,
-            &record([("id", Value::U64(id.raw())), ("set", Value::from(set_name))]),
+    /// Record that set `set_name` completes activity `id`.
+    ///
+    /// # Errors
+    ///
+    /// [`ActivityError::Log`] when the append fails.
+    pub fn log_completion_set(&self, id: ActivityId, set_name: &str) -> Result<(), ActivityError> {
+        MapWriter::encode(
+            |fields| {
+                fields.u64("id", id.raw()).str("set", set_name);
+            },
+            |record| self.wal.append(KIND_ACT_COMPLETION_SET, record),
         )?;
         Ok(())
     }
 
-    pub(crate) fn log_completed(
+    /// Force activity `id`'s completion with `status` and `outcome`, and
+    /// release the log behind its tree when it is a root.
+    ///
+    /// # Errors
+    ///
+    /// [`ActivityError::Log`] when the append or the release fails.
+    pub fn log_completed(
         &self,
         id: ActivityId,
         status: CompletionStatus,
@@ -176,13 +211,11 @@ impl ActivityLogger {
         // is awaited durably. Earlier lifecycle records ride the same group
         // barrier (presumed-incomplete on replay is safe — the application
         // re-drives any activity without a completion record).
-        self.wal.append_durable(
-            KIND_ACT_COMPLETED,
-            &record([
-                ("id", Value::U64(id.raw())),
-                ("status", Value::from(status.as_str())),
-                ("outcome", Value::from(outcome)),
-            ]),
+        MapWriter::encode(
+            |fields| {
+                fields.u64("id", id.raw()).str("outcome", outcome).str("status", status.as_str());
+            },
+            |record| self.wal.append_durable(KIND_ACT_COMPLETED, record),
         )?;
         let Some((hold, live)) = &self.retention else { return Ok(()) };
         let mut live = live.lock();

@@ -86,4 +86,4 @@ pub use retry::RetryPolicy;
 pub use object::{ObjectId, ObjectRef, Servant};
 pub use pool::{CancelToken, DispatchConfig, OrderedResults, Round, TaskOutcome, WorkerPool};
 pub use registry::NameRegistry;
-pub use value::{Value, ValueMap};
+pub use value::{ListWriter, MapWriter, Value, ValueMap};

@@ -8,6 +8,7 @@
 //! recovery log.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -72,8 +73,9 @@ impl Value {
     }
 
     /// [`Value::encode`] into a fresh `Vec<u8>` of exactly
-    /// [`Value::encoded_len`] bytes: one allocation, no regrowth. Log record
-    /// builders hand the result straight to `Wal::append`.
+    /// [`Value::encoded_len`] bytes: one allocation, no regrowth. (Log
+    /// records are not built as values at all: [`MapWriter`] writes their
+    /// fields straight into a reused buffer.)
     pub fn encode_to_vec(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut buf);
@@ -115,15 +117,10 @@ impl Value {
                 buf.put_u8(TAG_F64);
                 buf.put_f64(*v);
             }
-            Value::Str(s) => {
-                buf.put_u8(TAG_STR);
-                buf.put_u32(s.len() as u32);
-                buf.put_slice(s.as_bytes());
-            }
+            Value::Str(s) => put_str(buf, s),
             Value::Bytes(b) => {
                 buf.put_u8(TAG_BYTES);
-                buf.put_u32(b.len() as u32);
-                buf.put_slice(b);
+                put_prefixed(buf, b);
             }
             Value::List(items) => {
                 buf.put_u8(TAG_LIST);
@@ -136,8 +133,7 @@ impl Value {
                 buf.put_u8(TAG_MAP);
                 buf.put_u32(map.len() as u32);
                 for (k, v) in map {
-                    buf.put_u32(k.len() as u32);
-                    buf.put_slice(k.as_bytes());
+                    put_prefixed(buf, k.as_bytes());
                     v.encode_into(buf);
                 }
             }
@@ -304,6 +300,167 @@ impl Value {
     }
 }
 
+/// A length-prefixed run of bytes: the body of a string or a byte array, or
+/// a map key.
+fn put_prefixed(buf: &mut impl BufMut, bytes: &[u8]) {
+    buf.put_u32(bytes.len() as u32);
+    buf.put_slice(bytes);
+}
+
+fn put_str(buf: &mut impl BufMut, s: &str) {
+    buf.put_u8(TAG_STR);
+    put_prefixed(buf, s.as_bytes());
+}
+
+thread_local! {
+    /// The buffer [`MapWriter::encode`] writes into. A call takes it and puts
+    /// it back, so a call made from inside another's sink finds it empty and
+    /// writes into a fresh one rather than over the outer record.
+    static MAP_BUF: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// A buffer one big record grew past this is dropped, not kept for the
+/// thread's next record.
+const MAP_BUF_KEPT: usize = 64 * 1024;
+
+/// Writes one [`Value::Map`] field by field, straight into a byte buffer.
+/// The bytes are exactly those `Value::Map(..)` encodes to for the same
+/// entries, but no map, key, string or nested value is built: this is how
+/// every log record is written (DESIGN.md §12).
+///
+/// Fields come in the map's own order, `BTreeMap` key order (byte order),
+/// each key once. Debug builds panic on a key out of order.
+pub struct MapWriter<'b> {
+    seq: Seq<'b>,
+    /// Where the previous key's bytes lie in the buffer.
+    last_key: (usize, usize),
+}
+
+/// The items of a [`Value::List`] field, written like a [`MapWriter`]'s
+/// fields.
+pub struct ListWriter<'b> {
+    seq: Seq<'b>,
+}
+
+/// A map or list being written: its tag and a placeholder entry count
+/// first, the count patched in when it is closed.
+struct Seq<'b> {
+    buf: &'b mut Vec<u8>,
+    count_at: usize,
+    count: u32,
+}
+
+impl<'b> Seq<'b> {
+    fn open(buf: &'b mut Vec<u8>, tag: u8) -> Self {
+        buf.put_u8(tag);
+        let count_at = buf.len();
+        buf.put_u32(0);
+        Seq { buf, count_at, count: 0 }
+    }
+
+    fn close(self) {
+        self.buf[self.count_at..self.count_at + 4].copy_from_slice(&self.count.to_be_bytes());
+    }
+}
+
+impl MapWriter<'_> {
+    /// Write a map with `fields` and hand its encoding to `sink`, returning
+    /// what `sink` returns. The bytes live in a per-thread buffer reused from
+    /// record to record, so once it has grown to the records a thread writes
+    /// they cost no allocation; `sink` copies what it keeps.
+    pub fn encode<R>(fields: impl FnOnce(&mut MapWriter<'_>), sink: impl FnOnce(&[u8]) -> R) -> R {
+        let mut buf = MAP_BUF.take();
+        buf.clear();
+        MapWriter::write(&mut buf, fields);
+        let result = sink(&buf);
+        if buf.capacity() <= MAP_BUF_KEPT {
+            MAP_BUF.set(buf);
+        }
+        result
+    }
+
+    fn write(buf: &mut Vec<u8>, fields: impl FnOnce(&mut MapWriter<'_>)) {
+        let mut map = MapWriter { seq: Seq::open(buf, TAG_MAP), last_key: (0, 0) };
+        fields(&mut map);
+        map.seq.close();
+    }
+
+    fn key(&mut self, key: &str) -> &mut Vec<u8> {
+        let buf = &mut *self.seq.buf;
+        let last = &buf[self.last_key.0..self.last_key.1];
+        debug_assert!(
+            self.seq.count == 0 || last < key.as_bytes(),
+            "map key {key:?} written after {:?}: keys go in BTreeMap order, once each",
+            String::from_utf8_lossy(last),
+        );
+        put_prefixed(buf, key.as_bytes());
+        self.last_key = (buf.len() - key.len(), buf.len());
+        self.seq.count += 1;
+        buf
+    }
+
+    /// A [`Value::U64`] field.
+    pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
+        self.value(key, &Value::U64(value))
+    }
+
+    /// A [`Value::Bool`] field.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.value(key, &Value::Bool(value))
+    }
+
+    /// A [`Value::Str`] field.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        put_str(self.key(key), value);
+        self
+    }
+
+    /// A field holding `value`, encoded in place.
+    pub fn value(&mut self, key: &str, value: &Value) -> &mut Self {
+        value.encode_into(self.key(key));
+        self
+    }
+
+    /// A [`Value::Map`] field whose own fields `fields` writes.
+    pub fn map(&mut self, key: &str, fields: impl FnOnce(&mut MapWriter<'_>)) -> &mut Self {
+        MapWriter::write(self.key(key), fields);
+        self
+    }
+
+    /// A [`Value::List`] field whose items `items` writes.
+    pub fn list(&mut self, key: &str, items: impl FnOnce(&mut ListWriter<'_>)) -> &mut Self {
+        let mut list = ListWriter { seq: Seq::open(self.key(key), TAG_LIST) };
+        items(&mut list);
+        list.seq.close();
+        self
+    }
+}
+
+impl ListWriter<'_> {
+    fn item(&mut self) -> &mut Vec<u8> {
+        self.seq.count += 1;
+        self.seq.buf
+    }
+
+    /// A [`Value::U64`] item.
+    pub fn u64(&mut self, item: u64) -> &mut Self {
+        Value::U64(item).encode_into(self.item());
+        self
+    }
+
+    /// A [`Value::Str`] item.
+    pub fn str(&mut self, item: &str) -> &mut Self {
+        put_str(self.item(), item);
+        self
+    }
+
+    /// A [`Value::Map`] item whose fields `fields` writes.
+    pub fn map(&mut self, fields: impl FnOnce(&mut MapWriter<'_>)) -> &mut Self {
+        MapWriter::write(self.item(), fields);
+        self
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -401,8 +558,7 @@ impl FromIterator<Value> for Value {
 impl<K: Into<Cow<'static, str>>> FromIterator<(K, Value)> for Value {
     fn from_iter<T: IntoIterator<Item = (K, Value)>>(iter: T) -> Self {
         // Inserted one by one: `BTreeMap`'s own `collect` stages the pairs
-        // in a `Vec` first, an allocation the record builders would pay
-        // per log record.
+        // in a `Vec` first.
         let mut map = ValueMap::new();
         for (k, v) in iter {
             map.insert(k.into(), v);
@@ -521,6 +677,110 @@ mod tests {
         ] {
             assert!(!v.to_string().is_empty());
         }
+    }
+
+    /// Write `map`'s entries through a [`MapWriter`], each by the method made
+    /// for its shape.
+    fn write_fields(fields: &mut MapWriter<'_>, map: &ValueMap) {
+        for (key, value) in map {
+            match value {
+                Value::U64(v) => fields.u64(key, *v),
+                Value::Bool(b) => fields.bool(key, *b),
+                Value::Str(s) => fields.str(key, s),
+                Value::Map(m) => fields.map(key, |inner| write_fields(inner, m)),
+                Value::List(items) if items.iter().all(listable) => fields.list(key, |list| {
+                    for item in items {
+                        match item {
+                            Value::U64(v) => list.u64(*v),
+                            Value::Str(s) => list.str(s),
+                            Value::Map(m) => list.map(|inner| write_fields(inner, m)),
+                            _ => unreachable!("not listable"),
+                        };
+                    }
+                }),
+                other => fields.value(key, other),
+            };
+        }
+    }
+
+    /// The item shapes a [`ListWriter`] writes.
+    fn listable(item: &Value) -> bool {
+        matches!(item, Value::U64(_) | Value::Str(_) | Value::Map(_))
+    }
+
+    fn written(map: &ValueMap) -> Vec<u8> {
+        MapWriter::encode(|fields| write_fields(fields, map), <[u8]>::to_vec)
+    }
+
+    fn arb_value() -> proptest::strategy::BoxedStrategy<Value> {
+        use proptest::prelude::*;
+        // Keys that sort across the ASCII/non-ASCII boundary.
+        let key = (".{0,6}", any::<bool>())
+            .prop_map(|(key, accent)| if accent { format!("{key}ü") } else { key });
+        let leaf = prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i64>().prop_map(Value::I64),
+            any::<u64>().prop_map(Value::U64),
+            any::<f64>().prop_map(Value::F64),
+            (".{0,8}", any::<bool>())
+                .prop_map(|(s, accent)| Value::Str(if accent { format!("ñ{s}") } else { s })),
+            proptest::collection::vec(any::<u8>(), 0..6).prop_map(Value::Bytes),
+        ];
+        // Lists of the item shapes a `ListWriter` writes come often.
+        let listable = prop_oneof![
+            any::<u64>().prop_map(Value::U64),
+            (".{0,4}", any::<bool>())
+                .prop_map(|(s, accent)| Value::Str(if accent { format!("{s}ø") } else { s })),
+        ]
+        .boxed();
+        leaf.prop_recursive(3, 32, 4, move |inner| {
+            prop_oneof![
+                proptest::collection::vec(listable.clone(), 0..4).prop_map(Value::List),
+                proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::List),
+                proptest::collection::btree_map(key.clone(), inner, 0..4).prop_map(|m| {
+                    Value::Map(m.into_iter().map(|(k, v)| (Cow::Owned(k), v)).collect())
+                }),
+            ]
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        fn a_written_map_is_byte_identical_to_the_encoded_value(
+            entries in proptest::collection::btree_map(".{0,6}", arb_value(), 0..6),
+        ) {
+            let map: ValueMap = entries.into_iter().map(|(k, v)| (Cow::Owned(k), v)).collect();
+            let expected = Value::Map(map.clone()).encode();
+            proptest::prop_assert_eq!(&written(&map)[..], &expected[..]);
+        }
+    }
+
+    #[test]
+    fn a_map_written_from_inside_a_sink_leaves_the_outer_one_intact() {
+        let expected = |key: &'static str, v: Value| {
+            let mut map = ValueMap::new();
+            map.insert(key.into(), v);
+            Value::Map(map).encode().to_vec()
+        };
+        let (outer, inner) = MapWriter::encode(
+            |fields| {
+                fields.str("outer", "héllo");
+            },
+            |outer| {
+                let inner = MapWriter::encode(|fields| { fields.u64("inner", 7); }, <[u8]>::to_vec);
+                (outer.to_vec(), inner)
+            },
+        );
+        assert_eq!(outer, expected("outer", Value::from("héllo")));
+        assert_eq!(inner, expected("inner", Value::U64(7)));
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "key order is checked in debug builds")]
+    #[should_panic(expected = "BTreeMap order")]
+    fn a_key_written_out_of_order_panics() {
+        MapWriter::encode(|fields| { fields.u64("tx", 1).bool("committed", true); }, |_| ());
     }
 
     #[test]

@@ -18,14 +18,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use orb::{Value, ValueMap};
+use orb::{ListWriter, MapWriter, Value};
 use parking_lot::Mutex;
-use recovery_log::{Hold, Lsn, Wal};
+use recovery_log::{Hold, LogError, LogRecord, Lsn, Wal};
 
 use crate::error::TxError;
 use crate::memres::TransactionalKv;
 use crate::resource::{Resource, Vote};
-use crate::txlog::{txid_from_value, txid_to_value};
+use crate::txlog::{txid_from_value, write_txid};
 use crate::xid::TxId;
 
 /// Record kind: a participant prepared; payload carries its effects.
@@ -59,19 +59,15 @@ impl std::fmt::Debug for DurableKv {
 /// A transaction's effects: each key with its new value (`None` deletes).
 type Effects = Vec<(String, Option<Value>)>;
 
-fn effects_to_value(effects: &[(String, Option<Value>)]) -> Value {
-    let entries: Vec<Value> = effects
-        .iter()
-        .map(|(k, v)| {
-            let mut m = ValueMap::new();
-            m.insert("key".into(), Value::from(k.as_str()));
-            if let Some(v) = v {
-                m.insert("value".into(), v.clone());
-            }
-            Value::Map(m)
-        })
-        .collect();
-    Value::List(entries)
+/// One effect of a record's effect list: its key and, unless it deletes,
+/// its new value.
+fn write_effect(effects: &mut ListWriter<'_>, key: &str, value: Option<&Value>) {
+    effects.map(|effect| {
+        effect.str("key", key);
+        if let Some(value) = value {
+            effect.value("value", value);
+        }
+    });
 }
 
 fn effects_from_value(value: &Value) -> Result<Effects, TxError> {
@@ -118,20 +114,26 @@ impl DurableKv {
         let store = Arc::new(TransactionalKv::new(name.clone()));
         let mut prepared: HashMap<TxId, (Effects, Lsn)> = HashMap::new();
 
-        for record in wal.scan(Lsn::new(0))? {
-            let is_ours = |m: &ValueMap| {
-                m.get("store").and_then(Value::as_str) == Some(name.as_str())
+        // Decoded in place, and only this store's kinds: nothing is cloned
+        // out of the log.
+        let mut replay = |record: &LogRecord| -> Result<(), TxError> {
+            match record.kind {
+                KIND_KV_CHECKPOINT | KIND_KV_PREPARED | KIND_KV_COMMITTED | KIND_KV_ABORTED => {}
+                _ => return Ok(()),
+            }
+            let v = decode(&record.payload)?;
+            let m = v
+                .as_map()
+                .ok_or_else(|| TxError::Log("record payload must be a map".into()))?;
+            if m.get("store").and_then(Value::as_str) != Some(name.as_str()) {
+                return Ok(());
+            }
+            let field = |key: &str| {
+                m.get(key).ok_or_else(|| TxError::Log(format!("store record missing {key}")))
             };
             match record.kind {
                 KIND_KV_CHECKPOINT => {
-                    let v = decode(&record.payload)?;
-                    let m = map_of(&v)?;
-                    if !is_ours(m) {
-                        continue;
-                    }
-                    let entries = effects_from_value(
-                        m.get("state").ok_or_else(|| TxError::Log("checkpoint missing state".into()))?,
-                    )?;
+                    let entries = effects_from_value(field("state")?)?;
                     // Workspaces prepared before the checkpoint and still
                     // undecided at it stay: their outcome comes later.
                     store.load_committed(
@@ -139,48 +141,25 @@ impl DurableKv {
                     );
                 }
                 KIND_KV_PREPARED => {
-                    let v = decode(&record.payload)?;
-                    let m = map_of(&v)?;
-                    if !is_ours(m) {
-                        continue;
-                    }
-                    let tx = txid_from_value(
-                        m.get("tx").ok_or_else(|| TxError::Log("prepared missing tx".into()))?,
-                    )?;
-                    let effects = effects_from_value(
-                        m.get("effects")
-                            .ok_or_else(|| TxError::Log("prepared missing effects".into()))?,
-                    )?;
-                    prepared.insert(tx, (effects, record.lsn));
+                    let effects = effects_from_value(field("effects")?)?;
+                    prepared.insert(txid_from_value(field("tx")?)?, (effects, record.lsn));
                 }
                 KIND_KV_COMMITTED => {
-                    let v = decode(&record.payload)?;
-                    let m = map_of(&v)?;
-                    if !is_ours(m) {
-                        continue;
-                    }
-                    let tx = txid_from_value(
-                        m.get("tx").ok_or_else(|| TxError::Log("committed missing tx".into()))?,
-                    )?;
+                    let tx = txid_from_value(field("tx")?)?;
                     if let Some((effects, _)) = prepared.remove(&tx) {
                         store.restore_prepared(&tx, effects);
                         store.commit(&tx)?;
                     }
                 }
-                KIND_KV_ABORTED => {
-                    let v = decode(&record.payload)?;
-                    let m = map_of(&v)?;
-                    if !is_ours(m) {
-                        continue;
-                    }
-                    let tx = txid_from_value(
-                        m.get("tx").ok_or_else(|| TxError::Log("aborted missing tx".into()))?,
-                    )?;
-                    prepared.remove(&tx);
+                _ => {
+                    prepared.remove(&txid_from_value(field("tx")?)?);
                 }
-                _ => {}
             }
-        }
+            Ok(())
+        };
+        wal.scan_with(Lsn::new(0), &mut |record| {
+            replay(record).map_err(|e| LogError::Handler(e.to_string()))
+        })?;
         // Whatever remains prepared is in doubt: reinstall it so outcome
         // re-delivery (commit or rollback) finds it waiting.
         let kv = Self::over(store, wal);
@@ -209,19 +188,20 @@ impl DurableKv {
     ///
     /// Propagates log failures.
     pub fn checkpoint(&self) -> Result<(), TxError> {
-        let snapshot: Vec<(String, Option<Value>)> = self
-            .inner
-            .committed_snapshot()
-            .into_iter()
-            .map(|(k, v)| (k, Some(v)))
-            .collect();
-        let mut m = ValueMap::new();
-        m.insert("store".into(), Value::from(self.name()));
-        m.insert("state".into(), effects_to_value(&snapshot));
-        // Forced: the checkpoint must be durable before the prefix it
-        // supersedes may go.
-        let checkpoint =
-            self.wal.append_durable(KIND_KV_CHECKPOINT, &Value::Map(m).encode_to_vec())?;
+        // Written straight from the committed state, and forced: the
+        // checkpoint must be durable before the prefix it supersedes may go.
+        let checkpoint = MapWriter::encode(
+            |fields| {
+                fields
+                    .list("state", |state| {
+                        self.inner.for_each_committed(|key, value| {
+                            write_effect(state, key, Some(value));
+                        });
+                    })
+                    .str("store", self.name());
+            },
+            |record| self.wal.append_durable(KIND_KV_CHECKPOINT, record),
+        )?;
         if let Some(hold) = &self.hold {
             let oldest_prepared = self.prepared.lock().values().copied().min();
             hold.release_below(oldest_prepared.map_or(checkpoint, |lsn| lsn.min(checkpoint)))?;
@@ -230,12 +210,14 @@ impl DurableKv {
     }
 
     fn log_outcome(&self, kind: u32, tx: &TxId) -> Result<(), TxError> {
-        let mut m = ValueMap::new();
-        m.insert("store".into(), Value::from(self.name()));
-        m.insert("tx".into(), txid_to_value(tx));
         // Durable before acking: under a group-commit log outcomes from
         // concurrent transactions share one sync.
-        self.wal.append_durable(kind, &Value::Map(m).encode_to_vec())?;
+        MapWriter::encode(
+            |fields| {
+                fields.str("store", self.name()).map("tx", |id| write_txid(id, tx));
+            },
+            |record| self.wal.append_durable(kind, record),
+        )?;
         self.prepared.lock().remove(tx);
         Ok(())
     }
@@ -245,28 +227,32 @@ fn decode(payload: &[u8]) -> Result<Value, TxError> {
     Value::decode(payload).map_err(|e| TxError::Log(e.to_string()))
 }
 
-fn map_of(v: &Value) -> Result<&ValueMap, TxError> {
-    v.as_map().ok_or_else(|| TxError::Log("record payload must be a map".into()))
-}
-
 impl Resource for DurableKv {
     fn prepare(&self, tx: &TxId) -> Result<Vote, TxError> {
         let vote = self.inner.prepare(tx)?;
         if vote == Vote::Commit {
-            let effects = self.inner.prepared_effects(tx).unwrap_or_default();
-            let mut m = ValueMap::new();
-            m.insert("store".into(), Value::from(self.name()));
-            m.insert("tx".into(), txid_to_value(tx));
-            m.insert("effects".into(), effects_to_value(&effects));
             // Force the redo record BEFORE voting: the participant
-            // contract. Appended and noted under one lock (no checkpoint in
+            // contract. Its effects are written straight from the prepared
+            // workspace; appended and noted under one lock (no checkpoint in
             // between may release it), forced outside.
-            let redo = {
-                let mut prepared = self.prepared.lock();
-                let redo = self.wal.append(KIND_KV_PREPARED, &Value::Map(m).encode_to_vec())?;
-                prepared.insert(tx.clone(), redo);
-                redo
-            };
+            let redo = MapWriter::encode(
+                |fields| {
+                    fields
+                        .list("effects", |effects| {
+                            self.inner.for_each_prepared(tx, |key, value| {
+                                write_effect(effects, key, value);
+                            });
+                        })
+                        .str("store", self.name())
+                        .map("tx", |id| write_txid(id, tx));
+                },
+                |record| -> Result<Lsn, TxError> {
+                    let mut prepared = self.prepared.lock();
+                    let redo = self.wal.append(KIND_KV_PREPARED, record)?;
+                    prepared.insert(tx.clone(), redo);
+                    Ok(redo)
+                },
+            )?;
             self.wal.flush_lsn(redo)?;
         }
         Ok(vote)
@@ -275,14 +261,14 @@ impl Resource for DurableKv {
     fn commit(&self, tx: &TxId) -> Result<(), TxError> {
         // Idempotent like the inner store: a commit for an unknown tx is a
         // no-op and is not re-logged.
-        if self.inner.prepared_effects(tx).is_some() {
+        if self.inner.for_each_prepared(tx, |_, _| {}) {
             self.log_outcome(KIND_KV_COMMITTED, tx)?;
         }
         self.inner.commit(tx)
     }
 
     fn rollback(&self, tx: &TxId) -> Result<(), TxError> {
-        if self.inner.prepared_effects(tx).is_some() {
+        if self.inner.for_each_prepared(tx, |_, _| {}) {
             self.log_outcome(KIND_KV_ABORTED, tx)?;
         }
         self.inner.rollback(tx)

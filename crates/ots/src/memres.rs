@@ -149,19 +149,21 @@ impl TransactionalKv {
         self.locks.stats()
     }
 
-    /// The effects `tx` has prepared, as `(key, new value)` pairs (`None`
-    /// = delete), or `None` when `tx` has nothing prepared here. Used by
-    /// durable wrappers that must log prepared state (see
-    /// [`crate::durable::DurableKv`]).
-    pub fn prepared_effects(&self, tx: &TxId) -> Option<Vec<(String, Option<Value>)>> {
-        self.prepared
-            .lock()
-            .get(tx)
-            .map(|ws| ws.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
+    /// Visit the effects `tx` has prepared, in key order, as `(key, new
+    /// value)` pairs (`None` = delete), copying nothing; `false` when `tx`
+    /// has nothing prepared here. Used by durable wrappers that must log
+    /// prepared state (see [`crate::durable::DurableKv`]).
+    pub fn for_each_prepared(&self, tx: &TxId, mut visit: impl FnMut(&str, Option<&Value>)) -> bool {
+        let prepared = self.prepared.lock();
+        let Some(workspace) = prepared.get(tx) else { return false };
+        for (key, value) in workspace {
+            visit(key, value.as_ref());
+        }
+        true
     }
 
     /// Re-install a prepared workspace recovered from a log (the inverse of
-    /// [`TransactionalKv::prepared_effects`]); a later `commit(tx)` applies
+    /// [`TransactionalKv::for_each_prepared`]); a later `commit(tx)` applies
     /// it, a `rollback(tx)` discards it.
     pub fn restore_prepared(&self, tx: &TxId, effects: Vec<(String, Option<Value>)>) {
         self.prepared.lock().insert(tx.clone(), effects.into_iter().collect());
@@ -174,9 +176,11 @@ impl TransactionalKv {
         committed.extend(entries);
     }
 
-    /// Snapshot the committed state (for checkpoints).
-    pub fn committed_snapshot(&self) -> Vec<(String, Value)> {
-        self.committed.read().iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    /// Visit the committed state, copying nothing (for checkpoints).
+    pub fn for_each_committed(&self, mut visit: impl FnMut(&str, &Value)) {
+        for (key, value) in self.committed.read().iter() {
+            visit(key, value);
+        }
     }
 
     fn apply(&self, workspace: &Workspace) {
@@ -204,14 +208,9 @@ impl Resource for TransactionalKv {
                 self.prepared.lock().insert(tx.clone(), ws);
                 Ok(Vote::Commit)
             }
-            _ => {
-                if self.prepared.lock().contains_key(tx) {
-                    // Already prepared once: stay out of the vote.
-                    Ok(Vote::ReadOnly)
-                } else {
-                    Ok(Vote::ReadOnly)
-                }
-            }
+            // Nothing to commit here, or already prepared once: either way
+            // stay out of the vote.
+            _ => Ok(Vote::ReadOnly),
         }
     }
 

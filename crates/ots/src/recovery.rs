@@ -41,15 +41,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use orb::{
-    ObjectRef, Orb, OrbError, Request, RetryPolicy, Servant, Value, ValueMap,
-};
+use orb::{MapWriter, ObjectRef, Orb, OrbError, Request, RetryPolicy, Servant, Value};
 use parking_lot::Mutex;
-use recovery_log::{FailpointSet, Hold, LogError, Lsn, Wal};
+use recovery_log::{FailpointSet, Hold, LogError, LogRecord, Lsn, Wal};
 
 use crate::error::TxError;
 use crate::resource::{Resource, Vote};
-use crate::txlog::{txid_from_value, txid_to_value, KIND_TX_DECISION};
+use crate::txlog::{txid_from_value, txid_to_value, write_txid, KIND_TX_DECISION};
 use crate::xid::TxId;
 
 /// Record kind: a participant prepared under `coordinator`; forced before
@@ -325,10 +323,12 @@ impl RecoverableResource {
         let name = resource.name.as_str();
         let mut prepared: BTreeMap<TxId, (String, Lsn)> = BTreeMap::new();
         let mut resolved: Vec<(TxId, bool)> = Vec::new();
-        for record in resource.wal.scan(Lsn::new(0)).map_err(TxError::from)? {
+        // Decoded in place, and only this component's kinds: nothing is
+        // cloned out of the log.
+        let mut classify = |record: &LogRecord| -> Result<(), TxError> {
             match record.kind {
                 KIND_RES_PREPARED | KIND_RES_RESOLVED | KIND_RES_HEURISTIC => {}
-                _ => continue,
+                _ => return Ok(()),
             }
             let value = Value::decode(&record.payload)
                 .map_err(|e| TxError::Log(e.to_string()))?;
@@ -336,7 +336,7 @@ impl RecoverableResource {
                 .as_map()
                 .ok_or_else(|| TxError::Log("resource record must be a map".into()))?;
             if m.get("resource").and_then(Value::as_str) != Some(name) {
-                continue;
+                return Ok(());
             }
             let tx = txid_from_value(
                 m.get("tx").ok_or_else(|| TxError::Log("resource record missing tx".into()))?,
@@ -356,7 +356,11 @@ impl RecoverableResource {
                     resolved.push((tx, committed));
                 }
             }
-        }
+            Ok(())
+        };
+        resource.wal.scan_with(Lsn::new(0), &mut |record| {
+            classify(record).map_err(|e| LogError::Handler(e.to_string()))
+        })?;
         *resource.in_doubt.lock() = prepared;
         // Re-deliver recorded resolutions: the crash may have fallen between
         // forcing the resolution record and applying it to `inner`.
@@ -414,11 +418,15 @@ impl RecoverableResource {
     }
 
     fn log_resolution(&self, kind: u32, tx: &TxId, committed: bool) -> Result<(), TxError> {
-        let mut m = ValueMap::new();
-        m.insert("resource".into(), Value::from(self.name.as_str()));
-        m.insert("tx".into(), txid_to_value(tx));
-        m.insert("committed".into(), Value::Bool(committed));
-        self.wal.append_durable(kind, &Value::Map(m).encode_to_vec())?;
+        MapWriter::encode(
+            |fields| {
+                fields
+                    .bool("committed", committed)
+                    .str("resource", &self.name)
+                    .map("tx", |id| write_txid(id, tx));
+            },
+            |record| self.wal.append_durable(kind, record),
+        )?;
         Ok(())
     }
 
@@ -545,20 +553,23 @@ impl Resource for RecoverableResource {
     fn prepare(&self, tx: &TxId) -> Result<Vote, TxError> {
         let vote = self.inner.prepare(tx)?;
         if vote == Vote::Commit {
-            let mut m = ValueMap::new();
-            m.insert("resource".into(), Value::from(self.name.as_str()));
-            m.insert("tx".into(), txid_to_value(tx));
-            m.insert("coordinator".into(), Value::from(self.coordinator_node.as_str()));
             // Forced BEFORE the vote returns: a restarted participant must
             // know both that it is in doubt and whom to interrogate. Appended
             // and noted under one lock (no release in between), forced outside.
-            let prepared = {
-                let mut in_doubt = self.in_doubt.lock();
-                let prepared =
-                    self.wal.append(KIND_RES_PREPARED, &Value::Map(m).encode_to_vec())?;
-                in_doubt.insert(tx.clone(), (self.coordinator_node.clone(), prepared));
-                prepared
-            };
+            let prepared = MapWriter::encode(
+                |fields| {
+                    fields
+                        .str("coordinator", &self.coordinator_node)
+                        .str("resource", &self.name)
+                        .map("tx", |id| write_txid(id, tx));
+                },
+                |record| -> Result<Lsn, TxError> {
+                    let mut in_doubt = self.in_doubt.lock();
+                    let prepared = self.wal.append(KIND_RES_PREPARED, record)?;
+                    in_doubt.insert(tx.clone(), (self.coordinator_node.clone(), prepared));
+                    Ok(prepared)
+                },
+            )?;
             if let Err(e) = self.wal.flush_lsn(prepared) {
                 self.in_doubt.lock().remove(tx);
                 return Err(e.into());

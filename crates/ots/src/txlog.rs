@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use orb::{Value, ValueMap};
+use orb::{MapWriter, Value, ValueMap};
 use recovery_log::{LogError, Lsn, Wal};
 
 use crate::error::TxError;
@@ -66,13 +66,25 @@ pub fn txid_from_value(value: &Value) -> Result<TxId, TxError> {
     Ok(tx)
 }
 
+/// Write a [`TxId`]'s fields into `fields`: the map [`txid_to_value`]
+/// builds, with nothing built.
+pub fn write_txid(fields: &mut MapWriter<'_>, tx: &TxId) {
+    fields
+        .list("branch", |branch| {
+            for &index in tx.branch() {
+                branch.u64(u64::from(index));
+            }
+        })
+        .u64("top", tx.top_seq());
+}
+
 /// Write a begin record.
 ///
 /// # Errors
 ///
 /// Propagates log failures.
 pub fn log_begun(wal: &dyn Wal, tx: &TxId) -> Result<Lsn, LogError> {
-    wal.append(KIND_TX_BEGUN, &txid_to_value(tx).encode_to_vec())
+    MapWriter::encode(|fields| write_txid(fields, tx), |record| wal.append(KIND_TX_BEGUN, record))
 }
 
 /// Write the phase-one record with participant names.
@@ -81,13 +93,18 @@ pub fn log_begun(wal: &dyn Wal, tx: &TxId) -> Result<Lsn, LogError> {
 ///
 /// Propagates log failures.
 pub fn log_prepared(wal: &dyn Wal, tx: &TxId, participants: &[&str]) -> Result<Lsn, LogError> {
-    let mut m = ValueMap::new();
-    m.insert("tx".into(), txid_to_value(tx));
-    m.insert(
-        "participants".into(),
-        Value::List(participants.iter().map(|p| Value::from(*p)).collect()),
-    );
-    wal.append(KIND_TX_PREPARED, &Value::Map(m).encode_to_vec())
+    MapWriter::encode(
+        |fields| {
+            fields
+                .list("participants", |names| {
+                    for name in participants {
+                        names.str(name);
+                    }
+                })
+                .map("tx", |id| write_txid(id, tx));
+        },
+        |record| wal.append(KIND_TX_PREPARED, record),
+    )
 }
 
 /// Force the commit decision: the one record of the protocol that must be
@@ -100,7 +117,10 @@ pub fn log_prepared(wal: &dyn Wal, tx: &TxId, participants: &[&str]) -> Result<L
 ///
 /// Propagates log failures.
 pub fn log_decision_commit(wal: &dyn Wal, tx: &TxId) -> Result<Lsn, LogError> {
-    wal.append_durable(KIND_TX_DECISION, &txid_to_value(tx).encode_to_vec())
+    MapWriter::encode(
+        |fields| write_txid(fields, tx),
+        |record| wal.append_durable(KIND_TX_DECISION, record),
+    )
 }
 
 /// Record that the outcome was fully delivered.
@@ -116,19 +136,27 @@ pub fn log_completed(wal: &dyn Wal, tx: &TxId, status: TxStatus) -> Result<Lsn, 
 /// (the fault-free record is unchanged): that participant will interrogate,
 /// so the decision must outlive the transaction — [`recover`] reports it in
 /// [`TxRecoveryReport::retain_from`].
-pub(crate) fn log_completion(
+///
+/// # Errors
+///
+/// Propagates log failures.
+pub fn log_completion(
     wal: &dyn Wal,
     tx: &TxId,
     status: TxStatus,
     acknowledged: bool,
 ) -> Result<Lsn, LogError> {
-    let mut m = ValueMap::new();
-    m.insert("tx".into(), txid_to_value(tx));
-    m.insert("committed".into(), Value::Bool(status == TxStatus::Committed));
-    if !acknowledged {
-        m.insert("unacknowledged".into(), Value::Bool(true));
-    }
-    wal.append(KIND_TX_COMPLETED, &Value::Map(m).encode_to_vec())
+    MapWriter::encode(
+        |fields| {
+            fields
+                .bool("committed", status == TxStatus::Committed)
+                .map("tx", |id| write_txid(id, tx));
+            if !acknowledged {
+                fields.bool("unacknowledged", true);
+            }
+        },
+        |record| wal.append(KIND_TX_COMPLETED, record),
+    )
 }
 
 /// Maps logged participant names back to live resources after a restart.

@@ -7,7 +7,7 @@
 //! [`Wal`] as they happen, and [`WorkflowJournal::replay`] pre-loads a new
 //! run's controllers so completed work is not re-executed.
 
-use orb::{Value, ValueMap};
+use orb::{MapWriter, Value};
 use recovery_log::{Hold, Lsn, Wal};
 use std::sync::Arc;
 
@@ -64,16 +64,19 @@ impl WorkflowJournal {
     ///
     /// [`WorkflowError::Activity`] when the log append fails.
     pub fn record(&self, task: &str, success: bool, output: &Value) -> Result<(), WorkflowError> {
-        let mut m = ValueMap::new();
-        m.insert("workflow".into(), Value::from(self.workflow.as_str()));
-        m.insert("task".into(), Value::from(task));
-        m.insert("success".into(), Value::Bool(success));
-        m.insert("output".into(), output.clone());
         // One durability barrier per outcome: under a group-commit log
         // concurrent tasks finishing together share a single sync.
-        self.wal
-            .append_durable(KIND_WF_TASK_DONE, &Value::Map(m).encode_to_vec())
-            .map_err(|e| WorkflowError::Activity(e.to_string()))?;
+        MapWriter::encode(
+            |fields| {
+                fields
+                    .value("output", output)
+                    .bool("success", success)
+                    .str("task", task)
+                    .str("workflow", &self.workflow);
+            },
+            |record| self.wal.append_durable(KIND_WF_TASK_DONE, record),
+        )
+        .map_err(|e| WorkflowError::Activity(e.to_string()))?;
         Ok(())
     }
 
