@@ -7,11 +7,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use orb::Env;
+use orb::{Env, Value};
 use parking_lot::Mutex;
 use telemetry::{Origin, ProtocolEvent, SpanContext};
 
 use crate::completion::CompletionStatus;
+use crate::context::ActivityContext;
 use crate::coordinator::ActivityCoordinator;
 use crate::error::ActivityError;
 use crate::outcome::Outcome;
@@ -95,6 +96,10 @@ struct ActivityInner {
     /// ambient, and suspend/resume move the ambient association with the
     /// activity between threads.
     span: OnceLock<SpanContext>,
+    /// This activity's context in wire form, marshalled on its first send
+    /// that carries no property group and shared by every such send after
+    /// it: the chain from the root down to here is fixed at `begin`.
+    wire_context: OnceLock<Arc<Value>>,
 }
 
 /// A unit of work, arranged in a tree (fig. 4), coordinated through its
@@ -173,6 +178,7 @@ impl Activity {
                 logger,
                 id_source,
                 span: OnceLock::new(),
+                wire_context: OnceLock::new(),
             }),
         };
         if let Some(parent) = parent {
@@ -193,6 +199,21 @@ impl Activity {
 
     pub(crate) fn set_span(&self, span: SpanContext) {
         let _ = self.inner.span.set(span);
+    }
+
+    /// This activity's context as the client interceptor stamps it: the one
+    /// shared value while its property groups propagate none, a fresh
+    /// [`ActivityContext::marshal`] on every send once one travels (by
+    /// value its snapshot may have changed since the last send; by
+    /// reference it may have been registered since). Either way the value
+    /// equals `ActivityContext::capture(self).to_value()`.
+    pub(crate) fn wire_context(&self) -> Arc<Value> {
+        if self.inner.properties.propagates_any() {
+            return Arc::new(ActivityContext::marshal(self));
+        }
+        let shared =
+            self.inner.wire_context.get_or_init(|| Arc::new(ActivityContext::marshal(self)));
+        Arc::clone(shared)
     }
 
     /// Emit one lifecycle step of this activity.

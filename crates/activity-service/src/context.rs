@@ -75,7 +75,8 @@ impl ActivityContext {
     /// The wire form of `activity`'s context, marshalled straight from the
     /// activity chain: equal to `ActivityContext::capture(activity).to_value()`
     /// without building the intermediate context. This is what the client
-    /// interceptor stamps on every outgoing request.
+    /// interceptor stamps: marshalled once per activity and shared while no
+    /// property group travels, afresh on every send once one does.
     pub fn marshal(activity: &Activity) -> Value {
         let chain = chain_of(activity, |a| entry_value(a.id(), a.name()));
         let properties = activity.properties();
@@ -113,54 +114,74 @@ impl ActivityContext {
     ///
     /// [`ActivityError::Context`] on malformed input.
     pub fn from_value(value: &Value) -> Result<Self, ActivityError> {
-        let m = value
-            .as_map()
-            .ok_or_else(|| ActivityError::Context("activity context must be a map".into()))?;
-        let mut chain = Vec::new();
-        if let Some(Value::List(items)) = m.get("chain") {
-            for item in items {
-                let em = item
-                    .as_map()
-                    .ok_or_else(|| ActivityError::Context("chain entry must be a map".into()))?;
-                let id = em
-                    .get("id")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| ActivityError::Context("chain entry missing id".into()))?;
-                let name = em
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ActivityError::Context("chain entry missing name".into()))?;
-                chain.push(ContextEntry { id: ActivityId::new(id), name: name.to_owned() });
-            }
-        }
-        let mut properties = Vec::new();
-        if let Some(Value::List(items)) = m.get("properties") {
-            for item in items {
-                let pm = item
-                    .as_map()
-                    .ok_or_else(|| ActivityError::Context("property entry must be a map".into()))?;
-                let group = pm
-                    .get("group")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ActivityError::Context("property entry missing group".into()))?;
-                let values = pm
-                    .get("values")
-                    .and_then(Value::as_map)
-                    .cloned()
-                    .unwrap_or_default();
-                properties.push((group.to_owned(), values));
-            }
-        }
-        let mut by_reference = Vec::new();
-        if let Some(Value::List(items)) = m.get("by_ref") {
-            for item in items {
-                if let Some(name) = item.as_str() {
-                    by_reference.push(name.to_owned());
-                }
-            }
-        }
-        Ok(ActivityContext { chain, properties, by_reference })
+        let mut context = ActivityContext::default();
+        walk(
+            value,
+            |id, name| context.chain.push(ContextEntry { id, name: name.to_owned() }),
+            |group, values| {
+                context.properties.push((group.to_owned(), values.cloned().unwrap_or_default()));
+            },
+            |name| context.by_reference.push(name.to_owned()),
+        )?;
+        Ok(context)
     }
+
+    /// Check that `value` has the wire shape [`ActivityContext::from_value`]
+    /// accepts, building nothing: the server interceptor rejects a malformed
+    /// context when it arrives and decodes a well-formed one only when a
+    /// servant asks for it.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`ActivityContext::from_value`].
+    pub(crate) fn validate(value: &Value) -> Result<(), ActivityError> {
+        walk(value, |_, _| {}, |_, _| {}, |_| {})
+    }
+}
+
+/// The one walker of a context's wire shape, behind both
+/// [`ActivityContext::from_value`] and [`ActivityContext::validate`]: `link`
+/// sees each chain entry root first, `group` each by-value group (with its
+/// snapshot, if it carries one), `by_ref` each by-reference name. A missing
+/// list is empty; a by-reference entry that is not a string is skipped.
+fn walk<'v>(
+    value: &'v Value,
+    mut link: impl FnMut(ActivityId, &'v str),
+    mut group: impl FnMut(&'v str, Option<&'v ValueMap>),
+    mut by_ref: impl FnMut(&'v str),
+) -> Result<(), ActivityError> {
+    let malformed = |what: &str| ActivityError::Context(what.into());
+    let m = value.as_map().ok_or_else(|| malformed("activity context must be a map"))?;
+    if let Some(Value::List(items)) = m.get("chain") {
+        for item in items {
+            let em = item.as_map().ok_or_else(|| malformed("chain entry must be a map"))?;
+            let id = em
+                .get("id")
+                .and_then(Value::as_u64)
+                .ok_or_else(|| malformed("chain entry missing id"))?;
+            let name = em
+                .get("name")
+                .and_then(Value::as_str)
+                .ok_or_else(|| malformed("chain entry missing name"))?;
+            link(ActivityId::new(id), name);
+        }
+    }
+    if let Some(Value::List(items)) = m.get("properties") {
+        for item in items {
+            let pm = item.as_map().ok_or_else(|| malformed("property entry must be a map"))?;
+            let name = pm
+                .get("group")
+                .and_then(Value::as_str)
+                .ok_or_else(|| malformed("property entry missing group"))?;
+            group(name, pm.get("values").and_then(Value::as_map));
+        }
+    }
+    if let Some(Value::List(items)) = m.get("by_ref") {
+        for name in items.iter().filter_map(Value::as_str) {
+            by_ref(name);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -239,10 +260,24 @@ mod tests {
 
     #[test]
     fn from_value_rejects_junk() {
-        assert!(ActivityContext::from_value(&Value::I64(1)).is_err());
-        let mut m = ValueMap::new();
-        m.insert("chain".into(), Value::List(vec![Value::I64(1)]));
-        assert!(ActivityContext::from_value(&Value::Map(m)).is_err());
+        let entry = |fields: &[(&'static str, Value)]| {
+            Value::Map(fields.iter().map(|(k, v)| ((*k).into(), v.clone())).collect())
+        };
+        let junk = [
+            Value::I64(1),
+            entry(&[("chain", Value::List(vec![Value::I64(1)]))]),
+            entry(&[("chain", Value::List(vec![entry(&[("name", Value::from("a"))])]))]),
+            entry(&[("properties", Value::List(vec![entry(&[])]))]),
+        ];
+        for value in &junk {
+            let decoded = ActivityContext::from_value(value).map(drop).map_err(|e| e.to_string());
+            assert!(decoded.is_err(), "{value} decoded");
+            // The check on arrival rejects it with the decoder's own error.
+            let checked = ActivityContext::validate(value).map_err(|e| e.to_string());
+            assert_eq!(checked, decoded);
+        }
+        let good = ActivityContext::capture(&Activity::new_root("root", SimClock::new()));
+        assert!(ActivityContext::validate(&good.to_value()).is_ok());
     }
 
     #[test]

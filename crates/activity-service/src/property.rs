@@ -217,6 +217,12 @@ impl PropertyGroupManager {
         child
     }
 
+    /// Whether any group travels with a remote context (by value or by
+    /// reference). Reads the specs only: nothing is copied.
+    pub(crate) fn propagates_any(&self) -> bool {
+        self.groups.read().values().any(|g| g.spec().propagation != Propagation::Local)
+    }
+
     /// The `(group name, snapshot)` pairs that should ride in a by-value
     /// remote context, honouring each group's propagation mode.
     pub fn propagated_by_value(&self) -> Vec<(String, ValueMap)> {
@@ -326,6 +332,10 @@ mod tests {
     #[test]
     fn propagation_modes_partition_groups() {
         let m = PropertyGroupManager::new();
+        m.register(BasicPropertyGroup::new(
+            PropertyGroupSpec::new("l").propagation(Propagation::Local),
+        ));
+        assert!(!m.propagates_any(), "a local group never travels");
         let by_value =
             BasicPropertyGroup::new(PropertyGroupSpec::new("v").propagation(Propagation::ByValue));
         by_value.set("k", Value::from(1i64));
@@ -333,9 +343,7 @@ mod tests {
         m.register(BasicPropertyGroup::new(
             PropertyGroupSpec::new("r").propagation(Propagation::ByReference),
         ));
-        m.register(BasicPropertyGroup::new(
-            PropertyGroupSpec::new("l").propagation(Propagation::Local),
-        ));
+        assert!(m.propagates_any());
 
         let by_value = m.propagated_by_value();
         assert_eq!(by_value.len(), 1);

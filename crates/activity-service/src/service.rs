@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use orb::context::ACTIVITY_SERVICE_CONTEXT;
 use orb::interceptor::{ClientRequestInterceptor, ServerRequestInterceptor};
-use orb::{Env, Orb, Reply, Request, SimClock};
+use orb::{Env, Orb, Reply, Request, SimClock, Value};
 use recovery_log::Wal;
 
 use crate::activity::Activity;
@@ -20,8 +20,10 @@ use crate::recovery::ActivityLogger;
 thread_local! {
     /// Innermost-last stack of thread-associated activities.
     static CURRENT: RefCell<Vec<Activity>> = const { RefCell::new(Vec::new()) };
-    /// Contexts received with in-flight inbound requests (server side).
-    static RECEIVED: RefCell<Vec<Option<ActivityContext>>> = const { RefCell::new(Vec::new()) };
+    /// Contexts received with in-flight inbound requests (server side), in
+    /// the wire form they arrived in: checked on arrival, decoded only when
+    /// a servant asks for one.
+    static RECEIVED: RefCell<Vec<Option<Arc<Value>>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Nothing here grows with finished work: an activity lives as long as its
@@ -273,7 +275,8 @@ impl ActivityService {
     /// being dispatched on this thread, if any. Servants call this to learn
     /// which (remote) activity they are working for.
     pub fn received_context() -> Option<ActivityContext> {
-        RECEIVED.with(|r| r.borrow().last().cloned().flatten())
+        let value = RECEIVED.with(|r| r.borrow().last().cloned().flatten())?;
+        Some(ActivityContext::from_value(&value).expect("its shape was checked when it arrived"))
     }
 
     /// Publish a node-local property group under its spec name, so
@@ -331,11 +334,11 @@ impl ClientRequestInterceptor for ActivityClientInterceptor {
         "activity-service-client"
     }
 
+    /// Stamps the activity's shared wire context by reference: an activity
+    /// is marshalled once, not once per request or per retry.
     fn send_request(&self, request: &mut Request) -> Result<(), orb::OrbError> {
         if let Some(activity) = CURRENT.with(|c| c.borrow().last().cloned()) {
-            request
-                .contexts_mut()
-                .set(ACTIVITY_SERVICE_CONTEXT, ActivityContext::marshal(&activity));
+            request.contexts_mut().set_shared(ACTIVITY_SERVICE_CONTEXT, activity.wire_context());
         }
         Ok(())
     }
@@ -350,15 +353,14 @@ impl ServerRequestInterceptor for ActivityServerInterceptor {
         "activity-service-server"
     }
 
+    /// Rejects a malformed context here, on arrival, and keeps a
+    /// well-formed one as the shared value it arrived as.
     fn receive_request(&self, request: &Request) -> Result<(), orb::OrbError> {
-        let context = match request.contexts().get(ACTIVITY_SERVICE_CONTEXT) {
-            Some(value) => Some(
-                ActivityContext::from_value(value)
-                    .map_err(|e| orb::OrbError::Codec(e.to_string()))?,
-            ),
-            None => None,
-        };
-        RECEIVED.with(|r| r.borrow_mut().push(context));
+        let context = request.contexts().get_shared(ACTIVITY_SERVICE_CONTEXT);
+        if let Some(value) = context {
+            ActivityContext::validate(value).map_err(|e| orb::OrbError::Codec(e.to_string()))?;
+        }
+        RECEIVED.with(|r| r.borrow_mut().push(context.cloned()));
         Ok(())
     }
 
@@ -545,6 +547,156 @@ mod tests {
         let reply = orb.invoke(&obj, Request::new("locale")).unwrap();
         assert_eq!(reply.result.as_str(), Some("de_DE"));
         svc.complete().unwrap();
+    }
+
+    /// A servant that keeps what each request it serves carried: the
+    /// stamped wire value and the context it decodes to.
+    type Seen = Arc<parking_lot::Mutex<Vec<(Option<Arc<Value>>, Option<ActivityContext>)>>>;
+
+    fn recording_server(orb: &Orb) -> (orb::ObjectRef, Seen) {
+        let seen: Seen = Arc::default();
+        let log = Arc::clone(&seen);
+        let node = orb.add_node("server").unwrap();
+        let obj = node
+            .activate("Recorder", move |request: &Request| {
+                let wire = request.contexts().get_shared(ACTIVITY_SERVICE_CONTEXT).cloned();
+                log.lock().push((wire, ActivityService::received_context()));
+                Ok(Value::Null)
+            })
+            .unwrap();
+        (obj, seen)
+    }
+
+    #[test]
+    fn an_activity_is_marshalled_once_and_shared_by_every_send() {
+        let orb = Orb::new();
+        let svc = ActivityService::new();
+        svc.attach_to_orb(&orb);
+        let (obj, seen) = recording_server(&orb);
+        let mut activities = Vec::new();
+        for depth in 1..=3 {
+            activities.push(svc.begin(format!("level-{depth}")).unwrap());
+            for _ in 0..2 {
+                orb.invoke(&obj, Request::new("op")).unwrap();
+            }
+        }
+        let seen = seen.lock();
+        for (depth, activity) in activities.iter().enumerate() {
+            let [(first, decoded), (second, _)] = &seen[2 * depth..2 * depth + 2] else {
+                unreachable!()
+            };
+            let (first, second) = (first.as_ref().unwrap(), second.as_ref().unwrap());
+            assert!(Arc::ptr_eq(first, second), "depth {}: marshalled twice", depth + 1);
+            let captured = ActivityContext::capture(activity);
+            assert_eq!(**first, captured.to_value(), "depth {}", depth + 1);
+            assert_eq!(first.encode(), ActivityContext::marshal(activity).encode());
+            assert_eq!(decoded.as_ref(), Some(&captured));
+            assert_eq!(captured.depth(), depth + 1);
+        }
+        for _ in 0..3 {
+            svc.complete().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_travelling_property_group_bypasses_the_shared_context() {
+        use crate::property::{BasicPropertyGroup, Propagation, PropertyGroup, PropertyGroupSpec};
+        let orb = Orb::new();
+        let svc = ActivityService::new();
+        svc.attach_to_orb(&orb);
+        let (obj, seen) = recording_server(&orb);
+        let activity = svc.begin("job").unwrap();
+        let received = |index: usize| seen.lock()[index].1.clone().unwrap();
+
+        // First send: no group travels, so the shared value is built.
+        orb.invoke(&obj, Request::new("op")).unwrap();
+        assert_eq!(received(0), ActivityContext::capture(&activity));
+
+        // A by-reference group registered after that send arrives by name.
+        activity.properties().register(BasicPropertyGroup::new(
+            PropertyGroupSpec::new("site-config").propagation(Propagation::ByReference),
+        ));
+        orb.invoke(&obj, Request::new("op")).unwrap();
+        assert_eq!(received(1).by_reference, vec!["site-config"]);
+
+        // A by-value property changed between two sends reaches the
+        // receiver as it was at each send.
+        let env = BasicPropertyGroup::new(PropertyGroupSpec::new("env"));
+        activity.properties().register(Arc::clone(&env) as Arc<dyn PropertyGroup>);
+        for locale in ["de_DE", "sv_SE"] {
+            env.set("locale", Value::from(locale));
+            orb.invoke(&obj, Request::new("op")).unwrap();
+        }
+        for (index, locale) in [(2, "de_DE"), (3, "sv_SE")] {
+            let context = received(index);
+            assert_eq!(context.properties[0].1.get("locale"), Some(&Value::from(locale)));
+            assert_eq!(context.by_reference, vec!["site-config"]);
+        }
+        assert_eq!(received(3), ActivityContext::capture(&activity));
+        svc.complete().unwrap();
+    }
+
+    #[test]
+    fn a_malformed_context_is_rejected_on_arrival() {
+        let orb = Orb::new();
+        ActivityService::new().attach_to_orb(&orb);
+        let (obj, seen) = recording_server(&orb);
+        // No activity on this thread, so the client interceptor leaves the
+        // hand-made entry alone.
+        let mut request = Request::new("op");
+        request.contexts_mut().set(ACTIVITY_SERVICE_CONTEXT, Value::from("not a context"));
+        let err = orb.invoke(&obj, request).unwrap_err();
+        assert!(matches!(err, orb::OrbError::Codec(_)), "{err:?}");
+        assert!(seen.lock().is_empty(), "the servant never ran");
+        assert!(ActivityService::received_context().is_none());
+    }
+
+    /// A server interceptor registered after the activity service's that
+    /// vetoes one operation: the activity interceptor has already pushed
+    /// the received context (and the span interceptor entered a `serve:`
+    /// span) by the time it says no.
+    struct VetoOperation(&'static str);
+
+    impl ServerRequestInterceptor for VetoOperation {
+        fn name(&self) -> &str {
+            "veto-operation"
+        }
+
+        fn receive_request(&self, request: &Request) -> Result<(), orb::OrbError> {
+            if request.operation() == self.0 {
+                return Err(orb::OrbError::InterceptorVeto(format!("{} refused", self.0)));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_server_side_veto_unwinds_the_interceptors_that_already_ran() {
+        let tel = Telemetry::new();
+        let env = Env { telemetry: Some(tel.clone()), ..Default::default() }.wired();
+        let orb = Orb::builder().env(Arc::clone(&env)).build();
+        let svc = ActivityService::builder().env(env).build();
+        svc.attach_to_orb(&orb);
+        orb.add_server_interceptor(Arc::new(VetoOperation("forbidden")));
+        let (obj, seen) = recording_server(&orb);
+
+        let vetoed = svc.begin("vetoed").unwrap();
+        let err = orb.invoke(&obj, Request::new("forbidden")).unwrap_err();
+        assert!(matches!(err, orb::OrbError::InterceptorVeto(_)), "{err:?}");
+        assert!(
+            ActivityService::received_context().is_none(),
+            "the vetoed request's context outlived it"
+        );
+        svc.complete().unwrap();
+
+        let allowed = svc.begin("allowed").unwrap();
+        orb.invoke(&obj, Request::new("op")).unwrap();
+        assert_eq!(seen.lock()[0].1, Some(ActivityContext::capture(&allowed)));
+        assert_ne!(allowed.id(), vetoed.id());
+        assert!(ActivityService::received_context().is_none());
+        svc.complete().unwrap();
+
+        assert_eq!(tel.span_tree().verify(), Vec::<String>::new());
     }
 }
 

@@ -29,8 +29,9 @@ pub trait ClientRequestInterceptor: Send + Sync {
     ///
     /// A retry sends the *same* request again, still carrying what this
     /// interceptor attached on the previous attempt: attach with
-    /// [`crate::ServiceContext::set`], which replaces, so every attempt
-    /// leaves as a fresh copy would.
+    /// [`crate::ServiceContext::set`] or
+    /// [`crate::ServiceContext::set_shared`], which replace, so every
+    /// attempt leaves as a fresh copy would.
     ///
     /// # Errors
     ///
@@ -75,6 +76,9 @@ pub trait ServerRequestInterceptor: Send + Sync {
 
     /// Called after the servant ran (even when it failed); may attach reply
     /// contexts and must tear down whatever `receive_request` established.
+    /// It also runs when a later interceptor's `receive_request` vetoes the
+    /// request: every interceptor whose `receive_request` succeeded is
+    /// unwound, in reverse order, before the veto reaches the caller.
     fn send_reply(&self, request: &Request, reply: &mut Reply) {
         let _ = (request, reply);
     }

@@ -461,7 +461,9 @@ impl OrbInner {
     /// Dispatch (more than once, when the network duplicated the message).
     /// The first execution's result — and the reply contexts its server
     /// interceptors attached — is what rides back in the reply; duplicate
-    /// executions model redelivery of the same message.
+    /// executions model redelivery of the same message. A veto partway
+    /// through the server interceptors still unwinds the ones that already
+    /// ran, so no per-request state they established outlives the request.
     fn serve(
         &self,
         servant: &dyn Servant,
@@ -471,14 +473,15 @@ impl OrbInner {
         let server_interceptors = snapshot(&self.server_interceptors);
         let mut first = None;
         for _ in 0..copies {
-            for si in server_interceptors.iter() {
-                si.receive_request(request)?;
+            for (ran, si) in server_interceptors.iter().enumerate() {
+                if let Err(veto) = si.receive_request(request) {
+                    send_reply(&server_interceptors[..ran], request, &mut Reply::new(Value::Null));
+                    return Err(veto);
+                }
             }
             let result = servant.dispatch(request);
             let mut scratch = Reply::new(Value::Null);
-            for si in server_interceptors.iter().rev() {
-                si.send_reply(request, &mut scratch);
-            }
+            send_reply(&server_interceptors, request, &mut scratch);
             first.get_or_insert((result, scratch.contexts));
         }
         Ok(first.expect("at least one delivery"))
@@ -555,6 +558,14 @@ impl OrbInner {
 fn notify_exception(ran: &[Arc<dyn ClientRequestInterceptor>], request: &Request, error: &OrbError) {
     for ci in ran.iter().rev() {
         ci.receive_exception(request, error);
+    }
+}
+
+/// Let every server interceptor in `ran` (reverse order) tear down what its
+/// `receive_request` established.
+fn send_reply(ran: &[Arc<dyn ServerRequestInterceptor>], request: &Request, reply: &mut Reply) {
+    for si in ran.iter().rev() {
+        si.send_reply(request, reply);
     }
 }
 

@@ -14,7 +14,8 @@
 //!   the whole staged batch, hands it to the sink as one
 //!   [`Wal::append_batch`] (one coalesced encode + `write_all` on
 //!   [`crate::FileWal`]) followed by a single [`Wal::sync`], then wakes
-//!   every follower whose LSN the batch covered;
+//!   every follower whose LSN the batch covered — if any is parked: an
+//!   uncontended force makes no wake-up call at all;
 //! * plain appends also flush when the staged batch crosses the
 //!   count or byte threshold in [`GroupCommitConfig`].
 //!
@@ -113,6 +114,10 @@ struct GroupState {
     next: u64,
     /// Whether a leader currently owns a batch flush.
     flushing: bool,
+    /// Followers waiting on `flushed`. A follower counts itself in and out
+    /// under this lock, around its wait, so a leader that reads zero here
+    /// after its flush knows nobody can miss the wake-up it skips.
+    parked: usize,
     /// First flush failure; all later operations return a clone of it.
     poisoned: Option<LogError>,
 }
@@ -153,6 +158,7 @@ impl<W: Wal> GroupCommitWal<W> {
                 spare: Stage::default(),
                 next,
                 flushing: false,
+                parked: 0,
                 poisoned: None,
             }),
             durable: Arc::new(AtomicU64::new(next - 1)),
@@ -197,17 +203,18 @@ impl<W: Wal> GroupCommitWal<W> {
     }
 
     /// Render the durability pipeline's watermarks for the introspection
-    /// plane: the durable LSN and the depth of the staged (group-commit)
-    /// batch behind it.
+    /// plane: the durable LSN, the depth of the staged (group-commit) batch
+    /// behind it, and how many followers are parked waiting on a flush.
     #[must_use]
     pub fn introspect(&self) -> String {
         let state = self.state.lock().unwrap();
         format!(
-            "durable_lsn={} staged={} staged_bytes={} next_lsn={}\n",
+            "durable_lsn={} staged={} staged_bytes={} next_lsn={} parked={}\n",
             self.durable.load(Ordering::Acquire),
             state.staged.len(),
             state.staged.encoded_bytes(),
             state.next,
+            state.parked,
         )
     }
 
@@ -236,7 +243,9 @@ impl<W: Wal> GroupCommitWal<W> {
             if state.flushing {
                 // Follower: a leader owns the in-flight batch; it will wake
                 // us when the batch lands (or poisons the log).
+                state.parked += 1;
                 state = self.flushed.wait(state).unwrap();
+                state.parked -= 1;
                 continue;
             }
             // Leader: take the whole staged batch — everything up to
@@ -266,7 +275,13 @@ impl<W: Wal> GroupCommitWal<W> {
             }
             batch.clear();
             state.spare = batch;
-            self.flushed.notify_all();
+            // Read under the lock the followers park under: one that has
+            // not counted itself in yet will find `flushing` false and the
+            // new watermark when it gets the lock, so skipping the wake-up
+            // (and its syscall) when nobody is parked loses none.
+            if state.parked > 0 {
+                self.flushed.notify_all();
+            }
         }
     }
 
@@ -557,14 +572,35 @@ mod tests {
         assert!(syncs <= 401, "at most one sync per barrier, got {syncs}");
     }
 
-    /// A sink whose first `sync` announces itself and then waits for the
-    /// test's go-ahead, and which notes the size of every batch it is handed.
+    /// A sink whose first `sync` announces itself, waits for the test's
+    /// go-ahead and then succeeds or (with `fail_first_sync`) fails, and
+    /// which notes the size of every batch it is handed.
     struct GatedSink {
         log: MemWal,
         batches: Mutex<Vec<usize>>,
         syncs: Mutex<usize>,
         entered: Mutex<std::sync::mpsc::Sender<()>>,
         release: Mutex<std::sync::mpsc::Receiver<()>>,
+        fail_first_sync: bool,
+    }
+
+    /// A group-commit log over a [`GatedSink`], the receiver its first sync
+    /// announces itself on, and the sender that lets that sync go on.
+    fn gated(
+        fail_first_sync: bool,
+    ) -> (GroupCommitWal<GatedSink>, std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>)
+    {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let wal = GroupCommitWal::new(GatedSink {
+            log: MemWal::new(),
+            batches: Mutex::new(Vec::new()),
+            syncs: Mutex::new(0),
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+            fail_first_sync,
+        });
+        (wal, entered, release)
     }
 
     impl Wal for GatedSink {
@@ -594,6 +630,9 @@ mod tests {
             if *syncs == 1 {
                 self.entered.lock().unwrap().send(()).unwrap();
                 self.release.lock().unwrap().recv().unwrap();
+                if self.fail_first_sync {
+                    return Err(LogError::Io("gated sync failed".into()));
+                }
             }
             self.log.sync()
         }
@@ -606,15 +645,7 @@ mod tests {
     /// forces stage behind it, release. Returns the size of every batch the
     /// sink was handed and how many times it was synced.
     fn forces_staged_behind_a_held_flush(waiters: u64) -> (Vec<usize>, usize) {
-        let (entered_tx, entered) = std::sync::mpsc::channel();
-        let (release, release_rx) = std::sync::mpsc::channel();
-        let wal = GroupCommitWal::new(GatedSink {
-            log: MemWal::new(),
-            batches: Mutex::new(Vec::new()),
-            syncs: Mutex::new(0),
-            entered: Mutex::new(entered_tx),
-            release: Mutex::new(release_rx),
-        });
+        let (wal, entered, release) = gated(false);
         std::thread::scope(|s| {
             let wal = &wal;
             let first = s.spawn(|| wal.append_durable(1, b"first").unwrap());
@@ -665,22 +696,78 @@ mod tests {
         assert_eq!(syncs, 2, "nine forces, two syncs");
     }
 
+    /// A leader wakes followers only when one is parked, so the poison path
+    /// must still wake the one that is: a follower parked behind a flush
+    /// whose sync fails returns that error instead of waiting forever.
+    #[test]
+    fn a_follower_parked_behind_a_failed_sync_is_woken_with_its_error() {
+        let (wal, entered, release) = gated(true);
+        let wal = Arc::new(wal);
+        let leader = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.append_durable(1, b"first"))
+        };
+        entered.recv().unwrap(); // the leader's flush is at its sync
+        let (done, follower) = std::sync::mpsc::channel();
+        let parked = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || done.send(wal.append_durable(2, b"follower")).unwrap())
+        };
+        while !wal.introspect().contains("parked=1") {
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        let error = LogError::Io("gated sync failed".into());
+        assert_eq!(leader.join().unwrap(), Err(error.clone()));
+        let woken = follower.recv_timeout(std::time::Duration::from_secs(30));
+        assert_eq!(woken.expect("the parked follower was never woken"), Err(error));
+        parked.join().unwrap();
+        assert!(wal.introspect().ends_with("parked=0\n"), "{}", wal.introspect());
+    }
+
+    /// Eight committers forcing 2 000 appends each over one log: every
+    /// force returns (no wake-up is lost to the parked count), and every
+    /// acknowledged LSN is durable when it is acknowledged.
+    #[test]
+    fn every_force_of_eight_committers_returns_durable() {
+        const THREADS: u32 = 8;
+        const FORCES: u32 = 2_000;
+        let wal = Arc::new(GroupCommitWal::new(MemWal::new()));
+        let (done, finished) = std::sync::mpsc::channel();
+        let committers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (wal, done) = (Arc::clone(&wal), done.clone());
+                std::thread::spawn(move || {
+                    for i in 0..FORCES {
+                        let lsn = wal.append_durable(t, &i.to_be_bytes()).unwrap();
+                        let durable = wal.durable_lsn();
+                        assert!(lsn <= durable, "{lsn} acknowledged above durable {durable}");
+                    }
+                    done.send(t).unwrap();
+                })
+            })
+            .collect();
+        drop(done); // a committer that panics disconnects instead of sending
+        for _ in 0..THREADS {
+            finished
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .expect("a committer never returned from a force (or panicked)");
+        }
+        for committer in committers {
+            committer.join().unwrap();
+        }
+        assert_eq!(wal.durable_lsn(), Lsn::new(u64::from(THREADS * FORCES)));
+        assert!(wal.introspect().ends_with("parked=0\n"), "{}", wal.introspect());
+    }
+
     /// A release costs no flush: it drops the already-durable prefix and
     /// stops there, whether it comes through a hold or through the
     /// sink-level primitive. Counted, not timed: the sink's `sync` count
     /// does not move.
     #[test]
     fn a_release_never_forces_or_waits_for_a_flush() {
-        let (entered_tx, _entered) = std::sync::mpsc::channel();
-        let (release, release_rx) = std::sync::mpsc::channel();
+        let (wal, _entered, release) = gated(false);
         release.send(()).unwrap(); // the first sync passes straight through
-        let wal = GroupCommitWal::new(GatedSink {
-            log: MemWal::new(),
-            batches: Mutex::new(Vec::new()),
-            syncs: Mutex::new(0),
-            entered: Mutex::new(entered_tx),
-            release: Mutex::new(release_rx),
-        });
         let hold = wal.hold().expect("the decorator forwards its sink's registry");
         wal.append(1, b"a").unwrap();
         wal.append_durable(1, b"b").unwrap();

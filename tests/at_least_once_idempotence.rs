@@ -260,7 +260,9 @@ fn activity_completion_with_remote_actions_survives_chaos() {
 /// borrowed, not cloned — so what travels on the retry must be what a fresh
 /// copy would have carried: the same delivery id, each service context once
 /// (client interceptors replace what they set on the previous attempt), and
-/// the client interceptors unwound once per attempt in reverse order.
+/// the client interceptors unwound once per attempt in reverse order. The
+/// activity context is not marshalled again for the retry: both attempts
+/// carry the one shared value.
 #[test]
 fn a_retried_request_is_the_first_request_stamped_once() {
     use orb::context::ACTIVITY_SERVICE_CONTEXT;
@@ -312,6 +314,8 @@ fn a_retried_request_is_the_first_request_stamped_once() {
     // entries, all context entries).
     let seen = Arc::new(Mutex::new(Vec::new()));
     let seen2 = Arc::clone(&seen);
+    let stamped = Arc::new(Mutex::new(Vec::new()));
+    let stamped2 = Arc::clone(&stamped);
     let node = orb.add_node("server").unwrap();
     let obj = node
         .activate("Action", move |request: &Request| {
@@ -323,6 +327,7 @@ fn a_retried_request_is_the_first_request_stamped_once() {
                 activity_entries,
                 contexts.len(),
             ));
+            stamped2.lock().extend(contexts.get_shared(ACTIVITY_SERVICE_CONTEXT).cloned());
             guarded.dispatch(request)
         })
         .unwrap();
@@ -342,6 +347,8 @@ fn a_retried_request_is_the_first_request_stamped_once() {
         &[(Some("17:2pc:1".to_owned()), 1, 1), (Some("17:2pc:1".to_owned()), 1, 1)],
         "both attempts carry the one id and the activity context exactly once"
     );
+    let stamped = stamped.lock();
+    assert!(Arc::ptr_eq(&stamped[0], &stamped[1]), "the retry re-marshalled the activity");
     assert_eq!(
         log.lock().as_slice(),
         &[
