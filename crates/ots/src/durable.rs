@@ -15,7 +15,6 @@
 //!   service's own recovery ([`crate::txlog::recover`]) can finish the job
 //!   by re-delivering the outcome.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use orb::{ListWriter, MapWriter, Value};
@@ -26,7 +25,7 @@ use crate::error::TxError;
 use crate::memres::TransactionalKv;
 use crate::resource::{Resource, Vote};
 use crate::txlog::{txid_from_value, write_txid};
-use crate::xid::TxId;
+use crate::xid::{TxId, TxMap};
 
 /// Record kind: a participant prepared; payload carries its effects.
 pub const KIND_KV_PREPARED: u32 = 0x0401;
@@ -47,7 +46,7 @@ pub struct DurableKv {
     /// moves the hold: until then the store pins a shared log.
     hold: Option<Hold>,
     /// LSN of the `KV_PREPARED` record of every still-undecided transaction.
-    prepared: Mutex<HashMap<TxId, Lsn>>,
+    prepared: Mutex<TxMap<Lsn>>,
 }
 
 impl std::fmt::Debug for DurableKv {
@@ -112,7 +111,7 @@ impl DurableKv {
     pub fn recover(name: impl Into<String>, wal: Arc<dyn Wal>) -> Result<Arc<Self>, TxError> {
         let name = name.into();
         let store = Arc::new(TransactionalKv::new(name.clone()));
-        let mut prepared: HashMap<TxId, (Effects, Lsn)> = HashMap::new();
+        let mut prepared: TxMap<(Effects, Lsn)> = TxMap::default();
 
         // Decoded in place, and only this store's kinds: nothing is cloned
         // out of the log.

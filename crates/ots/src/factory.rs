@@ -1,6 +1,5 @@
 //! The transaction factory: creation, bookkeeping and recovery entry point.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,7 +13,7 @@ use crate::control::Control;
 use crate::coordinator::Coordinator;
 use crate::error::TxError;
 use crate::txlog::{self, ParticipantResolver, TxRecoveryReport};
-use crate::xid::TxId;
+use crate::xid::{TxId, TxMap};
 
 /// Creates transactions (mirrors CosTransactions::TransactionFactory) and
 /// owns the service-wide pieces: the decision log, the [`Env`] every
@@ -34,7 +33,7 @@ pub struct TransactionFactory {
     env: Arc<Env>,
     dispatch: DispatchConfig,
     /// Each in-flight transaction with the LSN of its `TX_BEGUN` record.
-    inflight: RwLock<HashMap<TxId, (Arc<Coordinator>, Lsn)>>,
+    inflight: RwLock<TxMap<(Arc<Coordinator>, Lsn)>>,
 }
 
 impl std::fmt::Debug for TransactionFactory {
@@ -63,7 +62,7 @@ impl TransactionFactory {
             floor: AtomicU64::new(u64::MAX),
             env: Env::new(),
             dispatch: DispatchConfig::default(),
-            inflight: RwLock::new(HashMap::new()),
+            inflight: RwLock::default(),
         }
     }
 

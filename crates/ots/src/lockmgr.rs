@@ -183,15 +183,15 @@ impl LockManager {
             .is_some_and(|s| s.holders.iter().any(|h| h == tx || h.is_ancestor_of(tx)))
     }
 
-    /// Release every lock held by `tx`, returning the released keys.
-    pub fn release_all(&self, tx: &TxId) -> Vec<String> {
+    /// Release every lock held by `tx`, returning how many keys became free.
+    pub fn release_all(&self, tx: &TxId) -> usize {
         let mut locks = self.locks.lock();
         let now = self.clock.now();
-        let mut released = Vec::new();
-        locks.retain(|key, state| {
+        let mut released = 0;
+        locks.retain(|_, state| {
             state.holders.retain(|h| h != tx);
             if state.holders.is_empty() {
-                released.push(key.clone());
+                released += 1;
                 let mut stats = self.stats.lock();
                 stats.released += 1;
                 stats.total_hold += now.saturating_sub(state.acquired_at);
@@ -299,10 +299,10 @@ mod tests {
         lm.try_lock(&tx(1), "a", LockMode::Exclusive).unwrap();
         lm.try_lock(&tx(1), "b", LockMode::Shared).unwrap();
         lm.try_lock(&tx(2), "b", LockMode::Shared).unwrap();
-        let mut released = lm.release_all(&tx(1));
-        released.sort();
-        assert_eq!(released, vec!["a"]);
+        assert_eq!(lm.locked_keys(), 2);
+        assert_eq!(lm.release_all(&tx(1)), 1, "only a became free");
         assert_eq!(lm.locked_keys(), 1, "b still held by tx-2");
+        assert_eq!(lm.release_all(&tx(1)), 0, "nothing left to release");
         assert!(lm.try_lock(&tx(3), "a", LockMode::Exclusive).is_ok());
     }
 

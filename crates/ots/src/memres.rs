@@ -11,7 +11,7 @@ use crate::control::Control;
 use crate::error::TxError;
 use crate::lockmgr::{LockManager, LockMode, LockStats};
 use crate::resource::{Resource, SubtransactionAwareResource, Vote};
-use crate::xid::TxId;
+use crate::xid::{TxId, TxMap};
 
 /// Buffered effects of one transaction: key → new value (`None` = delete).
 type Workspace = BTreeMap<String, Option<Value>>;
@@ -30,8 +30,8 @@ type Workspace = BTreeMap<String, Option<Value>>;
 pub struct TransactionalKv {
     name: String,
     committed: RwLock<HashMap<String, Value>>,
-    workspaces: Mutex<HashMap<TxId, Workspace>>,
-    prepared: Mutex<HashMap<TxId, Workspace>>,
+    workspaces: Mutex<TxMap<Workspace>>,
+    prepared: Mutex<TxMap<Workspace>>,
     locks: LockManager,
 }
 
@@ -57,8 +57,8 @@ impl TransactionalKv {
         TransactionalKv {
             name: name.into(),
             committed: RwLock::new(HashMap::new()),
-            workspaces: Mutex::new(HashMap::new()),
-            prepared: Mutex::new(HashMap::new()),
+            workspaces: Mutex::default(),
+            prepared: Mutex::default(),
             locks: LockManager::new(clock),
         }
     }
@@ -187,9 +187,13 @@ impl TransactionalKv {
         let mut committed = self.committed.write();
         for (key, effect) in workspace {
             match effect {
-                Some(value) => {
-                    committed.insert(key.clone(), value.clone());
-                }
+                // Overwrite in place: a key already committed is not copied again.
+                Some(value) => match committed.get_mut(key) {
+                    Some(slot) => *slot = value.clone(),
+                    None => {
+                        committed.insert(key.clone(), value.clone());
+                    }
+                },
                 None => {
                     committed.remove(key);
                 }

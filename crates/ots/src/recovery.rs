@@ -258,11 +258,12 @@ pub struct RecoverableResource {
     /// This participant's claim on `wal`: everything from its oldest
     /// in-doubt transaction's `RES_PREPARED` on.
     hold: Option<Hold>,
-    coordinator_node: String,
+    /// Shared with every `in_doubt` entry a prepare makes: no copy per vote.
+    coordinator_node: Arc<str>,
     failpoints: FailpointSet,
     /// tx → coordinator node recorded at prepare time, and the LSN of the
     /// `RES_PREPARED` record that says so.
-    in_doubt: Mutex<BTreeMap<TxId, (String, Lsn)>>,
+    in_doubt: Mutex<BTreeMap<TxId, (Arc<str>, Lsn)>>,
     heuristics: Mutex<Vec<(TxId, String)>>,
 }
 
@@ -290,7 +291,7 @@ impl RecoverableResource {
             name,
             hold: wal.hold(),
             wal,
-            coordinator_node: coordinator_node.into(),
+            coordinator_node: Arc::from(coordinator_node.into()),
             failpoints: FailpointSet::new(),
             in_doubt: Mutex::new(BTreeMap::new()),
             heuristics: Mutex::new(Vec::new()),
@@ -321,7 +322,7 @@ impl RecoverableResource {
     ) -> Result<Self, TxError> {
         let resource = Self::new(inner, wal, coordinator_node);
         let name = resource.name.as_str();
-        let mut prepared: BTreeMap<TxId, (String, Lsn)> = BTreeMap::new();
+        let mut prepared: BTreeMap<TxId, (Arc<str>, Lsn)> = BTreeMap::new();
         let mut resolved: Vec<(TxId, bool)> = Vec::new();
         // Decoded in place, and only this component's kinds: nothing is
         // cloned out of the log.
@@ -347,7 +348,7 @@ impl RecoverableResource {
                         .get("coordinator")
                         .and_then(Value::as_str)
                         .ok_or_else(|| TxError::Log("prepared record missing coordinator".into()))?;
-                    prepared.insert(tx, (coordinator.to_owned(), record.lsn));
+                    prepared.insert(tx, (Arc::from(coordinator), record.lsn));
                 }
                 _ => {
                     let committed =
@@ -376,7 +377,7 @@ impl RecoverableResource {
 
     /// The transactions currently in doubt, with their coordinators.
     pub fn in_doubt(&self) -> Vec<(TxId, String)> {
-        self.in_doubt.lock().iter().map(|(t, (c, _))| (t.clone(), c.clone())).collect()
+        self.in_doubt.lock().iter().map(|(t, (c, _))| (t.clone(), String::from(&**c))).collect()
     }
 
     /// Heuristic decisions taken so far (tx, detail).
@@ -566,7 +567,7 @@ impl Resource for RecoverableResource {
                 |record| -> Result<Lsn, TxError> {
                     let mut in_doubt = self.in_doubt.lock();
                     let prepared = self.wal.append(KIND_RES_PREPARED, record)?;
-                    in_doubt.insert(tx.clone(), (self.coordinator_node.clone(), prepared));
+                    in_doubt.insert(tx.clone(), (Arc::clone(&self.coordinator_node), prepared));
                     Ok(prepared)
                 },
             )?;

@@ -1,6 +1,8 @@
 //! Transaction identifiers with nesting-aware branch paths.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Identity of a transaction: a top-level sequence number plus the branch
 /// path of subtransaction indices below it.
@@ -9,10 +11,78 @@ use std::fmt;
 /// of the first subtransaction of `tx-7`. The path encoding makes ancestry
 /// checks cheap, which both the nested-commit machinery and the Activity
 /// Service's context propagation rely on.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// Equality and hashing are written by hand (DESIGN.md §18): a derived `==`
+/// compares the branches with the C library's `memcmp` even when both are
+/// empty, as they are for every top-level transaction, and on some machines
+/// that call costs a hundred times the comparison itself.
+#[derive(Debug, Clone, Eq, PartialOrd, Ord)]
 pub struct TxId {
     top: u64,
     branch: Vec<u32>,
+}
+
+impl PartialEq for TxId {
+    fn eq(&self, other: &Self) -> bool {
+        self.top == other.top
+            && self.branch.len() == other.branch.len()
+            && starts_with(&self.branch, &other.branch)
+    }
+}
+
+/// Whether `branch` begins with `prefix`, compared element by element:
+/// slice `==` (and `<[u32]>::starts_with`) would call `memcmp`, even for an
+/// empty prefix.
+fn starts_with(branch: &[u32], prefix: &[u32]) -> bool {
+    branch.len() >= prefix.len() && branch.iter().zip(prefix).all(|(a, b)| a == b)
+}
+
+impl Hash for TxId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.top);
+        state.write_usize(self.branch.len());
+        for index in &self.branch {
+            state.write_u32(*index);
+        }
+    }
+}
+
+/// A table keyed by transaction id, hashed with [`TxIdHasher`].
+pub(crate) type TxMap<V> = HashMap<TxId, V, BuildHasherDefault<TxIdHasher>>;
+
+/// A multiply-rotate hasher (the Fx scheme) for [`TxId`]s: a few integers
+/// the service itself numbers, so flooding resistance buys nothing and
+/// SipHash's rounds are pure cost. Keys that come from applications keep
+/// the standard hasher.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct TxIdHasher(u64);
+
+impl TxIdHasher {
+    const SEED: u64 = 0x517c_c1b7_2722_0a95;
+}
+
+impl Hasher for TxIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.write_u64(u64::from(*byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(Self::SEED);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl TxId {
@@ -59,7 +129,7 @@ impl TxId {
     pub fn is_ancestor_of(&self, other: &TxId) -> bool {
         self.top == other.top
             && self.branch.len() < other.branch.len()
-            && other.branch[..self.branch.len()] == self.branch[..]
+            && starts_with(&other.branch, &self.branch)
     }
 
     /// Whether `self` and `other` belong to the same top-level transaction.
@@ -140,9 +210,70 @@ mod tests {
 
     #[test]
     fn usable_as_map_key() {
-        let mut m = std::collections::HashMap::new();
+        let mut m = TxMap::default();
         m.insert(TxId::top_level(1).child(0), "x");
         assert_eq!(m.get(&TxId::top_level(1).child(0)), Some(&"x"));
         assert_eq!(m.get(&TxId::top_level(1)), None);
+    }
+
+    #[test]
+    fn a_top_level_id_is_not_its_first_child() {
+        let (top, child) = (TxId::top_level(7), TxId::top_level(7).child(0));
+        assert_ne!(top, child);
+        assert_ne!(top.cmp(&child), std::cmp::Ordering::Equal);
+        assert_ne!(hash_with::<TxIdHasher>(&top), hash_with::<TxIdHasher>(&child));
+    }
+
+    fn hash_with<H: Hasher + Default>(tx: &TxId) -> u64 {
+        let mut hasher = H::default();
+        tx.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Ids from a small space, so that equal ids, ids sharing `top`, empty
+    /// branches and branches that are prefixes of each other all come often.
+    fn arb_txid() -> proptest::strategy::BoxedStrategy<TxId> {
+        use proptest::prelude::*;
+        (0u64..3, proptest::collection::vec(0u32..3, 0..4))
+            .prop_map(|(top, branch)| TxId { top, branch })
+            .boxed()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        fn equality_ordering_hashing_and_ancestry_agree(a in arb_txid(), b in arb_txid()) {
+            let fields_equal = a.top == b.top && a.branch == b.branch;
+            proptest::prop_assert_eq!(a == b, fields_equal);
+            proptest::prop_assert_eq!(a.cmp(&b) == std::cmp::Ordering::Equal, fields_equal);
+            proptest::prop_assert_eq!(
+                a.is_ancestor_of(&b),
+                a.top == b.top && a.branch.len() < b.branch.len() && b.branch.starts_with(&a.branch)
+            );
+            if a == b {
+                proptest::prop_assert_eq!(hash_with::<TxIdHasher>(&a), hash_with::<TxIdHasher>(&b));
+                proptest::prop_assert_eq!(
+                    hash_with::<std::collections::hash_map::DefaultHasher>(&a),
+                    hash_with::<std::collections::hash_map::DefaultHasher>(&b)
+                );
+            }
+        }
+
+        fn a_tx_map_behaves_like_a_std_hash_map(
+            script in proptest::collection::vec((0u8..3, arb_txid(), proptest::prelude::any::<u32>()), 0..64),
+        ) {
+            let mut tx_map = TxMap::default();
+            let mut model = HashMap::new();
+            for (op, tx, value) in script {
+                match op {
+                    0 => proptest::prop_assert_eq!(
+                        tx_map.insert(tx.clone(), value),
+                        model.insert(tx, value)
+                    ),
+                    1 => proptest::prop_assert_eq!(tx_map.get(&tx), model.get(&tx)),
+                    _ => proptest::prop_assert_eq!(tx_map.remove(&tx), model.remove(&tx)),
+                }
+                proptest::prop_assert_eq!(tx_map.len(), model.len());
+            }
+        }
     }
 }

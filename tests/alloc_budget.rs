@@ -692,9 +692,10 @@ fn a_file_log_keeps_its_history_on_disk_not_in_memory() {
 /// the native benchmark's log stack: `GroupCommitWal<MemWal>`, serial
 /// dispatch, a reap every 256 commits. Its four records are written field
 /// by field into a reused buffer, so what the log costs is `MemWal`'s copy
-/// of each. Measured 26; the commit before, which built every record as a
-/// value tree and encoded that, spent 39.
-const LOGGED_COMMIT_BUDGET: u64 = 26;
+/// of each. Measured 20: lock release builds no list of released keys and a
+/// commit overwrites a committed key in place. The commit before spent 26,
+/// and before records were written field by field, 39.
+const LOGGED_COMMIT_BUDGET: u64 = 20;
 
 #[test]
 fn a_logged_native_commit_stays_inside_its_allocation_budget() {
@@ -725,6 +726,32 @@ fn a_logged_native_commit_stays_inside_its_allocation_budget() {
     assert!(
         allocs <= LOGGED_COMMIT_BUDGET,
         "a logged native commit made {allocs} allocations, budget {LOGGED_COMMIT_BUDGET}"
+    );
+}
+
+/// One uncontended exclusive lock taken and released on a warm
+/// `LockManager`: the key the lock table keeps and the holder list.
+/// Measured 2; the commit before, whose `release_all` returned the released
+/// key names cloned into a fresh vector, spent 4.
+const LOCK_CYCLE_BUDGET: u64 = 2;
+
+#[test]
+fn a_lock_cycle_allocates_only_its_key_and_holder_list() {
+    use ots::{LockManager, LockMode, TxId};
+    let locks = LockManager::default();
+    let tx = TxId::top_level(1);
+    let cycle = || {
+        locks.try_lock(&tx, "c0/k0001", LockMode::Exclusive).unwrap();
+        locks.release_all(&tx)
+    };
+    for _ in 0..8 {
+        cycle(); // the lock table at its working size
+    }
+    let (allocs, released) = allocs_during(cycle);
+    assert_eq!((released, locks.locked_keys()), (1, 0));
+    assert!(
+        allocs <= LOCK_CYCLE_BUDGET,
+        "try_lock + release_all made {allocs} allocations, budget {LOCK_CYCLE_BUDGET}"
     );
 }
 
