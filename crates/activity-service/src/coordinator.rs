@@ -346,7 +346,7 @@ impl ActivityCoordinator {
         let mut signal_seq = 0u64;
         loop {
             self.env.hit(failpoints::BEFORE_GET_SIGNAL)?;
-            self.record(scope, || ProtocolEvent::GetSignal { set: set_name.to_owned() });
+            self.record(|| ProtocolEvent::GetSignal { set: set_name.to_owned() });
             let next = entry.set.get_signal();
             entry.state = entry
                 .state
@@ -412,7 +412,7 @@ impl ActivityCoordinator {
                             .metrics()
                             .incr(&format!("signals_transmitted_total{{set=\"{set_name}\"}}"));
                     }
-                    self.record(&span, || ProtocolEvent::Transmit {
+                    self.record(|| ProtocolEvent::Transmit {
                         set: set_name.to_owned(),
                         signal: name.as_ref().to_owned(),
                         action: action.name().to_owned(),
@@ -425,7 +425,7 @@ impl ActivityCoordinator {
                             detector.record_success(action.name());
                         }
                     }
-                    self.record(scope, || ProtocolEvent::SetResponse {
+                    self.record(|| ProtocolEvent::SetResponse {
                         set: set_name.to_owned(),
                         outcome: outcome.name().to_owned(),
                     });
@@ -441,26 +441,18 @@ impl ActivityCoordinator {
         entry.state.check_outcome_readable(set_name)?;
         self.env.hit(failpoints::BEFORE_OUTCOME)?;
         let outcome = entry.set.get_outcome();
-        self.record(scope, || ProtocolEvent::GetOutcome {
+        self.record(|| ProtocolEvent::GetOutcome {
             set: set_name.to_owned(),
             outcome: outcome.name().to_owned(),
         });
         Ok(outcome)
     }
 
-    /// Emit one fig. 5 step of this activity — and, on a live span, the
-    /// same step's `Display` text as a span event — from the same call
-    /// site, so the two views cannot drift apart. With neither listening
+    /// Emit one fig. 5 step of this activity. With no recorder listening
     /// (the common case for production coordinators) the event is never
     /// built.
-    fn record(&self, span: &SpanGuard<'_>, event: impl FnOnce() -> ProtocolEvent) {
-        let origin = || self.activity.origin();
-        if span.telemetry().is_none() {
-            return self.env.emit(|| (origin(), event()));
-        }
-        let event = event();
-        span.event(&event.to_string());
-        self.env.emit(|| (origin(), event));
+    fn record(&self, event: impl FnOnce() -> ProtocolEvent) {
+        self.env.emit(|| (self.activity.origin(), event()));
     }
 }
 
@@ -667,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_projection_matches_the_trace_byte_for_byte() {
+    fn telemetry_records_one_transmit_span_per_delivery() {
         let tel = Telemetry::new();
         let (c, recorder) = recorded(Env { telemetry: Some(tel.clone()), ..Default::default() });
         c.add_signal_set(Box::new(BroadcastSignalSet::new("S", "go", Value::Null)))
@@ -677,9 +669,10 @@ mod tests {
         c.register_action("S", counting_action("a2", Arc::clone(&hits)));
         c.process_signal_set("S").unwrap();
 
+        // The fig. 5 steps are kept once, in the recorder; spans carry none.
+        assert_eq!(steps(&recorder).len(), 6);
         let tree = tel.span_tree();
         assert_eq!(tree.verify(), Vec::<String>::new());
-        assert_eq!(tree.coordinator_projection(), telemetry::render_steps(&steps(&recorder)));
 
         // One signal_set root carrying one transmit child per delivery.
         let roots = tree.roots();

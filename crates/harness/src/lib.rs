@@ -30,8 +30,7 @@
 //!   WAL-replay equivalence, trace determinism (same seed ⇒ byte-identical
 //!   trace), liveness under bounded transient faults (drops within the
 //!   retry budget must not prevent commit), telemetry conformance (the
-//!   span tree is well-formed and its projection onto coordinator events is
-//!   byte-identical to the trace), durability (acked LSNs survive crashes),
+//!   span tree is well-formed), durability (acked LSNs survive crashes),
 //!   refinement (the protocol steps the run emitted replay cleanly through
 //!   the executable reference models), and eventual resolution (once
 //!   faults cease and partitions heal no participant stays in-doubt, and
@@ -40,9 +39,8 @@
 //!   bit-identically, and critical-path attribution partitions the
 //!   commit span exactly), and causal consistency (the merged
 //!   happens-before DAG over every node's Lamport-stamped log is acyclic,
-//!   receive-after-send on every wire edge, and protocol-ordered — no
-//!   outcome before its decision, no vote after it, no completion before
-//!   phase two landed).
+//!   and every edge runs forward in Lamport and virtual-clock order; the
+//!   protocol order is refinement's to judge).
 //! * [`model`] — executable reference models transcribed from the paper:
 //!   presumed-abort 2PC, fig. 4 nesting, fig. 5 checked signal sets, §5.1
 //!   saga compensation. Pure `step(state, event)` machines that consume

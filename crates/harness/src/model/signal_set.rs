@@ -148,11 +148,14 @@ pub fn replay(stream: &[Step]) -> Vec<SpecViolation> {
     Vec::new()
 }
 
-/// The conventional outcome classifier: `"abort"`, `"error"` and the
-/// fail-ish completion statuses count as failures.
+/// The conventional outcome classifier: `"abort"`, `"error"`, the
+/// fail-ish completion statuses, a rolled-back or cancelled collation and
+/// every heuristic outcome count as failures.
 #[must_use]
 pub fn conventional_failure(outcome: &str) -> bool {
-    outcome == "abort" || outcome == "error" || outcome.starts_with("fail")
+    matches!(outcome, "abort" | "error" | "rolled_back" | "cancelled")
+        || outcome.starts_with("fail")
+        || outcome.starts_with("heuristic")
 }
 
 #[cfg(test)]

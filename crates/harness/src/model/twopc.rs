@@ -338,6 +338,17 @@ mod tests {
     }
 
     #[test]
+    fn a_vote_or_a_delivery_after_its_moment_is_rejected() {
+        // Once commit is forced every solicited participant has voted, so a
+        // later vote is a second one.
+        let t = vec![prepare("a"), vote("a", Vote::Commit), decide(), vote("a", Vote::Commit)];
+        assert!(replay(&t)[0].detail.contains("voted twice"));
+        // Phase two must land before the transaction completes.
+        let t = vec![prepare("a"), vote("a", Vote::Commit), decide(), complete(true), deliver("a", true)];
+        assert!(replay(&t)[0].detail.contains("after completion"));
+    }
+
+    #[test]
     fn completing_committed_without_a_decision_is_rejected() {
         let t = vec![
             prepare("a"),

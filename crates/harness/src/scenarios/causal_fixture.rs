@@ -1,33 +1,36 @@
-//! The causal planted-bug fixture: a paced three-node commit whose
-//! coordinator, when the `causal.race` failpoint is armed, delivers the
-//! first phase-two outcome *before* forcing the decision record — the
-//! classic "acked the client off the racy path" coordinator bug.
+//! The causal planted-bug fixture: a paced three-node commit in which,
+//! when the `causal.race` failpoint is armed, participant `alpha`'s flight
+//! recorder reads a clock one [`STEP`] behind the simulation — the classic
+//! skewed node clock. Every request alpha receives is then stamped before
+//! the coordinator sent it.
 //!
 //! Every per-node fact still looks healthy: the run commits, both
-//! participants keep their effects, the journal is complete and each
-//! node's local log is internally consistent. Only the *merged*
-//! happens-before DAG shows the outcome delivery with no forced decision
-//! among its causal ancestors, so oracle #12 (`causal-consistency`) is the
-//! only oracle that can catch it — and the explorer shrinks the schedule
-//! to the single failpoint arm. Never part of [`super::all`].
+//! participants keep their effects, the coordinator's steps refine the
+//! two-phase-commit model in the order it emitted them, and each node's
+//! own log is monotone in both Lamport and virtual time. Only the *merged*
+//! happens-before DAG puts alpha's `wire-recv` beside the matching
+//! `wire-send` and sees the receive run backwards in virtual time, so
+//! oracle #12 (`causal-consistency`) is the only oracle that can catch it —
+//! and the explorer shrinks the schedule to the single failpoint arm.
+//! Never part of [`super::all`].
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
 use orb::{Env, NetworkConfig, Orb, Request, SimClock, Value};
-use telemetry::{Origin, ProtocolEvent, VoteKind};
+use telemetry::{Origin, ProtocolEvent, TimeSource, VoteKind};
 
 use crate::oracle::{BlackBox, Causal, Observation, RunOutcome};
 use crate::scenario::Scenario;
 use crate::schedule::{FaultEvent, FaultSchedule};
 
-/// The racy-coordinator fixture. Fault-free runs order phase two after the
-/// decision force; arming [`RACE_SITE`] swaps them for the first
-/// participant.
-pub struct ReorderedOutcomeScenario;
+/// The skewed-clock fixture. Fault-free runs stamp every node off the one
+/// simulation clock; arming [`RACE_SITE`] sets alpha's recorder one
+/// [`STEP`] behind it.
+pub struct LaggingClockScenario;
 
-/// The failpoint site whose arming takes the racy path. Reported as the
+/// The failpoint site whose arming skews alpha's clock. Reported as the
 /// probe's only observed site, so seeded schedules draw it.
 pub const RACE_SITE: &str = "causal.race";
 
@@ -35,13 +38,22 @@ const COORDINATOR: &str = "coordinator";
 const PARTICIPANTS: [&str; 2] = ["alpha", "beta"];
 const STEP: Duration = Duration::from_micros(50);
 
-impl Scenario for ReorderedOutcomeScenario {
+/// The simulation clock, read one [`STEP`] late.
+struct Lagging(SimClock);
+
+impl TimeSource for Lagging {
+    fn virtual_now(&self) -> Duration {
+        self.0.virtual_now().saturating_sub(STEP)
+    }
+}
+
+impl Scenario for LaggingClockScenario {
     fn name(&self) -> &'static str {
-        "causal-reordered-outcome"
+        "causal-lagging-clock"
     }
 
     fn run(&self, schedule: &FaultSchedule) -> Observation {
-        let racy = schedule
+        let skewed = schedule
             .events()
             .iter()
             .any(|e| matches!(e, FaultEvent::ArmFailpoint { site, .. } if site == RACE_SITE));
@@ -70,11 +82,13 @@ impl Scenario for ReorderedOutcomeScenario {
         let mut refs = Vec::new();
         for name in PARTICIPANTS {
             let node = orb.add_node(name).expect("add participant");
-            let recorder = telemetry::FlightRecorder::with_time(
-                name,
-                telemetry::DEFAULT_RECORDER_CAPACITY,
-                Arc::new(clock.clone()),
-            );
+            let time: Arc<dyn TimeSource> = if skewed && name == PARTICIPANTS[0] {
+                Arc::new(Lagging(clock.clone()))
+            } else {
+                Arc::new(clock.clone())
+            };
+            let recorder =
+                telemetry::FlightRecorder::with_time(name, telemetry::DEFAULT_RECORDER_CAPACITY, time);
             plane.register(&recorder);
             let object = node
                 .activate("Participant", |req: &Request| {
@@ -101,10 +115,9 @@ impl Scenario for ReorderedOutcomeScenario {
             });
         }
 
-        // Phase two. The racy path delivers alpha's outcome before the
-        // decision record is forced; the healthy path forces first.
-        let mut deliver = |idx: usize| {
-            let (name, object) = &refs[idx];
+        // Phase two: force the decision, then deliver it.
+        journal(ProtocolEvent::DecisionForced { commit: true });
+        for (name, object) in &refs {
             clock.advance(STEP);
             let reply = coord_node.invoke(object, Request::new("outcome")).expect("invoke");
             let _ = writeln!(trace, "outcome({name}) -> {:?}", reply.result);
@@ -113,26 +126,17 @@ impl Scenario for ReorderedOutcomeScenario {
                 commit: true,
                 ok: true,
             });
-        };
-        if racy {
-            deliver(0);
-            journal(ProtocolEvent::DecisionForced { commit: true });
-            deliver(1);
-        } else {
-            journal(ProtocolEvent::DecisionForced { commit: true });
-            deliver(0);
-            deliver(1);
         }
         clock.advance(STEP);
         journal(ProtocolEvent::TxCompleted { committed: true });
 
         let mut obs = Observation::new(RunOutcome::Committed);
-        // Every per-node fact is healthy — the commit landed everywhere —
-        // so nothing here binds any other oracle to the bug. Deliberately
-        // no model_events: the refinement oracle would see the same
-        // reorder; #12 must be the one that catches it.
+        // Every per-node fact is healthy — the commit landed everywhere and
+        // the coordinator's steps replay cleanly through the 2PC model — so
+        // nothing here binds any other oracle to the skew.
         obs.participant_commits =
             PARTICIPANTS.iter().map(|name| ((*name).to_owned(), true)).collect();
+        obs.model_events = Some(coord_recorder.steps());
         obs.trace = trace;
         obs.space.sites = vec![RACE_SITE.to_owned()];
         obs.space.remote_messages = orb.network().remote_messages();
@@ -149,37 +153,42 @@ mod tests {
 
     #[test]
     fn fault_free_fixture_passes_every_oracle() {
-        let obs = ReorderedOutcomeScenario.run(&FaultSchedule::empty());
+        let obs = LaggingClockScenario.run(&FaultSchedule::empty());
         assert_eq!(obs.outcome, RunOutcome::Committed);
         assert!(obs.causal.as_ref().expect("the fixture merges").violations.is_empty());
         assert!(oracle::check_all(&obs).is_empty(), "{:?}", oracle::check_all(&obs));
     }
 
     #[test]
-    fn armed_race_is_caught_by_the_causal_oracle_alone() {
+    fn a_lagging_clock_is_caught_by_the_causal_oracle_alone() {
         let schedule = FaultSchedule::from_events(vec![FaultEvent::ArmFailpoint {
             site: RACE_SITE.into(),
             after: 0,
         }]);
-        let obs = ReorderedOutcomeScenario.run(&schedule);
+        let obs = LaggingClockScenario.run(&schedule);
         let violations = oracle::check_all(&obs);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert_eq!(violations[0].oracle, "causal-consistency");
-        assert!(
-            violations[0].detail.contains("without the forced decision"),
-            "{}",
-            violations[0].detail
-        );
+        // One inversion per request alpha receives: its prepare and its
+        // outcome.
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        for violation in &violations {
+            assert_eq!(violation.oracle, "causal-consistency");
+            assert!(violation.detail.starts_with("virtual-clock inversion"), "{}", violation.detail);
+            assert!(violation.detail.contains("wire-recv"), "{}", violation.detail);
+        }
+        // The trace and the protocol steps are those of a healthy run.
+        let healthy = LaggingClockScenario.run(&FaultSchedule::empty());
+        assert_eq!(obs.trace, healthy.trace);
+        assert_eq!(obs.model_events, healthy.model_events);
     }
 
     #[test]
-    fn racy_runs_are_deterministic_and_export_a_trace() {
+    fn skewed_runs_are_deterministic_and_export_a_trace() {
         let schedule = FaultSchedule::from_events(vec![FaultEvent::ArmFailpoint {
             site: RACE_SITE.into(),
             after: 0,
         }]);
-        let a = ReorderedOutcomeScenario.run(&schedule);
-        let b = ReorderedOutcomeScenario.run(&schedule);
+        let a = LaggingClockScenario.run(&schedule);
+        let b = LaggingClockScenario.run(&schedule);
         assert!(oracle::check_determinism(&a, &b).is_empty());
         let perfetto = a.causal.expect("the fixture merges").perfetto;
         telemetry::check_perfetto_schema(&perfetto).expect("schema-clean export");

@@ -12,7 +12,7 @@ mod workflow;
 
 pub use broken::BrokenWorkflowScenario;
 pub use btp_atom::BtpAtomScenario;
-pub use causal_fixture::{ReorderedOutcomeScenario, RACE_SITE};
+pub use causal_fixture::{LaggingClockScenario, RACE_SITE};
 pub use explore_two_phase::{BrokenAtomicCommitScenario, ThreeParticipantTwoPhase};
 pub use nested::NestedCompensationScenario;
 pub use saga::SagaScenario;
@@ -86,7 +86,7 @@ mod tests {
             Box::new(WorkflowNoRetryScenario),
             Box::new(BrokenWorkflowScenario),
             Box::new(ForgetfulCoordinatorScenario),
-            Box::new(ReorderedOutcomeScenario),
+            Box::new(LaggingClockScenario),
             Box::new(BrokenAtomicCommitScenario),
         ]);
         let mut drifted = Vec::new();

@@ -40,8 +40,7 @@ pub(crate) fn run_workflow_with(
 ) -> Observation {
     let clock = SimClock::new();
     // Spans are timestamped off the run's virtual clock, and the recorder
-    // feeds oracle #7: the tree must stay well-formed on every schedule and
-    // its event projection byte-identical to the coordinator trace.
+    // feeds oracle #7: the tree must stay well-formed on every schedule.
     let telemetry = telemetry::Telemetry::with_time(Arc::new(clock.clone()));
     // The coordinator's flight recorder (oracle #11): every protocol step,
     // span open/close and failpoint passage lands in the ring on the same

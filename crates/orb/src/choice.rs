@@ -11,12 +11,12 @@
 //! A [`DeliverySequencer`] hands that axis to the caller. A protocol layer
 //! with a round of pending deliveries (a 2PC prepare round, a phase-two
 //! outcome round, a rollback round) consults the sequencer before each
-//! delivery: *given these still-pending peers, which goes next?* The
-//! default, [`RegistrationOrder`], always answers "the first", which is
-//! byte-for-byte the legacy behaviour — attaching it (or no sequencer at
-//! all) changes nothing. A model-checking explorer attaches its own
-//! implementation and enumerates every answer, making delivery order a
-//! first-class schedule choice instead of an accident of registration.
+//! delivery: *given these still-pending peers, which goes next?* With no
+//! sequencer attached every round goes in registration order, the
+//! behaviour every layer had before the hook existed. A model-checking
+//! explorer attaches its own implementation and enumerates every answer,
+//! making delivery order a first-class schedule choice instead of an
+//! accident of registration.
 //!
 //! After each delivery the layer reports back through
 //! [`DeliverySequencer::report`] whether the delivery was *clean* (the
@@ -47,18 +47,6 @@ pub trait DeliverySequencer: Send + Sync {
     }
 }
 
-/// The do-nothing sequencer: always delivers to the first pending peer,
-/// i.e. exact registration order — the behaviour every protocol layer had
-/// before the hook existed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RegistrationOrder;
-
-impl DeliverySequencer for RegistrationOrder {
-    fn next_delivery(&self, _stage: &str, _pending: &[&str]) -> usize {
-        0
-    }
-}
-
 /// Resolve a sequencer's answer to a safe index: out-of-range choices
 /// clamp to the last pending delivery.
 #[must_use]
@@ -72,15 +60,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registration_order_always_picks_the_head() {
-        let seq = RegistrationOrder;
-        assert_eq!(seq.next_delivery("prepare", &["a", "b", "c"]), 0);
-        assert_eq!(seq.next_delivery("phase2", &["z"]), 0);
-        // The default report is a no-op; it must at least not panic.
-        seq.report("prepare", "a", true);
-    }
-
-    #[test]
     fn out_of_range_choices_clamp_to_the_tail() {
         assert_eq!(clamp_choice(0, 3), 0);
         assert_eq!(clamp_choice(2, 3), 2);
@@ -90,8 +69,17 @@ mod tests {
 
     #[test]
     fn trait_objects_dispatch() {
-        let seq: std::sync::Arc<dyn DeliverySequencer> =
-            std::sync::Arc::new(RegistrationOrder);
+        /// Always the last pending delivery: reverse registration order.
+        struct LastFirst;
+        impl DeliverySequencer for LastFirst {
+            fn next_delivery(&self, _stage: &str, pending: &[&str]) -> usize {
+                pending.len() - 1
+            }
+        }
+        let seq: std::sync::Arc<dyn DeliverySequencer> = std::sync::Arc::new(LastFirst);
+        assert_eq!(seq.next_delivery("prepare", &["a", "b", "c"]), 2);
         assert_eq!(seq.next_delivery("rollback", &["only"]), 0);
+        // The default report is a no-op; it must at least not panic.
+        seq.report("prepare", "c", true);
     }
 }

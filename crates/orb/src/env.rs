@@ -61,9 +61,8 @@ pub struct Env {
     /// the network; a commit becomes a `commit:` span with `prepare` /
     /// `vote:` / `phase2` children, `twopc_vote_latency_seconds` and
     /// `twopc_commits_total` / `twopc_aborts_total`; a protocol run becomes
-    /// a `signal_set:` span with one `transmit:` child per delivery, each
-    /// fig. 5 step doubling as a span event with the step's exact text
-    /// (what lets oracle #7 pin the span tree to the recorded trace);
+    /// a `signal_set:` span with one `transmit:` child per delivery (the
+    /// fig. 5 steps themselves go to the recorder, through [`Env::emit`]);
     /// `begin`/`complete` pairs become nested `activity:`
     /// spans; a workflow run a `workflow:` span with one `task:` child per
     /// finished task (tagged with attempts and outcome) and one
@@ -214,13 +213,6 @@ impl<'a> SpanGuard<'a> {
     pub fn attr(&self, key: &str, value: impl Display) {
         if let Some((telemetry, span)) = &self.live {
             telemetry.set_attr(span, key, &value.to_string());
-        }
-    }
-
-    /// Attach a point event.
-    pub fn event(&self, text: &str) {
-        if let Some((telemetry, span)) = &self.live {
-            telemetry.event(span, text);
         }
     }
 

@@ -67,7 +67,7 @@ pub mod registry;
 pub mod retry;
 pub mod value;
 
-pub use choice::{DeliverySequencer, RegistrationOrder};
+pub use choice::DeliverySequencer;
 pub use clock::SimClock;
 pub use context::ServiceContext;
 pub use dedup::{DedupServant, DedupWindow};

@@ -17,12 +17,12 @@
 //! - [`CausalMerge`]: folds N causally-annotated recorder logs into a
 //!   [`CausalDag`] — edges are per-node program order plus send→receive
 //!   pairs matched by wire token (delivery id + send stamp).
-//! - [`CausalDag::verify`]: cycles, Lamport/virtual-clock inversions on
-//!   every edge, and 2PC protocol-order violations (outcome delivered
-//!   before the decision forced, vote recorded after the decision,
-//!   completion before all phase-2 acks), checked per transaction — the
-//!   typed steps of one [`Origin`] on one node — as structured
-//!   [`CausalViolation`]s — harness oracle #12.
+//! - [`CausalDag::verify`]: cycles and Lamport/virtual-clock inversions on
+//!   every edge, as structured [`CausalViolation`]s — harness oracle #12.
+//!   These are what only the merge shows: a receive stamped before its
+//!   send on another node's clock. Protocol order is not judged here: this
+//!   crate knows no protocol, and within one node "causally before" is
+//!   program order, which the harness reference models replay.
 //! - [`CausalDag::to_perfetto`]: a Chrome-trace/Perfetto JSON export
 //!   (one track per node, flow events per send→receive edge,
 //!   virtual-clock timestamps) loadable in `ui.perfetto.dev`.
@@ -32,11 +32,10 @@
 //! [`CausalDag::fingerprint`] is invariant under input-log permutation —
 //! pinned-seed double runs must agree bit-for-bit.
 
-use crate::event::{Origin, ProtocolEvent};
 use crate::recorder::{FlightRecorder, Record, RecordKind, RecordedEvent};
 use crate::{fnv1a, FNV_OFFSET};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -225,8 +224,7 @@ impl CausalMerge {
     }
 }
 
-/// One structured protocol-order or consistency violation found by
-/// [`CausalDag::verify`].
+/// One structured consistency violation found by [`CausalDag::verify`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CausalViolation {
     /// The merged graph is not acyclic (evidence: one event on a cycle).
@@ -237,14 +235,6 @@ pub enum CausalViolation {
     /// An edge that runs backwards in virtual time: Lamport order and the
     /// simulation clock disagree.
     ClockInversion { from: String, to: String },
-    /// A commit outcome was delivered without the forced decision
-    /// happening-before it (§12: force the decision, then act on it).
-    OutcomeBeforeDecision { outcome: String },
-    /// A vote was recorded causally after the decision was forced.
-    VoteAfterDecision { vote: String, decision: String },
-    /// The transaction completed before a phase-2 outcome delivery was
-    /// causally in its past.
-    CompletionBeforeAck { completion: String, outcome: String },
 }
 
 impl fmt::Display for CausalViolation {
@@ -260,17 +250,6 @@ impl fmt::Display for CausalViolation {
             CausalViolation::ClockInversion { from, to } => {
                 write!(f, "virtual-clock inversion on edge [{from}] -> [{to}]")
             }
-            CausalViolation::OutcomeBeforeDecision { outcome } => write!(
-                f,
-                "outcome delivered without the forced decision in its causal past: [{outcome}]"
-            ),
-            CausalViolation::VoteAfterDecision { vote, decision } => {
-                write!(f, "vote recorded after the decision was forced: [{vote}] after [{decision}]")
-            }
-            CausalViolation::CompletionBeforeAck { completion, outcome } => write!(
-                f,
-                "completion without a phase-2 ack in its causal past: [{completion}] missing [{outcome}]"
-            ),
         }
     }
 }
@@ -356,78 +335,18 @@ impl CausalDag {
         self.program_edges.iter().chain(self.message_edges.iter()).copied()
     }
 
-    /// Kahn's algorithm: a topological order, or `None` when cyclic.
-    fn topo_order(&self) -> Option<Vec<usize>> {
-        let n = self.events.len();
-        let mut indegree = vec![0usize; n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (a, b) in self.all_edges() {
-            indegree[b] += 1;
-            succs[a].push(b);
-        }
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = ready.pop() {
-            order.push(i);
-            for &j in &succs[i] {
-                indegree[j] -= 1;
-                if indegree[j] == 0 {
-                    ready.push(j);
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
-    }
-
-    /// Ancestor bitsets (transitive happens-before), or `None` on a cycle.
-    fn ancestors(&self) -> Option<Vec<Vec<u64>>> {
-        let order = self.topo_order()?;
-        let n = self.events.len();
-        let words = n.div_ceil(64);
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (a, b) in self.all_edges() {
-            preds[b].push(a);
-        }
-        let mut anc = vec![vec![0u64; words]; n];
-        // Process in topological order so predecessors are complete.
-        let mut rank = vec![0usize; n];
-        for (r, &i) in order.iter().enumerate() {
-            rank[i] = r;
-        }
-        let mut by_rank: Vec<usize> = (0..n).collect();
-        by_rank.sort_by_key(|&i| rank[i]);
-        for i in by_rank {
-            let mut set = vec![0u64; words];
-            for &p in &preds[i] {
-                set[p / 64] |= 1 << (p % 64);
-                for (w, bits) in anc[p].iter().enumerate() {
-                    set[w] |= bits;
-                }
-            }
-            anc[i] = set;
-        }
-        Some(anc)
-    }
-
     /// Check every §16 invariant over the merged order; an empty result
     /// means the run is causally consistent.
     #[must_use]
     pub fn verify(&self) -> Vec<CausalViolation> {
-        let mut violations = Vec::new();
-
-        let Some(anc) = self.ancestors() else {
+        if let Some(witness) = self.cycle_witness() {
             // Cyclic: report one witness (an event on some cycle) and stop —
-            // ordering queries below would be meaningless.
-            let witness = self
-                .cycle_witness()
-                .map_or_else(|| "<unknown>".to_owned(), |i| self.events[i].render());
-            violations.push(CausalViolation::Cycle { event: witness });
-            return violations;
-        };
-        let before = |a: usize, b: usize| anc[b][a / 64] & (1 << (a % 64)) != 0;
-
+            // edge order is meaningless on a cycle.
+            return vec![CausalViolation::Cycle { event: self.events[witness].render() }];
+        }
         // Every edge must advance the Lamport clock and never run
         // backwards in virtual time.
+        let mut violations = Vec::new();
         for (a, b) in self.all_edges() {
             let (ea, eb) = (&self.events[a], &self.events[b]);
             if eb.lamport <= ea.lamport {
@@ -443,66 +362,11 @@ impl CausalDag {
                     .push(CausalViolation::ClockInversion { from: ea.render(), to: eb.render() });
             }
         }
-
-        // Protocol order over the merged DAG, one transaction at a time: the
-        // two-phase-commit steps of one origin on one node. Logs hold many
-        // transactions, consecutive or interleaved; checks never compare
-        // across them.
-        #[derive(Default)]
-        struct Transaction {
-            decisions: Vec<usize>,
-            votes: Vec<usize>,
-            /// Phase-two deliveries, with whether each delivers a commit.
-            outcomes: Vec<(usize, bool)>,
-            completions: Vec<usize>,
-        }
-        let mut transactions: BTreeMap<(&str, &Origin), Transaction> = BTreeMap::new();
-        for (i, event) in self.events.iter().enumerate() {
-            let Record::Step(origin, step) = &event.record else { continue };
-            let tx = transactions.entry((&*event.node, origin)).or_default();
-            match step {
-                ProtocolEvent::DecisionForced { .. } => tx.decisions.push(i),
-                ProtocolEvent::VoteRecorded { .. } => tx.votes.push(i),
-                ProtocolEvent::OutcomeDelivered { commit, .. } => tx.outcomes.push((i, *commit)),
-                ProtocolEvent::TxCompleted { .. } => tx.completions.push(i),
-                _ => {}
-            }
-        }
-
-        for tx in transactions.values() {
-            // A commit outcome needs the forced decision in its causal past.
-            // (Presumed abort: rollback outcomes legitimately have none.)
-            for &(o, commit) in &tx.outcomes {
-                if commit && !tx.decisions.iter().any(|&d| before(d, o)) {
-                    violations.push(CausalViolation::OutcomeBeforeDecision {
-                        outcome: self.events[o].render(),
-                    });
-                }
-            }
-            // No vote may be causally after the forced decision.
-            for &v in &tx.votes {
-                if let Some(&d) = tx.decisions.iter().find(|&&d| before(d, v)) {
-                    violations.push(CausalViolation::VoteAfterDecision {
-                        vote: self.events[v].render(),
-                        decision: self.events[d].render(),
-                    });
-                }
-            }
-            // Completion needs every phase-2 delivery in its causal past.
-            for &c in &tx.completions {
-                for &(o, _) in tx.outcomes.iter().filter(|&&(o, _)| !before(o, c)) {
-                    violations.push(CausalViolation::CompletionBeforeAck {
-                        completion: self.events[c].render(),
-                        outcome: self.events[o].render(),
-                    });
-                }
-            }
-        }
-
         violations
     }
 
-    /// One event provably on a cycle (None when acyclic).
+    /// One event Kahn's algorithm cannot remove — on a cycle or downstream
+    /// of one — or `None` when the graph is acyclic.
     fn cycle_witness(&self) -> Option<usize> {
         let n = self.events.len();
         let mut indegree = vec![0usize; n];
@@ -704,7 +568,7 @@ pub fn check_perfetto_schema(json: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::VoteKind;
+    use crate::event::{Origin, ProtocolEvent};
     use std::time::Duration;
 
     fn stamped(node: &str, seq: u64, lamport: u64, record: Record) -> RecordedEvent {
@@ -719,35 +583,6 @@ mod tests {
 
     fn ev(node: &str, seq: u64, lamport: u64, kind: RecordKind, detail: &str) -> RecordedEvent {
         stamped(node, seq, lamport, Record::Text(kind, detail.to_owned()))
-    }
-
-    /// One node's log of typed steps, stamped in order: `(transaction, step)`.
-    fn log(steps: Vec<(u64, ProtocolEvent)>) -> Vec<RecordedEvent> {
-        let stamp = |(i, (top, step)): (usize, (u64, ProtocolEvent))| {
-            let origin = Origin::Transaction { top, branch: Vec::new() };
-            stamped("c", i as u64, i as u64 + 1, Record::Step(origin, step))
-        };
-        steps.into_iter().enumerate().map(stamp).collect()
-    }
-
-    fn prepare() -> ProtocolEvent {
-        ProtocolEvent::PrepareSent { participant: "a".into() }
-    }
-    fn vote() -> ProtocolEvent {
-        ProtocolEvent::VoteRecorded { participant: "a".into(), vote: VoteKind::Commit }
-    }
-    fn decision() -> ProtocolEvent {
-        ProtocolEvent::DecisionForced { commit: true }
-    }
-    fn outcome(commit: bool) -> ProtocolEvent {
-        ProtocolEvent::OutcomeDelivered { participant: "a".into(), commit, ok: true }
-    }
-    fn completed() -> ProtocolEvent {
-        ProtocolEvent::TxCompleted { committed: true }
-    }
-
-    fn verify(events: Vec<RecordedEvent>) -> Vec<CausalViolation> {
-        CausalMerge::new().add_events(events).build().verify()
     }
 
     #[test]
@@ -827,81 +662,23 @@ mod tests {
     }
 
     #[test]
-    fn outcome_before_decision_detected() {
-        let violations = verify(log(vec![(1, outcome(true)), (1, decision())]));
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(matches!(violations[0], CausalViolation::OutcomeBeforeDecision { .. }));
-        // Another transaction's decision does not excuse it.
-        let violations = verify(log(vec![(2, decision()), (1, outcome(true))]));
-        assert_eq!(violations.len(), 1, "{violations:?}");
-    }
-
-    #[test]
-    fn rollback_outcome_needs_no_decision() {
-        // Presumed abort: rollback deliveries are legitimate without a
-        // forced decision.
-        assert_eq!(verify(log(vec![(1, outcome(false))])), Vec::new());
-    }
-
-    #[test]
-    fn vote_after_decision_detected() {
-        let violations = verify(log(vec![(1, decision()), (1, vote()), (1, outcome(true))]));
-        assert!(
-            violations.iter().any(|v| matches!(v, CausalViolation::VoteAfterDecision { .. })),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn completion_before_ack_detected() {
-        // A phase-2 delivery journaled after its transaction's completion
-        // is not in the completion's causal past — flagged.
-        let violations = verify(log(vec![(1, decision()), (1, completed()), (1, outcome(true))]));
-        assert!(
-            violations.iter().any(|v| matches!(v, CausalViolation::CompletionBeforeAck { .. })),
-            "{violations:?}"
-        );
-
-        // In order is clean.
-        let clean = vec![(1, decision()), (1, outcome(true)), (1, completed())];
-        assert_eq!(verify(log(clean)), Vec::new());
-
-        // A second transaction's deliveries are never compared against the
-        // first completion.
-        let one = |tx| vec![(tx, prepare()), (tx, decision()), (tx, outcome(true)), (tx, completed())];
-        assert_eq!(verify(log([one(1), one(2)].concat())), Vec::new());
-    }
-
-    #[test]
-    fn transactions_interleaved_on_one_node_verify_clean() {
-        // What two concurrent clients of one coordinator node produce: every
-        // step legal within its own transaction, the second's vote after the
-        // first's decision and its delivery after the first's completion.
-        let interleaved = vec![
-            (1, prepare()),
-            (1, vote()),
-            (2, prepare()),
-            (1, decision()),
-            (2, vote()),
-            (1, outcome(true)),
-            (1, completed()),
-            (2, decision()),
-            (2, outcome(true)),
-            (2, completed()),
+    fn protocol_order_is_not_the_merges_to_judge() {
+        // A commit delivered before its decision was forced, on one node,
+        // typed and as text: program order is monotone, so the merge is
+        // clean. The 2PC reference model is what rejects this order.
+        let origin = Origin::Transaction { top: 1, branch: Vec::new() };
+        let delivered = ProtocolEvent::OutcomeDelivered { participant: "a".into(), commit: true, ok: true };
+        let decided = ProtocolEvent::DecisionForced { commit: true };
+        let typed = vec![
+            stamped("c", 0, 1, Record::Step(origin.clone(), delivered.clone())),
+            stamped("c", 1, 2, Record::Step(origin, decided.clone())),
         ];
-        assert_eq!(verify(log(interleaved)), Vec::new());
-    }
-
-    #[test]
-    fn text_that_reads_like_a_protocol_step_is_not_one() {
-        // The same reordering as `outcome_before_decision_detected`, told to
-        // the recorder as `protocol`-kind text: nothing to verify.
+        assert_eq!(CausalMerge::new().add_events(typed).build().verify(), Vec::new());
         let told = vec![
-            ev("c", 0, 1, RecordKind::Protocol, "outcome_delivered(a, commit=true, ok=true)"),
-            ev("c", 1, 2, RecordKind::Protocol, "decision_forced(commit=true)"),
+            ev("c", 0, 1, RecordKind::Protocol, &delivered.to_string()),
+            ev("c", 1, 2, RecordKind::Protocol, &decided.to_string()),
         ];
-        assert_eq!(told[0].detail(), log(vec![(1, outcome(true))])[0].detail());
-        assert_eq!(verify(told), Vec::new());
+        assert_eq!(CausalMerge::new().add_events(told).build().verify(), Vec::new());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! lowest crate every emitter can name. A step is emitted at its source
 //! through `orb::Env::emit` together with its [`Origin`] and kept, typed,
 //! in the context's [`crate::FlightRecorder`]; the coordinator trace of a
-//! figure test, the harness reference machines and the causal verifier are
-//! filters over [`crate::FlightRecorder::steps`]. The `Display` texts are
-//! what recorder dumps, span events and sweep fingerprints carry.
+//! figure test and the harness reference machines are filters over
+//! [`crate::FlightRecorder::steps`], and the reference machines are the
+//! only judges of their order. The `Display` texts are what recorder dumps
+//! and sweep fingerprints carry.
 
 use std::fmt;
 

@@ -15,9 +15,8 @@
 //!   path is a single atomic load, no allocation — with a
 //!   Prometheus-text exporter and a JSON snapshot.
 //! - **Conformance surfaces** ([`SpanTree::verify`],
-//!   [`SpanTree::fingerprint`], [`SpanTree::coordinator_projection`])
-//!   consumed by harness oracle #7, which pins the span tree to the
-//!   coordinator trace the figure pipeline already trusts.
+//!   [`SpanTree::fingerprint`]) consumed by harness oracle #7, which
+//!   checks the span tree is well-formed and replays identically.
 //! - **The one protocol-event stream** ([`ProtocolEvent`], [`Origin`]):
 //!   every protocol step of every layer, typed and attributed, kept once in
 //!   the [`FlightRecorder`] (DESIGN.md §20).
@@ -103,9 +102,6 @@ struct TelemetryInner {
     /// Shared allocator for trace and span ids; 0 is reserved for the
     /// disabled context.
     next_id: AtomicU64,
-    /// Recorder-wide point-event sequence; merging events by it recovers
-    /// emission order across spans (the coordinator projection).
-    event_seq: AtomicU64,
     store: Mutex<SpanStore>,
     /// Per-thread ambient span stack: the ORB server interceptor pushes
     /// before servant dispatch and pops in `send_reply`, so work done on
@@ -150,7 +146,6 @@ impl Telemetry {
                 enabled: gate.clone(),
                 time,
                 next_id: AtomicU64::new(1),
-                event_seq: AtomicU64::new(0),
                 store: Mutex::new(SpanStore {
                     spans: Vec::new(),
                     index: HashMap::new(),
@@ -205,7 +200,6 @@ impl Telemetry {
             start: self.now(),
             end: None,
             attrs: Vec::new(),
-            events: Vec::new(),
         };
         let mut store = self.inner.store.lock();
         let idx = store.spans.len();
@@ -345,18 +339,6 @@ impl Telemetry {
         }
     }
 
-    /// Attach a point event carrying the recorder-wide sequence number.
-    pub fn event(&self, context: &SpanContext, text: &str) {
-        if !context.is_recording() {
-            return;
-        }
-        let seq = self.inner.event_seq.fetch_add(1, Ordering::Relaxed);
-        let mut store = self.inner.store.lock();
-        if let Some(&idx) = store.index.get(&context.span_id) {
-            store.spans[idx].events.push((seq, text.to_string()));
-        }
-    }
-
     /// Number of spans recorded so far.
     pub fn span_count(&self) -> usize {
         self.inner.store.lock().spans.len()
@@ -404,7 +386,7 @@ mod tests {
         let root = tel.start_root("root");
         assert!(!root.is_recording());
         tel.enter(root);
-        tel.event(&root, "ignored");
+        tel.set_attr(&root, "ignored", "yes");
         tel.end(&root);
         assert_eq!(tel.span_count(), 0);
         assert!(tel.current().is_none());

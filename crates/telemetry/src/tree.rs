@@ -1,11 +1,11 @@
 //! Span-tree reconstruction, well-formedness checking, canonical
-//! fingerprinting and the coordinator-event projection.
+//! fingerprinting and critical-path attribution.
 //!
-//! The tree is the telemetry plane's ground truth: oracle #7 in the
-//! harness asserts per seed that it is well-formed (single root per trace,
-//! no orphans, parents open-before/close-after children, no span left
-//! open) and that the merged point-event stream is byte-identical to the
-//! coordinator trace the figure-regeneration pipeline already trusts.
+//! Oracle #7 in the harness asserts per seed that the tree is well-formed
+//! (single root per trace, no orphans, parents open-before/close-after
+//! children, no span left open); the determinism oracle compares its
+//! fingerprint across replays. What the protocol did is not the tree's to
+//! say: the flight recorder keeps every step (DESIGN.md §20).
 
 use crate::span::{SpanId, SpanRecord, TraceId};
 use std::collections::{HashMap, HashSet};
@@ -228,25 +228,6 @@ impl SpanTree {
         roots.iter().fold(crate::FNV_OFFSET, |hash, canon| crate::fnv1a(hash, canon.as_bytes()))
     }
 
-    /// The coordinator projection: every point event on every span,
-    /// merged back into emission order (the recorder-wide sequence
-    /// number) and joined with newlines — the exact shape of
-    /// [`crate::render_steps`] over the recorded fig. 5 steps. Oracle #7
-    /// compares the two byte for byte.
-    pub fn coordinator_projection(&self) -> String {
-        let mut events: Vec<(u64, &str)> = self
-            .spans
-            .iter()
-            .flat_map(|s| s.events.iter().map(|(seq, text)| (*seq, text.as_str())))
-            .collect();
-        events.sort_by_key(|(seq, _)| *seq);
-        events
-            .iter()
-            .map(|(_, text)| *text)
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
     /// Fig. 8/10-style ASCII message-sequence chart; see
     /// [`crate::sequence::render_sequence`].
     pub fn render_sequence(&self) -> String {
@@ -362,15 +343,9 @@ fn canonical(span: &SpanRecord, children: &HashMap<Option<SpanId>, Vec<&SpanReco
         .map(|(k, v)| format!("{k}={v}"))
         .collect::<Vec<_>>()
         .join(",");
-    let events = span
-        .events
-        .iter()
-        .map(|(_, text)| text.as_str())
-        .collect::<Vec<_>>()
-        .join("&");
     let end = span.end.map(|e| e.as_nanos() as u64).unwrap_or(u64::MAX);
     format!(
-        "{}[{attrs}]@{}..{end}<{events}>({})",
+        "{}[{attrs}]@{}..{end}({})",
         span.name,
         span.start.as_nanos() as u64,
         kids.join(";")
@@ -400,7 +375,6 @@ mod tests {
             start: Duration::from_nanos(start),
             end: end.map(Duration::from_nanos),
             attrs: Vec::new(),
-            events: Vec::new(),
         }
     }
 
@@ -544,19 +518,5 @@ mod tests {
         assert_eq!(path.phases[0].phase, "self");
         assert_eq!(path.phases[0].duration, Duration::from_nanos(6));
         assert!(SpanTree::new(Vec::new()).critical_path().is_none());
-    }
-
-    #[test]
-    fn projection_merges_events_by_sequence() {
-        let mut root = span(1, None, "root", 0, Some(10));
-        let mut child = span(2, Some(1), "child", 1, Some(5));
-        root.events.push((0, "get_signal(Bill)".to_string()));
-        child.events.push((1, "\"charge\" -> debit".to_string()));
-        root.events.push((2, "get_outcome(Bill) = success".to_string()));
-        let tree = SpanTree::new(vec![root, child]);
-        assert_eq!(
-            tree.coordinator_projection(),
-            "get_signal(Bill)\n\"charge\" -> debit\nget_outcome(Bill) = success"
-        );
     }
 }

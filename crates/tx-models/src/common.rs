@@ -42,6 +42,9 @@ pub const OUT_READ_ONLY: &str = "read_only";
 pub const OUT_COMMITTED: &str = "committed";
 /// Outcome name: collated "transaction rolled back".
 pub const OUT_ROLLED_BACK: &str = "rolled_back";
+/// Outcome name: commit was decided, but some participant failed to
+/// apply it — the outcome is no longer known to be atomic.
+pub const OUT_HEURISTIC_HAZARD: &str = "heuristic_hazard";
 
 #[cfg(test)]
 mod tests {

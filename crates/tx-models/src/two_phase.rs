@@ -17,7 +17,8 @@ use orb::Value;
 use ots::{Resource, TxError, TxId, Vote};
 
 use crate::common::{
-    OUT_COMMITTED, OUT_READ_ONLY, OUT_ROLLED_BACK, SIG_COMMIT, SIG_PREPARE, SIG_ROLLBACK,
+    OUT_COMMITTED, OUT_HEURISTIC_HAZARD, OUT_READ_ONLY, OUT_ROLLED_BACK, SIG_COMMIT, SIG_PREPARE,
+    SIG_ROLLBACK,
 };
 
 /// Conventional name of the 2PC signal set.
@@ -35,13 +36,17 @@ enum Phase {
 
 /// The fig. 8 SignalSet: `prepare` to all actions, then `commit` — or
 /// `rollback` as soon as any action votes abort (or errors), or immediately
-/// when the activity's completion status is a failure.
+/// when the activity's completion status is a failure. A commit that some
+/// action failed to apply reads [`OUT_HEURISTIC_HAZARD`], not
+/// [`OUT_COMMITTED`].
 #[derive(Debug)]
 pub struct TwoPhaseCommitSignalSet {
     phase: Phase,
     votes_done: usize,
     votes_read_only: usize,
     any_abort: bool,
+    /// Negative responses to the phase-two signal.
+    phase_two_failures: usize,
     completion: CompletionStatus,
 }
 
@@ -59,6 +64,7 @@ impl TwoPhaseCommitSignalSet {
             votes_done: 0,
             votes_read_only: 0,
             any_abort: false,
+            phase_two_failures: 0,
             completion: CompletionStatus::Success,
         }
     }
@@ -118,12 +124,20 @@ impl SignalSet for TwoPhaseCommitSignalSet {
                     AfterResponse::Continue
                 }
             }
-            _ => AfterResponse::Continue,
+            Phase::Deciding => {
+                self.phase_two_failures += usize::from(response.is_negative());
+                AfterResponse::Continue
+            }
+            Phase::Start => AfterResponse::Continue,
         }
     }
 
     fn get_outcome(&mut self) -> Outcome {
-        if self.committing() {
+        if self.committing() && self.phase_two_failures > 0 {
+            // The decision was commit, but not everyone applied it: the
+            // native coordinator's `TxError::Heuristic` in the same spot.
+            Outcome::new(OUT_HEURISTIC_HAZARD).with_data(Value::U64(self.phase_two_failures as u64))
+        } else if self.committing() {
             Outcome::new(OUT_COMMITTED).with_data(Value::U64(self.votes_done as u64))
         } else {
             Outcome::new(OUT_ROLLED_BACK)

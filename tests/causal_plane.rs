@@ -1,19 +1,20 @@
 //! Tier-1 causal merge-plane sweep (DESIGN.md §16): oracle #12
-//! (`causal-consistency`) over the planted racy-coordinator fixture.
+//! (`causal-consistency`) over the planted skewed-clock fixture.
 //!
-//! [`ReorderedOutcomeScenario`] delivers the first phase-two outcome
-//! *before* forcing the decision whenever its `causal.race` failpoint is
+//! [`LaggingClockScenario`] sets participant `alpha`'s recorder one step
+//! behind the simulation clock whenever its `causal.race` failpoint is
 //! armed. Every per-node fact stays healthy — the run commits, both
-//! participants keep their effects — so the reorder is invisible to the
-//! other eleven oracles; only the merged happens-before DAG shows the
-//! outcome with no forced decision among its causal ancestors. The sweep
-//! must catch it via #12 alone, shrink every violating schedule to the
-//! single failpoint arm, and staple a schema-clean Perfetto trace to the
+//! participants keep their effects, the coordinator's steps refine the 2PC
+//! model and each node's own log is monotone — so the skew is invisible to
+//! the other eleven oracles; only the merged happens-before DAG shows
+//! alpha receiving each request before it was sent. The sweep must catch
+//! it via #12 alone, shrink every violating schedule to the single
+//! failpoint arm, and staple a schema-clean Perfetto trace to the
 //! reproducer.
 
 use std::time::Instant;
 
-use harness::scenarios::{ReorderedOutcomeScenario, RACE_SITE};
+use harness::scenarios::{LaggingClockScenario, RACE_SITE};
 use harness::{sweep, FaultEvent, FaultSchedule, Scenario, SweepConfig};
 
 const SCHEDULES: u64 = 120;
@@ -25,7 +26,7 @@ fn config() -> SweepConfig {
 
 #[test]
 fn fault_free_fixture_is_clean_and_reports_the_merge() {
-    let obs = ReorderedOutcomeScenario.run(&FaultSchedule::empty());
+    let obs = LaggingClockScenario.run(&FaultSchedule::empty());
     assert!(harness::check_all(&obs).is_empty());
     let causal = obs.causal.expect("the fixture always reports its merge");
     assert!(causal.violations.is_empty(), "clean merge on clean runs");
@@ -33,21 +34,21 @@ fn fault_free_fixture_is_clean_and_reports_the_merge() {
 }
 
 #[test]
-fn reordered_outcome_is_caught_by_the_causal_oracle_alone() {
+fn a_lagging_clock_is_caught_by_the_causal_oracle_alone() {
     let started = Instant::now();
-    let report = sweep(&ReorderedOutcomeScenario, &config());
+    let report = sweep(&LaggingClockScenario, &config());
     assert!(
         !report.failures.is_empty(),
-        "the planted reorder escaped a {SCHEDULES}-schedule sweep"
+        "the planted skew escaped a {SCHEDULES}-schedule sweep"
     );
     for failure in &report.failures {
         // Oracle #12 and nothing else: the bug is invisible per-node.
         assert!(
             failure.violations.iter().all(|v| v.oracle == "causal-consistency"),
-            "another oracle saw the reorder, so the fixture is too loud: {:?}",
+            "another oracle saw the skew, so the fixture is too loud: {:?}",
             failure.violations
         );
-        // 1-minimal: the single racy failpoint arm, nothing else.
+        // 1-minimal: the single skewing failpoint arm, nothing else.
         assert_eq!(failure.minimized.len(), 1, "shrinking left noise:\n{}", failure.repro());
         assert!(
             matches!(
@@ -60,7 +61,7 @@ fn reordered_outcome_is_caught_by_the_causal_oracle_alone() {
         // Removing the sole event makes the failure vanish — 1-minimality
         // checked against a live run.
         let healthy = failure.minimized.without_event(0);
-        let obs = ReorderedOutcomeScenario.run(&healthy);
+        let obs = LaggingClockScenario.run(&healthy);
         assert!(harness::check_all(&obs).is_empty());
         // The reproducer ships with the merged DAG's Perfetto export.
         let trace = failure.causal_trace.as_ref().expect("trace stapled to the repro");
@@ -73,7 +74,7 @@ fn reordered_outcome_is_caught_by_the_causal_oracle_alone() {
         "causal sweep blew its wall-clock budget: {:?}",
         started.elapsed()
     );
-    assert_eq!(report.fingerprint, 0x4dbf_2753_6eb8_c2aa, "{:#018x}", report.fingerprint);
+    assert_eq!(report.fingerprint, 0x39d7_5317_7a0d_ce2e, "{:#018x}", report.fingerprint);
     assert_eq!(report.failures.len(), 86);
 }
 
@@ -82,15 +83,15 @@ fn causal_sweeps_are_reproducible() {
     // The sweep fingerprint folds in every run's merge fingerprint, so a
     // nondeterministic DAG — stamp, edge or ordering jitter — splits the
     // two sweeps here even if no oracle fires.
-    let a = sweep(&ReorderedOutcomeScenario, &config());
-    let b = sweep(&ReorderedOutcomeScenario, &config());
+    let a = sweep(&LaggingClockScenario, &config());
+    let b = sweep(&LaggingClockScenario, &config());
     assert_eq!(a.fingerprint, b.fingerprint, "merge plane is not deterministic");
     assert_eq!(a.failures.len(), b.failures.len());
 }
 
 #[test]
 fn failure_reports_write_perfetto_artifacts() {
-    let report = sweep(&ReorderedOutcomeScenario, &config());
+    let report = sweep(&LaggingClockScenario, &config());
     let failure = report.failures.first().expect("sweep finds the planted bug");
     let dir = std::path::Path::new("target/causal-plane-test-traces");
     let path = failure.write_causal_trace(dir).expect("artifact written");

@@ -8,12 +8,15 @@ mod common;
 use std::sync::Arc;
 
 use activity_service::{
-    ActionServant, Activity, ActivityService, CompletionStatus, RemoteActionProxy,
+    ActionError, ActionServant, Activity, ActivityService, CompletionStatus, FnAction, Outcome,
+    RemoteActionProxy, Signal,
 };
 use telemetry::{FlightRecorder, ProtocolEvent};
 use orb::{NetworkConfig, Orb, RetryPolicy, Value};
 use ots::{Resource, TransactionalKv, TxId};
-use tx_models::common::{OUT_COMMITTED, OUT_ROLLED_BACK, SIG_COMMIT, SIG_PREPARE};
+use tx_models::common::{
+    OUT_COMMITTED, OUT_HEURISTIC_HAZARD, OUT_ROLLED_BACK, SIG_COMMIT, SIG_PREPARE,
+};
 use tx_models::{ResourceAction, TwoPhaseCommitSignalSet, TWO_PC_SET};
 
 /// Build a coordinator node plus two participant nodes, each hosting a
@@ -134,4 +137,48 @@ fn fig8_partition_prevents_commit_but_retry_after_heal_succeeds() {
     for store in &stores {
         assert_eq!(store.read_committed("balance"), None);
     }
+}
+
+/// A root activity under the 2PC set with two in-process actions: `first`
+/// always answers `done`; `second` answers `done` except to `refused`, which
+/// it fails.
+fn local_2pc(refused: &'static str) -> (Activity, FlightRecorder) {
+    let (activity, recorder) = common::recorded_root("local-commit");
+    activity.coordinator().add_signal_set(Box::new(TwoPhaseCommitSignalSet::new())).unwrap();
+    activity.set_completion_signal_set(TWO_PC_SET);
+    let first = FnAction::new("first", |_s: &Signal| Ok(Outcome::done()));
+    let second = FnAction::new("second", move |s: &Signal| {
+        if s.name() == refused {
+            Err(ActionError::new(format!("{refused} delivery lost")))
+        } else {
+            Ok(Outcome::done())
+        }
+    });
+    activity.coordinator().register_action(TWO_PC_SET, Arc::new(first));
+    activity.coordinator().register_action(TWO_PC_SET, Arc::new(second));
+    (activity, recorder)
+}
+
+#[test]
+fn a_lost_phase_two_commit_reads_as_a_heuristic_hazard() {
+    // Both voted yes, so commit was decided; the second never applied it.
+    // Reading `committed` would tell the caller an atomic outcome that did
+    // not happen (the native coordinator raises `TxError::Heuristic` here).
+    let (activity, _recorder) = local_2pc(SIG_COMMIT);
+    let outcome = activity.complete().unwrap();
+    assert_eq!(outcome.name(), OUT_HEURISTIC_HAZARD);
+    assert_eq!(outcome.data().as_u64(), Some(1), "one phase-two failure");
+}
+
+#[test]
+fn the_reference_models_accept_a_heuristic_hazard_and_an_abort_vote() {
+    // The lost commit: the set read a failure after a failed response.
+    let (activity, recorder) = local_2pc(SIG_COMMIT);
+    activity.complete().unwrap();
+    assert_eq!(harness::replay_all(&recorder.steps()), Vec::new());
+    // The refused prepare: `rolled_back` is a failure outcome, as the
+    // failed vote before it requires.
+    let (activity, recorder) = local_2pc(SIG_PREPARE);
+    assert_eq!(activity.complete().unwrap().name(), OUT_ROLLED_BACK);
+    assert_eq!(harness::replay_all(&recorder.steps()), Vec::new());
 }

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use harness::scenarios::{
-    self, BrokenAtomicCommitScenario, ForgetfulCoordinatorScenario, ReorderedOutcomeScenario,
+    self, BrokenAtomicCommitScenario, ForgetfulCoordinatorScenario, LaggingClockScenario,
     ThreeParticipantTwoPhase, WorkflowRetryScenario,
 };
 use harness::{explore, ExploreConfig, ExploreReport, FaultSchedule, Scenario};
@@ -130,14 +130,14 @@ fn the_planted_commit_after_abort_vote_is_caught_and_shrunk_to_one_minimal() {
 #[test]
 fn the_seeded_sweeps_planted_fixtures_are_caught_by_a_single_crash() {
     // The forgetful coordinator needs one undecided crash (oracle #10), the
-    // reordered outcome one armed race (oracle #12): both are single-crash
+    // lagging clock one armed skew (oracle #12): both are single-crash
     // plans, so enumeration reaches them without a seed. (The no-dedup
     // workflow needs a duplicated message and stays the sweep's.)
     let forgetful = caught_by(&ForgetfulCoordinatorScenario, "eventual-resolution");
     assert!(forgetful.divergences.iter().all(|d| d.minimized.len() == 1));
-    let reordered = caught_by(&ReorderedOutcomeScenario, "causal-consistency");
-    assert!(reordered.divergences.iter().all(|d| d.minimized.len() == 1));
-    assert!(reordered.divergences.iter().all(|d| d.causal_trace.is_some()));
+    let lagging = caught_by(&LaggingClockScenario, "causal-consistency");
+    assert!(lagging.divergences.iter().all(|d| d.minimized.len() == 1));
+    assert!(lagging.divergences.iter().all(|d| d.causal_trace.is_some()));
 }
 
 #[test]

@@ -4,14 +4,11 @@
 //! 1. Across a seed-swept chaos run of the fig. 10 workflow, every message
 //!    the network dropped forced a retry attempt — `retry_attempts_total`
 //!    never under-counts `NetworkStats::dropped` — while the recorded span
-//!    trees stay well-formed with their event projection byte-identical to
-//!    the coordinator trace (the same surfaces harness oracle #7 sweeps).
+//!    trees stay well-formed (the surface harness oracle #7 sweeps).
 //! 2. The failure detector's `detector_transitions_total` series agree
 //!    with the fault accounting the liveness oracle reasons about: the
 //!    transition counts are exactly those implied by the injected
 //!    consecutive-failure run and the final rehabilitation.
-
-mod common;
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -26,22 +23,19 @@ use harness::{generate, FaultSchedule, Scenario, ScheduleSpace};
 use orb::detector::{DetectorConfig, FailureDetector, HealthStatus};
 use orb::{Env, FaultScript, NetworkConfig, Orb, Request, RetryPolicy, SimClock, Value};
 use recovery_log::{FailpointSet, MemWal, Wal};
-use telemetry::{FlightRecorder, Telemetry};
+use telemetry::Telemetry;
 
 /// The fig. 10 workflow wiring (mirrors the harness `WorkflowRetryScenario`)
 /// with the run's `Telemetry` and `Orb` handed back for metric inspection.
-fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb, String) {
+fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb) {
     let clock = SimClock::new();
     let telemetry = Telemetry::with_time(Arc::new(clock.clone()));
     let failpoints = FailpointSet::new();
     schedule.arm_into(&failpoints);
-    // The coordinator trace is read back, whole, from the recorder.
-    let recorder = FlightRecorder::new("coordinator", usize::MAX);
     let env = Env::wired(Env {
         clock,
         failpoints: Some(failpoints),
         telemetry: Some(telemetry.clone()),
-        recorder: Some(recorder.clone()),
         ..Default::default()
     });
     let orb = Orb::builder()
@@ -88,7 +82,7 @@ fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb, Strin
         }
         let _ = service.suspend();
     }
-    (telemetry, orb, telemetry::render_steps(&common::trace(&recorder)))
+    (telemetry, orb)
 }
 
 #[test]
@@ -100,7 +94,7 @@ fn dropped_deliveries_are_covered_by_retry_attempts_across_a_sweep() {
     let mut runs_with_drops = 0u32;
     for seed in 0..40u64 {
         let schedule = generate(0x20260806 + seed, &space);
-        let (telemetry, orb, trace) = run_instrumented_workflow(&schedule);
+        let (telemetry, orb) = run_instrumented_workflow(&schedule);
         let dropped = orb.network().stats().dropped;
         let retries = telemetry.metrics().counter_value("retry_attempts_total");
         // Every dropped delivery forces its invocation to fail, and the
@@ -114,12 +108,8 @@ fn dropped_deliveries_are_covered_by_retry_attempts_across_a_sweep() {
             runs_with_drops += 1;
         }
 
-        // The span tree recorded under chaos stays conformant: well-formed,
-        // and its event projection is byte-identical to the coordinator
-        // trace (oracle #7's surfaces).
-        let tree = telemetry.span_tree();
-        assert_eq!(tree.verify(), Vec::<String>::new(), "seed {seed}");
-        assert_eq!(tree.coordinator_projection(), trace, "seed {seed}");
+        // The span tree recorded under chaos stays well-formed (oracle #7).
+        assert_eq!(telemetry.span_tree().verify(), Vec::<String>::new(), "seed {seed}");
     }
     assert!(runs_with_drops > 0, "the sweep must exercise dropped deliveries");
 }
